@@ -62,8 +62,6 @@ bench-grid:
 		--tables benchmarks/tables
 	$(PYTHON) -m repro.bench grid benchmarks/grids/scenario_fleet.xp \
 		--tables benchmarks/tables
-	$(PYTHON) -m repro.bench grid benchmarks/grids/kernel_ablation.xp \
-		--tables benchmarks/tables
 
 # CI-smoke grid: a tiny 2x2 scenario sweep, run twice to prove resume.
 bench-grid-quick:

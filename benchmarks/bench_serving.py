@@ -132,20 +132,15 @@ class Variant:
     #: ``"thread"`` (in-process pool) or ``"process"`` (supervised
     #: worker processes — ingest escapes the GIL).
     backend: str = "thread"
-    #: ``"scalar"`` per-pair bounds math or the batched ``"vector"``
-    #: numpy kernel (:mod:`repro.distances.batch`) — results are
-    #: bit-identical, which :func:`_check` asserts variant by variant.
-    kernel: str = "scalar"
 
 
-#: The full sweep as a grid definition: router before/after, worker
-#: scaling on both execution backends (threads share the GIL;
-#: processes escape it), each bucketed row under both bounds kernels.
-#: The same declarative machinery behind ``python -m repro.bench
-#: grid`` prunes the invalid corners (a coarse router is a serial
-#: scalar ablation; one worker never leaves the serial path), and the
-#: product order keeps the historical hand-rolled variant tuple as the
-#: scalar subsequence.
+#: The full sweep as a grid definition: router before/after, then
+#: worker scaling on both execution backends (threads share the GIL;
+#: processes escape it).  The same declarative machinery behind
+#: ``python -m repro.bench grid`` prunes the invalid corners (a coarse
+#: router is a serial ablation; one worker never leaves the serial
+#: path), and the product order reproduces the historical hand-rolled
+#: variant tuple exactly.
 VARIANT_GRID = ExperimentGrid(
     name="serving_variants",
     runner="serving",
@@ -153,33 +148,25 @@ VARIANT_GRID = ExperimentGrid(
         Axis("router", "{}", ("coarse", "bucketed")),
         Axis("backend", "{}", ("thread", "process")),
         Axis("workers", "w{}", WORKERS_GRID),
-        Axis("kernel", "{}", ("scalar", "vector")),
     ],
     constraints=[
         lambda p: p["router"] == "bucketed"
-        or (
-            p["workers"] == 1
-            and p["backend"] == "thread"
-            and p["kernel"] == "scalar"
-        ),
+        or (p["workers"] == 1 and p["backend"] == "thread"),
         lambda p: p["workers"] > 1 or p["backend"] == "thread",
     ],
 )
 
 
 def _variant_of(params: dict) -> Variant:
-    kernel = str(params.get("kernel", "scalar"))
-    suffix = "-vec" if kernel == "vector" else ""
     if params["router"] == "coarse":
         return Variant("coarse", bucketed_router=False)
     if params["workers"] == 1:
-        return Variant(f"sharded{suffix}", kernel=kernel)
+        return Variant("sharded")
     kind = "workers" if params["backend"] == "thread" else "process"
     return Variant(
-        f"{kind}={params['workers']}{suffix}",
+        f"{kind}={params['workers']}",
         workers=params["workers"],
         backend=params["backend"],
-        kernel=kernel,
     )
 
 
@@ -268,7 +255,6 @@ def run_serving(
             workers=v.workers,
             bucketed_router=v.bucketed_router,
             backend=v.backend,
-            kernel=v.kernel,
         )
         for v in variants
     ]
@@ -504,19 +490,13 @@ def test_serving_worker_scaling(full_run, save_table):
     from repro.bench.runner import ExperimentResult
 
     run = full_run
-    # The serial bucketed scalar variant is the workers=1 reference;
-    # the thread rows share the GIL, the process rows escape it, and
-    # each parallel shape appears under both bounds kernels (the
-    # kernel column) — all speedups divide by the one serial scalar
-    # baseline so rows are directly comparable.
-    labels = (
-        ["sharded", "sharded-vec"]
-        + [f"workers={w}" for w in WORKERS_GRID[1:]]
-        + [f"workers={w}-vec" for w in WORKERS_GRID[1:]]
-        + [f"process={w}" for w in WORKERS_GRID[1:]]
-        + [f"process={w}-vec" for w in WORKERS_GRID[1:]]
+    # The serial bucketed variant is the workers=1 reference; the
+    # thread rows share the GIL, the process rows escape it.
+    scaling = (
+        [run.by_label("sharded")]
+        + [run.by_label(f"workers={w}") for w in WORKERS_GRID[1:]]
+        + [run.by_label(f"process={w}") for w in WORKERS_GRID[1:]]
     )
-    scaling = [run.by_label(label) for label in labels]
     result = ExperimentResult(
         title=f"Serving — worker scaling (n_shards={FULL[4]})",
         x_label="workers",
@@ -524,11 +504,9 @@ def test_serving_worker_scaling(full_run, save_table):
     )
     result.x_values.extend(
         "workers=1" if res.variant.label == "sharded"
-        else "workers=1-vec" if res.variant.label == "sharded-vec"
         else res.variant.label
         for res in scaling
     )
-    result.series["kernel"] = [res.variant.kernel for res in scaling]
     result.series["upd_per_s"] = [
         run.updates_per_sec(res) for res in scaling
     ]
@@ -1163,16 +1141,6 @@ def main(argv: list[str] | None = None) -> int:
         "is not given",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="distance-bounds path for the sharded variants: per-pair "
-        "scalar math or the batched numpy kernel; with --quick this "
-        "runs the kernel-equivalence smoke (scalar vs vector sharded "
-        "plus a parallel vector variant, delta histories asserted "
-        "bit-identical)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -1224,21 +1192,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend == "process" and not args.workers:
         args.workers = 2
 
-    if args.quick and args.kernel == "vector":
-        # CI smoke: kernel equivalence, not timing — the scalar
-        # sharded reference, the vector twin, and a parallel vector
-        # variant, all asserted bit-identical to the single monitor
-        # and to each other (delta histories included) by _check.
-        variants = (
-            Variant("sharded"),
-            Variant("sharded-vec", kernel="vector"),
-            Variant(
-                f"workers={args.workers or 2}-vec",
-                workers=args.workers or 2,
-                kernel="vector",
-            ),
-        )
-    elif args.quick and args.workers:
+    if args.quick and args.workers:
         # CI smoke: serial vs parallel equivalence, not timing.
         variants = _serial_parallel(args.workers, args.backend)
     elif args.quick:

@@ -18,37 +18,19 @@ from repro.bench.workloads import WorkloadFactory
 TABLE_DIR = pathlib.Path(__file__).parent / "tables"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--kernel",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help=(
-            "distance-bounds path for the streaming benchmarks: "
-            "per-pair scalar math or the batched numpy kernel "
-            "(results are bit-identical; see repro.distances.batch)"
-        ),
-    )
-
-
 @pytest.fixture(scope="session")
 def factory():
     return WorkloadFactory()
 
 
-@pytest.fixture(scope="session")
-def kernel(request):
-    return request.config.getoption("--kernel")
-
-
 @pytest.fixture
-def stream_scenario(factory, kernel):
+def stream_scenario(factory):
     """A fresh continuous-monitoring scenario (``bench_stream``).
 
     Function-scoped on purpose: streaming mutates its population, so
     every benchmark gets its own (the factory's cached index stays
     pristine — see WorkloadFactory.stream_scenario)."""
-    return factory.stream_scenario(kernel=kernel)
+    return factory.stream_scenario()
 
 
 @pytest.fixture(scope="session")

@@ -130,13 +130,7 @@ class ServiceConfig:
     execution engine: ``"thread"`` (default, in-process monitors on a
     thread pool) or ``"process"`` (shard monitors in worker processes
     behind :mod:`repro.queries.procpool` — ``backend="process"``
-    forces a sharded monitor even at ``n_shards=1``).  ``kernel``
-    picks the distance-bounds evaluation path for standing-query
-    maintenance: ``"scalar"`` (default, per-pair Python math) or
-    ``"vector"`` (the batched numpy kernel in
-    :mod:`repro.distances.batch` — bit-identical results, see the
-    ``kernel_*`` counters on
-    :class:`~repro.queries.monitor.MonitorStats`).  ``maxlen`` is
+    forces a sharded monitor even at ``n_shards=1``).  ``maxlen`` is
     the default subscription queue bound (``None`` = unbounded; see
     :class:`~repro.queries.serving.Subscription` for the drop-oldest
     policy and the ``dropped`` counter).
@@ -146,7 +140,6 @@ class ServiceConfig:
     workers: int = 1
     bucketed_router: bool = True
     backend: str = "thread"
-    kernel: str = "scalar"
     maxlen: int | None = None
 
     def __post_init__(self) -> None:
@@ -160,10 +153,6 @@ class ServiceConfig:
             raise QueryError(
                 "backend must be 'thread' or 'process', "
                 f"got {self.backend!r}"
-            )
-        if self.kernel not in ("scalar", "vector"):
-            raise QueryError(
-                f"kernel must be 'scalar' or 'vector', got {self.kernel!r}"
             )
         if self.maxlen is not None and self.maxlen < 1:
             raise QueryError(f"maxlen must be >= 1, got {self.maxlen}")
@@ -202,14 +191,9 @@ class QueryService:
                 workers=self.config.workers,
                 bucketed_router=self.config.bucketed_router,
                 backend=self.config.backend,
-                kernel=self.config.kernel,
             )
         else:
-            self.monitor = QueryMonitor(
-                index,
-                session=self.session,
-                kernel=self.config.kernel,
-            )
+            self.monitor = QueryMonitor(index, session=self.session)
         self.server = MonitorServer(self.monitor)
         self.server.on_publish = self._feed_batch
         self.server.on_drop = self._feed_resync_snapshot
@@ -630,6 +614,9 @@ class QueryService:
         space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
+        # Checkpoints written while the bounds kernel was selectable
+        # carry its name; both values gave bit-identical results.
+        cfg.pop("kernel", None)
         population = ObjectPopulation(space)
         for payload in state.objects:
             population.insert(object_from_dict(payload))

@@ -194,7 +194,6 @@ def _drive(
         "pairs_skipped": stats.pairs_skipped,
         "kernel_pairs": stats.kernel_pairs,
         "kernel_pruned": stats.kernel_pruned,
-        "kernel_fallbacks": stats.kernel_fallbacks,
     }
 
 
@@ -231,7 +230,6 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
             n_shards=params.get("shards"),
             workers=int(params.get("workers", 1)),
             backend=str(params.get("backend", "thread")),
-            kernel=str(params.get("kernel", "scalar")),
             seed=ctx.seed,
         )
         try:
@@ -278,7 +276,6 @@ def run_serving_cell(params: dict, ctx: CellContext) -> dict:
         n_shards=int(params.get("n_shards", 4)),
         workers=int(params["workers"]),
         backend=str(params["backend"]),
-        kernel=str(params.get("kernel", "scalar")),
         seed=ctx.seed,
     )
     try:

@@ -249,7 +249,6 @@ class WorkloadFactory:
         workers: int = 1,
         bucketed_router: bool = True,
         backend: str = "thread",
-        kernel: str = "scalar",
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -265,14 +264,10 @@ class WorkloadFactory:
         the two over identical streams); ``workers``,
         ``bucketed_router`` and ``backend`` pass through to it
         (parallel ingest / router-tightening ablation /
-        ``"process"`` shard workers that escape the GIL).  ``kernel``
-        selects the distance-bounds path — ``"scalar"`` per-pair math
-        or the batched ``"vector"`` numpy kernel
-        (:mod:`repro.distances.batch`), results bit-identical either
-        way.  ``n_iprq`` mixes standing
-        probabilistic-threshold range queries (iPRQ, threshold
-        ``p_min``, range = the profile's default range) into the
-        workload — the ``--prob`` serving variant.  ``seed`` overrides
+        ``"process"`` shard workers that escape the GIL).  ``n_iprq``
+        mixes standing probabilistic-threshold range queries (iPRQ,
+        threshold ``p_min``, range = the profile's default range) into
+        the workload — the ``--prob`` serving variant.  ``seed`` overrides
         the factory's base seed for this scenario's population and
         movement stream only (the shared space keeps the factory
         seed — grid cells vary workloads without rebuilding venues).
@@ -295,9 +290,7 @@ class WorkloadFactory:
             hop_probability=hop_probability, seed=base_seed + 7,
         )
         if n_shards is None:
-            monitor: QueryMonitor | ShardedMonitor = QueryMonitor(
-                index, kernel=kernel
-            )
+            monitor: QueryMonitor | ShardedMonitor = QueryMonitor(index)
         else:
             monitor = ShardedMonitor(
                 index,
@@ -305,7 +298,6 @@ class WorkloadFactory:
                 workers=workers,
                 bucketed_router=bucketed_router,
                 backend=backend,
-                kernel=kernel,
             )
         if query_range is None:
             query_range = p.default_range

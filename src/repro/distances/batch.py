@@ -4,11 +4,12 @@ Every maintenance layer — single monitor, thread shards, process
 workers — funnels into the same inner loop: for each moved object, each
 standing query derives a pruning interval from the paper's bounds
 (Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8) and only undecided pairs pay an exact
-refinement.  The scalar implementation in
-:mod:`repro.distances.bounds` walks subregions and entry doors in
-Python, and — worse — repeats the per-object geometry (instance-to-door
-Euclidean extrema) once per *query*, even though it does not depend on
-the query at all.
+refinement.  The per-pair (scalar) implementation in
+:mod:`repro.distances.bounds` — what the one-shot engine and every
+maintainer ``recompute`` run, and the reference this module is tested
+against — walks subregions and entry doors in Python, and repeats the
+per-object geometry (instance-to-door Euclidean extrema) once per
+*query*, even though it does not depend on the query at all.
 
 This module factors the pair bound into its two independent operands
 and evaluates a whole ``(moved objects x standing queries)`` block in a
@@ -34,10 +35,11 @@ A pair's topological bounds then reduce to a gather + add + row-min
 partition patched by the scalar direct-path term, exactly as
 :func:`repro.distances.bounds.subregion_stats` computes it.
 
-Bit-identity with the scalar path is a hard invariant, not an
-aspiration — the equivalence property suite asserts identical delta
-histories and identical prune decisions.  The arithmetic is arranged so
-every float operation matches the scalar sequence:
+Bit-identity with the scalar reference is a hard invariant, not an
+aspiration — ``tests/distances/test_batch.py`` asserts exact float
+equality function for function, so a standing result and a one-shot
+run can never disagree on a pruning decision.  The arithmetic is
+arranged so every float operation matches the scalar sequence:
 
 * planar squared distance is ``dx*dx + dy*dy`` — the same single
   addition ``(xy - p) ** 2 .sum(axis=1)`` performs over two elements;

@@ -28,8 +28,10 @@ write in a mutation scope, so the monitor can diff it into a
   shard router turns these into conservative skip decisions (the
   router measures against the object's instance bounding box, so the
   object's own uncertainty extent is accounted on the object side);
-* :meth:`~StandingQuery.on_update` — absorb one moved/inserted object
-  (the monitor already counted the pair in ``stats.pairs_evaluated``);
+* :meth:`~StandingQuery.on_update_batch` — absorb one packed
+  :class:`~repro.distances.batch.ObjectBlock` of moved/inserted objects
+  (an insert is a block of one; the monitor already counted the pairs
+  in ``stats.pairs_evaluated``);
 * :meth:`~StandingQuery.on_delete` — absorb one deleted object (ditto);
 * :meth:`~StandingQuery.recompute` — full re-execution (registration,
   bound-violation fallbacks, topology resyncs);
@@ -68,10 +70,12 @@ monitor (the existing equivalence property tests run unmodified, stats
 counting included).  :class:`ProbRangeMaintainer` is new: incremental
 maintenance of the probabilistic-threshold range query (standing iPRQ)
 — per update, the subregion probability bounds of
-:func:`repro.queries.prob_range.probability_bounds` decide membership
-whenever the qualifying probability provably stays on one side of
-``p_min``, and only an update whose probability can *cross* ``p_min``
-pays one exact :func:`~repro.queries.prob_range.qualifying_probability`
+:func:`repro.queries.prob_range.probability_bounds` (evaluated a block
+at a time by :func:`repro.distances.batch.block_probability_bounds`)
+decide membership whenever the qualifying probability provably stays
+on one side of ``p_min``, and only an update whose probability can
+*cross* ``p_min`` pays one exact
+:func:`~repro.queries.prob_range.qualifying_probability`
 refinement.  Its influence radius is the query range ``r``: an object
 whose instance box is Euclidean-farther than ``r`` has qualifying
 probability exactly zero (indoor distance dominates Euclidean), so it
@@ -96,7 +100,7 @@ from repro.distances.batch import (
     block_object_bounds,
     block_probability_bounds,
 )
-from repro.distances.bounds import DistanceInterval, object_bounds
+from repro.distances.bounds import DistanceInterval
 from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -172,13 +176,6 @@ class StandingQuery:
     annotates: ClassVar[str] = "distance"
     #: Whether influence_radius() can move when the result changes.
     dynamic_reach: ClassVar[bool] = False
-    #: Whether :meth:`on_update_batch` implements the vectorized bounds
-    #: kernel.  The monitor's ``kernel="vector"`` path dispatches a
-    #: packed :class:`~repro.distances.batch.ObjectBlock` to batch-aware
-    #: maintainers and falls back to per-object :meth:`on_update` for
-    #: the rest (counted in ``MonitorStats.kernel_fallbacks``), so
-    #: third-party maintainers keep working unchanged.
-    supports_batch: ClassVar[bool] = False
 
     def __init__(
         self, query_id: str, spec: QuerySpec, host: "QueryMonitor"
@@ -219,18 +216,12 @@ class StandingQuery:
     def influence_radius(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def on_update(
-        self, obj: UncertainObject
+    def on_update_batch(
+        self, block: ObjectBlock
     ) -> None:  # pragma: no cover - abstract
+        """Absorb one packed batch of moved/inserted objects (see
+        :mod:`repro.distances.batch`)."""
         raise NotImplementedError
-
-    def on_update_batch(self, block: ObjectBlock) -> None:
-        """Absorb one packed batch of moved objects (see
-        :mod:`repro.distances.batch`).  Only called when
-        :attr:`supports_batch` is set; the default is the scalar loop,
-        so an override only has to beat it, never to exist."""
-        for obj in block.objects:
-            self.on_update(obj)
 
     def recompute(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -281,23 +272,12 @@ class RangeMaintainer(StandingQuery):
         change the result: the query radius itself."""
         return self.r
 
-    supports_batch: ClassVar[bool] = True
-
-    def on_update(self, obj: UncertainObject) -> None:
-        """Membership of the moved object is re-decided in isolation —
-        the cached full search makes the interval machinery of Table III
-        sufficient, so no other pair is ever touched."""
-        host = self.host
-        dd = host.session.door_distances(self.q)
-        interval = object_bounds(
-            self.q, obj, dd, host.index.space, host.index.population.grid
-        )
-        self._decide(obj, interval, dd)
-
     def on_update_batch(self, block: ObjectBlock) -> None:
-        """Vectorized twin of :meth:`on_update`: one whole-block bounds
-        evaluation, then the identical per-pair decision sequence —
-        only undecided pairs fall through to exact refinement."""
+        """One whole-block bounds evaluation, then each moved object's
+        membership is re-decided in isolation — the cached full search
+        makes the interval machinery of Table III sufficient, so no
+        other pair is ever touched, and only undecided pairs fall
+        through to exact refinement."""
         host = self.host
         pack = host.session.kernel_pack(self.q)
         intervals = block_object_bounds(
@@ -392,19 +372,11 @@ class KNNMaintainer(StandingQuery):
         result (members always are; an unfull result reaches forever)."""
         return self.kth_distance()
 
-    supports_batch: ClassVar[bool] = True
-
-    def on_update(self, obj: UncertainObject) -> None:
-        host = self.host
-        dd = host.session.door_distances(self.q)
-        self._decide(obj, None, dd)
-
     def on_update_batch(self, block: ObjectBlock) -> None:
-        """Vectorized twin of :meth:`on_update`.  Only the
-        position-dependent geometry — the pruning intervals — is
-        precomputed for the block; membership decisions stay strictly
-        sequential per object, because ``tau`` evolves *within* a batch
-        and the scalar path's decisions depend on that evolution."""
+        """Only the position-dependent geometry — the pruning
+        intervals — is precomputed for the block; membership decisions
+        stay strictly sequential per object, because ``tau`` evolves
+        *within* a batch and each decision depends on that evolution."""
         host = self.host
         pack = host.session.kernel_pack(self.q)
         intervals = block_object_bounds(
@@ -416,7 +388,7 @@ class KNNMaintainer(StandingQuery):
     def _decide(
         self,
         obj: UncertainObject,
-        interval: DistanceInterval | None,
+        interval: DistanceInterval,
         dd: DoorDistances,
     ) -> None:
         host = self.host
@@ -440,16 +412,10 @@ class KNNMaintainer(StandingQuery):
                 host.stats.full_recomputes += 1
                 self.recompute()
             return
-        if len(self.result) >= self.k:
-            if interval is None:
-                interval = object_bounds(
-                    self.q, obj, dd, host.index.space,
-                    host.index.population.grid,
-                )
-            if interval.lower > tau:
-                # Certainly no closer than the current k-th member.
-                host.stats.pairs_skipped += 1
-                return
+        if len(self.result) >= self.k and interval.lower > tau:
+            # Certainly no closer than the current k-th member.
+            host.stats.pairs_skipped += 1
+            return
         d = self._exact(obj, dd)
         host.stats.pairs_refined += 1
         if not math.isfinite(d):
@@ -531,21 +497,10 @@ class ProbRangeMaintainer(StandingQuery):
         bounding box the router measures against."""
         return self.r
 
-    supports_batch: ClassVar[bool] = True
-
-    def on_update(self, obj: UncertainObject) -> None:
-        host = self.host
-        dd = host.session.door_distances(self.q)
-        lo, hi = probability_bounds(
-            host.index, self.q, obj, dd, self.r
-        )
-        self._decide(obj, lo, hi, dd)
-
     def on_update_batch(self, block: ObjectBlock) -> None:
-        """Vectorized twin of :meth:`on_update`: whole-block
-        probability bounds (Eq. 8 ingredients), the same per-pair
-        threshold decisions, exact refinement only when ``p_min`` falls
-        strictly between the bounds."""
+        """Whole-block probability bounds (Eq. 8 ingredients), then
+        per-pair threshold decisions; exact refinement only when
+        ``p_min`` falls strictly between the bounds."""
         host = self.host
         pack = host.session.kernel_pack(self.q)
         los, his = block_probability_bounds(
@@ -599,7 +554,7 @@ class ProbRangeMaintainer(StandingQuery):
     def recompute(self) -> None:
         """Full re-execution against the session-cached full search,
         applying the identical bounds-then-refine decision per object
-        that :meth:`on_update` applies per pair (one convention for
+        that :meth:`on_update_batch` applies per pair (one convention for
         both paths keeps re-annotation deltas quiet).
 
         The filtering phase prunes the candidate set first: an object
@@ -739,12 +694,6 @@ class CountMaintainer(StandingQuery):
         else:
             self.result = {}
 
-    supports_batch: ClassVar[bool] = True
-
-    def on_update(self, obj: UncertainObject) -> None:
-        self._inner.on_update(obj)
-        self._republish()
-
     def on_update_batch(self, block: ObjectBlock) -> None:
         """The inner range maintainer absorbs the block with its own
         kernel; republishing once at the end is equivalent to per
@@ -859,21 +808,24 @@ class OccupancyMaintainer(StandingQuery):
         else:
             self.result = {}
 
-    def on_update(self, obj: UncertainObject) -> None:
+    def on_update_batch(self, block: ObjectBlock) -> None:
+        """Membership needs no bounds, so the block is just its
+        objects."""
         host = self.host
-        host.stats.pairs_skipped += 1  # decided without distance work
-        if obj.region.radius > self._radius_pad:
-            self._radius_pad = obj.region.radius
-        was = obj.object_id in self._members
-        now = self._inside(obj)
-        if was == now:
-            return
-        host.touch(self)
-        if now:
-            self._members.add(obj.object_id)
-        else:
-            self._members.discard(obj.object_id)
-        self._republish()
+        for obj in block.objects:
+            host.stats.pairs_skipped += 1  # decided without distance work
+            if obj.region.radius > self._radius_pad:
+                self._radius_pad = obj.region.radius
+            was = obj.object_id in self._members
+            now = self._inside(obj)
+            if was == now:
+                continue
+            host.touch(self)
+            if now:
+                self._members.add(obj.object_id)
+            else:
+                self._members.discard(obj.object_id)
+            self._republish()
 
     def holds(self, object_id: str) -> bool:
         """Membership is the private geometric set, not the published

@@ -142,18 +142,12 @@ class MonitorStats:
     event_recomputes: int = 0
     topology_invalidations: int = 0
     deltas_emitted: int = 0
-    #: Pairs dispatched through the vectorized bounds kernel
-    #: (``kernel="vector"`` move batches hitting batch-aware
-    #: maintainers).  Always 0 under ``kernel="scalar"``.
+    #: Pairs dispatched as packed blocks (moves and inserts; deletions
+    #: never evaluate bounds).
     kernel_pairs: int = 0
-    #: Of :attr:`kernel_pairs`, those the kernel's bounds decided
-    #: without exact refinement (the batch-path share of
-    #: ``pairs_skipped``).
+    #: Of :attr:`kernel_pairs`, those decided without exact refinement
+    #: (the block-path share of ``pairs_skipped``).
     kernel_pruned: int = 0
-    #: Pairs a ``kernel="vector"`` monitor had to absorb through the
-    #: scalar per-object path because the maintainer does not implement
-    #: the batch hook (e.g. occupancy watches).
-    kernel_fallbacks: int = 0
 
     @property
     def recompute_ratio(self) -> float:
@@ -231,16 +225,10 @@ class QueryMonitor:
         self,
         index: CompositeIndex,
         session: QuerySession | None = None,
-        kernel: str = "scalar",
     ) -> None:
         if session is not None and session.index is not index:
             raise QueryError("session must wrap the monitor's own index")
-        if kernel not in ("scalar", "vector"):
-            raise QueryError(
-                f"kernel must be 'scalar' or 'vector', got {kernel!r}"
-            )
         self.index = index
-        self.kernel = kernel
         self.session = session or QuerySession(index)
         self.stats = MonitorStats()
         self._queries: dict[str, StandingQuery] = {}
@@ -504,26 +492,23 @@ class QueryMonitor:
         ``block`` is an optional pre-packed
         :class:`~repro.distances.batch.ObjectBlock` covering exactly
         ``moved`` (the sharded front-end packs the batch once and hands
-        each shard its routed subset); only consulted under
-        ``kernel="vector"``, which otherwise packs the batch itself.
+        each shard its routed subset); without one the batch is packed
+        here.
         """
         with self._ingest_lock:
             self._ensure_topology_current()
-            if self.kernel == "vector":
-                self._absorb_block(moved, block)
-            else:
-                for obj in moved:
-                    self._absorb_update(obj)
+            self._absorb_block(moved, block)
             return DeltaBatch(
                 deltas=self._drain_pending() + self._collect("move"),
                 moved=tuple(moved),
             )
 
     def ingest_insert(self, obj: UncertainObject) -> DeltaBatch:
-        """Maintain standing results for an already-inserted object."""
+        """Maintain standing results for an already-inserted object (a
+        block of one)."""
         with self._ingest_lock:
             self._ensure_topology_current()
-            self._absorb_update(obj)
+            self._absorb_block([obj], None)
             return DeltaBatch(
                 deltas=self._drain_pending() + self._collect("insert")
             )
@@ -595,10 +580,8 @@ class QueryMonitor:
     def _collect(self, cause: str) -> tuple[ResultDelta, ...]:
         """Close the current mutation scope: diff every touched query
         against its recorded pre-state, in query *registration* order —
-        not first-touch order, which would differ between the scalar
-        path (object-major) and the batch kernel (query-major).  One
-        emission order for every engine keeps delta histories
-        bit-comparable across kernels and backends.  A result change of
+        not first-touch order — so delta histories stay bit-comparable
+        across engines and backends.  A result change of
         a dynamic-reach maintainer bumps :attr:`reach_epoch` (its
         influence radius may have moved with the result)."""
         if not self._before:
@@ -649,26 +632,12 @@ class QueryMonitor:
             self.stats.event_recomputes += 1
         self._pending.extend(self._collect("topology"))
 
-    def _absorb_update(self, obj: UncertainObject) -> None:
-        self.stats.updates_seen += 1
-        for sq in self._queries.values():
-            self.stats.pairs_evaluated += 1
-            sq.on_update(obj)
-
     def _absorb_block(self, moved: list[UncertainObject], block) -> None:
-        """Vector-kernel absorption: pack the moved batch once, then
-        dispatch the whole block to each batch-aware maintainer.  A
-        maintainer without the batch hook falls back to the scalar
-        per-object loop (counted in ``kernel_fallbacks``), so the two
-        kernels are behaviourally identical — the property suite in
-        ``tests/properties/test_prop_kernel.py`` holds them to
-        bit-identical delta histories.
-
-        ``kernel_pruned`` is measured as the ``pairs_skipped`` delta
-        around each batch dispatch: the kernel and the scalar path feed
-        the same per-pair decision code, so the counter partition
-        (evaluated = skipped + refined + recomputed) is preserved
-        exactly."""
+        """Pack the moved batch once, then dispatch the whole block to
+        each maintainer.  ``kernel_pruned`` is measured as the
+        ``pairs_skipped`` delta around each dispatch, so the counter
+        partition (evaluated = skipped + refined + recomputed) is
+        untouched."""
         if not moved:
             return
         self.stats.updates_seen += len(moved)
@@ -689,14 +658,9 @@ class QueryMonitor:
         n = len(moved)
         for sq in self._queries.values():
             self.stats.pairs_evaluated += n
-            if sq.supports_batch:
-                self.stats.kernel_pairs += n
-                skipped_before = self.stats.pairs_skipped
-                sq.on_update_batch(block)
-                self.stats.kernel_pruned += (
-                    self.stats.pairs_skipped - skipped_before
-                )
-            else:
-                self.stats.kernel_fallbacks += n
-                for obj in moved:
-                    sq.on_update(obj)
+            self.stats.kernel_pairs += n
+            skipped_before = self.stats.pairs_skipped
+            sq.on_update_batch(block)
+            self.stats.kernel_pruned += (
+                self.stats.pairs_skipped - skipped_before
+            )

@@ -208,6 +208,9 @@ class QuerySession:
         with self._lock:
             pack = self._packs.get(key)
             if pack is not None and pack.layout is layout:
+                # A served pack stands in for the door_distances() call
+                # its consumer would otherwise make.
+                self.hits += 1
                 return pack
         dd = self.door_distances(q)
         pack = QueryPack(dd, layout)

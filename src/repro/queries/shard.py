@@ -420,7 +420,6 @@ class ShardedMonitor:
         bucketed_router: bool = True,
         backend: str = "thread",
         proc_config: "ProcPoolConfig | None" = None,
-        kernel: str = "scalar",
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
@@ -430,12 +429,7 @@ class ShardedMonitor:
             raise QueryError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        if kernel not in ("scalar", "vector"):
-            raise QueryError(
-                f"kernel must be 'scalar' or 'vector', got {kernel!r}"
-            )
         self.index = index
-        self.kernel = kernel
         self.session = session or QuerySession(index)
         self.workers = workers
         self.backend = backend
@@ -462,7 +456,6 @@ class ShardedMonitor:
                 n_shards=n_shards,
                 workers=workers,
                 config=proc_config,
-                kernel=kernel,
             )
             self.shards = self._pool.proxies
         else:
@@ -471,7 +464,7 @@ class ShardedMonitor:
                     "proc_config is only meaningful with backend='process'"
                 )
             self.shards = [
-                QueryMonitor(index, session=self.session, kernel=kernel)
+                QueryMonitor(index, session=self.session)
                 for _ in range(n_shards)
             ]
             if workers > 1:
@@ -687,7 +680,7 @@ class ShardedMonitor:
             self.routing.updates_filtered += len(moved) - len(keep)
             plan.append(("moves", [moved[i] for i in keep]))
             routed.append(keep)
-        if self.kernel == "vector" and self._pool is None and any(
+        if self._pool is None and any(
             keep is not None for keep in routed
         ):
             # Pack the whole batch's subregion stats ONCE and hand each
@@ -836,17 +829,13 @@ class ShardedMonitor:
             def run_moves() -> DeltaBatch:
                 # Keep only the deltas: `moved` is already carried once
                 # at the top level (shards each re-list their routed
-                # subset).  Under kernel="vector" the payload carries
-                # the pre-packed block view alongside the objects.
-                if isinstance(payload, tuple):
-                    relevant, subblock = payload
-                    return DeltaBatch(
-                        deltas=shard.ingest_moves(
-                            relevant, block=subblock
-                        ).deltas
-                    )
+                # subset).  The payload carries the pre-packed block
+                # view alongside the objects.
+                relevant, subblock = payload
                 return DeltaBatch(
-                    deltas=shard.ingest_moves(payload).deltas
+                    deltas=shard.ingest_moves(
+                        relevant, block=subblock
+                    ).deltas
                 )
 
             return run_moves

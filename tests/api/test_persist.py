@@ -211,6 +211,46 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_checkpoint_naming_a_bounds_kernel_still_restores(
+        self, tmp_path, kernel
+    ):
+        """Checkpoints written while ``ServiceConfig`` had a ``kernel``
+        field carry the key; it is ignored on load (both values gave
+        bit-identical results), never a false "unusable config"."""
+        space, stream, index = _mall_world()
+        service = QueryService(index, ServiceConfig(n_shards=2))
+        ids = [service.watch(s) for s in _mall_specs(space)]
+        for _ in range(3):
+            service.ingest(list(stream.next_moves(10)))
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        state = read_checkpoint(path)
+        assert "kernel" not in state.config
+        state.config["kernel"] = kernel
+        restored = QueryService.from_state(state)
+        assert restored.config == service.config
+        for qid in ids:
+            assert restored.result_distances(qid) == \
+                service.result_distances(qid)
+        batch = list(stream.next_moves(10))
+        assert _batch_keys(restored.ingest(batch)) == \
+            _batch_keys(service.ingest(batch))
+        service.close()
+        restored.close()
+
+    def test_unknown_config_key_still_fails_closed(
+        self, five_rooms_index, tmp_path
+    ):
+        service = QueryService(five_rooms_index)
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        state = read_checkpoint(path)
+        state.config["kernal"] = "vector"
+        with pytest.raises(PersistError, match="unusable config"):
+            QueryService.from_state(state)
+        service.close()
+
     def test_config_override_reshapes_the_engine(self, tmp_path):
         """A single-engine checkpoint restored sharded (and vice
         versa) still lands on the same results — the checkpoint

@@ -21,7 +21,13 @@ from repro.objects import (
     ObjectPopulation,
     UncertainObject,
 )
-from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
+from repro.api.specs import (
+    CountSpec,
+    KNNSpec,
+    OccupancySpec,
+    ProbRangeSpec,
+    RangeSpec,
+)
 from repro.queries import QueryMonitor, QuerySession
 from repro.space.events import CloseDoor, OpenDoor
 
@@ -392,6 +398,39 @@ class TestInsertDelete:
         monitor.apply_insert(_point_object("new", 5.0, 4.0))
         assert "new" in monitor.result_ids(a)
         assert "new" in monitor.result_ids(b)
+
+    def test_insert_straddling_two_partitions(self, five_rooms_index):
+        """An insert is a block of one — here a multi-subregion one
+        (half in r1, half in the hallway) — through the same path as a
+        move batch, for every maintainer kind."""
+        specs = [
+            RangeSpec(Q1, 10.0),
+            RangeSpec(Q1, 3.0),
+            KNNSpec(Q1, 2),
+            ProbRangeSpec(Q1, 3.0, 0.4),
+            ProbRangeSpec(Q1, 3.0, 0.6),
+            CountSpec(Q1, 10.0, 3),
+            OccupancySpec("r1", 3),
+        ]
+        monitor = QueryMonitor(five_rooms_index)
+        qids = [monitor.register(spec) for spec in specs]
+        obj = _two_spot("split", (5.0, 7.0), (5.0, 12.0))
+        assert len(obj.subregions(five_rooms_index.space)) == 2
+        monitor.apply_insert(obj)
+        fresh = QueryMonitor(five_rooms_index)  # registration recomputes
+        for spec, qid in zip(specs, qids):
+            twin = fresh.register(spec)
+            assert monitor.result_ids(qid) == fresh.result_ids(twin)
+        count, occupancy = qids[-2:]
+        assert monitor.result_distances(count) == {"count": 3.0}
+        assert monitor.result_distances(occupancy) == {"occupancy": 3.0}
+        stats = monitor.stats
+        assert stats.pairs_evaluated == len(specs)
+        assert stats.pairs_evaluated == (
+            stats.pairs_skipped
+            + stats.pairs_refined
+            + stats.pairs_recomputed
+        )
 
     def test_delete_member_refills_knn(self, five_rooms_index, five_rooms):
         monitor = QueryMonitor(five_rooms_index)

@@ -76,6 +76,20 @@ class TestReuse:
         session.irq(q, 40.0, stats=stats)
         assert stats.t_subgraph == 0.0  # phase 2 served from the cache
 
+    def test_served_kernel_pack_counts_as_hit(self, setup, small_mall):
+        """A cached pack answers in place of ``door_distances``, so a
+        warm standing query must read as hits, not as silence."""
+        index, _ = setup
+        session = QuerySession(index)
+        q = small_mall.random_point(seed=8)
+        session.pin(q)
+        first = session.kernel_pack(q)  # pays the search, builds the pack
+        assert (session.hits, session.misses) == (0, 1)
+        for served in (1, 2, 3):
+            assert session.kernel_pack(q) is first
+            assert (session.hits, session.misses) == (served, 1)
+        assert session.hit_rate == pytest.approx(3 / 4)
+
 
 class TestLRUBound:
     """The unpinned side of the session cache is LRU-bounded
