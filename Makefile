@@ -3,7 +3,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 tier2 test bench bench-stream bench-serving \
 	bench-serving-parallel bench-serving-process bench-serving-net \
-	bench-restart bench-grid bench-grid-quick lint docs-check figures
+	bench-restart bench-grid bench-grid-quick bench-trajectory lint \
+	docs-check figures
 
 # Fast correctness gate (default pytest run already excludes tier2).
 tier1:
@@ -67,6 +68,13 @@ bench-grid:
 bench-grid-quick:
 	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp --quick
 	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp --quick
+
+# The trajectory file a perf PR commits (ROADMAP standing rule): the
+# e2e benchmark on a checkout of the parent commit and on this tree,
+# seeds 2013 + 2014, sides alternated.
+#   make bench-trajectory PARENT=/path/to/parent-checkout PR=19
+bench-trajectory:
+	$(PYTHON) scripts/bench_trajectory.py $(PARENT) . --pr $(PR)
 
 # Same checks the CI lint job runs (requires ruff, pinned in ci.yml).
 lint:

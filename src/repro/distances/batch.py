@@ -1,34 +1,39 @@
-"""Batched distance-bounds kernel for the standing-query hot path.
+"""Batched distance-bounds kernel: the prune phase of every query.
 
-Every maintenance layer — single monitor, thread shards, process
-workers — funnels into the same inner loop: for each moved object, each
-standing query derives a pruning interval from the paper's bounds
-(Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8) and only undecided pairs pay an exact
-refinement.  The per-pair (scalar) implementation in
-:mod:`repro.distances.bounds` — what the one-shot engine and every
-maintainer ``recompute`` run, and the reference this module is tested
-against — walks subregions and entry doors in Python, and repeats the
-per-object geometry (instance-to-door Euclidean extrema) once per
-*query*, even though it does not depend on the query at all.
+Both consumers of the paper's bounds (Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8)
+funnel into the same inner loop.  A standing query — single monitor,
+thread shards, process workers — derives a pruning interval for each
+moved object; a one-shot iRQ/ikNNQ/iPRQ (hence every maintainer
+``recompute``) derives one for each candidate of its filter phase; and
+only undecided pairs pay an exact refinement.  The per-pair (scalar)
+implementation in :mod:`repro.distances.bounds` — the reference this
+module is tested against — walks subregions and entry doors in Python,
+and repeats the per-object geometry (instance-to-door Euclidean
+extrema) once per *query*, even though it does not depend on the query
+at all.
 
 This module factors the pair bound into its two independent operands
-and evaluates a whole ``(moved objects x standing queries)`` block in a
-handful of numpy ops:
+and evaluates a whole ``(objects x query)`` block in a handful of
+numpy ops:
 
 * :class:`DoorLayout` — per topology version, a partition-indexed view
   of the space's entry doors: door index rows and midpoint arrays,
   shared by both operands below.
-* a **query-side pack** (:class:`QueryPack`) — the standing query's
-  session-cached Dijkstra flattened into one ``(n_doors + 1,)`` weight
-  vector (the extra slot is the padding sentinel, pinned at ``+inf``).
-  Built once per query per topology version and cached on the
+* a **query-side pack** (:class:`QueryPack`) — a single-source search
+  flattened into one ``(n_doors + 1,)`` weight vector (the extra slot
+  is the padding sentinel, pinned at ``+inf``).  A standing query's
+  pack is built once per topology version and cached on the
   :class:`~repro.queries.session.QuerySession` with the same
-  pin/unpin/evict lifecycle as the search itself.
-* an **object-side pack** (:class:`ObjectBlock`) — per ingest batch,
-  every moved object's subregion stats (partition row, Euclidean
-  min/max distances to that partition's entry-door midpoints, mass)
-  packed into padded ``(n_subregions, max_doors)`` arrays **once**,
-  shared across every standing query at the shard.
+  pin/unpin/evict lifecycle as the search itself; a one-shot query
+  flattens the search it ran with, per call.
+* an **object-side pack** (:class:`ObjectBlock`) — every object's
+  subregion stats (partition row, Euclidean min/max distances to that
+  partition's entry-door midpoints, mass) in padded
+  ``(n_subregions, max_doors)`` arrays.  :func:`pack_block` computes
+  the rows; the index's columnar table
+  (:mod:`repro.index.columns`) runs it once when an object is written
+  and serves every later block — a moved batch, a candidate set — as a
+  gather of those rows.
 
 A pair's topological bounds then reduce to a gather + add + row-min
 (``tmin(S) = min_d (w[d] + emin[S, d])``), with the query's own
@@ -72,6 +77,41 @@ from repro.geometry.point import Point
 from repro.objects.uncertain import UncertainObject
 from repro.space.doors_graph import DoorDistances
 from repro.space.floorplan import IndoorSpace
+
+
+def span_index(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the spans ``starts[i] : starts[i] + counts[i]``
+    laid end to end, and the ``(n + 1,)`` offsets of each span within
+    that flat sequence — the row gather behind
+    :meth:`ObjectBlock.subset` and the columnar table's blocks."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    flat = np.repeat(starts - offsets[:-1], counts) + np.arange(
+        offsets[-1], dtype=np.intp
+    )
+    return flat, offsets
+
+
+def point_distances(
+    sets: list[np.ndarray], floors, q: Point, fh: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``|s, q|_E`` for every instance of every ``(n_i, 2)`` coordinate
+    array in ``sets`` (set ``i`` lying on ``floors[i]``), flat, plus
+    each set's start in that flat array — ready for
+    ``np.minimum.reduceat`` / ``np.maximum.reduceat``.  Element for
+    element the floats of
+    :meth:`~repro.objects.instances.InstanceSet.distances_to`."""
+    counts = [len(xy) for xy in sets]
+    xy = np.concatenate(sets)
+    xy -= (q.x, q.y)
+    np.multiply(xy, xy, out=xy)
+    d = xy[:, 0] + xy[:, 1]
+    dz = (np.asarray(floors) - q.floor) * fh
+    d += np.repeat(dz * dz, counts)
+    np.sqrt(d, out=d)
+    return d, np.cumsum([0] + counts[:-1])
 
 
 class DoorLayout:
@@ -127,8 +167,10 @@ class DoorLayout:
 
 
 class QueryPack:
-    """One standing query's side of the batched bound: its cached full
-    Dijkstra as a flat door-weight vector over a :class:`DoorLayout`."""
+    """The query side of the batched bound: one single-source search
+    (a standing query's cached full Dijkstra, a one-shot query's
+    subgraph search) as a flat door-weight vector over a
+    :class:`DoorLayout`."""
 
     __slots__ = ("dd", "layout", "w", "source_row")
 
@@ -137,10 +179,11 @@ class QueryPack:
         self.layout = layout
         w = np.full(layout.n_doors + 1, np.inf)
         index = layout.door_index
-        for door_id, dist in dd.dist.items():
-            row = index.get(door_id)
-            if row is not None:
-                w[row] = dist
+        # A door the layout does not know (removed since the search)
+        # lands on the sentinel slot, which is re-pinned below.
+        rows = [index.get(door_id, layout.sentinel) for door_id in dd.dist]
+        w[rows] = list(dd.dist.values())
+        w[layout.sentinel] = np.inf
         self.w = w
         self.source_row = layout.part_row.get(dd.source_partition, -1)
 
@@ -203,12 +246,10 @@ class ObjectBlock:
         packing the routed objects directly (padding columns beyond a
         subset's own widest partition stay at the sentinel, which the
         weight vector maps to ``+inf`` — they never win a min)."""
-        rows: list[int] = []
-        offsets = [0]
+        keep = np.asarray(indices, dtype=np.intp)
         off = self.obj_offsets
-        for j in indices:
-            rows.extend(range(off[j], off[j + 1]))
-            offsets.append(len(rows))
+        rows, offsets = span_index(off[keep], off[keep + 1] - off[keep])
+        row_list = rows.tolist()
         return ObjectBlock(
             [self.objects[j] for j in indices],
             self.layout,
@@ -216,10 +257,10 @@ class ObjectBlock:
             self.sub_min[rows],
             self.sub_max[rows],
             self.sub_part[rows],
-            [self.sub_pids[i] for i in rows],
-            [self.sub_mass[i] for i in rows],
-            [self.sub_instances[i] for i in rows],
-            np.array(offsets, dtype=np.intp),
+            [self.sub_pids[i] for i in row_list],
+            [self.sub_mass[i] for i in row_list],
+            [self.sub_instances[i] for i in row_list],
+            offsets,
         )
 
 
@@ -300,23 +341,35 @@ def pack_block(
 
 
 def _subregion_extrema(
-    pack: QueryPack, block: ObjectBlock, q: Point, fh: float
-) -> tuple[np.ndarray, np.ndarray]:
+    pack: QueryPack,
+    block: ObjectBlock,
+    q: Point,
+    fh: float,
+    unreached_floor: float | None,
+) -> tuple[list[float], list[float]]:
     """``tmin(S)``/``tmax(S)`` per block row — the whole-block twin of
-    :func:`repro.distances.bounds.subregion_stats` (without the
-    ``unreached_floor`` patch, which the probability path applies
-    itself).  Padded/unreachable door slots carry ``+inf`` weights and
-    therefore never win the row min."""
+    :func:`repro.distances.bounds.subregion_stats`, ``unreached_floor``
+    patch included.  Padded/unreachable door slots carry ``+inf``
+    weights and therefore never win the row min."""
     wrow = pack.w[block.sub_door]
     tmin = (wrow + block.sub_min).min(axis=1)
     tmax = (wrow + block.sub_max).min(axis=1)
-    src = pack.source_row
-    if src >= 0:
-        for i in np.nonzero(block.sub_part == src)[0]:
-            inst = block.sub_instances[i]
-            tmin[i] = min(tmin[i], inst.min_distance_to(q, fh))
-            tmax[i] = min(tmax[i], inst.max_distance_to(q, fh))
-    return tmin, tmax
+    own = np.nonzero(block.sub_part == pack.source_row)[0]
+    if own.size:
+        # The query's own partition: the direct Euclidean path joins
+        # the entry doors.  All such rows' instances in one pass.
+        insts = [block.sub_instances[i] for i in own.tolist()]
+        d, starts = point_distances(
+            [inst.xy for inst in insts],
+            [inst.floor for inst in insts],
+            q,
+            fh,
+        )
+        tmin[own] = np.minimum(tmin[own], np.minimum.reduceat(d, starts))
+        tmax[own] = np.minimum(tmax[own], np.maximum.reduceat(d, starts))
+    if unreached_floor is not None:
+        tmin[~np.isfinite(tmin)] = unreached_floor
+    return tmin.tolist(), tmax.tolist()
 
 
 def block_object_bounds(
@@ -324,33 +377,30 @@ def block_object_bounds(
     block: ObjectBlock,
     q: Point,
     space: IndoorSpace,
-    use_probabilistic: bool = True,
+    unreached_floor: float | None = None,
 ) -> list[DistanceInterval]:
     """Per-object pruning intervals for the whole block — the batched
     twin of :func:`repro.distances.bounds.object_bounds`, in block
-    order.  Single-partition objects reduce their row span directly
-    (Eq. 7); multi-partition objects hand their rows to the scalar
+    order.  Single-partition objects take their row directly (Eq. 7);
+    multi-partition objects hand their rows to the scalar
     :func:`~repro.distances.bounds.probabilistic_bounds` (Eq. 8), so
     sort stability and float accumulation match the scalar path by
-    construction."""
-    tmin, tmax = _subregion_extrema(pack, block, q, space.floor_height)
-    off = block.obj_offsets
+    construction.  ``unreached_floor`` — the bound of the cutoff or
+    subgraph-restricted search ``pack`` was flattened from; see
+    :func:`~repro.distances.bounds.subregion_stats`."""
+    tmin, tmax = _subregion_extrema(
+        pack, block, q, space.floor_height, unreached_floor
+    )
+    off = block.obj_offsets.tolist()
     out: list[DistanceInterval] = []
     for j in range(len(block.objects)):
         a, b = off[j], off[j + 1]
-        if b - a == 1 or not use_probabilistic:
-            out.append(
-                DistanceInterval(
-                    float(tmin[a:b].min()), float(tmax[a:b].max())
-                )
-            )
+        if b - a == 1:
+            out.append(DistanceInterval(tmin[a], tmax[a]))
         else:
             stats = [
                 SubregionStats(
-                    block.sub_pids[i],
-                    float(tmin[i]),
-                    float(tmax[i]),
-                    block.sub_mass[i],
+                    block.sub_pids[i], tmin[i], tmax[i], block.sub_mass[i]
                 )
                 for i in range(a, b)
             ]
@@ -372,11 +422,10 @@ def block_probability_bounds(
     ``unreached_floor = r + 1.0`` lower bound, and the per-object mass
     accumulation runs sequentially in subregion order so float sums
     match the scalar loop exactly."""
-    tmin, tmax = _subregion_extrema(pack, block, q, space.floor_height)
-    unreached = ~np.isfinite(tmin)
-    if unreached.any():
-        tmin = np.where(unreached, r + 1.0, tmin)
-    off = block.obj_offsets
+    tmin, tmax = _subregion_extrema(
+        pack, block, q, space.floor_height, r + 1.0
+    )
+    off = block.obj_offsets.tolist()
     los: list[float] = []
     his: list[float] = []
     mass = block.sub_mass

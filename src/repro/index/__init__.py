@@ -9,7 +9,9 @@ Three layers over one tree:
 * **Topological layer** — door links between leaf partitions (a de facto
   doors graph integrated into the index);
 * **Object layer** — per-leaf object buckets plus the ``o-table`` and
-  ``h-table`` mappings.
+  ``h-table`` mappings, mirrored into the columnar
+  :class:`ObjectColumns` table that RangeSearch and the bounds kernel
+  read.
 
 :class:`CompositeIndex` ties the layers together and provides
 RangeSearch (Algorithm 4) plus the dynamic operations of Section III-C.
@@ -20,6 +22,7 @@ from repro.index.bulk import str_bulk_load
 from repro.index.indr import IndexUnit, IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.index.tables import HTable, OTable
+from repro.index.columns import ObjectColumns
 from repro.index.composite import CompositeIndex, RangeSearchResult
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "SkeletonTier",
     "OTable",
     "HTable",
+    "ObjectColumns",
     "CompositeIndex",
     "RangeSearchResult",
 ]

@@ -7,10 +7,13 @@ Ties the four pieces together:
 * skeleton tier (:class:`SkeletonTier`) — ``M_s2s`` and Lemma 6;
 * topological layer (:class:`DoorsGraph` adjacency, derived lazily from
   the space and annotated per partition) — inter-partition links;
-* object layer (:class:`OTable` buckets + :class:`HTable` unit mapping).
+* object layer (:class:`OTable` buckets + :class:`HTable` unit mapping),
+  mirrored into the columnar :class:`~repro.index.columns.ObjectColumns`
+  table that RangeSearch and the bounds kernel read.
 
 Dynamic operations (Section III-C) mutate the layers incrementally; the
-doors graph refreshes itself from the space's ``topology_version``.
+doors graph and the columns refresh themselves from the space's
+``topology_version``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.errors import IndexError_
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Box3
+from repro.index.columns import ObjectColumns
 from repro.index.indr import IndexUnit, IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.index.tables import HTable, OTable
@@ -68,6 +72,11 @@ class CompositeIndex:
         self.otable = otable
         self.htable = htable
         self.build_times = build_times
+        #: Per-object packed state + the flattened leaf level; written
+        #: by the object mutation paths below, built on first read.
+        self.columns = ObjectColumns(
+            space, population, indr, skeleton, otable
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -150,10 +159,33 @@ class CompositeIndex:
         """Candidate objects and partitions within skeleton distance
         ``r`` of ``q`` — no false negatives by Lemma 6.
 
-        ``use_skeleton=False`` degrades the node bound to the plain
+        ``use_skeleton=False`` degrades the bound to the plain
         Euclidean MINDIST (the "withoutSkeleton" ablation of
         Figure 15(a)).
+
+        Evaluated over the columnar table
+        (:meth:`repro.index.columns.ObjectColumns.search`): the leaf
+        criterion for every index unit at once, then the instance bound
+        for every object bucketed in a surviving unit.  Candidates come
+        back in ascending slot order — the same order in every
+        interpreter; ``units_checked`` is the number of index units and
+        ``nodes_visited`` stays 0 (no tree node is read).  Same
+        candidates and partitions as :meth:`range_search_tree`.
         """
+        objects, partitions, n_units = self.columns.search(
+            q, r, use_skeleton
+        )
+        return RangeSearchResult(
+            objects=objects, partitions=partitions, units_checked=n_units
+        )
+
+    def range_search_tree(
+        self, q: Point, r: float, use_skeleton: bool = True
+    ) -> RangeSearchResult:
+        """Algorithm 4 as the paper states it: a stack walk over the
+        indR-tree with per-entry bounds.  The reference the columnar
+        :meth:`range_search` is tested against, and the source of
+        ``nodes_visited`` for the index-cost figure (Figure 15)."""
         result = RangeSearchResult()
         fh = self.space.floor_height
         seen_objects: set[str] = set()
@@ -229,11 +261,14 @@ class CompositeIndex:
         """Insert an object (population + o-table + leaf buckets)."""
         if obj.object_id not in self.population:
             self.population.insert(obj)
-        self.otable.add(obj.object_id, self._resolve_units(obj))
+        units = self._resolve_units(obj)
+        self.otable.add(obj.object_id, units)
+        self.columns.write([obj], [units])
 
     def delete_object(self, object_id: str) -> UncertainObject:
         """Delete an object using the o-table (no tree search)."""
         self.otable.remove(object_id)
+        self.columns.drop(object_id)
         return self.population.delete(object_id)
 
     def _moved_unit_ids(
@@ -276,7 +311,9 @@ class CompositeIndex:
         """Object update via the adjacency fast path (Section III-C.2)."""
         old_units = self.otable.units_of(object_id)
         moved = self.population.move(object_id, new_region, new_instances)
-        self.otable.update(object_id, self._moved_unit_ids(moved, old_units))
+        units = self._moved_unit_ids(moved, old_units)
+        self.otable.update(object_id, units)
+        self.columns.write([moved], [units])
         return moved
 
     def update_objects(self, moves: Iterable[ObjectMove]) -> list[UncertainObject]:
@@ -319,6 +356,7 @@ class CompositeIndex:
             population.insert(moved)
             otable.update(moved.object_id, new_units)
             moved_objects.append(moved)
+        self.columns.write(moved_objects, [units for _, units in staged])
         return moved_objects
 
     # ------------------------------------------------------------------
@@ -327,6 +365,7 @@ class CompositeIndex:
 
     def insert_partition(self, partition: Partition) -> None:
         """Index a partition that was just added to the space."""
+        self.columns.invalidate()
         units = self.indr.insert_partition(partition)
         for unit in units:
             self.htable.add(unit.unit_id, unit.partition_id)
@@ -336,6 +375,7 @@ class CompositeIndex:
     def delete_partition(self, partition_id: str) -> list[str]:
         """Un-index a partition; returns ids of objects that overlapped
         it (their unit sets were re-resolved)."""
+        self.columns.invalidate()
         was_staircase = (
             partition_id in self.space.partitions
             and self.space.partition(partition_id).kind
@@ -370,6 +410,7 @@ class CompositeIndex:
     def apply_event(self, event: TopologyEvent) -> EventResult:
         """Apply a topology event to the space and mirror it here."""
         removed_ids = set()
+        self.columns.invalidate()
         result = event.apply(self.space)
         for partition in result.removed_partitions:
             removed_ids.add(partition.partition_id)
@@ -424,4 +465,6 @@ class CompositeIndex:
                     problems.append(
                         f"object {obj.object_id} references dead unit {unit_id}"
                     )
+        if not problems:
+            problems = self.columns.validate()
         return problems

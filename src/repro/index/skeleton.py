@@ -187,10 +187,10 @@ class SkeletonTier:
         if not sqs or not ses:
             return instances.min_distance_to(q, fh)
         best = math.inf
+        legs = [instances.min_distance_to(se.midpoint, fh) for se in ses]
         for sq in sqs:
             dq = q.distance(sq.midpoint, fh)
-            for se in ses:
-                leg = instances.min_distance_to(se.midpoint, fh)
+            for se, leg in zip(ses, legs):
                 total = dq + self.ms2s[sq.index, se.index] + leg
                 if total < best:
                     best = total

@@ -165,6 +165,10 @@ class UncertainObject:
                     break
             else:
                 pieces.append((center_part, unassigned.copy()))
+        if len(pieces) == 1:
+            # One partition holds every instance: the subregion *is* the
+            # instance set (immutable), no per-object copy to keep alive.
+            return [Subregion(pieces[0][0], self.instances)]
         return [
             Subregion(pid, self.instances.subset(mask)) for pid, mask in pieces
         ]

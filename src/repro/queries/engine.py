@@ -10,8 +10,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from repro.distances.bounds import DistanceInterval, object_bounds
+from repro.distances.batch import (
+    ObjectBlock,
+    QueryPack,
+    block_object_bounds,
+)
+from repro.distances.bounds import DistanceInterval
 from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -87,6 +93,24 @@ def subgraph_phase(
     return dd, time.perf_counter() - t0
 
 
+#: Candidates per bounds-kernel call.  A block pads every row to its
+#: widest partition's door count, so a venue-wide candidate set in one
+#: block would cost megabytes of transient arrays; the kernel's
+#: per-call overhead is amortised long before this size.
+PRUNE_CHUNK = 256
+
+
+def candidate_blocks(
+    index: CompositeIndex, candidates: list[UncertainObject]
+) -> Iterator[ObjectBlock]:
+    """``candidates`` — live objects of ``index``, e.g. the filter
+    phase's output — as bounds-kernel blocks of at most
+    :data:`PRUNE_CHUNK` objects, gathered from the index's columnar
+    table in order."""
+    for i in range(0, len(candidates), PRUNE_CHUNK):
+        yield index.columns.block(candidates[i : i + PRUNE_CHUNK])
+
+
 def pruning_phase(
     index: CompositeIndex,
     q: Point,
@@ -95,6 +119,10 @@ def pruning_phase(
     search_radius: float | None = None,
 ) -> tuple[dict[str, DistanceInterval], float]:
     """Phase 3: distance intervals per candidate (Table III dispatch).
+
+    The block kernel over the candidates' rows of the index's
+    columnar table (``candidates`` are live objects of ``index``), with
+    ``dd`` flattened to a :class:`~repro.distances.batch.QueryPack`.
 
     ``search_radius`` is the bound the subgraph/cutoff Dijkstra was run
     with; doors it failed to reach are provably farther than it, which
@@ -107,13 +135,14 @@ def pruning_phase(
         if search_radius is not None and math.isfinite(search_radius)
         else None
     )
-    intervals = {
-        obj.object_id: object_bounds(
-            q, obj, dd, index.space, index.population.grid,
-            unreached_floor=floor,
+    pack = QueryPack(dd, index.columns.layout())
+    intervals: dict[str, DistanceInterval] = {}
+    for block in candidate_blocks(index, candidates):
+        bounds = block_object_bounds(
+            pack, block, q, index.space, unreached_floor=floor
         )
-        for obj in candidates
-    }
+        for obj, interval in zip(block.objects, bounds):
+            intervals[obj.object_id] = interval
     return intervals, time.perf_counter() - t0
 
 

@@ -108,7 +108,7 @@ from repro.objects.uncertain import UncertainObject
 from repro.queries.engine import filtering_phase
 from repro.queries.knn import ikNNQ
 from repro.queries.prob_range import (
-    probability_bounds,
+    candidate_probability_bounds,
     qualifying_probability,
 )
 from repro.queries.range_query import iRQ
@@ -564,20 +564,19 @@ class ProbRangeMaintainer(StandingQuery):
         are identical to a full-population scan, at candidate cost."""
         host = self.host
         host.touch(self)
-        dd = host.session.door_distances(self.q)
+        pack = host.session.kernel_pack(self.q)
         filtered, _ = filtering_phase(host.index, self.q, self.r, True)
         result: dict[str, float | None] = {}
-        for obj in filtered.objects:
-            lo, hi = probability_bounds(
-                host.index, self.q, obj, dd, self.r
-            )
+        for obj, lo, hi in candidate_probability_bounds(
+            host.index, self.q, filtered.objects, pack, self.r
+        ):
             if lo >= self.p_min:
                 result[obj.object_id] = None
             elif hi < self.p_min:
                 continue
             else:
                 prob = qualifying_probability(
-                    host.index, self.q, obj, dd, self.r
+                    host.index, self.q, obj, pack.dd, self.r
                 )
                 if prob >= self.p_min:
                     result[obj.object_id] = prob

@@ -74,7 +74,6 @@ import threading
 from dataclasses import dataclass, fields
 
 from repro.api.specs import QuerySpec, standing_spec
-from repro.distances.batch import pack_block
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -633,8 +632,8 @@ class QueryMonitor:
         self._pending.extend(self._collect("topology"))
 
     def _absorb_block(self, moved: list[UncertainObject], block) -> None:
-        """Pack the moved batch once, then dispatch the whole block to
-        each maintainer.  ``kernel_pruned`` is measured as the
+        """Gather the moved batch's rows once, then dispatch the whole
+        block to each maintainer.  ``kernel_pruned`` is measured as the
         ``pairs_skipped`` delta around each dispatch, so the counter
         partition (evaluated = skipped + refined + recomputed) is
         untouched."""
@@ -647,14 +646,10 @@ class QueryMonitor:
         if block is None or (
             block.layout.topology_version != space.topology_version
         ):
-            # Not pre-packed by a sharded front-end (or packed against a
-            # topology that has since changed): pack here.
-            block = pack_block(
-                moved,
-                space,
-                self.index.population.grid,
-                self.session.door_layout(),
-            )
+            # Not gathered by a sharded front-end (or gathered under a
+            # topology that has since changed).  ``update_objects`` /
+            # ``insert_object`` already wrote the rows.
+            block = self.index.columns.block(moved)
         n = len(moved)
         for sq in self._queries.values():
             self.stats.pairs_evaluated += n

@@ -18,8 +18,9 @@ only undecided objects have their instances evaluated exactly.
 from __future__ import annotations
 
 import time
+from typing import Iterator
 
-
+from repro.distances.batch import QueryPack, block_probability_bounds
 from repro.distances.bounds import subregion_stats
 from repro.distances.expected import instance_indoor_distances
 from repro.errors import QueryError
@@ -27,6 +28,7 @@ from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.queries.engine import (
     QueryResult,
+    candidate_blocks,
     filtering_phase,
     locate_source,
     subgraph_phase,
@@ -48,7 +50,10 @@ def qualifying_probability(
 def probability_bounds(
     index: CompositeIndex, q: Point, obj, dd, r: float
 ) -> tuple[float, float]:
-    """Bounds on the qualifying probability from subregion stats.
+    """Bounds on the qualifying probability from subregion stats —
+    the per-pair reference of
+    :func:`repro.distances.batch.block_probability_bounds`, which the
+    query processors run.
 
     A subregion with ``tmax <= r`` contributes all its mass to the
     lower bound; one with ``tmin > r`` contributes nothing to the upper
@@ -66,6 +71,18 @@ def probability_bounds(
         elif stats.tmin <= r:
             hi += subregion.mass
     return lo, hi
+
+
+def candidate_probability_bounds(
+    index: CompositeIndex, q: Point, candidates: list, pack: QueryPack,
+    r: float,
+) -> Iterator[tuple[object, float, float]]:
+    """``(object, lo, hi)`` per candidate — :func:`probability_bounds`
+    for all of them, from the block kernel over the index's columnar
+    table."""
+    for block in candidate_blocks(index, candidates):
+        los, his = block_probability_bounds(pack, block, q, index.space, r)
+        yield from zip(block.objects, los, his)
 
 
 def iPRQ(
@@ -103,8 +120,9 @@ def iPRQ(
     result = QueryResult()
     undecided = []
     t0 = time.perf_counter()
-    for obj in filtered.objects:
-        lo, hi = probability_bounds(index, q, obj, dd, r)
+    for obj, lo, hi in candidate_probability_bounds(
+        index, q, filtered.objects, QueryPack(dd, index.columns.layout()), r
+    ):
         if lo >= theta:
             stats.accepted_by_bounds += 1
             result.objects.append(obj)

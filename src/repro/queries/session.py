@@ -67,7 +67,6 @@ class QuerySession:
     _packs: dict[tuple[float, float, int], QueryPack] = field(
         default_factory=dict, repr=False
     )
-    _layout: DoorLayout | None = field(default=None, repr=False)
     # Shards of a parallel ShardedMonitor share one session and call in
     # from pool threads; the lock keeps the cache/pin maps consistent.
     # The Dijkstra itself runs outside the lock, so concurrent searches
@@ -178,22 +177,10 @@ class QuerySession:
     # ------------------------------------------------------------------
 
     def door_layout(self) -> DoorLayout:
-        """The partition-indexed door layout for the current topology,
-        shared by every query pack and object block in a batch.  Cached
-        per ``topology_version``."""
-        space = self.index.space
-        with self._lock:
-            layout = self._layout
-            if (
-                layout is not None
-                and layout.topology_version == space.topology_version
-            ):
-                return layout
-        layout = DoorLayout(space)
-        with self._lock:
-            if space.topology_version == layout.topology_version:
-                self._layout = layout
-        return layout
+        """The partition-indexed door layout for the current topology —
+        the one the index's columnar table packs its rows against, so
+        every query pack and object block in a batch share it."""
+        return self.index.columns.layout()
 
     def kernel_pack(self, q: Point) -> QueryPack:
         """The query-side operand of the batched bounds kernel: the

@@ -100,7 +100,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.api.specs import QuerySpec, standing_spec
-from repro.distances.batch import pack_block
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.geometry.rect import Box3, Rect
@@ -683,19 +682,12 @@ class ShardedMonitor:
         if self._pool is None and any(
             keep is not None for keep in routed
         ):
-            # Pack the whole batch's subregion stats ONCE and hand each
-            # visited shard its routed view — the per-object packing
-            # work is shared across shards instead of repeated inside
-            # each shard monitor.  The process backend skips this: ids
-            # travel the wire and each worker packs its own routed
-            # subset locally (the block holds numpy arrays, not wire
-            # records).
-            block = pack_block(
-                moved,
-                self.index.space,
-                self.index.population.grid,
-                self.session.door_layout(),
-            )
+            # Gather the whole batch's rows from the index's columnar
+            # table ONCE and hand each visited shard its routed view.
+            # The process backend skips this: ids travel the wire and
+            # each worker gathers from its own replica (the block holds
+            # numpy arrays, not wire records).
+            block = self.index.columns.block(moved)
             plan = [
                 (action, payload)
                 if keep is None

@@ -211,6 +211,46 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
+    @pytest.mark.parametrize(
+        "config",
+        [ServiceConfig(), ServiceConfig(n_shards=4, workers=2)],
+        ids=["single", "sharded-parallel"],
+    )
+    def test_restored_index_rebuilds_its_columnar_table(
+        self, tmp_path, config
+    ):
+        """A checkpoint carries no columnar table: the restored index
+        builds its own (slots in checkpoint order), keeps it current
+        under later moves, inserts and deletes, and answers one-shot
+        queries like the engine that never stopped."""
+        space, stream, index = _mall_world()
+        service = QueryService(index, config)
+        for spec in _mall_specs(space):
+            service.watch(spec)
+        for _ in range(3):
+            service.ingest(list(stream.next_moves(10)))
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        restored = QueryService.restore(path)
+        newcomer = stream.generator.generate_one()
+        for engine in (service, restored):
+            assert engine.index.validate() == []
+        for _ in range(3):
+            batch = list(stream.next_moves(10))
+            service.ingest(batch)
+            restored.ingest(batch)
+        victim = sorted(index.population.ids())[0]
+        for engine in (service, restored):
+            engine.insert(newcomer)
+            engine.delete(victim)
+            assert engine.index.columns.nbytes > 0
+            assert engine.index.validate() == []
+        for spec in _mall_specs(space, seed=11)[:3]:
+            assert restored.run(spec).distances == \
+                service.run(spec).distances
+        service.close()
+        restored.close()
+
     @pytest.mark.parametrize("kernel", ["scalar", "vector"])
     def test_checkpoint_naming_a_bounds_kernel_still_restores(
         self, tmp_path, kernel

@@ -3,6 +3,10 @@ legacy entry points for all three spec kinds, the single id-claiming
 guard, ServiceConfig engine selection, and feed plumbing."""
 
 import asyncio
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +98,43 @@ class TestRun:
         want = iPRQ(q, 30.0, 0.5, index)
         assert got.ids() == want.ids()
         assert got.distances == want.distances
+
+    def test_result_order_is_independent_of_the_hash_seed(self):
+        """``run()`` returns candidates in the index's slot order, not
+        in the iteration order of a ``set[str]`` bucket: the same query
+        yields the same id *sequence* in every interpreter."""
+        script = (
+            "from repro import (CompositeIndex, ObjectGenerator,"
+            " QueryService, build_mall)\n"
+            "from repro.api import KNNSpec, ProbRangeSpec, RangeSpec\n"
+            "space = build_mall(floors=2, bands=2, rooms_per_band_side=3,"
+            " floor_size=120.0, hallway_width=4.0, stair_size=10.0, seed=42)\n"
+            "pop = ObjectGenerator(space, radius=3.0, n_instances=10,"
+            " seed=77).generate(60)\n"
+            "service = QueryService(CompositeIndex.build(space, pop))\n"
+            "q = space.random_point(seed=3)\n"
+            "for spec in (RangeSpec(q, 90.0), KNNSpec(q, 12),"
+            " ProbRangeSpec(q, 90.0, 0.5)):\n"
+            "    found = service.run(spec).objects\n"
+            "    print(' '.join(o.object_id for o in found))\n"
+        )
+        repo = pathlib.Path(__file__).parents[2]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(repo / "src")]
+                + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append(proc.stdout.splitlines())
+        assert len(outputs[0]) == 3
+        assert all(len(line.split()) >= 5 for line in outputs[0])
+        assert outputs[0] == outputs[1]
 
     def test_run_shares_the_session_cache(self, five_rooms_index):
         service = QueryService(five_rooms_index)

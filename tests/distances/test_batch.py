@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from monitor_world import build_world
 from repro.distances.batch import (
+    QueryPack,
     block_object_bounds,
     block_probability_bounds,
     pack_block,
@@ -24,6 +25,7 @@ from repro.distances.batch import (
 from repro.distances.bounds import DistanceInterval, object_bounds
 from repro.geometry import Point
 from repro.queries import QuerySession
+from repro.queries.engine import locate_source, subgraph_phase
 from repro.queries.prob_range import probability_bounds
 from repro.space.events import CloseDoor
 from repro.space.partition import PartitionKind
@@ -75,14 +77,10 @@ def _assert_matches_reference(index, session, objects, q):
     assert block_object_bounds(pack, block, q, space) == [
         object_bounds(q, obj, pack.dd, space, grid) for obj in objects
     ]
+    # The columnar table serves the rows pack_block computes.
     assert block_object_bounds(
-        pack, block, q, space, use_probabilistic=False
-    ) == [
-        object_bounds(
-            q, obj, pack.dd, space, grid, use_probabilistic=False
-        )
-        for obj in objects
-    ]
+        pack, index.columns.block(objects), q, space
+    ) == block_object_bounds(pack, block, q, space)
     for r in RADII:
         los, his = block_probability_bounds(pack, block, q, space, r)
         assert list(zip(los, his)) == [
@@ -208,6 +206,110 @@ class TestBlockMatchesReference:
                 assert doors.size
                 assert np.isinf(pack.w[doors]).all()
             assert (los[j], his[j]) == (0.0, 0.0)
+
+
+class TestUnreachedFloor:
+    """One-shot iRQ/ikNNQ without ``precomputed_dd`` prune against a
+    cutoff, subgraph-restricted search: a door it did not reach is
+    proven farther than the cutoff, so ``unreached_floor`` replaces an
+    infinite ``tmin`` — in the kernel exactly as in
+    :func:`repro.distances.bounds.subregion_stats`."""
+
+    @staticmethod
+    def _cutoff_pack(index, q, r):
+        filtered = index.range_search(q, r)
+        dd, _ = subgraph_phase(
+            index, q, locate_source(index, q), filtered.partitions, cutoff=r
+        )
+        return QueryPack(dd, index.columns.layout())
+
+    @given(seed=st.integers(0, 10_000), r=st.sampled_from(RADII))
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_cutoff_search_matches_reference(self, seed, r):
+        """Every object of the venue — far beyond the cutoff included —
+        against the same restricted search, floored and unfloored."""
+        w = _world(seed)
+        space, grid = w.space, w.pop.grid
+        objects = list(w.pop)
+        block = w.index.columns.block(objects)
+        for q in (
+            w.space.random_point(rng=w.rng),
+            w.straddlers[0].region.center,
+        ):
+            pack = self._cutoff_pack(w.index, q, r)
+            assert not all(
+                d in pack.dd.dist for d in space.doors
+            ), "cutoff reached every door: nothing is floored"
+            for floor in (r, None):
+                assert block_object_bounds(
+                    pack, block, q, space, unreached_floor=floor
+                ) == [
+                    object_bounds(
+                        q, obj, pack.dd, space, grid, unreached_floor=floor
+                    )
+                    for obj in objects
+                ]
+
+    def test_multi_partition_object_straddling_the_radius(self):
+        """An object across the wall between two rooms, asked from the
+        hallway with a cutoff that reaches one room's door and not the
+        other's: finite floored lower bound, infinite upper bound,
+        identical to the reference."""
+        w = _world(3)
+        space, grid = w.space, w.pop.grid
+        rooms = [
+            p
+            for p in space.partitions.values()
+            if p.kind is PartitionKind.ROOM and p.floor == 0
+        ]
+        a, b = next(
+            (a, b)
+            for a in rooms
+            for b in rooms
+            if a.bounds.maxx == b.bounds.minx
+            and a.bounds.miny == b.bounds.miny
+        )
+        obj = w.gen.generate_one(
+            center=Point(
+                a.bounds.maxx, (a.bounds.miny + a.bounds.maxy) / 2.0, 0
+            )
+        )
+        w.index.insert_object(obj)
+        assert [s.partition_id for s in obj.subregions(space, grid)] == [
+            a.partition_id,
+            b.partition_id,
+        ]
+        (door_a,) = space.doors_of(a.partition_id)
+        (door_b,) = space.doors_of(b.partition_id)
+        # Asked from a third room (a hallway point would seed every
+        # hallway door at once), with a cutoff between the two doors.
+        c = next(c for c in rooms if c not in (a, b))
+        q = Point(
+            (c.bounds.minx + c.bounds.maxx) / 2.0,
+            (c.bounds.miny + c.bounds.maxy) / 2.0,
+            0,
+        )
+        full = w.session.door_distances(q)
+        (near, reached), (far, unreached) = sorted(
+            (full.distance_to(d.door_id), d.door_id)
+            for d in (door_a, door_b)
+        )
+        assert near < far < float("inf")
+        r = (near + far) / 2.0
+        pack = self._cutoff_pack(w.index, q, r)
+        assert reached in pack.dd.dist and unreached not in pack.dd.dist
+        block = w.index.columns.block([obj])
+        (got,) = block_object_bounds(pack, block, q, space, unreached_floor=r)
+        assert got == object_bounds(
+            q, obj, pack.dd, space, grid, unreached_floor=r
+        )
+        assert got.lower < float("inf") and got.upper == float("inf")
+        (bare,) = block_object_bounds(pack, block, q, space)
+        assert bare == object_bounds(q, obj, pack.dd, space, grid)
 
 
 class TestBlockShapes:

@@ -42,7 +42,7 @@ class TestPhases:
         filtered, elapsed = filtering_phase(setup, q, 40.0, True)
         assert elapsed >= 0
         assert len(filtered.objects) <= len(setup.population)
-        assert filtered.nodes_visited >= 1
+        assert filtered.units_checked >= 1
 
     def test_subgraph_includes_source(self, setup, small_mall):
         q = small_mall.random_point(seed=3)
