@@ -71,10 +71,13 @@ bench-grid-quick:
 
 # The trajectory file a perf PR commits (ROADMAP standing rule): the
 # e2e benchmark on a checkout of the parent commit and on this tree,
-# seeds 2013 + 2014, sides alternated.
+# seeds 2013 + 2014, sides alternated.  PAIRS=5 (ten pairs in all)
+# adds the paired verdicts a claimed gain is judged on.
 #   make bench-trajectory PARENT=/path/to/parent-checkout PR=19
+PAIRS ?= 1
 bench-trajectory:
-	$(PYTHON) scripts/bench_trajectory.py $(PARENT) . --pr $(PR)
+	$(PYTHON) scripts/bench_trajectory.py $(PARENT) . --pr $(PR) \
+		--pairs $(PAIRS)
 
 # Same checks the CI lint job runs (requires ruff, pinned in ci.yml).
 lint:

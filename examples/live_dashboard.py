@@ -153,7 +153,7 @@ async def main() -> None:
         f"{len(service)} standing queries across {monitor.n_shards} shards: "
         f"{stats.pairs_skipped} pairs decided without exact distance work, "
         f"{stats.pairs_refined} refined, "
-        f"{stats.full_recomputes} bound-violation fallbacks, "
+        f"{stats.full_recomputes} ikNNQ guard-band refills, "
         f"{stats.event_recomputes} topology resyncs."
     )
     routing = service.routing

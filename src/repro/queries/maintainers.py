@@ -34,7 +34,7 @@ write in a mutation scope, so the monitor can diff it into a
   in ``stats.pairs_evaluated``);
 * :meth:`~StandingQuery.on_delete` — absorb one deleted object (ditto);
 * :meth:`~StandingQuery.recompute` — full re-execution (registration,
-  bound-violation fallbacks, topology resyncs);
+  topology resyncs, an ikNNQ guard band that ran dry);
 * :meth:`~StandingQuery.snapshot` / :meth:`~StandingQuery.restore` —
   the round-trippable persistence contract: ``snapshot()`` captures the
   maintainer's complete mutable state as a JSON-serializable value and
@@ -49,27 +49,32 @@ write in a mutation scope, so the monitor can diff it into a
   whose only mutable state is ``result``; maintainers with extra state
   override both symmetrically (see :class:`CountMaintainer`).
 
-Two class attributes steer the surrounding machinery:
+One class attribute steers the surrounding machinery: ``annotates`` —
+``"distance"`` or ``"probability"``: which
+:class:`~repro.queries.deltas.ResultDelta` field re-annotations of
+retained members land in (``distance_changed`` vs
+``probability_changed``).
 
-* ``annotates`` — ``"distance"`` or ``"probability"``: which
-  :class:`~repro.queries.deltas.ResultDelta` field re-annotations of
-  retained members land in (``distance_changed`` vs
-  ``probability_changed``);
-* ``dynamic_reach`` — whether :meth:`influence_radius` can change when
-  the result changes (an ikNNQ's ``tau`` moves with its members; an
-  iRQ's ``r`` never does).  The monitor bumps its ``reach_epoch`` only
-  on dynamic-reach result changes, which is what lets the sharded
-  router cache its reach tables between batches.
+A maintainer whose :meth:`~StandingQuery.influence_radius` can move
+(an ikNNQ's band radius does on refill and trim; an iRQ's ``r`` never
+does) must ``host.touch(self)`` before the write that moves it, as
+before any result write: the monitor compares the radius against its
+value at touch time and bumps its ``reach_epoch`` only when it really
+differs, which is what lets the sharded router keep its cached reach
+tables across batches that merely re-rank an ikNNQ.
 
 The three built-in maintainers
 ------------------------------
 
-:class:`RangeMaintainer` and :class:`KNNMaintainer` are the standing
-iRQ/ikNNQ logic extracted *bit-identically* from the pre-refactor
-monitor (the existing equivalence property tests run unmodified, stats
-counting included).  :class:`ProbRangeMaintainer` is new: incremental
-maintenance of the probabilistic-threshold range query (standing iPRQ)
-— per update, the subregion probability bounds of
+:class:`RangeMaintainer` is the standing iRQ: each moved object is
+re-decided in isolation against the Table III interval.
+:class:`KNNMaintainer` is the standing ikNNQ behind a guard band: it
+keeps the exact distances of somewhat more than ``k`` nearest objects,
+so a member drifting outward is a re-rank among stored distances, and
+a from-scratch ikNNQ runs only when the band runs dry (see the class
+docstring for the invariant).  :class:`ProbRangeMaintainer` is the
+probabilistic-threshold range query (standing iPRQ) — per update, the
+subregion probability bounds of
 :func:`repro.queries.prob_range.probability_bounds` (evaluated a block
 at a time by :func:`repro.distances.batch.block_probability_bounds`)
 decide membership whenever the qualifying probability provably stays
@@ -120,6 +125,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Distinguishes "not a member" from a stored ``None`` annotation (a
 #: member accepted by bounds alone) in result-dict lookups.
 _MISSING = object()
+
 
 #: Spec type -> maintainer class; fed by :func:`register_maintainer`.
 _MAINTAINERS: dict[type[QuerySpec], type["StandingQuery"]] = {}
@@ -174,8 +180,6 @@ class StandingQuery:
 
     #: Which delta field re-annotations land in (see module docstring).
     annotates: ClassVar[str] = "distance"
-    #: Whether influence_radius() can move when the result changes.
-    dynamic_reach: ClassVar[bool] = False
 
     def __init__(
         self, query_id: str, spec: QuerySpec, host: "QueryMonitor"
@@ -235,9 +239,10 @@ class StandingQuery:
         return object_id in self.result
 
     def on_delete(self, object_id: str) -> None:
-        """Absorb one deletion.  A non-member is free for every kind;
-        a member hands off to the kind-specific :meth:`_delete_member`."""
-        if object_id not in self.result:
+        """Absorb one deletion.  An object the query does not hold is
+        free for every kind; a held one hands off to the kind-specific
+        :meth:`_delete_member`."""
+        if not self.holds(object_id):
             self.host.stats.pairs_skipped += 1
             return
         self._delete_member(object_id)
@@ -333,126 +338,180 @@ class RangeMaintainer(StandingQuery):
 
 @register_maintainer(KNNSpec)
 class KNNMaintainer(StandingQuery):
-    """Standing ikNNQ: ``result`` maps member id -> exact distance
-    (always refined, so the k-th distance threshold is available).
+    """Standing ikNNQ behind a guard band: ``buffer`` maps every object
+    known to lie within the band radius ``rho`` to its exact current
+    distance, and ``result`` is the ``k`` nearest buffer entries by
+    ``(distance, object_id)`` — ikNNQ's own refinement order, so the
+    published result is a function of the population alone, whatever
+    the buffer happens to hold beyond it.
 
-    Soundness of the incremental maintenance rests on one invariant:
-    *at every consistent state, each non-member's expected distance is
-    at least the current k-th member distance* ``tau``.  A member whose
-    refreshed distance stays ``<= tau`` keeps the invariant (``tau``
-    can only shrink); an outsider entering with ``d < tau`` evicts the
-    worst member, whose distance equals the old ``tau`` and therefore
-    still satisfies the invariant from the outside.  Every transition
-    that could break the invariant triggers the full fallback instead.
-    When the reachable population drops below ``k`` the result simply
-    shrinks and ``tau`` becomes infinite — every later update is a
-    potential entry.
+    Soundness rests on one invariant: *every object outside the buffer
+    has expected distance at least* ``rho`` (and every buffered
+    distance is current and ``<= rho``).  The ``k`` nearest of the
+    buffer are then the ``k`` nearest overall whenever the buffer holds
+    ``k`` entries, or ``rho`` is infinite (the buffer is the whole
+    reachable population and a short result is legitimate).  Each
+    transition keeps it:
+
+    * a buffered object that moves is refined: it stays with its new
+      distance (``d <= rho``) or leaves (``d > rho``, an outsider at
+      least ``rho`` away) — a member drifting inside the band is a
+      re-rank, never a search;
+    * an outsider is skipped while its Eq. 7/8 lower bound exceeds
+      ``rho``, refined otherwise, and joins iff ``d < rho``;
+    * a deleted buffered object is dropped;
+    * a buffer grown past ``k + 2m`` is trimmed back to its ``k + m``
+      nearest, *lowering* ``rho`` to the largest kept distance (the
+      dropped entries are outsiders at least that far away);
+    * only when fewer than ``k`` entries remain inside a finite ``rho``
+      can an unseen outsider belong to the result, and
+      :meth:`recompute` refills: one ``ikNNQ(q, k + m)``, ``rho`` its
+      largest distance — or infinity when the reachable population is
+      shorter than that, after which every reachable newcomer joins.
+
+    The margin ``m`` is derived from ``k``.  A buffer that starts at
+    ``k + m`` takes ``m + 1`` net departures to drain and ``m + 1`` net
+    arrivals to trim, and under stationary movement arrivals and
+    departures across ``rho`` balance, so refills are rare.
+
+    The persisted state is the result mapping alone (the
+    :class:`StandingQuery` default): :meth:`restore` reinstates the
+    degenerate ``m = 0`` buffer — ``buffer = result``, ``rho`` the k-th
+    distance — under which the invariant is exactly "no outsider beats
+    the k-th member", true of any correct result; the first underflow
+    widens it.
     """
-
-    #: ``tau`` moves with the members, so the shard router's cached
-    #: reach tables must be rebuilt whenever this result changes.
-    dynamic_reach: ClassVar[bool] = True
 
     def __init__(
         self, query_id: str, spec: KNNSpec, host: "QueryMonitor"
     ) -> None:
         super().__init__(query_id, spec, host)
         self.k = spec.k
-
-    def kth_distance(self) -> float:
-        """The maintenance threshold ``tau``: the worst member distance
-        when the result is full, else infinity (any reachable object
-        could still enter)."""
-        if len(self.result) < self.k:
-            return math.inf
-        return max(self.result.values())
+        self.m = max(8, spec.k // 2)
+        self.buffer: dict[str, float] = {}
+        self.rho = math.inf
 
     def influence_radius(self) -> float:
-        """Only objects within the current ``tau`` can change the
-        result (members always are; an unfull result reaches forever)."""
-        return self.kth_distance()
+        """Only objects within the band can change the buffer, hence
+        the result (buffered objects always are; a band holding the
+        whole reachable population reaches forever)."""
+        return self.rho
+
+    def holds(self, object_id: str) -> bool:
+        """A deleted buffer entry must go even when it is no result
+        member: the buffer may only hold live objects."""
+        return object_id in self.buffer
+
+    def restore(self, state: Any) -> None:
+        """The degenerate band: the k-th distance when the result is
+        full, else infinity (any reachable object could still enter)."""
+        super().restore(state)
+        self.buffer = dict(self.result)
+        full = len(self.buffer) >= self.k
+        self.rho = max(self.buffer.values()) if full else math.inf
 
     def on_update_batch(self, block: ObjectBlock) -> None:
         """Only the position-dependent geometry — the pruning
-        intervals — is precomputed for the block; membership decisions
-        stay strictly sequential per object, because ``tau`` evolves
-        *within* a batch and each decision depends on that evolution."""
+        intervals — is precomputed for the block; buffer decisions stay
+        sequential per object (a refill mid-block moves ``rho``), and
+        the result is republished once, from the block's end state."""
         host = self.host
         pack = host.session.kernel_pack(self.q)
         intervals = block_object_bounds(
             pack, block, self.q, host.index.space
         )
+        dirty = False
         for obj, interval in zip(block.objects, intervals):
-            self._decide(obj, interval, pack.dd)
+            dirty |= self._decide(obj, interval, pack.dd)
+        if dirty:
+            self._publish()
 
     def _decide(
         self,
         obj: UncertainObject,
         interval: DistanceInterval,
         dd: DoorDistances,
-    ) -> None:
-        host = self.host
+    ) -> bool:
+        """Absorb one moved/inserted object; whether the buffer was
+        written."""
+        stats = self.host.stats
         oid = obj.object_id
-        tau = self.kth_distance()
-        if oid in self.result:
-            # A member moved: its stored distance is stale, refine it.
+        if oid in self.buffer:
+            # Its stored distance is stale: refine, then stay or leave.
             d = self._exact(obj, dd)
-            if math.isfinite(d) and d <= tau:
-                if self.result[oid] != d:  # invariant holds; tau shrinks
-                    host.touch(self)
-                    self.result[oid] = d
-                host.stats.pairs_refined += 1
-            else:
-                # The member drifted past the threshold (or became
-                # unreachable): an outsider may now beat it.  The pair
-                # escalated (not also refined — the pair counters
-                # partition pairs_evaluated) and one query-level
-                # re-execution was paid.
-                host.stats.pairs_recomputed += 1
-                host.stats.full_recomputes += 1
-                self.recompute()
-            return
-        if len(self.result) >= self.k and interval.lower > tau:
-            # Certainly no closer than the current k-th member.
-            host.stats.pairs_skipped += 1
-            return
+            if math.isfinite(d) and d <= self.rho:
+                self.buffer[oid] = d
+            elif self._evict(oid):
+                return True  # counted as recomputed
+            stats.pairs_refined += 1
+            return True
+        if interval.lower > self.rho:
+            # Certainly beyond the band: still an outsider.
+            stats.pairs_skipped += 1
+            return False
         d = self._exact(obj, dd)
-        host.stats.pairs_refined += 1
-        if not math.isfinite(d):
-            return
-        if len(self.result) < self.k:
-            host.touch(self)
-            self.result[oid] = d
-        elif d < tau:
-            host.touch(self)
-            worst = max(self.result, key=self.result.__getitem__)
-            del self.result[worst]
-            self.result[oid] = d
+        stats.pairs_refined += 1
+        if d < self.rho:
+            self.buffer[oid] = d
+            return True
+        return False
+
+    def _evict(self, object_id: str) -> bool:
+        """Drop a buffered object.  Returns whether that drained the
+        buffer below ``k`` inside a finite band and so forced a refill
+        — the pair then counts as recomputed, nothing else (the pair
+        counters partition ``pairs_evaluated``)."""
+        del self.buffer[object_id]
+        if len(self.buffer) >= self.k or math.isinf(self.rho):
+            return False
+        stats = self.host.stats
+        stats.pairs_recomputed += 1
+        stats.full_recomputes += 1
+        self.recompute()
+        return True
 
     def _delete_member(self, object_id: str) -> None:
-        """An ikNNQ that loses a member must refill the vacated slot
-        from scratch (the refill may come back with fewer than ``k``
-        members when the surviving population runs short)."""
-        self.host.stats.pairs_recomputed += 1
-        self.host.stats.full_recomputes += 1
-        self.recompute()
+        if not self._evict(object_id):
+            self.host.stats.pairs_skipped += 1
+            self._publish()
+
+    def _publish(self) -> None:
+        """Trim an overgrown buffer, then republish the ``k`` nearest.
+        Both writes are touched first: the monitor diffs the result and
+        compares the influence radius against their pre-mutation
+        values."""
+        # Nearest first, ties by id: ikNNQ's refinement order.
+        ranked = sorted(self.buffer.items(), key=lambda e: (e[1], e[0]))
+        if len(ranked) > self.k + 2 * self.m:
+            self.host.touch(self)
+            del ranked[self.k + self.m :]
+            self.buffer = dict(ranked)
+            self.rho = ranked[-1][1]
+        result = dict(ranked[: self.k])
+        if result != self.result:
+            self.host.touch(self)
+            self.result = result
 
     def recompute(self) -> None:
+        """Refill the band from scratch: the exact ``k + m`` nearest."""
         host = self.host
         host.touch(self)
         dd = host.session.door_distances(self.q)
-        res = ikNNQ(self.q, self.k, host.index, precomputed_dd=dd)
-        distances: dict[str, float] = {}
+        size = self.k + self.m
+        res = ikNNQ(self.q, size, host.index, precomputed_dd=dd)
+        buffer: dict[str, float] = {}
         for obj in res.objects:
             d = res.distances[obj.object_id]
-            if d is None:  # accepted by bounds: refine for the tau
+            if d is None:  # accepted by bounds: the band needs it exact
                 d = self._exact(obj, dd)
             if math.isfinite(d):
-                # An unreachable "member" would poison tau (= max of
-                # the stored distances) forever; with fewer than k
-                # reachable objects the result legitimately shrinks.
-                distances[obj.object_id] = d
-        self.result = distances
+                # An unreachable entry would poison rho forever; with
+                # fewer than k reachable objects the result
+                # legitimately shrinks.
+                buffer[obj.object_id] = d
+        self.buffer = buffer
+        self.rho = max(buffer.values()) if len(buffer) == size else math.inf
+        self._publish()
 
 
 @register_maintainer(ProbRangeSpec)
@@ -814,6 +873,7 @@ class OccupancyMaintainer(StandingQuery):
         for obj in block.objects:
             host.stats.pairs_skipped += 1  # decided without distance work
             if obj.region.radius > self._radius_pad:
+                host.touch(self)  # the pad is part of the radius
                 self._radius_pad = obj.region.radius
             was = obj.object_id in self._members
             now = self._inside(obj)

@@ -39,10 +39,11 @@ the ``ingest_*`` methods maintain results only — they are the hooks the
 sharded front-end (:class:`~repro.queries.shard.ShardedMonitor`) uses
 to fan one shared index mutation into many per-shard monitors, and
 :meth:`influence_radii` exposes the per-query reach (iRQ/iPRQ radius /
-current ikNNQ threshold) its router prunes shards with.
-:attr:`reach_epoch` counts the moments that reach *may* have moved
-(registration churn, or a result change of a maintainer whose reach is
-dynamic), so the router can cache its reach tables between batches.
+current ikNNQ band radius) its router prunes shards with.
+:attr:`reach_epoch` counts the moments that reach moved (registration
+churn, or a maintainer whose influence radius differs from what it was
+before the mutation — an ikNNQ band refilled or trimmed), so the router
+can cache its reach tables between batches.
 
 The incremental argument reuses the paper's own machinery:
 
@@ -56,9 +57,11 @@ The incremental argument reuses the paper's own machinery:
   using the paper's interval machinery (Table III for distances, the
   subregion mass bounds for probabilities), and usually *decides*
   membership outright;
-* only an undecided pair pays one exact refinement, and only a bound
-  violation (an ikNNQ member drifting past the current threshold, or a
-  member deletion) falls back to full re-execution — the counters in
+* only an undecided pair pays one exact refinement.  A standing ikNNQ
+  keeps the exact distances of a guard band of near non-members beside
+  its ``k`` members, so a member drifting outward or deleted is a
+  re-rank among stored distances; only a band drained below ``k``
+  entries falls back to full re-execution — the counters in
   :class:`MonitorStats` prove how rarely that happens.
 
 Topology events (door closures, splits, merges) invalidate every cached
@@ -118,14 +121,14 @@ class MonitorStats:
     * ``pairs_refined`` — needed one exact refinement (an expected
       distance, or an iPRQ qualifying probability) against the cached
       full search;
-    * ``pairs_recomputed`` — violated a safe bound and escalated to full
-      re-execution of the standing query (a pair that refined first and
-      then escalated counts only here).
+    * ``pairs_recomputed`` — drained an ikNNQ's guard band below ``k``
+      entries and escalated to full re-execution of the standing query
+      (a pair that refined first and then escalated counts only here).
 
     Query-level work is counted separately, in units of *standing-query
-    re-executions*: ``full_recomputes`` counts bound-violation fallbacks
-    (one per escalated pair, but a different dimension — one
-    re-execution touches the whole population, not one pair) and
+    re-executions*: ``full_recomputes`` counts guard-band refills (one
+    per escalated pair, but a different dimension — one re-execution
+    touches the whole population, not one pair) and
     ``event_recomputes`` counts re-executions forced by a
     ``topology_version`` bump.  ``recompute_ratio`` therefore divides
     pair-level by pair-level and ``recomputes_per_update`` query-level
@@ -172,8 +175,8 @@ class MonitorStats:
 
     @property
     def recomputes_per_update(self) -> float:
-        """Standing-query re-executions (bound fallbacks) per absorbed
-        update — the query-level fallback rate."""
+        """Standing-query re-executions (guard-band refills) per
+        absorbed update — the query-level fallback rate."""
         if self.updates_seen == 0:
             return 0.0
         return self.full_recomputes / self.updates_seen
@@ -234,20 +237,23 @@ class QueryMonitor:
         self._id_counter = itertools.count(1)
         self._topology_version = index.space.topology_version
         self._pending: list[ResultDelta] = []
-        #: Bumped whenever the per-query influence radii *may* have
-        #: changed: registration churn, or an emitted delta for a
-        #: dynamic-reach maintainer (an ikNNQ whose ``tau`` moved).
-        #: The sharded router caches its reach tables against this.
+        #: Bumped whenever a per-query influence radius changed:
+        #: registration churn, or a mutation that left a maintainer's
+        #: radius different from before (an ikNNQ band refilled or
+        #: trimmed).  The sharded router caches its reach tables
+        #: against this.
         self.reach_epoch = 0
         # Serialises the maintenance-only ingest hooks: the parallel
         # sharded front-end runs different shards' hooks on pool
         # threads, and this lock is what makes one *shard* safe even if
         # a caller ever routes two batches into it concurrently.
         self._ingest_lock = threading.Lock()
-        # Pre-mutation copies of the results actually touched in the
-        # current mutation scope (lazy: an untouched query costs
-        # nothing), consumed by _collect().
-        self._before: dict[str, dict[str, float | None]] = {}
+        # Pre-mutation (result copy, influence radius) of the queries
+        # actually touched in the current mutation scope (lazy: an
+        # untouched query costs nothing), consumed by _collect().
+        self._before: dict[
+            str, tuple[dict[str, float | None], float]
+        ] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -399,7 +405,7 @@ class QueryMonitor:
     def influence_radii(self) -> list[tuple[str, Point, float]]:
         """``(query_id, q, reach)`` per standing query: the indoor
         distance beyond which an object provably cannot change the
-        result right now (iRQ/iPRQ radius / current ikNNQ ``tau``).
+        result right now (iRQ/iPRQ radius / current ikNNQ band radius).
         The shard router turns these into conservative skip decisions."""
         with self._ingest_lock:
             self._ensure_topology_current()
@@ -460,9 +466,9 @@ class QueryMonitor:
 
     def apply_delete(self, object_id: str) -> DeltaBatch:
         """An object disappears; each maintainer absorbs the departure
-        its own way (an iRQ/iPRQ drops the member, an ikNNQ refills the
-        vacated slot from scratch).  The removed object rides along as
-        ``batch.deleted``."""
+        its own way (an iRQ/iPRQ drops the member, an ikNNQ promotes
+        the nearest guard-band entry into the vacated slot).  The
+        removed object rides along as ``batch.deleted``."""
         self._ensure_topology_current()
         obj = self.index.delete_object(object_id)
         return self.ingest_delete(object_id, deleted=obj)
@@ -570,27 +576,36 @@ class QueryMonitor:
     # ------------------------------------------------------------------
 
     def touch(self, sq: StandingQuery) -> None:
-        """Record ``sq``'s pre-mutation result (first write wins; later
-        touches in the same scope are free).  Every maintainer code
-        path that writes ``sq.result`` calls this first, so _collect()
-        diffs only the queries that actually changed."""
-        self._before.setdefault(sq.query_id, dict(sq.result))
+        """Record ``sq``'s pre-mutation result and influence radius
+        (first write wins; later touches in the same scope are free).
+        Every maintainer code path that writes ``sq.result`` or moves
+        its radius calls this first, so _collect() diffs only the
+        queries that actually changed."""
+        if sq.query_id not in self._before:
+            self._before[sq.query_id] = (
+                dict(sq.result),
+                sq.influence_radius(),
+            )
 
     def _collect(self, cause: str) -> tuple[ResultDelta, ...]:
         """Close the current mutation scope: diff every touched query
         against its recorded pre-state, in query *registration* order —
         not first-touch order — so delta histories stay bit-comparable
-        across engines and backends.  A result change of
-        a dynamic-reach maintainer bumps :attr:`reach_epoch` (its
-        influence radius may have moved with the result)."""
+        across engines and backends.  A maintainer whose influence
+        radius differs from its pre-mutation value bumps
+        :attr:`reach_epoch`; a result change alone (an ikNNQ re-ranked
+        inside its band) does not."""
         if not self._before:
             return ()
         out = []
         reach_moved = False
         for qid, sq in self._queries.items():
-            before = self._before.get(qid)
-            if before is None:  # untouched this scope
+            touched = self._before.get(qid)
+            if touched is None:  # untouched this scope
                 continue
+            before, reach_before = touched
+            if sq.influence_radius() != reach_before:
+                reach_moved = True
             delta = diff_results(
                 qid,
                 cause,
@@ -600,7 +615,6 @@ class QueryMonitor:
             )
             if delta is not None:
                 out.append(delta)
-                reach_moved = reach_moved or sq.dynamic_reach
         self._before.clear()
         if reach_moved:
             self.reach_epoch += 1

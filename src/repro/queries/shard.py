@@ -14,17 +14,18 @@ The router's skip test is the same conservative geometry Table III's
 intervals are built from: a 3-D Euclidean distance never exceeds an
 indoor (walking) distance, so an object whose old **and** new instance
 boxes are Euclidean-farther than a query's influence radius (iRQ/iPRQ
-``r`` / current ikNNQ ``tau``, see
+``r`` / current ikNNQ band radius ``rho``, see
 :meth:`~repro.queries.monitor.QueryMonitor.influence_radii`) from that
 query provably cannot enter, leave, or re-rank its result — both old
 and new positions matter, because leaving is as much a result change as
-entering.  An unfull ikNNQ makes its shard unskippable (``tau`` is
-infinite — any reachable object could enter).  Reach tables are cached
-per shard and rebuilt only when a shard's
+entering.  An ikNNQ whose band holds the whole reachable population
+makes its shard unskippable (``rho`` is infinite — any reachable
+object could enter).  Reach tables are cached per shard and rebuilt
+only when a shard's
 :attr:`~repro.queries.monitor.QueryMonitor.reach_epoch` (or the
-topology) moved since the last build — batches that change no ikNNQ
-``tau`` and register nothing route on the cached table
-(:attr:`ShardStats.reach_cache_hits`).
+topology) moved since the last build — batches that move no ikNNQ
+``rho`` (re-ranks inside the band included) and register nothing route
+on the cached table (:attr:`ShardStats.reach_cache_hits`).
 
 The reach summary the router tests against is **two-level**:
 
@@ -57,10 +58,11 @@ results and routing statistics — are bit-identical to the scalar
 two-level test, which single-box insert/delete routing still uses.
 
 Skipping is sound against the monitor's incremental invariants because
-``tau`` never *grows* on an incremental path (members refine downward,
-entries evict the worst member); the only path that can grow it is a
-full re-execution, which re-reads the whole — already fully updated —
-index population and therefore sees filtered objects anyway.
+``rho`` never *grows* on an incremental path (a trim lowers it, every
+other band transition leaves it alone); the only path that can grow it
+is a refill, a full re-execution that re-reads the whole — already
+fully updated — index population and therefore sees filtered objects
+anyway.
 
 Parallel execution
 ------------------
@@ -855,10 +857,10 @@ class ShardedMonitor:
 
         The cache key is the shard monitor's
         :attr:`~repro.queries.monitor.QueryMonitor.reach_epoch` (bumped
-        on registration churn and on any result change of a
-        dynamic-reach query — an ikNNQ whose ``tau`` moved) plus the
+        on registration churn and whenever a query's influence radius
+        moved — an ikNNQ band refilled or trimmed) plus the
         space's ``topology_version`` (a resync the shard has not
-        processed yet must rebuild, never reuse a pre-topology ``tau``).
+        processed yet must rebuild, never reuse a pre-topology ``rho``).
         iRQ/iPRQ radii and query positions are immutable, so an
         unchanged epoch proves the whole table unchanged.  Hits are
         counted in :attr:`ShardStats.reach_cache_hits`.

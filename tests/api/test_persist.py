@@ -211,6 +211,41 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
+    def test_knn_restored_mid_stream_emits_the_same_deltas(
+        self, tmp_path
+    ):
+        """A checkpoint carries a standing ikNNQ's result, not its
+        guard band: the restored maintainer resumes on the degenerate
+        band (``rho`` = the k-th distance) and widens it on its first
+        underflow, while the engine that never stopped keeps re-ranking
+        inside its wide one — and both emit the same deltas, because
+        the result is a function of the population alone."""
+        space, stream, index = _mall_world()
+        service = QueryService(index)
+        rng = random.Random(11)
+        ids = [
+            service.watch(KNNSpec(space.random_point(rng=rng), k))
+            for k in (3, 5, 12)
+        ]
+        for _ in range(5):
+            service.ingest(list(stream.next_moves(10)))
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        restored = QueryService.restore(path)
+        refills_at_restore = restored.stats.full_recomputes
+
+        for _ in range(25):
+            batch = list(stream.next_moves(10))
+            assert _batch_keys(restored.ingest(batch)) == \
+                _batch_keys(service.ingest(batch))
+        for qid in ids:
+            assert restored.result_distances(qid) == \
+                service.result_distances(qid)
+        # The restored bands did have to be refilled to get there.
+        assert restored.stats.full_recomputes > refills_at_restore
+        service.close()
+        restored.close()
+
     @pytest.mark.parametrize(
         "config",
         [ServiceConfig(), ServiceConfig(n_shards=4, workers=2)],

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.geometry import Point, Rect
+from repro.geometry import Circle, Point, Rect
+from repro.index import CompositeIndex
+from repro.objects import InstanceSet, ObjectPopulation, UncertainObject
 from repro.space import SpaceBuilder
 from repro.space.mall import build_mall
 
@@ -35,6 +37,25 @@ def five_rooms():
     b.connect("r5", "h", door_id="d5")
     b.connect("r1", "r2", door_id="d12")
     return b.build()
+
+
+@pytest.fixture
+def crowded_index(five_rooms):
+    """``five_rooms`` indexed with twelve radius-0 objects, enough for
+    ``KNNSpec(Point(5, 5, 0), 2)`` (margin 8) to keep a finite guard
+    band: ``near`` (1 m) and ``mid`` (3 m) are its members,
+    ``b0``..``b7`` fill the band at 3.2 .. 4.6 m (``rho``), ``far`` and
+    ``far2`` sit in r3 well beyond it."""
+    spots = {"near": (4.0, 5.0), "mid": (8.0, 5.0)}
+    spots.update((f"b{i}", (5.0, 1.8 - 0.2 * i)) for i in range(8))
+    spots.update(far=(25.0, 5.0), far2=(27.0, 2.0))
+    pop = ObjectPopulation(five_rooms)
+    for object_id, (x, y) in spots.items():
+        p = Point(x, y, 0)
+        pop.insert(
+            UncertainObject(object_id, Circle(p, 0.0), InstanceSet.single(p))
+        )
+    return CompositeIndex.build(five_rooms, pop)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Regression tests for the continuous query monitor.
 
 Covers registration/deregistration, incremental maintenance of standing
-iRQ/ikNNQ results, the bound-violation fallback counter, and the
+iRQ/ikNNQ results, the ikNNQ guard band and its refill counter, and the
 topology-event interaction with the QuerySession cache
 (``_cached_version``)."""
 
@@ -348,17 +348,26 @@ class TestIncrementalProbRange:
 
 
 class TestKNNFallback:
-    def test_member_drift_triggers_fallback(self, five_rooms_index,
-                                            five_rooms):
-        monitor = QueryMonitor(five_rooms_index)
+    def test_member_drift_inside_band_reranks(self, crowded_index,
+                                              five_rooms):
+        monitor = QueryMonitor(crowded_index)
         b = monitor.register(KNNSpec(Q1, 2))
         assert monitor.result_ids(b) == {"near", "mid"}
+        (entry,) = monitor.influence_radii()
+        assert entry == (b, Q1, pytest.approx(4.6))  # rho: the 10th
+        # The nearest member drifts past the k-th distance (3 m) but
+        # stays inside the band: one refinement, and the nearest band
+        # entry is promoted from its stored distance — no search.
+        monitor.apply_moves([_point_move("near", 5.0, 1.0)])
+        assert monitor.result_ids(b) == {"mid", "b0"}
+        assert monitor.stats.pairs_refined == 1
         assert monitor.stats.full_recomputes == 0
-        # The nearest member walks to the far room: its new distance
-        # violates the k-th-distance bound, forcing re-execution.
+        # ...and out of the band altogether: still no search, the band
+        # holds nine entries for a k of two.
         monitor.apply_moves([_point_move("near", 25.0, 8.0)])
-        assert monitor.stats.full_recomputes == 1
-        oracle = NaiveEvaluator(five_rooms, five_rooms_index.population)
+        assert monitor.stats.pairs_refined == 2
+        assert monitor.stats.full_recomputes == 0
+        oracle = NaiveEvaluator(five_rooms, crowded_index.population)
         assert monitor.result_ids(b) == {
             oid for oid, _ in oracle.knn_query(Q1, 2)
         }
@@ -382,12 +391,33 @@ class TestKNNFallback:
         assert monitor.result_ids(b) == {"near", "far"}
         assert monitor.stats.full_recomputes == 0
 
-    def test_far_outsider_is_skipped_by_bounds(self, five_rooms_index):
-        monitor = QueryMonitor(five_rooms_index)
+    def test_far_outsider_is_skipped_by_bounds(self, crowded_index):
+        monitor = QueryMonitor(crowded_index)
         monitor.register(KNNSpec(Q1, 2))
+        # Its lower bound exceeds rho: decided without refinement.
         monitor.apply_moves([_point_move("far", 26.0, 3.0)])
         assert monitor.stats.pairs_skipped == 1
         assert monitor.stats.pairs_refined == 0
+
+    def test_overgrown_band_is_trimmed(self, crowded_index, five_rooms):
+        monitor = QueryMonitor(crowded_index)
+        b = monitor.register(KNNSpec(Q1, 2))  # band of 10, rho 4.6
+        sq = monitor._queries[b]
+        assert len(sq.buffer) == sq.k + sq.m == 10
+        # Newcomers inside the band join it; past k + 2m = 18 entries
+        # it is cut back to the 10 nearest and rho drops to the 10th.
+        for i in range(8):
+            monitor.apply_insert(_point_object(f"n{i}", 2.9 - 0.2 * i, 5.0))
+        assert len(sq.buffer) == 18 and sq.rho == pytest.approx(4.6)
+        monitor.apply_insert(_point_object("n8", 1.3, 5.0))
+        assert len(sq.buffer) == 10
+        assert sq.rho == max(sq.buffer.values()) == pytest.approx(3.3)
+        assert monitor.influence_radii() == [(b, Q1, sq.rho)]
+        assert monitor.stats.full_recomputes == 0
+        oracle = NaiveEvaluator(five_rooms, crowded_index.population)
+        assert monitor.result_ids(b) == {
+            oid for oid, _ in oracle.knn_query(Q1, 2)
+        }
 
 
 class TestInsertDelete:
@@ -432,12 +462,35 @@ class TestInsertDelete:
             + stats.pairs_recomputed
         )
 
-    def test_delete_member_refills_knn(self, five_rooms_index, five_rooms):
-        monitor = QueryMonitor(five_rooms_index)
+    def test_underflow_triggers_exactly_one_refill(self, crowded_index):
+        monitor = QueryMonitor(crowded_index)
         b = monitor.register(KNNSpec(Q1, 2))
-        monitor.apply_delete("near")
+        # Eight deletions eat the band down to k entries: each is a
+        # dropped entry plus a promotion, never a search.
+        for victim in ["near", "mid", "b0", "b1", "b2", "b3", "b4", "b5"]:
+            monitor.apply_delete(victim)
+        assert monitor.result_ids(b) == {"b6", "b7"}
+        assert monitor.stats.pairs_skipped == 8
+        assert monitor.stats.full_recomputes == 0
+        # The ninth drains it below k inside a finite rho: an unseen
+        # outsider may now belong to the result — one refill finds it.
+        monitor.apply_delete("b6")
         assert monitor.stats.full_recomputes == 1
-        assert monitor.result_ids(b) == {"mid", "far"}
+        assert monitor.stats.pairs_recomputed == 1
+        assert monitor.result_ids(b) == {"b7", "far"}
+        # Three objects are left, fewer than the band wants: rho is
+        # infinite and a short buffer is no underflow any more.
+        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        monitor.apply_delete("b7")
+        monitor.apply_delete("far")
+        assert monitor.result_ids(b) == {"far2"}
+        assert monitor.stats.full_recomputes == 1
+        stats = monitor.stats
+        assert stats.pairs_evaluated == (
+            stats.pairs_skipped
+            + stats.pairs_refined
+            + stats.pairs_recomputed
+        )
 
     def test_delete_outsider_is_free(self, five_rooms_index):
         monitor = QueryMonitor(five_rooms_index)
@@ -584,7 +637,7 @@ class TestDeregisterEvictsSessionCache:
 
 class TestBelowK:
     """The surviving population dropping below k: the result shrinks
-    legitimately, tau goes infinite, later arrivals refill it."""
+    legitimately, rho is infinite, later arrivals refill it."""
 
     def test_delete_below_k_shrinks_then_refills(self, five_rooms_index):
         monitor = QueryMonitor(five_rooms_index)
@@ -594,6 +647,9 @@ class TestBelowK:
         assert monitor.result_ids(b) == {"near", "mid"}
         monitor.apply_delete("mid")
         assert monitor.result_ids(b) == {"near"}
+        # A short buffer under an infinite rho is not an underflow.
+        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        assert monitor.stats.full_recomputes == 0
         # An unfull result admits any reachable newcomer.
         monitor.apply_insert(_point_object("new", 5.0, 4.0))
         assert monitor.result_ids(b) == {"near", "new"}
@@ -612,12 +668,18 @@ class TestBelowK:
             math.isfinite(d)
             for d in monitor.result_distances(b).values()
         )
-        # A member deletion below k recomputes cleanly...
+        # A member deletion below k just shrinks the result (fewer
+        # than k reachable: rho is infinite, nothing to refill from)...
         monitor.apply_delete("near")
         assert monitor.result_ids(b) == {"mid"}
-        # ...and maintenance keeps working on the shrunken result.
+        # ...and maintenance keeps working on the shrunken result, the
+        # sealed-off object included.
         monitor.apply_moves([_point_move("mid", 7.0, 5.0)])
+        monitor.apply_moves([_point_move("far", 24.0, 4.0)])
         assert monitor.result_ids(b) == {"mid"}
+        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        assert monitor.stats.full_recomputes == 0
+        assert monitor.stats.event_recomputes == 1
 
     def test_member_walking_unreachable_falls_back(self, five_rooms_index,
                                                    five_rooms):
@@ -695,6 +757,47 @@ class TestStreamedEquivalence:
         assert monitor.stats.pairs_skipped > 0
 
 
+class TestRefillRegressionGuard:
+    """A later change that silently brings back one from-scratch ikNNQ
+    per drifting member fails here, in tier-1, instead of waiting for a
+    benchmark run."""
+
+    def test_member_drifts_do_not_cost_recomputes(self, mall_setup,
+                                                  small_mall):
+        index, gen, pop = mall_setup
+        monitor = QueryMonitor(index)
+        knns = [
+            (monitor.register(KNNSpec(q, k)), q, k)
+            for k, q in zip(
+                (4, 5, 6),
+                (small_mall.random_point(seed=s) for s in (8, 9, 10)),
+            )
+        ]
+        stream = MovementStream(small_mall, pop, gen, seed=13)
+        drifts = 0
+        for batch in stream.batches(60, 4):
+            before = {
+                qid: monitor.result_distances(qid) for qid, _, _ in knns
+            }
+            monitor.apply_moves(batch)
+            oracle = NaiveEvaluator(small_mall, pop)
+            moved = {move.object_id for move in batch}
+            for qid, q, k in knns:
+                members = before[qid]
+                if len(members) < k:
+                    continue
+                kth = max(members.values())
+                exact = oracle.all_distances(q)
+                # What the k-th-distance threshold alone would have
+                # answered with a from-scratch ikNNQ each.
+                drifts += sum(
+                    1 for oid in moved & set(members) if exact[oid] > kth
+                )
+        assert drifts >= 10  # the stream does exercise the band
+        assert monitor.stats.full_recomputes < drifts
+        assert monitor.stats.full_recomputes <= 3
+
+
 class TestDeleteCounting:
     """Regression: ``ingest_delete`` must count ``pairs_evaluated``
     only for queries that actually held the departing object — a
@@ -730,7 +833,8 @@ class TestDeleteCounting:
         self, five_rooms_index
     ):
         """Deleting an ikNNQ result member is real maintenance work
-        (the vacated slot refills from scratch) and must be counted."""
+        (the vacated slot refills from the guard band) and must be
+        counted."""
         monitor = QueryMonitor(five_rooms_index)
         b = monitor.register(KNNSpec(Q1, 2))  # result: near, mid
         monitor.drain_pending_deltas()

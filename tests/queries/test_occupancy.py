@@ -151,6 +151,27 @@ class TestWatch:
         assert service.result_distances(qid) == before
         service.close()
 
+    def test_larger_object_radius_moves_the_reach(self, five_rooms):
+        """The radius pad is part of influence_radius(): growing it —
+        even with membership unchanged — bumps the monitor's
+        reach_epoch, so a sharded router rebuilds its reach table; an
+        ordinary update does not."""
+        service = QueryService(_build_index(five_rooms))
+        qid = service.watch(R1_WATCH)
+        monitor = service.monitor
+        ((_, _, reach),) = monitor.influence_radii()
+        epoch = monitor.reach_epoch
+        service.ingest([_point_move("d", 22.0, 3.0)])
+        assert monitor.reach_epoch == epoch
+        p = Point(24.0, 3.0, 0)
+        batch = service.ingest(
+            [ObjectMove("d", Circle(p, 1.5), InstanceSet.single(p))]
+        )
+        assert all(d.is_empty for d in batch)  # still in r3
+        assert monitor.influence_radii()[0][2] == reach + 1.5
+        assert monitor.reach_epoch == epoch + 1
+        service.close()
+
 
 # ---------------------------------------------------------------------
 # sharded routing (the spec has no query point)

@@ -264,7 +264,7 @@ class TestBucketRouter:
 
 class TestReachCache:
     """Reach tables are cached per shard and rebuilt only when a
-    shard's reach_epoch (registration churn, an ikNNQ tau move) or the
+    shard's reach_epoch (registration churn, an ikNNQ rho move) or the
     topology changed — ShardStats.reach_cache_hits counts the reuse."""
 
     def test_static_reaches_hit_cache(self, five_rooms_index):
@@ -292,23 +292,38 @@ class TestReachCache:
         assert sharded.routing.reach_cache_hits == 2
         assert sharded.routing.shards_skipped == 1
 
-    def test_knn_result_change_rebuilds(self, five_rooms_index):
-        sharded = ShardedMonitor(five_rooms_index, n_shards=2)
-        sharded.register(KNNSpec(Q_LEFT, 2))  # near + mid; tau finite
-        other = 1 - sharded.shard_of(Q_LEFT)  # the empty shard
-        assert 0 <= other < 2
+    def test_knn_rerank_hits_cache_until_rho_moves(self, crowded_index):
+        sharded = ShardedMonitor(crowded_index, n_shards=2)
+        qid = sharded.register(KNNSpec(Q_LEFT, 2))  # near + mid
         sharded.apply_moves([_point_move("far", 24.5, 5.0)])  # builds
+        assert sharded.routing.reach_cache_hits == 0
+        # A member drifts past the k-th distance but stays in the band,
+        # then another leaves the band: the result changes both times,
+        # rho does not — every batch routes on the cached tables (the
+        # kNN shard's and the empty shard's).
+        batch = sharded.apply_moves([_point_move("near", 5.0, 1.0)])
+        assert batch.for_query(qid)
+        assert sharded.result_ids(qid) == {"mid", "b0"}
+        batch = sharded.apply_moves([_point_move("mid", 5.0, 9.9)])
+        assert batch.for_query(qid)
+        assert sharded.result_ids(qid) == {"b0", "b1"}
         sharded.apply_moves([_point_move("far", 25.0, 5.0)])
-        assert sharded.routing.reach_cache_hits == 2
-        # A member move re-refines its stored distance: the emitted
-        # delta bumps the shard's reach_epoch (tau may have moved), but
-        # only *after* this batch routed on the old table...
-        sharded.apply_moves([_point_move("near", 4.5, 5.0)])
-        assert sharded.routing.reach_cache_hits == 4
+        assert sharded.routing.reach_cache_hits == 6
+        # Deletions promote from the band, still without moving rho...
+        for i in range(7):
+            assert sharded.apply_delete(f"b{i}").for_query(qid)
+        assert sharded.result_ids(qid) == {"near", "b7"}
+        assert sharded.routing.reach_cache_hits == 20
+        assert sharded.stats.full_recomputes == 0
+        # ...until one drains it below k: the refill moves rho, but
+        # only *after* this mutation routed on the old table...
+        sharded.apply_delete("b7")
+        assert sharded.stats.full_recomputes == 1
+        assert sharded.routing.reach_cache_hits == 22
         # ...so the next mutation rebuilds the kNN shard's table and
         # reuses only the empty shard's.
         sharded.apply_moves([_point_move("far", 24.5, 5.0)])
-        assert sharded.routing.reach_cache_hits == 5
+        assert sharded.routing.reach_cache_hits == 23
 
     def test_registration_invalidates(self, five_rooms_index):
         sharded = ShardedMonitor(five_rooms_index, n_shards=1)
