@@ -32,6 +32,13 @@ range; else ``worse`` when the change's median is beyond the
 parent's own spread exceeds that bound, ``within_bound`` otherwise).
 Ten pairs in all (``--pairs 5`` on two seeds) is what a claimed gain
 is judged on.
+
+``peak_rss_mb`` is bounded against a PR's own parent, so it can creep
+from PR to PR without any one of them failing.  ``rss_since_baseline``
+therefore also sets the change's median reading, per workload, against
+the ``parent`` column of the child checkout's ``BENCH_18.json`` (the
+footprint before the block kernel, the columnar table and everything
+after them); the file is read before the first run starts.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ TRACED = (
     "engine.refined_per_result",
 )
 SIDES = ("parent", "change")
+#: The trajectory file, in the child checkout, whose ``parent`` column
+#: ``rss_since_baseline`` is read against (ROADMAP standing rule).
+RSS_BASELINE = "BENCH_18.json"
 
 
 def run_side(checkout: Path, seed: int, traced: bool = True) -> dict:
@@ -147,6 +157,26 @@ def judge(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
     }
 
 
+def rss_since(gated: dict, readings: dict) -> dict:
+    """Per workload: the median ``peak_rss_mb`` of the ``parent`` side
+    of the baseline trajectory file's ``gated`` table (over its seeds),
+    the median of this run's change side, and their ratio."""
+    table = {}
+    for (workload, name), pairs in readings.items():
+        if name != "peak_rss_mb":
+            continue
+        then = statistics.median(
+            seed[workload]["parent"][name] for seed in gated.values()
+        )
+        now = statistics.median(change for _, change in pairs)
+        table[workload] = {
+            "baseline_parent": then,
+            "change": now,
+            "ratio": now / then,
+        }
+    return table
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -158,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out = args.out or Path(f"BENCH_{args.pr}.json")
     checkouts = {"parent": args.parent, "change": args.child}
+    # Read before the runs: a missing file must not cost the measurement.
+    then = (args.child / RSS_BASELINE).read_text(encoding="utf-8")
+    baseline = json.loads(then)["gated"]
 
     order_log = []
     gated, traced, runs = {}, {}, {}
@@ -200,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
                 pairs, rule[name]["better"], rule[name]["bound"]
             )
 
+    since = rss_since(baseline, readings)
     out.write_text(
         json.dumps(
             {
@@ -220,14 +254,21 @@ def main(argv: list[str] | None = None) -> int:
                     "with the first, under 'paired': every pair's "
                     "[parent, change] readings, each side's quartiles, "
                     "the pairs the change won or lost and the "
-                    "choosing-metrics verdict. A side measured from an "
-                    "uncommitted working tree reports the git_sha of the "
+                    "choosing-metrics verdict. 'rss_since_baseline' sets "
+                    "the change's median peak_rss_mb against the parent "
+                    "column of an earlier trajectory file. A side "
+                    "measured from an uncommitted working tree reports "
+                    "the git_sha of the "
                     "commit beneath it. Written by "
                     "scripts/bench_trajectory.py."
                 ),
                 "gated": gated,
                 "traced": traced,
                 "paired": paired,
+                "rss_since_baseline": {
+                    "file": RSS_BASELINE,
+                    "peak_rss_mb": since,
+                },
                 "runs": runs,
             },
             indent=1,
@@ -251,6 +292,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{row['parent_iqr']:.3g}, won {row['won']} lost "
                 f"{row['lost']} of {len(row['pairs'])}): {row['verdict']}"
             )
+    for workload, row in since.items():
+        print(
+            f"since {RSS_BASELINE} {workload:13s} peak_rss_mb "
+            f"{row['baseline_parent']:.4g} -> {row['change']:.4g} "
+            f"(x{row['ratio']:.3f})"
+        )
     print(f"wrote {out}")
     if wrong:
         print("wrong or failed operations in: " + ", ".join(wrong))

@@ -15,6 +15,7 @@ from typing import Iterator
 from repro.distances.batch import (
     ObjectBlock,
     QueryPack,
+    QueryStack,
     block_object_bounds,
 )
 from repro.distances.bounds import DistanceInterval
@@ -113,7 +114,6 @@ def candidate_blocks(
 
 def pruning_phase(
     index: CompositeIndex,
-    q: Point,
     candidates: list[UncertainObject],
     dd: DoorDistances,
     search_radius: float | None = None,
@@ -122,7 +122,9 @@ def pruning_phase(
 
     The block kernel over the candidates' rows of the index's
     columnar table (``candidates`` are live objects of ``index``), with
-    ``dd`` flattened to a :class:`~repro.distances.batch.QueryPack`.
+    ``dd`` flattened to a :class:`~repro.distances.batch.QueryPack`
+    and stacked alone (the monitor's ingest path calls the same kernel
+    with all its standing queries stacked).
 
     ``search_radius`` is the bound the subgraph/cutoff Dijkstra was run
     with; doors it failed to reach are provably farther than it, which
@@ -135,13 +137,13 @@ def pruning_phase(
         if search_radius is not None and math.isfinite(search_radius)
         else None
     )
-    pack = QueryPack(dd, index.columns.layout())
+    layout = index.columns.layout()
+    stack = QueryStack(layout, [QueryPack(dd, layout)], [floor])
+    fh = index.space.floor_height
     intervals: dict[str, DistanceInterval] = {}
     for block in candidate_blocks(index, candidates):
-        bounds = block_object_bounds(
-            pack, block, q, index.space, unreached_floor=floor
-        )
-        for obj, interval in zip(block.objects, bounds):
+        row = block_object_bounds(stack, block, fh).row(0)
+        for obj, interval in zip(block.objects, row.intervals()):
             intervals[obj.object_id] = interval
     return intervals, time.perf_counter() - t0
 

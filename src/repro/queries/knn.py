@@ -152,7 +152,7 @@ def ikNNQ(
     if with_pruning and len(candidates) > k:
         # Phase 3: bounds.
         intervals, stats.t_pruning = pruning_phase(
-            index, q, candidates, dd, search_radius=search_radius
+            index, candidates, dd, search_radius=search_radius
         )
         # O_k = candidate with the k-th smallest upper bound; objects
         # whose lower bound exceeds O_k's upper cannot be in the top-k

@@ -31,7 +31,8 @@ write in a mutation scope, so the monitor can diff it into a
 * :meth:`~StandingQuery.on_update_batch` — absorb one packed
   :class:`~repro.distances.batch.ObjectBlock` of moved/inserted objects
   (an insert is a block of one; the monitor already counted the pairs
-  in ``stats.pairs_evaluated``);
+  in ``stats.pairs_evaluated``) together with this query's
+  :class:`~repro.distances.batch.BoundsRow` — see "The stack" below;
 * :meth:`~StandingQuery.on_delete` — absorb one deleted object (ditto);
 * :meth:`~StandingQuery.recompute` — full re-execution (registration,
   topology resyncs, an ikNNQ guard band that ran dry);
@@ -49,11 +50,32 @@ write in a mutation scope, so the monitor can diff it into a
   whose only mutable state is ``result``; maintainers with extra state
   override both symmetrically (see :class:`CountMaintainer`).
 
-One class attribute steers the surrounding machinery: ``annotates`` —
+One class attribute steers the delta model: ``annotates`` —
 ``"distance"`` or ``"probability"``: which
 :class:`~repro.queries.deltas.ResultDelta` field re-annotations of
 retained members land in (``distance_changed`` vs
 ``probability_changed``).
+
+The stack
+---------
+
+No maintainer calls the bounds kernel for itself.  The monitor keeps
+the session-cached searches of all its ``stacked`` maintainers as one
+weight matrix, calls :func:`repro.distances.batch.block_object_bounds`
+once per batch, and passes each maintainer its row: ``row.lo[j]`` is
+the Eq. 7 lower envelope of the object at block position ``j`` (decide
+"certainly farther than x" from it first — it is a list of floats, no
+work), ``row.interval(j)`` / ``row.probability(j, r)`` build the exact
+Table III interval / iPRQ mass bounds for a pair the envelope cannot
+decide, and ``row.dd`` is the search to refine against.  A new kind
+opts in by default (``stacked = True``; its ``q`` is what the monitor
+asks the session a pack for) and may override
+:meth:`~StandingQuery.unreached_floor` when its bounds treat an
+unreached subregion as merely "beyond some radius" rather than
+infinitely far, as the iPRQ does.  A kind that needs no distance
+bounds sets ``stacked = False`` and receives ``row=None`` — its pairs
+then count in ``pairs_evaluated`` but not in ``kernel_pairs``
+(:class:`OccupancyMaintainer`).
 
 A maintainer whose :meth:`~StandingQuery.influence_radius` can move
 (an ikNNQ's band radius does on refill and trim; an iRQ's ``r`` never
@@ -75,8 +97,8 @@ a from-scratch ikNNQ runs only when the band runs dry (see the class
 docstring for the invariant).  :class:`ProbRangeMaintainer` is the
 probabilistic-threshold range query (standing iPRQ) — per update, the
 subregion probability bounds of
-:func:`repro.queries.prob_range.probability_bounds` (evaluated a block
-at a time by :func:`repro.distances.batch.block_probability_bounds`)
+:func:`repro.queries.prob_range.probability_bounds` (from its row of
+the stacked call: :meth:`repro.distances.batch.BoundsRow.probability`)
 decide membership whenever the qualifying probability provably stays
 on one side of ``p_min``, and only an update whose probability can
 *cross* ``p_min`` pays one exact
@@ -100,11 +122,7 @@ from repro.api.specs import (
     QuerySpec,
     RangeSpec,
 )
-from repro.distances.batch import (
-    ObjectBlock,
-    block_object_bounds,
-    block_probability_bounds,
-)
+from repro.distances.batch import BoundsRow, ObjectBlock
 from repro.distances.bounds import DistanceInterval
 from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
@@ -180,6 +198,9 @@ class StandingQuery:
 
     #: Which delta field re-annotations land in (see module docstring).
     annotates: ClassVar[str] = "distance"
+    #: Whether the monitor stacks this query's search into its one
+    #: bounds-kernel call per batch (see module docstring).
+    stacked: ClassVar[bool] = True
 
     def __init__(
         self, query_id: str, spec: QuerySpec, host: "QueryMonitor"
@@ -220,11 +241,18 @@ class StandingQuery:
     def influence_radius(self) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def unreached_floor(self) -> float | None:
+        """The ``tmin`` this query's stacked row gives a subregion no
+        reached door serves (see :class:`~repro.distances.batch.
+        QueryStack`); ``None`` leaves it infinite."""
+        return None
+
     def on_update_batch(
-        self, block: ObjectBlock
+        self, block: ObjectBlock, row: BoundsRow | None
     ) -> None:  # pragma: no cover - abstract
-        """Absorb one packed batch of moved/inserted objects (see
-        :mod:`repro.distances.batch`)."""
+        """Absorb one packed batch of moved/inserted objects; ``row``
+        is this query's row of the batch's one kernel call (``None``
+        for a maintainer that is not :attr:`stacked`)."""
         raise NotImplementedError
 
     def recompute(self) -> None:  # pragma: no cover - abstract
@@ -277,19 +305,29 @@ class RangeMaintainer(StandingQuery):
         change the result: the query radius itself."""
         return self.r
 
-    def on_update_batch(self, block: ObjectBlock) -> None:
-        """One whole-block bounds evaluation, then each moved object's
-        membership is re-decided in isolation — the cached full search
-        makes the interval machinery of Table III sufficient, so no
-        other pair is ever touched, and only undecided pairs fall
-        through to exact refinement."""
-        host = self.host
-        pack = host.session.kernel_pack(self.q)
-        intervals = block_object_bounds(
-            pack, block, self.q, host.index.space
-        )
-        for obj, interval in zip(block.objects, intervals):
-            self._decide(obj, interval, pack.dd)
+    def on_update_batch(
+        self, block: ObjectBlock, row: BoundsRow | None
+    ) -> None:
+        """Each moved object's membership is re-decided in isolation —
+        the cached full search makes the interval machinery of
+        Table III sufficient, so no other pair is ever touched.  The
+        Eq. 7 envelope settles the far pairs; the rest build their
+        exact interval, and only undecided ones fall through to exact
+        refinement."""
+        stats = self.host.stats
+        r = self.r
+        for j, (obj, lo) in enumerate(zip(block.objects, row.lo)):
+            if lo > r:
+                self._drop(obj.object_id)
+                stats.pairs_skipped += 1
+            else:
+                self._decide(obj, row.interval(j), row.dd)
+
+    def _drop(self, object_id: str) -> None:
+        """The object is certainly beyond ``r``: a member leaves."""
+        if object_id in self.result:
+            self.host.touch(self)
+            del self.result[object_id]
 
     def _decide(
         self,
@@ -307,9 +345,7 @@ class RangeMaintainer(StandingQuery):
                 self.result[oid] = None
             host.stats.pairs_skipped += 1
         elif interval.entirely_beyond(self.r):
-            if oid in self.result:
-                host.touch(self)
-                del self.result[oid]
+            self._drop(oid)
             host.stats.pairs_skipped += 1
         else:
             d = self._exact(obj, dd)
@@ -318,9 +354,8 @@ class RangeMaintainer(StandingQuery):
                 if self.result.get(oid, _MISSING) != d:
                     host.touch(self)
                     self.result[oid] = d
-            elif oid in self.result:
-                host.touch(self)
-                del self.result[oid]
+            else:
+                self._drop(oid)
 
     def _delete_member(self, object_id: str) -> None:
         """An iRQ just drops the deleted member."""
@@ -410,32 +445,25 @@ class KNNMaintainer(StandingQuery):
         full = len(self.buffer) >= self.k
         self.rho = max(self.buffer.values()) if full else math.inf
 
-    def on_update_batch(self, block: ObjectBlock) -> None:
-        """Only the position-dependent geometry — the pruning
-        intervals — is precomputed for the block; buffer decisions stay
-        sequential per object (a refill mid-block moves ``rho``), and
-        the result is republished once, from the block's end state."""
-        host = self.host
-        pack = host.session.kernel_pack(self.q)
-        intervals = block_object_bounds(
-            pack, block, self.q, host.index.space
-        )
+    def on_update_batch(
+        self, block: ObjectBlock, row: BoundsRow | None
+    ) -> None:
+        """Only the position-dependent geometry — the row's extrema —
+        is precomputed for the block; buffer decisions stay sequential
+        per object (a refill mid-block moves ``rho``), and the result
+        is republished once, from the block's end state."""
         dirty = False
-        for obj, interval in zip(block.objects, intervals):
-            dirty |= self._decide(obj, interval, pack.dd)
+        for j, obj in enumerate(block.objects):
+            dirty |= self._decide(obj, row, j)
         if dirty:
             self._publish()
 
-    def _decide(
-        self,
-        obj: UncertainObject,
-        interval: DistanceInterval,
-        dd: DoorDistances,
-    ) -> bool:
-        """Absorb one moved/inserted object; whether the buffer was
-        written."""
+    def _decide(self, obj: UncertainObject, row: BoundsRow, j: int) -> bool:
+        """Absorb the moved/inserted object at block position ``j``;
+        whether the buffer was written."""
         stats = self.host.stats
         oid = obj.object_id
+        dd = row.dd
         if oid in self.buffer:
             # Its stored distance is stale: refine, then stay or leave.
             d = self._exact(obj, dd)
@@ -445,7 +473,9 @@ class KNNMaintainer(StandingQuery):
                 return True  # counted as recomputed
             stats.pairs_refined += 1
             return True
-        if interval.lower > self.rho:
+        # The envelope first; the exact Eq. 7/8 lower bound only for an
+        # object it cannot place beyond the band.
+        if row.lo[j] > self.rho or row.interval(j).lower > self.rho:
             # Certainly beyond the band: still an outsider.
             stats.pairs_skipped += 1
             return False
@@ -556,17 +586,21 @@ class ProbRangeMaintainer(StandingQuery):
         bounding box the router measures against."""
         return self.r
 
-    def on_update_batch(self, block: ObjectBlock) -> None:
-        """Whole-block probability bounds (Eq. 8 ingredients), then
-        per-pair threshold decisions; exact refinement only when
-        ``p_min`` falls strictly between the bounds."""
-        host = self.host
-        pack = host.session.kernel_pack(self.q)
-        los, his = block_probability_bounds(
-            pack, block, self.q, host.index.space, self.r
-        )
-        for obj, lo, hi in zip(block.objects, los, his):
-            self._decide(obj, lo, hi, pack.dd)
+    def unreached_floor(self) -> float:
+        """A subregion no reached door serves is beyond ``r`` — the
+        scalar :func:`~repro.queries.prob_range.probability_bounds`
+        convention."""
+        return self.r + 1.0
+
+    def on_update_batch(
+        self, block: ObjectBlock, row: BoundsRow | None
+    ) -> None:
+        """Per-pair probability bounds from the row's extrema, then
+        threshold decisions; exact refinement only when ``p_min`` falls
+        strictly between the bounds."""
+        for j, obj in enumerate(block.objects):
+            lo, hi = row.probability(j, self.r)
+            self._decide(obj, lo, hi, row.dd)
 
     def _decide(
         self,
@@ -627,7 +661,7 @@ class ProbRangeMaintainer(StandingQuery):
         filtered, _ = filtering_phase(host.index, self.q, self.r, True)
         result: dict[str, float | None] = {}
         for obj, lo, hi in candidate_probability_bounds(
-            host.index, self.q, filtered.objects, pack, self.r
+            host.index, filtered.objects, pack, self.r
         ):
             if lo >= self.p_min:
                 result[obj.object_id] = None
@@ -752,11 +786,13 @@ class CountMaintainer(StandingQuery):
         else:
             self.result = {}
 
-    def on_update_batch(self, block: ObjectBlock) -> None:
-        """The inner range maintainer absorbs the block with its own
-        kernel; republishing once at the end is equivalent to per
+    def on_update_batch(
+        self, block: ObjectBlock, row: BoundsRow | None
+    ) -> None:
+        """The inner range maintainer absorbs the block from this
+        watch's row; republishing once at the end is equivalent to per
         object, because deltas diff the scope's end state."""
-        self._inner.on_update_batch(block)
+        self._inner.on_update_batch(block, row)
         self._republish()
 
     def holds(self, object_id: str) -> bool:
@@ -824,6 +860,9 @@ class OccupancyMaintainer(StandingQuery):
     (split/merge) raises from the next recompute — deregister the
     watch before restructuring the room it watches."""
 
+    #: Membership is geometric: no search, no row in the stack.
+    stacked: ClassVar[bool] = False
+
     def __init__(
         self, query_id: str, spec: OccupancySpec, host: "QueryMonitor"
     ) -> None:
@@ -866,9 +905,11 @@ class OccupancyMaintainer(StandingQuery):
         else:
             self.result = {}
 
-    def on_update_batch(self, block: ObjectBlock) -> None:
+    def on_update_batch(
+        self, block: ObjectBlock, row: BoundsRow | None
+    ) -> None:
         """Membership needs no bounds, so the block is just its
-        objects."""
+        objects (``row`` is ``None``)."""
         host = self.host
         for obj in block.objects:
             host.stats.pairs_skipped += 1  # decided without distance work

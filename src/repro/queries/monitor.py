@@ -77,6 +77,7 @@ import threading
 from dataclasses import dataclass, fields
 
 from repro.api.specs import QuerySpec, standing_spec
+from repro.distances.batch import DoorLayout, QueryStack, block_object_bounds
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -144,8 +145,9 @@ class MonitorStats:
     event_recomputes: int = 0
     topology_invalidations: int = 0
     deltas_emitted: int = 0
-    #: Pairs dispatched as packed blocks (moves and inserts; deletions
-    #: never evaluate bounds).
+    #: Pairs evaluated by the stacked bounds-kernel call (moves and
+    #: inserts against the queries in the stack; deletions and
+    #: unstacked maintainers never evaluate bounds).
     kernel_pairs: int = 0
     #: Of :attr:`kernel_pairs`, those decided without exact refinement
     #: (the block-path share of ``pairs_skipped``).
@@ -254,6 +256,11 @@ class QueryMonitor:
         self._before: dict[
             str, tuple[dict[str, float | None], float]
         ] = {}
+        # The stacked maintainers' searches as one weight matrix, for
+        # the one bounds-kernel call per batch.  Dropped (under the
+        # ingest lock) whenever the registered query list changes; a
+        # new DoorLayout outdates it by identity.
+        self._stack: QueryStack | None = None
 
     # ------------------------------------------------------------------
     # registration
@@ -292,6 +299,7 @@ class QueryMonitor:
                 self._before.pop(sq.query_id, None)
                 raise
             self._queries[sq.query_id] = sq
+            self._stack = None
             self.session.pin(sq.q)
             self.reach_epoch += 1
             self._pending.extend(self._collect("register"))
@@ -317,6 +325,7 @@ class QueryMonitor:
             sq = maintainer_for(spec, query_id, self)
             sq.restore(state)
             self._queries[query_id] = sq
+            self._stack = None
             self.session.pin(sq.q)
 
     def deregister(self, query_id: str) -> None:
@@ -334,6 +343,7 @@ class QueryMonitor:
             if sq is None:
                 raise QueryError(f"unknown standing query {query_id!r}")
             self._before.pop(query_id, None)
+            self._stack = None
             self.reach_epoch += 1
             if sq.result:
                 self._push_pending(
@@ -645,15 +655,31 @@ class QueryMonitor:
             self.stats.event_recomputes += 1
         self._pending.extend(self._collect("topology"))
 
+    def _query_stack(self, layout: DoorLayout) -> QueryStack:
+        """The stacked maintainers' packs over ``layout``, in
+        registration order; rebuilt only after registration churn or a
+        layout change (the one time the session is asked for packs)."""
+        stack = self._stack
+        if stack is None or stack.layout is not layout:
+            stacked = [sq for sq in self._queries.values() if sq.stacked]
+            stack = self._stack = QueryStack(
+                layout,
+                [self.session.kernel_pack(sq.q) for sq in stacked],
+                [sq.unreached_floor() for sq in stacked],
+            )
+        return stack
+
     def _absorb_block(self, moved: list[UncertainObject], block) -> None:
-        """Gather the moved batch's rows once, then dispatch the whole
-        block to each maintainer.  ``kernel_pruned`` is measured as the
-        ``pairs_skipped`` delta around each dispatch, so the counter
-        partition (evaluated = skipped + refined + recomputed) is
-        untouched."""
+        """Gather the moved batch's rows once, evaluate them against
+        every stacked standing query in one bounds-kernel call, then
+        hand each maintainer its row.  ``kernel_pruned`` is measured as
+        the ``pairs_skipped`` delta around each stacked dispatch, so
+        the counter partition (evaluated = skipped + refined +
+        recomputed) is untouched."""
         if not moved:
             return
-        self.stats.updates_seen += len(moved)
+        stats = self.stats
+        stats.updates_seen += len(moved)
         if not self._queries:
             return
         space = self.index.space
@@ -664,12 +690,21 @@ class QueryMonitor:
             # topology that has since changed).  ``update_objects`` /
             # ``insert_object`` already wrote the rows.
             block = self.index.columns.block(moved)
+        stack = self._query_stack(block.layout)
+        bounds = (
+            block_object_bounds(stack, block, space.floor_height)
+            if len(stack)
+            else None
+        )
         n = len(moved)
+        i = 0
         for sq in self._queries.values():
-            self.stats.pairs_evaluated += n
-            self.stats.kernel_pairs += n
-            skipped_before = self.stats.pairs_skipped
-            sq.on_update_batch(block)
-            self.stats.kernel_pruned += (
-                self.stats.pairs_skipped - skipped_before
-            )
+            stats.pairs_evaluated += n
+            if not sq.stacked:
+                sq.on_update_batch(block, None)
+                continue
+            stats.kernel_pairs += n
+            skipped_before = stats.pairs_skipped
+            sq.on_update_batch(block, bounds.row(i))
+            i += 1
+            stats.kernel_pruned += stats.pairs_skipped - skipped_before

@@ -20,7 +20,11 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
-from repro.distances.batch import QueryPack, block_probability_bounds
+from repro.distances.batch import (
+    QueryPack,
+    QueryStack,
+    block_object_bounds,
+)
 from repro.distances.bounds import subregion_stats
 from repro.distances.expected import instance_indoor_distances
 from repro.errors import QueryError
@@ -52,7 +56,7 @@ def probability_bounds(
 ) -> tuple[float, float]:
     """Bounds on the qualifying probability from subregion stats —
     the per-pair reference of
-    :func:`repro.distances.batch.block_probability_bounds`, which the
+    :meth:`repro.distances.batch.BoundsRow.probability`, which the
     query processors run.
 
     A subregion with ``tmax <= r`` contributes all its mass to the
@@ -74,15 +78,18 @@ def probability_bounds(
 
 
 def candidate_probability_bounds(
-    index: CompositeIndex, q: Point, candidates: list, pack: QueryPack,
-    r: float,
+    index: CompositeIndex, candidates: list, pack: QueryPack, r: float
 ) -> Iterator[tuple[object, float, float]]:
     """``(object, lo, hi)`` per candidate — :func:`probability_bounds`
     for all of them, from the block kernel over the index's columnar
     table."""
+    stack = QueryStack(pack.layout, [pack], [r + 1.0])
+    fh = index.space.floor_height
     for block in candidate_blocks(index, candidates):
-        los, his = block_probability_bounds(pack, block, q, index.space, r)
-        yield from zip(block.objects, los, his)
+        row = block_object_bounds(stack, block, fh).row(0)
+        for j, obj in enumerate(block.objects):
+            lo, hi = row.probability(j, r)
+            yield obj, lo, hi
 
 
 def iPRQ(
@@ -121,7 +128,7 @@ def iPRQ(
     undecided = []
     t0 = time.perf_counter()
     for obj, lo, hi in candidate_probability_bounds(
-        index, q, filtered.objects, QueryPack(dd, index.columns.layout()), r
+        index, filtered.objects, QueryPack(dd, index.columns.layout()), r
     ):
         if lo >= theta:
             stats.accepted_by_bounds += 1

@@ -82,7 +82,7 @@ def iRQ(
     if with_pruning:
         # Phase 3: bounds.
         intervals, stats.t_pruning = pruning_phase(
-            index, q, filtered.objects, dd, search_radius=search_radius
+            index, filtered.objects, dd, search_radius=search_radius
         )
         undecided = []
         for obj in filtered.objects:

@@ -53,9 +53,7 @@ def estimate_irq_result_size(
     if not filtered.objects:
         return 0.0
     dd, _ = subgraph_phase(index, q, source, filtered.partitions, cutoff=r)
-    intervals, _ = pruning_phase(
-        index, q, filtered.objects, dd, search_radius=r
-    )
+    intervals, _ = pruning_phase(index, filtered.objects, dd, search_radius=r)
     estimate = 0.0
     for obj in filtered.objects:
         interval = intervals[obj.object_id]

@@ -1,13 +1,15 @@
-"""The block bounds kernel (:mod:`repro.distances.batch`) held to the
-per-pair reference (:func:`repro.distances.bounds.object_bounds`,
+"""The stacked bounds kernel (:mod:`repro.distances.batch`) held to
+the per-pair reference (:func:`repro.distances.bounds.subregion_stats`
+/ :func:`~repro.distances.bounds.object_bounds`,
 :func:`repro.queries.prob_range.probability_bounds`) function for
-function.
+function, for every (query, object) pair of a stack.
 
 Every comparison is exact ``==`` on floats, never ``approx``: the
 kernel's arithmetic is arranged to repeat the reference's operation
 sequence, so any last-digit drift is a bug.
 """
 
+import math
 import random
 from collections import namedtuple
 
@@ -18,11 +20,18 @@ from hypothesis import strategies as st
 from monitor_world import build_world
 from repro.distances.batch import (
     QueryPack,
+    QueryStack,
     block_object_bounds,
-    block_probability_bounds,
+    mass_within,
     pack_block,
 )
-from repro.distances.bounds import DistanceInterval, object_bounds
+from repro.distances.bounds import (
+    DistanceInterval,
+    SubregionStats,
+    object_bounds,
+    probabilistic_bounds,
+    subregion_stats,
+)
 from repro.geometry import Point
 from repro.queries import QuerySession
 from repro.queries.engine import locate_source, subgraph_phase
@@ -68,26 +77,77 @@ def _add_straddlers(index, gen, rng, n=4, floor=None):
     raise AssertionError("no door-straddling object could be placed")
 
 
-def _assert_matches_reference(index, session, objects, q):
-    """Whole-block kernel output == the per-pair reference, object by
-    object, for the distance interval and every probability range."""
+def _stack(packs, floors=None):
+    """``packs`` stacked as the monitor and the one-shot prune stack
+    them (``floors`` defaulting to none)."""
+    return QueryStack(packs[0].layout, packs, floors or [None] * len(packs))
+
+
+def _assert_stack_matches(index, stack, block):
+    """One stacked kernel call == the per-pair reference for every
+    (query, object) pair: each row's ``tmin``/``tmax`` against
+    ``subregion_stats``, the lazily built interval against
+    ``object_bounds``, the envelope against both, and — for a query
+    stacked with the iPRQ floor ``r + 1.0`` — the probability pair
+    against ``probability_bounds``."""
     space, grid = index.space, index.population.grid
-    pack = session.kernel_pack(q)
+    bounds = block_object_bounds(stack, block, space.floor_height)
+    assert len(bounds.tmin) == len(bounds.tmax) == len(stack)
+    for i, pack in enumerate(stack.packs):
+        q, dd = pack.dd.source, pack.dd
+        floor = None if stack.floor is None else stack.floor[i, 0]
+        if floor == math.inf:
+            floor = None
+        row = bounds.row(i)
+        assert row.dd is dd
+        everyone = row.intervals()
+        assert len(everyone) == len(block.objects)
+        for j, obj in enumerate(block.objects):
+            subs = obj.subregions(space, grid)
+            rows = range(bounds.offsets[j], bounds.offsets[j + 1])
+            assert len(subs) == len(rows)
+            for a, sub in zip(rows, subs):
+                ref = subregion_stats(q, sub, dd, space, unreached_floor=floor)
+                assert bounds.tmin[i][a] == ref.tmin
+                assert bounds.tmax[i][a] == ref.tmax
+            interval = row.interval(j)
+            assert interval == everyone[j]
+            assert interval == object_bounds(
+                q, obj, dd, space, grid, unreached_floor=floor
+            )
+            assert row.lo[j] == min(bounds.tmin[i][a] for a in rows)
+            assert interval.lower >= row.lo[j]
+            if len(subs) == 1:
+                assert interval.lower == row.lo[j]
+            if floor is not None:
+                r = floor - 1.0
+                assert row.probability(j, r) == probability_bounds(
+                    index, q, obj, dd, r
+                )
+    return bounds
+
+
+def _assert_matches_reference(index, session, objects, points):
+    """Every query point stacked four times — without a floor (the
+    standing iRQ/ikNNQ row) and with the iPRQ floor of each radius —
+    against a freshly packed block and against the columnar table's
+    gather of the same objects."""
+    packs, floors = [], []
+    for q in points:
+        pack = session.kernel_pack(q)
+        for floor in (None, *(r + 1.0 for r in RADII)):
+            packs.append(pack)
+            floors.append(floor)
+    stack = _stack(packs, floors)
     block = _pack(index, session, objects)
-    assert block_object_bounds(pack, block, q, space) == [
-        object_bounds(q, obj, pack.dd, space, grid) for obj in objects
-    ]
+    bounds = _assert_stack_matches(index, stack, block)
     # The columnar table serves the rows pack_block computes.
-    assert block_object_bounds(
-        pack, index.columns.block(objects), q, space
-    ) == block_object_bounds(pack, block, q, space)
-    for r in RADII:
-        los, his = block_probability_bounds(pack, block, q, space, r)
-        assert list(zip(los, his)) == [
-            probability_bounds(index, q, obj, pack.dd, r)
-            for obj in objects
-        ]
-    return pack, block
+    fh = index.space.floor_height
+    gathered = block_object_bounds(stack, index.columns.block(objects), fh)
+    assert gathered.tmin == bounds.tmin
+    assert gathered.tmax == bounds.tmax
+    assert gathered.lo == bounds.lo
+    return stack, block, bounds
 
 
 World = namedtuple("World", "space gen pop index session straddlers rng")
@@ -138,17 +198,21 @@ class TestBlockMatchesReference:
         points = [w.space.random_point(rng=w.rng) for _ in range(3)]
         # ...plus one inside a straddler's own partitions.
         points.append(w.straddlers[0].region.center)
-        for q in points:
-            _assert_matches_reference(w.index, w.session, objects, q)
+        _assert_matches_reference(w.index, w.session, objects, points)
 
     def test_query_point_inside_object_partition(self):
         """The query's own partition takes the direct Euclidean path
         (the ``source_row`` patch) in addition to its entry doors."""
         w = _world(7)
-        for obj in (next(iter(w.pop)), w.straddlers[0]):
-            pack, block = _assert_matches_reference(
-                w.index, w.session, list(w.pop), obj.region.center
-            )
+        inside = [next(iter(w.pop)), w.straddlers[0]]
+        stack, block, _ = _assert_matches_reference(
+            w.index,
+            w.session,
+            list(w.pop),
+            [obj.region.center for obj in inside]
+            + [w.space.random_point(rng=w.rng)],
+        )
+        for obj, pack in zip(inside, stack.packs[:: 1 + len(RADII)]):
             _, rows = _rows(block, obj)
             assert pack.source_row in block.sub_part[rows]
 
@@ -172,16 +236,15 @@ class TestBlockMatchesReference:
         q = _point_where(
             space, lambda p: grid.locate(p).partition_id != room
         )
-        pack, block = _assert_matches_reference(
-            w.index, w.session, list(w.pop), q
+        _, block, bounds = _assert_matches_reference(
+            w.index, w.session, list(w.pop), [q]
         )
         j, _ = _rows(block, obj)
         inf = float("inf")
-        assert block_object_bounds(pack, block, q, space)[j] == (
-            DistanceInterval(inf, inf)
-        )
-        los, his = block_probability_bounds(pack, block, q, space, 60.0)
-        assert (los[j], his[j]) == (0.0, 0.0)
+        assert bounds.row(0).interval(j) == DistanceInterval(inf, inf)
+        # Row 3 carries the iPRQ floor of r = 60: tmin = 61, tmax = inf.
+        assert bounds.row(3).lo[j] == 61.0
+        assert bounds.row(3).probability(j, 60.0) == (0.0, 0.0)
 
     def test_unreached_doors_carry_inf_weights(self):
         """Sealing the upper floor's stair exits keeps its doors open
@@ -195,17 +258,19 @@ class TestBlockMatchesReference:
                 w.index.apply_event(CloseDoor(door_id))
         _add_straddlers(w.index, w.gen, w.rng, n=1, floor=1)
         q = _point_where(space, lambda p: p.floor == 0)
-        pack, block = _assert_matches_reference(
-            w.index, w.session, list(w.pop), q
+        stack, block, bounds = _assert_matches_reference(
+            w.index, w.session, list(w.pop), [q]
         )
-        los, his = block_probability_bounds(pack, block, q, space, 1e9)
+        bare, floored = bounds.row(0), bounds.row(3)
         for obj in (o for o in w.pop if o.floor == 1):
             j, rows = _rows(block, obj)
             for i in rows:
                 doors = block.layout.entry_idx[block.sub_part[i]]
                 assert doors.size
-                assert np.isinf(pack.w[doors]).all()
-            assert (los[j], his[j]) == (0.0, 0.0)
+                assert np.isinf(stack.w[:, doors]).all()
+            assert bare.lo[j] == math.inf
+            assert floored.lo[j] == 61.0
+            assert floored.probability(j, 60.0) == (0.0, 0.0)
 
 
 class TestUnreachedFloor:
@@ -233,26 +298,19 @@ class TestUnreachedFloor:
         """Every object of the venue — far beyond the cutoff included —
         against the same restricted search, floored and unfloored."""
         w = _world(seed)
-        space, grid = w.space, w.pop.grid
-        objects = list(w.pop)
-        block = w.index.columns.block(objects)
+        block = w.index.columns.block(list(w.pop))
+        packs, floors = [], []
         for q in (
             w.space.random_point(rng=w.rng),
             w.straddlers[0].region.center,
         ):
             pack = self._cutoff_pack(w.index, q, r)
             assert not all(
-                d in pack.dd.dist for d in space.doors
+                d in pack.dd.dist for d in w.space.doors
             ), "cutoff reached every door: nothing is floored"
-            for floor in (r, None):
-                assert block_object_bounds(
-                    pack, block, q, space, unreached_floor=floor
-                ) == [
-                    object_bounds(
-                        q, obj, pack.dd, space, grid, unreached_floor=floor
-                    )
-                    for obj in objects
-                ]
+            packs += [pack, pack]
+            floors += [r, None]
+        _assert_stack_matches(w.index, _stack(packs, floors), block)
 
     def test_multi_partition_object_straddling_the_radius(self):
         """An object across the wall between two rooms, asked from the
@@ -303,13 +361,18 @@ class TestUnreachedFloor:
         pack = self._cutoff_pack(w.index, q, r)
         assert reached in pack.dd.dist and unreached not in pack.dd.dist
         block = w.index.columns.block([obj])
-        (got,) = block_object_bounds(pack, block, q, space, unreached_floor=r)
+        full_pack = w.session.kernel_pack(q)
+        bounds = _assert_stack_matches(
+            w.index, _stack([pack, pack, full_pack], [r, None, None]), block
+        )
+        got = bounds.row(0).interval(0)
         assert got == object_bounds(
             q, obj, pack.dd, space, grid, unreached_floor=r
         )
         assert got.lower < float("inf") and got.upper == float("inf")
-        (bare,) = block_object_bounds(pack, block, q, space)
-        assert bare == object_bounds(q, obj, pack.dd, space, grid)
+        assert bounds.row(1).interval(0) == object_bounds(
+            q, obj, pack.dd, space, grid
+        )
 
 
 class TestBlockShapes:
@@ -337,14 +400,19 @@ class TestBlockShapes:
         used = direct.sub_door != whole.layout.sentinel
         assert (sub.sub_min[:, :width][used] == direct.sub_min[used]).all()
         assert (sub.sub_max[:, :width][used] == direct.sub_max[used]).all()
-        for q in (space.random_point(rng=w.rng) for _ in range(3)):
-            pack = session.kernel_pack(q)
-            assert block_object_bounds(
-                pack, sub, q, space
-            ) == block_object_bounds(pack, direct, q, space)
-            assert block_probability_bounds(
-                pack, sub, q, space, 25.0
-            ) == block_probability_bounds(pack, direct, q, space, 25.0)
+        points = [space.random_point(rng=w.rng) for _ in range(3)]
+        points.append(objects[keep[0]].region.center)
+        stack = _stack(
+            [session.kernel_pack(q) for q in points],
+            [None, 26.0, None, 26.0],
+        )
+        # The sub-block against the reference, pair by pair ...
+        got = _assert_stack_matches(w.index, stack, sub)
+        # ... and against the directly packed block, array for array.
+        want = block_object_bounds(stack, direct, space.floor_height)
+        assert got.tmin == want.tmin
+        assert got.tmax == want.tmax
+        assert got.lo == want.lo
 
     def test_block_of_one_equals_its_row_in_a_larger_block(self):
         """An insert is a block of one: same numbers as the object's
@@ -353,17 +421,66 @@ class TestBlockShapes:
         space, session = w.space, w.session
         objects = list(w.pop)
         whole = _pack(w.index, session, objects)
-        for q in (space.random_point(rng=w.rng) for _ in range(3)):
-            pack = session.kernel_pack(q)
-            intervals = block_object_bounds(pack, whole, q, space)
-            los, his = block_probability_bounds(
-                pack, whole, q, space, 25.0
+        fh = space.floor_height
+        stack = _stack(
+            [
+                session.kernel_pack(space.random_point(rng=w.rng))
+                for _ in range(3)
+            ],
+            [None, 26.0, 26.0],
+        )
+        whole_bounds = block_object_bounds(stack, whole, fh)
+        for j, obj in enumerate(objects):
+            one = block_object_bounds(
+                stack, _pack(w.index, session, [obj]), fh
             )
-            for j, obj in enumerate(objects):
-                one = _pack(w.index, session, [obj])
-                assert block_object_bounds(pack, one, q, space) == [
-                    intervals[j]
-                ]
-                assert block_probability_bounds(
-                    pack, one, q, space, 25.0
-                ) == ([los[j]], [his[j]])
+            for i in range(len(stack)):
+                big, small = whole_bounds.row(i), one.row(i)
+                assert small.lo == [big.lo[j]]
+                assert small.interval(0) == big.interval(j)
+                assert small.probability(0, 25.0) == big.probability(j, 25.0)
+
+
+def _stats_lists():
+    """Random ``SubregionStats`` lists as an object's rows could read:
+    ``tmax >= tmin`` per subregion, either possibly infinite, masses
+    possibly zero but not all of them."""
+    distance = st.one_of(
+        st.floats(min_value=0.0, max_value=1e6), st.just(math.inf)
+    )
+    entry = st.tuples(
+        distance,
+        distance,
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    ).map(lambda e: (min(e[0], e[1]), max(e[0], e[1]), e[2]))
+    return st.lists(entry, min_size=1, max_size=6).filter(
+        lambda entries: sum(e[2] for e in entries) > 0.0
+    )
+
+
+class TestEnvelope:
+    """Why the monitor may decide "entirely beyond" from the Eq. 7
+    envelope ``min tmin`` before any exact interval exists: both exact
+    routines provably agree with it, in floats."""
+
+    @given(entries=_stats_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_probabilistic_lower_bound_never_undercuts_it(self, entries):
+        stats = [
+            SubregionStats(f"p{i}", tmin, tmax, mass)
+            for i, (tmin, tmax, mass) in enumerate(entries)
+        ]
+        lowest = min(s.tmin for s in stats)
+        assert probabilistic_bounds(stats).lower >= lowest
+
+    @given(
+        entries=_stats_lists(),
+        r=st.floats(min_value=0.0, max_value=1e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mass_loop_adds_nothing_beyond_it(self, entries, r):
+        tmin, tmax, mass = (list(col) for col in zip(*entries))
+        got = mass_within(tmin, tmax, mass, range(len(entries)), r)
+        if min(tmin) > r:
+            assert got == (0.0, 0.0)
+        assert 0.0 <= got[0] <= got[1]

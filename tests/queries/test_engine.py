@@ -58,7 +58,7 @@ class TestPhases:
         filtered, _ = filtering_phase(setup, q, 50.0, True)
         dd, _ = subgraph_phase(setup, q, source, filtered.partitions, cutoff=50.0)
         intervals, _ = pruning_phase(
-            setup, q, filtered.objects, dd, search_radius=50.0
+            setup, filtered.objects, dd, search_radius=50.0
         )
         assert set(intervals) == {o.object_id for o in filtered.objects}
         for iv in intervals.values():

@@ -842,3 +842,191 @@ class TestDeleteCounting:
         monitor.apply_delete("near")
         assert monitor.stats.pairs_evaluated > base
         assert monitor.result_ids(b) == {"mid", "far"}  # refilled
+
+
+def _count_kernel_calls(monkeypatch):
+    """Count calls of ``repro.distances.batch.block_object_bounds``
+    through every ``repro`` module that holds the function (a
+    ``from x import f`` copies the binding), as the benchmark's tracer
+    patches it."""
+    import sys
+
+    from repro.distances import batch
+
+    original = batch.block_object_bounds
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))  # the stack's size
+        return original(*args, **kwargs)
+
+    holders = [
+        mod
+        for name, mod in list(sys.modules.items())
+        if name.startswith("repro")
+        and mod is not None
+        and mod.__dict__.get("block_object_bounds") is original
+    ]
+    assert batch in holders and len(holders) >= 2
+    for mod in holders:
+        monkeypatch.setattr(mod, "block_object_bounds", counting)
+    return calls
+
+
+def _stacked_points(monitor):
+    """Query points of the monitor's current stack, in stack order."""
+    return [pack.dd.source for pack in monitor._stack.packs]
+
+
+def _assert_matches_fresh_registration(monitor, index):
+    """Every standing result equals what registering the same spec on
+    a fresh monitor (a from-scratch run) yields."""
+    fresh = QueryMonitor(index)
+    for qid in monitor.query_ids():
+        twin = fresh.register(monitor.query_spec(qid))
+        assert monitor.result_ids(qid) == fresh.result_ids(twin), qid
+
+
+class TestQueryStack:
+    """The monitor's stacked weight matrix: one bounds-kernel call per
+    batch, rebuilt exactly when the query list or the layout moves."""
+
+    Q3 = Point(25.0, 5.0, 0)  # inside r3
+
+    def test_one_kernel_call_per_batch_whatever_q(
+        self, five_rooms_index, monkeypatch
+    ):
+        calls = _count_kernel_calls(monkeypatch)
+        monitor = QueryMonitor(five_rooms_index)
+        monitor.register(OccupancySpec("r1", 1))
+        monitor.apply_moves([_point_move("near", 4.2, 5.0)])
+        assert calls == []  # nothing to bound: no call at all
+        assert monitor.stats.kernel_pairs == 0
+        specs = [
+            RangeSpec(Q1, 10.0),
+            KNNSpec(Q1, 2),
+            ProbRangeSpec(self.Q3, 3.0, 0.5),
+            CountSpec(self.Q3, 10.0, 1),
+        ]
+        for n, spec in enumerate(specs * 3, start=1):
+            monitor.register(spec)
+            del calls[:]  # registration recomputes prune one-shot
+            monitor.apply_moves(
+                [
+                    _point_move("near", 4.0 + 0.01 * n, 5.0),
+                    _point_move("far", 25.0, 5.0 + 0.01 * n),
+                ]
+            )
+            assert calls == [n]
+            monitor.apply_insert(_point_object(f"new{n}", 15.0, 12.0))
+            assert calls == [n, n]
+
+    def test_kernel_pairs_count_only_stacked_pairs(self, five_rooms_index):
+        """An occupancy watch never evaluates bounds: its pairs are
+        evaluated (and skipped) but are no kernel pairs."""
+        monitor = QueryMonitor(five_rooms_index)
+        monitor.register(RangeSpec(Q1, 2.0))
+        monitor.register(OccupancySpec("r1", 1))
+        monitor.register(KNNSpec(Q1, 1))
+        monitor.apply_moves(
+            [_point_move("near", 4.5, 5.0), _point_move("far", 26.0, 5.0)]
+        )
+        stats = monitor.stats
+        assert stats.pairs_evaluated == 6
+        assert stats.kernel_pairs == 4
+        assert stats.kernel_pruned <= stats.kernel_pairs
+        # Occupancy's two skips are not kernel prunes.
+        assert stats.pairs_skipped == stats.kernel_pruned + 2
+        assert stats.pairs_evaluated == (
+            stats.pairs_skipped
+            + stats.pairs_refined
+            + stats.pairs_recomputed
+        )
+
+    def test_registration_churn_rebuilds_before_next_ingest(
+        self, five_rooms_index
+    ):
+        monitor = QueryMonitor(five_rooms_index)
+        a = monitor.register(RangeSpec(Q1, 10.0))
+        assert monitor._stack is None  # built by the first ingest
+        monitor.apply_moves([_point_move("near", 4.1, 5.0)])
+        assert _stacked_points(monitor) == [Q1]
+        first = monitor._stack
+        monitor.apply_moves([_point_move("near", 4.2, 5.0)])
+        assert monitor._stack is first  # steady state: kept
+
+        b = monitor.register(RangeSpec(self.Q3, 3.0))
+        monitor.register(OccupancySpec("r3", 1))  # never stacked
+        assert monitor._stack is None
+        batch = monitor.apply_moves([_point_move("far", 26.0, 5.0)])
+        assert _stacked_points(monitor) == [Q1, self.Q3]
+        assert monitor.result_ids(b) == {"far"}
+        # The new query's row is its own, not its neighbour's.
+        assert {d.query_id for d in batch if d.cause == "move"} <= {b}
+
+        monitor.deregister(a)
+        assert monitor._stack is None
+        monitor.apply_moves([_point_move("far", 29.5, 9.5)])
+        assert _stacked_points(monitor) == [self.Q3]
+        assert monitor.result_ids(b) == set()
+
+        state = {"far": None}
+        monitor.restore_query(ProbRangeSpec(self.Q3, 8.0, 0.5), "vip", state)
+        assert monitor._stack is None
+        monitor.apply_moves([_point_move("mid", 24.0, 5.0)])
+        assert _stacked_points(monitor) == [self.Q3, self.Q3]
+        assert monitor._stack.floor.tolist() == [[math.inf], [9.0]]
+        assert monitor.result_ids("vip") == {"far", "mid"}
+        _assert_matches_fresh_registration(monitor, five_rooms_index)
+
+    def test_door_close_between_batches_rebuilds(self, five_rooms_index):
+        monitor = QueryMonitor(five_rooms_index)
+        a = monitor.register(RangeSpec(Q1, 12.0))
+        b = monitor.register(KNNSpec(Q1, 3))
+        monitor.apply_moves([_point_move("mid", 12.0, 5.0)])  # into r2
+        assert monitor.result_ids(a) == {"near", "mid"}
+        stale = monitor._stack
+        monitor.apply_event(CloseDoor("d12"))  # r1 -> r2 only via h now
+        monitor.apply_moves([_point_move("mid", 12.0, 5.5)])
+        assert monitor._stack is not stale
+        assert monitor._stack.layout is five_rooms_index.columns.layout()
+        assert not (monitor._stack.w == stale.w).all()
+        assert monitor.result_ids(a) == {"near"}
+        assert monitor.result_ids(b) == {"near", "mid", "far"}
+        _assert_matches_fresh_registration(monitor, five_rooms_index)
+
+    def test_insert_and_far_move_match_from_scratch(self, five_rooms_index):
+        """A block of one, then a batch whose envelope alone says
+        "beyond" for a current member of every kind: the member must
+        still leave, with the deltas a from-scratch run implies."""
+        specs = [
+            RangeSpec(Q1, 6.0),
+            KNNSpec(Q1, 3),
+            ProbRangeSpec(Q1, 6.0, 0.5),
+            CountSpec(Q1, 6.0, 3),
+        ]
+        monitor = QueryMonitor(five_rooms_index)
+        irq, knn, iprq, count = (monitor.register(s) for s in specs)
+        monitor.drain_pending_deltas()
+        entered = monitor.apply_insert(_point_object("new", 5.0, 4.0))
+        assert {d.query_id: (set(d.entered), d.left) for d in entered} == {
+            irq: ({"new"}, ()),
+            knn: ({"new"}, ("far",)),
+            iprq: ({"new"}, ()),
+            count: ({"count"}, ()),
+        }
+        assert monitor.result_ids(knn) == {"near", "new", "mid"}
+        _assert_matches_fresh_registration(monitor, five_rooms_index)
+        # "near" jumps to the far corner of r3: lo > r for all rows.
+        left = monitor.apply_moves([_point_move("near", 29.0, 1.0)])
+        assert {d.query_id: (set(d.entered), d.left) for d in left} == {
+            irq: (set(), ("near",)),
+            knn: ({"far"}, ("near",)),
+            iprq: (set(), ("near",)),
+            count: (set(), ("count",)),
+        }
+        # Only the ikNNQ refined (the newcomer, then its moved member):
+        # the three range kinds let "near" go on bounds alone.
+        assert monitor.stats.pairs_refined == 2
+        assert monitor.stats.pairs_skipped == 6
+        _assert_matches_fresh_registration(monitor, five_rooms_index)

@@ -536,3 +536,53 @@ class TestEventsAndStats:
         ])
         assert sharded.routing.shards_skipped == 1
         assert sharded.routing.updates_filtered == 0
+
+
+class TestShardStacks:
+    def test_shards_sharing_a_session_keep_their_own_stacks(
+        self, five_rooms_index
+    ):
+        """Each shard stacks its own standing queries (the session they
+        share only serves the packs), a sub-block lands on its shard's
+        stack alone, and churn on one shard leaves the other's stack
+        in place."""
+        single = QueryMonitor(five_rooms_index)
+        sharded = ShardedMonitor(five_rooms_index, n_shards=2)
+        specs = [
+            RangeSpec(Q_LEFT, 30.0),
+            KNNSpec(Q_LEFT, 2),
+            RangeSpec(Q_RIGHT, 30.0),
+        ]
+        ids = [sharded.register(spec) for spec in specs]
+        for spec, qid in zip(specs, ids):
+            single.register(spec, query_id=qid)
+        left, right = (sharded.shards[sharded._homes[qid]] for qid in ids[1:])
+        assert left is not right and left.session is right.session
+
+        def step(moves):
+            sharded.apply_moves(moves)
+            # The sharded front-end moved the shared index already.
+            single.ingest_moves(
+                [five_rooms_index.population.get(m.object_id) for m in moves]
+            )
+            assert sharded.results() == single.results()
+
+        step([_point_move("mid", 15.0, 5.0), _point_move("far", 24.0, 5.0)])
+        assert left._stack is not right._stack
+        assert [p.dd.source for p in left._stack.packs] == [Q_LEFT, Q_LEFT]
+        assert [p.dd.source for p in right._stack.packs] == [Q_RIGHT]
+        kept = right._stack
+
+        extra = sharded.register(RangeSpec(Q_LEFT, 2.0))
+        single.register(RangeSpec(Q_LEFT, 2.0), query_id=extra)
+        assert left._stack is None and right._stack is kept
+        step([_point_move("near", 5.5, 5.0), _point_move("far", 25.0, 6.0)])
+        assert len(left._stack) == 3 and right._stack is kept
+        assert sharded.result_ids(extra) == {"near"}
+
+        sharded.apply_event(CloseDoor("d12"))
+        single.drain_pending_deltas()  # notices the topology bump
+        step([_point_move("mid", 15.0, 5.5)])
+        layout = five_rooms_index.columns.layout()
+        assert left._stack.layout is layout
+        assert right._stack.layout is layout and right._stack is not kept
