@@ -34,11 +34,12 @@ one-shot query:
 * an **object-side pack** (:class:`ObjectBlock`) — every object's
   subregion stats (partition row, Euclidean min/max distances to that
   partition's entry-door midpoints, mass) in padded
-  ``(n_subregions, max_doors)`` arrays.  :func:`pack_block` computes
-  the rows; the index's columnar table
-  (:mod:`repro.index.columns`) runs it once when an object is written
-  and serves every later block — a moved batch, a candidate set — as a
-  gather of those rows.
+  ``(n_subregions, max_doors)`` arrays.  The index's columnar table
+  (:mod:`repro.index.columns`) computes the rows for a whole batch when
+  objects are written and serves every later block — a moved batch, a
+  candidate set — as a gather of those rows; :func:`pack_block` is the
+  per-object reference that write is tested against (and what packs
+  objects no index owns).
 
 A pair's topological bounds then reduce to a gather + add + row-min
 (``tmin(S) = min_d (w[d] + emin[S, d])``, broadcast over the query
@@ -98,9 +99,16 @@ from repro.distances.bounds import (
     probabilistic_bounds,
 )
 from repro.geometry.point import Point
-from repro.objects.uncertain import UncertainObject
+from repro.objects.uncertain import Subregion, UncertainObject
 from repro.space.doors_graph import DoorDistances
 from repro.space.floorplan import IndoorSpace
+
+
+def offsets_of(counts: np.ndarray) -> np.ndarray:
+    """``(n + 1,)`` running offsets of ``n`` consecutive spans."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def span_index(
@@ -110,8 +118,7 @@ def span_index(
     laid end to end, and the ``(n + 1,)`` offsets of each span within
     that flat sequence — the row gather behind
     :meth:`ObjectBlock.subset` and the columnar table's blocks."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = offsets_of(counts)
     flat = np.repeat(starts - offsets[:-1], counts) + np.arange(
         offsets[-1], dtype=np.intp
     )
@@ -230,9 +237,8 @@ class ObjectBlock:
         "sub_min",
         "sub_max",
         "sub_part",
-        "sub_pids",
         "sub_mass",
-        "sub_instances",
+        "subs",
         "obj_offsets",
     )
 
@@ -244,9 +250,8 @@ class ObjectBlock:
         sub_min: np.ndarray,
         sub_max: np.ndarray,
         sub_part: np.ndarray,
-        sub_pids: list[str],
         sub_mass: list[float],
-        sub_instances: list,
+        subs: list[Subregion],
         obj_offsets: np.ndarray,
     ) -> None:
         self.objects = objects
@@ -255,9 +260,11 @@ class ObjectBlock:
         self.sub_min = sub_min
         self.sub_max = sub_max
         self.sub_part = sub_part
-        self.sub_pids = sub_pids
         self.sub_mass = sub_mass
-        self.sub_instances = sub_instances
+        #: The rows' :class:`Subregion`s themselves — not their
+        #: instance sets, which a multi-partition object only copies
+        #: out when something reads them.
+        self.subs = subs
         self.obj_offsets = obj_offsets
 
     def __len__(self) -> int:
@@ -281,9 +288,8 @@ class ObjectBlock:
             self.sub_min[rows],
             self.sub_max[rows],
             self.sub_part[rows],
-            [self.sub_pids[i] for i in row_list],
             [self.sub_mass[i] for i in row_list],
-            [self.sub_instances[i] for i in row_list],
+            [self.subs[i] for i in row_list],
             offsets,
         )
 
@@ -309,13 +315,12 @@ def pack_block(
     rows_min: list[np.ndarray] = []
     rows_max: list[np.ndarray] = []
     sub_part: list[int] = []
-    sub_pids: list[str] = []
     sub_mass: list[float] = []
-    sub_instances: list = []
+    subs: list[Subregion] = []
     offsets = [0]
     for obj in objects:
-        subs = obj.subregions(space, grid)
-        for s in subs:
+        mine = obj.subregions(space, grid)
+        for s in mine:
             row = layout.part_row[s.partition_id]
             idx = layout.entry_idx[row]
             inst = s.instances
@@ -334,10 +339,9 @@ def pack_block(
                 rows_max.append(empty)
             rows_door.append(idx)
             sub_part.append(row)
-            sub_pids.append(s.partition_id)
             sub_mass.append(s.mass)
-            sub_instances.append(inst)
-        offsets.append(offsets[-1] + len(subs))
+            subs.append(s)
+        offsets.append(offsets[-1] + len(mine))
     n_sub = len(rows_door)
     dmax = max((r.size for r in rows_door), default=0)
     dmax = max(dmax, 1)
@@ -357,9 +361,8 @@ def pack_block(
         sub_min,
         sub_max,
         np.array(sub_part, dtype=np.intp),
-        sub_pids,
         sub_mass,
-        sub_instances,
+        subs,
         np.array(offsets, dtype=np.intp),
     )
 
@@ -472,7 +475,10 @@ class BoundsRow:
             else:
                 stats = [
                     SubregionStats(
-                        block.sub_pids[i], tmin[i], tmax[i], block.sub_mass[i]
+                        block.subs[i].partition_id,
+                        tmin[i],
+                        tmax[i],
+                        block.sub_mass[i],
                     )
                     for i in range(a, b)
                 ]
@@ -552,7 +558,7 @@ def block_object_bounds(
     own_rows = block.sub_part == stack.source_row[:, None]
     for i in np.flatnonzero(own_rows.any(axis=1)).tolist():
         own = np.flatnonzero(own_rows[i])
-        insts = [block.sub_instances[a] for a in own.tolist()]
+        insts = [block.subs[a].instances for a in own.tolist()]
         d, starts = point_distances(
             [inst.xy for inst in insts],
             [inst.floor for inst in insts],

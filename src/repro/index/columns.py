@@ -15,29 +15,55 @@ the indR-tree flattened into arrays.  One table then serves
 * :meth:`ObjectColumns.block` — the candidate set (or a moved batch)
   as an :class:`~repro.distances.batch.ObjectBlock`, by gather.
 
-**What it owns.**  Per topology version: the
-:class:`~repro.distances.batch.DoorLayout`, each partition's entry
-doors as one padded row, the unit arrays (rect, floor, partition,
-rect-MINDIST to the entrances on the unit's floor) and the per-floor
-entrance index.  Per object slot: floor, entrance legs, the rows of the
-index units the object overlaps (the o-table's buckets, slot-major), a
-span of subregion rows (partition row, mass) and — ragged beneath the
-rows — one ``(emin, emax)`` entry per entry door of each row's
-partition.  Rows are stored ragged because a hallway has tens of doors
-and a room one: padded to the widest partition the table is several
-times larger, and the resident set is a gated metric.  For the same
-reason instance coordinates are *not* copied here: the one test that
-needs them (min instance distance to a same-floor query point) reads
-them from the objects, a bounded number of objects at a time.
+**What it owns.**  Per topology version (:class:`_Topology`; no
+object is read to build it): the :class:`~repro.distances.batch.DoorLayout`,
+each partition's entry doors (indices as one padded row, midpoints
+ragged), the partition table in ``partition_id`` order (bounds, floor
+span, layout row, its units as one span), the unit arrays (rect, floor,
+partition, rect-MINDIST to the entrances on the unit's floor) and the
+per-floor entrance index.  Per object slot (:class:`_State`): floor,
+entrance legs, the rows of the index units the object overlaps (the
+o-table's buckets, slot-major), a span of subregion rows (partition
+row, mass) and — ragged beneath the rows — one ``(emin, emax)`` entry
+per entry door of each row's partition.  Rows are stored ragged because
+a hallway has tens of doors and a room one: padded to the widest
+partition the table is several times larger, and the resident set is a
+gated metric.  For the same reason instance coordinates are *not*
+copied here — the one test that needs them (min instance distance to a
+same-floor query point) reads them from the objects, a bounded number
+of objects at a time — and no instance x door matrix outlives the write
+that computed it.
 
-**Invalidation.**  Everything hangs off one state object stamped with
+**The write.**  One routine, :meth:`_Topology.stage`, resolves a list
+of objects in a fixed number of array operations and is the only body
+behind the index's ``update_objects`` / ``move_object`` /
+``insert_object`` and the table's own rebuild (in chunks of
+:data:`_BUILD_CHUNK`): instance bounds by ``reduceat``; candidate
+partitions as one ``(B x P)`` overlap mask; index units as same-floor
+rect overlap over the candidates' unit spans; subregions as an
+``(N x candidates)`` containment test whose first hit per instance is
+the scalar first-wins rule; door extrema as one ragged ``(row, door) x
+instances-of-row`` gather reduced straight into the ragged entries.
+Nothing is written until the whole batch has resolved
+(:meth:`_State.commit`), so a batch the index cannot hold leaves it
+untouched.  Each step repeats the floats or the set of a scalar
+reference, which stays in the tree for exactly that purpose —
+``indr.units_overlapping_rect``, ``UncertainObject._assign`` (still what
+``subregions()`` runs for an object no index owns, and for the rare
+object with a wall-clipped instance or a non-rectangular candidate
+footprint), :func:`~repro.distances.batch.pack_block` (called by
+:meth:`ObjectColumns.validate` and the tests only) — and
+``tests/index/test_columns_write.py`` holds it to them by ``==``.
+
+**Invalidation.**  Both parts are stamped with
 ``space.topology_version``.  A read under a newer version rebuilds the
 whole state from the population and the o-table (door indices, unit
 rows and subregions all move with the topology); the index's
 structural paths (``apply_event``, ``insert_partition``,
 ``delete_partition``) additionally drop it outright.  Object writes
-against a dropped or stale state are skipped — the rebuild will read
-the object from the population.
+against a dropped or stale state are resolved (the o-table needs the
+units) but not stored — the rebuild will read the object from the
+population.
 
 **Threading.**  One writer: the index mutation the service already
 serialises.  Readers may be shard pool threads; they never run
@@ -58,29 +84,37 @@ because float addition is monotone.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.distances.batch import (
     DoorLayout,
     ObjectBlock,
+    offsets_of,
     pack_block,
     point_distances,
     span_index,
 )
 from repro.errors import IndexError_
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
 from repro.index.indr import IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.index.tables import OTable
+from repro.objects.instances import checked_mass
 from repro.objects.population import ObjectPopulation
-from repro.objects.uncertain import UncertainObject
+from repro.objects.uncertain import UncertainObject, split_subregions
 from repro.space.floorplan import IndoorSpace
+from repro.space.grid import PartitionGrid
 
-#: Objects packed per :func:`pack_block` call during a rebuild — bounds
-#: the transient arrays (and so the resident-set peak) of a full build.
-_BUILD_CHUNK = 256
+#: Objects resolved per array pass during a build or rebuild — bounds
+#: the transient arrays (and so the resident-set peak) of a full build:
+#: at 256 the ``(row, door) x instances`` gather and the entrance-leg
+#: matrices of one pass stood 6 MB above the finished table on world A
+#: (2 000 objects x 50 instances), at 64 they vanish in its noise, and
+#: the build is no slower.
+_BUILD_CHUNK = 64
 #: Objects whose instances one pass of the search's Euclidean test
 #: gathers — bounds the transient arrays of a whole-venue search.
 _SEARCH_CHUNK = 512
@@ -124,17 +158,54 @@ def _grown(array: np.ndarray, rows: int, fill) -> np.ndarray:
     return out
 
 
-class _State:
-    """One topology version's columns (see the module docstring)."""
+@dataclass(slots=True)
+class _Frame:
+    """A batch's instances laid end to end, their bounds, and the
+    partitions each object may overlap."""
+
+    objects: list[UncertainObject]
+    starts: np.ndarray  #: ``(B + 1,)`` instance offsets per object
+    xy: np.ndarray
+    floors: np.ndarray
+    floor_idx: np.ndarray  #: row of each object's floor, -1 if unknown
+    lo: np.ndarray  #: ``(B, 2)`` instance bounds, as ``obj.bounds()``
+    hi: np.ndarray
+    c_obj: np.ndarray  #: candidate (object, partition) pairs, sorted
+    c_part: np.ndarray
+
+
+@dataclass(slots=True)
+class _Staged:
+    """Everything the table stores for a batch, resolved against one
+    topology with nothing written yet (see :meth:`_Topology.stage`)."""
+
+    objects: list[UncertainObject]
+    unit_ids: list[set[str]]
+    unit_rows: np.ndarray  #: flat, object-major, ascending per object
+    n_units: np.ndarray
+    floor_idx: np.ndarray
+    legs: np.ndarray
+    n_rows: np.ndarray
+    sub_part: np.ndarray
+    sub_mass: list[float]
+    n_ents: np.ndarray
+    ent_min: np.ndarray
+    ent_max: np.ndarray
+
+
+class _Topology:
+    """One topology version's static arrays, and the batched resolution
+    of objects against them (see the module docstring)."""
 
     def __init__(
         self, space: IndoorSpace, indr: IndRTree, skeleton: SkeletonTier
     ) -> None:
         self.version = space.topology_version
         self.layout = layout = DoorLayout(space)
-        fh = space.floor_height
+        self.fh = fh = space.floor_height
 
-        # -- topology: each partition's entry doors, padded -----------
+        # -- each layout row's entry doors: indices padded (the bounds
+        # kernel's gather operand), midpoints ragged (the write's) -----
         n_parts = len(layout.entry_idx)
         self.part_ndoors = np.array(
             [idx.size for idx in layout.entry_idx], dtype=np.intp
@@ -145,10 +216,46 @@ class _State:
         )
         for row, idx in enumerate(layout.entry_idx):
             self.part_doors[row, : idx.size] = idx
+        self.door_start = offsets_of(self.part_ndoors)
+        self.door_mid = np.concatenate(
+            layout.entry_mid + [np.zeros((0, 3))]
+        )
 
-        # -- topology: staircase entrances, grouped per floor ---------
+        # -- the partition table, in partition_id order (the order
+        # ``UncertainObject._assign`` lets overlapping footprints claim
+        # instances in); one empty rect past the end pads candidate
+        # lists -------------------------------------------------------
+        self.part_ids = pids = sorted(space.partitions)
+        self.part_row = part_row = {pid: i for i, pid in enumerate(pids)}
+        parts = [space.partitions[pid] for pid in pids]
+        rects = np.array(
+            [
+                (p.bounds.minx, p.bounds.miny, p.bounds.maxx, p.bounds.maxy)
+                for p in parts
+            ]
+            + [(np.inf, np.inf, -np.inf, -np.inf)],
+            dtype=np.float64,
+        )
+        self.p_minx, self.p_miny, self.p_maxx, self.p_maxy = (
+            np.ascontiguousarray(rects.T)
+        )
+        self.p_lo = np.array([p.floor for p in parts], dtype=np.intp)
+        self.p_hi = np.array([p.upper_floor for p in parts], dtype=np.intp)
+        self.p_is_rect = np.array(
+            [isinstance(p.footprint, Rect) for p in parts], dtype=bool
+        )
+        self.p_layout = np.array(
+            [layout.part_row[pid] for pid in pids], dtype=np.intp
+        )
+
+        # Units grouped by partition row, so a partition's units are one
+        # span and an object's resolved rows come out ascending.
+        units = sorted(
+            indr.units.values(), key=lambda u: part_row[u.partition_id]
+        )
+
+        # -- staircase entrances, grouped per floor -------------------
         skeleton.ensure_fresh()
-        units = list(indr.units.values())
         floors = sorted(
             {u.floor for u in units} | set(skeleton.by_floor)
         )
@@ -175,8 +282,9 @@ class _State:
                 (e.midpoint.x, e.midpoint.y) for e in entrances
             ]
 
-        # -- topology: the indR-tree's leaf level ---------------------
-        self.unit_row = {u.unit_id: i for i, u in enumerate(units)}
+        # -- the indR-tree's leaf level -------------------------------
+        self.unit_ids = [u.unit_id for u in units]
+        self.unit_row = {uid: i for i, uid in enumerate(self.unit_ids)}
         self.n_units = n = len(units)
         rects = np.array(
             [
@@ -194,16 +302,11 @@ class _State:
         self.u_z = np.array(
             [u.floor * fh for u in units], dtype=np.float64
         )
-        part_row = {
-            pid: i
-            for i, pid in enumerate(
-                dict.fromkeys(u.partition_id for u in units)
-            )
-        }
-        self.part_ids = list(part_row)
         self.u_part = np.array(
             [part_row[u.partition_id] for u in units], dtype=np.intp
         )
+        self.p_unit_count = np.bincount(self.u_part, minlength=len(pids))
+        self.p_unit_start = offsets_of(self.p_unit_count)[:-1]
         # Rect-MINDIST of each unit to the entrances on its own floor
         # (the ``leg`` of Eq. 10; same floor, so no vertical term).
         ex = self.floor_ent_xy[self.u_floor, :, 0]
@@ -218,7 +321,235 @@ class _State:
         )
         self.u_legs = np.sqrt(dx * dx + dy * dy)
 
-        # -- per object -----------------------------------------------
+    # -- batched resolution (no per-object geometry calls) ------------
+
+    def _frame(self, objects: list[UncertainObject]) -> _Frame:
+        """Instance bounds by ``reduceat``; candidate partitions as one
+        ``(B x P)`` floor-span-and-rect-overlap mask — as a set exactly
+        ``grid.candidates_for_rect(obj.bounds(), obj.floor)``, and
+        ``np.nonzero`` lists each object's in ``_assign``'s order."""
+        sets = [obj.instances for obj in objects]
+        starts = offsets_of(
+            np.array([len(s.xy) for s in sets], dtype=np.intp)
+        )
+        xy = np.concatenate([s.xy for s in sets])
+        floors = np.array([s.floor for s in sets], dtype=np.intp)
+        lo = np.minimum.reduceat(xy, starts[:-1], axis=0)
+        hi = np.maximum.reduceat(xy, starts[:-1], axis=0)
+        f = floors[:, None]
+        cand = (
+            (self.p_lo <= f)
+            & (f <= self.p_hi)
+            & (lo[:, :1] <= self.p_maxx[:-1])
+            & (hi[:, :1] >= self.p_minx[:-1])
+            & (lo[:, 1:] <= self.p_maxy[:-1])
+            & (hi[:, 1:] >= self.p_miny[:-1])
+        )
+        c_obj, c_part = np.nonzero(cand)
+        floor_idx = np.array(
+            [self.floor_row.get(f, -1) for f in floors.tolist()],
+            dtype=np.intp,
+        )
+        return _Frame(
+            objects, starts, xy, floors, floor_idx, lo, hi, c_obj, c_part
+        )
+
+    def _units(self, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
+        """``(unit rows, rows per object)``: same-floor rect overlap
+        over the candidate partitions' unit spans — exactly
+        ``indr.units_overlapping_rect(obj.bounds(), obj.floor)``, since
+        a unit lies inside its partition's bounds and floor span."""
+        per = self.p_unit_count[frame.c_part]
+        rows, _ = span_index(self.p_unit_start[frame.c_part], per)
+        obj = np.repeat(frame.c_obj, per)
+        lo, hi = frame.lo, frame.hi
+        keep = (
+            (self.u_floor[rows] == frame.floor_idx[obj])
+            & (lo[obj, 0] <= self.u_maxx[rows])
+            & (hi[obj, 0] >= self.u_minx[rows])
+            & (lo[obj, 1] <= self.u_maxy[rows])
+            & (hi[obj, 1] >= self.u_miny[rows])
+        )
+        n_units = np.bincount(obj[keep], minlength=len(frame.objects))
+        if not n_units.all():
+            stray = frame.objects[int(np.flatnonzero(n_units == 0)[0])]
+            raise IndexError_(
+                f"object {stray.object_id!r} overlaps no index unit"
+            )
+        return rows[keep], n_units
+
+    def _id_sets(
+        self, unit_rows: np.ndarray, n_units: np.ndarray
+    ) -> list[set[str]]:
+        ids = [self.unit_ids[row] for row in unit_rows.tolist()]
+        ends = np.cumsum(n_units).tolist()
+        return [set(ids[b - n : b]) for n, b in zip(n_units.tolist(), ends)]
+
+    def unit_sets(self, objects: list[UncertainObject]) -> list[set[str]]:
+        """The index units each object's uncertainty region overlaps."""
+        return self._id_sets(*self._units(self._frame(objects)))
+
+    def stage(
+        self,
+        objects: list[UncertainObject],
+        space: IndoorSpace,
+        grid: PartitionGrid,
+        unit_sets: list[set[str]] | None = None,
+    ) -> _Staged:
+        """Resolve ``objects`` against this topology: their index units
+        (unless a rebuild hands in the o-table's), their subregions —
+        installed on the objects — and the table rows of each, column
+        for column the floats of :func:`pack_block`.  Raises, having
+        written nothing, when an object overlaps no index unit or a
+        subregion carries no probability mass."""
+        frame = self._frame(objects)
+        n_obj = len(objects)
+        starts, xy = frame.starts, frame.xy
+        owner = np.repeat(np.arange(n_obj, dtype=np.intp), np.diff(starts))
+        if unit_sets is None:
+            unit_rows, n_units = self._units(frame)
+            unit_sets = self._id_sets(unit_rows, n_units)
+        else:
+            unit_rows = np.array(
+                [
+                    row
+                    for units in unit_sets
+                    for row in sorted(self.unit_row[u] for u in units)
+                ],
+                dtype=np.intp,
+            )
+            n_units = np.array([len(u) for u in unit_sets], dtype=np.intp)
+        if (frame.floor_idx < 0).any():
+            stray = objects[int(np.flatnonzero(frame.floor_idx < 0)[0])]
+            raise IndexError_(
+                f"object {stray.object_id!r} is on a floor without index units"
+            )
+
+        # -- subregions: each instance goes to the first candidate, in
+        # partition_id order, whose footprint contains it -------------
+        c_obj, c_part = frame.c_obj, frame.c_part
+        n_cand = np.bincount(c_obj, minlength=n_obj)
+        width = max(int(n_cand.max(initial=0)), 1)
+        table = np.full((n_obj, width), len(self.part_ids), dtype=np.intp)
+        c_start = offsets_of(n_cand)
+        table[c_obj, np.arange(len(c_obj)) - c_start[c_obj]] = c_part
+        mine = table[owner]
+        x, y = xy[:, :1], xy[:, 1:]
+        inside = (
+            (x >= self.p_minx[mine])
+            & (x <= self.p_maxx[mine])
+            & (y >= self.p_miny[mine])
+            & (y <= self.p_maxy[mine])
+        )
+        rank = inside.argmax(axis=1)
+        at = np.arange(len(owner))
+        part = mine[at, rank]
+        # A wall-clipped straggler (the centre-partition attachment
+        # rule) or a non-rectangular footprint: that object goes through
+        # the scalar assignment, whose pieces are read back.
+        scalar = n_cand == 0
+        scalar[owner[~inside[at, rank]]] = True
+        scalar[c_obj[~self.p_is_rect[c_part]]] = True
+        for j in np.flatnonzero(scalar).tolist():
+            subs = objects[j].subregions(space, grid)
+            span = slice(starts[j], starts[j + 1])
+            pieces = subs[0].pieces
+            rank[span] = 0 if pieces is None else pieces
+            part[span] = np.array(
+                [self.part_row[s.partition_id] for s in subs], dtype=np.intp
+            )[rank[span]]
+
+        # Rows = runs of a stable sort on (object, piece): within a row
+        # the instances keep their order, as ``xy[mask]`` does.
+        key = owner * width + rank
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        row_len = np.diff(np.append(first, len(key)))
+        row_obj = owner[order[first]]
+        row_part = part[order[first]]
+        n_rows = np.bincount(row_obj, minlength=n_obj)
+        r_start = offsets_of(n_rows)
+        xs = xy[order]
+        ps = np.concatenate([obj.instances.probs for obj in objects])[order]
+        # One contiguous pairwise sum per row: the values and order of
+        # ``probs[mask].sum()``, which ``reduceat`` would not give.
+        masses = [
+            checked_mass(ps[a:b])
+            for a, b in zip(first.tolist(), (first + row_len).tolist())
+        ]
+
+        # -- door extrema: one ragged (row, entry door) x instances-of-
+        # row gather, reduced straight into the ragged entries --------
+        lrow = self.p_layout[row_part]
+        nd = self.part_ndoors[lrow]
+        pair_door, _ = span_index(self.door_start[lrow], nd)
+        pair_row = np.repeat(np.arange(len(first)), nd)
+        per = row_len[pair_row]
+        inst, cuts = span_index(first[pair_row], per)
+        mid = self.door_mid[pair_door]
+        dx = xs[inst, 0] - np.repeat(mid[:, 0], per)
+        dy = xs[inst, 1] - np.repeat(mid[:, 1], per)
+        d = dx * dx + dy * dy
+        dz = (frame.floors[row_obj][pair_row] - mid[:, 2]) * self.fh
+        d += np.repeat(dz * dz, per)
+        np.sqrt(d, out=d)
+        ent_min = np.minimum.reduceat(d, cuts[:-1])
+        ent_max = np.maximum.reduceat(d, cuts[:-1])
+
+        # -- min instance distance to each entrance on the object's
+        # floor: column-wise ``instances.min_distance_to(midpoint)`` --
+        ent = self.floor_ent_xy[frame.floor_idx[owner]]
+        ddx = x - ent[:, :, 0]
+        ddy = y - ent[:, :, 1]
+        legs = np.minimum.reduceat(
+            np.sqrt(ddx * ddx + ddy * ddy), starts[:-1], axis=0
+        )
+
+        # Every check has passed: hand the objects their subregions.
+        piece = np.empty(len(owner), dtype=np.intp)
+        piece[order] = (
+            np.repeat(np.arange(len(first)), row_len) - r_start[owner[order]]
+        )
+        pids = [self.part_ids[p] for p in row_part.tolist()]
+        for j, obj in enumerate(objects):
+            if scalar[j]:
+                continue
+            a, b = r_start[j], r_start[j + 1]
+            vector = None
+            if b - a > 1:
+                vector = piece[starts[j] : starts[j + 1]].astype(
+                    np.min_scalar_type(b - a)
+                )
+            obj.adopt_subregions(
+                split_subregions(
+                    obj.instances, pids[a:b], masses[a:b], vector
+                ),
+                self.version,
+            )
+        return _Staged(
+            objects,
+            unit_sets,
+            unit_rows,
+            n_units,
+            frame.floor_idx,
+            legs,
+            n_rows,
+            lrow,
+            masses,
+            np.add.reduceat(nd, r_start[:-1]),
+            ent_min,
+            ent_max,
+        )
+
+
+class _State:
+    """One topology version's per-object columns (see the module
+    docstring)."""
+
+    def __init__(self, topo: _Topology) -> None:
+        self.topo = topo
+        self.version = topo.version
         self.slot_of: dict[str, int] = {}
         self.objects: list[UncertainObject | None] = []
         self.free_slots: list[int] = []
@@ -227,8 +558,8 @@ class _State:
         self.row_count = np.zeros(0, dtype=np.intp)
         self.ent_start = np.zeros(0, dtype=np.intp)
         self.ent_count = np.zeros(0, dtype=np.intp)
-        self.legs = np.zeros((0, width))
-        self.units = np.full((0, 1), n, dtype=np.intp)
+        self.legs = np.zeros((0, topo.floor_ent.shape[1]))
+        self.units = np.full((0, 1), topo.n_units, dtype=np.intp)
 
         # -- subregion rows, and ragged beneath them one (emin, emax)
         # entry per entry door of the row's partition ------------------
@@ -243,15 +574,14 @@ class _State:
 
     def reserve(self, slots: int, rows: int, ents: int) -> None:
         """Make room for ``slots`` objects, ``rows`` subregion rows and
-        ``ents`` door entries (a rebuild reserves its slots and rows
-        once, so those columns are never copied while they fill)."""
+        ``ents`` door entries."""
         self.floor_idx = _grown(self.floor_idx, slots, 0)
         self.row_start = _grown(self.row_start, slots, 0)
         self.row_count = _grown(self.row_count, slots, 0)
         self.ent_start = _grown(self.ent_start, slots, 0)
         self.ent_count = _grown(self.ent_count, slots, 0)
         self.legs = _grown(self.legs, slots, 0.0)
-        self.units = _grown(self.units, slots, self.n_units)
+        self.units = _grown(self.units, slots, self.topo.n_units)
         self.sub_part = _grown(self.sub_part, rows, 0)
         self.sub_mass = _grown(self.sub_mass, rows, 0.0)
         self.ent_min = _grown(self.ent_min, ents, 0.0)
@@ -269,70 +599,50 @@ class _State:
         self.slot_of[object_id] = slot
         return slot
 
-    def write(
-        self,
-        population: ObjectPopulation,
-        objects: list[UncertainObject],
-        unit_sets: list[Iterable[str]],
-    ) -> None:
-        """(Over)write the rows of ``objects`` — live objects of
-        ``population`` — from a fresh :func:`pack_block`."""
-        block = pack_block(
-            objects, population.space, population.grid, self.layout
-        )
-        slots = np.array(
-            [self._slot_for(obj.object_id) for obj in objects],
-            dtype=np.intp,
-        )
-        # pack_block pads each row's door entries to the batch's widest
-        # partition; the real ones, row-major, are the ragged entries.
-        real = block.sub_door != self.layout.sentinel
-        n_rows = np.diff(block.obj_offsets)
-        n_ents = np.add.reduceat(real.sum(axis=1), block.obj_offsets[:-1])
+    def commit(self, staged: _Staged) -> None:
+        """(Over)write the rows of a staged batch of live objects."""
+        objects = staged.objects
+        slot_list = [self._slot_for(obj.object_id) for obj in objects]
+        slots = np.array(slot_list, dtype=np.intp)
+        n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
         # Upper bounds: a respan below may reuse a freed span instead.
         self.reserve(
             len(self.objects),
-            self.rows.top + len(block.sub_part),
-            self.ents.top + int(n_ents.sum()),
+            self.rows.top + len(staged.sub_part),
+            self.ents.top + len(staged.ent_min),
         )
-        for j, (obj, unit_ids) in enumerate(zip(objects, unit_sets)):
-            slot = int(slots[j])
+        for slot, obj in zip(slot_list, objects):
             self.objects[slot] = obj
+        for j in np.flatnonzero(self.row_count[slots] != n_rows).tolist():
             _respan(
                 self.rows, self.row_start, self.row_count,
-                slot, int(n_rows[j]),
+                slot_list[j], int(n_rows[j]),
             )
+        for j in np.flatnonzero(self.ent_count[slots] != n_ents).tolist():
             _respan(
                 self.ents, self.ent_start, self.ent_count,
-                slot, int(n_ents[j]),
+                slot_list[j], int(n_ents[j]),
             )
-            f = self.floor_idx[slot] = self.floor_row[obj.floor]
-            # Min instance distance to each entrance on the object's
-            # floor: column-wise the same floats as
-            # ``instances.min_distance_to(entrance.midpoint)``.
-            xy = obj.instances.xy
-            ent = self.floor_ent_xy[f]
-            ddx = xy[:, 0][:, None] - ent[:, 0][None, :]
-            ddy = xy[:, 1][:, None] - ent[:, 1][None, :]
-            self.legs[slot] = np.sqrt(ddx * ddx + ddy * ddy).min(axis=0)
-            rows = sorted(self.unit_row[u] for u in unit_ids)
-            if len(rows) > self.units.shape[1]:
-                wider = np.full(
-                    (self.units.shape[0], len(rows)),
-                    self.n_units,
-                    dtype=np.intp,
-                )
-                wider[:, : self.units.shape[1]] = self.units
-                self.units = wider
-            self.units[slot] = self.n_units
-            self.units[slot, : len(rows)] = rows
-
+        self.floor_idx[slots] = staged.floor_idx
+        self.legs[slots] = staged.legs
+        widest = int(n_units.max())
+        if widest > self.units.shape[1]:
+            wider = np.full(
+                (self.units.shape[0], widest),
+                self.topo.n_units,
+                dtype=np.intp,
+            )
+            wider[:, : self.units.shape[1]] = self.units
+            self.units = wider
+        self.units[slots] = self.topo.n_units
+        col, _ = span_index(np.zeros(len(slots), dtype=np.intp), n_units)
+        self.units[np.repeat(slots, n_units), col] = staged.unit_rows
         dst, _ = span_index(self.row_start[slots], n_rows)
-        self.sub_part[dst] = block.sub_part
-        self.sub_mass[dst] = block.sub_mass
+        self.sub_part[dst] = staged.sub_part
+        self.sub_mass[dst] = staged.sub_mass
         dst, _ = span_index(self.ent_start[slots], n_ents)
-        self.ent_min[dst] = block.sub_min[real]
-        self.ent_max[dst] = block.sub_max[real]
+        self.ent_min[dst] = staged.ent_min
+        self.ent_max[dst] = staged.ent_max
 
     def drop(self, object_id: str) -> None:
         slot = self.slot_of.pop(object_id, None)
@@ -345,7 +655,8 @@ class _State:
             int(self.ent_start[slot]), int(self.ent_count[slot])
         )
         self.row_count[slot] = self.ent_count[slot] = 0
-        self.units[slot] = self.n_units  # in no bucket: never a candidate
+        # In no bucket: never a candidate.
+        self.units[slot] = self.topo.n_units
         self.objects[slot] = None
         self.free_slots.append(slot)
 
@@ -358,13 +669,14 @@ class _State:
         objects at ``slots``: their row indices and per-object offsets,
         and the ragged door entries re-padded to the widest partition
         among them — the arrays :func:`pack_block` would produce."""
+        topo = self.topo
         rows, offsets = span_index(
             self.row_start[slots], self.row_count[slots]
         )
         part = self.sub_part[rows]
-        n = self.part_ndoors[part]
+        n = topo.part_ndoors[part]
         width = max(int(n.max(initial=0)), 1)
-        sub_door = self.part_doors[:, :width][part]
+        sub_door = topo.part_doors[:, :width][part]
         sub_min = np.zeros(sub_door.shape)
         sub_max = np.zeros(sub_door.shape)
         ents, _ = span_index(self.ent_start[slots], self.ent_count[slots])
@@ -408,6 +720,7 @@ class ObjectColumns:
         self.indr = indr
         self.skeleton = skeleton
         self.otable = otable
+        self._topo: _Topology | None = None
         self._state: _State | None = None
         self._lock = threading.Lock()
 
@@ -417,7 +730,18 @@ class ObjectColumns:
 
     def invalidate(self) -> None:
         """Drop every column; the next read rebuilds."""
-        self._state = None
+        self._topo = self._state = None
+
+    def _topology(self) -> _Topology:
+        """The current topology's static arrays (cheap: no object is
+        read), built on demand — by the writer, or under the lock on
+        the way to a rebuild."""
+        topo = self._topo
+        if topo is None or topo.version != self.space.topology_version:
+            topo = self._topo = _Topology(
+                self.space, self.indr, self.skeleton
+            )
+        return topo
 
     def _current(self) -> _State | None:
         """The state, when it is built for the current topology."""
@@ -439,37 +763,42 @@ class ObjectColumns:
         return state
 
     def _build(self) -> _State:
-        state = _State(self.space, self.indr, self.skeleton)
+        topo = self._topology()
+        state = _State(topo)
         otable = self.otable
         # Population order = slot order, so a restored engine and a
         # freshly rebuilt one number their objects alike.
         live = [o for o in self.population if o.object_id in otable]
         space, grid = self.space, self.population.grid
-        state.reserve(
-            len(live), sum(len(o.subregions(space, grid)) for o in live), 0
-        )
+        state.reserve(len(live), len(live), 0)
         for i in range(0, len(live), _BUILD_CHUNK):
             chunk = live[i : i + _BUILD_CHUNK]
-            state.write(
-                self.population,
-                chunk,
-                [otable.units_of(o.object_id) for o in chunk],
+            # The o-table's unit sets, not a fresh resolution: after a
+            # partition was removed it may keep an object on the units
+            # it has left.
+            state.commit(
+                topo.stage(
+                    chunk,
+                    space,
+                    grid,
+                    [otable.units_of(o.object_id) for o in chunk],
+                )
             )
         return state
 
     def layout(self) -> DoorLayout:
         """The door layout every row and query pack of the current
         topology is expressed in."""
-        return self._fresh().layout
+        return self._fresh().topo.layout
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the columns (0 until first use)."""
-        state = self._state
-        if state is None:
-            return 0
         return sum(
-            v.nbytes for v in vars(state).values()
+            v.nbytes
+            for part in (self._topo, self._state)
+            if part is not None
+            for v in vars(part).values()
             if isinstance(v, np.ndarray)
         )
 
@@ -477,15 +806,33 @@ class ObjectColumns:
     # writes (the index's object mutation paths)
     # ------------------------------------------------------------------
 
-    def write(
-        self,
-        objects: list[UncertainObject],
-        unit_sets: list[Iterable[str]],
-    ) -> None:
-        """Record inserted or moved live objects and their unit sets."""
+    def unit_sets(self, objects: list[UncertainObject]) -> list[set[str]]:
+        """The index units each object's uncertainty region overlaps —
+        ``indr.units_overlapping_rect`` for a whole list, without the
+        tree.  Raises :class:`IndexError_` if one overlaps none."""
+        topo = self._topology()
+        return [
+            units
+            for i in range(0, len(objects), _BUILD_CHUNK)
+            for units in topo.unit_sets(objects[i : i + _BUILD_CHUNK])
+        ]
+
+    def stage(self, objects: list[UncertainObject]) -> _Staged:
+        """Resolve a non-empty batch of objects about to be inserted or
+        moved — units, subregions, table rows — touching nothing but
+        the objects' own subregion cache.  Raises where the index could
+        not hold one of them; ``staged.unit_ids`` is for the o-table."""
+        return self._topology().stage(
+            objects, self.space, self.population.grid
+        )
+
+    def commit(self, staged: _Staged) -> None:
+        """Write a staged batch, now live objects of the population.  A
+        table not built for the current topology is left alone — its
+        rebuild reads the objects from the population."""
         state = self._current()
-        if state is not None and objects:
-            state.write(self.population, objects, unit_sets)
+        if state is not None:
+            state.commit(staged)
 
     def drop(self, object_id: str) -> None:
         """Forget a deleted object."""
@@ -513,17 +860,15 @@ class ObjectColumns:
             slots[j] = slot
         rows, offsets, sub_door, sub_min, sub_max = state.padded_rows(slots)
         space, grid = self.space, self.population.grid
-        subs = [s for obj in objects for s in obj.subregions(space, grid)]
         return ObjectBlock(
             list(objects),
-            state.layout,
+            state.topo.layout,
             sub_door,
             sub_min,
             sub_max,
             state.sub_part[rows],
-            [s.partition_id for s in subs],
             state.sub_mass[rows].tolist(),
-            [s.instances for s in subs],
+            [s for obj in objects for s in obj.subregions(space, grid)],
             offsets,
         )
 
@@ -534,35 +879,36 @@ class ObjectColumns:
         slot order), candidate partitions, and the number of units
         tested."""
         state = self._fresh()
+        topo = state.topo
         fh = self.space.floor_height
         qx, qy, qz = q.x, q.y, q.z(fh)
-        q_floor = state.floor_row.get(q.floor, -1)
+        q_floor = topo.floor_row.get(q.floor, -1)
 
         # Reach of every entrance from q through the skeleton:
         # reach[e] = min_sq(|q, sq|_E + M_s2s[sq, e]); None when the
         # Euclidean bound applies everywhere (ablation, or no staircase
         # on q's floor).
         reach = None
-        if use_skeleton and q_floor >= 0 and state.floor_has_ent[q_floor]:
+        if use_skeleton and q_floor >= 0 and topo.floor_has_ent[q_floor]:
             skeleton = self.skeleton
             sqs = skeleton.entrances_on_floor(q.floor)
             dq = np.array([q.distance(s.midpoint, fh) for s in sqs])
             via = dq[:, None] + skeleton.ms2s[[s.index for s in sqs], :]
-            reach = np.append(via.min(axis=0), np.inf)[state.floor_ent]
+            reach = np.append(via.min(axis=0), np.inf)[topo.floor_ent]
 
         # Units: Euclidean MINDIST to the flattened rect, replaced by
         # the skeleton bound on the other floors.
-        dx = np.maximum(np.maximum(state.u_minx - qx, 0.0), qx - state.u_maxx)
-        dy = np.maximum(np.maximum(state.u_miny - qy, 0.0), qy - state.u_maxy)
-        dz = np.maximum(np.maximum(state.u_z - qz, 0.0), qz - state.u_z)
+        dx = np.maximum(np.maximum(topo.u_minx - qx, 0.0), qx - topo.u_maxx)
+        dy = np.maximum(np.maximum(topo.u_miny - qy, 0.0), qy - topo.u_maxy)
+        dz = np.maximum(np.maximum(topo.u_z - qz, 0.0), qz - topo.u_z)
         bound = np.sqrt(dx * dx + dy * dy + dz * dz)
         if reach is not None:
-            via = (reach[state.u_floor] + state.u_legs).min(axis=1)
-            bound = np.where(state.u_floor == q_floor, bound, via)
+            via = (reach[topo.u_floor] + topo.u_legs).min(axis=1)
+            bound = np.where(topo.u_floor == q_floor, bound, via)
         passing = bound <= r
         partitions = {
-            state.part_ids[row]
-            for row in set(state.u_part[passing].tolist())
+            topo.part_ids[row]
+            for row in set(topo.u_part[passing].tolist())
         }
 
         # Objects bucketed in a passing unit, then the instance bound.
@@ -570,13 +916,13 @@ class ObjectColumns:
         in_bucket = np.append(passing, False)[state.units[:n_slots]]
         slots = np.nonzero(in_bucket.any(axis=1))[0]
         if slots.size == 0:
-            return [], partitions, state.n_units
+            return [], partitions, topo.n_units
         floor = state.floor_idx[slots]
         dist = np.empty(slots.size)
         if reach is None:
             direct = np.ones(slots.size, dtype=bool)
         else:
-            direct = (floor == q_floor) | ~state.floor_has_ent[floor]
+            direct = (floor == q_floor) | ~topo.floor_has_ent[floor]
             far = ~direct
             dist[far] = (
                 reach[floor[far]] + state.legs[slots[far]]
@@ -589,13 +935,13 @@ class ObjectColumns:
             mine = slots[part]
             d, starts = point_distances(
                 [state.objects[s].instances.xy for s in mine.tolist()],
-                state.floors[state.floor_idx[mine]],
+                topo.floors[state.floor_idx[mine]],
                 q,
                 fh,
             )
             dist[part] = np.minimum.reduceat(d, starts)
         found = slots[dist <= r].tolist()
-        return [state.objects[s] for s in found], partitions, state.n_units
+        return [state.objects[s] for s in found], partitions, topo.n_units
 
     # ------------------------------------------------------------------
     # consistency (tests + debugging)
@@ -609,9 +955,10 @@ class ObjectColumns:
         state = self._current()
         if state is None:
             return []
+        topo = state.topo
         space, grid = self.space, self.population.grid
         fh = space.floor_height
-        unit_ids = list(state.unit_row)
+        unit_ids = topo.unit_ids
         indexed = {
             o.object_id: o
             for o in self.population
@@ -627,14 +974,25 @@ class ObjectColumns:
             if slot is None or state.objects[slot] is not obj:
                 problems.append(f"object {oid} has no current column row")
                 continue
-            fresh = pack_block([obj], space, grid, state.layout)
-            real = fresh.sub_door != state.layout.sentinel
+            # A copy no index owns: its subregions come from the scalar
+            # assignment, not from the batched write under test.
+            twin = UncertainObject(oid, obj.region, obj.instances)
+            fresh = pack_block([twin], space, grid, topo.layout)
+            mine = obj.subregions(space, grid)
+            real = fresh.sub_door != topo.layout.sentinel
             a = state.row_start[slot]
             b = a + state.row_count[slot]
             ea = state.ent_start[slot]
             eb = ea + state.ent_count[slot]
             entrances = self.skeleton.entrances_on_floor(obj.floor)
             checks = {
+                "subregions": len(mine) == len(fresh.subs)
+                and all(
+                    s.partition_id == t.partition_id
+                    and s.mass == t.mass
+                    and np.array_equal(s.pieces, t.pieces)
+                    for s, t in zip(mine, fresh.subs)
+                ),
                 "subregion rows": np.array_equal(
                     state.sub_part[a:b], fresh.sub_part
                 )
@@ -645,7 +1003,7 @@ class ObjectColumns:
                 and np.array_equal(
                     state.ent_max[ea:eb], fresh.sub_max[real]
                 ),
-                "floor": state.floor_idx[slot] == state.floor_row[obj.floor],
+                "floor": state.floor_idx[slot] == topo.floor_row[obj.floor],
                 "entrance legs": state.legs[slot, : len(entrances)].tolist()
                 == [
                     obj.instances.min_distance_to(e.midpoint, fh)
@@ -654,7 +1012,7 @@ class ObjectColumns:
                 "unit buckets": {
                     unit_ids[row]
                     for row in state.units[slot].tolist()
-                    if row < state.n_units
+                    if row < topo.n_units
                 }
                 == self.otable.units_of(oid),
             }

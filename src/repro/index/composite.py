@@ -13,7 +13,14 @@ Ties the four pieces together:
 
 Dynamic operations (Section III-C) mutate the layers incrementally; the
 doors graph and the columns refresh themselves from the space's
-``topology_version``.
+``topology_version``.  Object updates (III-C.2) are batched array code:
+the columnar table resolves a whole batch — every unit each region
+overlaps, exactly what an indR-tree search returns, plus subregions and
+packed rows — before the population, the o-table or the columns are
+touched, so an index that has absorbed moves equals a freshly built one
+and a batch it cannot hold changes nothing.  The tree serves partition
+maintenance, point location and the reference walk
+:meth:`~CompositeIndex.range_search_tree`.
 """
 
 from __future__ import annotations
@@ -116,8 +123,9 @@ class CompositeIndex:
         index = CompositeIndex(
             space, population, indr, skeleton, doors_graph, otable, htable, times
         )
-        for obj in population:
-            otable.add(obj.object_id, index._resolve_units(obj))
+        objects = list(population)
+        for obj, units in zip(objects, index.columns.unit_sets(objects)):
+            otable.add(obj.object_id, units)
         times["object_layer"] = time.perf_counter() - t0
         return index
 
@@ -248,7 +256,10 @@ class CompositeIndex:
     # ------------------------------------------------------------------
 
     def _resolve_units(self, obj: UncertainObject) -> set[str]:
-        """Index units overlapping the object's uncertainty region."""
+        """Index units overlapping the object's uncertainty region, by
+        indR-tree search.  Partition maintenance re-homes objects with
+        it; the object update paths compute the same set for a whole
+        batch without the tree (:meth:`ObjectColumns.stage`)."""
         units = self.indr.units_overlapping_rect(obj.bounds(), obj.floor)
         out = {u.unit_id for u in units}
         if not out:
@@ -258,12 +269,13 @@ class CompositeIndex:
         return out
 
     def insert_object(self, obj: UncertainObject) -> None:
-        """Insert an object (population + o-table + leaf buckets)."""
+        """Insert an object (population + o-table + leaf buckets).  An
+        object the index cannot hold raises before anything changes."""
+        staged = self.columns.stage([obj])
         if obj.object_id not in self.population:
             self.population.insert(obj)
-        units = self._resolve_units(obj)
-        self.otable.add(obj.object_id, units)
-        self.columns.write([obj], [units])
+        self.otable.add(obj.object_id, staged.unit_ids[0])
+        self.columns.commit(staged)
 
     def delete_object(self, object_id: str) -> UncertainObject:
         """Delete an object using the o-table (no tree search)."""
@@ -271,66 +283,43 @@ class CompositeIndex:
         self.columns.drop(object_id)
         return self.population.delete(object_id)
 
-    def _moved_unit_ids(
-        self, moved: UncertainObject, old_units: set[str]
-    ) -> set[str]:
-        """New unit set for a moved object via the adjacency fast path.
-
-        In reality an object enters a partition only from an adjacent
-        one, so the new units are found by scanning the old units'
-        partitions plus their neighbours through the topological layer —
-        no indR-tree search (Section III-C.2).  A move that jumps beyond
-        the neighbourhood falls back to the tree.
-        """
-        candidate_partitions: set[str] = set()
-        for unit_id in old_units:
-            pid = self.htable.partition_of(unit_id)
-            candidate_partitions.add(pid)
-            for nbr in self.space.adjacent_partitions(pid):
-                candidate_partitions.add(nbr)
-        rect = moved.bounds()
-        new_unit_ids: set[str] = set()
-        covered_center = False
-        center = moved.region.center
-        for pid in candidate_partitions:
-            for unit in self.indr.units_of_partition.get(pid, ()):
-                if unit.floor == moved.floor and unit.rect.intersects(rect):
-                    new_unit_ids.add(unit.unit_id)
-                    if unit.contains_point(center):
-                        covered_center = True
-        if not new_unit_ids or not covered_center:
-            new_unit_ids = self._resolve_units(moved)  # tree fallback
-        return new_unit_ids
-
     def move_object(
         self,
         object_id: str,
         new_region: Circle,
         new_instances: InstanceSet,
     ) -> UncertainObject:
-        """Object update via the adjacency fast path (Section III-C.2)."""
-        old_units = self.otable.units_of(object_id)
-        moved = self.population.move(object_id, new_region, new_instances)
-        units = self._moved_unit_ids(moved, old_units)
-        self.otable.update(object_id, units)
-        self.columns.write([moved], [units])
-        return moved
+        """Object update (Section III-C.2): :meth:`update_objects` for
+        one move, with the same guarantees."""
+        return self.update_objects(
+            [ObjectMove(object_id, new_region, new_instances)]
+        )[0]
 
     def update_objects(self, moves: Iterable[ObjectMove]) -> list[UncertainObject]:
         """Absorb a batch of streamed position updates.
 
-        The batched counterpart of :meth:`move_object`: each move goes
-        through the same adjacency fast path, but the o-table is
-        maintained by set *diffing* (:meth:`repro.index.tables.OTable.update`)
-        instead of delete+insert, so an object that stays within its leaf
-        units costs no bucket churn at all.  Returns the moved objects in
+        The whole batch is resolved in one array pass over the columnar
+        table's topology arrays (:meth:`ObjectColumns.stage`): each
+        object's leaf units, its subregions and its packed table rows.
+        The o-table is then maintained by set *diffing*
+        (:meth:`repro.index.tables.OTable.update`) instead of
+        delete+insert, so an object that stays within its leaf units
+        costs no bucket churn at all.  Returns the moved objects in
         input order — the continuous query monitor consumes them to
         maintain standing result sets incrementally.
 
-        The batch applies atomically: every move is first resolved
-        against the pre-batch state (unknown ids and regions overlapping
-        no index unit both raise here), and only then is the whole batch
-        applied — a bad batch never leaves a half-applied prefix behind.
+        **Exact.**  The recorded unit set of a moved object is
+        :meth:`_resolve_units` of its new region — every same-floor
+        unit its instances' bounding rectangle overlaps, door-adjacent
+        to the old position or not — so an index that has absorbed any
+        number of moves equals :meth:`build` over the same population,
+        and Algorithm 4 keeps Lemma 6's "no false negatives" on it.
+
+        **Atomic.**  Every move is resolved before the population, the
+        o-table or the columns are touched: an unknown id, a region
+        overlapping no index unit and a subregion without probability
+        mass all raise here and leave the index exactly as it was — a
+        bad batch never leaves a half-applied prefix behind.
 
         A batch may carry several moves for the same object (a fast
         positioning system can re-observe an object twice within one
@@ -343,20 +332,23 @@ class CompositeIndex:
         last_write: dict[str, ObjectMove] = {
             move.object_id: move for move in moves
         }
-        staged: list[tuple[UncertainObject, set[str]]] = []
-        for move in last_write.values():
-            old_units = otable.units_of(move.object_id)  # raises on unknown
-            moved = UncertainObject(
+        if not last_write:
+            return []
+        for object_id in last_write:
+            if object_id not in otable or object_id not in population:
+                raise IndexError_(f"unknown object {object_id!r}")
+        moved_objects = [
+            UncertainObject(
                 move.object_id, move.new_region, move.new_instances
             )
-            staged.append((moved, self._moved_unit_ids(moved, old_units)))
-        moved_objects: list[UncertainObject] = []
-        for moved, new_units in staged:
+            for move in last_write.values()
+        ]
+        staged = self.columns.stage(moved_objects)
+        for moved, units in zip(moved_objects, staged.unit_ids):
             population.delete(moved.object_id)
             population.insert(moved)
-            otable.update(moved.object_id, new_units)
-            moved_objects.append(moved)
-        self.columns.write(moved_objects, [units for _, units in staged])
+            otable.update(moved.object_id, units)
+        self.columns.commit(staged)
         return moved_objects
 
     # ------------------------------------------------------------------

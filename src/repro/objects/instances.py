@@ -17,6 +17,16 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 
+def checked_mass(probs: np.ndarray) -> float:
+    """``probs.sum()``, required to be a probability mass.  A full
+    object's instances sum to 1; a subregion's to its share of the mass
+    (Eq. 6 needs the raw p_i, not renormalised ones)."""
+    total = float(probs.sum())
+    if total <= 0.0 or total > 1.0 + 1e-6:
+        raise ReproError(f"probability mass must be in (0, 1], got {total}")
+    return total
+
+
 @dataclass(frozen=True)
 class InstanceSet:
     """A discrete location distribution ``{(s_i, p_i)}``.
@@ -47,11 +57,7 @@ class InstanceSet:
             raise ReproError("an instance set cannot be empty")
         if np.any(probs < 0):
             raise ReproError("probabilities must be non-negative")
-        total = float(probs.sum())
-        # A full object's instances sum to 1; a subregion's to its share
-        # of the mass (Eq. 6 needs the raw p_i, not renormalised ones).
-        if total <= 0.0 or total > 1.0 + 1e-6:
-            raise ReproError(f"probability mass must be in (0, 1], got {total}")
+        checked_mass(probs)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "probs", probs)
 

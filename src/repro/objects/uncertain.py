@@ -15,23 +15,77 @@ import numpy as np
 from repro.errors import ReproError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
-from repro.objects.instances import InstanceSet
+from repro.objects.instances import InstanceSet, checked_mass
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
 from repro.space.partition import Partition
 
 
-@dataclass(frozen=True)
 class Subregion:
-    """``S[j]`` — the instances of one object inside one partition."""
+    """``S[j]`` — the instances of one object inside one partition.
 
-    partition_id: str
-    instances: InstanceSet
+    When one partition holds every instance the subregion *is* the
+    object's instance set (``pieces is None``).  A piece of a
+    multi-partition object instead holds the parent set, the object's
+    per-instance piece vector (shared by its subregions; instance ``i``
+    belongs to subregion ``pieces[i]``) and its own mass, and builds —
+    and validates — the :class:`InstanceSet` copy the first time
+    :attr:`instances` is read.  Almost every (update x query) pair is
+    pruned on the packed door extrema alone and never reads it.
+    """
+
+    __slots__ = (
+        "partition_id", "mass", "parent", "pieces", "piece", "_instances"
+    )
+
+    def __init__(
+        self,
+        partition_id: str,
+        parent: InstanceSet,
+        mass: float,
+        pieces: np.ndarray | None = None,
+        piece: int = 0,
+    ) -> None:
+        self.partition_id = partition_id
+        #: ``sum_{s_i in S[j]} p_i`` — the subregion's probability.
+        self.mass = mass
+        self.parent = parent
+        self.pieces = pieces
+        self.piece = piece
+        self._instances = parent if pieces is None else None
 
     @property
-    def mass(self) -> float:
-        """``sum_{s_i in S[j]} p_i`` — the subregion's probability."""
-        return self.instances.mass
+    def instances(self) -> InstanceSet:
+        instances = self._instances
+        if instances is None:
+            # Built from locals and published by one assignment: two
+            # pool threads racing on a first read both get a valid,
+            # equal set.
+            instances = self.parent.subset(self.pieces == self.piece)
+            self._instances = instances
+        return instances
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Subregion({self.partition_id!r}, mass={self.mass!r})"
+
+
+def split_subregions(
+    instances: InstanceSet,
+    partition_ids: list[str],
+    masses: list[float],
+    pieces: np.ndarray | None,
+) -> list[Subregion]:
+    """The subregion list of an object whose instance ``i`` falls in
+    partition ``partition_ids[pieces[i]]`` (``pieces`` may be ``None``
+    when there is one partition)."""
+    if len(partition_ids) == 1:
+        # One partition holds every instance: the subregion *is* the
+        # instance set (immutable), no per-object copy to keep alive.
+        return [Subregion(partition_ids[0], instances, masses[0])]
+    return [
+        Subregion(pid, instances, mass, pieces, k)
+        for k, (pid, mass) in enumerate(zip(partition_ids, masses))
+    ]
 
 
 @dataclass(eq=False)
@@ -119,9 +173,16 @@ class UncertainObject:
                 if p.bounds.intersects(rect)
             ]
         subregions = self._assign(candidates, space)
-        self._subregions = subregions
-        self._subregions_version = space.topology_version
+        self.adopt_subregions(subregions, space.topology_version)
         return subregions
+
+    def adopt_subregions(
+        self, subregions: list[Subregion], topology_version: int
+    ) -> None:
+        """Install subregions computed elsewhere for this topology —
+        the index's batched write resolves a whole batch at once."""
+        self._subregions = subregions
+        self._subregions_version = topology_version
 
     def invalidate_subregions(self) -> None:
         """Drop the cached subregions (e.g. after the object moved)."""
@@ -165,13 +226,18 @@ class UncertainObject:
                     break
             else:
                 pieces.append((center_part, unassigned.copy()))
-        if len(pieces) == 1:
-            # One partition holds every instance: the subregion *is* the
-            # instance set (immutable), no per-object copy to keep alive.
-            return [Subregion(pieces[0][0], self.instances)]
-        return [
-            Subregion(pid, self.instances.subset(mask)) for pid, mask in pieces
-        ]
+        probs = self.instances.probs
+        vector = None
+        if len(pieces) > 1:
+            vector = np.empty(n, dtype=np.min_scalar_type(len(pieces)))
+            for k, (_, mask) in enumerate(pieces):
+                vector[mask] = k
+        return split_subregions(
+            self.instances,
+            [pid for pid, _ in pieces],
+            [checked_mass(probs[mask]) for _, mask in pieces],
+            vector,
+        )
 
     # ------------------------------------------------------------------
 

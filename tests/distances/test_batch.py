@@ -389,9 +389,8 @@ class TestBlockShapes:
         direct = _pack(w.index, session, [objects[j] for j in keep])
         assert sub.objects == direct.objects
         assert sub.layout is direct.layout
-        assert sub.sub_pids == direct.sub_pids
+        assert sub.subs == direct.subs
         assert sub.sub_mass == direct.sub_mass
-        assert sub.sub_instances == direct.sub_instances
         assert (sub.sub_part == direct.sub_part).all()
         assert (sub.obj_offsets == direct.obj_offsets).all()
         width = direct.sub_door.shape[1]

@@ -1,0 +1,456 @@
+"""The columnar table's batched write, held to its scalar references.
+
+``CompositeIndex.update_objects`` / ``move_object`` / ``insert_object``
+and the table's own rebuild resolve a list of objects in one array pass
+(``repro.index.columns._Topology.stage``): index units, subregions,
+packed rows.  The scalar code it replaced on those paths survives as
+the reference — ``indr.units_overlapping_rect`` (through
+``_resolve_units``), ``UncertainObject._assign`` (what ``subregions()``
+runs for an object no index owns) and ``pack_block`` — and every
+comparison here is ``==``, never a tolerance: a standing result and a
+one-shot run must not disagree on a pruning decision.
+"""
+
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.distances.batch import pack_block
+from repro.geometry import Circle, Point, Rect
+from repro.geometry.polygon import Polygon
+from repro.index import CompositeIndex
+from repro.index.columns import _BUILD_CHUNK
+from repro.objects import (
+    InstanceSet,
+    MovementStream,
+    ObjectGenerator,
+    ObjectMove,
+    ObjectPopulation,
+    UncertainObject,
+)
+from repro.space import SpaceBuilder
+from repro.space.mall import build_mall
+from repro.space.partition import PartitionKind
+
+
+def _twin(obj):
+    """The same object as one no index owns: its subregions come from
+    the scalar ``_assign``."""
+    return UncertainObject(obj.object_id, obj.region, obj.instances)
+
+
+def assert_equals_references(idx, objects):
+    """``objects`` — live objects of ``idx`` — carry the unit sets,
+    subregion lists and table rows the scalar references give."""
+    space, grid = idx.space, idx.population.grid
+    twins = [_twin(obj) for obj in objects]
+    for obj, twin in zip(objects, twins):
+        assert idx.otable.units_of(obj.object_id) == idx._resolve_units(obj)
+        mine = obj.subregions(space, grid)
+        ref = twin.subregions(space, grid)
+        assert [s.partition_id for s in mine] == [
+            s.partition_id for s in ref
+        ]
+        assert [s.mass for s in mine] == [s.mass for s in ref]
+        for s, t in zip(mine, ref):
+            assert s.instances.xy.tolist() == t.instances.xy.tolist()
+            assert s.instances.probs.tolist() == t.instances.probs.tolist()
+            assert s.instances.floor == t.instances.floor
+        if len(mine) == 1:
+            assert mine[0].instances is obj.instances
+    want = pack_block(twins, space, grid, idx.columns.layout())
+    got = idx.columns.block(objects)
+    assert got.sub_door.tolist() == want.sub_door.tolist()
+    assert got.sub_min.tolist() == want.sub_min.tolist()
+    assert got.sub_max.tolist() == want.sub_max.tolist()
+    assert got.sub_part.tolist() == want.sub_part.tolist()
+    assert got.sub_mass == want.sub_mass
+    assert got.obj_offsets.tolist() == want.obj_offsets.tolist()
+
+
+def _located(space, x, y, floor):
+    return space.locate(Point(x, y, floor)) is not None
+
+
+def _random_location(space, gen, rng):
+    """A region and an instance set: half the time the generator's
+    (instances clipped to the partitions), half the time raw draws in
+    the region's bounding square — ragged counts, non-uniform
+    probabilities, instances across walls and outside the building."""
+    center = space.random_point(rng=rng)
+    region = Circle(center, rng.uniform(0.5, 6.0))
+    if rng.random() < 0.5:
+        return region, gen.sample_instances(region)
+    n = rng.randint(1, 12)
+    # The centre itself first: the object overlaps the venue at all.
+    xy = np.array(
+        [[center.x, center.y]]
+        + [
+            [
+                center.x + rng.uniform(-region.radius, region.radius),
+                center.y + rng.uniform(-region.radius, region.radius),
+            ]
+            for _ in range(n - 1)
+        ]
+    )
+    weights = np.array([rng.uniform(0.1, 1.0) for _ in range(n)])
+    return region, InstanceSet(xy, center.floor, weights / weights.sum())
+
+
+def _random_world(seed, n_objects):
+    space = build_mall(
+        floors=1 + seed % 3,
+        bands=2,
+        rooms_per_band_side=2 + seed % 2,
+        floor_size=100.0,
+        hallway_width=4.0,
+        stair_size=10.0,
+        seed=seed,
+    )
+    gen = ObjectGenerator(space, radius=3.0, n_instances=6, seed=seed)
+    rng = random.Random(seed)
+    pop = ObjectPopulation(space, grid=gen.grid)
+    for j in range(n_objects):
+        location = _random_location(space, gen, rng)
+        pop.insert(UncertainObject(f"o{j}", *location))
+    return space, gen, rng, pop
+
+
+class TestBatchedWriteEqualsScalarReferences:
+    @given(
+        seed=st.integers(0, 10_000), size=st.sampled_from([1, 5, 20])
+    )
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_malls(self, seed, size):
+        space, gen, rng, pop = _random_world(seed, 24)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()  # the rebuild path wrote every row
+        assert_equals_references(idx, list(pop))
+        ids = sorted(pop.ids())
+        for _ in range(3):
+            moves = [
+                ObjectMove(oid, *_random_location(space, gen, rng))
+                for oid in rng.sample(ids, size)
+            ]
+            moved = idx.update_objects(moves)
+            assert [o.object_id for o in moved] == [
+                m.object_id for m in moves
+            ]
+            assert_equals_references(idx, moved)
+        new = UncertainObject("new", *_random_location(space, gen, rng))
+        idx.insert_object(new)
+        one = idx.move_object(ids[0], *_random_location(space, gen, rng))
+        assert_equals_references(idx, [new, one])
+        assert idx.validate() == []
+
+    def test_a_whole_build_chunk(self, small_mall):
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=8, seed=2)
+        pop = gen.generate(_BUILD_CHUNK + 40)
+        idx = CompositeIndex.build(small_mall, pop)
+        idx.columns.layout()
+        assert_equals_references(idx, list(pop))
+
+    def test_stacked_staircase_shafts_first_id_wins(self, medium_mall):
+        """On the middle floor two shafts (0-1 and 1-2) share one
+        footprint: both contain the instance, the smaller id owns it."""
+        space = medium_mall
+        lower = next(
+            p
+            for p in space.partitions.values()
+            if p.kind is PartitionKind.STAIRCASE and p.floor == 0
+        )
+        upper = next(
+            p
+            for p in space.partitions.values()
+            if p.kind is PartitionKind.STAIRCASE
+            and p.floor == 1
+            and p.footprint == lower.footprint
+        )
+        box = lower.bounds
+        cx, cy = box.center
+        inside = [[cx, cy], [cx + 1.0, cy], [cx, cy - 1.0]]
+        # ...and instances around the shaft, in whatever adjoins it.
+        around = [
+            [x, y]
+            for x, y in (
+                (box.minx - 1.0, cy), (box.maxx + 1.0, cy),
+                (cx, box.miny - 1.0), (cx, box.maxy + 1.0),
+            )
+            if _located(space, x, y, 1)
+        ]
+        assert around
+        obj = UncertainObject(
+            "s",
+            Circle(Point(cx, cy, 1), box.width),
+            InstanceSet.uniform(np.array(inside + around), 1),
+        )
+        idx = CompositeIndex.build(space)
+        idx.columns.layout()
+        idx.insert_object(obj)
+        owner, other = sorted([lower.partition_id, upper.partition_id])
+        subs = {
+            s.partition_id: s
+            for s in obj.subregions(space, idx.population.grid)
+        }
+        assert len(subs) >= 2 and other not in subs
+        assert len(subs[owner].instances) == 3
+        assert_equals_references(idx, [obj])
+
+    def test_partition_without_an_entry_door(self):
+        b = SpaceBuilder()
+        b.add_hallway("h", Rect(0, 10, 20, 14))
+        b.add_room("r1", Rect(0, 0, 10, 10))
+        b.add_room("r2", Rect(10, 0, 20, 10))
+        b.connect("r1", "h")
+        b.one_way("r2", "r1")  # r2 can be left, never entered
+        space = b.build(validate=False)
+        assert space.entry_doors("r2") == []
+        idx = CompositeIndex.build(space)
+        idx.columns.layout()
+        closed_in = UncertainObject(
+            "in",
+            Circle(Point(15, 5, 0), 2.0),
+            InstanceSet.uniform(np.array([[15.0, 5.0], [16.0, 4.0]]), 0),
+        )
+        straddling = UncertainObject(
+            "across",
+            Circle(Point(10, 5, 0), 3.0),
+            InstanceSet.uniform(
+                np.array([[8.0, 5.0], [12.0, 5.0], [9.0, 11.0]]), 0
+            ),
+        )
+        idx.insert_object(closed_in)
+        idx.insert_object(straddling)
+        assert_equals_references(idx, [closed_in, straddling])
+        assert idx.validate() == []
+
+    def test_wall_clipped_straggler_takes_the_scalar_route(self, five_rooms):
+        """An instance in no partition is attached to the partition of
+        the region's centre — or, with the centre in a wall too, to the
+        first candidate: the scalar rule, applied to that object only."""
+        idx = CompositeIndex.build(five_rooms)
+        idx.columns.layout()
+        objects = [
+            UncertainObject(  # straggler joins the centre's piece
+                "edge",
+                Circle(Point(5, 1, 0), 3.0),
+                InstanceSet.uniform(np.array([[5.0, 1.0], [5.0, -1.0]]), 0),
+            ),
+            UncertainObject(  # centre's partition holds no instance
+                "corner",
+                Circle(Point(11, 1, 0), 3.0),
+                InstanceSet.uniform(np.array([[9.0, 1.0], [10.5, -1.0]]), 0),
+            ),
+            UncertainObject(  # ...and sorts before the piece there is
+                "reversed",
+                Circle(Point(9, 1, 0), 3.0),
+                InstanceSet.uniform(np.array([[12.0, 1.0], [9.5, -1.0]]), 0),
+            ),
+            UncertainObject(  # centre outside too: first candidate
+                "out",
+                Circle(Point(10, -1, 0), 3.0),
+                InstanceSet.uniform(np.array([[9.0, 1.0], [11.0, -0.5]]), 0),
+            ),
+            UncertainObject(  # a clean neighbour in the same batch
+                "clean",
+                Circle(Point(10, 5, 0), 3.0),
+                InstanceSet.uniform(np.array([[8.0, 5.0], [12.0, 5.0]]), 0),
+            ),
+        ]
+        for obj in objects:
+            idx.insert_object(_twin(obj))
+        moved = idx.update_objects(
+            [ObjectMove(o.object_id, o.region, o.instances) for o in objects]
+        )
+        grid = idx.population.grid
+        assert [
+            [s.partition_id for s in o.subregions(five_rooms, grid)]
+            for o in moved
+        ] == [["r1"], ["r1", "r2"], ["r2", "r1"], ["r1"], ["r1", "r2"]]
+        assert_equals_references(idx, moved)
+
+    def test_non_rectangular_footprint_takes_the_scalar_route(self):
+        b = SpaceBuilder()
+        b.add_hallway("h", Rect(0, 10, 30, 14))
+        b.add_room(
+            "L",
+            Polygon([(0, 0), (20, 0), (20, 5), (10, 5), (10, 10), (0, 10)]),
+        )
+        b.add_room("r2", Rect(10, 5, 20, 10))  # fills the L's notch
+        b.connect("L", "h", at=Point(5, 10, 0))
+        b.connect("r2", "h", at=Point(15, 10, 0))
+        space = b.build()
+        idx = CompositeIndex.build(space)
+        idx.columns.layout()
+        obj = UncertainObject(
+            "o",
+            Circle(Point(11, 6, 0), 6.0),
+            # (11, 7) is inside L's bounds but not inside L.
+            InstanceSet(
+                np.array([[9.0, 7.0], [11.0, 7.0], [15.0, 3.0], [12.0, 11.0]]),
+                0,
+                np.array([0.1, 0.2, 0.3, 0.4]),
+            ),
+        )
+        idx.insert_object(obj)
+        subs = obj.subregions(space, idx.population.grid)
+        assert [(s.partition_id, len(s.instances)) for s in subs] == [
+            ("L", 2), ("h", 1), ("r2", 1),
+        ]
+        assert_equals_references(idx, [obj])
+        assert idx.validate() == []
+
+    def test_duplicate_id_in_one_batch_last_write_wins(self, five_rooms):
+        idx = CompositeIndex.build(five_rooms)
+        idx.columns.layout()
+        for oid, x in (("a", 5.0), ("b", 25.0)):
+            p = Point(x, 5.0, 0)
+            idx.insert_object(
+                UncertainObject(oid, Circle(p, 1.0), InstanceSet.single(p))
+            )
+
+        def move(oid, points):
+            xy = np.array(points)
+            return ObjectMove(
+                oid,
+                Circle(Point(*xy.mean(axis=0), 0), 4.0),
+                InstanceSet.uniform(xy, 0),
+            )
+
+        last = move("a", [[8.0, 5.0], [12.0, 5.0], [9.0, 11.0]])
+        moved = idx.update_objects(
+            [move("a", [[15.0, 12.0]]), move("b", [[26.0, 5.0]]), last]
+        )
+        assert [o.object_id for o in moved] == ["a", "b"]
+        assert moved[0].instances is last.new_instances
+        assert_equals_references(idx, moved)
+        found = idx.range_search(Point(9, 5, 0), 50.0).objects
+        assert sorted(o.object_id for o in found) == ["a", "b"]
+        assert idx.validate() == []
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNoPerObjectGeometryOnTheWritePath:
+    def test_a_straggler_free_batch_makes_no_scalar_calls(
+        self, small_mall, monkeypatch
+    ):
+        """The per-object loops the batched write replaced — one
+        ``Rect.intersects`` per (object, unit), one ``InstanceSet``
+        copy per subregion, the scalar assignment — cannot come back
+        unnoticed."""
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=20, seed=4)
+        pop = gen.generate(80)
+        idx = CompositeIndex.build(small_mall, pop)
+        idx.columns.layout()
+        batch = MovementStream(small_mall, pop, gen, seed=6).next_moves(20)
+        intersects = _count_calls(monkeypatch, Rect, "intersects")
+        subset = _count_calls(monkeypatch, InstanceSet, "subset")
+        assign = _count_calls(monkeypatch, UncertainObject, "_assign")
+        moved = idx.update_objects(batch)
+        assert len(moved) == 20
+        assert (len(intersects), len(subset), len(assign)) == (0, 0, 0)
+        monkeypatch.undo()
+        assert any(
+            len(o.subregions(small_mall, pop.grid)) > 1 for o in moved
+        )
+        assert_equals_references(idx, moved)
+
+
+class TestLazySubregion:
+    @pytest.fixture
+    def wide(self, five_rooms):
+        """Three instances: two in r1, one across the wall in r2."""
+        obj = UncertainObject(
+            "wide",
+            Circle(Point(10, 5, 0), 4.0),
+            InstanceSet(
+                np.array([[8.0, 5.0], [12.0, 5.0], [9.0, 4.0]]),
+                0,
+                np.array([0.2, 0.5, 0.3]),
+            ),
+        )
+        return obj, obj.subregions(five_rooms)
+
+    def test_copy_is_built_on_first_read_and_only_once(
+        self, wide, monkeypatch
+    ):
+        obj, (left, right) = wide
+        subset = _count_calls(monkeypatch, InstanceSet, "subset")
+        # Everything the prune phase reads is there without a copy.
+        assert (left.partition_id, right.partition_id) == ("r1", "r2")
+        assert left.mass == float(np.array([0.2, 0.3]).sum())
+        assert right.mass == 0.5
+        assert left.parent is obj.instances and left.pieces is right.pieces
+        assert left.pieces.tolist() == [0, 1, 0]
+        assert subset == []
+        first = left.instances
+        assert len(subset) == 1
+        assert left.instances is first and len(subset) == 1
+        eager = obj.instances.subset(np.array([True, False, True]))
+        assert first.xy.tolist() == eager.xy.tolist()
+        assert first.probs.tolist() == eager.probs.tolist()
+        assert first.floor == eager.floor
+        assert first.mass == left.mass
+        assert right.instances.xy.tolist() == [[12.0, 5.0]]
+
+    def test_single_piece_subregion_is_the_instance_set(self, five_rooms):
+        p = Point(5, 5, 0)
+        obj = UncertainObject("a", Circle(p, 1.0), InstanceSet.single(p))
+        (only,) = obj.subregions(five_rooms)
+        assert only.instances is obj.instances and only.pieces is None
+        assert only.mass == 1.0
+
+    def test_concurrent_first_reads_both_get_the_copy(self, five_rooms):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(50):
+                obj = UncertainObject(
+                    f"w{round_}",
+                    Circle(Point(10, 5, 0), 4.0),
+                    InstanceSet.uniform(
+                        np.array([[8.0, 5.0], [12.0, 5.0], [9.0, 4.0]]), 0
+                    ),
+                )
+                left = obj.subregions(five_rooms)[0]
+                barrier = threading.Barrier(2)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=5)
+                    seen.append(left.instances)
+
+                threads = [threading.Thread(target=read) for _ in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=5)
+                    assert not t.is_alive()
+                assert len(seen) == 2
+                for got in seen:
+                    assert got.xy.tolist() == [[8.0, 5.0], [9.0, 4.0]]
+                    assert got.floor == 0
+                assert any(left.instances is got for got in seen)
+                assert left.instances is left.instances
+        finally:
+            sys.setswitchinterval(interval)

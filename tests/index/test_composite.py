@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.errors import IndexError_, ReproError
 from repro.geometry import Circle, Point, Rect
 from repro.index import CompositeIndex
-from repro.objects import InstanceSet, ObjectGenerator, UncertainObject
+from repro.objects import (
+    InstanceSet,
+    MovementStream,
+    ObjectGenerator,
+    ObjectMove,
+    ObjectPopulation,
+    UncertainObject,
+)
 from repro.space import DoorsGraph, Partition, SplitPartition, MergePartitions
 
 
@@ -112,7 +120,7 @@ class TestObjectOps:
     def test_move_object_adjacent(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))  # r1
-        # Move into the hallway (adjacent to r1): fast path applies.
+        # Move into the hallway (adjacent to r1).
         idx.move_object(
             "a",
             Circle(Point(15, 12, 0), 1.0),
@@ -124,7 +132,7 @@ class TestObjectOps:
     def test_move_object_teleport_falls_back(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))  # r1
-        # Jump to r5, which is not adjacent to r1: tree fallback.
+        # Jump to r5, which is not adjacent to r1: resolved all the same.
         idx.move_object(
             "a",
             Circle(Point(25, 20, 0), 1.0),
@@ -136,8 +144,6 @@ class TestObjectOps:
     def test_update_objects_dedupes_duplicate_moves(self, five_rooms):
         """A batch carrying several moves for one object applies
         last-write-wins and diffs the object exactly once."""
-        from repro.objects import ObjectMove
-
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))  # r1
         moves = [
@@ -171,6 +177,122 @@ class TestObjectOps:
             idx.htable.partition_of(u) for u in idx.otable.units_of("wide")
         }
         assert {"r1", "r2"} <= pids
+
+
+def _block_arrays(idx, objects):
+    block = idx.columns.block(objects)
+    return [
+        a.tolist()
+        for a in (
+            block.sub_door, block.sub_min, block.sub_max,
+            block.sub_part, block.obj_offsets,
+        )
+    ] + [block.sub_mass]
+
+
+def _snapshot(idx):
+    """Everything an object update writes: population order and object
+    identity, the o-table, the columnar rows."""
+    objects = list(idx.population)
+    return (
+        [(o.object_id, id(o)) for o in objects],
+        {o.object_id: idx.otable.units_of(o.object_id) for o in objects},
+        _block_arrays(idx, objects),
+    )
+
+
+def _move(oid, points, probs=None, floor=0):
+    xy = np.array(points, dtype=float)
+    if probs is None:
+        instances = InstanceSet.uniform(xy, floor)
+    else:
+        instances = InstanceSet(xy, floor, np.array(probs))
+    cx, cy = xy.mean(axis=0)
+    return ObjectMove(oid, Circle(Point(cx, cy, floor), 5.0), instances)
+
+
+class TestUpdateObjectsIsAtomic:
+    """A batch whose *last* move cannot be applied raises and leaves
+    the population, the o-table, the columns and every object's
+    identity exactly as they were — the good moves before it included."""
+
+    @pytest.fixture
+    def idx(self, five_rooms):
+        idx = CompositeIndex.build(five_rooms)
+        idx.insert_object(point_obj("a", 5, 5))
+        idx.insert_object(point_obj("b", 25, 5))
+        idx.columns.layout()  # the table is built: writes land on it
+        return idx
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            # A valid instance set whose zero-probability instance is
+            # the only one in the neighbouring room r2.
+            (_move("b", [[8.0, 5.0], [12.0, 5.0]], [1.0, 0.0]), ReproError),
+            # A region overlapping no index unit.
+            (_move("b", [[100.0, 100.0]]), IndexError_),
+            (_move("ghost", [[5.0, 5.0]]), IndexError_),
+        ],
+        ids=["zero-mass subregion", "no index unit", "unknown id"],
+    )
+    def test_failing_batch_changes_nothing(self, idx, bad, error):
+        before = _snapshot(idx)
+        good = _move("a", [[15.0, 12.0], [16.0, 12.0]])
+        with pytest.raises(error):
+            idx.update_objects([good, bad])
+        assert _snapshot(idx) == before
+        assert idx.validate() == []
+        # The same good move on its own goes through.
+        idx.update_objects([good])
+        assert idx.population.get("a").region is good.new_region
+        assert idx.validate() == []
+
+    def test_failing_insert_changes_nothing(self, idx):
+        before = _snapshot(idx)
+        with pytest.raises(IndexError_):
+            idx.insert_object(point_obj("c", 100, 100))
+        assert _snapshot(idx) == before
+        assert idx.validate() == []
+
+
+class TestMovedIndexEqualsBuild:
+    def test_units_and_rows_after_many_move_batches(self):
+        """Rooms in a mall share door-less walls, and an uncertainty
+        region overlaps the room across the wall.  After any number of
+        move batches every object is bucketed in *every* unit its region
+        overlaps — the set a tree search gives — and the index is the
+        one ``CompositeIndex.build`` makes over the same population."""
+        from repro.space.mall import build_mall
+
+        space = build_mall(
+            floors=2, bands=2, rooms_per_band_side=3, floor_size=100.0,
+            hallway_width=4.0, stair_size=10.0, seed=3,
+        )
+        gen = ObjectGenerator(space, radius=4.0, n_instances=12, seed=5)
+        pop = gen.generate(60)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        stream = MovementStream(space, pop, gen, seed=9)
+        for batch in stream.batches(45, 20):
+            idx.update_objects(batch)
+        assert idx.validate() == []
+        for obj in pop:
+            units = idx.otable.units_of(obj.object_id)
+            assert units == idx._resolve_units(obj)
+
+        copy = ObjectPopulation(space, grid=pop.grid)
+        for obj in pop:
+            copy.insert(
+                UncertainObject(obj.object_id, obj.region, obj.instances)
+            )
+        fresh = CompositeIndex.build(space, copy)
+        for obj in pop:
+            oid = obj.object_id
+            assert idx.otable.units_of(oid) == fresh.otable.units_of(oid)
+            assert _block_arrays(idx, [obj]) == _block_arrays(
+                fresh, [copy.get(oid)]
+            )
 
 
 class TestTopologyOps:
