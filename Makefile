@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 tier2 test bench bench-stream bench-serving \
-	bench-serving-parallel bench-serving-process bench-serving-net \
+	bench-serving-parallel bench-serving-net \
 	bench-restart bench-grid bench-grid-quick bench-trajectory lint \
 	docs-check figures
 
@@ -35,12 +35,6 @@ bench-serving:
 # router-tightening (coarse vs bucketed) sweep, printed as a table.
 bench-serving-parallel:
 	$(PYTHON) benchmarks/bench_serving.py --workers 4
-
-# Process-backend serving: spawned shard workers (GIL-free ingest)
-# behind the same ShardedMonitor surface, asserted bit-identical to
-# serial.  Timing is only meaningful on a multi-core machine.
-bench-serving-process:
-	$(PYTHON) benchmarks/bench_serving.py --backend process --workers 4
 
 # Network serving: N TCP subscribers x M standing queries against a
 # live NetServer, asserting exact convergence at quiesce.

@@ -15,12 +15,7 @@ Variants swept:
   the PR-2 baseline;
 * ``sharded`` — sharded, tightened per-floor bucketed router (serial);
 * ``workers=N`` — same router, routed shard maintenance fanned out on
-  a thread pool (parallel ingest, still GIL-bound);
-* ``process=N`` — same router, shard maintenance in N supervised
-  worker *processes* (``backend="process"``): updates travel through a
-  shared-memory position table, deltas come back as wire records, and
-  ingest escapes the GIL.  Feeds the ``serving_worker_scaling``
-  nightly table alongside the thread rows.
+  a thread pool (parallel ingest, still GIL-bound).
 
 Reported per variant: wall-clock + updates/sec, shard-skip ratio (and
 ``bucket_skips`` — exclusions only the tightened router found), pair
@@ -48,7 +43,6 @@ object count and recovery-replay throughput.
 Also runnable standalone (CI smoke)::
 
     python benchmarks/bench_serving.py --quick --workers 2 --prob
-    python benchmarks/bench_serving.py --quick --backend process
 """
 
 import argparse
@@ -129,30 +123,22 @@ class Variant:
     label: str
     workers: int = 1
     bucketed_router: bool = True
-    #: ``"thread"`` (in-process pool) or ``"process"`` (supervised
-    #: worker processes — ingest escapes the GIL).
-    backend: str = "thread"
 
 
 #: The full sweep as a grid definition: router before/after, then
-#: worker scaling on both execution backends (threads share the GIL;
-#: processes escape it).  The same declarative machinery behind
-#: ``python -m repro.bench grid`` prunes the invalid corners (a coarse
-#: router is a serial ablation; one worker never leaves the serial
-#: path), and the product order reproduces the historical hand-rolled
-#: variant tuple exactly.
+#: thread-worker scaling.  The same declarative machinery behind
+#: ``python -m repro.bench grid`` prunes the invalid corner (a coarse
+#: router is a serial ablation), and the product order reproduces the
+#: historical hand-rolled variant tuple exactly.
 VARIANT_GRID = ExperimentGrid(
     name="serving_variants",
     runner="serving",
     axes=[
         Axis("router", "{}", ("coarse", "bucketed")),
-        Axis("backend", "{}", ("thread", "process")),
         Axis("workers", "w{}", WORKERS_GRID),
     ],
     constraints=[
-        lambda p: p["router"] == "bucketed"
-        or (p["workers"] == 1 and p["backend"] == "thread"),
-        lambda p: p["workers"] > 1 or p["backend"] == "thread",
+        lambda p: p["router"] == "bucketed" or p["workers"] == 1,
     ],
 )
 
@@ -162,12 +148,7 @@ def _variant_of(params: dict) -> Variant:
         return Variant("coarse", bucketed_router=False)
     if params["workers"] == 1:
         return Variant("sharded")
-    kind = "workers" if params["backend"] == "thread" else "process"
-    return Variant(
-        f"{kind}={params['workers']}",
-        workers=params["workers"],
-        backend=params["backend"],
-    )
+    return Variant(f"workers={params['workers']}", workers=params["workers"])
 
 
 FULL_VARIANTS = tuple(
@@ -223,12 +204,6 @@ class ServingRun:
                 return res
         raise KeyError(label)
 
-    def speedup(self, label: str, over: str) -> float:
-        """Wall-clock speedup of ``label`` over ``over`` (>1 is faster)."""
-        num = self.by_label(over).elapsed_s
-        den = self.by_label(label).elapsed_s
-        return num / den if den else 0.0
-
 
 def run_serving(
     factory: WorkloadFactory,
@@ -254,7 +229,6 @@ def run_serving(
             n_shards=n_shards,
             workers=v.workers,
             bucketed_router=v.bucketed_router,
-            backend=v.backend,
         )
         for v in variants
     ]
@@ -432,21 +406,20 @@ def measure_wire(history: tuple) -> WireTransport:
     )
 
 
-def _serial_parallel(
-    workers: int, backend: str = "thread"
-) -> tuple[Variant, ...]:
-    label = "workers" if backend == "thread" else "process"
+def _serial_parallel(workers: int) -> tuple[Variant, ...]:
     return (
         Variant("sharded"),
-        Variant(f"{label}={workers}", workers=workers, backend=backend),
+        Variant(f"workers={workers}", workers=workers),
     )
 
 
 @pytest.fixture(scope="module")
 def full_run():
-    """One full-profile sweep over every variant, shared by the table
-    tests below (each sweep drives 1 + len(variants) worlds — running
-    it once halves the nightly bench wall-clock)."""
+    """One full-profile sweep over every variant (each sweep drives
+    1 + len(variants) worlds).  The worker-scaling *table* is the
+    grid's (``benchmarks/grids/serving_worker_scaling.xp``, repeated
+    cells); this sweep keeps the thread variants for ``_check``'s
+    bit-identity assertions."""
     factory = WorkloadFactory()
     n_batches, batch_size, n_irq, n_iknn, n_shards = FULL
     return run_serving(
@@ -483,37 +456,6 @@ def test_serving_single_vs_sharded(full_run, save_table):
     result.add("pairs_sharded", sharded.pairs)
     result.add("audit_dropped", sharded.deltas_dropped)
     save_table("serving_comparison", result)
-    _check(run)
-
-
-def test_serving_worker_scaling(full_run, save_table):
-    from repro.bench.runner import ExperimentResult
-
-    run = full_run
-    # The serial bucketed variant is the workers=1 reference; the
-    # thread rows share the GIL, the process rows escape it.
-    scaling = (
-        [run.by_label("sharded")]
-        + [run.by_label(f"workers={w}") for w in WORKERS_GRID[1:]]
-        + [run.by_label(f"process={w}") for w in WORKERS_GRID[1:]]
-    )
-    result = ExperimentResult(
-        title=f"Serving — worker scaling (n_shards={FULL[4]})",
-        x_label="workers",
-        unit="",
-    )
-    result.x_values.extend(
-        "workers=1" if res.variant.label == "sharded"
-        else res.variant.label
-        for res in scaling
-    )
-    result.series["upd_per_s"] = [
-        run.updates_per_sec(res) for res in scaling
-    ]
-    result.series["speedup_vs_serial"] = [
-        run.speedup(res.variant.label, "sharded") for res in scaling
-    ]
-    save_table("serving_worker_scaling", result)
     _check(run)
 
 
@@ -1132,15 +1074,6 @@ def main(argv: list[str] | None = None) -> int:
         "bit-identical to serial",
     )
     parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution backend for the parallel variant: 'thread' "
-        "(in-process pool, shares the GIL) or 'process' (supervised "
-        "shard worker processes); implies --workers 2 when --workers "
-        "is not given",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -1189,19 +1122,16 @@ def main(argv: list[str] | None = None) -> int:
     n_batches = args.batches or n_batches
     batch_size = args.batch_size or batch_size
 
-    if args.backend == "process" and not args.workers:
-        args.workers = 2
-
     if args.quick and args.workers:
         # CI smoke: serial vs parallel equivalence, not timing.
-        variants = _serial_parallel(args.workers, args.backend)
+        variants = _serial_parallel(args.workers)
     elif args.quick:
         variants = (
             Variant("coarse", bucketed_router=False),
             Variant("sharded"),
         )
     elif args.workers:
-        wanted = _serial_parallel(args.workers, args.backend)[1]
+        wanted = _serial_parallel(args.workers)[1]
         variants = FULL_VARIANTS + (
             () if wanted in FULL_VARIANTS else (wanted,)
         )

@@ -126,11 +126,7 @@ class ServiceConfig:
     :class:`~repro.queries.monitor.QueryMonitor`; ``n_shards>1`` a
     :class:`~repro.queries.shard.ShardedMonitor`, with ``workers``
     selecting its parallel ingest width and ``bucketed_router`` the
-    tightened per-floor reach tables.  ``backend`` picks the sharded
-    execution engine: ``"thread"`` (default, in-process monitors on a
-    thread pool) or ``"process"`` (shard monitors in worker processes
-    behind :mod:`repro.queries.procpool` — ``backend="process"``
-    forces a sharded monitor even at ``n_shards=1``).  ``maxlen`` is
+    tightened per-floor reach tables.  ``maxlen`` is
     the default subscription queue bound (``None`` = unbounded; see
     :class:`~repro.queries.serving.Subscription` for the drop-oldest
     policy and the ``dropped`` counter).
@@ -139,7 +135,6 @@ class ServiceConfig:
     n_shards: int = 1
     workers: int = 1
     bucketed_router: bool = True
-    backend: str = "thread"
     maxlen: int | None = None
 
     def __post_init__(self) -> None:
@@ -149,11 +144,6 @@ class ServiceConfig:
             )
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in ("thread", "process"):
-            raise QueryError(
-                "backend must be 'thread' or 'process', "
-                f"got {self.backend!r}"
-            )
         if self.maxlen is not None and self.maxlen < 1:
             raise QueryError(f"maxlen must be >= 1, got {self.maxlen}")
 
@@ -183,14 +173,13 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.index = index
         self.session = session or QuerySession(index)
-        if self.config.n_shards > 1 or self.config.backend == "process":
+        if self.config.n_shards > 1:
             self.monitor: QueryMonitor | ShardedMonitor = ShardedMonitor(
                 index,
                 n_shards=self.config.n_shards,
                 session=self.session,
                 workers=self.config.workers,
                 bucketed_router=self.config.bucketed_router,
-                backend=self.config.backend,
             )
         else:
             self.monitor = QueryMonitor(index, session=self.session)
@@ -614,9 +603,11 @@ class QueryService:
         space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
-        # Checkpoints written while the bounds kernel was selectable
-        # carry its name; both values gave bit-identical results.
+        # Checkpoints written while the bounds kernel and the shard
+        # execution engine were selectable carry their names; every
+        # value gave bit-identical results.
         cfg.pop("kernel", None)
+        cfg.pop("backend", None)
         population = ObjectPopulation(space)
         for payload in state.objects:
             population.insert(object_from_dict(payload))

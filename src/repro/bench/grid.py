@@ -2,7 +2,7 @@
 
 The benchmark scripts each hand-roll one sweep; this subsystem makes
 sweeps *data*.  An :class:`ExperimentGrid` declares named parameter
-axes (objects x update rate x shards x workers x backend x query mix x
+axes (objects x update rate x shards x workers x query mix x
 scenario ...) plus constraints that prune invalid cells; a
 :class:`GridRunner` materialises one output directory per surviving
 cell (``params.json`` + ``result.json`` + ``log.txt``), skipping cells
@@ -19,9 +19,9 @@ scope exposing the declaration DSL::
     name("serving_worker_scaling")
     runner("serving")                       # a registered cell runner
     param("workers", "w{}", [1, 2, 4])      # one axis
-    param("backend", "{}", ["thread", "process"])
+    param("rep", "r{}", [0, 1, 2, 3, 4])    # repetitions are an axis too
     fixed("n_shards", 4)                    # constant, not swept
-    constraint(lambda p: p["workers"] > 1 or p["backend"] == "thread")
+    constraint(lambda p: p["workers"] <= p["n_shards"])
     def _table(cells): ...
     table(_table)                           # cells -> ExperimentResult
 

@@ -213,7 +213,7 @@ def _merge(*parts: dict[str, Any], **extra: Any) -> dict[str, Any]:
 @register_cell_runner("stream")
 def run_stream_cell(params: dict, ctx: CellContext) -> dict:
     """Generic continuous-monitoring cell: objects x update rate x
-    shards x workers x backend x query mix, each an optional param
+    shards x workers x query mix, each an optional param
     with profile defaults."""
     profile = scenario_profile(ctx)
     factory = WorkloadFactory(profile, seed=ctx.seed)
@@ -229,7 +229,6 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
             n_objects=params.get("objects"),
             n_shards=params.get("shards"),
             workers=int(params.get("workers", 1)),
-            backend=str(params.get("backend", "thread")),
             seed=ctx.seed,
         )
         try:
@@ -265,9 +264,11 @@ def _close(scenario: StreamScenario) -> None:
 @register_cell_runner("serving")
 def run_serving_cell(params: dict, ctx: CellContext) -> dict:
     """One worker-scaling variant per cell — the grid-native version
-    of ``bench_serving``'s ``FULL_VARIANTS`` loop.  ``workers=1`` with
-    the thread backend is the serial sharded baseline the table's
-    speedup column divides by."""
+    of ``bench_serving``'s ``FULL_VARIANTS`` loop.  ``workers=1`` is
+    the serial sharded baseline the table's speedup column divides by.
+    A ``rep`` param is a repetition index: it offsets the population /
+    movement seed, so repetitions are independent samples and each
+    variant is compared with the serial cell of the same ``rep``."""
     profile = scenario_profile(ctx)
     factory = WorkloadFactory(profile, seed=ctx.seed)
     scenario = factory.stream_scenario(
@@ -275,8 +276,7 @@ def run_serving_cell(params: dict, ctx: CellContext) -> dict:
         n_iknn=int(params.get("n_iknn", 2)),
         n_shards=int(params.get("n_shards", 4)),
         workers=int(params["workers"]),
-        backend=str(params["backend"]),
-        seed=ctx.seed,
+        seed=ctx.seed + int(params.get("rep", 0)),
     )
     try:
         result = _drive(
@@ -288,7 +288,7 @@ def run_serving_cell(params: dict, ctx: CellContext) -> dict:
     finally:
         _close(scenario)
     ctx.log(
-        f"{params['workers']}x{params['backend']}: "
+        f"workers={params['workers']}: "
         f"{result['updates_per_sec']:.0f} upd/s"
     )
     return result

@@ -248,7 +248,6 @@ class WorkloadFactory:
         p_min: float = 0.5,
         workers: int = 1,
         bucketed_router: bool = True,
-        backend: str = "thread",
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -261,10 +260,9 @@ class WorkloadFactory:
 
         ``n_shards`` selects a :class:`ShardedMonitor` front-end instead
         of a single :class:`QueryMonitor` (``bench_serving`` compares
-        the two over identical streams); ``workers``,
-        ``bucketed_router`` and ``backend`` pass through to it
-        (parallel ingest / router-tightening ablation /
-        ``"process"`` shard workers that escape the GIL).  ``n_iprq``
+        the two over identical streams); ``workers`` and
+        ``bucketed_router`` pass through to it (parallel ingest /
+        router-tightening ablation).  ``n_iprq``
         mixes standing probabilistic-threshold range queries (iPRQ,
         threshold ``p_min``, range = the profile's default range) into
         the workload — the ``--prob`` serving variant.  ``seed`` overrides
@@ -297,7 +295,6 @@ class WorkloadFactory:
                 n_shards=n_shards,
                 workers=workers,
                 bucketed_router=bucketed_router,
-                backend=backend,
             )
         if query_range is None:
             query_range = p.default_range

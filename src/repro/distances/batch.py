@@ -1,8 +1,8 @@
 """Batched distance-bounds kernel: the prune phase of every query.
 
 Both consumers of the paper's bounds (Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8)
-funnel into the same inner loop.  A standing query — single monitor,
-thread shards, process workers — derives a pruning interval for each
+funnel into the same inner loop.  A standing query — single monitor
+or thread shards — derives a pruning interval for each
 moved object; a one-shot iRQ/ikNNQ/iPRQ (hence every maintainer
 ``recompute``) derives one for each candidate of its filter phase; and
 only undecided pairs pay an exact refinement.  The per-pair (scalar)

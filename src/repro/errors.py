@@ -58,12 +58,6 @@ class NetError(ReproError):
     budget, barrier timeout)."""
 
 
-class ProcPoolError(ReproError):
-    """Process shard-pool failure surfaced to the caller: a worker
-    crashed (or hung past the request timeout) more times than the
-    restart budget allows, or the pool was used after ``close()``."""
-
-
 class UnreachableError(QueryError):
     """The query point cannot reach the requested entity through any path
     in the doors graph (e.g. isolated partition or one-way dead end)."""

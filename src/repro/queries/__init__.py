@@ -31,12 +31,9 @@ across monitor shards with a bound-based update router (per-floor
 bucketed reach tables with density-derived grid resolution, cached
 between batches while no influence radius moves; the hot path tests
 a whole batch against every bucket in a handful of numpy array ops).
-``workers=N`` runs routed shard maintenance on a thread pool, and
-``backend="process"`` moves the shards into supervised worker
-*processes* (:class:`~repro.queries.procpool.ProcessShardPool`,
-tuned by :class:`ProcPoolConfig`) so maintenance escapes the GIL —
-both bit-identical to serial.  :class:`MonitorServer` serves the
-delta stream to asyncio subscribers.
+``workers=N`` runs routed shard maintenance on a thread pool,
+bit-identical to serial.  :class:`MonitorServer` serves the delta
+stream to asyncio subscribers.
 
 All standing registration funnels through one spec-based
 ``register(spec)`` path per surface; prefer the :mod:`repro.api`
@@ -94,8 +91,6 @@ __all__ = [
     "replay_deltas",
     "ShardedMonitor",
     "ShardStats",
-    "ProcessShardPool",
-    "ProcPoolConfig",
     "MonitorServer",
     "ServeReport",
     "Subscription",
@@ -103,15 +98,3 @@ __all__ = [
     "estimate_irq_result_size",
 ]
 
-
-def __getattr__(name):
-    # Lazy: procpool sits *above* the wire codec in the layering (it
-    # serializes deltas as wire records), and repro.api.wire imports
-    # this package — an eager import here would be a cycle.
-    if name in ("ProcessShardPool", "ProcPoolConfig"):
-        from repro.queries import procpool
-
-        return getattr(procpool, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

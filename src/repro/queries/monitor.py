@@ -561,26 +561,6 @@ class QueryMonitor:
             self._ensure_topology_current()
             return DeltaBatch(deltas=self._drain_pending())
 
-    def peek_pending_deltas(self) -> tuple[ResultDelta, ...]:
-        """The parked deltas, *without* draining them.  The process
-        shard engine mirrors these parent-side after every request so a
-        crashed worker's replacement can re-park them
-        (:meth:`park_deltas`) — a register delta parked between batches
-        must survive the restart or the delta stream loses it."""
-        with self._ingest_lock:
-            return tuple(self._pending)
-
-    def park_deltas(self, deltas) -> None:
-        """Append already-emitted deltas to the pending list, to flow
-        out on the next mutation or :meth:`drain_pending_deltas`.
-
-        Restart-only plumbing (see :meth:`peek_pending_deltas`): the
-        deltas were counted when first emitted, so this does not touch
-        ``stats.deltas_emitted``.
-        """
-        with self._ingest_lock:
-            self._pending.extend(deltas)
-
     # ------------------------------------------------------------------
     # delta bookkeeping
     # ------------------------------------------------------------------
@@ -601,7 +581,7 @@ class QueryMonitor:
         """Close the current mutation scope: diff every touched query
         against its recorded pre-state, in query *registration* order —
         not first-touch order — so delta histories stay bit-comparable
-        across engines and backends.  A maintainer whose influence
+        across engine shapes (one monitor, shards, serial or pooled).  A maintainer whose influence
         radius differs from its pre-mutation value bumps
         :attr:`reach_epoch`; a result change alone (an ikNNQ re-ranked
         inside its band) does not."""

@@ -72,22 +72,16 @@ touches only its own monitor's standing results, and the one shared
 mutable structure — the session's Dijkstra cache — takes its own lock.
 ``ShardedMonitor(..., workers=N)`` therefore runs the routed per-shard
 maintenance on a :class:`~concurrent.futures.ThreadPoolExecutor`
-(pair maintenance is numpy-heavy, so threads help wherever numpy drops
-the GIL), gathering per-shard :class:`~repro.queries.deltas.DeltaBatch`
-results **in shard-index order** — the same order the serial loop
-merges in — so the merged batch is bit-identical to serial execution.
+(pair maintenance is numpy-heavy, so threads overlap wherever numpy
+drops the GIL), gathering per-shard
+:class:`~repro.queries.deltas.DeltaBatch` results **in shard-index
+order** — the same order the serial loop merges in — so the merged
+batch is bit-identical to serial execution.
 
-``backend="process"`` swaps the thread pool for the
-:mod:`repro.queries.procpool` engine: shard monitors live in worker
-*processes* over per-worker world replicas, routed updates travel as
-messages (instance coordinates through a shared-memory numpy table),
-and per-shard deltas come back as wire records, still merged in
-shard-index order — bit-identical to serial, but with real multi-core
-parallelism where the GIL caps thread workers at ~1x.  Every mutation
-path below first computes a **routing plan** (one action per shard:
-ingest this payload, or just drain parked deltas) and then hands the
-plan to the selected execution backend, so the routing decisions are
-provably shared across serial, thread, and process execution.
+Every mutation path below first computes a **routing plan** — one
+thunk per shard: ingest its routed share, or just drain parked deltas —
+and then runs the plan serially or on the pool, so the routing
+decisions are the same code whichever way the plan executes.
 """
 
 from __future__ import annotations
@@ -96,8 +90,8 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -117,9 +111,6 @@ from repro.queries.monitor import (
 )
 from repro.queries.session import QuerySession
 from repro.space.events import TopologyEvent
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.queries.procpool import ProcPoolConfig
 
 #: Safety margin added to influence radii before a skip decision, so a
 #: distance that ties the threshold to the last float bit never skips.
@@ -379,6 +370,21 @@ class _ShardReach:
         return coarse & in_reach
 
 
+def _moves_task(
+    shard: QueryMonitor, relevant: list[UncertainObject], subblock
+) -> Callable[[], DeltaBatch]:
+    """One shard's routed share of a move batch as a thunk.  Keeps only
+    the deltas: ``moved`` is already carried once at the top level
+    (shards each re-list their routed subset)."""
+
+    def run_moves() -> DeltaBatch:
+        return DeltaBatch(
+            deltas=shard.ingest_moves(relevant, block=subblock).deltas
+        )
+
+    return run_moves
+
+
 class ShardedMonitor:
     """``n_shards`` query monitors over one shared composite index.
 
@@ -395,17 +401,9 @@ class ShardedMonitor:
     queries (one kiosk's iRQ and ikNNQ) tend to share both a shard and
     a session-cached Dijkstra.
 
-    ``backend`` selects how routed per-shard maintenance executes:
-
-    * ``"thread"`` (default) — shard monitors are in-process
-      :class:`QueryMonitor` instances; ``workers > 1`` fans the routed
-      work out on a thread pool, merged in shard-index order,
-      bit-identical to serial.
-    * ``"process"`` — shard monitors live in worker processes behind
-      parent-side proxies (see :mod:`repro.queries.procpool`); routed
-      work travels as messages and comes back as wire-encoded delta
-      batches, merged in the same shard-index order, still
-      bit-identical to serial.
+    Shard monitors are in-process :class:`QueryMonitor` instances;
+    ``workers > 1`` fans the routed work out on a thread pool, merged
+    in shard-index order, bit-identical to serial.
 
     ``bucketed_router=False`` falls back to the coarse single-box reach
     summary (kept as an ablation for the benchmark's before/after
@@ -419,21 +417,14 @@ class ShardedMonitor:
         session: QuerySession | None = None,
         workers: int = 1,
         bucketed_router: bool = True,
-        backend: str = "thread",
-        proc_config: "ProcPoolConfig | None" = None,
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if backend not in ("thread", "process"):
-            raise QueryError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
         self.index = index
         self.session = session or QuerySession(index)
         self.workers = workers
-        self.backend = backend
         self.bucketed_router = bucketed_router
         self.routing = ShardStats()
         # Per-shard reach-table cache: (reach_epoch, topology_version,
@@ -445,47 +436,26 @@ class ShardedMonitor:
         self._id_counter = itertools.count(1)
         self._updates_seen = 0
         self._bounds: Rect = index.space.bounds()
+        self.shards = [
+            QueryMonitor(index, session=self.session)
+            for _ in range(n_shards)
+        ]
         self._executor: ThreadPoolExecutor | None = None
-        self._pool = None
-        if backend == "process":
-            # Imported lazily: procpool pulls in the wire codec, which
-            # lives above this module in the layering.
-            from repro.queries.procpool import ProcessShardPool
-
-            self._pool = ProcessShardPool(
-                index,
-                n_shards=n_shards,
-                workers=workers,
-                config=proc_config,
+        if workers > 1:
+            self._executor = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="shard"
             )
-            self.shards = self._pool.proxies
-        else:
-            if proc_config is not None:
-                raise QueryError(
-                    "proc_config is only meaningful with backend='process'"
-                )
-            self.shards = [
-                QueryMonitor(index, session=self.session)
-                for _ in range(n_shards)
-            ]
-            if workers > 1:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="shard"
-                )
 
     # ------------------------------------------------------------------
-    # lifecycle (the worker pool is the only owned resource)
+    # lifecycle (the thread pool is the only owned resource)
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; serial mode no-ops).
-        A thread-backed monitor stays usable — it falls back to serial;
-        a process-backed monitor is unusable after close."""
+        """Shut the thread pool down (idempotent; serial mode no-ops).
+        The monitor stays usable — it falls back to serial."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._pool is not None:
-            self._pool.close()
 
     def __enter__(self) -> "ShardedMonitor":
         return self
@@ -625,13 +595,13 @@ class ShardedMonitor:
         return merged
 
     # ------------------------------------------------------------------
-    # routed mutation paths: build a plan, hand it to the backend
+    # routed mutation paths: build a plan (one thunk per shard), run it
     # ------------------------------------------------------------------
 
     def apply_moves(self, moves: list[ObjectMove]) -> DeltaBatch:
         """Absorb a batch of position updates: one shared index update,
         then per-shard maintenance of only the updates that can affect
-        each shard (fanned out on the selected worker backend)."""
+        each shard (fanned out on the thread pool when there is one)."""
         fh = self.index.space.floor_height
         old_boxes = {
             oid: _object_box(self.index.population.get(oid), fh)
@@ -645,7 +615,7 @@ class ShardedMonitor:
             # An idle tick is not a routing decision: flush parked
             # deltas but keep the skip statistics honest.
             return DeltaBatch.merge_all(
-                [head] + self._execute(("drain", None), self._drain_plan())
+                [head] + self._run_tasks(self._drain_plan())
             )
         self._updates_seen += len(moved)
         self.routing.batches_routed += 1
@@ -653,15 +623,14 @@ class ShardedMonitor:
             [old_boxes[obj.object_id] for obj in moved]
         )
         new_rows = _box_rows([_object_box(obj, fh) for obj in moved])
-        plan: list[tuple[str, object]] = []
-        routed: list[list[int] | None] = []  # kept batch indices/shard
-        for idx in range(len(self.shards)):
+        # A shard with no standing queries, or one the router skips,
+        # evaluates no pair — but its parked deltas (the last query's
+        # deregister, registrations, out-of-band resyncs) still flow.
+        plan = self._drain_plan()
+        block = None
+        for idx, shard in enumerate(self.shards):
             reach = self._reach_of(idx)
             if reach is None:
-                # No standing queries: nothing to route, but a parked
-                # delta (the last query's deregister) still flows.
-                plan.append(("drain", None))
-                routed.append(None)
                 continue
             if math.isinf(reach.radius):
                 keep = list(range(len(moved)))
@@ -669,44 +638,23 @@ class ShardedMonitor:
                 mask = reach.admit_moves(old_rows, new_rows, self.routing)
                 keep = [i for i, k in enumerate(mask) if k]
             if not keep:
-                # Skipped: no pair is evaluated, but parked deltas
-                # (registrations, out-of-band resyncs) still flow.
                 self.routing.shards_skipped += 1
-                plan.append(("drain", None))
-                routed.append(None)
                 continue
             self.routing.shard_visits += 1
             # Filtered updates are only counted for shards that
             # actually ran — a whole-shard skip is its own statistic.
             self.routing.updates_filtered += len(moved) - len(keep)
-            plan.append(("moves", [moved[i] for i in keep]))
-            routed.append(keep)
-        if self._pool is None and any(
-            keep is not None for keep in routed
-        ):
-            # Gather the whole batch's rows from the index's columnar
-            # table ONCE and hand each visited shard its routed view.
-            # The process backend skips this: ids travel the wire and
-            # each worker gathers from its own replica (the block holds
-            # numpy arrays, not wire records).
-            block = self.index.columns.block(moved)
-            plan = [
-                (action, payload)
-                if keep is None
-                else (
-                    "moves",
-                    (
-                        payload,
-                        block
-                        if len(keep) == len(moved)
-                        else block.subset(keep),
-                    ),
-                )
-                for (action, payload), keep in zip(plan, routed)
-            ]
-        return DeltaBatch.merge_all(
-            [head] + self._execute(("moves", moved), plan)
-        )
+            if block is None:
+                # Gather the whole batch's rows from the index's
+                # columnar table ONCE; each visited shard gets its
+                # routed view.
+                block = self.index.columns.block(moved)
+            plan[idx] = _moves_task(
+                shard,
+                [moved[i] for i in keep],
+                block if len(keep) == len(moved) else block.subset(keep),
+            )
+        return DeltaBatch.merge_all([head] + self._run_tasks(plan))
 
     def apply_insert(self, obj: UncertainObject) -> DeltaBatch:
         """A brand-new object appears: only shards it can reach run."""
@@ -715,19 +663,11 @@ class ShardedMonitor:
         self._updates_seen += 1
         self.routing.batches_routed += 1
         box = _object_box(obj, fh)
-        plan: list[tuple[str, object]] = []
-        for idx in range(len(self.shards)):
-            reach = self._reach_of(idx)
-            if reach is None:
-                plan.append(("drain", None))
-                continue
-            if not reach.may_affect(box, self.routing):
-                self.routing.shards_skipped += 1
-                plan.append(("drain", None))
-                continue
-            self.routing.shard_visits += 1
-            plan.append(("insert", obj))
-        return DeltaBatch.merge_all(self._execute(("insert", obj), plan))
+        plan = self._drain_plan()
+        for idx, shard in enumerate(self.shards):
+            if self._admits(idx, box):
+                plan[idx] = partial(shard.ingest_insert, obj)
+        return DeltaBatch.merge_all(self._run_tasks(plan))
 
     def apply_delete(self, object_id: str) -> DeltaBatch:
         """An object disappears: shards it provably never belonged to
@@ -739,21 +679,11 @@ class ShardedMonitor:
         self._updates_seen += 1
         self.routing.batches_routed += 1
         head = DeltaBatch(deleted=deleted)
-        plan: list[tuple[str, object]] = []
-        for idx in range(len(self.shards)):
-            reach = self._reach_of(idx)
-            if reach is None:
-                plan.append(("drain", None))
-                continue
-            if not reach.may_affect(box, self.routing):
-                self.routing.shards_skipped += 1
-                plan.append(("drain", None))
-                continue
-            self.routing.shard_visits += 1
-            plan.append(("delete", object_id))
-        return DeltaBatch.merge_all(
-            [head] + self._execute(("delete", object_id), plan)
-        )
+        plan = self._drain_plan()
+        for idx, shard in enumerate(self.shards):
+            if self._admits(idx, box):
+                plan[idx] = partial(shard.ingest_delete, object_id)
+        return DeltaBatch.merge_all([head] + self._run_tasks(plan))
 
     def apply_event(self, event: TopologyEvent) -> DeltaBatch:
         """Topology events invalidate every cached search — all shards
@@ -761,91 +691,45 @@ class ShardedMonitor:
         result = self.index.apply_event(event)
         head = DeltaBatch(event_result=result)
         return DeltaBatch.merge_all(
-            [head] + self._execute(("event", event), self._drain_plan())
+            [head] + self._run_tasks(self._drain_plan())
         )
 
     def drain_pending_deltas(self) -> DeltaBatch:
         """Registration/deregistration/out-of-band resync deltas from
         every shard."""
-        return DeltaBatch.merge_all(
-            self._execute(("drain", None), self._drain_plan())
-        )
+        return DeltaBatch.merge_all(self._run_tasks(self._drain_plan()))
 
     # ------------------------------------------------------------------
-    # backend execution
+    # plan execution
     # ------------------------------------------------------------------
 
-    def _drain_plan(self) -> list[tuple[str, object]]:
-        return [("drain", None)] * len(self.shards)
+    def _drain_plan(self) -> list[Callable[[], DeltaBatch]]:
+        return [shard.drain_pending_deltas for shard in self.shards]
 
-    def _execute(
-        self,
-        mutation: tuple[str, object],
-        plan: list[tuple[str, object]],
-    ) -> list[DeltaBatch]:
-        """Run one routing plan on the selected backend, returning the
-        per-shard delta batches in shard-index order (the merge order,
-        every backend alike).
-
-        ``mutation`` names the index-level change the plan belongs to —
-        worker processes replay it against their world replicas before
-        ingesting their routed share; the in-process backends mutated
-        the shared index already and only consume the plan.
-        """
-        if self._pool is not None:
-            return self._pool.execute(mutation, plan)
-        return self._run_tasks(
-            [
-                self._shard_task(shard, action, payload)
-                for shard, (action, payload) in zip(self.shards, plan)
-            ]
-        )
+    def _admits(self, shard_idx: int, box: Box3) -> bool:
+        """Single-box routing decision (insert/delete) for one shard,
+        counted in :attr:`routing`; a shard without standing queries is
+        not a decision."""
+        reach = self._reach_of(shard_idx)
+        if reach is None:
+            return False
+        if not reach.may_affect(box, self.routing):
+            self.routing.shards_skipped += 1
+            return False
+        self.routing.shard_visits += 1
+        return True
 
     def _run_tasks(
         self, tasks: list[Callable[[], DeltaBatch]]
     ) -> list[DeltaBatch]:
-        """Execute one thunk per shard, returning results in shard
-        order.  Routing already proved the thunks touch disjoint
-        monitors; the shared session takes its own lock."""
+        """Execute one thunk per shard, returning the per-shard delta
+        batches in shard-index order (the merge order, serial and
+        pooled alike).  Routing already proved the thunks touch
+        disjoint monitors; the shared session takes its own lock."""
         if self._executor is None or len(tasks) <= 1:
             return [task() for task in tasks]
         futures = [self._executor.submit(task) for task in tasks]
         return [future.result() for future in futures]
-
-    def _shard_task(
-        self, shard: QueryMonitor, action: str, payload
-    ) -> Callable[[], DeltaBatch]:
-        """One plan entry as a thunk over an in-process shard monitor."""
-        if action == "drain":
-            return shard.drain_pending_deltas
-        if action == "moves":
-
-            def run_moves() -> DeltaBatch:
-                # Keep only the deltas: `moved` is already carried once
-                # at the top level (shards each re-list their routed
-                # subset).  The payload carries the pre-packed block
-                # view alongside the objects.
-                relevant, subblock = payload
-                return DeltaBatch(
-                    deltas=shard.ingest_moves(
-                        relevant, block=subblock
-                    ).deltas
-                )
-
-            return run_moves
-        if action == "insert":
-
-            def run_insert() -> DeltaBatch:
-                return shard.ingest_insert(payload)
-
-            return run_insert
-        if action == "delete":
-
-            def run_delete() -> DeltaBatch:
-                return shard.ingest_delete(payload)
-
-            return run_delete
-        raise QueryError(f"unknown shard action {action!r}")
 
     # ------------------------------------------------------------------
 

@@ -180,14 +180,15 @@ class TestServiceRoundTrip:
         [
             ServiceConfig(),
             ServiceConfig(n_shards=4, workers=2),
-            ServiceConfig(n_shards=4, workers=2, backend="process"),
+            ServiceConfig(n_shards=4),
         ],
-        ids=["single", "sharded-parallel", "sharded-process"],
+        ids=["single", "sharded-parallel", "sharded-serial"],
     )
     def test_restore_is_bit_identical(self, tmp_path, config):
         """Same results, same subsequent delta sequences, same auto-id
-        allocation — for single and sharded (parallel) engines, across
-        all three builtin maintainers plus the count watch."""
+        allocation — for single and sharded (pooled and serial)
+        engines, across all three builtin maintainers plus the count
+        watch."""
         space, stream, index = _mall_world()
         service = QueryService(index, config)
         ids = [service.watch(s) for s in _mall_specs(space)]
@@ -286,23 +287,33 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
-    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            (ServiceConfig(n_shards=2), "kernel", "scalar"),
+            (ServiceConfig(n_shards=2), "kernel", "vector"),
+            (ServiceConfig(n_shards=4, workers=2), "backend", "thread"),
+            (ServiceConfig(n_shards=4, workers=2), "backend", "process"),
+        ],
+        ids=["scalar", "vector", "thread", "process"],
+    )
     def test_checkpoint_naming_a_bounds_kernel_still_restores(
-        self, tmp_path, kernel
+        self, tmp_path, config, key, value
     ):
         """Checkpoints written while ``ServiceConfig`` had a ``kernel``
-        field carry the key; it is ignored on load (both values gave
-        bit-identical results), never a false "unusable config"."""
+        or a ``backend`` field carry the key; it is ignored on load
+        (every value gave bit-identical results), never a false
+        "unusable config"."""
         space, stream, index = _mall_world()
-        service = QueryService(index, ServiceConfig(n_shards=2))
+        service = QueryService(index, config)
         ids = [service.watch(s) for s in _mall_specs(space)]
         for _ in range(3):
             service.ingest(list(stream.next_moves(10)))
         path = tmp_path / "ckpt.jsonl"
         service.checkpoint(path)
         state = read_checkpoint(path)
-        assert "kernel" not in state.config
-        state.config["kernel"] = kernel
+        assert key not in state.config
+        state.config[key] = value
         restored = QueryService.from_state(state)
         assert restored.config == service.config
         for qid in ids:

@@ -155,8 +155,7 @@ class TestCellRunners:
     def test_serving_cell(self, tmp_path):
         result = _run_one(
             tmp_path, "serving",
-            {"workers": 2, "backend": "thread", "n_shards": 2,
-             "batches": 2, "batch_size": 5},
+            {"workers": 2, "n_shards": 2, "batches": 2, "batch_size": 5},
         )
         assert result["updates"] == 10
         assert result["updates_per_sec"] > 0
