@@ -681,9 +681,7 @@ class ServerThread:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=30)
             self._loop = None
-            if self._store is not None:
-                self.service.detach_wal()
-                self._store.close()
+            self._release_store()
 
     def kill(self) -> None:
         """Crash simulation: every connection aborted mid-frame (no
@@ -713,6 +711,16 @@ class ServerThread:
         loop.call_soon_threadsafe(die)
         self._thread.join(timeout=30)
         self._ckpt_task = None
+        self._release_store()
+
+    def _release_store(self) -> None:
+        """Detach the service's WAL and close its segment's descriptor.
+        Every record was flushed and fsynced when it was written, so
+        this writes nothing: after :meth:`kill` the store is byte for
+        byte what the crash left, as if the process had died."""
+        if self._store is not None:
+            self.service.detach_wal()
+            self._store.close()
 
     @property
     def address(self) -> tuple[str, int]:

@@ -86,7 +86,14 @@ arranged so every float operation matches the scalar sequence:
   per subregion (float addition is monotone), so beyond the envelope
   the mass loop adds nothing.  The upper side has no such guarantee
   (``upper = max(best_lo, best_hi)``), so "entirely within" is never
-  shortcut for a multi-partition object.
+  shortcut for a multi-partition object;
+* the envelope's other end, ``hi = max_S tmax(S)`` (Lemma 2;
+  :meth:`BlockBounds.hi_array`, reduced only when a caller asks), is
+  used only as a *rank* bound — the one-shot ikNNQ takes the k-th
+  smallest ``hi`` as a ceiling ``U`` on the k-th true distance and
+  drops the candidates with ``lo > U`` — never as an acceptance test:
+  whether an object is accepted without refinement is always read off
+  its exact interval.
 """
 
 from __future__ import annotations
@@ -143,6 +150,18 @@ def point_distances(
     d += np.repeat(dz * dz, counts)
     np.sqrt(d, out=d)
     return d, np.cumsum([0] + counts[:-1])
+
+
+def row_point_distances(
+    block: "ObjectBlock", rows: np.ndarray, q: Point, fh: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`point_distances` from ``q`` to the instances of the
+    block's subregion ``rows`` — the direct-path term of rows lying in
+    the query's own partition."""
+    insts = [block.subs[a].instances for a in rows.tolist()]
+    return point_distances(
+        [inst.xy for inst in insts], [inst.floor for inst in insts], q, fh
+    )
 
 
 class DoorLayout:
@@ -445,14 +464,18 @@ class BoundsRow:
     only on demand.  ``dd`` is the query's search, to refine against.
     """
 
-    __slots__ = ("dd", "lo", "_tmin", "_tmax", "_block", "_offsets")
+    __slots__ = ("dd", "lo", "_tmin", "_tmax", "_subs", "_mass", "_offsets")
 
     def __init__(self, bounds: "BlockBounds", i: int) -> None:
         self.dd = bounds.stack.packs[i].dd
         self.lo = bounds.lo[i]
         self._tmin = bounds.tmin[i]
         self._tmax = bounds.tmax[i]
-        self._block = bounds.block
+        # Not the block itself: a row may outlive the kernel call (the
+        # one-shot prune keeps every chunk's), and the block's padded
+        # arrays are what chunking exists to keep transient.
+        self._subs = bounds.block.subs
+        self._mass = bounds.block.sub_mass
         self._offsets = bounds.offsets
 
     def intervals(
@@ -466,7 +489,7 @@ class BoundsRow:
         order, to the scalar :func:`~repro.distances.bounds.
         probabilistic_bounds` (Eq. 8), so sort stability and float
         accumulation match the scalar path by construction."""
-        tmin, tmax, block = self._tmin, self._tmax, self._block
+        tmin, tmax, subs, mass = self._tmin, self._tmax, self._subs, self._mass
         off = self._offsets[start : None if stop is None else stop + 1]
         out = []
         for a, b in zip(off, off[1:]):
@@ -475,10 +498,7 @@ class BoundsRow:
             else:
                 stats = [
                     SubregionStats(
-                        block.subs[i].partition_id,
-                        tmin[i],
-                        tmax[i],
-                        block.sub_mass[i],
+                        subs[i].partition_id, tmin[i], tmax[i], mass[i]
                     )
                     for i in range(a, b)
                 ]
@@ -499,9 +519,7 @@ class BoundsRow:
         if self.lo[j] > r:
             return 0.0, 0.0
         rows = range(self._offsets[j], self._offsets[j + 1])
-        return mass_within(
-            self._tmin, self._tmax, self._block.sub_mass, rows, r
-        )
+        return mass_within(self._tmin, self._tmax, self._mass, rows, r)
 
 
 class BlockBounds:
@@ -510,9 +528,20 @@ class BlockBounds:
     for query ``i`` and subregion row ``a`` — the floats of
     :func:`repro.distances.bounds.subregion_stats` — and ``lo[i][j]``,
     object ``j``'s lower envelope, the min of ``tmin[i]`` over its
-    rows ``offsets[j] : offsets[j + 1]``."""
+    rows ``offsets[j] : offsets[j + 1]``.  ``lo_array`` is ``lo`` as
+    the ``(Q, objects)`` array it was reduced into, for a caller that
+    decides a whole candidate set at once."""
 
-    __slots__ = ("stack", "block", "tmin", "tmax", "lo", "offsets")
+    __slots__ = (
+        "stack",
+        "block",
+        "tmin",
+        "tmax",
+        "lo",
+        "offsets",
+        "lo_array",
+        "_tmax_array",
+    )
 
     def __init__(
         self,
@@ -525,14 +554,28 @@ class BlockBounds:
         self.block = block
         self.tmin: list[list[float]] = tmin.tolist()
         self.tmax: list[list[float]] = tmax.tolist()
-        self.lo: list[list[float]] = np.minimum.reduceat(
+        self._tmax_array = tmax
+        self.lo_array = np.minimum.reduceat(
             tmin, block.obj_offsets[:-1], axis=1
-        ).tolist()
+        )
+        self.lo: list[list[float]] = self.lo_array.tolist()
         self.offsets: list[int] = block.obj_offsets.tolist()
 
     def row(self, i: int) -> BoundsRow:
         """The view of query ``i`` (its position in the stack)."""
         return BoundsRow(self, i)
+
+    def hi_array(self, i: int) -> np.ndarray:
+        """``hi[j] = max_S tmax(S)`` for query ``i``: the upper end of
+        object ``j``'s topological envelope (Lemma 2), reduced here,
+        when asked — the ingest path decides from ``lo`` alone and
+        never pays for it.  A true upper bound on the expected
+        distance, hence a valid *rank* bound; the exact interval's
+        upper end is not guaranteed below it float for float, so it is
+        no acceptance test (see the module docstring)."""
+        return np.maximum.reduceat(
+            self._tmax_array[i], self.block.obj_offsets[:-1]
+        )
 
 
 def block_object_bounds(
@@ -558,12 +601,8 @@ def block_object_bounds(
     own_rows = block.sub_part == stack.source_row[:, None]
     for i in np.flatnonzero(own_rows.any(axis=1)).tolist():
         own = np.flatnonzero(own_rows[i])
-        insts = [block.subs[a].instances for a in own.tolist()]
-        d, starts = point_distances(
-            [inst.xy for inst in insts],
-            [inst.floor for inst in insts],
-            stack.packs[i].dd.source,
-            fh,
+        d, starts = row_point_distances(
+            block, own, stack.packs[i].dd.source, fh
         )
         tmin[i, own] = np.minimum(tmin[i, own], np.minimum.reduceat(d, starts))
         tmax[i, own] = np.minimum(tmax[i, own], np.maximum.reduceat(d, starts))

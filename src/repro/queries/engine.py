@@ -12,7 +12,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from repro.distances.batch import (
+    BoundsRow,
     ObjectBlock,
     QueryPack,
     QueryStack,
@@ -112,26 +115,57 @@ def candidate_blocks(
         yield index.columns.block(candidates[i : i + PRUNE_CHUNK])
 
 
+class CandidateBounds:
+    """Phase 3's result: the candidates' topological envelope as
+    arrays, and their exact pruning intervals on demand.
+
+    ``lo[j] = min_S tmin(S)`` (Lemma 1) never exceeds the lower end of
+    candidate ``j``'s exact interval, so ``lo[j] > r`` rejects it with
+    the decision the interval would give; ``hi[j] = max_S tmax(S)``
+    (Lemma 2) bounds its distance from above — a rank bound for ikNNQ,
+    never an acceptance test (see :mod:`repro.distances.batch`).
+    :meth:`interval` builds the Table III interval (Eq. 7 / Eq. 8) of
+    one candidate the envelope could not decide.
+    """
+
+    __slots__ = ("lo", "hi", "_rows")
+
+    def __init__(
+        self, lo: np.ndarray, hi: np.ndarray, rows: list[BoundsRow]
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self._rows = rows  # one per chunk of PRUNE_CHUNK candidates
+
+    def interval(self, j: int) -> DistanceInterval:
+        """Candidate ``j``'s exact pruning interval — float for float
+        :func:`repro.distances.bounds.object_bounds`."""
+        chunk, at = divmod(j, PRUNE_CHUNK)
+        return self._rows[chunk].interval(at)
+
+
 def pruning_phase(
     index: CompositeIndex,
     candidates: list[UncertainObject],
     dd: DoorDistances,
     search_radius: float | None = None,
-) -> tuple[dict[str, DistanceInterval], float]:
-    """Phase 3: distance intervals per candidate (Table III dispatch).
+) -> CandidateBounds:
+    """Phase 3: distance bounds per candidate (Table III dispatch).
 
     The block kernel over the candidates' rows of the index's
     columnar table (``candidates`` are live objects of ``index``), with
     ``dd`` flattened to a :class:`~repro.distances.batch.QueryPack`
     and stacked alone (the monitor's ingest path calls the same kernel
-    with all its standing queries stacked).
+    with all its standing queries stacked).  The kernel's envelope
+    decides most candidates; the caller builds an exact interval only
+    for the rest, so the time of the whole phase is the caller's to
+    take.
 
     ``search_radius`` is the bound the subgraph/cutoff Dijkstra was run
     with; doors it failed to reach are provably farther than it, which
     keeps lower bounds finite for radius-straddling objects (see
     :func:`repro.distances.bounds.subregion_stats`).
     """
-    t0 = time.perf_counter()
     floor = (
         search_radius
         if search_radius is not None and math.isfinite(search_radius)
@@ -140,12 +174,15 @@ def pruning_phase(
     layout = index.columns.layout()
     stack = QueryStack(layout, [QueryPack(dd, layout)], [floor])
     fh = index.space.floor_height
-    intervals: dict[str, DistanceInterval] = {}
+    lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
-        row = block_object_bounds(stack, block, fh).row(0)
-        for obj, interval in zip(block.objects, row.intervals()):
-            intervals[obj.object_id] = interval
-    return intervals, time.perf_counter() - t0
+        # One chunk's padded arrays at a time: only its envelope and
+        # its row of per-subregion extrema are kept.
+        bounds = block_object_bounds(stack, block, fh)
+        lo.append(bounds.lo_array[0])
+        hi.append(bounds.hi_array(0))
+        rows.append(bounds.row(0))
+    return CandidateBounds(np.concatenate(lo), np.concatenate(hi), rows)
 
 
 class Refiner:

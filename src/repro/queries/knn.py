@@ -17,14 +17,17 @@ import itertools
 import math
 import time
 
+import numpy as np
+
+from repro.distances.batch import row_point_distances
 from repro.errors import QueryError
-from repro.distances.bounds import topological_looser_upper_bound
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.objects.uncertain import UncertainObject
 from repro.queries.engine import (
     QueryResult,
     Refiner,
+    candidate_blocks,
     filtering_phase,
     locate_source,
     pruning_phase,
@@ -33,47 +36,120 @@ from repro.queries.engine import (
 from repro.queries.stats import QueryStats
 
 
+class SeedExpansion:
+    """Algorithm 5's greedy partition expansion, resumable.
+
+    Expands partitions in order of (greedy) accumulated path length from
+    ``q``, collecting the objects bucketed in each.  :meth:`extend`
+    runs the loop until ``k`` seeds are held; a later call with a larger
+    ``k`` continues from the heap it stopped on — the loop is
+    deterministic, so the state is exactly what a restart reaches.
+
+    ``known_paths`` is ``{pid: (arrival_point, path_length)}`` — some
+    valid path from ``q`` into each partition touched, what Lemma 3
+    needs — and ``arrival_doors[pid]`` the door that path enters
+    through (the source partition, entered by no door, has none).
+    """
+
+    def __init__(self, index: CompositeIndex, q: Point, source: str) -> None:
+        self.index = index
+        self.q = q
+        self.source = source
+        self.seeds: list[UncertainObject] = []
+        self.expanded: set[str] = set()
+        self.known_paths: dict[str, tuple[Point, float]] = {source: (q, 0.0)}
+        self.arrival_doors: dict[str, str] = {}
+        self._seen: set[str] = set()
+        self._counter = itertools.count()
+        self._heap: list[tuple[float, int, str, Point]] = [
+            (0.0, next(self._counter), source, q)
+        ]
+
+    def extend(self, k: int) -> None:
+        """Expand until ``k`` seeds are held (or nothing is left)."""
+        index = self.index
+        space = index.space
+        fh = space.floor_height
+        seeds, seen, expanded = self.seeds, self._seen, self.expanded
+        known_paths, arrival_doors = self.known_paths, self.arrival_doors
+        heap, counter = self._heap, self._counter
+        while heap and len(seeds) < k:
+            length, _, pid, arrival = heapq.heappop(heap)
+            if pid in expanded:
+                continue
+            expanded.add(pid)
+            for unit in index.indr.units_of_partition.get(pid, ()):
+                for object_id in index.otable.objects_in(unit.unit_id):
+                    if object_id in seen:
+                        continue
+                    seen.add(object_id)
+                    seeds.append(index.population.get(object_id))
+            for door in space.exit_doors(pid):
+                nbr = door.other_side(pid)
+                if nbr in expanded:
+                    continue
+                nbr_length = length + arrival.distance(door.midpoint, fh)
+                prev = known_paths.get(nbr)
+                if prev is None or nbr_length < prev[1]:
+                    known_paths[nbr] = (door.midpoint, nbr_length)
+                    arrival_doors[nbr] = door.door_id
+                heapq.heappush(
+                    heap, (nbr_length, next(counter), nbr, door.midpoint)
+                )
+
+    def seed_upper_bounds(self) -> np.ndarray:
+        """Lemma 3 (TLU) of every seed, gathered from the index's
+        columnar table: ``max_S (length[P(S)] + |arrival, S|_E^max)``,
+        ``inf`` when some subregion's partition has no known path.
+
+        Every known path enters its partition through one of that
+        partition's *entry* doors — an open door one may leave ``pid``
+        through is, by :class:`~repro.space.door.Door`'s two predicates,
+        one that admits into the other side, one-way doors included —
+        so ``|arrival, S|_E^max`` is the ``sub_max`` entry the table
+        wrote for that (row, door) when the object last moved; the
+        source partition's rows, reached by no door, take
+        ``max |s, q|_E`` from the instances as the bounds kernel's
+        own-partition patch does.  Float for float
+        :func:`repro.distances.bounds.topological_looser_upper_bound`,
+        which ``tests/queries/test_prune_exactness.py`` holds it to by
+        ``==``.
+        """
+        index = self.index
+        layout = index.columns.layout()
+        fh = index.space.floor_height
+        length = np.full(len(layout.entry_idx), np.inf)
+        door = np.full(len(layout.entry_idx), -1, dtype=np.intp)
+        for pid, (_, path_length) in self.known_paths.items():
+            length[layout.part_row[pid]] = path_length
+        for pid, door_id in self.arrival_doors.items():
+            door[layout.part_row[pid]] = layout.door_index[door_id]
+        source_row = layout.part_row[self.source]
+        out = [np.empty(0)]
+        for block in candidate_blocks(index, self.seeds):
+            part = block.sub_part
+            col = (block.sub_door == door[part][:, None]).argmax(axis=1)
+            tlu = length[part] + block.sub_max[np.arange(part.size), col]
+            own = np.flatnonzero(part == source_row)
+            if own.size:
+                d, starts = row_point_distances(block, own, self.q, fh)
+                tlu[own] = np.maximum.reduceat(d, starts)
+            out.append(np.maximum.reduceat(tlu, block.obj_offsets[:-1]))
+        return np.concatenate(out)
+
+
 def k_seeds_selection(
     index: CompositeIndex, q: Point, k: int, source: str
 ) -> tuple[list[UncertainObject], set[str], dict[str, tuple[Point, float]]]:
     """Algorithm 5: greedy partition expansion until ``k`` objects.
 
-    Expands partitions in order of (greedy) accumulated path length from
-    ``q``, collecting the objects bucketed in each.  Returns the seed
-    objects, the expanded partitions ``R^p_1``, and per-partition known
-    paths ``{pid: (arrival_point, path_length)}`` feeding the TLU.
+    Returns the seed objects, the expanded partitions ``R^p_1``, and
+    per-partition known paths ``{pid: (arrival_point, path_length)}``
+    feeding the TLU — one :class:`SeedExpansion` run to ``k``.
     """
-    space = index.space
-    fh = space.floor_height
-    seeds: list[UncertainObject] = []
-    seen_objects: set[str] = set()
-    expanded: set[str] = set()
-    known_paths: dict[str, tuple[Point, float]] = {source: (q, 0.0)}
-    counter = itertools.count()
-    heap: list[tuple[float, int, str, Point]] = [(0.0, next(counter), source, q)]
-    while heap and len(seeds) < k:
-        length, _, pid, arrival = heapq.heappop(heap)
-        if pid in expanded:
-            continue
-        expanded.add(pid)
-        for unit in index.indr.units_of_partition.get(pid, ()):
-            for object_id in index.otable.objects_in(unit.unit_id):
-                if object_id in seen_objects:
-                    continue
-                seen_objects.add(object_id)
-                seeds.append(index.population.get(object_id))
-        for door in space.exit_doors(pid):
-            nbr = door.other_side(pid)
-            if nbr in expanded:
-                continue
-            nbr_length = length + arrival.distance(door.midpoint, fh)
-            prev = known_paths.get(nbr)
-            if prev is None or nbr_length < prev[1]:
-                known_paths[nbr] = (door.midpoint, nbr_length)
-            heapq.heappush(
-                heap, (nbr_length, next(counter), nbr, door.midpoint)
-            )
-    return seeds, expanded, known_paths
+    expansion = SeedExpansion(index, q, source)
+    expansion.extend(k)
+    return expansion.seeds, expansion.expanded, expansion.known_paths
 
 
 def ikNNQ(
@@ -106,23 +182,15 @@ def ikNNQ(
     # seed pool instead of an unbounded search.
     t0 = time.perf_counter()
     kbound = math.inf
+    expansion = SeedExpansion(index, q, source)
     for k_eff in (k, 2 * k, 4 * k):
-        seeds, _seed_partitions, known_paths = k_seeds_selection(
-            index, q, k_eff, source
-        )
-        tlus = sorted(
-            tlu
-            for seed in seeds
-            if math.isfinite(
-                tlu := topological_looser_upper_bound(
-                    q, seed, known_paths, index.space, index.population.grid
-                )
-            )
-        )
+        expansion.extend(k_eff)
+        tlus = expansion.seed_upper_bounds()
+        tlus = tlus[np.isfinite(tlus)]
         if len(tlus) >= k:
-            kbound = tlus[k - 1]
+            kbound = float(np.partition(tlus, k - 1)[k - 1])
             break
-        if len(seeds) < k_eff:
+        if len(expansion.seeds) < k_eff:
             break  # the whole building holds fewer seeds than requested
     t_seeds = time.perf_counter() - t0
 
@@ -150,26 +218,36 @@ def ikNNQ(
     candidates = list(filtered.objects)
     result = QueryResult()
     if with_pruning and len(candidates) > k:
-        # Phase 3: bounds.
-        intervals, stats.t_pruning = pruning_phase(
+        # Phase 3: bounds.  U, the k-th smallest envelope upper end,
+        # is at least the k-th true distance, and a candidate's
+        # envelope lower end at most its own: ``lo > U`` rejects
+        # without an exact interval, and only what the true k-th
+        # smallest upper bound (never above U) would reject anyway.
+        t0 = time.perf_counter()
+        bounds = pruning_phase(
             index, candidates, dd, search_radius=search_radius
         )
+        ceiling = np.partition(bounds.hi, k - 1)[k - 1]
+        ranked = np.flatnonzero(bounds.lo <= ceiling).tolist()
+        stats.rejected_by_bounds += len(candidates) - len(ranked)
+        intervals = [bounds.interval(j) for j in ranked]
         # O_k = candidate with the k-th smallest upper bound; objects
         # whose lower bound exceeds O_k's upper cannot be in the top-k
         # (at least k candidates are certainly closer) — Algorithm 2's
         # rejection rule, line 13.
-        uppers = sorted(intervals[o.object_id].upper for o in candidates)
-        ok_upper = uppers[k - 1]
+        ok_upper = sorted(interval.upper for interval in intervals)[k - 1]
         # Acceptance (line 11) is implemented in its provably safe form:
         # accept O without refinement only when at most k-1 *other*
         # candidates could possibly be closer, i.e. have a lower bound
         # not above O's upper bound.  (The paper's literal
-        # "O.u < O_k.l" test can mis-rank tie-dense boundaries.)
-        lowers = sorted(intervals[o.object_id].lower for o in candidates)
+        # "O.u < O_k.l" test can mis-rank tie-dense boundaries.)  The
+        # candidates dropped above are not missed from that count:
+        # their lower bounds lie beyond U, and an upper bound reaching
+        # that far already counts the k candidates that set U.
+        lowers = sorted(interval.lower for interval in intervals)
         sure: list[UncertainObject] = []
         undecided: list[UncertainObject] = []
-        for obj in candidates:
-            interval = intervals[obj.object_id]
+        for j, interval in zip(ranked, intervals):
             if interval.lower > ok_upper:
                 stats.rejected_by_bounds += 1
                 continue
@@ -178,9 +256,10 @@ def ikNNQ(
             possibly_closer = bisect.bisect_right(lowers, interval.upper) - 1
             if possibly_closer <= k - 1 and math.isfinite(interval.upper):
                 stats.accepted_by_bounds += 1
-                sure.append(obj)
+                sure.append(candidates[j])
             else:
-                undecided.append(obj)
+                undecided.append(candidates[j])
+        stats.t_pruning = time.perf_counter() - t0
     else:
         sure = []
         undecided = candidates

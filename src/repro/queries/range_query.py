@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -80,13 +82,18 @@ def iRQ(
 
     result = QueryResult()
     if with_pruning:
-        # Phase 3: bounds.
-        intervals, stats.t_pruning = pruning_phase(
+        # Phase 3: bounds.  The envelope rejects first; only the
+        # candidates it cannot place beyond r get an exact interval.
+        t0 = time.perf_counter()
+        bounds = pruning_phase(
             index, filtered.objects, dd, search_radius=search_radius
         )
+        near = np.flatnonzero(bounds.lo <= r).tolist()
+        stats.rejected_by_bounds += len(filtered.objects) - len(near)
         undecided = []
-        for obj in filtered.objects:
-            interval = intervals[obj.object_id]
+        for j in near:
+            obj = filtered.objects[j]
+            interval = bounds.interval(j)
             if interval.entirely_within(r):
                 stats.accepted_by_bounds += 1
                 result.objects.append(obj)
@@ -95,6 +102,7 @@ def iRQ(
                 stats.rejected_by_bounds += 1
             else:
                 undecided.append(obj)
+        stats.t_pruning = time.perf_counter() - t0
     else:
         undecided = list(filtered.objects)
 

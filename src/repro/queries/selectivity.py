@@ -18,6 +18,8 @@ evaluating the query.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -53,10 +55,11 @@ def estimate_irq_result_size(
     if not filtered.objects:
         return 0.0
     dd, _ = subgraph_phase(index, q, source, filtered.partitions, cutoff=r)
-    intervals, _ = pruning_phase(index, filtered.objects, dd, search_radius=r)
+    bounds = pruning_phase(index, filtered.objects, dd, search_radius=r)
     estimate = 0.0
-    for obj in filtered.objects:
-        interval = intervals[obj.object_id]
+    # Sure-rejects by the envelope score 0, exactly as iRQ drops them.
+    for j in np.flatnonzero(bounds.lo <= r).tolist():
+        interval = bounds.interval(j)
         if interval.entirely_within(r):
             estimate += 1.0
         elif interval.entirely_beyond(r):

@@ -5,9 +5,16 @@ pool behind ``workers > 1`` — and a :class:`ServerThread` owns its
 ``repro-net-server`` loop thread (the wrapped service, and so the
 pool, stays the caller's to close).  Each shutdown path is driven
 here and ``threading.enumerate()`` must show the owned threads gone.
+A durable :class:`ServerThread` also owns its store's open WAL segment:
+both ``close()`` and ``kill()`` must release the descriptor themselves
+(not leave it to the garbage collector, which says so with a
+``ResourceWarning``) and leave no ``*.tmp`` file behind.
 """
 
+import gc
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -91,3 +98,61 @@ def test_server_thread_stop_joins_its_loop(
     assert owned_threads("repro-net-server") == []
     service.close()
     assert owned_threads("shard") == []
+
+
+def _store_bytes(root):
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("stop", ["close", "kill"])
+def test_server_thread_stop_releases_the_store(
+    five_rooms, crowded_index, tmp_path, monkeypatch, stop
+):
+    """No handle is left for the collector to close: with
+    ``ResourceWarning`` an error, dropping every reference after the
+    stop raises nothing (a finalizer's error surfaces through
+    ``sys.unraisablehook``).  ``kill()`` releases the WAL descriptor
+    without writing: the store a ``from_store()`` reads is byte for
+    byte what the last fsynced record left."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        gc.collect()  # somebody else's garbage is not this test's
+        unraisable.clear()
+        service = QueryService(crowded_index, POOLED)
+        store = CheckpointStore(tmp_path)
+        st = ServerThread(service, store=store).__enter__()
+        st.watch(RangeSpec(Q_LEFT, 10.0))
+        st.ingest([_point_move("far", 6.0, 6.0)])
+        st.checkpoint_now()
+        st.ingest([_point_move("far2", 7.0, 6.0)])  # the WAL tail
+        before = _store_bytes(tmp_path)
+        getattr(st, stop)()
+        service.close()
+        after = _store_bytes(tmp_path)
+        if stop == "kill":
+            assert after == before
+            assert any(
+                blob for name, blob in after.items() if name.startswith("wal-")
+            )
+        assert not list(tmp_path.glob("*.tmp"))
+        del st, service, store
+        gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+
+        # What was left is a store a restart recovers from.
+        restarted = ServerThread.from_store(CheckpointStore(tmp_path))
+        with restarted as st:
+            (query_id,) = st.service.monitor.query_ids()
+            oracle = NaiveEvaluator(
+                five_rooms, st.service.index.population
+            )
+            assert st.service.monitor.result_ids(query_id) == (
+                oracle.range_query(Q_LEFT, 10.0)
+            )
+            assert "far2" in st.service.monitor.result_ids(query_id)
+        restarted.service.close()
+        del restarted, st
+        gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []

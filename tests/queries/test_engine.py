@@ -57,13 +57,23 @@ class TestPhases:
         source = locate_source(setup, q)
         filtered, _ = filtering_phase(setup, q, 50.0, True)
         dd, _ = subgraph_phase(setup, q, source, filtered.partitions, cutoff=50.0)
-        intervals, _ = pruning_phase(
+        bounds = pruning_phase(
             setup, filtered.objects, dd, search_radius=50.0
         )
-        assert set(intervals) == {o.object_id for o in filtered.objects}
-        for iv in intervals.values():
+        assert len(bounds.lo) == len(bounds.hi) == len(filtered.objects) > 0
+        for j in range(len(filtered.objects)):
+            iv = bounds.interval(j)
             assert iv.lower <= iv.upper + 1e-9
             assert math.isfinite(iv.lower)  # radius-floored, never inf
+            # The envelope encloses the exact interval.
+            assert bounds.lo[j] <= iv.lower
+            assert iv.upper <= bounds.hi[j] + 1e-9
+
+    def test_pruning_no_candidates(self, setup, small_mall):
+        q = small_mall.random_point(seed=4)
+        dd, _ = subgraph_phase(setup, q, locate_source(setup, q), set())
+        bounds = pruning_phase(setup, [], dd)
+        assert len(bounds.lo) == len(bounds.hi) == 0
 
 
 class TestRefiner:

@@ -11,6 +11,7 @@ from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import QueryStats, ikNNQ, k_seeds_selection
 from repro.queries.engine import locate_source
+from repro.queries.knn import SeedExpansion
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,27 @@ class TestSeeds:
         _, small_set, _ = k_seeds_selection(index, q, 3, source)
         _, big_set, _ = k_seeds_selection(index, q, 30, source)
         assert small_set <= big_set
+
+    @pytest.mark.parametrize("q_seed", [14, 15, 16])
+    def test_resumed_expansion_is_a_restart(
+        self, mall_setup, small_mall, q_seed
+    ):
+        """ikNNQ widens its seed pool by continuing one expansion; every
+        stop must hold the seeds, partitions and paths (arrival point,
+        length and order included) a from-scratch selection reaches."""
+        index, _ = mall_setup
+        q = small_mall.random_point(seed=q_seed)
+        source = locate_source(index, q)
+        resumed = SeedExpansion(index, q, source)
+        for k in (3, 6, 12, 12, 60, 500):
+            resumed.extend(k)
+            seeds, partitions, paths = k_seeds_selection(index, q, k, source)
+            assert [o.object_id for o in resumed.seeds] == [
+                o.object_id for o in seeds
+            ]
+            assert resumed.expanded == partitions
+            assert list(resumed.known_paths.items()) == list(paths.items())
+            assert set(resumed.arrival_doors) == set(paths) - {source}
 
 
 class TestStats:
