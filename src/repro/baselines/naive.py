@@ -12,7 +12,7 @@ import math
 
 from repro.distances.expected import (
     expected_indoor_distance,
-    instance_indoor_distances,
+    qualifying_probability,
 )
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -96,11 +96,7 @@ class NaiveEvaluator:
         full Dijkstra (no bounds, no pruning)."""
         self.graph.ensure_fresh()
         dd = self.graph.dijkstra_from_point(q)
-        total = 0.0
-        for subregion in obj.subregions(self.space, self.grid):
-            dists = instance_indoor_distances(q, subregion, dd, self.space)
-            total += float(subregion.instances.probs[dists <= r].sum())
-        return total
+        return qualifying_probability(q, obj, dd, self.space, r, self.grid)
 
     def prob_range_query(
         self, q: Point, r: float, p_min: float

@@ -1,4 +1,4 @@
-"""Batched distance-bounds kernel: the prune phase of every query.
+"""Batched distance kernels: the prune and refine phases of every query.
 
 Both consumers of the paper's bounds (Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8)
 funnel into the same inner loop.  A standing query — single monitor
@@ -57,6 +57,24 @@ objects span two partitions, and running the scalar Eq. 8 loop for
 every such pair — to learn what ``lo > r`` already says for 99.9% of
 them — used to be four fifths of the kernel's time.
 
+The pairs the interval cannot decide either are refined by the module's
+other routine, over the same two operands:
+
+* **exact refinement** (:func:`block_expected_distances`) — the
+  expected indoor distance ``|q, O|_I`` (Definition 1), or the iPRQ
+  qualifying probability, of a list of (query, object) pairs in one
+  array pass: the objects' instances gathered in subregion-row order
+  from their parent sets and piece vectors, one ragged ``(instance x
+  entry door)`` distance vector reduced to the best door per instance,
+  the own-partition direct path, one contiguous sum per subregion.  A
+  standing query reaches it through its :class:`BoundsRow`
+  (:meth:`~BoundsRow.prefetch` / :meth:`~BoundsRow.exact` /
+  :meth:`~BoundsRow.exact_probability`), a one-shot query through
+  :class:`repro.queries.engine.Refiner`; the scalar
+  :func:`repro.distances.expected.expected_indoor_distance` is the
+  oracle's path and the reference it is held to, by ``==``, in
+  ``tests/distances/test_block_expected.py``.
+
 Bit-identity with the scalar reference is a hard invariant, not an
 aspiration — ``tests/distances/test_batch.py`` asserts exact float
 equality function for function, so a standing result and a one-shot
@@ -87,6 +105,17 @@ arranged so every float operation matches the scalar sequence:
   the mass loop adds nothing.  The upper side has no such guarantee
   (``upper = max(best_lo, best_hi)``), so "entirely within" is never
   shortcut for a multi-partition object;
+* exact refinement repeats the scalar per-instance sequence
+  (``sqrt(dx*dx + dy*dy + dz*dz) + w``, then the ``min`` over doors and
+  with the direct path) elementwise, and sums each subregion's
+  ``d_i * p_i`` as one contiguous slice — numpy's pairwise summation
+  depends on the elements and their order, both the scalar path's —
+  never with ``np.add.reduceat``, whose accumulation order is another;
+  a pair's subregion shares are then added in ``obj.subregions()``
+  order, in Python, from ``0.0`` as the scalar loop does.  An
+  unreachable instance turns its subregion's share into ``inf`` by
+  assignment, not by ``inf * p`` (the scalar path overwrites the
+  product's ``nan`` the same way);
 * the envelope's other end, ``hi = max_S tmax(S)`` (Lemma 2;
   :meth:`BlockBounds.hi_array`, reduced only when a caller asks), is
   used only as a *rank* bound — the one-shot ikNNQ takes the k-th
@@ -97,6 +126,9 @@ arranged so every float operation matches the scalar sequence:
 """
 
 from __future__ import annotations
+
+import itertools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -174,6 +206,11 @@ class DoorLayout:
     midpoints as an ``(k, 3)`` array of ``x, y, floor`` columns.  Door
     index ``n_doors`` is the padding :attr:`sentinel`: every query-side
     weight vector pins it at ``+inf`` so padded slots never win a min.
+
+    The same rows laid end to end serve the ragged gathers (the index
+    write's door extrema, exact refinement): row ``p``'s doors are
+    ``flat_idx`` / ``flat_mid`` at ``entry_start[p] : entry_start[p] +
+    n_entry[p]``.
     """
 
     __slots__ = (
@@ -184,6 +221,10 @@ class DoorLayout:
         "part_row",
         "entry_idx",
         "entry_mid",
+        "n_entry",
+        "entry_start",
+        "flat_idx",
+        "flat_mid",
     )
 
     def __init__(self, space: IndoorSpace) -> None:
@@ -214,6 +255,14 @@ class DoorLayout:
                     dtype=np.float64,
                 ).reshape(len(doors), 3)
             )
+        self.n_entry = np.array(
+            [idx.size for idx in self.entry_idx], dtype=np.intp
+        )
+        self.entry_start = offsets_of(self.n_entry)
+        self.flat_idx = np.concatenate(
+            self.entry_idx + [np.zeros(0, dtype=np.intp)]
+        )
+        self.flat_mid = np.concatenate(self.entry_mid + [np.zeros((0, 3))])
 
 
 class QueryPack:
@@ -422,7 +471,7 @@ class QueryStack:
     stacks the one search it ran with.
     """
 
-    __slots__ = ("packs", "layout", "w", "source_row", "floor")
+    __slots__ = ("packs", "layout", "w", "source_row", "source_xyz", "floor")
 
     def __init__(
         self,
@@ -438,6 +487,13 @@ class QueryStack:
         self.source_row = np.array(
             [p.source_row for p in packs], dtype=np.intp
         )
+        #: ``(Q, 3)`` query points, as ``x, y, floor`` columns.
+        self.source_xyz = np.array(
+            [
+                (p.dd.source.x, p.dd.source.y, float(p.dd.source.floor))
+                for p in packs
+            ]
+        ).reshape(len(packs), 3)
         #: ``(Q, 1)`` floor column (``+inf`` = none), or ``None`` when
         #: no query has one.
         self.floor = None
@@ -461,14 +517,32 @@ class BoundsRow:
     ``max``es it — so ``lo[j] > r`` proves "entirely beyond ``r``"
     with the decision the exact interval would give, and the exact
     interval (:meth:`interval`, :meth:`probability`) is built per pair,
-    only on demand.  ``dd`` is the query's search, to refine against.
+    only on demand — as is the refinement of a pair the interval leaves
+    undecided (:meth:`exact`, :meth:`exact_probability`).  ``dd`` is the
+    query's search.
     """
 
-    __slots__ = ("dd", "lo", "_tmin", "_tmax", "_subs", "_mass", "_offsets")
+    __slots__ = (
+        "dd",
+        "lo",
+        "_tmin",
+        "_tmax",
+        "_subs",
+        "_mass",
+        "_offsets",
+        "_stack",
+        "_i",
+        "_fh",
+        "_exact",
+    )
 
     def __init__(self, bounds: "BlockBounds", i: int) -> None:
         self.dd = bounds.stack.packs[i].dd
         self.lo = bounds.lo[i]
+        self._stack = bounds.stack
+        self._i = i
+        self._fh = bounds.fh
+        self._exact: dict[int, float] = {}
         self._tmin = bounds.tmin[i]
         self._tmax = bounds.tmax[i]
         # Not the block itself: a row may outlive the kernel call (the
@@ -521,6 +595,41 @@ class BoundsRow:
         rows = range(self._offsets[j], self._offsets[j + 1])
         return mass_within(self._tmin, self._tmax, self._mass, rows, r)
 
+    def _refine(self, js: list[int], r: float | None = None) -> list[float]:
+        return block_expected_distances(
+            self._stack,
+            self._subs,
+            self._offsets,
+            [(self._i, j) for j in js],
+            self._fh,
+            r,
+        )
+
+    def prefetch(self, js: list[int]) -> None:
+        """Refine objects ``js`` against this query in one array pass
+        and keep the distances for :meth:`exact` — for a maintainer
+        that can tell, before deciding anything, which pairs of the
+        batch it will (most likely) refine.  A kept value is the value
+        a block of one computes: prefetching changes what a refinement
+        costs, never what it returns."""
+        if js:
+            self._exact.update(zip(js, self._refine(js)))
+
+    def exact(self, j: int) -> float:
+        """Object ``j``'s exact expected indoor distance ``|q, O|_I`` —
+        float for float :func:`repro.distances.expected.
+        expected_indoor_distance` against the query's search."""
+        d = self._exact.get(j)
+        if d is None:
+            d = self._exact[j] = self._refine([j])[0]
+        return d
+
+    def exact_probability(self, j: int, r: float) -> float:
+        """Object ``j``'s exact probability of lying within ``r`` —
+        float for float :func:`repro.distances.expected.
+        qualifying_probability`."""
+        return self._refine([j], r)[0]
+
 
 class BlockBounds:
     """What :func:`block_object_bounds` returns, as Python floats (the
@@ -541,6 +650,7 @@ class BlockBounds:
         "offsets",
         "lo_array",
         "_tmax_array",
+        "fh",
     )
 
     def __init__(
@@ -549,9 +659,11 @@ class BlockBounds:
         block: ObjectBlock,
         tmin: np.ndarray,
         tmax: np.ndarray,
+        fh: float,
     ) -> None:
         self.stack = stack
         self.block = block
+        self.fh = fh
         self.tmin: list[list[float]] = tmin.tolist()
         self.tmax: list[list[float]] = tmax.tolist()
         self._tmax_array = tmax
@@ -608,4 +720,185 @@ def block_object_bounds(
         tmax[i, own] = np.minimum(tmax[i, own], np.maximum.reduceat(d, starts))
     if stack.floor is not None:
         np.copyto(tmin, stack.floor, where=np.isinf(tmin))
-    return BlockBounds(stack, block, tmin, tmax)
+    return BlockBounds(stack, block, tmin, tmax, fh)
+
+
+#: (query, object) pairs refined per array pass of
+#: :func:`block_expected_distances` — bounds its transient ragged
+#: ``(instance x entry door)`` vectors (a world-A pair is ~800 such
+#: elements, a pass a handful of vectors of them); the per-call
+#: overhead is amortised long before this size.
+REFINE_CHUNK = 32
+
+
+def subregion_rows(
+    objects: list[UncertainObject], space: IndoorSpace, grid
+) -> tuple[list[Subregion], list[int]]:
+    """``objects``' subregions laid end to end in ``obj.subregions()``
+    order, and each object's span in that list — the row order of an
+    :class:`ObjectBlock` (its ``subs`` / ``obj_offsets``), for a caller
+    that refines objects it holds no block of."""
+    subs: list[Subregion] = []
+    offsets = [0]
+    for obj in objects:
+        subs.extend(obj.subregions(space, grid))
+        offsets.append(len(subs))
+    return subs, offsets
+
+
+def block_expected_distances(
+    stack: QueryStack,
+    subs: list[Subregion],
+    offsets: Sequence[int] | np.ndarray,
+    pairs: list[tuple[int, int]],
+    fh: float,
+    r: float | None = None,
+) -> list[float]:
+    """Exact refinement for a list of (query, object) pairs: the
+    expected indoor distance ``|q, O|_I`` of each (Definition 1,
+    Eqs. 2-6), or — given ``r`` — its iPRQ qualifying probability
+    ``sum_i p_i [|q, s_i|_I <= r]``.
+
+    A pair is ``(stack position, block position)``: query ``i`` of
+    ``stack`` against the object whose subregions are
+    ``subs[offsets[j] : offsets[j + 1]]`` — a block's ``subs`` /
+    ``obj_offsets``, or :func:`subregion_rows` of bare objects.  Float
+    for float the scalar
+    :func:`repro.distances.expected.expected_indoor_distance` ``.value``
+    / :func:`~repro.distances.expected.qualifying_probability`, and a
+    pair's value does not depend on what else is in the list: every
+    per-instance distance is elementwise arithmetic and an
+    order-insensitive ``min`` (the module docstring's argument), and
+    the one order-sensitive step — the sum over a subregion's
+    instances — is one contiguous pairwise ``sum`` per subregion over
+    the very elements, in the very order, the scalar path sums (which
+    ``np.add.reduceat`` would not give), accumulated per pair in
+    ``obj.subregions()`` order.
+
+    Instance coordinates are gathered in subregion-row order straight
+    from each object's parent :class:`~repro.objects.instances.
+    InstanceSet` and piece vector (a stable sort keeps a piece's
+    instances in their order, as ``xy[pieces == k]`` does): no lazy
+    ``Subregion.instances`` copy is read or built.
+    """
+    out: list[float] = []
+    for at in range(0, len(pairs), REFINE_CHUNK):
+        out += _refine_pass(
+            stack, subs, offsets, pairs[at : at + REFINE_CHUNK], fh, r
+        )
+    return out
+
+
+def _refine_pass(
+    stack: QueryStack,
+    subs: list[Subregion],
+    offsets: Sequence[int] | np.ndarray,
+    pairs: list[tuple[int, int]],
+    fh: float,
+    r: float | None,
+) -> list[float]:
+    """One array pass of :func:`block_expected_distances`."""
+    layout = stack.layout
+    spans = [(int(offsets[j]), int(offsets[j + 1])) for _, j in pairs]
+    parents = [subs[a].parent for a, _ in spans]
+    n_rows = np.array([b - a for a, b in spans], dtype=np.intp)
+    counts = np.array([len(p.probs) for p in parents], dtype=np.intp)
+    xy = np.concatenate([p.xy for p in parents])
+    probs = np.concatenate([p.probs for p in parents])
+
+    # -- instances in (pair, subregion) row order: a pair's first row,
+    # plus the instance's piece where the object has several ----------
+    first_row = offsets_of(n_rows)
+    total_rows = int(first_row[-1])
+    row_of = first_row[:-1].repeat(counts)
+    if total_rows > len(pairs):
+        at = 0
+        for (a, b), n in zip(spans, counts.tolist()):
+            if b - a > 1:
+                row_of[at : at + n] += subs[a].pieces
+            at += n
+        order = np.argsort(row_of, kind="stable")
+        row_of = row_of[order]
+        xy = xy[order]
+        probs = probs[order]
+    row_ends = np.bincount(row_of, minlength=total_rows).cumsum()
+
+    # -- per (row, entry door of its partition): midpoint, squared
+    # vertical leg, the query's weight --------------------------------
+    part_row = layout.part_row
+    lrow = np.array(
+        [
+            part_row[subs[row].partition_id]
+            for a, b in spans
+            for row in range(a, b)
+        ],
+        dtype=np.intp,
+    )
+    row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
+    row_floor = np.array([float(p.floor) for p in parents]).repeat(n_rows)
+    row_doors = layout.n_entry[lrow]
+    entry, entry_start = span_index(layout.entry_start[lrow], row_doors)
+    mid = layout.flat_mid[entry]
+    dz = (row_floor.repeat(row_doors) - mid[:, 2]) * fh
+    via = np.empty((len(entry), 4))
+    via[:, :2] = mid[:, :2]
+    via[:, 2] = dz * dz
+    via[:, 3] = stack.w[row_query.repeat(row_doors), layout.flat_idx[entry]]
+
+    # -- ragged (instance x entry door), reduced to the best door -----
+    doors = row_doors[row_of]
+    if entry.size:
+        pick, cuts = span_index(entry_start[:-1][row_of], doors)
+        leg = via[pick]
+        planar = xy.repeat(doors, axis=0)
+        planar -= leg[:, :2]
+        planar *= planar
+        path = planar[:, 0] + planar[:, 1]
+        path += leg[:, 2]
+        np.sqrt(path, out=path)
+        path += leg[:, 3]
+    if row_doors.all():
+        d = np.minimum.reduceat(path, cuts[:-1])
+    else:
+        # A door-less partition is reached by the direct path only.
+        d = np.full(len(row_of), np.inf)
+        served = doors > 0
+        if entry.size:
+            d[served] = np.minimum.reduceat(path, cuts[:-1][served])
+
+    # -- rows in the query's own partition: the direct path joins -----
+    own_row = lrow == stack.source_row[row_query]
+    if own_row.any():
+        at = np.flatnonzero(own_row[row_of])
+        src = stack.source_xyz[row_query[row_of[at]]]
+        dx = xy[at, 0] - src[:, 0]
+        dy = xy[at, 1] - src[:, 1]
+        dz = (row_floor[row_of[at]] - src[:, 2]) * fh
+        d[at] = np.minimum(d[at], np.sqrt(dx * dx + dy * dy + dz * dz))
+
+    # -- one contiguous sum per subregion row, then a pair's rows in
+    # order ------------------------------------------------------------
+    lost_rows: list[int] = []
+    if r is None:
+        lost = np.isinf(d)
+        if lost.any():
+            # An unreachable instance makes its subregion's share
+            # infinite whatever its probability (never ``inf * 0``).
+            lost_rows = row_of[lost].tolist()
+            d[lost] = 0.0
+        terms = d * probs
+    else:
+        within = d <= r
+        terms = probs[within]
+        row_ends = np.concatenate(([0], within.cumsum()))[row_ends]
+    ends = row_ends.tolist()
+    shares = [float(terms[a:b].sum()) for a, b in zip([0] + ends, ends)]
+    for row in lost_rows:
+        shares[row] = np.inf
+    out = []
+    for a, b in itertools.pairwise(first_row.tolist()):
+        total = 0.0
+        for share in shares[a:b]:
+            total += share
+        out.append(total)
+    return out

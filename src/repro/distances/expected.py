@@ -87,6 +87,45 @@ def subregion_door_weights(
     return door_ids, np.asarray(weights), matrix
 
 
+def _subregion_paths(
+    q: Point, subregion: Subregion, dd: DoorDistances, space: IndoorSpace
+) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """``(door_ids, totals, direct)`` for one subregion, built once for
+    whoever needs the paths' ``min`` (the distances) or ``argmin`` (the
+    serving doors): ``totals[k, i] = |q, d_k|_I + |d_k, s_i|_E`` over
+    the reached entry doors, and ``direct[i] = |q, s_i|_E`` when the
+    subregion lies in the query's own partition (else ``None``)."""
+    door_ids, weights, matrix = subregion_door_weights(subregion, dd, space)
+    direct = None
+    if subregion.partition_id == dd.source_partition:
+        direct = subregion.instances.distances_to(q, space.floor_height)
+    return door_ids, weights[:, None] + matrix, direct
+
+
+def _shortest(totals: np.ndarray, direct: np.ndarray | None) -> np.ndarray:
+    """Eq. 1 per instance: the best door, or the direct path."""
+    if totals.shape[0]:
+        via_doors = totals.min(axis=0)
+    else:
+        via_doors = np.full(totals.shape[1], np.inf)
+    return via_doors if direct is None else np.minimum(via_doors, direct)
+
+
+def _servers(
+    door_ids: list[str], totals: np.ndarray, direct: np.ndarray | None
+) -> list[str | None]:
+    """The door behind each instance's :func:`_shortest` path; ``None``
+    where the direct path is no longer — which, as in Eq. 1's ``min``,
+    includes an instance nothing reaches."""
+    best = _shortest(totals, None)
+    if door_ids:
+        out = np.array(door_ids, dtype=object)[totals.argmin(axis=0)]
+    else:
+        out = np.full(len(best), None, dtype=object)
+    out[(np.inf if direct is None else direct) <= best] = None
+    return out.tolist()
+
+
 def instance_indoor_distances(
     q: Point,
     subregion: Subregion,
@@ -99,16 +138,8 @@ def instance_indoor_distances(
     query's own partition may also take the direct in-partition path.
     Unreachable instances get ``inf``.
     """
-    _door_ids, weights, matrix = subregion_door_weights(subregion, dd, space)
-    n = len(subregion.instances)
-    if matrix.shape[0]:
-        via_doors = (weights[:, None] + matrix).min(axis=0)
-    else:
-        via_doors = np.full(n, np.inf)
-    if subregion.partition_id == dd.source_partition:
-        direct = subregion.instances.distances_to(q, space.floor_height)
-        return np.minimum(via_doors, direct)
-    return via_doors
+    _door_ids, totals, direct = _subregion_paths(q, subregion, dd, space)
+    return _shortest(totals, direct)
 
 
 def serving_doors(
@@ -122,28 +153,7 @@ def serving_doors(
     This is the explicit additive-weighted-Voronoi cell assignment; used
     for case classification and by the bisector tests.
     """
-    door_ids, weights, matrix = subregion_door_weights(subregion, dd, space)
-    n = len(subregion.instances)
-    if matrix.shape[0]:
-        totals = weights[:, None] + matrix
-        best_idx = totals.argmin(axis=0)
-        best_val = totals.min(axis=0)
-    else:
-        best_idx = np.zeros(n, dtype=int)
-        best_val = np.full(n, np.inf)
-    out: list[str | None] = []
-    if subregion.partition_id == dd.source_partition:
-        direct = subregion.instances.distances_to(q, space.floor_height)
-    else:
-        direct = np.full(n, np.inf)
-    for i in range(n):
-        if direct[i] <= best_val[i]:
-            out.append(None)
-        elif math.isfinite(best_val[i]):
-            out.append(door_ids[int(best_idx[i])])
-        else:
-            out.append("__unreachable__")
-    return out
+    return _servers(*_subregion_paths(q, subregion, dd, space))
 
 
 def classify_subregion_paths(
@@ -214,22 +224,41 @@ def expected_indoor_distance(
     subregions = obj.subregions(space, grid)
     contributions: list[tuple[str, float, float]] = []
     total = 0.0
-    single_path_everywhere = True
+    single_path = True
     for subregion in subregions:
-        dists = instance_indoor_distances(q, subregion, dd, space)
+        door_ids, totals, direct = _subregion_paths(q, subregion, dd, space)
+        dists = _shortest(totals, direct)
         contrib = float((dists * subregion.instances.probs).sum())
         if not np.isfinite(dists).all():
             contrib = math.inf
         contributions.append((subregion.partition_id, contrib, subregion.mass))
         total += contrib
-        if single_path_everywhere and len(subregions) == 1:
-            single_path_everywhere = classify_subregion_paths(
-                q, subregion, dd, space
-            )
+        if len(subregions) == 1:
+            # Eq. 3 vs Eq. 4, from the totals already built.
+            single_path = len(set(_servers(door_ids, totals, direct))) <= 1
     if len(subregions) > 1:
         case = DistanceCase.MULTI_PARTITION
-    elif single_path_everywhere:
+    elif single_path:
         case = DistanceCase.SINGLE_PARTITION_SINGLE_PATH
     else:
         case = DistanceCase.SINGLE_PARTITION_MULTI_PATH
     return ExactDistance(total, case, tuple(contributions))
+
+
+def qualifying_probability(
+    q: Point,
+    obj: UncertainObject,
+    dd: DoorDistances,
+    space: IndoorSpace,
+    r: float,
+    grid=None,
+) -> float:
+    """Exact ``Pr(|q, s|_I <= r)`` for one object: the total mass of
+    instances whose indoor distance is within ``r`` — the scalar
+    reference of the iPRQ refinement
+    (:func:`repro.distances.batch.block_expected_distances` with ``r``)."""
+    total = 0.0
+    for subregion in obj.subregions(space, grid):
+        dists = instance_indoor_distances(q, subregion, dd, space)
+        total += float(subregion.instances.probs[dists <= r].sum())
+    return total

@@ -205,21 +205,15 @@ class _Topology:
         self.fh = fh = space.floor_height
 
         # -- each layout row's entry doors: indices padded (the bounds
-        # kernel's gather operand), midpoints ragged (the write's) -----
+        # kernel's gather operand); the write reads the midpoints
+        # ragged, from the layout's flat arrays ------------------------
         n_parts = len(layout.entry_idx)
-        self.part_ndoors = np.array(
-            [idx.size for idx in layout.entry_idx], dtype=np.intp
-        )
-        doors = max(int(self.part_ndoors.max(initial=0)), 1)
+        doors = max(int(layout.n_entry.max(initial=0)), 1)
         self.part_doors = np.full(
             (n_parts, doors), layout.sentinel, dtype=np.intp
         )
         for row, idx in enumerate(layout.entry_idx):
             self.part_doors[row, : idx.size] = idx
-        self.door_start = offsets_of(self.part_ndoors)
-        self.door_mid = np.concatenate(
-            layout.entry_mid + [np.zeros((0, 3))]
-        )
 
         # -- the partition table, in partition_id order (the order
         # ``UncertainObject._assign`` lets overlapping footprints claim
@@ -482,12 +476,12 @@ class _Topology:
         # -- door extrema: one ragged (row, entry door) x instances-of-
         # row gather, reduced straight into the ragged entries --------
         lrow = self.p_layout[row_part]
-        nd = self.part_ndoors[lrow]
-        pair_door, _ = span_index(self.door_start[lrow], nd)
+        nd = self.layout.n_entry[lrow]
+        pair_door, _ = span_index(self.layout.entry_start[lrow], nd)
         pair_row = np.repeat(np.arange(len(first)), nd)
         per = row_len[pair_row]
         inst, cuts = span_index(first[pair_row], per)
-        mid = self.door_mid[pair_door]
+        mid = self.layout.flat_mid[pair_door]
         dx = xs[inst, 0] - np.repeat(mid[:, 0], per)
         dy = xs[inst, 1] - np.repeat(mid[:, 1], per)
         d = dx * dx + dy * dy
@@ -674,7 +668,7 @@ class _State:
             self.row_start[slots], self.row_count[slots]
         )
         part = self.sub_part[rows]
-        n = topo.part_ndoors[part]
+        n = topo.layout.n_entry[part]
         width = max(int(n.max(initial=0)), 1)
         sub_door = topo.part_doors[:, :width][part]
         sub_min = np.zeros(sub_door.shape)

@@ -19,10 +19,11 @@ from repro.distances.batch import (
     ObjectBlock,
     QueryPack,
     QueryStack,
+    block_expected_distances,
     block_object_bounds,
+    subregion_rows,
 )
 from repro.distances.bounds import DistanceInterval
-from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex, RangeSearchResult
@@ -128,13 +129,19 @@ class CandidateBounds:
     one candidate the envelope could not decide.
     """
 
-    __slots__ = ("lo", "hi", "_rows")
+    __slots__ = ("lo", "hi", "pack", "_rows")
 
     def __init__(
-        self, lo: np.ndarray, hi: np.ndarray, rows: list[BoundsRow]
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        pack: QueryPack,
+        rows: list[BoundsRow],
     ) -> None:
         self.lo = lo
         self.hi = hi
+        #: The search as the kernel read it, for phase 4 to reuse.
+        self.pack = pack
         self._rows = rows  # one per chunk of PRUNE_CHUNK candidates
 
     def interval(self, j: int) -> DistanceInterval:
@@ -172,7 +179,8 @@ def pruning_phase(
         else None
     )
     layout = index.columns.layout()
-    stack = QueryStack(layout, [QueryPack(dd, layout)], [floor])
+    pack = QueryPack(dd, layout)
+    stack = QueryStack(layout, [pack], [floor])
     fh = index.space.floor_height
     lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
@@ -182,11 +190,17 @@ def pruning_phase(
         lo.append(bounds.lo_array[0])
         hi.append(bounds.hi_array(0))
         rows.append(bounds.row(0))
-    return CandidateBounds(np.concatenate(lo), np.concatenate(hi), rows)
+    return CandidateBounds(np.concatenate(lo), np.concatenate(hi), pack, rows)
 
 
 class Refiner:
     """Phase 4: exact expected distances, with an escape hatch.
+
+    The undecided objects of a query are refined together, by the
+    block routine (:func:`repro.distances.batch.
+    block_expected_distances`) against the query's search flattened to
+    a stack of one — ``pack`` when the prune phase already flattened it
+    (:attr:`CandidateBounds.pack`).
 
     An object whose expected distance is within the query bound can
     still own instances whose paths leave the candidate subgraph (a far
@@ -195,38 +209,81 @@ class Refiner:
     unrestricted Dijkstra — built lazily, at most once per query.
     """
 
-    def __init__(self, index: CompositeIndex, q: Point, dd: DoorDistances):
+    def __init__(
+        self,
+        index: CompositeIndex,
+        q: Point,
+        dd: DoorDistances,
+        pack: QueryPack | None = None,
+    ):
         self.index = index
         self.q = q
         self.dd = dd
-        self._full_dd: DoorDistances | None = None
+        self._pack = pack
+        self._stack: QueryStack | None = None
+        self._full_stack: QueryStack | None = None
         self.fallbacks = 0
 
+    def _refine(
+        self,
+        stack: QueryStack,
+        objects: list[UncertainObject],
+        r: float | None = None,
+    ) -> list[float]:
+        index = self.index
+        subs, offsets = subregion_rows(
+            objects, index.space, index.population.grid
+        )
+        return block_expected_distances(
+            stack,
+            subs,
+            offsets,
+            [(0, j) for j in range(len(objects))],
+            index.space.floor_height,
+            r,
+        )
+
+    def _own_stack(self) -> QueryStack:
+        if self._stack is None:
+            pack = self._pack
+            if pack is None:
+                pack = QueryPack(self.dd, self.index.columns.layout())
+            self._stack = QueryStack(pack.layout, [pack], [None])
+        return self._stack
+
+    def exact_many(self, objects: list[UncertainObject]) -> list[float]:
+        """``|q, O|_I`` of every object, in order; the ones the
+        query's own search cannot reach are refined again — they alone
+        — against the full search."""
+        if not objects:
+            return []
+        values = self._refine(self._own_stack(), objects)
+        lost = [j for j, v in enumerate(values) if not math.isfinite(v)]
+        if lost:
+            if self._full_stack is None:
+                layout = self._own_stack().layout
+                full = self.index.doors_graph.dijkstra_from_point(
+                    self.q, self.dd.source_partition
+                )
+                self._full_stack = QueryStack(
+                    layout, [QueryPack(full, layout)], [None]
+                )
+            self.fallbacks += len(lost)
+            again = self._refine(self._full_stack, [objects[j] for j in lost])
+            for j, value in zip(lost, again):
+                values[j] = value
+        return values
+
     def exact(self, obj: UncertainObject) -> float:
-        value = expected_indoor_distance(
-            self.q, obj, self.dd, self.index.space, self.index.population.grid
-        ).value
-        if math.isfinite(value):
-            return value
-        if self._full_dd is None:
-            self._full_dd = self.index.doors_graph.dijkstra_from_point(
-                self.q, self.dd.source_partition
-            )
-        self.fallbacks += 1
-        return expected_indoor_distance(
-            self.q, obj, self._full_dd, self.index.space,
-            self.index.population.grid,
-        ).value
+        """:meth:`exact_many` for one object."""
+        return self.exact_many([obj])[0]
 
-
-def refine_object(
-    index: CompositeIndex,
-    q: Point,
-    obj: UncertainObject,
-    dd: DoorDistances,
-) -> float:
-    """One-shot exact distance (no fallback); prefer :class:`Refiner`
-    inside query processors."""
-    return expected_indoor_distance(
-        q, obj, dd, index.space, index.population.grid
-    ).value
+    def probabilities(
+        self, objects: list[UncertainObject], r: float
+    ) -> list[float]:
+        """The exact iPRQ qualifying probability ``Pr(|q, s|_I <= r)``
+        of every object, in order.  No escape hatch: an instance the
+        search does not reach within ``r`` is not within ``r``."""
+        if not objects:
+            return []
+        return self._refine(self._own_stack(), objects, r)

@@ -217,6 +217,7 @@ def ikNNQ(
 
     candidates = list(filtered.objects)
     result = QueryResult()
+    pack = None
     if with_pruning and len(candidates) > k:
         # Phase 3: bounds.  U, the k-th smallest envelope upper end,
         # is at least the k-th true distance, and a candidate's
@@ -227,6 +228,7 @@ def ikNNQ(
         bounds = pruning_phase(
             index, candidates, dd, search_radius=search_radius
         )
+        pack = bounds.pack
         ceiling = np.partition(bounds.hi, k - 1)[k - 1]
         ranked = np.flatnonzero(bounds.lo <= ceiling).tolist()
         stats.rejected_by_bounds += len(candidates) - len(ranked)
@@ -266,14 +268,13 @@ def ikNNQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd)
-    refined: list[tuple[float, str, UncertainObject]] = []
-    for obj in undecided:
-        stats.refined += 1
-        d = refiner.exact(obj)
-        refined.append((d, obj.object_id, obj))
+    refiner = Refiner(index, q, dd, pack)
+    stats.refined += len(undecided)
+    refined = sorted(
+        (d, obj.object_id, obj)
+        for obj, d in zip(undecided, refiner.exact_many(undecided))
+    )
     stats.fallback_recomputes = refiner.fallbacks
-    refined.sort()
     for obj in sure:
         result.objects.append(obj)
         result.distances[obj.object_id] = None

@@ -67,7 +67,10 @@ the Eq. 7 lower envelope of the object at block position ``j`` (decide
 "certainly farther than x" from it first — it is a list of floats, no
 work), ``row.interval(j)`` / ``row.probability(j, r)`` build the exact
 Table III interval / iPRQ mass bounds for a pair the envelope cannot
-decide, and ``row.dd`` is the search to refine against.  A new kind
+decide, and ``row.exact(j)`` / ``row.exact_probability(j, r)`` refine a
+pair those leave undecided (``row.prefetch(js)`` first, when a
+maintainer can name the batch's likely refinements up front: one array
+pass for all of them, same floats).  A new kind
 opts in by default (``stacked = True``; its ``q`` is what the monitor
 asks the session a pack for) and may override
 :meth:`~StandingQuery.unreached_floor` when its bounds treat an
@@ -101,8 +104,7 @@ subregion probability bounds of
 the stacked call: :meth:`repro.distances.batch.BoundsRow.probability`)
 decide membership whenever the qualifying probability provably stays
 on one side of ``p_min``, and only an update whose probability can
-*cross* ``p_min`` pays one exact
-:func:`~repro.queries.prob_range.qualifying_probability`
+*cross* ``p_min`` pays one exact qualifying-probability
 refinement.  Its influence radius is the query range ``r``: an object
 whose instance box is Euclidean-farther than ``r`` has qualifying
 probability exactly zero (indoor distance dominates Euclidean), so it
@@ -123,19 +125,13 @@ from repro.api.specs import (
     RangeSpec,
 )
 from repro.distances.batch import BoundsRow, ObjectBlock
-from repro.distances.bounds import DistanceInterval
-from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.uncertain import UncertainObject
-from repro.queries.engine import filtering_phase
+from repro.queries.engine import Refiner, filtering_phase
 from repro.queries.knn import ikNNQ
-from repro.queries.prob_range import (
-    candidate_probability_bounds,
-    qualifying_probability,
-)
+from repro.queries.prob_range import candidate_probability_bounds
 from repro.queries.range_query import iRQ
-from repro.space.doors_graph import DoorDistances
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.monitor import QueryMonitor
@@ -193,7 +189,7 @@ class StandingQuery:
 
     Subclasses implement the per-kind maintenance (see the module
     docstring for the contract); the base class carries the common
-    state and the shared exact-distance helper.
+    state.
     """
 
     #: Which delta field re-annotations land in (see module docstring).
@@ -280,14 +276,6 @@ class StandingQuery:
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # -- shared helpers ------------------------------------------------
-
-    def _exact(self, obj: UncertainObject, dd: DoorDistances) -> float:
-        host = self.host
-        return expected_indoor_distance(
-            self.q, obj, dd, host.index.space, host.index.population.grid
-        ).value
-
 
 @register_maintainer(RangeSpec)
 class RangeMaintainer(StandingQuery):
@@ -321,7 +309,7 @@ class RangeMaintainer(StandingQuery):
                 self._drop(obj.object_id)
                 stats.pairs_skipped += 1
             else:
-                self._decide(obj, row.interval(j), row.dd)
+                self._decide(obj, row, j)
 
     def _drop(self, object_id: str) -> None:
         """The object is certainly beyond ``r``: a member leaves."""
@@ -329,14 +317,10 @@ class RangeMaintainer(StandingQuery):
             self.host.touch(self)
             del self.result[object_id]
 
-    def _decide(
-        self,
-        obj: UncertainObject,
-        interval: DistanceInterval,
-        dd: DoorDistances,
-    ) -> None:
+    def _decide(self, obj: UncertainObject, row: BoundsRow, j: int) -> None:
         host = self.host
         oid = obj.object_id
+        interval = row.interval(j)
         if interval.entirely_within(self.r):
             # A moved member's stored exact distance is stale either
             # way, so the bounds-accepted marker always overwrites it.
@@ -348,7 +332,7 @@ class RangeMaintainer(StandingQuery):
             self._drop(oid)
             host.stats.pairs_skipped += 1
         else:
-            d = self._exact(obj, dd)
+            d = row.exact(j)
             host.stats.pairs_refined += 1
             if d <= self.r:
                 if self.result.get(oid, _MISSING) != d:
@@ -448,25 +432,49 @@ class KNNMaintainer(StandingQuery):
     def on_update_batch(
         self, block: ObjectBlock, row: BoundsRow | None
     ) -> None:
-        """Only the position-dependent geometry — the row's extrema —
-        is precomputed for the block; buffer decisions stay sequential
-        per object (a refill mid-block moves ``rho``), and the result
-        is republished once, from the block's end state."""
+        """Buffer decisions stay sequential per object (a refill
+        mid-block moves ``rho``), and the result is republished once,
+        from the block's end state.  What is hoisted out of the loop is
+        arithmetic only: the row's extrema, the exact Eq. 7/8 lower
+        bound of each outsider the envelope cannot place beyond the
+        band, and — in one array pass — the exact distances of the
+        pairs the band as it stands will refine: its buffered movers
+        and the outsiders neither bound rejects.  A pair a refill
+        re-opens later in the block is refined then, alone; a
+        prefetched distance a refill made unnecessary is dropped
+        unread."""
+        buffer, rho = self.buffer, self.rho
+        lower: dict[int, float] = {}
+        likely = []
+        for j, (obj, lo) in enumerate(zip(block.objects, row.lo)):
+            if obj.object_id in buffer:
+                likely.append(j)
+            elif lo <= rho:
+                lower[j] = row.interval(j).lower
+                if lower[j] <= rho:
+                    likely.append(j)
+        row.prefetch(likely)
         dirty = False
         for j, obj in enumerate(block.objects):
-            dirty |= self._decide(obj, row, j)
+            dirty |= self._decide(obj, row, j, lower)
         if dirty:
             self._publish()
 
-    def _decide(self, obj: UncertainObject, row: BoundsRow, j: int) -> bool:
+    def _decide(
+        self,
+        obj: UncertainObject,
+        row: BoundsRow,
+        j: int,
+        lower: dict[int, float],
+    ) -> bool:
         """Absorb the moved/inserted object at block position ``j``;
-        whether the buffer was written."""
+        whether the buffer was written.  ``lower`` holds the exact
+        interval lower bounds already built for this block."""
         stats = self.host.stats
         oid = obj.object_id
-        dd = row.dd
         if oid in self.buffer:
             # Its stored distance is stale: refine, then stay or leave.
-            d = self._exact(obj, dd)
+            d = row.exact(j)
             if math.isfinite(d) and d <= self.rho:
                 self.buffer[oid] = d
             elif self._evict(oid):
@@ -475,11 +483,13 @@ class KNNMaintainer(StandingQuery):
             return True
         # The envelope first; the exact Eq. 7/8 lower bound only for an
         # object it cannot place beyond the band.
-        if row.lo[j] > self.rho or row.interval(j).lower > self.rho:
+        if row.lo[j] > self.rho or (
+            lower[j] if j in lower else row.interval(j).lower
+        ) > self.rho:
             # Certainly beyond the band: still an outsider.
             stats.pairs_skipped += 1
             return False
-        d = self._exact(obj, dd)
+        d = row.exact(j)
         stats.pairs_refined += 1
         if d < self.rho:
             self.buffer[oid] = d
@@ -529,11 +539,17 @@ class KNNMaintainer(StandingQuery):
         dd = host.session.door_distances(self.q)
         size = self.k + self.m
         res = ikNNQ(self.q, size, host.index, precomputed_dd=dd)
+        # Accepted by bounds: the band needs them exact.
+        sure = [o for o in res.objects if res.distances[o.object_id] is None]
+        res.distances.update(
+            zip(
+                (o.object_id for o in sure),
+                Refiner(host.index, self.q, dd).exact_many(sure),
+            )
+        )
         buffer: dict[str, float] = {}
         for obj in res.objects:
             d = res.distances[obj.object_id]
-            if d is None:  # accepted by bounds: the band needs it exact
-                d = self._exact(obj, dd)
             if math.isfinite(d):
                 # An unreachable entry would poison rho forever; with
                 # fewer than k reachable objects the result
@@ -559,8 +575,8 @@ class ProbRangeMaintainer(StandingQuery):
     whose ``tmin`` exceeds ``r`` contributes nothing to the upper
     bound, and only when ``p_min`` falls strictly between the two (the
     probability could *cross* the threshold) is one exact
-    :func:`~repro.queries.prob_range.qualifying_probability` refinement
-    paid.  Registration, fallback-free by construction, and topology
+    qualifying-probability refinement paid.  Registration,
+    fallback-free by construction, and topology
     resyncs run :meth:`recompute`, which applies the *same*
     bounds-then-refine decision per object — so the incremental and
     from-scratch paths agree on membership and annotation alike.
@@ -599,18 +615,12 @@ class ProbRangeMaintainer(StandingQuery):
         threshold decisions; exact refinement only when ``p_min`` falls
         strictly between the bounds."""
         for j, obj in enumerate(block.objects):
-            lo, hi = row.probability(j, self.r)
-            self._decide(obj, lo, hi, row.dd)
+            self._decide(obj, row, j)
 
-    def _decide(
-        self,
-        obj: UncertainObject,
-        lo: float,
-        hi: float,
-        dd: DoorDistances,
-    ) -> None:
+    def _decide(self, obj: UncertainObject, row: BoundsRow, j: int) -> None:
         host = self.host
         oid = obj.object_id
+        lo, hi = row.probability(j, self.r)
         if lo >= self.p_min:
             # Provably still (or newly) qualifying: the stored exact
             # probability is stale after a move, so the bounds-accepted
@@ -626,9 +636,7 @@ class ProbRangeMaintainer(StandingQuery):
             host.stats.pairs_skipped += 1
         else:
             # The probability can cross p_min: one exact refinement.
-            prob = qualifying_probability(
-                host.index, self.q, obj, dd, self.r
-            )
+            prob = row.exact_probability(j, self.r)
             host.stats.pairs_refined += 1
             if prob >= self.p_min:
                 if self.result.get(oid, _MISSING) != prob:
@@ -660,19 +668,24 @@ class ProbRangeMaintainer(StandingQuery):
         pack = host.session.kernel_pack(self.q)
         filtered, _ = filtering_phase(host.index, self.q, self.r, True)
         result: dict[str, float | None] = {}
+        undecided = []
         for obj, lo, hi in candidate_probability_bounds(
             host.index, filtered.objects, pack, self.r
         ):
             if lo >= self.p_min:
                 result[obj.object_id] = None
-            elif hi < self.p_min:
-                continue
+            elif hi >= self.p_min:
+                # Holds its place in candidate order until refined.
+                result[obj.object_id] = None
+                undecided.append(obj)
+        refiner = Refiner(host.index, self.q, pack.dd, pack)
+        for obj, prob in zip(
+            undecided, refiner.probabilities(undecided, self.r)
+        ):
+            if prob >= self.p_min:
+                result[obj.object_id] = prob
             else:
-                prob = qualifying_probability(
-                    host.index, self.q, obj, pack.dd, self.r
-                )
-                if prob >= self.p_min:
-                    result[obj.object_id] = prob
+                del result[obj.object_id]
         self.result = result
 
 

@@ -20,18 +20,19 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
+from repro.distances import expected
 from repro.distances.batch import (
     QueryPack,
     QueryStack,
     block_object_bounds,
 )
 from repro.distances.bounds import subregion_stats
-from repro.distances.expected import instance_indoor_distances
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.queries.engine import (
     QueryResult,
+    Refiner,
     candidate_blocks,
     filtering_phase,
     locate_source,
@@ -43,12 +44,13 @@ from repro.queries.stats import QueryStats
 def qualifying_probability(
     index: CompositeIndex, q: Point, obj, dd, r: float
 ) -> float:
-    """Exact ``Pr(|q, s|_I <= r)`` for one object."""
-    total = 0.0
-    for subregion in obj.subregions(index.space, index.population.grid):
-        dists = instance_indoor_distances(q, subregion, dd, index.space)
-        total += float(subregion.instances.probs[dists <= r].sum())
-    return total
+    """Exact ``Pr(|q, s|_I <= r)`` for one object — the scalar
+    reference (:func:`repro.distances.expected.qualifying_probability`)
+    of what :meth:`repro.queries.engine.Refiner.probabilities`
+    computes for the query processors."""
+    return expected.qualifying_probability(
+        q, obj, dd, index.space, r, index.population.grid
+    )
 
 
 def probability_bounds(
@@ -127,8 +129,9 @@ def iPRQ(
     result = QueryResult()
     undecided = []
     t0 = time.perf_counter()
+    pack = QueryPack(dd, index.columns.layout())
     for obj, lo, hi in candidate_probability_bounds(
-        index, filtered.objects, QueryPack(dd, index.columns.layout()), r
+        index, filtered.objects, pack, r
     ):
         if lo >= theta:
             stats.accepted_by_bounds += 1
@@ -141,9 +144,9 @@ def iPRQ(
     stats.t_pruning = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    for obj in undecided:
-        stats.refined += 1
-        prob = qualifying_probability(index, q, obj, dd, r)
+    stats.refined += len(undecided)
+    refiner = Refiner(index, q, dd, pack)
+    for obj, prob in zip(undecided, refiner.probabilities(undecided, r)):
         if prob >= theta:
             result.objects.append(obj)
             result.distances[obj.object_id] = prob

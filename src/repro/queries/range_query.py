@@ -81,6 +81,7 @@ def iRQ(
     stats.doors_settled = len(dd.dist)
 
     result = QueryResult()
+    pack = None
     if with_pruning:
         # Phase 3: bounds.  The envelope rejects first; only the
         # candidates it cannot place beyond r get an exact interval.
@@ -88,6 +89,7 @@ def iRQ(
         bounds = pruning_phase(
             index, filtered.objects, dd, search_radius=search_radius
         )
+        pack = bounds.pack
         near = np.flatnonzero(bounds.lo <= r).tolist()
         stats.rejected_by_bounds += len(filtered.objects) - len(near)
         undecided = []
@@ -108,10 +110,9 @@ def iRQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd)
-    for obj in undecided:
-        stats.refined += 1
-        d = refiner.exact(obj)
+    refiner = Refiner(index, q, dd, pack)
+    stats.refined += len(undecided)
+    for obj, d in zip(undecided, refiner.exact_many(undecided)):
         if d <= r:
             result.objects.append(obj)
             result.distances[obj.object_id] = d

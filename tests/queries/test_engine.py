@@ -118,5 +118,5 @@ class TestRefiner:
             refiner.exact(obj) for obj in list(setup.population)[:5]
         ]
         # The full search is built once and shared.
-        assert refiner._full_dd is not None
+        assert refiner._full_stack is not None
         assert all(math.isfinite(v) for v in fallback_values)
