@@ -22,40 +22,44 @@ one-shot query:
   of the space's entry doors: door index rows and midpoint arrays,
   shared by both operands below.
 * a **query-side pack** (:class:`QueryPack`) — a single-source search
-  flattened into one ``(n_doors + 1,)`` weight vector (the extra slot
-  is the padding sentinel, pinned at ``+inf``).  A standing query's
+  flattened into one ``(n_doors,)`` weight vector (``+inf`` for a door
+  the search did not reach).  A standing query's
   pack is built once per topology version and cached on the
   :class:`~repro.queries.session.QuerySession` with the same
   pin/unpin/evict lifecycle as the search itself; a one-shot query
   flattens the search it ran with, per call.  :class:`QueryStack`
-  stacks packs into one ``(Q, n_doors + 1)`` matrix: a monitor's (or
+  stacks packs into one ``(Q, n_doors)`` matrix: a monitor's (or
   shard's) standing queries, rebuilt only on registration churn or a
   new layout, or the one pack of a one-shot prune.
 * an **object-side pack** (:class:`ObjectBlock`) — every object's
-  subregion stats (partition row, Euclidean min/max distances to that
-  partition's entry-door midpoints, mass) in padded
-  ``(n_subregions, max_doors)`` arrays.  The index's columnar table
-  (:mod:`repro.index.columns`) computes the rows for a whole batch when
-  objects are written and serves every later block — a moved batch, a
-  candidate set — as a gather of those rows; :func:`pack_block` is the
-  per-object reference that write is tested against (and what packs
-  objects no index owns).
+  subregion rows (partition row, mass) and, ragged beneath them, one
+  entry per entry door of each row's partition: the door's index and
+  the Euclidean min/max distances of the row's instances to its
+  midpoint (padded to a world-A batch's widest partition, three
+  quarters of the operand would be padding).  The index's columnar table
+  (:mod:`repro.index.columns`) stores the same entries, computes them
+  for a whole batch when objects are written and serves every later
+  block — a moved batch, a candidate set — as a gather of them;
+  :func:`pack_block` is the per-object reference that write is tested
+  against (and what packs objects no index owns).
 
-A pair's topological bounds then reduce to a gather + add + row-min
-(``tmin(S) = min_d (w[d] + emin[S, d])``, broadcast over the query
-axis), with the query's own partition patched by the scalar
-direct-path term, exactly as
-:func:`repro.distances.bounds.subregion_stats` computes it.
+A pair's topological bounds then reduce to a gather + add + ragged
+row-min (``tmin(S) = min_d (w[d] + emin[S, d])``: ``w[:, ent_door]``
+for the whole query axis, ``np.minimum.reduceat`` over each row's
+entries), in slices of the query axis sized by :data:`BOUNDS_BUDGET`,
+with every (query, row in its own partition) pair of the block patched
+in one pass by the direct-path term (:func:`own_row_extrema`), exactly
+as :func:`repro.distances.bounds.subregion_stats` computes it.
 
 The kernel stops there.  Its result (:class:`BlockBounds`) carries the
 per-subregion extrema and, per (query, object), the Eq. 7 envelope
-``lo = min_S tmin(S)`` — which by itself proves most pairs "entirely
-beyond" — and each query's :class:`BoundsRow` builds an exact Table III
-interval (or iPRQ mass bounds) per pair, lazily, only for the pairs a
-maintainer cannot decide from the envelope.  On world A 58% of the
-objects span two partitions, and running the scalar Eq. 8 loop for
-every such pair — to learn what ``lo > r`` already says for 99.9% of
-them — used to be four fifths of the kernel's time.
+``lo = min_S tmin(S)`` as arrays — the envelope by itself proves most
+pairs "entirely beyond", and the monitor decides those for all its
+queries with one array compare — and each query's :class:`BoundsRow`
+builds an exact Table III interval (or iPRQ mass bounds) per pair,
+lazily, only for the pairs a maintainer cannot decide from the
+envelope (on world A 58% of the objects span two partitions, and the
+scalar Eq. 8 loop would tell what ``lo > r`` says for 99.9% of them).
 
 The pairs the interval cannot decide either are refined by the module's
 other routine, over the same two operands:
@@ -76,9 +80,10 @@ other routine, over the same two operands:
   ``tests/distances/test_block_expected.py``.
 
 Bit-identity with the scalar reference is a hard invariant, not an
-aspiration — ``tests/distances/test_batch.py`` asserts exact float
-equality function for function, so a standing result and a one-shot
-run can never disagree on a pruning decision.  The arithmetic is
+aspiration — ``tests/distances/test_batch.py`` and
+``tests/distances/test_ragged_kernel.py`` assert exact float equality
+function for function, so a standing result and a one-shot run can
+never disagree on a pruning decision.  The arithmetic is
 arranged so every float operation matches the scalar sequence:
 
 * planar squared distance is ``dx*dx + dy*dy`` — the same single
@@ -90,7 +95,9 @@ arranged so every float operation matches the scalar sequence:
   ``inf + finite`` never wins a ``min`` unless every door is
   unreachable, in which case both paths yield ``inf``;
 * ``min``/``max`` reductions are order-insensitive for floats (no NaNs
-  can arise), so numpy's reduction order is safe;
+  can arise), so numpy's reduction order is safe, ``reduceat`` over a
+  row's entries included (a row with none is left out of it and reads
+  ``+inf``, the scalar loop's initial value);
 * multi-subregion objects hand their per-subregion extrema — packed in
   the same ``obj.subregions()`` order the scalar path iterates — to the
   *scalar* :func:`~repro.distances.bounds.probabilistic_bounds`, so the
@@ -129,6 +136,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -184,16 +192,33 @@ def point_distances(
     return d, np.cumsum([0] + counts[:-1])
 
 
-def row_point_distances(
-    block: "ObjectBlock", rows: np.ndarray, q: Point, fh: float
+def own_row_extrema(
+    subs: list[Subregion], rows: np.ndarray, src: np.ndarray, fh: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`point_distances` from ``q`` to the instances of the
-    block's subregion ``rows`` — the direct-path term of rows lying in
-    the query's own partition."""
-    insts = [block.subs[a].instances for a in rows.tolist()]
-    return point_distances(
-        [inst.xy for inst in insts], [inst.floor for inst in insts], q, fh
-    )
+    """``min`` and ``max`` of ``|s, q|_E`` over the instances of
+    subregion ``rows[i]`` (positions in ``subs``) from the query point
+    ``src[i]`` (``x, y, floor`` columns), for every ``i`` in one ragged
+    pass — the direct-path term of rows lying in a query's own
+    partition.  Instances are read from each row's parent
+    :class:`~repro.objects.instances.InstanceSet` and piece vector: no
+    ``Subregion.instances`` copy is read or built.  Element for element
+    the floats of :meth:`~repro.objects.instances.InstanceSet.
+    distances_to`."""
+    mine = [subs[a] for a in rows.tolist()]
+    sets = [
+        s.parent.xy if s.pieces is None else s.parent.xy[s.pieces == s.piece]
+        for s in mine
+    ]
+    counts = np.array([len(xy) for xy in sets], dtype=np.intp)
+    xy = np.concatenate(sets)
+    xy -= src[:, :2].repeat(counts, axis=0)
+    np.multiply(xy, xy, out=xy)
+    d = xy[:, 0] + xy[:, 1]
+    dz = (np.array([float(s.parent.floor) for s in mine]) - src[:, 2]) * fh
+    d += (dz * dz).repeat(counts)
+    np.sqrt(d, out=d)
+    starts = offsets_of(counts)[:-1]
+    return np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
 
 
 class DoorLayout:
@@ -203,12 +228,11 @@ class DoorLayout:
     ``entry_idx[row]`` holds the global door indices of its entry doors
     (in :meth:`~repro.space.floorplan.IndoorSpace.entry_doors` order —
     the order the scalar path iterates) and ``entry_mid[row]`` their
-    midpoints as an ``(k, 3)`` array of ``x, y, floor`` columns.  Door
-    index ``n_doors`` is the padding :attr:`sentinel`: every query-side
-    weight vector pins it at ``+inf`` so padded slots never win a min.
+    midpoints as an ``(k, 3)`` array of ``x, y, floor`` columns.
 
     The same rows laid end to end serve the ragged gathers (the index
-    write's door extrema, exact refinement): row ``p``'s doors are
+    write's door extrema, a block's door entries, exact refinement):
+    row ``p``'s doors are
     ``flat_idx`` / ``flat_mid`` at ``entry_start[p] : entry_start[p] +
     n_entry[p]``.
     """
@@ -217,7 +241,6 @@ class DoorLayout:
         "topology_version",
         "door_index",
         "n_doors",
-        "sentinel",
         "part_row",
         "entry_idx",
         "entry_mid",
@@ -233,7 +256,6 @@ class DoorLayout:
             door_id: i for i, door_id in enumerate(space.doors)
         }
         self.n_doors = len(self.door_index)
-        self.sentinel = self.n_doors
         self.part_row: dict[str, int] = {}
         self.entry_idx: list[np.ndarray] = []
         self.entry_mid: list[np.ndarray] = []
@@ -276,64 +298,53 @@ class QueryPack:
     def __init__(self, dd: DoorDistances, layout: DoorLayout) -> None:
         self.dd = dd
         self.layout = layout
-        w = np.full(layout.n_doors + 1, np.inf)
+        n = layout.n_doors
+        w = np.full(n + 1, np.inf)
         index = layout.door_index
         # A door the layout does not know (removed since the search)
-        # lands on the sentinel slot, which is re-pinned below.
-        rows = [index.get(door_id, layout.sentinel) for door_id in dd.dist]
-        w[rows] = list(dd.dist.values())
-        w[layout.sentinel] = np.inf
-        self.w = w
+        # lands on a scratch slot past the end.
+        w[[index.get(door_id, n) for door_id in dd.dist]] = list(
+            dd.dist.values()
+        )
+        self.w = w[:n]
         self.source_row = layout.part_row.get(dd.source_partition, -1)
 
 
+@dataclass(slots=True, eq=False)
 class ObjectBlock:
     """The object side of the batched bound: one ingest batch's
-    subregion stats packed into padded arrays, shared across queries.
+    subregion stats, ragged as the index's table stores them, shared
+    across queries.
 
     Rows are subregions in ``(object, subregion)`` order — objects in
     batch order, subregions in ``obj.subregions()`` order (the order
     the scalar path iterates, which the stable sort inside
     :func:`~repro.distances.bounds.probabilistic_bounds` depends on).
     ``obj_offsets[j] : obj_offsets[j + 1]`` is object ``j``'s row span.
+    Beneath the rows, flat, one entry per entry door of each row's
+    partition (in :class:`DoorLayout` order): row ``a`` owns entries
+    ``ent_start[a] : ent_start[a] + row_n[a]`` — none, for a door-less
+    partition — of ``ent_door`` (global door index), ``ent_min`` and
+    ``ent_max`` (its instances' Euclidean extrema to that door).
     """
 
-    __slots__ = (
-        "objects",
-        "layout",
-        "sub_door",
-        "sub_min",
-        "sub_max",
-        "sub_part",
-        "sub_mass",
-        "subs",
-        "obj_offsets",
-    )
+    objects: list[UncertainObject]
+    layout: DoorLayout
+    ent_door: np.ndarray
+    ent_min: np.ndarray
+    ent_max: np.ndarray
+    row_n: np.ndarray
+    sub_part: np.ndarray
+    sub_mass: list[float]
+    #: The rows' :class:`Subregion`s themselves — not their instance
+    #: sets, which no kernel of this module reads (they gather from the
+    #: parent set and the piece vector).
+    subs: list[Subregion]
+    obj_offsets: np.ndarray
+    ent_start: np.ndarray = field(init=False)
 
-    def __init__(
-        self,
-        objects: list[UncertainObject],
-        layout: DoorLayout,
-        sub_door: np.ndarray,
-        sub_min: np.ndarray,
-        sub_max: np.ndarray,
-        sub_part: np.ndarray,
-        sub_mass: list[float],
-        subs: list[Subregion],
-        obj_offsets: np.ndarray,
-    ) -> None:
-        self.objects = objects
-        self.layout = layout
-        self.sub_door = sub_door
-        self.sub_min = sub_min
-        self.sub_max = sub_max
-        self.sub_part = sub_part
-        self.sub_mass = sub_mass
-        #: The rows' :class:`Subregion`s themselves — not their
-        #: instance sets, which a multi-partition object only copies
-        #: out when something reads them.
-        self.subs = subs
-        self.obj_offsets = obj_offsets
+    def __post_init__(self) -> None:
+        self.ent_start = offsets_of(self.row_n)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -341,20 +352,21 @@ class ObjectBlock:
     def subset(self, indices: list[int]) -> "ObjectBlock":
         """The block restricted to the objects at ``indices`` (batch
         positions) — what the sharded router hands each shard.  Rows
-        are copied in order, so the subset is value-identical to
-        packing the routed objects directly (padding columns beyond a
-        subset's own widest partition stay at the sentinel, which the
-        weight vector maps to ``+inf`` — they never win a min)."""
+        and their entries are copied in order, so the subset equals
+        packing the routed objects directly, array for array."""
         keep = np.asarray(indices, dtype=np.intp)
         off = self.obj_offsets
         rows, offsets = span_index(off[keep], off[keep + 1] - off[keep])
+        ent_off = self.ent_start[off]  # an object's entries are one span
+        ents, _ = span_index(ent_off[keep], ent_off[keep + 1] - ent_off[keep])
         row_list = rows.tolist()
         return ObjectBlock(
             [self.objects[j] for j in indices],
             self.layout,
-            self.sub_door[rows],
-            self.sub_min[rows],
-            self.sub_max[rows],
+            self.ent_door[ents],
+            self.ent_min[ents],
+            self.ent_max[ents],
+            self.row_n[rows],
             self.sub_part[rows],
             [self.sub_mass[i] for i in row_list],
             [self.subs[i] for i in row_list],
@@ -368,8 +380,9 @@ def pack_block(
     grid,
     layout: DoorLayout,
 ) -> ObjectBlock:
-    """Pack one batch's subregion stats — the per-object work the
-    scalar path repeats per query, paid once here.
+    """Pack one batch's subregion stats — the per-object reference the
+    index's batched write is held to, and what packs objects no index
+    owns.
 
     Per subregion, the instance-to-door Euclidean extrema come from a
     single ``(n_instances, n_doors)`` distance matrix whose per-door
@@ -379,9 +392,10 @@ def pack_block(
     argument).
     """
     fh = space.floor_height
-    rows_door: list[np.ndarray] = []
-    rows_min: list[np.ndarray] = []
-    rows_max: list[np.ndarray] = []
+    empty = np.empty(0, dtype=np.float64)
+    rows_door: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
+    rows_min: list[np.ndarray] = [empty]
+    rows_max: list[np.ndarray] = [empty]
     sub_part: list[int] = []
     sub_mass: list[float] = []
     subs: list[Subregion] = []
@@ -401,34 +415,20 @@ def pack_block(
                 d = np.sqrt(d2 + (dz * dz)[None, :])
                 rows_min.append(d.min(axis=0))
                 rows_max.append(d.max(axis=0))
-            else:
-                empty = np.empty(0, dtype=np.float64)
-                rows_min.append(empty)
-                rows_max.append(empty)
-            rows_door.append(idx)
+                rows_door.append(idx)
             sub_part.append(row)
             sub_mass.append(s.mass)
             subs.append(s)
         offsets.append(offsets[-1] + len(mine))
-    n_sub = len(rows_door)
-    dmax = max((r.size for r in rows_door), default=0)
-    dmax = max(dmax, 1)
-    sub_door = np.full((n_sub, dmax), layout.sentinel, dtype=np.intp)
-    sub_min = np.zeros((n_sub, dmax), dtype=np.float64)
-    sub_max = np.zeros((n_sub, dmax), dtype=np.float64)
-    for i, idx in enumerate(rows_door):
-        k = idx.size
-        if k:
-            sub_door[i, :k] = idx
-            sub_min[i, :k] = rows_min[i]
-            sub_max[i, :k] = rows_max[i]
+    part = np.array(sub_part, dtype=np.intp)
     return ObjectBlock(
         list(objects),
         layout,
-        sub_door,
-        sub_min,
-        sub_max,
-        np.array(sub_part, dtype=np.intp),
+        np.concatenate(rows_door),
+        np.concatenate(rows_min),
+        np.concatenate(rows_max),
+        layout.n_entry[part],
+        part,
         sub_mass,
         subs,
         np.array(offsets, dtype=np.intp),
@@ -459,7 +459,7 @@ def mass_within(
 
 class QueryStack:
     """The query side of a whole ``(queries x objects)`` block: the
-    weight vectors of ``packs`` stacked into one ``(Q, n_doors + 1)``
+    weight vectors of ``packs`` stacked into one ``(Q, n_doors)``
     matrix, so one gather + add + row-min serves every query at once.
 
     ``floors[i]`` is query ``i``'s ``unreached_floor`` — the bound of
@@ -482,7 +482,7 @@ class QueryStack:
         self.packs = packs
         self.layout = layout
         self.w = np.array([p.w for p in packs]).reshape(
-            len(packs), layout.n_doors + 1
+            len(packs), layout.n_doors
         )
         self.source_row = np.array(
             [p.source_row for p in packs], dtype=np.intp
@@ -520,13 +520,16 @@ class BoundsRow:
     only on demand — as is the refinement of a pair the interval leaves
     undecided (:meth:`exact`, :meth:`exact_probability`).  ``dd`` is the
     query's search.
+
+    The row holds views of the kernel's arrays and makes the Python
+    floats its per-pair decisions run on when the first one is asked
+    for: a row nobody decides from costs nothing.
     """
 
     __slots__ = (
         "dd",
-        "lo",
-        "_tmin",
-        "_tmax",
+        "_arrays",
+        "_floats",
         "_subs",
         "_mass",
         "_offsets",
@@ -538,50 +541,48 @@ class BoundsRow:
 
     def __init__(self, bounds: "BlockBounds", i: int) -> None:
         self.dd = bounds.stack.packs[i].dd
-        self.lo = bounds.lo[i]
+        self._arrays = (bounds.lo[i], bounds.tmin[i], bounds.tmax[i])
+        self._floats: list[list[float]] | None = None
         self._stack = bounds.stack
         self._i = i
         self._fh = bounds.fh
         self._exact: dict[int, float] = {}
-        self._tmin = bounds.tmin[i]
-        self._tmax = bounds.tmax[i]
         # Not the block itself: a row may outlive the kernel call (the
-        # one-shot prune keeps every chunk's), and the block's padded
-        # arrays are what chunking exists to keep transient.
+        # one-shot prune keeps every chunk's), and the block's door
+        # entries are what chunking exists to keep transient.
         self._subs = bounds.block.subs
         self._mass = bounds.block.sub_mass
         self._offsets = bounds.offsets
 
-    def intervals(
-        self, start: int = 0, stop: int | None = None
-    ) -> list[DistanceInterval]:
-        """The pruning intervals of objects ``start : stop`` (default:
-        all) — the batched twin of
+    def _lists(self) -> list[list[float]]:
+        """``lo`` per object, ``tmin`` and ``tmax`` per subregion row."""
+        floats = self._floats
+        if floats is None:
+            floats = self._floats = [a.tolist() for a in self._arrays]
+        return floats
+
+    @property
+    def lo(self) -> list[float]:
+        return self._lists()[0]
+
+    def interval(self, j: int) -> DistanceInterval:
+        """Object ``j``'s pruning interval — the batched twin of
         :func:`repro.distances.bounds.object_bounds`.  A
         single-partition object takes its row directly (Eq. 7); a
         multi-partition object hands its rows, in ``obj.subregions()``
         order, to the scalar :func:`~repro.distances.bounds.
         probabilistic_bounds` (Eq. 8), so sort stability and float
         accumulation match the scalar path by construction."""
-        tmin, tmax, subs, mass = self._tmin, self._tmax, self._subs, self._mass
-        off = self._offsets[start : None if stop is None else stop + 1]
-        out = []
-        for a, b in zip(off, off[1:]):
-            if b - a == 1:
-                out.append(DistanceInterval(tmin[a], tmax[a]))
-            else:
-                stats = [
-                    SubregionStats(
-                        subs[i].partition_id, tmin[i], tmax[i], mass[i]
-                    )
-                    for i in range(a, b)
-                ]
-                out.append(probabilistic_bounds(stats))
-        return out
-
-    def interval(self, j: int) -> DistanceInterval:
-        """Object ``j``'s pruning interval (see :meth:`intervals`)."""
-        return self.intervals(j, j + 1)[0]
+        (_, tmin, tmax), subs, mass = self._lists(), self._subs, self._mass
+        a, b = self._offsets[j], self._offsets[j + 1]
+        if b - a == 1:
+            return DistanceInterval(tmin[a], tmax[a])
+        return probabilistic_bounds(
+            [
+                SubregionStats(subs[i].partition_id, tmin[i], tmax[i], mass[i])
+                for i in range(a, b)
+            ]
+        )
 
     def probability(self, j: int, r: float) -> tuple[float, float]:
         """Bounds on object ``j``'s probability of lying within ``r`` —
@@ -590,10 +591,11 @@ class BoundsRow:
         ``unreached_floor = r + 1.0``).  Beyond the envelope every
         subregion has ``tmax >= tmin > r`` and :func:`mass_within`
         would add nothing."""
-        if self.lo[j] > r:
+        lo, tmin, tmax = self._lists()
+        if lo[j] > r:
             return 0.0, 0.0
         rows = range(self._offsets[j], self._offsets[j + 1])
-        return mass_within(self._tmin, self._tmax, self._mass, rows, r)
+        return mass_within(tmin, tmax, self._mass, rows, r)
 
     def _refine(self, js: list[int], r: float | None = None) -> list[float]:
         return block_expected_distances(
@@ -631,47 +633,30 @@ class BoundsRow:
         return self._refine([j], r)[0]
 
 
+@dataclass(slots=True, eq=False)
 class BlockBounds:
-    """What :func:`block_object_bounds` returns, as Python floats (the
-    consumers are per-pair decisions): ``tmin[i][a]`` / ``tmax[i][a]``
-    for query ``i`` and subregion row ``a`` — the floats of
-    :func:`repro.distances.bounds.subregion_stats` — and ``lo[i][j]``,
-    object ``j``'s lower envelope, the min of ``tmin[i]`` over its
-    rows ``offsets[j] : offsets[j + 1]``.  ``lo_array`` is ``lo`` as
-    the ``(Q, objects)`` array it was reduced into, for a caller that
-    decides a whole candidate set at once."""
+    """What :func:`block_object_bounds` returns, as arrays:
+    ``tmin[i, a]`` / ``tmax[i, a]`` for query ``i`` and subregion row
+    ``a`` — the floats of :func:`repro.distances.bounds.
+    subregion_stats` — and ``lo[i, j]``, object ``j``'s lower envelope,
+    the min of ``tmin[i]`` over its rows ``offsets[j] : offsets[j +
+    1]``.  A caller that decides a whole block at once (the monitor's
+    near mask, the one-shot prune) reads the arrays; per-pair decisions
+    go through a :meth:`row`, which makes Python floats of its own row
+    only."""
 
-    __slots__ = (
-        "stack",
-        "block",
-        "tmin",
-        "tmax",
-        "lo",
-        "offsets",
-        "lo_array",
-        "_tmax_array",
-        "fh",
-    )
+    stack: QueryStack
+    block: ObjectBlock
+    tmin: np.ndarray
+    tmax: np.ndarray
+    fh: float
+    lo: np.ndarray = field(init=False)
+    offsets: list[int] = field(init=False)
 
-    def __init__(
-        self,
-        stack: QueryStack,
-        block: ObjectBlock,
-        tmin: np.ndarray,
-        tmax: np.ndarray,
-        fh: float,
-    ) -> None:
-        self.stack = stack
-        self.block = block
-        self.fh = fh
-        self.tmin: list[list[float]] = tmin.tolist()
-        self.tmax: list[list[float]] = tmax.tolist()
-        self._tmax_array = tmax
-        self.lo_array = np.minimum.reduceat(
-            tmin, block.obj_offsets[:-1], axis=1
-        )
-        self.lo: list[list[float]] = self.lo_array.tolist()
-        self.offsets: list[int] = block.obj_offsets.tolist()
+    def __post_init__(self) -> None:
+        starts = self.block.obj_offsets
+        self.lo = np.minimum.reduceat(self.tmin, starts[:-1], axis=1)
+        self.offsets = starts.tolist()
 
     def row(self, i: int) -> BoundsRow:
         """The view of query ``i`` (its position in the stack)."""
@@ -685,39 +670,64 @@ class BlockBounds:
         distance, hence a valid *rank* bound; the exact interval's
         upper end is not guaranteed below it float for float, so it is
         no acceptance test (see the module docstring)."""
-        return np.maximum.reduceat(
-            self._tmax_array[i], self.block.obj_offsets[:-1]
-        )
+        return np.maximum.reduceat(self.tmax[i], self.block.obj_offsets[:-1])
+
+
+#: Elements one temporary of :func:`block_object_bounds` may hold (2 MB
+#: of float64): its ``(queries x door entries)`` operand is evaluated in
+#: slices of as many queries as fit.  The entry axis is the caller's to
+#: bound (an ingest batch, a ``PRUNE_CHUNK`` of candidates); a monitor's
+#: usual call — tens of queries x hundreds of entries — is one slice.
+BOUNDS_BUDGET = 1 << 18
 
 
 def block_object_bounds(
     stack: QueryStack, block: ObjectBlock, fh: float
 ) -> BlockBounds:
     """The bounds kernel: Lemmas 1-2 for every ``(query, subregion)``
-    pair of the block in one broadcast — the whole-block twin of
+    pair of the block — the whole-block twin of
     :func:`repro.distances.bounds.subregion_stats`, own-partition
-    direct path and ``unreached_floor`` patch included.  Padded and
-    unreachable door slots carry ``+inf`` weights and therefore never
-    win the row min.  ``fh`` is the space's floor height.
+    direct path and ``unreached_floor`` patch included.  One gather of
+    the queries' weights at the block's door entries, one add per
+    extremum, one ragged row-min.  An unreachable door carries a
+    ``+inf`` weight and never wins; a door-less row stays ``+inf``.
+    ``fh`` is the space's floor height.
 
     The one extrema routine: a monitor calls it once per ingest batch
     with its standing queries stacked, the one-shot prune once per
     candidate chunk with a stack of one.
     """
-    wrow = stack.w[:, block.sub_door]  # (Q, rows, dmax), a fresh copy
-    tmin = (wrow + block.sub_min).min(axis=2)
-    wrow += block.sub_max
-    tmax = wrow.min(axis=2)
-    # The query's own partition: the direct Euclidean path joins the
-    # entry doors.  All such rows of one query in one pass.
-    own_rows = block.sub_part == stack.source_row[:, None]
-    for i in np.flatnonzero(own_rows.any(axis=1)).tolist():
-        own = np.flatnonzero(own_rows[i])
-        d, starts = row_point_distances(
-            block, own, stack.packs[i].dd.source, fh
+    n_queries = len(stack)
+    # Rows that own no entry are left out of the ``reduceat`` (it cannot
+    # express an empty span) and keep ``+inf``.
+    served = block.row_n > 0
+    starts = block.ent_start[:-1][served]
+    cols = slice(None) if len(starts) == len(served) else served
+    tmin = np.full((n_queries, len(served)), np.inf)
+    tmax = np.full((n_queries, len(served)), np.inf)
+    if len(starts):
+        step = max(1, BOUNDS_BUDGET // len(block.ent_door))
+        for at in range(0, n_queries, step):
+            via = stack.w[at : at + step, block.ent_door]  # a fresh copy
+            tmin[at : at + step, cols] = np.minimum.reduceat(
+                via + block.ent_min, starts, axis=1
+            )
+            via += block.ent_max
+            tmax[at : at + step, cols] = np.minimum.reduceat(
+                via, starts, axis=1
+            )
+    # The queries' own partitions: the direct Euclidean path joins the
+    # entry doors.  Every such (query, row) pair in one pass.
+    own_query, own_row = np.nonzero(
+        block.sub_part == stack.source_row[:, None]
+    )
+    if len(own_row):
+        near, far = own_row_extrema(
+            block.subs, own_row, stack.source_xyz[own_query], fh
         )
-        tmin[i, own] = np.minimum(tmin[i, own], np.minimum.reduceat(d, starts))
-        tmax[i, own] = np.minimum(tmax[i, own], np.maximum.reduceat(d, starts))
+        own = (own_query, own_row)
+        tmin[own] = np.minimum(tmin[own], near)
+        tmax[own] = np.minimum(tmax[own], far)
     if stack.floor is not None:
         np.copyto(tmin, stack.floor, where=np.isinf(tmin))
     return BlockBounds(stack, block, tmin, tmax, fh)

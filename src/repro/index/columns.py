@@ -16,10 +16,10 @@ the indR-tree flattened into arrays.  One table then serves
   as an :class:`~repro.distances.batch.ObjectBlock`, by gather.
 
 **What it owns.**  Per topology version (:class:`_Topology`; no
-object is read to build it): the :class:`~repro.distances.batch.DoorLayout`,
-each partition's entry doors (indices as one padded row, midpoints
-ragged), the partition table in ``partition_id`` order (bounds, floor
-span, layout row, its units as one span), the unit arrays (rect, floor,
+object is read to build it): the
+:class:`~repro.distances.batch.DoorLayout`, the partition table in
+``partition_id`` order (bounds, floor span, layout row, its units as
+one span), the unit arrays (rect, floor,
 partition, rect-MINDIST to the entrances on the unit's floor) and the
 per-floor entrance index.  Per object slot (:class:`_State`): floor,
 entrance legs, the rows of the index units the object overlaps (the
@@ -28,11 +28,12 @@ row, mass) and — ragged beneath the rows — one ``(emin, emax)`` entry
 per entry door of each row's partition.  Rows are stored ragged because
 a hallway has tens of doors and a room one: padded to the widest
 partition the table is several times larger, and the resident set is a
-gated metric.  For the same reason instance coordinates are *not*
-copied here — the one test that needs them (min instance distance to a
-same-floor query point) reads them from the objects, a bounded number
-of objects at a time — and no instance x door matrix outlives the write
-that computed it.
+gated metric; a block is the same ragged entries gathered, and the
+bounds kernel reduces them as they lie.  For the same reason instance
+coordinates are *not* copied here — the one test that needs them (min
+instance distance to a same-floor query point) reads them from the
+objects, a bounded number of objects at a time — and no instance x door
+matrix outlives the write that computed it.
 
 **The write.**  One routine, :meth:`_Topology.stage`, resolves a list
 of objects in a fixed number of array operations and is the only body
@@ -203,17 +204,6 @@ class _Topology:
         self.version = space.topology_version
         self.layout = layout = DoorLayout(space)
         self.fh = fh = space.floor_height
-
-        # -- each layout row's entry doors: indices padded (the bounds
-        # kernel's gather operand); the write reads the midpoints
-        # ragged, from the layout's flat arrays ------------------------
-        n_parts = len(layout.entry_idx)
-        doors = max(int(layout.n_entry.max(initial=0)), 1)
-        self.part_doors = np.full(
-            (n_parts, doors), layout.sentinel, dtype=np.intp
-        )
-        for row, idx in enumerate(layout.entry_idx):
-            self.part_doors[row, : idx.size] = idx
 
         # -- the partition table, in partition_id order (the order
         # ``UncertainObject._assign`` lets overlapping footprints claim
@@ -654,32 +644,6 @@ class _State:
         self.objects[slot] = None
         self.free_slots.append(slot)
 
-    # -- reads --------------------------------------------------------
-
-    def padded_rows(
-        self, slots: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, offsets, sub_door, sub_min, sub_max)`` of the
-        objects at ``slots``: their row indices and per-object offsets,
-        and the ragged door entries re-padded to the widest partition
-        among them — the arrays :func:`pack_block` would produce."""
-        topo = self.topo
-        rows, offsets = span_index(
-            self.row_start[slots], self.row_count[slots]
-        )
-        part = self.sub_part[rows]
-        n = topo.layout.n_entry[part]
-        width = max(int(n.max(initial=0)), 1)
-        sub_door = topo.part_doors[:, :width][part]
-        sub_min = np.zeros(sub_door.shape)
-        sub_max = np.zeros(sub_door.shape)
-        ents, _ = span_index(self.ent_start[slots], self.ent_count[slots])
-        col, _ = span_index(np.zeros(len(rows), dtype=np.intp), n)
-        row = np.repeat(np.arange(len(rows), dtype=np.intp), n)
-        sub_min[row, col] = self.ent_min[ents]
-        sub_max[row, col] = self.ent_max[ents]
-        return rows, offsets, sub_door, sub_min, sub_max
-
 
 def _respan(
     spans: _Spans, start: np.ndarray, count: np.ndarray, slot: int, n: int
@@ -852,15 +816,23 @@ class ObjectColumns:
                     "this index"
                 )
             slots[j] = slot
-        rows, offsets, sub_door, sub_min, sub_max = state.padded_rows(slots)
+        layout = state.topo.layout
+        rows, offsets = span_index(
+            state.row_start[slots], state.row_count[slots]
+        )
+        ents, _ = span_index(state.ent_start[slots], state.ent_count[slots])
+        part = state.sub_part[rows]
+        row_n = layout.n_entry[part]
+        doors, _ = span_index(layout.entry_start[part], row_n)
         space, grid = self.space, self.population.grid
         return ObjectBlock(
             list(objects),
-            state.topo.layout,
-            sub_door,
-            sub_min,
-            sub_max,
-            state.sub_part[rows],
+            layout,
+            layout.flat_idx[doors],
+            state.ent_min[ents],
+            state.ent_max[ents],
+            row_n,
+            part,
             state.sub_mass[rows].tolist(),
             [s for obj in objects for s in obj.subregions(space, grid)],
             offsets,
@@ -973,7 +945,6 @@ class ObjectColumns:
             twin = UncertainObject(oid, obj.region, obj.instances)
             fresh = pack_block([twin], space, grid, topo.layout)
             mine = obj.subregions(space, grid)
-            real = fresh.sub_door != topo.layout.sentinel
             a = state.row_start[slot]
             b = a + state.row_count[slot]
             ea = state.ent_start[slot]
@@ -992,11 +963,9 @@ class ObjectColumns:
                 )
                 and state.sub_mass[a:b].tolist() == fresh.sub_mass,
                 "door entries": np.array_equal(
-                    state.ent_min[ea:eb], fresh.sub_min[real]
+                    state.ent_min[ea:eb], fresh.ent_min
                 )
-                and np.array_equal(
-                    state.ent_max[ea:eb], fresh.sub_max[real]
-                ),
+                and np.array_equal(state.ent_max[ea:eb], fresh.ent_max),
                 "floor": state.floor_idx[slot] == topo.floor_row[obj.floor],
                 "entrance legs": state.legs[slot, : len(entrances)].tolist()
                 == [

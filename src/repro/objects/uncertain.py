@@ -30,8 +30,8 @@ class Subregion:
     per-instance piece vector (shared by its subregions; instance ``i``
     belongs to subregion ``pieces[i]``) and its own mass, and builds —
     and validates — the :class:`InstanceSet` copy the first time
-    :attr:`instances` is read.  Almost every (update x query) pair is
-    pruned on the packed door extrema alone and never reads it.
+    :attr:`instances` is read.  No ingest or query path reads it (the
+    kernels gather from ``parent`` and ``pieces``); scalar references do.
     """
 
     __slots__ = (

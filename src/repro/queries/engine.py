@@ -98,10 +98,10 @@ def subgraph_phase(
     return dd, time.perf_counter() - t0
 
 
-#: Candidates per bounds-kernel call.  A block pads every row to its
-#: widest partition's door count, so a venue-wide candidate set in one
-#: block would cost megabytes of transient arrays; the kernel's
-#: per-call overhead is amortised long before this size.
+#: Candidates per bounds-kernel call: bounds the block's gathered door
+#: entries, hence the kernel's temporaries, for a venue-wide candidate
+#: set (the kernel itself bounds the query axis); the per-call overhead
+#: is amortised long before this size.
 PRUNE_CHUNK = 256
 
 
@@ -184,10 +184,10 @@ def pruning_phase(
     fh = index.space.floor_height
     lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
-        # One chunk's padded arrays at a time: only its envelope and
+        # One chunk's door entries at a time: only its envelope and
         # its row of per-subregion extrema are kept.
         bounds = block_object_bounds(stack, block, fh)
-        lo.append(bounds.lo_array[0])
+        lo.append(bounds.lo[0])
         hi.append(bounds.hi_array(0))
         rows.append(bounds.row(0))
     return CandidateBounds(np.concatenate(lo), np.concatenate(hi), pack, rows)

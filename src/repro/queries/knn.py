@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.distances.batch import row_point_distances
+from repro.distances.batch import own_row_extrema
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -106,7 +106,7 @@ class SeedExpansion:
         partition's *entry* doors — an open door one may leave ``pid``
         through is, by :class:`~repro.space.door.Door`'s two predicates,
         one that admits into the other side, one-way doors included —
-        so ``|arrival, S|_E^max`` is the ``sub_max`` entry the table
+        so ``|arrival, S|_E^max`` is the ``ent_max`` entry the table
         wrote for that (row, door) when the object last moved; the
         source partition's rows, reached by no door, take
         ``max |s, q|_E`` from the instances as the bounds kernel's
@@ -125,15 +125,22 @@ class SeedExpansion:
         for pid, door_id in self.arrival_doors.items():
             door[layout.part_row[pid]] = layout.door_index[door_id]
         source_row = layout.part_row[self.source]
+        src = np.array([[self.q.x, self.q.y, float(self.q.floor)]])
         out = [np.empty(0)]
         for block in candidate_blocks(index, self.seeds):
             part = block.sub_part
-            col = (block.sub_door == door[part][:, None]).argmax(axis=1)
-            tlu = length[part] + block.sub_max[np.arange(part.size), col]
+            # The entry of each row's arrival door; a row no known path
+            # arrives in has none and keeps ``inf``.
+            row = np.arange(part.size).repeat(block.row_n)
+            hit = np.flatnonzero(block.ent_door == door[part[row]])
+            row = row[hit]
+            tlu = np.full(part.size, np.inf)
+            tlu[row] = length[part[row]] + block.ent_max[hit]
             own = np.flatnonzero(part == source_row)
             if own.size:
-                d, starts = row_point_distances(block, own, self.q, fh)
-                tlu[own] = np.maximum.reduceat(d, starts)
+                _, tlu[own] = own_row_extrema(
+                    block.subs, own, src.repeat(own.size, axis=0), fh
+                )
             out.append(np.maximum.reduceat(tlu, block.obj_offsets[:-1]))
         return np.concatenate(out)
 

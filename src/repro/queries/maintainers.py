@@ -2,11 +2,7 @@
 
 A *maintainer* owns the incremental maintenance of one standing query's
 result over streamed object updates.  :class:`~repro.queries.monitor.
-QueryMonitor` used to hard-code two standing-query kinds and branch on
-``isinstance`` throughout its update paths; every new watchable query
-kind meant touching the monitor core, the shard router, the delta
-model, the wire protocol and the service façade by hand.  The monitor
-now dispatches every per-query decision through the
+QueryMonitor` dispatches every per-query decision through the
 :class:`StandingQuery` protocol defined here, so adding a query kind is
 one maintainer class in this file (plus a ``@register_maintainer``
 line) — the monitor, sharded router, serving layer and
@@ -28,11 +24,16 @@ write in a mutation scope, so the monitor can diff it into a
   shard router turns these into conservative skip decisions (the
   router measures against the object's instance bounding box, so the
   object's own uncertainty extent is accounted on the object side);
-* :meth:`~StandingQuery.on_update_batch` — absorb one packed
-  :class:`~repro.distances.batch.ObjectBlock` of moved/inserted objects
-  (an insert is a block of one; the monitor already counted the pairs
-  in ``stats.pairs_evaluated``) together with this query's
-  :class:`~repro.distances.batch.BoundsRow` — see "The stack" below;
+* :meth:`~StandingQuery.on_update_batch` — absorb the listed
+  positions of one packed :class:`~repro.distances.batch.ObjectBlock`
+  of moved/inserted objects (an insert is a block of one; the monitor
+  already counted the pairs in ``stats.pairs_evaluated``) together
+  with this query's :class:`~repro.distances.batch.BoundsRow` — see
+  "The stack" below;
+* :meth:`~StandingQuery.members` — the ids the query holds right now
+  (default: the result's keys), which the monitor intersects with a
+  batch's moved ids and the delete path tests through
+  :meth:`~StandingQuery.holds`;
 * :meth:`~StandingQuery.on_delete` — absorb one deleted object (ditto);
 * :meth:`~StandingQuery.recompute` — full re-execution (registration,
   topology resyncs, an ikNNQ guard band that ran dry);
@@ -62,23 +63,47 @@ The stack
 No maintainer calls the bounds kernel for itself.  The monitor keeps
 the session-cached searches of all its ``stacked`` maintainers as one
 weight matrix, calls :func:`repro.distances.batch.block_object_bounds`
-once per batch, and passes each maintainer its row: ``row.lo[j]`` is
-the Eq. 7 lower envelope of the object at block position ``j`` (decide
-"certainly farther than x" from it first — it is a list of floats, no
-work), ``row.interval(j)`` / ``row.probability(j, r)`` build the exact
-Table III interval / iPRQ mass bounds for a pair the envelope cannot
-decide, and ``row.exact(j)`` / ``row.exact_probability(j, r)`` refine a
-pair those leave undecided (``row.prefetch(js)`` first, when a
-maintainer can name the batch's likely refinements up front: one array
-pass for all of them, same floats).  A new kind
-opts in by default (``stacked = True``; its ``q`` is what the monitor
-asks the session a pack for) and may override
+once per batch, and decides the far pairs itself, on the kernel's
+arrays: a moved object whose Eq. 7 lower envelope exceeds a query's
+:meth:`~StandingQuery.influence_radius` *and* which the query does not
+hold (:meth:`~StandingQuery.members`) is an outsider staying outside.
+
+**The positions contract.**  ``on_update_batch(block, row, positions)``
+hands a maintainer the ascending block positions that are left: every
+object within its radius by the envelope and every object it holds,
+near or far (a member beyond reach must be seen to leave); a query
+with no such position is not called.  Within them it decides as if it
+walked the whole block: ``row.lo[j]`` is the Eq. 7 lower envelope of
+the object at position ``j`` (decide "certainly farther than x" from
+it first), ``row.interval(j)`` / ``row.probability(j, r)`` build the
+exact Table III interval / iPRQ mass bounds for a pair the envelope
+cannot decide, and ``row.exact(j)`` / ``row.exact_probability(j, r)``
+refine a pair those leave undecided (``row.prefetch(js)`` first, when
+a maintainer can name the batch's likely refinements up front: one
+array pass for all of them, same floats).
+
+**Who counts a skipped pair.**  The monitor counts every pair it does
+not list as ``pairs_skipped`` (and ``kernel_pruned``); a maintainer
+counts each position it is handed exactly once, as skipped, refined or
+recomputed — so the three still partition ``pairs_evaluated``.
+
+**The refill rule.**  Positions are listed against the radius as the
+batch finds it.  A maintainer that moves its own radius *mid-block* —
+only :class:`KNNMaintainer` does, when an eviction drains its band
+below ``k`` and a refill replaces it — owns every later position of
+that block, listed or not: it walks them all against the new band and
+takes the unlisted ones back out of ``pairs_skipped``.
+``tests/properties/test_prop_monitor_decide.py`` holds all of this to
+a monitor that lists every position of every query.
+
+A new kind opts in by default (``stacked = True``; its ``q`` is what
+the monitor asks the session a pack for) and may override
 :meth:`~StandingQuery.unreached_floor` when its bounds treat an
 unreached subregion as merely "beyond some radius" rather than
 infinitely far, as the iPRQ does.  A kind that needs no distance
-bounds sets ``stacked = False`` and receives ``row=None`` — its pairs
-then count in ``pairs_evaluated`` but not in ``kernel_pairs``
-(:class:`OccupancyMaintainer`).
+bounds sets ``stacked = False`` and receives ``row=None`` and every
+position — its pairs then count in ``pairs_evaluated`` but not in
+``kernel_pairs`` (:class:`OccupancyMaintainer`).
 
 A maintainer whose :meth:`~StandingQuery.influence_radius` can move
 (an ikNNQ's band radius does on refill and trim; an iRQ's ``r`` never
@@ -114,6 +139,7 @@ can neither hold membership nor acquire it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence, Set
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.api.specs import (
@@ -135,6 +161,10 @@ from repro.queries.range_query import iRQ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.queries.monitor import QueryMonitor
+
+#: Ascending block positions, as :meth:`StandingQuery.on_update_batch`
+#: receives them.
+Positions = Sequence[int]
 
 #: Distinguishes "not a member" from a stored ``None`` annotation (a
 #: member accepted by bounds alone) in result-dict lookups.
@@ -244,9 +274,10 @@ class StandingQuery:
         return None
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:  # pragma: no cover - abstract
-        """Absorb one packed batch of moved/inserted objects; ``row``
+        """Absorb the moved/inserted objects at ``positions`` of one
+        packed batch (see "The stack" in the module docstring); ``row``
         is this query's row of the batch's one kernel call (``None``
         for a maintainer that is not :attr:`stacked`)."""
         raise NotImplementedError
@@ -254,13 +285,19 @@ class StandingQuery:
     def recompute(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def holds(self, object_id: str) -> bool:
-        """Whether this query currently holds ``object_id`` in its
-        result/candidate set — the monitor's delete path only routes
-        (and counts) a deletion to queries that do.  Maintainers whose
-        membership lives outside ``result`` (derived/aggregate results)
+    def members(self) -> Set[str]:
+        """The ids this query currently holds in its result/candidate
+        set, as a set or dict-keys view (the monitor intersects it with
+        a batch's moved ids).  Maintainers whose membership lives
+        outside ``result`` (a guard band, derived/aggregate results)
         override this."""
-        return object_id in self.result
+        return self.result.keys()
+
+    def holds(self, object_id: str) -> bool:
+        """Whether this query currently holds ``object_id`` — the
+        monitor's delete path only routes (and counts) a deletion to
+        queries that do."""
+        return object_id in self.members()
 
     def on_delete(self, object_id: str) -> None:
         """Absorb one deletion.  An object the query does not hold is
@@ -294,22 +331,22 @@ class RangeMaintainer(StandingQuery):
         return self.r
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """Each moved object's membership is re-decided in isolation —
         the cached full search makes the interval machinery of
         Table III sufficient, so no other pair is ever touched.  The
-        Eq. 7 envelope settles the far pairs; the rest build their
-        exact interval, and only undecided ones fall through to exact
-        refinement."""
+        Eq. 7 envelope settles the far pairs (a member among them
+        leaves); the rest build their exact interval, and only
+        undecided ones fall through to exact refinement."""
         stats = self.host.stats
-        r = self.r
-        for j, (obj, lo) in enumerate(zip(block.objects, row.lo)):
-            if lo > r:
-                self._drop(obj.object_id)
+        r, lo, objects = self.r, row.lo, block.objects
+        for j in positions:
+            if lo[j] > r:
+                self._drop(objects[j].object_id)
                 stats.pairs_skipped += 1
             else:
-                self._decide(obj, row, j)
+                self._decide(objects[j], row, j)
 
     def _drop(self, object_id: str) -> None:
         """The object is certainly beyond ``r``: a member leaves."""
@@ -416,10 +453,11 @@ class KNNMaintainer(StandingQuery):
         whole reachable population reaches forever)."""
         return self.rho
 
-    def holds(self, object_id: str) -> bool:
-        """A deleted buffer entry must go even when it is no result
-        member: the buffer may only hold live objects."""
-        return object_id in self.buffer
+    def members(self) -> Set[str]:
+        """The whole band: a moved or deleted buffer entry must be
+        seen even when it is no result member (the buffer may only hold
+        live objects at their current distances)."""
+        return self.buffer.keys()
 
     def restore(self, state: Any) -> None:
         """The degenerate band: the k-th distance when the result is
@@ -430,33 +468,44 @@ class KNNMaintainer(StandingQuery):
         self.rho = max(self.buffer.values()) if full else math.inf
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """Buffer decisions stay sequential per object (a refill
         mid-block moves ``rho``), and the result is republished once,
         from the block's end state.  What is hoisted out of the loop is
-        arithmetic only: the row's extrema, the exact Eq. 7/8 lower
-        bound of each outsider the envelope cannot place beyond the
-        band, and — in one array pass — the exact distances of the
-        pairs the band as it stands will refine: its buffered movers
-        and the outsiders neither bound rejects.  A pair a refill
-        re-opens later in the block is refined then, alone; a
-        prefetched distance a refill made unnecessary is dropped
-        unread."""
+        arithmetic only: the exact Eq. 7/8 lower bound of each outsider
+        the envelope cannot place beyond the band, and — in one array
+        pass — the exact distances of the pairs the band as it stands
+        will refine (a prefetched distance a refill made unnecessary is
+        dropped unread).  ``positions`` were listed against that band:
+        after a refill every later object of the block is open again,
+        listed or not, and walked here (the module docstring's refill
+        rule)."""
         buffer, rho = self.buffer, self.rho
+        objects, lo = block.objects, row.lo
         lower: dict[int, float] = {}
         likely = []
-        for j, (obj, lo) in enumerate(zip(block.objects, row.lo)):
-            if obj.object_id in buffer:
+        for j in positions:
+            if objects[j].object_id in buffer:
                 likely.append(j)
-            elif lo <= rho:
+            elif lo[j] <= rho:
                 lower[j] = row.interval(j).lower
                 if lower[j] <= rho:
                     likely.append(j)
         row.prefetch(likely)
         dirty = False
-        for j, obj in enumerate(block.objects):
-            dirty |= self._decide(obj, row, j, lower)
+        at = 0
+        while at < len(positions):
+            j = positions[at]
+            at += 1
+            wrote, refilled = self._decide(objects[j], row, j, lower)
+            dirty |= wrote
+            if refilled:
+                rest = range(j + 1, len(objects))
+                self.host.stats.pairs_skipped -= len(rest) - (
+                    len(positions) - at
+                )
+                positions, at = rest, 0
         if dirty:
             self._publish()
 
@@ -466,10 +515,11 @@ class KNNMaintainer(StandingQuery):
         row: BoundsRow,
         j: int,
         lower: dict[int, float],
-    ) -> bool:
+    ) -> tuple[bool, bool]:
         """Absorb the moved/inserted object at block position ``j``;
-        whether the buffer was written.  ``lower`` holds the exact
-        interval lower bounds already built for this block."""
+        whether the buffer was written, and whether by a refill.
+        ``lower`` holds the exact interval lower bounds already built
+        for this block."""
         stats = self.host.stats
         oid = obj.object_id
         if oid in self.buffer:
@@ -478,9 +528,9 @@ class KNNMaintainer(StandingQuery):
             if math.isfinite(d) and d <= self.rho:
                 self.buffer[oid] = d
             elif self._evict(oid):
-                return True  # counted as recomputed
+                return True, True  # counted as recomputed
             stats.pairs_refined += 1
-            return True
+            return True, False
         # The envelope first; the exact Eq. 7/8 lower bound only for an
         # object it cannot place beyond the band.
         if row.lo[j] > self.rho or (
@@ -488,13 +538,13 @@ class KNNMaintainer(StandingQuery):
         ) > self.rho:
             # Certainly beyond the band: still an outsider.
             stats.pairs_skipped += 1
-            return False
+            return False, False
         d = row.exact(j)
         stats.pairs_refined += 1
         if d < self.rho:
             self.buffer[oid] = d
-            return True
-        return False
+            return True, False
+        return False, False
 
     def _evict(self, object_id: str) -> bool:
         """Drop a buffered object.  Returns whether that drained the
@@ -609,13 +659,13 @@ class ProbRangeMaintainer(StandingQuery):
         return self.r + 1.0
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """Per-pair probability bounds from the row's extrema, then
         threshold decisions; exact refinement only when ``p_min`` falls
         strictly between the bounds."""
-        for j, obj in enumerate(block.objects):
-            self._decide(obj, row, j)
+        for j in positions:
+            self._decide(block.objects[j], row, j)
 
     def _decide(self, obj: UncertainObject, row: BoundsRow, j: int) -> None:
         host = self.host
@@ -800,18 +850,18 @@ class CountMaintainer(StandingQuery):
             self.result = {}
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """The inner range maintainer absorbs the block from this
         watch's row; republishing once at the end is equivalent to per
         object, because deltas diff the scope's end state."""
-        self._inner.on_update_batch(block, row)
+        self._inner.on_update_batch(block, row, positions)
         self._republish()
 
-    def holds(self, object_id: str) -> bool:
+    def members(self) -> Set[str]:
         """Membership lives in the inner range maintainer, not in the
         published (derived) count result."""
-        return object_id in self._inner.result
+        return self._inner.result.keys()
 
     def on_delete(self, object_id: str) -> None:
         self._inner.on_delete(object_id)
@@ -919,12 +969,13 @@ class OccupancyMaintainer(StandingQuery):
             self.result = {}
 
     def on_update_batch(
-        self, block: ObjectBlock, row: BoundsRow | None
+        self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """Membership needs no bounds, so the block is just its
-        objects (``row`` is ``None``)."""
+        objects (``row`` is ``None``, ``positions`` all of them)."""
         host = self.host
-        for obj in block.objects:
+        for j in positions:
+            obj = block.objects[j]
             host.stats.pairs_skipped += 1  # decided without distance work
             if obj.region.radius > self._radius_pad:
                 host.touch(self)  # the pad is part of the radius
@@ -940,10 +991,10 @@ class OccupancyMaintainer(StandingQuery):
                 self._members.discard(obj.object_id)
             self._republish()
 
-    def holds(self, object_id: str) -> bool:
+    def members(self) -> Set[str]:
         """Membership is the private geometric set, not the published
         (derived) occupancy result."""
-        return object_id in self._members
+        return self._members
 
     def on_delete(self, object_id: str) -> None:
         self.host.stats.pairs_skipped += 1

@@ -52,11 +52,13 @@ The incremental argument reuses the paper's own machinery:
   :class:`~repro.queries.session.QuerySession` — valid until the
   *topology* changes, no matter how objects move (and evicted when the
   last standing query at that point deregisters);
-* when one object moves, only the (object, query) pairs are touched:
-  the maintainer re-decides the moved object against the cached search
-  using the paper's interval machinery (Table III for distances, the
-  subregion mass bounds for probabilities), and usually *decides*
-  membership outright;
+* when one object moves, only the (object, query) pairs are touched —
+  most of them as one element of an array compare: a maintainer sees
+  only the objects whose Eq. 7 envelope reaches inside its influence
+  radius, or which it holds, and re-decides those against the cached
+  search using the paper's interval machinery (Table III for
+  distances, the subregion mass bounds for probabilities), usually
+  *deciding* membership outright;
 * only an undecided pair pays one exact refinement.  A standing ikNNQ
   keeps the exact distances of a guard band of near non-members beside
   its ``k`` members, so a member drifting outward or deleted is a
@@ -76,8 +78,15 @@ import itertools
 import threading
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.api.specs import QuerySpec, standing_spec
-from repro.distances.batch import DoorLayout, QueryStack, block_object_bounds
+from repro.distances.batch import (
+    BlockBounds,
+    DoorLayout,
+    QueryStack,
+    block_object_bounds,
+)
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -651,15 +660,17 @@ class QueryMonitor:
 
     def _absorb_block(self, moved: list[UncertainObject], block) -> None:
         """Gather the moved batch's rows once, evaluate them against
-        every stacked standing query in one bounds-kernel call, then
-        hand each maintainer its row.  ``kernel_pruned`` is measured as
-        the ``pairs_skipped`` delta around each stacked dispatch, so
-        the counter partition (evaluated = skipped + refined +
-        recomputed) is untouched."""
+        every stacked standing query in one bounds-kernel call, decide
+        the far pairs here (:meth:`_undecided`; they count as skipped,
+        here) and hand each maintainer its row and the positions left.
+        ``kernel_pruned`` is measured as the ``pairs_skipped`` delta
+        around each stacked query, so the counter partition (evaluated
+        = skipped + refined + recomputed) is untouched."""
         if not moved:
             return
         stats = self.stats
-        stats.updates_seen += len(moved)
+        n = len(moved)
+        stats.updates_seen += n
         if not self._queries:
             return
         space = self.index.space
@@ -671,20 +682,44 @@ class QueryMonitor:
             # ``insert_object`` already wrote the rows.
             block = self.index.columns.block(moved)
         stack = self._query_stack(block.layout)
-        bounds = (
-            block_object_bounds(stack, block, space.floor_height)
-            if len(stack)
-            else None
-        )
-        n = len(moved)
+        bounds = undecided = None
+        if len(stack):
+            bounds = block_object_bounds(stack, block, space.floor_height)
+            undecided = self._undecided(bounds, moved)
+        stats.pairs_evaluated += n * len(self._queries)
         i = 0
         for sq in self._queries.values():
-            stats.pairs_evaluated += n
             if not sq.stacked:
-                sq.on_update_batch(block, None)
+                sq.on_update_batch(block, None, range(n))
                 continue
             stats.kernel_pairs += n
             skipped_before = stats.pairs_skipped
-            sq.on_update_batch(block, bounds.row(i))
+            positions = undecided[i]
+            stats.pairs_skipped += n - len(positions)
+            if positions:
+                sq.on_update_batch(block, bounds.row(i), positions)
             i += 1
             stats.kernel_pruned += stats.pairs_skipped - skipped_before
+
+    def _undecided(
+        self, bounds: BlockBounds, moved: list[UncertainObject]
+    ) -> list[list[int]]:
+        """Per stacked query, the ascending block positions its
+        maintainer must see: the objects whose Eq. 7 envelope does not
+        place them beyond its ``influence_radius()`` (one array compare
+        for the whole block) and the moved objects among its
+        ``members()`` (one set intersection each).  Every other pair is
+        an outsider provably staying outside — the contract the sharded
+        router applies between shards, applied between queries."""
+        stacked = [sq for sq in self._queries.values() if sq.stacked]
+        reach = np.array([sq.influence_radius() for sq in stacked])
+        listed: list[list[int]] = [[] for _ in stacked]
+        near_query, near_at = np.nonzero(bounds.lo <= reach[:, None])
+        for i, j in zip(near_query.tolist(), near_at.tolist()):
+            listed[i].append(j)
+        at = {obj.object_id: j for j, obj in enumerate(moved)}
+        for i, sq in enumerate(stacked):
+            held = sq.members() & at.keys()
+            if held:
+                listed[i] = sorted({*listed[i], *(at[oid] for oid in held)})
+        return listed

@@ -110,3 +110,23 @@ def medium_mall():
 def q_center():
     """A query point in the middle of the five_rooms hallway."""
     return Point(15.0, 12.0, 0)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test's
+    duration and returns the list its call arguments are appended to —
+    for guards of the "this loop cannot come back unnoticed" kind."""
+
+    def count(owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count

@@ -92,7 +92,9 @@ def _assert_stack_matches(index, stack, block):
     against ``probability_bounds``."""
     space, grid = index.space, index.population.grid
     bounds = block_object_bounds(stack, block, space.floor_height)
-    assert len(bounds.tmin) == len(bounds.tmax) == len(stack)
+    shape = (len(stack), len(block.sub_part))
+    assert bounds.tmin.shape == bounds.tmax.shape == shape
+    assert bounds.lo.shape == (len(stack), len(block))
     for i, pack in enumerate(stack.packs):
         q, dd = pack.dd.source, pack.dd
         floor = None if stack.floor is None else stack.floor[i, 0]
@@ -100,8 +102,6 @@ def _assert_stack_matches(index, stack, block):
             floor = None
         row = bounds.row(i)
         assert row.dd is dd
-        everyone = row.intervals()
-        assert len(everyone) == len(block.objects)
         for j, obj in enumerate(block.objects):
             subs = obj.subregions(space, grid)
             rows = range(bounds.offsets[j], bounds.offsets[j + 1])
@@ -111,10 +111,10 @@ def _assert_stack_matches(index, stack, block):
                 assert bounds.tmin[i][a] == ref.tmin
                 assert bounds.tmax[i][a] == ref.tmax
             interval = row.interval(j)
-            assert interval == everyone[j]
             assert interval == object_bounds(
                 q, obj, dd, space, grid, unreached_floor=floor
             )
+            assert row.lo[j] == bounds.lo[i, j]
             assert row.lo[j] == min(bounds.tmin[i][a] for a in rows)
             assert interval.lower >= row.lo[j]
             if len(subs) == 1:
@@ -144,10 +144,13 @@ def _assert_matches_reference(index, session, objects, points):
     # The columnar table serves the rows pack_block computes.
     fh = index.space.floor_height
     gathered = block_object_bounds(stack, index.columns.block(objects), fh)
-    assert gathered.tmin == bounds.tmin
-    assert gathered.tmax == bounds.tmax
-    assert gathered.lo == bounds.lo
+    _assert_same_bounds(gathered, bounds)
     return stack, block, bounds
+
+
+def _assert_same_bounds(got, want):
+    for name in ("tmin", "tmax", "lo"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 World = namedtuple("World", "space gen pop index session straddlers rng")
@@ -379,7 +382,7 @@ class TestBlockShapes:
     def test_subset_equals_packing_the_kept_objects(self):
         """``ObjectBlock.subset(keep)`` — what the sharded router hands
         a shard — is value-identical to packing the kept objects
-        directly (up to extra sentinel padding columns)."""
+        directly, array for array."""
         w = _world(11)
         space, session = w.space, w.session
         objects = list(w.pop)
@@ -392,13 +395,9 @@ class TestBlockShapes:
         assert sub.subs == direct.subs
         assert sub.sub_mass == direct.sub_mass
         assert (sub.sub_part == direct.sub_part).all()
-        assert (sub.obj_offsets == direct.obj_offsets).all()
-        width = direct.sub_door.shape[1]
-        assert (sub.sub_door[:, :width] == direct.sub_door).all()
-        assert (sub.sub_door[:, width:] == whole.layout.sentinel).all()
-        used = direct.sub_door != whole.layout.sentinel
-        assert (sub.sub_min[:, :width][used] == direct.sub_min[used]).all()
-        assert (sub.sub_max[:, :width][used] == direct.sub_max[used]).all()
+        fields = "obj_offsets row_n ent_start ent_door ent_min ent_max"
+        for name in fields.split():
+            assert np.array_equal(getattr(sub, name), getattr(direct, name))
         points = [space.random_point(rng=w.rng) for _ in range(3)]
         points.append(objects[keep[0]].region.center)
         stack = _stack(
@@ -409,9 +408,7 @@ class TestBlockShapes:
         got = _assert_stack_matches(w.index, stack, sub)
         # ... and against the directly packed block, array for array.
         want = block_object_bounds(stack, direct, space.floor_height)
-        assert got.tmin == want.tmin
-        assert got.tmax == want.tmax
-        assert got.lo == want.lo
+        _assert_same_bounds(got, want)
 
     def test_block_of_one_equals_its_row_in_a_larger_block(self):
         """An insert is a block of one: same numbers as the object's

@@ -65,9 +65,11 @@ def assert_equals_references(idx, objects):
             assert mine[0].instances is obj.instances
     want = pack_block(twins, space, grid, idx.columns.layout())
     got = idx.columns.block(objects)
-    assert got.sub_door.tolist() == want.sub_door.tolist()
-    assert got.sub_min.tolist() == want.sub_min.tolist()
-    assert got.sub_max.tolist() == want.sub_max.tolist()
+    assert got.ent_door.tolist() == want.ent_door.tolist()
+    assert got.ent_min.tolist() == want.ent_min.tolist()
+    assert got.ent_max.tolist() == want.ent_max.tolist()
+    assert got.row_n.tolist() == want.row_n.tolist()
+    assert got.ent_start.tolist() == want.ent_start.tolist()
     assert got.sub_part.tolist() == want.sub_part.tolist()
     assert got.sub_mass == want.sub_mass
     assert got.obj_offsets.tolist() == want.obj_offsets.tolist()
@@ -338,21 +340,9 @@ class TestBatchedWriteEqualsScalarReferences:
         assert idx.validate() == []
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 class TestNoPerObjectGeometryOnTheWritePath:
     def test_a_straggler_free_batch_makes_no_scalar_calls(
-        self, small_mall, monkeypatch
+        self, small_mall, monkeypatch, count_calls
     ):
         """The per-object loops the batched write replaced — one
         ``Rect.intersects`` per (object, unit), one ``InstanceSet``
@@ -363,9 +353,9 @@ class TestNoPerObjectGeometryOnTheWritePath:
         idx = CompositeIndex.build(small_mall, pop)
         idx.columns.layout()
         batch = MovementStream(small_mall, pop, gen, seed=6).next_moves(20)
-        intersects = _count_calls(monkeypatch, Rect, "intersects")
-        subset = _count_calls(monkeypatch, InstanceSet, "subset")
-        assign = _count_calls(monkeypatch, UncertainObject, "_assign")
+        intersects = count_calls(Rect, "intersects")
+        subset = count_calls(InstanceSet, "subset")
+        assign = count_calls(UncertainObject, "_assign")
         moved = idx.update_objects(batch)
         assert len(moved) == 20
         assert (len(intersects), len(subset), len(assign)) == (0, 0, 0)
@@ -392,10 +382,10 @@ class TestLazySubregion:
         return obj, obj.subregions(five_rooms)
 
     def test_copy_is_built_on_first_read_and_only_once(
-        self, wide, monkeypatch
+        self, wide, count_calls
     ):
         obj, (left, right) = wide
-        subset = _count_calls(monkeypatch, InstanceSet, "subset")
+        subset = count_calls(InstanceSet, "subset")
         # Everything the prune phase reads is there without a copy.
         assert (left.partition_id, right.partition_id) == ("r1", "r2")
         assert left.mass == float(np.array([0.2, 0.3]).sum())

@@ -184,8 +184,12 @@ def _block_arrays(idx, objects):
     return [
         a.tolist()
         for a in (
-            block.sub_door, block.sub_min, block.sub_max,
-            block.sub_part, block.obj_offsets,
+            block.ent_door,
+            block.ent_min,
+            block.ent_max,
+            block.row_n,
+            block.sub_part,
+            block.obj_offsets,
         )
     ] + [block.sub_mass]
 

@@ -28,7 +28,8 @@ from repro.api.specs import (
     ProbRangeSpec,
     RangeSpec,
 )
-from repro.queries import QueryMonitor, QuerySession
+from repro.distances.batch import BlockBounds
+from repro.queries import QueryMonitor, QuerySession, ikNNQ, maintainers
 from repro.space.events import CloseDoor, OpenDoor
 
 
@@ -1030,3 +1031,103 @@ class TestQueryStack:
         assert monitor.stats.pairs_refined == 2
         assert monitor.stats.pairs_skipped == 6
         _assert_matches_fresh_registration(monitor, five_rooms_index)
+
+
+class TestNoPerPairWorkOnDecidedPairs:
+    """What the array decision removed — one Python step per (standing
+    query x moved object), one ``Q x rows`` table of Python floats per
+    batch, one ``InstanceSet`` copy per own-partition subregion — cannot
+    come back unnoticed."""
+
+    def test_a_batch_beyond_every_reach_calls_no_maintainer(
+        self, crowded_index, count_calls
+    ):
+        specs = [
+            RangeSpec(Q1, 4.0),
+            KNNSpec(Q1, 2),  # band radius 4.6
+            ProbRangeSpec(Q1, 4.0, 0.5),
+            CountSpec(Q1, 4.0, 2),
+        ]
+        monitor = QueryMonitor(crowded_index)
+        for spec in specs:
+            monitor.register(spec)
+        monitor.drain_pending_deltas()
+        before = {
+            qid: monitor.result_distances(qid) for qid in monitor.query_ids()
+        }
+        walks = [
+            count_calls(cls, "on_update_batch")
+            for cls in (
+                maintainers.RangeMaintainer,
+                maintainers.KNNMaintainer,
+                maintainers.ProbRangeMaintainer,
+                maintainers.CountMaintainer,
+            )
+        ]
+        rows = count_calls(BlockBounds, "row")
+        # Both outsiders shuffle about r3, some twenty metres away.
+        batch = monitor.apply_moves(
+            [_point_move("far", 26.0, 3.0), _point_move("far2", 24.0, 6.0)]
+        )
+        assert [len(calls) for calls in walks] == [0, 0, 0, 0]
+        assert rows == []  # no BoundsRow, hence no float list, was built
+        assert batch.deltas == ()
+        stats = monitor.stats
+        assert stats.pairs_evaluated == stats.pairs_skipped == 2 * len(specs)
+        assert stats.kernel_pairs == stats.kernel_pruned == 2 * len(specs)
+        assert before == {
+            qid: monitor.result_distances(qid) for qid in monitor.query_ids()
+        }
+
+    def test_a_far_member_is_still_handed_over(
+        self, crowded_index, count_calls
+    ):
+        """Beyond reach but held: the one position the query must see,
+        and the only one it is shown."""
+        monitor = QueryMonitor(crowded_index)
+        irq = monitor.register(RangeSpec(Q1, 4.0))
+        walks = count_calls(
+            maintainers.RangeMaintainer, "on_update_batch"
+        )
+        monitor.apply_moves(
+            [_point_move("far", 26.0, 3.0), _point_move("near", 24.0, 6.0)]
+        )
+        ((_, _, _, positions),) = walks
+        assert positions == [1]
+        assert "near" not in monitor.result_ids(irq)
+        assert monitor.stats.pairs_skipped == 2
+
+    def test_ingest_and_one_shot_knn_build_no_subregion_copy(
+        self, small_mall, count_calls
+    ):
+        """An ingest window with standing queries of every stacked kind
+        — some asked from inside a moved object's own partitions, where
+        the kernel's direct-path patch reads instances — and a one-shot
+        ikNNQ (seed TLU, prune, refine) never call
+        ``InstanceSet.subset``: rows are read from the parent set and
+        the piece vector."""
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=20, seed=4)
+        pop = gen.generate(80)
+        index = CompositeIndex.build(small_mall, pop)
+        grid = pop.grid
+        wide = [o for o in pop if len(o.subregions(small_mall, grid)) > 1]
+        assert wide
+        monitor = QueryMonitor(index)
+        stream = MovementStream(small_mall, pop, gen, seed=6)
+        for obj in wide[:3]:
+            q = obj.region.center
+            monitor.register(RangeSpec(q, 25.0))
+            monitor.register(KNNSpec(q, 5))
+            monitor.register(ProbRangeSpec(q, 25.0, 0.5))
+            monitor.register(CountSpec(q, 25.0, 3))
+        subset = count_calls(InstanceSet, "subset")
+        moved_wide = 0
+        for batch in stream.batches(5, 20):
+            moved = monitor.apply_moves(batch).moved
+            moved_wide += sum(
+                len(o.subregions(small_mall, grid)) > 1 for o in moved
+            )
+        assert moved_wide and monitor.stats.pairs_refined
+        for obj in wide[:3]:
+            assert len(ikNNQ(obj.region.center, 10, index).objects) == 10
+        assert subset == []

@@ -66,7 +66,7 @@ def _assert_seed_bounds_exact(index, q, ks):
             for seed in expansion.seeds
         ]
         assert expansion.seed_upper_bounds().tolist() == reference
-        # Lemma 3 reads ``sub_max`` at the arrival door's column, which
+        # Lemma 3 reads ``ent_max`` at the arrival door's entry, which
         # exists because every known path enters through an entry door.
         for pid, door_id in expansion.arrival_doors.items():
             assert door_id in {d.door_id for d in space.entry_doors(pid)}
