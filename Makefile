@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 tier2 test bench bench-stream bench-serving \
-	bench-serving-parallel bench-serving-net \
+	bench-serving-net \
 	bench-restart bench-grid bench-grid-quick bench-trajectory lint \
 	docs-check figures
 
@@ -25,27 +25,22 @@ bench:
 bench-stream:
 	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_stream.py
 
-# The delta-serving benchmark (single vs sharded monitor).  The quick
-# CLI variant (`python benchmarks/bench_serving.py --quick --workers 2`)
-# is the CI smoke gate.
+# The delta-serving benchmark (a served monitor vs the same monitor
+# driven directly).  The quick CLI variant
+# (`python benchmarks/bench_serving.py --quick`) is the CI smoke gate.
 bench-serving:
 	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_serving.py
-
-# Full serving profile with the worker-scaling (1/2/4) and
-# router-tightening (coarse vs bucketed) sweep, printed as a table.
-bench-serving-parallel:
-	$(PYTHON) benchmarks/bench_serving.py --workers 4
 
 # Network serving: N TCP subscribers x M standing queries against a
 # live NetServer, asserting exact convergence at quiesce.
 bench-serving-net:
-	$(PYTHON) benchmarks/bench_serving.py --net --workers 1
+	$(PYTHON) benchmarks/bench_serving.py --net
 
 # Crash recovery: checkpointed serving killed mid-stream, restarted
 # from its manifest, every subscriber resuming to the exact result —
 # plus the checkpoint/restore-latency sweep (nightly table).
 bench-restart:
-	$(PYTHON) benchmarks/bench_serving.py --restart --workers 1
+	$(PYTHON) benchmarks/bench_serving.py --restart
 	$(PYTHON) -m pytest -q -m tier2 \
 		benchmarks/bench_serving.py::test_serving_restart
 
@@ -53,8 +48,6 @@ bench-restart:
 # docs/operations.md).  Resumable: cells with a verified result.json
 # are skipped, so rerunning a killed sweep picks up where it stopped.
 bench-grid:
-	$(PYTHON) -m repro.bench grid benchmarks/grids/serving_worker_scaling.xp \
-		--tables benchmarks/tables
 	$(PYTHON) -m repro.bench grid benchmarks/grids/scenario_fleet.xp \
 		--tables benchmarks/tables
 

@@ -1,36 +1,22 @@
-"""Serving benchmark — the delta-emitting sharded monitor vs a single
-monitor, across router and parallelism variants.
+"""Serving benchmark — a standing-query monitor behind the asyncio
+delta server, against the same monitor driven directly.
 
-Not a paper figure: this measures the PR-2/PR-3 serving subsystem.
-Identical worlds are built (same seeds, independent indexes); one is
-monitored by a single :class:`~repro.queries.monitor.QueryMonitor`, the
-others by :class:`~repro.queries.shard.ShardedMonitor` variants behind
-asyncio :class:`~repro.queries.serving.MonitorServer`\\ s.  The *same*
-absolute-position move batches drive every monitor, so the comparison
-is apples-to-apples and all results must agree exactly.
+Not a paper figure: this measures the serving subsystem.  Two identical
+worlds are built (same seeds, independent indexes); one
+:class:`~repro.queries.monitor.QueryMonitor` is driven directly, the
+other sits behind a :class:`~repro.queries.serving.MonitorServer` with
+one subscription per standing query.  The *same* absolute-position move
+batches drive both, so all results — and the per-batch delta sequences
+— must agree exactly.
 
-Variants swept:
-
-* ``coarse`` — sharded, single-bbox router (``bucketed_router=False``),
-  the PR-2 baseline;
-* ``sharded`` — sharded, tightened per-floor bucketed router (serial);
-* ``workers=N`` — same router, routed shard maintenance fanned out on
-  a thread pool (parallel ingest, still GIL-bound).
-
-Reported per variant: wall-clock + updates/sec, shard-skip ratio (and
-``bucket_skips`` — exclusions only the tightened router found), pair
-evaluations, deltas/sec through the server.
-
-Shape expectations asserted: every variant ends bit-identical to the
-single monitor *and* publishes the identical delta sequence (parallel
-merge is deterministic), the bucketed router skips at least as often
-as the coarse one, and no variant evaluates more pairs than the single
-monitor.
+Reported: wall-clock + updates/sec of both, pair evaluations, deltas
+published and deltas/sec through the server, and the drops of one
+deliberately lossy audit subscription.
 
 ``--prob`` mixes standing probabilistic-threshold range queries
-(iPRQ, maintained by the pluggable ProbRangeMaintainer) into every
-monitor's workload; the nightly ``serving_prob`` table tracks that
-regime's throughput and delta volume.
+(iPRQ, maintained by the pluggable ProbRangeMaintainer) into the
+workload; the nightly ``serving_prob`` table tracks that regime's
+throughput and delta volume.
 
 ``--restart`` exercises the durability story end to end: a
 checkpointed, WAL-attached served service is killed mid-stream
@@ -42,7 +28,8 @@ object count and recovery-replay throughput.
 
 Also runnable standalone (CI smoke)::
 
-    python benchmarks/bench_serving.py --quick --workers 2 --prob
+    python benchmarks/bench_serving.py --quick --transport jsonl \\
+        --prob --net --restart
 """
 
 import argparse
@@ -63,25 +50,23 @@ import pytest
 from repro.api.net import NetClient, ServerThread
 from repro.api.service import QueryService
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
-from repro.bench.grid import Axis, ExperimentGrid
 from repro.bench.workloads import ScaleProfile, WorkloadFactory
 from repro.persist import CheckpointStore
 from repro.queries import DeltaBatch, MonitorServer
 
 pytestmark = pytest.mark.tier2
 
-#: Queue bound of the per-scenario "lossy audit" subscription: a
-#: deliberately tiny, never-drained feed whose drop-oldest losses prove
-#: the ``deltas_dropped`` accounting end to end (unbounded primary
+#: Queue bound of the "lossy audit" subscription: a deliberately tiny,
+#: never-drained feed whose drop-oldest losses prove the
+#: ``deltas_dropped`` accounting end to end (unbounded primary
 #: subscriptions never drop).
 AUDIT_MAXLEN = 2
 
-#: Scenario knobs: (n_batches, batch_size, n_irq, n_iknn, n_shards).
-#: Serving is the frequent-small-batch regime (positioning systems push
-#: updates as they arrive rather than accumulating giant batches):
-#: small batches are what gives the router whole-shard skips to find.
-FULL = (50, 5, 6, 3, 4)
-QUICK = (4, 10, 4, 2, 4)
+#: Scenario knobs: (n_batches, batch_size, n_irq, n_iknn).  Serving is
+#: the frequent-small-batch regime (positioning systems push updates as
+#: they arrive rather than accumulating giant batches).
+FULL = (50, 5, 6, 3)
+QUICK = (4, 10, 4, 2)
 
 #: Standing iPRQs mixed into the workload by the ``--prob`` variant
 #: (full / --quick), watched through the same register(spec) path.
@@ -89,9 +74,6 @@ PROB_QUERIES = 3
 PROB_QUERIES_QUICK = 2
 #: Their appearance-probability threshold.
 PROB_P_MIN = 0.5
-
-#: Worker counts swept by the scaling run (1 == serial reference).
-WORKERS_GRID = (1, 2, 4)
 
 #: A deliberately small profile for the standalone --quick smoke run.
 SMOKE = ScaleProfile(
@@ -116,93 +98,37 @@ SMOKE = ScaleProfile(
 )
 
 
-@dataclass(frozen=True)
-class Variant:
-    """One sharded-monitor configuration under test."""
-
-    label: str
-    workers: int = 1
-    bucketed_router: bool = True
-
-
-#: The full sweep as a grid definition: router before/after, then
-#: thread-worker scaling.  The same declarative machinery behind
-#: ``python -m repro.bench grid`` prunes the invalid corner (a coarse
-#: router is a serial ablation), and the product order reproduces the
-#: historical hand-rolled variant tuple exactly.
-VARIANT_GRID = ExperimentGrid(
-    name="serving_variants",
-    runner="serving",
-    axes=[
-        Axis("router", "{}", ("coarse", "bucketed")),
-        Axis("workers", "w{}", WORKERS_GRID),
-    ],
-    constraints=[
-        lambda p: p["router"] == "bucketed" or p["workers"] == 1,
-    ],
-)
-
-
-def _variant_of(params: dict) -> Variant:
-    if params["router"] == "coarse":
-        return Variant("coarse", bucketed_router=False)
-    if params["workers"] == 1:
-        return Variant("sharded")
-    return Variant(f"workers={params['workers']}", workers=params["workers"])
-
-
-FULL_VARIANTS = tuple(
-    _variant_of(cell.params) for cell in VARIANT_GRID.cells()
-)
-
-
-@dataclass
-class VariantResult:
-    """Outcome of one sharded variant over the shared stream."""
-
-    variant: Variant
-    elapsed_s: float
-    deltas_published: int
-    shard_skip_ratio: float
-    bucket_skips: int
-    updates_filtered: int
-    pairs: int
-    results_equal: bool
-    #: Server-wide drop total (only the bounded audit feed can drop).
-    deltas_dropped: int = 0
-    #: Routed mutations that reused a cached shard reach table.
-    reach_cache_hits: int = 0
-    #: Per-batch delta tuples — the bit-identity evidence across
-    #: variants (deterministic routing + deterministic merge).
-    delta_history: tuple = field(repr=False, default=())
-
-
 @dataclass
 class ServingRun:
-    """One benchmark run: a single-monitor reference plus variants."""
+    """One benchmark run: a directly driven monitor and its served
+    twin over the shared stream."""
 
     updates: int
-    single_s: float
-    pairs_single: int
-    variants: list[VariantResult]
+    direct_s: float
+    served_s: float
+    pairs: int
+    deltas_published: int
+    #: Server-wide drop total (only the bounded audit feed can drop).
+    deltas_dropped: int
+    results_equal: bool
+    #: Per-batch delta tuples of the directly driven monitor and of the
+    #: served one — the bit-identity evidence.
+    direct_history: tuple = field(repr=False, default=())
+    delta_history: tuple = field(repr=False, default=())
 
     @property
-    def single_updates_per_sec(self) -> float:
-        return self.updates / self.single_s if self.single_s else 0.0
+    def direct_updates_per_sec(self) -> float:
+        return self.updates / self.direct_s if self.direct_s else 0.0
 
-    def updates_per_sec(self, res: VariantResult) -> float:
-        return self.updates / res.elapsed_s if res.elapsed_s else 0.0
+    @property
+    def served_updates_per_sec(self) -> float:
+        return self.updates / self.served_s if self.served_s else 0.0
 
-    def deltas_per_sec(self, res: VariantResult) -> float:
+    @property
+    def deltas_per_sec(self) -> float:
         return (
-            res.deltas_published / res.elapsed_s if res.elapsed_s else 0.0
+            self.deltas_published / self.served_s if self.served_s else 0.0
         )
-
-    def by_label(self, label: str) -> VariantResult:
-        for res in self.variants:
-            if res.variant.label == label:
-                return res
-        raise KeyError(label)
 
 
 def run_serving(
@@ -211,151 +137,109 @@ def run_serving(
     batch_size: int,
     n_irq: int,
     n_iknn: int,
-    n_shards: int,
-    variants: tuple[Variant, ...],
     n_iprq: int = 0,
 ) -> ServingRun:
-    # Independent but identical worlds (same seeds): the single
-    # monitor's scenario also owns the stream that drives them all.
-    single = factory.stream_scenario(
-        n_irq=n_irq, n_iknn=n_iknn, n_iprq=n_iprq, p_min=PROB_P_MIN
-    )
-    scenarios = [
+    # Independent but identical worlds (same seeds): the directly
+    # driven monitor's scenario also owns the stream that drives both.
+    direct, served = (
         factory.stream_scenario(
-            n_irq=n_irq,
-            n_iknn=n_iknn,
-            n_iprq=n_iprq,
-            p_min=PROB_P_MIN,
-            n_shards=n_shards,
-            workers=v.workers,
-            bucketed_router=v.bucketed_router,
+            n_irq=n_irq, n_iknn=n_iknn, n_iprq=n_iprq, p_min=PROB_P_MIN
         )
-        for v in variants
+        for _ in range(2)
+    )
+    assert direct.query_ids == served.query_ids
+    server = MonitorServer(served.monitor)
+    # Discard registration history directly on the monitors
+    # (unpublished), then hold one snapshot-free subscription per
+    # standing query: from here on, every published delta lands in
+    # exactly one *primary* queue.
+    direct.monitor.drain_pending_deltas()
+    served.monitor.drain_pending_deltas()
+    subs = [
+        server.subscribe(qid, snapshot=False) for qid in served.query_ids
     ]
-    servers = []
-    all_subs = []
-    audit_subs = []
-    for scenario in scenarios:
-        assert single.query_ids == scenario.query_ids
-        server = MonitorServer(scenario.monitor)
-        # Discard registration history directly on the monitor
-        # (unpublished), then hold one snapshot-free subscription per
-        # standing query: from here on, every published delta lands in
-        # exactly one *primary* queue.
-        scenario.monitor.drain_pending_deltas()
-        all_subs.append([
-            server.subscribe(qid, snapshot=False)
-            for qid in scenario.query_ids
-        ])
-        # Plus one deliberately lossy feed on the first standing query:
-        # never drained, so its drop-oldest losses surface in the
-        # dropped column (the primary queues stay loss-free).
-        audit_subs.append(
-            server.subscribe(
-                scenario.irq_ids[0], snapshot=False, maxlen=AUDIT_MAXLEN
-            )
-        )
-        servers.append(server)
+    # Plus one deliberately lossy feed on the first standing query:
+    # never drained, so its drop-oldest losses surface in the dropped
+    # column (the primary queues stay loss-free).
+    audit = server.subscribe(
+        served.irq_ids[0], snapshot=False, maxlen=AUDIT_MAXLEN
+    )
 
-    elapsed = [0.0] * len(variants)
-    histories: list[list[tuple]] = [[] for _ in variants]
-    single_s = 0.0
+    direct_history: list[tuple] = []
+    history: list[tuple] = []
+    direct_s = served_s = 0.0
     updates = 0
 
     async def drive() -> None:
-        nonlocal single_s, updates
+        nonlocal direct_s, served_s, updates
         for _ in range(n_batches):
-            moves = single.stream.next_moves(batch_size)
+            moves = direct.stream.next_moves(batch_size)
             t0 = time.perf_counter()
-            batch = single.monitor.apply_moves(moves)
-            single_s += time.perf_counter() - t0
+            batch = direct.monitor.apply_moves(moves)
+            direct_s += time.perf_counter() - t0
             updates += len(batch.moved)
-            for i, server in enumerate(servers):
-                t0 = time.perf_counter()
-                batch = await server.apply_moves(moves)
-                elapsed[i] += time.perf_counter() - t0
-                histories[i].append(batch.deltas)
+            direct_history.append(batch.deltas)
+            t0 = time.perf_counter()
+            batch = await server.apply_moves(moves)
+            served_s += time.perf_counter() - t0
+            history.append(batch.deltas)
 
     asyncio.run(drive())
+    server.close()
 
-    results = []
-    for i, (variant, scenario, server) in enumerate(
-        zip(variants, scenarios, servers)
-    ):
-        server.close()
-        scenario.monitor.close()
-        results_equal = all(
-            single.monitor.result_distances(qid)
-            == scenario.monitor.result_distances(qid)
-            for qid in single.query_ids
-        )
-        # The fan-out path is load-bearing: everything the server
-        # published is sitting in (or was drained from) the primary
-        # queues (deltas are counted once per delta, not per
-        # subscriber, so the extra audit feed does not inflate this).
-        assert (
-            sum(sub.delivered + sub.pending for sub in all_subs[i])
-            == server.deltas_published
-        )
-        # The lossy audit feed accounts for every delta of its query:
-        # queued + dropped, with the drops mirrored on the server total.
-        audit = audit_subs[i]
-        audit_published = sum(
-            1
-            for deltas in histories[i]
-            for d in deltas
-            if d.query_id == audit.query_id
-        )
-        assert audit.pending + audit.dropped == audit_published
-        assert server.deltas_dropped == audit.dropped
-        routing = scenario.monitor.routing
-        results.append(
-            VariantResult(
-                variant=variant,
-                elapsed_s=elapsed[i],
-                deltas_published=server.deltas_published,
-                shard_skip_ratio=routing.skip_ratio,
-                bucket_skips=routing.bucket_skips,
-                updates_filtered=routing.updates_filtered,
-                pairs=scenario.monitor.stats.pairs_evaluated,
-                results_equal=results_equal,
-                deltas_dropped=server.deltas_dropped,
-                reach_cache_hits=routing.reach_cache_hits,
-                delta_history=tuple(histories[i]),
-            )
-        )
+    # The fan-out path is load-bearing: everything the server published
+    # is sitting in (or was drained from) the primary queues (deltas
+    # are counted once per delta, not per subscriber, so the extra
+    # audit feed does not inflate this).
+    assert (
+        sum(sub.delivered + sub.pending for sub in subs)
+        == server.deltas_published
+    )
+    # The lossy audit feed accounts for every delta of its query:
+    # queued + dropped, with the drops mirrored on the server total.
+    audit_published = sum(
+        1
+        for deltas in history
+        for d in deltas
+        if d.query_id == audit.query_id
+    )
+    assert audit.pending + audit.dropped == audit_published
+    assert server.deltas_dropped == audit.dropped
     return ServingRun(
         updates=updates,
-        single_s=single_s,
-        pairs_single=single.monitor.stats.pairs_evaluated,
-        variants=results,
+        direct_s=direct_s,
+        served_s=served_s,
+        pairs=served.monitor.stats.pairs_evaluated,
+        deltas_published=server.deltas_published,
+        deltas_dropped=server.deltas_dropped,
+        results_equal=all(
+            direct.monitor.result_distances(qid)
+            == served.monitor.result_distances(qid)
+            for qid in direct.query_ids
+        ),
+        direct_history=tuple(direct_history),
+        delta_history=tuple(history),
     )
 
 
 def _check(run: ServingRun) -> None:
-    reference = run.variants[0]
-    for res in run.variants:
-        label = res.variant.label
-        assert res.results_equal, f"{label} diverged from the single monitor"
-        assert res.pairs <= run.pairs_single, label
-        assert res.deltas_published > 0, label
-        # Deterministic routing + ordered merge: every variant (router
-        # ablation and parallel alike) publishes the identical delta
-        # sequence, batch for batch.
-        assert res.delta_history == reference.delta_history, (
-            f"{label} published a different delta sequence than "
-            f"{reference.variant.label}"
-        )
-    bucketed = [r for r in run.variants if r.variant.bucketed_router]
-    coarse = [r for r in run.variants if not r.variant.bucketed_router]
-    assert bucketed and bucketed[0].shard_skip_ratio > 0.0, (
-        "router never skipped a shard"
+    assert run.results_equal, "served monitor diverged from the direct one"
+    assert run.deltas_published > 0
+    # The server adds no semantics: it publishes the delta sequence the
+    # monitor emits, batch for batch.
+    assert run.delta_history == run.direct_history, (
+        "the server published a different delta sequence than the "
+        "directly driven monitor emitted"
     )
-    for c in coarse:
-        assert c.bucket_skips == 0  # coarse mode cannot bucket-skip
-        assert bucketed[0].shard_skip_ratio >= c.shard_skip_ratio, (
-            "tightened router skipped less than the coarse one"
-        )
+
+
+def _prob_deltas(run: ServingRun) -> int:
+    return sum(
+        1
+        for deltas in run.delta_history
+        for d in deltas
+        if d.query_id.startswith("iprq-")
+    )
 
 
 @dataclass
@@ -406,84 +290,21 @@ def measure_wire(history: tuple) -> WireTransport:
     )
 
 
-def _serial_parallel(workers: int) -> tuple[Variant, ...]:
-    return (
-        Variant("sharded"),
-        Variant(f"workers={workers}", workers=workers),
-    )
-
-
 @pytest.fixture(scope="module")
 def full_run():
-    """One full-profile sweep over every variant (each sweep drives
-    1 + len(variants) worlds).  The worker-scaling *table* is the
-    grid's (``benchmarks/grids/serving_worker_scaling.xp``, repeated
-    cells); this sweep keeps the thread variants for ``_check``'s
-    bit-identity assertions."""
-    factory = WorkloadFactory()
-    n_batches, batch_size, n_irq, n_iknn, n_shards = FULL
-    return run_serving(
-        factory,
-        n_batches,
-        batch_size,
-        n_irq,
-        n_iknn,
-        n_shards,
-        FULL_VARIANTS,
-    )
-
-
-def test_serving_single_vs_sharded(full_run, save_table):
-    from repro.bench.runner import ExperimentResult
-
-    run = full_run
-    n_shards = FULL[4]
-    sharded = run.by_label("sharded")
-    coarse = run.by_label("coarse")
-    result = ExperimentResult(
-        title=f"Serving — single vs sharded(n={n_shards}) monitor",
-        x_label="metric",
-        unit="",
-    )
-    result.x_values.append("run")
-    result.add("single_upd_per_s", run.single_updates_per_sec)
-    result.add("sharded_upd_per_s", run.updates_per_sec(sharded))
-    result.add("deltas_per_s", run.deltas_per_sec(sharded))
-    result.add("skip_%_coarse", 100.0 * coarse.shard_skip_ratio)
-    result.add("skip_%_bucketed", 100.0 * sharded.shard_skip_ratio)
-    result.add("bucket_skips", sharded.bucket_skips)
-    result.add("pairs_single", run.pairs_single)
-    result.add("pairs_sharded", sharded.pairs)
-    result.add("audit_dropped", sharded.deltas_dropped)
-    save_table("serving_comparison", result)
+    """One full-profile run (two worlds)."""
+    run = run_serving(WorkloadFactory(), *FULL)
     _check(run)
+    return run
 
 
 def test_serving_prob(save_table):
     """The ``--prob`` variant's nightly table: standing iPRQ mixed
-    into the workload, watched/sharded/served through the same paths
-    and bit-identical across engines."""
+    into the workload, watched and served through the same paths."""
     from repro.bench.runner import ExperimentResult
 
-    factory = WorkloadFactory()
-    n_batches, batch_size, n_irq, n_iknn, n_shards = FULL
-    run = run_serving(
-        factory,
-        n_batches,
-        batch_size,
-        n_irq,
-        n_iknn,
-        n_shards,
-        (Variant("coarse", bucketed_router=False), Variant("sharded")),
-        n_iprq=PROB_QUERIES,
-    )
-    sharded = run.by_label("sharded")
-    prob_deltas = sum(
-        1
-        for deltas in sharded.delta_history
-        for d in deltas
-        if d.query_id.startswith("iprq-")
-    )
+    run = run_serving(WorkloadFactory(), *FULL, n_iprq=PROB_QUERIES)
+    prob_deltas = _prob_deltas(run)
     assert prob_deltas > 0, "standing iPRQs never changed"
     result = ExperimentResult(
         title=(
@@ -494,14 +315,11 @@ def test_serving_prob(save_table):
         unit="",
     )
     result.x_values.append("run")
-    result.add("single_upd_per_s", run.single_updates_per_sec)
-    result.add("sharded_upd_per_s", run.updates_per_sec(sharded))
-    result.add("deltas_per_s", run.deltas_per_sec(sharded))
+    result.add("direct_upd_per_s", run.direct_updates_per_sec)
+    result.add("served_upd_per_s", run.served_updates_per_sec)
+    result.add("deltas_per_s", run.deltas_per_sec)
     result.add("prob_deltas", prob_deltas)
-    result.add("skip_%", 100.0 * sharded.shard_skip_ratio)
-    result.add("reach_cache_hits", sharded.reach_cache_hits)
-    result.add("pairs_single", run.pairs_single)
-    result.add("pairs_sharded", sharded.pairs)
+    result.add("pairs", run.pairs)
     save_table("serving_prob", result)
     _check(run)
 
@@ -512,7 +330,7 @@ def test_serving_wire_transport(full_run, save_table):
     round-trip fidelity asserted inside :func:`measure_wire`."""
     from repro.bench.runner import ExperimentResult
 
-    wt = measure_wire(full_run.by_label("sharded").delta_history)
+    wt = measure_wire(full_run.delta_history)
     assert wt.deltas > 0
     result = ExperimentResult(
         title="Serving — JSONL delta wire transport",
@@ -1059,19 +877,13 @@ def _print_restart(run: RestartServingRun) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Delta-serving benchmark: single vs sharded monitor."
+        description="Delta-serving benchmark: a monitor behind the "
+        "asyncio delta server against the same monitor driven directly."
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="tiny smoke-sized run (CI gate)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="also run a parallel variant and assert it is "
-        "bit-identical to serial",
     )
     parser.add_argument(
         "--seed",
@@ -1080,7 +892,6 @@ def main(argv: list[str] | None = None) -> int:
         help="override the profile's base seed (venue, population, "
         "queries and stream all derive from it)",
     )
-    parser.add_argument("--shards", type=int, default=None)
     parser.add_argument("--batches", type=int, default=None)
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument(
@@ -1114,92 +925,48 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.quick:
         factory = WorkloadFactory(SMOKE, seed=args.seed)
-        n_batches, batch_size, n_irq, n_iknn, n_shards = QUICK
+        n_batches, batch_size, n_irq, n_iknn = QUICK
     else:
         factory = WorkloadFactory(seed=args.seed)
-        n_batches, batch_size, n_irq, n_iknn, n_shards = FULL
-    n_shards = args.shards or n_shards
+        n_batches, batch_size, n_irq, n_iknn = FULL
     n_batches = args.batches or n_batches
     batch_size = args.batch_size or batch_size
-
-    if args.quick and args.workers:
-        # CI smoke: serial vs parallel equivalence, not timing.
-        variants = _serial_parallel(args.workers)
-    elif args.quick:
-        variants = (
-            Variant("coarse", bucketed_router=False),
-            Variant("sharded"),
-        )
-    elif args.workers:
-        wanted = _serial_parallel(args.workers)[1]
-        variants = FULL_VARIANTS + (
-            () if wanted in FULL_VARIANTS else (wanted,)
-        )
-    else:
-        variants = FULL_VARIANTS
 
     n_iprq = 0
     if args.prob:
         n_iprq = PROB_QUERIES_QUICK if args.quick else PROB_QUERIES
     run = run_serving(
-        factory,
-        n_batches,
-        batch_size,
-        n_irq,
-        n_iknn,
-        n_shards,
-        variants,
-        n_iprq=n_iprq,
+        factory, n_batches, batch_size, n_irq, n_iknn, n_iprq=n_iprq
     )
     print(f"updates absorbed        {run.updates}")
-    print(f"single   updates/sec    {run.single_updates_per_sec:10.1f}")
-    print(f"pairs single            {run.pairs_single}")
-    header = (
-        f"{'variant':<12} {'upd/s':>10} {'speedup':>8} {'skip%':>7} "
-        f"{'bucket_skips':>12} {'filtered':>9} {'pairs':>7} {'deltas':>7}"
-    )
-    print(header)
-    serial = next(
-        (r for r in run.variants
-         if r.variant.workers == 1 and r.variant.bucketed_router),
-        run.variants[0],
-    )
-    for res in run.variants:
-        speedup = (
-            serial.elapsed_s / res.elapsed_s if res.elapsed_s else 0.0
-        )
-        print(
-            f"{res.variant.label:<12} {run.updates_per_sec(res):>10.1f} "
-            f"{speedup:>8.2f} {100.0 * res.shard_skip_ratio:>6.1f}% "
-            f"{res.bucket_skips:>12} {res.updates_filtered:>9} "
-            f"{res.pairs:>7} {res.deltas_published:>7}"
-        )
+    print(f"direct   updates/sec    {run.direct_updates_per_sec:10.1f}")
+    print(f"served   updates/sec    {run.served_updates_per_sec:10.1f}")
+    print(f"pairs evaluated         {run.pairs}")
     print(
-        f"lossy audit dropped     {serial.deltas_dropped} "
+        f"deltas published        {run.deltas_published} "
+        f"({run.deltas_per_sec:.1f}/sec)"
+    )
+    print(
+        f"lossy audit dropped     {run.deltas_dropped} "
         f"(one never-drained sub, maxlen={AUDIT_MAXLEN})"
     )
     if n_iprq:
-        prob_deltas = sum(
-            1
-            for deltas in serial.delta_history
-            for d in deltas
-            if d.query_id.startswith("iprq-")
-        )
+        prob_deltas = _prob_deltas(run)
         assert prob_deltas > 0, "standing iPRQs never changed"
         print(
             f"standing iPRQ           {n_iprq} queries "
             f"(p_min={PROB_P_MIN}), {prob_deltas} deltas"
         )
     if args.transport == "jsonl":
-        wt = measure_wire(serial.delta_history)
+        wt = measure_wire(run.delta_history)
         print(
             f"wire transport (jsonl)  {wt.deltas} deltas in "
             f"{wt.lines} batch lines, {wt.wire_bytes} bytes"
         )
         print(f"  encode deltas/sec     {wt.encode_per_sec:10.1f}")
         print(f"  decode deltas/sec     {wt.decode_per_sec:10.1f}")
-    print("results identical       True (asserted)")
     _check(run)
+    print("results identical       True (asserted)")
     if args.net:
         n_clients, per_client, net_batches, net_bs = (
             NET_QUICK if args.quick else NET_FULL

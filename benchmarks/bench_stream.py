@@ -44,8 +44,6 @@ def test_stream_monitor_throughput(stream_scenario, save_table, benchmark):
     for batch_no in range(N_BATCHES):
         absorb_s = scenario.absorb_batch(BATCH_SIZE)
         reexec_s = scenario.reexecute_all()
-        # Re-read each batch: a ShardedMonitor's `stats` is a computed
-        # aggregate snapshot, not a live counter object.
         stats = scenario.monitor.stats
         result.x_values.append(batch_no + 1)
         result.add("absorb_ms", 1000.0 * absorb_s)

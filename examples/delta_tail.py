@@ -46,7 +46,6 @@ from repro import (
     ProbRangeSpec,
     QueryService,
     RangeSpec,
-    ServiceConfig,
     build_mall,
 )
 from repro.api import wire
@@ -68,7 +67,7 @@ def produce(feed_path: Path) -> QueryService:
     generator = ObjectGenerator(space, radius=4.0, n_instances=12, seed=17)
     visitors = generator.generate(120)
     index = CompositeIndex.build(space, visitors)
-    service = QueryService(index, ServiceConfig(n_shards=4))
+    service = QueryService(index)
     print(f"Venue:    {space}")
     print(f"Visitors: {len(visitors)} moving objects")
 

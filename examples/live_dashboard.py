@@ -9,9 +9,7 @@ ProbRangeMaintainer through the very same ``watch(spec)`` path).
 Everything goes through one :class:`repro.QueryService`: declarative
 specs (:class:`repro.RangeSpec` / :class:`repro.KNNSpec` /
 :class:`repro.ProbRangeSpec`) instead of per-class registration calls,
-a :class:`repro.ServiceConfig` that picks the sharded engine (4 shards
-over one shared index) without touching dashboard code, and
-:meth:`subscribe` feeds that push every result **delta** — who
+and :meth:`subscribe` feeds that push every result **delta** — who
 entered, who left, whose distance (or appearance probability) changed
 — into the dashboard's queues, absorbing a corridor-door closure (a
 cleaning blockage) without missing a beat.
@@ -31,7 +29,6 @@ from repro import (
     ProbRangeSpec,
     QueryService,
     RangeSpec,
-    ServiceConfig,
     build_mall,
     replay_deltas,
 )
@@ -68,9 +65,9 @@ async def main() -> None:
     print(f"Venue:    {space}")
     print(f"Visitors: {len(visitors)} moving objects\n")
 
-    # One façade: the config picks the sharded engine; the dashboard
-    # below never mentions monitors, shards or servers again.
-    service = QueryService(index, ServiceConfig(n_shards=4))
+    # One façade: the dashboard below never mentions monitors or
+    # servers again.
+    service = QueryService(index)
     kiosk_q = space.random_point(seed=4)
     desk_q = space.random_point(seed=9)
     vip_q = space.random_point(seed=14)
@@ -80,14 +77,12 @@ async def main() -> None:
     kiosk = service.watch(kiosk_spec, query_id="kiosk")
     desk = service.watch(desk_spec, query_id="security")
     vip = service.watch(vip_spec, query_id="vip")
-    monitor = service.monitor  # introspection only (shards, routing)
     print(f"Standing queries: kiosk iRQ(60 m) at "
-          f"({kiosk_q.x:.0f},{kiosk_q.y:.0f}) floor {kiosk_q.floor} "
-          f"-> shard {monitor.shard_of(kiosk_q)}; "
+          f"({kiosk_q.x:.0f},{kiosk_q.y:.0f}) floor {kiosk_q.floor}; "
           f"security 8-NN at ({desk_q.x:.0f},{desk_q.y:.0f}) "
-          f"floor {desk_q.floor} -> shard {monitor.shard_of(desk_q)}; "
+          f"floor {desk_q.floor}; "
           f"vip iPRQ(40 m, p>=0.7) at ({vip_q.x:.0f},{vip_q.y:.0f}) "
-          f"floor {vip_q.floor} -> shard {monitor.shard_of(vip_q)}\n")
+          f"floor {vip_q.floor}\n")
 
     kiosk_sub = service.subscribe(kiosk)     # primed with a snapshot
     desk_sub = service.subscribe(desk)
@@ -104,10 +99,8 @@ async def main() -> None:
     # A corridor door near the kiosk gets blocked mid-stream.
     blocked_door = sorted(space.doors)[len(space.doors) // 2]
 
-    print("tick | updates |  kiosk | security | vip |  skip%  | "
-          "shard-skip | note")
-    print("-----+---------+--------+----------+-----+---------+"
-          "------------+-----")
+    print("tick | updates |  kiosk | security | vip |  skip%  | note")
+    print("-----+---------+--------+----------+-----+---------+-----")
 
     async def on_batch(tick0: int, batch) -> None:
         tick = tick0 + 1
@@ -124,8 +117,7 @@ async def main() -> None:
             f"{len(service.result_ids(kiosk)):6d} | "
             f"{len(service.result_ids(desk)):8d} | "
             f"{len(service.result_ids(vip)):3d} | "
-            f"{100 * s.skip_ratio:6.1f}% | "
-            f"{100 * service.routing.skip_ratio:9.1f}% | {note}"
+            f"{100 * s.skip_ratio:6.1f}% | {note}"
         )
 
     report = await service.serve(stream, n_batches=10, batch_size=30,
@@ -150,17 +142,11 @@ async def main() -> None:
     stats = service.stats
     print(
         f"Processed {stats.updates_seen} updates against "
-        f"{len(service)} standing queries across {monitor.n_shards} shards: "
+        f"{len(service)} standing queries: "
         f"{stats.pairs_skipped} pairs decided without exact distance work, "
         f"{stats.pairs_refined} refined, "
         f"{stats.full_recomputes} ikNNQ guard-band refills, "
         f"{stats.event_recomputes} topology resyncs."
-    )
-    routing = service.routing
-    print(
-        f"Router: {routing.shards_skipped} shard visits skipped outright "
-        f"({100 * routing.skip_ratio:.1f}%), "
-        f"{routing.updates_filtered} updates filtered before pairing."
     )
     print(
         f"Serve report: {report.deltas_published} deltas published, "

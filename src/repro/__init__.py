@@ -91,8 +91,6 @@ _EXPORTS = {
     "ResultDelta": "repro.queries",
     "DeltaBatch": "repro.queries",
     "replay_deltas": "repro.queries",
-    "ShardedMonitor": "repro.queries",
-    "ShardStats": "repro.queries",
     "MonitorServer": "repro.queries",
     "Subscription": "repro.queries",
     "NaiveEvaluator": "repro.baselines",
@@ -171,8 +169,6 @@ __all__ = [
     "ResultDelta",
     "DeltaBatch",
     "replay_deltas",
-    "ShardedMonitor",
-    "ShardStats",
     "MonitorServer",
     "Subscription",
     "NaiveEvaluator",

@@ -14,9 +14,9 @@ per spec kind, iRQ/ikNNQ/iPRQ alike (the deprecated
 
 Quickstart::
 
-    from repro.api import KNNSpec, QueryService, RangeSpec, ServiceConfig
+    from repro.api import KNNSpec, QueryService, RangeSpec
 
-    service = QueryService(index, ServiceConfig(n_shards=4))
+    service = QueryService(index)
     nearby = service.run(RangeSpec(q, 60.0))       # one-shot
     kiosk = service.watch(RangeSpec(q, 60.0))      # standing
     feed = service.subscribe(KNNSpec(desk, 8))     # async delta push
@@ -81,8 +81,8 @@ complementary artifacts, one directory
   topology, every object in insertion order, every standing query's
   spec *and exact maintainer state* in registration order, the auto-id
   counter) atomically — tmp + fsync + rename.
-  :meth:`QueryService.restore` rebuilds the engine — single or
-  sharded, overridable via ``config=`` — *provably bit-identical*: the
+  :meth:`QueryService.restore` rebuilds the engine *provably
+  bit-identical* (``config=`` overrides the recorded one): the
   same subsequent updates produce the same delta sequences, and auto
   query-id allocation continues where it left off.
 * **write-ahead log** — with a WAL attached (the store does this at

@@ -1,11 +1,10 @@
 """The :class:`QueryService` façade: one object, four verbs.
 
 Before this layer, the paper's three query classes were reachable
-through five divergent entry-point styles — the free functions
+through divergent entry-point styles — the free functions
 :func:`~repro.queries.iRQ` / :func:`~repro.queries.ikNNQ` /
 :func:`~repro.queries.iPRQ` plus near-duplicate registration trios on
-:class:`~repro.queries.monitor.QueryMonitor`,
-:class:`~repro.queries.shard.ShardedMonitor` and
+:class:`~repro.queries.monitor.QueryMonitor` and
 :class:`~repro.queries.serving.MonitorServer`.  The façade collapses
 them:
 
@@ -24,11 +23,9 @@ them:
   delta fans out to subscribers *and* to any attached JSONL wire feed
   (:meth:`attach_feed`), which is how subscribers live out-of-process.
 
-A :class:`ServiceConfig` picks the execution engine — single
-:class:`~repro.queries.monitor.QueryMonitor` versus
-:class:`~repro.queries.shard.ShardedMonitor` (shard count, worker
-pool, bucketed router) — without changing a caller's code, and every
-standing-query id is claimed through one
+There is one execution engine, a single
+:class:`~repro.queries.monitor.QueryMonitor`, and every standing-query
+id is claimed through one
 :func:`~repro.queries.monitor.claim_query_id` guard so duplicates fail
 loudly no matter which surface claimed first.
 """
@@ -85,7 +82,6 @@ from repro.queries.serving import (
     Subscription,
 )
 from repro.queries.session import QuerySession
-from repro.queries.shard import ShardedMonitor, ShardStats
 from repro.queries.stats import QueryStats
 from repro.space.events import EventResult, TopologyEvent
 from repro.space.io import space_from_dict, space_to_dict
@@ -122,19 +118,20 @@ class _IdCounter:
 class ServiceConfig:
     """Execution knobs of a :class:`QueryService`.
 
-    ``n_shards=1`` (default) runs a single
-    :class:`~repro.queries.monitor.QueryMonitor`; ``n_shards>1`` a
-    :class:`~repro.queries.shard.ShardedMonitor`, with ``workers``
-    selecting its parallel ingest width and ``bucketed_router`` the
-    tightened per-floor reach tables.  ``maxlen`` is
-    the default subscription queue bound (``None`` = unbounded; see
-    :class:`~repro.queries.serving.Subscription` for the drop-oldest
-    policy and the ``dropped`` counter).
+    ``maxlen`` is the default subscription queue bound (``None`` =
+    unbounded; see :class:`~repro.queries.serving.Subscription` for the
+    drop-oldest policy and the ``dropped`` counter).
+
+    ``n_shards`` and ``workers`` are **inert**: validated ``>= 1`` and
+    otherwise ignored — every service runs one
+    :class:`~repro.queries.monitor.QueryMonitor`.  They remain only
+    because ``benchmarks/e2e/workloads.py`` passes both and stored
+    checkpoints carry them; ROADMAP item 1's harness-only PR removes
+    them.
     """
 
     n_shards: int = 1
     workers: int = 1
-    bucketed_router: bool = True
     maxlen: int | None = None
 
     def __post_init__(self) -> None:
@@ -153,7 +150,7 @@ class QueryService:
 
     Usage::
 
-        service = QueryService(index, ServiceConfig(n_shards=4))
+        service = QueryService(index)
         nearby = service.run(RangeSpec(q, 60.0))        # one-shot
         kiosk = service.watch(RangeSpec(q, 60.0))       # standing
         feed = service.subscribe(KNNSpec(desk, 8))      # push
@@ -173,16 +170,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.index = index
         self.session = session or QuerySession(index)
-        if self.config.n_shards > 1:
-            self.monitor: QueryMonitor | ShardedMonitor = ShardedMonitor(
-                index,
-                n_shards=self.config.n_shards,
-                session=self.session,
-                workers=self.config.workers,
-                bucketed_router=self.config.bucketed_router,
-            )
-        else:
-            self.monitor = QueryMonitor(index, session=self.session)
+        self.monitor = QueryMonitor(index, session=self.session)
         self.server = MonitorServer(self.monitor)
         self.server.on_publish = self._feed_batch
         self.server.on_drop = self._feed_resync_snapshot
@@ -197,13 +185,10 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """End every subscription and shut a sharded monitor's worker
-        pool down (idempotent).  Attached feeds are not closed — their
-        files belong to the caller."""
+        """End every subscription (idempotent).  Attached feeds are
+        not closed — their files belong to the caller."""
         self._closed = True
         self.server.close()
-        if isinstance(self.monitor, ShardedMonitor):
-            self.monitor.close()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -255,7 +240,7 @@ class QueryService:
         service hands out flows through here — one guard, one counter —
         so a duplicate raises a clear
         :class:`~repro.errors.QueryError` instead of colliding
-        silently across shards or surfaces."""
+        silently across surfaces."""
         return claim_query_id(
             self.monitor, query_id, standing_spec(spec).kind,
             self._id_counter,
@@ -372,8 +357,8 @@ class QueryService:
         if self._closed:
             raise QueryError("service is closed")
         # The server's writer lock serialises this sync mutation against
-        # any in-flight offloaded batch of a concurrently running
-        # serve() — monitor and index state stay single-writer.  (The
+        # a batch a server loop on another thread is absorbing —
+        # monitor and index state stay single-writer.  (The
         # publish itself is only loop-safe when no event loop is
         # draining subscribers at this instant; interleave sync
         # mutations with an active serve() from `on_batch`, not from a
@@ -532,15 +517,8 @@ class QueryService:
         """Everything a bit-identical rebuild needs (caller holds the
         writer lock): config (plus the index build shape), space and
         its topology version, objects in population insertion order,
-        query specs + maintainer snapshots in registration order, reach
-        epoch(s), and the auto-id counter."""
-        monitor = self.monitor
-        if isinstance(monitor, ShardedMonitor):
-            reach_epoch: int | list[int] = [
-                shard.reach_epoch for shard in monitor.shards
-            ]
-        else:
-            reach_epoch = monitor.reach_epoch
+        query specs + maintainer snapshots in registration order, and
+        the auto-id counter."""
         space = self.index.space
         config = dict(asdict(self.config))
         config["index"] = {
@@ -551,7 +529,6 @@ class QueryService:
             config=config,
             space=space_to_dict(space),
             topology_version=space.topology_version,
-            reach_epoch=reach_epoch,
             next_auto_id=self._id_counter.value,
             objects=[
                 object_to_dict(obj) for obj in self.index.objects()
@@ -562,7 +539,7 @@ class QueryService:
                     "spec": spec.to_dict(),
                     "state": state,
                 }
-                for query_id, spec, state in monitor.snapshot_queries()
+                for query_id, spec, state in self.monitor.snapshot_queries()
             ],
             extra=dict(extra or {}),
         )
@@ -577,8 +554,7 @@ class QueryService:
         a torn or corrupt file raises
         :class:`~repro.errors.PersistError` rather than restoring
         silently-wrong state).  ``config`` overrides the checkpointed
-        engine shape — e.g. restart a single-engine checkpoint
-        sharded; results stay identical either way."""
+        :class:`ServiceConfig`."""
         return cls.from_state(read_checkpoint(path), config=config)
 
     @classmethod
@@ -603,11 +579,12 @@ class QueryService:
         space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
-        # Checkpoints written while the bounds kernel and the shard
-        # execution engine were selectable carry their names; every
-        # value gave bit-identical results.
+        # Checkpoints written while the bounds kernel, the shard
+        # execution engine and the shard router were selectable carry
+        # their names; every value gave bit-identical results.
         cfg.pop("kernel", None)
         cfg.pop("backend", None)
+        cfg.pop("bucketed_router", None)
         population = ObjectPopulation(space)
         for payload in state.objects:
             population.insert(object_from_dict(payload))
@@ -635,20 +612,6 @@ class QueryService:
                     f"checkpoint carries an unusable query record: {exc}"
                 ) from None
             service.monitor.restore_query(spec, query_id, query_state)
-        # Reach epochs transfer only when the engine shape matches the
-        # checkpointed one (a config override may change it); they are
-        # cache-invalidation counters, so starting over merely costs
-        # one rebuild of each shard's reach table, never correctness.
-        epochs = state.reach_epoch
-        monitor = service.monitor
-        if isinstance(monitor, ShardedMonitor):
-            if isinstance(epochs, list) and len(epochs) == len(
-                monitor.shards
-            ):
-                for shard, epoch in zip(monitor.shards, epochs):
-                    shard.reach_epoch = int(epoch)
-        elif isinstance(epochs, int):
-            monitor.reach_epoch = epochs
         service._id_counter.value = int(state.next_auto_id)
         return service
 
@@ -688,9 +651,11 @@ class QueryService:
         return self.monitor.stats
 
     @property
-    def routing(self) -> ShardStats | None:
-        """Shard-router accounting (``None`` under a single monitor)."""
-        return getattr(self.monitor, "routing", None)
+    def routing(self) -> None:
+        """Always ``None`` (there is no shard router); kept only
+        because ``benchmarks/e2e/workloads.py`` reads it — ROADMAP
+        item 1's harness-only PR removes it."""
+        return None
 
     @property
     def deltas_published(self) -> int:

@@ -5,7 +5,7 @@ evaluated: :class:`RangeSpec` is the paper's iRQ (Definition 3),
 :class:`KNNSpec` the ikNNQ (Definition 4) and :class:`ProbRangeSpec`
 the probabilistic-threshold extension (:func:`repro.queries.iPRQ`).
 Every evaluation surface — one-shot execution, standing registration on
-a (sharded) monitor, async subscription — takes the same spec, so a new
+a monitor, async subscription — takes the same spec, so a new
 capability is plumbed through exactly one registration path instead of
 three near-duplicate ``register_irq``/``register_iknn`` trios.
 
@@ -254,10 +254,9 @@ class OccupancySpec(QuerySpec):
     located inside partition ``partition_id`` is at least ``threshold``.
 
     The only *anchored* spec kind: it names a partition instead of
-    carrying a query point (the maintainer derives its spatial anchor —
-    and hence shard routing and reach — from the partition's footprint
-    at registration time).  Watch-only, like :class:`CountSpec`: the
-    standing variant, maintained by
+    carrying a query point (the maintainer derives its spatial anchor
+    from the partition's footprint at registration time).  Watch-only,
+    like :class:`CountSpec`: the standing variant, maintained by
     :class:`~repro.queries.maintainers.OccupancyMaintainer`, publishes a
     single synthetic ``"occupancy"`` member annotated with the current
     population while the threshold is met — the natural evacuation /

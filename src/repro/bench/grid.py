@@ -2,9 +2,9 @@
 
 The benchmark scripts each hand-roll one sweep; this subsystem makes
 sweeps *data*.  An :class:`ExperimentGrid` declares named parameter
-axes (objects x update rate x shards x workers x query mix x
-scenario ...) plus constraints that prune invalid cells; a
-:class:`GridRunner` materialises one output directory per surviving
+axes (objects x update rate x query mix x scenario ...) plus
+constraints that prune invalid cells; a :class:`GridRunner`
+materialises one output directory per surviving
 cell (``params.json`` + ``result.json`` + ``log.txt``), skipping cells
 whose results already exist and verify — so a killed sweep, rerun with
 the same arguments, resumes exactly where it stopped (gridxp's
@@ -16,12 +16,12 @@ files use (and CSV for anything downstream).
 Grids are written as *xpfiles* — small Python files evaluated in a
 scope exposing the declaration DSL::
 
-    name("serving_worker_scaling")
-    runner("serving")                       # a registered cell runner
-    param("workers", "w{}", [1, 2, 4])      # one axis
-    param("rep", "r{}", [0, 1, 2, 3, 4])    # repetitions are an axis too
-    fixed("n_shards", 4)                    # constant, not swept
-    constraint(lambda p: p["workers"] <= p["n_shards"])
+    name("stream_update_rate")
+    runner("stream")                        # a registered cell runner
+    param("batch_size", "bs{}", [5, 20, 80])  # one axis
+    param("n_iknn", "k{}", [0, 4])          # another
+    fixed("batches", 50)                    # constant, not swept
+    constraint(lambda p: p["batch_size"] * p["batches"] <= 4000)
     def _table(cells): ...
     table(_table)                           # cells -> ExperimentResult
 

@@ -16,10 +16,8 @@ each exposed as a grid axis value so one xpfile sweeps them:
   trough to peak and back following a sinusoid, so throughput is
   measured under load *variation*, not just steady state.
 
-Also here: the ``serving`` runner (one worker-scaling variant per
-cell — the grid-native port of ``bench_serving``'s hand-rolled
-variant loop) and the generic ``stream`` runner (objects x update
-rate x shards x query mix).
+Also here: the generic ``stream`` runner (objects x update rate x
+query mix).
 
 Every runner takes ``(params, ctx)`` and returns a flat JSON dict;
 ``updates_per_sec`` / ``deltas_per_sec`` are common to all so tables
@@ -37,7 +35,6 @@ from repro.api.specs import KNNSpec, RangeSpec
 from repro.bench.grid import CellContext, register_cell_runner
 from repro.bench.workloads import (
     ScaleProfile,
-    StreamScenario,
     WorkloadFactory,
     active_profile,
 )
@@ -182,7 +179,7 @@ def _drive(
         out = monitor.apply_moves(batch)
         elapsed += time.perf_counter() - t0
         deltas += len(out)
-    stats = monitor.stats  # re-read: sharded stats are a snapshot
+    stats = monitor.stats
     updates = stats.updates_seen - seen0
     return {
         "updates": updates,
@@ -213,8 +210,7 @@ def _merge(*parts: dict[str, Any], **extra: Any) -> dict[str, Any]:
 @register_cell_runner("stream")
 def run_stream_cell(params: dict, ctx: CellContext) -> dict:
     """Generic continuous-monitoring cell: objects x update rate x
-    shards x workers x query mix, each an optional param
-    with profile defaults."""
+    query mix, each an optional param with profile defaults."""
     profile = scenario_profile(ctx)
     factory = WorkloadFactory(profile, seed=ctx.seed)
     repeat = int(params.get("repeat", 1))
@@ -227,19 +223,14 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
             n_iprq=int(params.get("n_iprq", 0)),
             floors=params.get("floors"),
             n_objects=params.get("objects"),
-            n_shards=params.get("shards"),
-            workers=int(params.get("workers", 1)),
             seed=ctx.seed,
         )
-        try:
-            result = _drive(
-                scenario.monitor,
-                scenario.stream,
-                int(params.get("batches", 4)),
-                int(params.get("batch_size", 10)),
-            )
-        finally:
-            _close(scenario)
+        result = _drive(
+            scenario.monitor,
+            scenario.stream,
+            int(params.get("batches", 4)),
+            int(params.get("batch_size", 10)),
+        )
         timings.append(result)
         ctx.log(f"pass: {result['updates_per_sec']:.0f} upd/s")
     # Surface the repeat structure the way `time_call` does: min/mean
@@ -253,45 +244,6 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
             "repeat": len(samples),
         },
     )
-
-
-def _close(scenario: StreamScenario) -> None:
-    close = getattr(scenario.monitor, "close", None)
-    if close is not None:
-        close()
-
-
-@register_cell_runner("serving")
-def run_serving_cell(params: dict, ctx: CellContext) -> dict:
-    """One worker-scaling variant per cell — the grid-native version
-    of ``bench_serving``'s ``FULL_VARIANTS`` loop.  ``workers=1`` is
-    the serial sharded baseline the table's speedup column divides by.
-    A ``rep`` param is a repetition index: it offsets the population /
-    movement seed, so repetitions are independent samples and each
-    variant is compared with the serial cell of the same ``rep``."""
-    profile = scenario_profile(ctx)
-    factory = WorkloadFactory(profile, seed=ctx.seed)
-    scenario = factory.stream_scenario(
-        n_irq=int(params.get("n_irq", 4)),
-        n_iknn=int(params.get("n_iknn", 2)),
-        n_shards=int(params.get("n_shards", 4)),
-        workers=int(params["workers"]),
-        seed=ctx.seed + int(params.get("rep", 0)),
-    )
-    try:
-        result = _drive(
-            scenario.monitor,
-            scenario.stream,
-            int(params.get("batches", 4)),
-            int(params.get("batch_size", 10)),
-        )
-    finally:
-        _close(scenario)
-    ctx.log(
-        f"workers={params['workers']}: "
-        f"{result['updates_per_sec']:.0f} upd/s"
-    )
-    return result
 
 
 # ---------------------------------------------------------------------
@@ -329,7 +281,6 @@ def _run_egress(params: dict, ctx: CellContext) -> dict:
         n_irq=1,
         n_iknn=1,
         n_objects=params.get("objects"),
-        n_shards=params.get("shards"),
         seed=ctx.seed,
     )
     monitor = scenario.monitor
@@ -377,7 +328,6 @@ def _run_egress(params: dict, ctx: CellContext) -> dict:
     }
     alerts = _alert_count(monitor, occ_ids)
     occupancy = _occupancy_snapshot(monitor, occ_ids)
-    _close(scenario)
     return {
         "updates": warmup["updates"] + surge["updates"],
         "deltas": warmup["deltas"] + surge["deltas"],
@@ -482,7 +432,6 @@ def _run_diurnal(params: dict, ctx: CellContext) -> dict:
         n_irq=int(params.get("n_irq", 2)),
         n_iknn=int(params.get("n_iknn", 1)),
         n_objects=params.get("objects"),
-        n_shards=params.get("shards"),
         seed=ctx.seed,
     )
     hours = int(params.get("hours", 8))
@@ -507,7 +456,6 @@ def _run_diurnal(params: dict, ctx: CellContext) -> dict:
         )
         for key in totals:
             totals[key] += r[key]
-    _close(scenario)
     ctx.log(
         f"{hours}h curve, batch {trough}..{peak}: "
         f"{_rate(totals['updates'], totals['elapsed_s']):.0f} upd/s"

@@ -27,7 +27,6 @@ from repro.index.composite import CompositeIndex
 from repro.objects.generator import MovementStream, ObjectGenerator
 from repro.objects.population import ObjectPopulation
 from repro.queries.monitor import MonitorStats, QueryMonitor
-from repro.queries.shard import ShardedMonitor
 from repro.space.floorplan import IndoorSpace
 from repro.space.mall import build_mall
 
@@ -242,12 +241,9 @@ class WorkloadFactory:
         n_objects: int | None = None,
         radius: float | None = None,
         hop_probability: float = 0.5,
-        n_shards: int | None = None,
         query_range: float | None = None,
         k: int | None = None,
         p_min: float = 0.5,
-        workers: int = 1,
-        bucketed_router: bool = True,
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -258,12 +254,7 @@ class WorkloadFactory:
         shared read-only; streaming scenarios must not apply topology
         events to it.
 
-        ``n_shards`` selects a :class:`ShardedMonitor` front-end instead
-        of a single :class:`QueryMonitor` (``bench_serving`` compares
-        the two over identical streams); ``workers`` and
-        ``bucketed_router`` pass through to it (parallel ingest /
-        router-tightening ablation).  ``n_iprq``
-        mixes standing probabilistic-threshold range queries (iPRQ,
+        ``n_iprq`` mixes standing probabilistic-threshold range queries (iPRQ,
         threshold ``p_min``, range = the profile's default range) into
         the workload — the ``--prob`` serving variant.  ``seed`` overrides
         the factory's base seed for this scenario's population and
@@ -287,15 +278,7 @@ class WorkloadFactory:
             space, population, gen,
             hop_probability=hop_probability, seed=base_seed + 7,
         )
-        if n_shards is None:
-            monitor: QueryMonitor | ShardedMonitor = QueryMonitor(index)
-        else:
-            monitor = ShardedMonitor(
-                index,
-                n_shards=n_shards,
-                workers=workers,
-                bucketed_router=bucketed_router,
-            )
+        monitor = QueryMonitor(index)
         if query_range is None:
             query_range = p.default_range
         if k is None:
@@ -321,11 +304,10 @@ class WorkloadFactory:
 @dataclass
 class StreamScenario:
     """One continuous-monitoring setup: a dedicated mutable index, the
-    monitor (single or sharded) with its standing queries, and the
-    movement stream."""
+    monitor with its standing queries, and the movement stream."""
 
     index: CompositeIndex
-    monitor: QueryMonitor | ShardedMonitor
+    monitor: QueryMonitor
     stream: MovementStream
     irq_ids: list[str]
     knn_ids: list[str]
@@ -390,8 +372,6 @@ def run_stream(
     elapsed = 0.0
     for _ in range(n_batches):
         elapsed += scenario.absorb_batch(batch_size)
-    # Re-read after the loop: a ShardedMonitor's `stats` is a computed
-    # aggregate snapshot, not a live counter object.
     stats = scenario.monitor.stats
     return StreamReport(
         updates=stats.updates_seen - seen_before,

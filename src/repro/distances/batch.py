@@ -1,13 +1,13 @@
 """Batched distance kernels: the prune and refine phases of every query.
 
 Both consumers of the paper's bounds (Lemmas 1-2/Eq. 7, Lemma 5/Eq. 8)
-funnel into the same inner loop.  A standing query — single monitor
-or thread shards — derives a pruning interval for each
-moved object; a one-shot iRQ/ikNNQ/iPRQ (hence every maintainer
-``recompute``) derives one for each candidate of its filter phase; and
-only undecided pairs pay an exact refinement.  The per-pair (scalar)
-implementation in :mod:`repro.distances.bounds` — the reference this
-module is tested against — walks subregions and entry doors in Python,
+funnel into the same inner loop.  A standing query derives a pruning
+interval for each moved object; a one-shot iRQ/ikNNQ/iPRQ (hence
+every maintainer ``recompute``) derives one for each candidate of its
+filter phase; and only undecided pairs pay an exact refinement.  The
+per-pair (scalar) implementation in :mod:`repro.distances.bounds` —
+the reference this module is tested against — walks subregions and
+entry doors in Python,
 and repeats the per-object geometry (instance-to-door Euclidean
 extrema) once per *query*, even though it does not depend on the query
 at all.
@@ -28,9 +28,9 @@ one-shot query:
   :class:`~repro.queries.session.QuerySession` with the same
   pin/unpin/evict lifecycle as the search itself; a one-shot query
   flattens the search it ran with, per call.  :class:`QueryStack`
-  stacks packs into one ``(Q, n_doors)`` matrix: a monitor's (or
-  shard's) standing queries, rebuilt only on registration churn or a
-  new layout, or the one pack of a one-shot prune.
+  stacks packs into one ``(Q, n_doors)`` matrix: a monitor's standing
+  queries, rebuilt only on registration churn or a new layout, or the
+  one pack of a one-shot prune.
 * an **object-side pack** (:class:`ObjectBlock`) — every object's
   subregion rows (partition row, mass) and, ragged beneath them, one
   entry per entry door of each row's partition: the door's index and
@@ -163,8 +163,8 @@ def span_index(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the spans ``starts[i] : starts[i] + counts[i]``
     laid end to end, and the ``(n + 1,)`` offsets of each span within
-    that flat sequence — the row gather behind
-    :meth:`ObjectBlock.subset` and the columnar table's blocks."""
+    that flat sequence — the row gather behind the columnar table's
+    blocks."""
     offsets = offsets_of(counts)
     flat = np.repeat(starts - offsets[:-1], counts) + np.arange(
         offsets[-1], dtype=np.intp
@@ -348,30 +348,6 @@ class ObjectBlock:
 
     def __len__(self) -> int:
         return len(self.objects)
-
-    def subset(self, indices: list[int]) -> "ObjectBlock":
-        """The block restricted to the objects at ``indices`` (batch
-        positions) — what the sharded router hands each shard.  Rows
-        and their entries are copied in order, so the subset equals
-        packing the routed objects directly, array for array."""
-        keep = np.asarray(indices, dtype=np.intp)
-        off = self.obj_offsets
-        rows, offsets = span_index(off[keep], off[keep + 1] - off[keep])
-        ent_off = self.ent_start[off]  # an object's entries are one span
-        ents, _ = span_index(ent_off[keep], ent_off[keep + 1] - ent_off[keep])
-        row_list = rows.tolist()
-        return ObjectBlock(
-            [self.objects[j] for j in indices],
-            self.layout,
-            self.ent_door[ents],
-            self.ent_min[ents],
-            self.ent_max[ents],
-            self.row_n[rows],
-            self.sub_part[rows],
-            [self.sub_mass[i] for i in row_list],
-            [self.subs[i] for i in row_list],
-            offsets,
-        )
 
 
 def pack_block(

@@ -67,10 +67,10 @@ units) but not stored — the rebuild will read the object from the
 population.
 
 **Threading.**  One writer: the index mutation the service already
-serialises.  Readers may be shard pool threads; they never run
-concurrently with a writer (the router blocks on them), and a rebuild
-is built privately and published by single assignment under a lock, so
-a reader sees either the old state or the complete new one.
+serialises.  Readers (one-shot queries on other threads) must not run
+concurrently with a writer; a rebuild is built privately and published
+by single assignment under a lock, so a reader sees either the old
+state or the complete new one.
 
 Bit-identity with the tree walk
 (:meth:`~repro.index.composite.CompositeIndex.range_search_tree`) and

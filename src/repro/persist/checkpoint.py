@@ -8,13 +8,12 @@ every standing query's spec and its maintainer's
 :meth:`~repro.queries.maintainers.StandingQuery.snapshot` state **in
 registration order** (both orders matter — dict iteration order is
 delta *emission* order, so preserving them is part of bit-identity),
-the ``reach_epoch`` (per shard when sharded), and the service's
-auto-id counter.
+and the service's auto-id counter.
 
 Layout (one JSON object per line, canonical encoding)::
 
-    {"type":"checkpoint","v":1,"spec_schema":1,"config":{...},
-     "space":{...},"topology_version":3,"reach_epoch":[0,2],
+    {"type":"checkpoint","v":2,"spec_schema":1,"config":{...},
+     "space":{...},"topology_version":3,
      "next_auto_id":5,"n_objects":120,"n_queries":4,"extra":{...}}
     {"type":"object","id":"o1","center":[x,y,f],"radius":2.0,
      "xy":[[..]],"probs":[..]}                      # xN, in order
@@ -43,8 +42,9 @@ from repro.api.specs import SPEC_SCHEMA_VERSION
 from repro.errors import PersistError
 
 #: Version stamped into every checkpoint header; readers reject
-#: versions they do not know how to restore.
-CHECKPOINT_VERSION = 1
+#: versions they do not know how to restore.  Version 1 also carried
+#: the shard router's cache counters, which a version-2 file omits.
+CHECKPOINT_VERSION = 2
 
 
 def _dumps(payload: dict[str, Any]) -> str:
@@ -68,8 +68,6 @@ class CheckpointState:
     config: dict[str, Any]
     space: dict[str, Any]
     topology_version: int
-    #: One epoch for a single engine, one per shard when sharded.
-    reach_epoch: int | list[int]
     next_auto_id: int
     #: ``object_to_dict`` payloads, population insertion order.
     objects: list[dict[str, Any]] = field(default_factory=list)
@@ -95,7 +93,6 @@ def write_checkpoint(path: str | Path, state: CheckpointState) -> int:
         "config": state.config,
         "space": state.space,
         "topology_version": state.topology_version,
-        "reach_epoch": state.reach_epoch,
         "next_auto_id": state.next_auto_id,
         "n_objects": len(state.objects),
         "n_queries": len(state.queries),
@@ -158,10 +155,10 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
         raise PersistError(f"checkpoint {path}: bad header: {exc}") from None
     if header.get("type") != "checkpoint":
         raise PersistError(f"checkpoint {path}: missing header record")
-    if header.get("v") != CHECKPOINT_VERSION:
+    if header.get("v") not in (1, CHECKPOINT_VERSION):
         raise PersistError(
             f"unsupported checkpoint version {header.get('v')!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
+            f"(this build reads versions 1 to {CHECKPOINT_VERSION})"
         )
     if header.get("spec_schema") != SPEC_SCHEMA_VERSION:
         raise PersistError(
@@ -190,11 +187,11 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
         "n_queries"
     ):
         raise PersistError(f"checkpoint {path}: body/header count mismatch")
+    # A version-1 header's "reach_epoch" is read past, not restored.
     return CheckpointState(
         config=header["config"],
         space=header["space"],
         topology_version=int(header["topology_version"]),
-        reach_epoch=header["reach_epoch"],
         next_auto_id=int(header["next_auto_id"]),
         objects=objects,
         queries=queries,

@@ -229,9 +229,9 @@ class CheckpointStore:
     ) -> tuple["QueryService", RecoveryReport]:
         """Bring a service back from this directory: newest readable
         checkpoint + full WAL tail replay + a fresh durable point.
-        ``config`` overrides the checkpointed engine config (e.g.
-        restart a single-engine checkpoint sharded); the default
-        restores the recorded one."""
+        ``config`` overrides the checkpointed
+        :class:`~repro.api.service.ServiceConfig`; the default restores
+        the recorded one."""
         from repro.api.service import QueryService
 
         entries = self.read_manifest()

@@ -26,14 +26,7 @@ Per-query maintenance is pluggable: one
 :class:`~repro.queries.maintainers.ProbRangeMaintainer` — standing
 iPRQ), registered in :mod:`repro.queries.maintainers`; a new watchable
 query kind is one maintainer class there.
-:class:`ShardedMonitor` partitions standing queries by floor/region
-across monitor shards with a bound-based update router (per-floor
-bucketed reach tables with density-derived grid resolution, cached
-between batches while no influence radius moves; the hot path tests
-a whole batch against every bucket in a handful of numpy array ops).
-``workers=N`` runs routed shard maintenance on a thread pool,
-bit-identical to serial.  :class:`MonitorServer` serves the delta
-stream to asyncio subscribers.
+:class:`MonitorServer` serves the delta stream to asyncio subscribers.
 
 All standing registration funnels through one spec-based
 ``register(spec)`` path per surface; prefer the :mod:`repro.api`
@@ -63,7 +56,6 @@ from repro.queries.maintainers import (
     register_maintainer,
 )
 from repro.queries.monitor import MonitorStats, QueryMonitor
-from repro.queries.shard import ShardedMonitor, ShardStats
 from repro.queries.serving import MonitorServer, ServeReport, Subscription
 from repro.queries.selectivity import (
     candidate_upper_bound,
@@ -89,8 +81,6 @@ __all__ = [
     "DeltaBatch",
     "diff_results",
     "replay_deltas",
-    "ShardedMonitor",
-    "ShardStats",
     "MonitorServer",
     "ServeReport",
     "Subscription",

@@ -187,33 +187,3 @@ class DeltaBatch:
         for d in self.deltas:
             seen.setdefault(d.query_id)
         return list(seen)
-
-    def merge(self, other: "DeltaBatch") -> "DeltaBatch":
-        """Concatenate two batches (sharded monitors merge per-shard
-        batches into one)."""
-        return DeltaBatch.merge_all((self, other))
-
-    @staticmethod
-    def merge_all(batches: Iterable["DeltaBatch"]) -> "DeltaBatch":
-        """Ordered n-way merge: concatenate ``batches`` left to right in
-        one pass (folding :meth:`merge` pairwise is quadratic in the
-        number of shards), first non-``None`` ``deleted`` /
-        ``event_result`` wins.  The order of ``batches`` *is* the delta
-        order of the result — the sharded monitor always passes
-        per-shard batches in shard-index order, which is what makes its
-        parallel execution mode bit-identical to serial."""
-        deltas: list[ResultDelta] = []
-        moved: list["UncertainObject"] = []
-        deleted = None
-        event_result = None
-        for batch in batches:
-            deltas.extend(batch.deltas)
-            moved.extend(batch.moved)
-            deleted = deleted or batch.deleted
-            event_result = event_result or batch.event_result
-        return DeltaBatch(
-            deltas=tuple(deltas),
-            moved=tuple(moved),
-            deleted=deleted,
-            event_result=event_result,
-        )

@@ -5,7 +5,7 @@ result over streamed object updates.  :class:`~repro.queries.monitor.
 QueryMonitor` dispatches every per-query decision through the
 :class:`StandingQuery` protocol defined here, so adding a query kind is
 one maintainer class in this file (plus a ``@register_maintainer``
-line) — the monitor, sharded router, serving layer and
+line) — the monitor, serving layer and
 :class:`repro.api.QueryService` pick it up through the same
 ``register(spec)`` path with no further plumbing.
 
@@ -21,9 +21,8 @@ write in a mutation scope, so the monitor can diff it into a
 
 * :meth:`~StandingQuery.influence_radius` — the indoor distance beyond
   which an object provably cannot change the result *right now*; the
-  shard router turns these into conservative skip decisions (the
-  router measures against the object's instance bounding box, so the
-  object's own uncertainty extent is accounted on the object side);
+  monitor compares it with the Eq. 7 envelope of every moved object
+  (only a ``stacked`` maintainer is asked);
 * :meth:`~StandingQuery.on_update_batch` — absorb the listed
   positions of one packed :class:`~repro.distances.batch.ObjectBlock`
   of moved/inserted objects (an insert is a block of one; the monitor
@@ -104,14 +103,6 @@ infinitely far, as the iPRQ does.  A kind that needs no distance
 bounds sets ``stacked = False`` and receives ``row=None`` and every
 position — its pairs then count in ``pairs_evaluated`` but not in
 ``kernel_pairs`` (:class:`OccupancyMaintainer`).
-
-A maintainer whose :meth:`~StandingQuery.influence_radius` can move
-(an ikNNQ's band radius does on refill and trim; an iRQ's ``r`` never
-does) must ``host.touch(self)`` before the write that moves it, as
-before any result write: the monitor compares the radius against its
-value at touch time and bumps its ``reach_epoch`` only when it really
-differs, which is what lets the sharded router keep its cached reach
-tables across batches that merely re-rank an ikNNQ.
 
 The three built-in maintainers
 ------------------------------
@@ -265,6 +256,7 @@ class StandingQuery:
     # -- the per-kind contract -----------------------------------------
 
     def influence_radius(self) -> float:  # pragma: no cover - abstract
+        """Required of a :attr:`stacked` maintainer only."""
         raise NotImplementedError
 
     def unreached_floor(self) -> float | None:
@@ -566,14 +558,12 @@ class KNNMaintainer(StandingQuery):
             self._publish()
 
     def _publish(self) -> None:
-        """Trim an overgrown buffer, then republish the ``k`` nearest.
-        Both writes are touched first: the monitor diffs the result and
-        compares the influence radius against their pre-mutation
-        values."""
+        """Trim an overgrown buffer, then republish the ``k`` nearest
+        (touched first: the monitor diffs the result against its
+        pre-mutation value)."""
         # Nearest first, ties by id: ikNNQ's refinement order.
         ranked = sorted(self.buffer.items(), key=lambda e: (e[1], e[0]))
         if len(ranked) > self.k + 2 * self.m:
-            self.host.touch(self)
             del ranked[self.k + self.m :]
             self.buffer = dict(ranked)
             self.rho = ranked[-1][1]
@@ -643,13 +633,11 @@ class ProbRangeMaintainer(StandingQuery):
 
     def influence_radius(self) -> float:
         """The query range ``r`` is a conservative reach: an object
-        whose instance box lies Euclidean-beyond ``r`` has every
-        instance at indoor distance > ``r`` (indoor never undercuts
-        Euclidean), hence qualifying probability exactly 0 — it cannot
-        enter, and a member (probability >= ``p_min`` > 0) always has
-        an instance within ``r``, so it cannot be missed when leaving.
-        The object's own uncertainty extent is carried by the instance
-        bounding box the router measures against."""
+        whose Eq. 7 lower envelope exceeds ``r`` has every instance at
+        indoor distance > ``r``, hence qualifying probability exactly
+        0 — it cannot enter, and a member (probability >= ``p_min`` >
+        0) always has an instance within ``r``, so it cannot be missed
+        when leaving."""
         return self.r
 
     def unreached_floor(self) -> float:
@@ -744,10 +732,8 @@ def partition_anchor(space: Any, partition_id: str) -> Point:
     footprint contains it, else the first attached door's midpoint.
 
     Anchored (point-free) specs like :class:`OccupancySpec` need a
-    :class:`Point` for the surrounding machinery — shard placement,
-    session pinning, the router's reach tables — and this is the single
-    derivation every surface shares, so a sharded engine places and
-    routes the watch exactly like a single monitor reasons about it."""
+    :class:`Point` for the surrounding machinery (session pinning), and
+    this is the single derivation every surface shares."""
     partition = space.partition(partition_id)
     b = partition.bounds
     cx, cy = (b.minx + b.maxx) / 2.0, (b.miny + b.maxy) / 2.0
@@ -757,17 +743,6 @@ def partition_anchor(space: Any, partition_id: str) -> Point:
         mid = space.doors[door_id].midpoint
         return Point(mid.x, mid.y, partition.floor)
     return Point(cx, cy, partition.floor)
-
-
-def spec_anchor(spec: QuerySpec, space: Any) -> Point:
-    """A spec's spatial anchor: its query point when it has one, else
-    the watched partition's :func:`partition_anchor`.  The shard router
-    uses this for placement, so anchored specs co-locate with point
-    queries in the same zone."""
-    q = getattr(spec, "q", None)
-    if q is not None:
-        return q
-    return partition_anchor(space, spec.partition_id)  # type: ignore[attr-defined]
 
 
 #: The single synthetic member id a count watch publishes.
@@ -907,16 +882,9 @@ class OccupancyMaintainer(StandingQuery):
     while the population varies above it, and *left* when it drains
     back down — the evacuation-scenario alarm.
 
-    Reach: the spec carries no query point, so the maintainer anchors
-    itself at :func:`partition_anchor` and reaches to the footprint's
-    circumradius plus the largest object uncertainty radius seen (the
-    router measures an object's *instance box*, whose gap from the
-    region center is at most that radius).  The pad is taken over the
-    population at registration/recompute and grown monotonically on
-    updates; an object *inserted* with a strictly larger radius than
-    any ever seen could in principle be mis-skipped by a cached shard
-    reach table — workloads with uniform radii (every built-in
-    generator) are exact.
+    The spec carries no query point, so the maintainer anchors itself
+    at :func:`partition_anchor`; it is not ``stacked``, sees every
+    moved object, and has no influence radius.
 
     Topology: door-closure churn is transparent (a resync just
     recomputes membership); removing the watched partition itself
@@ -932,27 +900,13 @@ class OccupancyMaintainer(StandingQuery):
         super().__init__(query_id, spec, host)
         self.partition_id = spec.partition_id
         self.threshold = spec.threshold
-        space = host.index.space
-        partition = space.partition(spec.partition_id)
-        self._anchor = partition_anchor(space, spec.partition_id)
-        b = partition.bounds
-        self._reach = max(
-            math.hypot(x - self._anchor.x, y - self._anchor.y)
-            for x in (b.minx, b.maxx)
-            for y in (b.miny, b.maxy)
-        )
+        self._anchor = partition_anchor(host.index.space, spec.partition_id)
         self._members: set[str] = set()
-        self._radius_pad = max(
-            (o.region.radius for o in host.index.population), default=0.0
-        )
 
     @property
     def q(self) -> Point:
         """The derived anchor (anchored specs have no query point)."""
         return self._anchor
-
-    def influence_radius(self) -> float:
-        return self._reach + self._radius_pad
 
     def _inside(self, obj: UncertainObject) -> bool:
         located = self.host.index.population.grid.locate(obj.region.center)
@@ -977,9 +931,6 @@ class OccupancyMaintainer(StandingQuery):
         for j in positions:
             obj = block.objects[j]
             host.stats.pairs_skipped += 1  # decided without distance work
-            if obj.region.radius > self._radius_pad:
-                host.touch(self)  # the pad is part of the radius
-                self._radius_pad = obj.region.radius
             was = obj.object_id in self._members
             now = self._inside(obj)
             if was == now:
@@ -1014,9 +965,7 @@ class OccupancyMaintainer(StandingQuery):
         host.touch(self)
         grid = host.index.population.grid
         members: set[str] = set()
-        pad = 0.0
         for obj in host.index.population:
-            pad = max(pad, obj.region.radius)
             located = grid.locate(obj.region.center)
             if (
                 located is not None
@@ -1024,7 +973,6 @@ class OccupancyMaintainer(StandingQuery):
             ):
                 members.add(obj.object_id)
         self._members = members
-        self._radius_pad = max(self._radius_pad, pad)
         self._republish()
 
     def snapshot(self) -> dict[str, Any]:

@@ -16,8 +16,8 @@ paper's standing iRQ/ikNNQ plus the probabilistic-threshold range
 query (standing iPRQ); adding a query kind is one maintainer class in
 :mod:`repro.queries.maintainers`, nothing here changes.
 
-The delta/shard contract
-------------------------
+The delta contract
+------------------
 
 The monitor's public mutation API speaks *deltas*, not result sets:
 ``apply_moves``, ``apply_insert``, ``apply_delete`` and ``apply_event``
@@ -35,15 +35,8 @@ its current result exactly — the property
 
 Two maintenance entry points exist per mutation: the ``apply_*``
 methods own the index (they mutate it, then maintain results), while
-the ``ingest_*`` methods maintain results only — they are the hooks the
-sharded front-end (:class:`~repro.queries.shard.ShardedMonitor`) uses
-to fan one shared index mutation into many per-shard monitors, and
-:meth:`influence_radii` exposes the per-query reach (iRQ/iPRQ radius /
-current ikNNQ band radius) its router prunes shards with.
-:attr:`reach_epoch` counts the moments that reach moved (registration
-churn, or a maintainer whose influence radius differs from what it was
-before the mutation — an ikNNQ band refilled or trimmed), so the router
-can cache its reach tables between batches.
+the ``ingest_*`` methods maintain results only, for an index mutation
+that already happened.
 
 The incremental argument reuses the paper's own machinery:
 
@@ -76,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +81,6 @@ from repro.distances.batch import (
     block_object_bounds,
 )
 from repro.errors import QueryError
-from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.objects.population import ObjectMove
 from repro.objects.uncertain import UncertainObject
@@ -105,8 +97,8 @@ def claim_query_id(
     counter,
 ) -> str:
     """Allocate (or validate) a standing-query id against the ids in
-    ``taken`` — shared by :class:`QueryMonitor` and the sharded
-    front-end so both allocate identically."""
+    ``taken`` — shared by :class:`QueryMonitor` and
+    :class:`repro.api.QueryService` so both allocate identically."""
     if query_id is None:
         # Skip over ids the caller claimed explicitly.
         while (query_id := f"{kind}-{next(counter)}") in taken:
@@ -192,19 +184,6 @@ class MonitorStats:
             return 0.0
         return self.full_recomputes / self.updates_seen
 
-    def merge(self, other: "MonitorStats") -> "MonitorStats":
-        """Counter-wise sum (sharded monitors aggregate shard stats).
-
-        ``updates_seen`` sums too — callers aggregating shards that saw
-        the *same* updates must override it (see
-        :attr:`repro.queries.shard.ShardedMonitor.stats`)."""
-        return MonitorStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 class QueryMonitor:
     """Standing queries maintained over streaming updates.
@@ -224,14 +203,15 @@ class QueryMonitor:
     :meth:`apply_insert`, :meth:`apply_delete` and :meth:`apply_event`
     mutate the underlying index *and* maintain every standing result,
     returning the per-query deltas.  The ``ingest_*`` twins maintain
-    results for an index mutation that already happened (the sharded
-    front-end's entry points).  External topology mutations are also
-    tolerated — any ``topology_version`` bump is detected on the next
-    access, all standing queries resynchronise, and the resync deltas
-    surface on the next mutation or :meth:`drain_pending_deltas`.
+    results for an index mutation that already happened.  External
+    topology mutations are also tolerated — any ``topology_version``
+    bump is detected on the next access, all standing queries
+    resynchronise, and the resync deltas surface on the next mutation
+    or :meth:`drain_pending_deltas`.
 
-    ``session`` may be shared between monitors over the same index
-    (shards share one cache so a query point pays its Dijkstra once).
+    ``session`` may be shared with other readers of the same index (a
+    :class:`repro.api.QueryService` serves one-shot queries from the
+    cache its monitor pins, so a query point pays its Dijkstra once).
     """
 
     def __init__(
@@ -248,23 +228,14 @@ class QueryMonitor:
         self._id_counter = itertools.count(1)
         self._topology_version = index.space.topology_version
         self._pending: list[ResultDelta] = []
-        #: Bumped whenever a per-query influence radius changed:
-        #: registration churn, or a mutation that left a maintainer's
-        #: radius different from before (an ikNNQ band refilled or
-        #: trimmed).  The sharded router caches its reach tables
-        #: against this.
-        self.reach_epoch = 0
-        # Serialises the maintenance-only ingest hooks: the parallel
-        # sharded front-end runs different shards' hooks on pool
-        # threads, and this lock is what makes one *shard* safe even if
-        # a caller ever routes two batches into it concurrently.
+        # Serialises registration churn and the maintenance-only
+        # ingest hooks: a server loop and a synchronous caller on
+        # another thread share this engine.
         self._ingest_lock = threading.Lock()
-        # Pre-mutation (result copy, influence radius) of the queries
-        # actually touched in the current mutation scope (lazy: an
-        # untouched query costs nothing), consumed by _collect().
-        self._before: dict[
-            str, tuple[dict[str, float | None], float]
-        ] = {}
+        # Pre-mutation result copy of the queries actually touched in
+        # the current mutation scope (lazy: an untouched query costs
+        # nothing), consumed by _collect().
+        self._before: dict[str, dict[str, float | None]] = {}
         # The stacked maintainers' searches as one weight matrix, for
         # the one bounds-kernel call per batch.  Dropped (under the
         # ingest lock) whenever the registered query list changes; a
@@ -281,9 +252,9 @@ class QueryMonitor:
         query_id: str | None = None,
     ) -> str:
         """Register a standing query from its declarative spec; returns
-        its id.  The one registration path: every surface (sharded
-        front-end, serving layer, :class:`repro.api.QueryService`)
-        funnels through here, and the maintainer registry in
+        its id.  The one registration path: every surface (serving
+        layer, :class:`repro.api.QueryService`) funnels through here,
+        and the maintainer registry in
         :mod:`repro.queries.maintainers` supplies the per-kind
         maintenance — so a new watchable query kind needs no change
         here.  The initial result is emitted as a ``register`` delta
@@ -294,9 +265,9 @@ class QueryMonitor:
         return query_id
 
     def _register(self, sq: StandingQuery) -> None:
-        # Under the ingest lock: a registration from the event-loop
-        # thread must not mutate _queries/_pending while an offloaded
-        # parallel batch iterates them on a pool thread.
+        # Under the ingest lock: a registration must not mutate
+        # _queries/_pending while a batch on another thread iterates
+        # them.
         with self._ingest_lock:
             self._ensure_topology_current()
             # Execute first, commit after: a failing first execution
@@ -310,7 +281,6 @@ class QueryMonitor:
             self._queries[sq.query_id] = sq
             self._stack = None
             self.session.pin(sq.q)
-            self.reach_epoch += 1
             self._pending.extend(self._collect("register"))
 
     def restore_query(
@@ -319,12 +289,10 @@ class QueryMonitor:
         """Reinstate a checkpointed standing query *exactly*: the
         maintainer is constructed from ``spec`` and handed the captured
         :meth:`~repro.queries.maintainers.StandingQuery.snapshot`
-        ``state`` via ``restore()`` — no recompute, no register delta,
-        no ``reach_epoch`` bump.  The restore path of
-        :mod:`repro.persist` uses this so a restored monitor is
-        bit-identical to the checkpointed one (identical deltas from
-        identical subsequent updates); the caller owns restoring
-        ``reach_epoch`` itself."""
+        ``state`` via ``restore()`` — no recompute, no register delta.
+        The restore path of :mod:`repro.persist` uses this so a
+        restored monitor is bit-identical to the checkpointed one
+        (identical deltas from identical subsequent updates)."""
         spec = standing_spec(spec)
         with self._ingest_lock:
             if query_id in self._queries:
@@ -353,7 +321,6 @@ class QueryMonitor:
                 raise QueryError(f"unknown standing query {query_id!r}")
             self._before.pop(query_id, None)
             self._stack = None
-            self.reach_epoch += 1
             if sq.result:
                 self._push_pending(
                     ResultDelta(
@@ -421,34 +388,6 @@ class QueryMonitor:
             raise QueryError(f"unknown standing query {query_id!r}")
         return sq.spec()
 
-    def influence_radii(self) -> list[tuple[str, Point, float]]:
-        """``(query_id, q, reach)`` per standing query: the indoor
-        distance beyond which an object provably cannot change the
-        result right now (iRQ/iPRQ radius / current ikNNQ band radius).
-        The shard router turns these into conservative skip decisions."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            return [
-                (qid, sq.q, sq.influence_radius())
-                for qid, sq in self._queries.items()
-            ]
-
-    def influence_radii_by_floor(
-        self,
-    ) -> dict[int, list[tuple[str, Point, float]]]:
-        """:meth:`influence_radii` grouped by the query point's floor —
-        the shape the sharded router's per-floor reach table consumes
-        (queries on one floor share their z elevation, so their reaches
-        bucket into tight same-floor boxes)."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            out: dict[int, list[tuple[str, Point, float]]] = {}
-            for qid, sq in self._queries.items():
-                out.setdefault(sq.q.floor, []).append(
-                    (qid, sq.q, sq.influence_radius())
-                )
-            return out
-
     def __len__(self) -> int:
         return len(self._queries)
 
@@ -503,25 +442,15 @@ class QueryMonitor:
         )
 
     # ------------------------------------------------------------------
-    # maintenance-only ingestion (the sharded front-end's entry points)
+    # maintenance-only ingestion
     # ------------------------------------------------------------------
 
-    def ingest_moves(
-        self, moved: list[UncertainObject], block=None
-    ) -> DeltaBatch:
-        """Maintain standing results for objects the *shared* index
-        already moved (no index mutation here).  Thread-safe: shards run
-        their hooks concurrently under the parallel front-end.
-
-        ``block`` is an optional pre-packed
-        :class:`~repro.distances.batch.ObjectBlock` covering exactly
-        ``moved`` (the sharded front-end packs the batch once and hands
-        each shard its routed subset); without one the batch is packed
-        here.
-        """
+    def ingest_moves(self, moved: list[UncertainObject]) -> DeltaBatch:
+        """Maintain standing results for objects the index already
+        moved (no index mutation here).  Thread-safe."""
         with self._ingest_lock:
             self._ensure_topology_current()
-            self._absorb_block(moved, block)
+            self._absorb_block(moved)
             return DeltaBatch(
                 deltas=self._drain_pending() + self._collect("move"),
                 moved=tuple(moved),
@@ -532,7 +461,7 @@ class QueryMonitor:
         block of one)."""
         with self._ingest_lock:
             self._ensure_topology_current()
-            self._absorb_block([obj], None)
+            self._absorb_block([obj])
             return DeltaBatch(
                 deltas=self._drain_pending() + self._collect("insert")
             )
@@ -575,36 +504,25 @@ class QueryMonitor:
     # ------------------------------------------------------------------
 
     def touch(self, sq: StandingQuery) -> None:
-        """Record ``sq``'s pre-mutation result and influence radius
-        (first write wins; later touches in the same scope are free).
-        Every maintainer code path that writes ``sq.result`` or moves
-        its radius calls this first, so _collect() diffs only the
-        queries that actually changed."""
+        """Record ``sq``'s pre-mutation result (first write wins;
+        later touches in the same scope are free).  Every maintainer
+        code path that writes ``sq.result`` calls this first, so
+        _collect() diffs only the queries that actually changed."""
         if sq.query_id not in self._before:
-            self._before[sq.query_id] = (
-                dict(sq.result),
-                sq.influence_radius(),
-            )
+            self._before[sq.query_id] = dict(sq.result)
 
     def _collect(self, cause: str) -> tuple[ResultDelta, ...]:
         """Close the current mutation scope: diff every touched query
         against its recorded pre-state, in query *registration* order —
-        not first-touch order — so delta histories stay bit-comparable
-        across engine shapes (one monitor, shards, serial or pooled).  A maintainer whose influence
-        radius differs from its pre-mutation value bumps
-        :attr:`reach_epoch`; a result change alone (an ikNNQ re-ranked
-        inside its band) does not."""
+        not first-touch order — so a delta history does not depend on
+        which maintainer a batch happened to reach first."""
         if not self._before:
             return ()
         out = []
-        reach_moved = False
         for qid, sq in self._queries.items():
-            touched = self._before.get(qid)
-            if touched is None:  # untouched this scope
+            before = self._before.get(qid)
+            if before is None:  # untouched this scope
                 continue
-            before, reach_before = touched
-            if sq.influence_radius() != reach_before:
-                reach_moved = True
             delta = diff_results(
                 qid,
                 cause,
@@ -615,8 +533,6 @@ class QueryMonitor:
             if delta is not None:
                 out.append(delta)
         self._before.clear()
-        if reach_moved:
-            self.reach_epoch += 1
         self.stats.deltas_emitted += len(out)
         return tuple(out)
 
@@ -658,7 +574,7 @@ class QueryMonitor:
             )
         return stack
 
-    def _absorb_block(self, moved: list[UncertainObject], block) -> None:
+    def _absorb_block(self, moved: list[UncertainObject]) -> None:
         """Gather the moved batch's rows once, evaluate them against
         every stacked standing query in one bounds-kernel call, decide
         the far pairs here (:meth:`_undecided`; they count as skipped,
@@ -674,13 +590,8 @@ class QueryMonitor:
         if not self._queries:
             return
         space = self.index.space
-        if block is None or (
-            block.layout.topology_version != space.topology_version
-        ):
-            # Not gathered by a sharded front-end (or gathered under a
-            # topology that has since changed).  ``update_objects`` /
-            # ``insert_object`` already wrote the rows.
-            block = self.index.columns.block(moved)
+        # ``update_objects`` / ``insert_object`` already wrote the rows.
+        block = self.index.columns.block(moved)
         stack = self._query_stack(block.layout)
         bounds = undecided = None
         if len(stack):
@@ -709,8 +620,7 @@ class QueryMonitor:
         place them beyond its ``influence_radius()`` (one array compare
         for the whole block) and the moved objects among its
         ``members()`` (one set intersection each).  Every other pair is
-        an outsider provably staying outside — the contract the sharded
-        router applies between shards, applied between queries."""
+        an outsider provably staying outside."""
         stacked = [sq for sq in self._queries.values() if sq.stacked]
         reach = np.array([sq.influence_radius() for sq in stacked])
         listed: list[list[int]] = [[] for _ in stacked]

@@ -1,8 +1,7 @@
 """Async serving: fan a movement stream into a monitor, push deltas out.
 
 The monitor's per-update maintenance is already ``O(standing queries)``
-(:mod:`repro.queries.monitor`) and sharding keeps the fan-out pruned
-(:mod:`repro.queries.shard`) — the serving layer is the remaining
+(:mod:`repro.queries.monitor`) — the serving layer is the remaining
 plumbing: a :class:`MonitorServer` drives batches of position updates
 through the monitor inside an asyncio event loop and pushes every
 emitted :class:`~repro.queries.deltas.ResultDelta` into the per-query
@@ -10,12 +9,9 @@ queues of its :class:`Subscription`\\ s, so consumers ``async for``
 over result *changes* instead of polling result sets.
 
 Single-writer by design: all index mutation happens through the
-server's ``apply_*`` coroutines (or :meth:`serve`).  A serial monitor's
-call runs to completion inline and then yields to the loop; a parallel
-:class:`~repro.queries.shard.ShardedMonitor` (``workers > 1``) is
-offloaded to the loop's default executor instead, so the event loop
-keeps draining subscribers while the shard pool grinds through the
-batch.  Subscribers are decoupled through per-query queues — unbounded
+server's ``apply_*`` coroutines (or :meth:`serve`): the monitor's call
+runs to completion inline and then yields to the loop.  Subscribers
+are decoupled through per-query queues — unbounded
 by default (a slow consumer delays only itself), or bounded with
 ``maxlen`` under a drop-oldest overflow policy
 (:attr:`Subscription.dropped` counts the losses; a feed that dropped
@@ -39,7 +35,6 @@ from repro.objects.population import ObjectMove
 from repro.objects.uncertain import UncertainObject
 from repro.queries.deltas import DeltaBatch, ResultDelta
 from repro.queries.monitor import QueryMonitor
-from repro.queries.shard import ShardedMonitor
 from repro.space.events import TopologyEvent
 
 #: Queue sentinel marking the end of a subscription's delta stream.
@@ -177,11 +172,11 @@ class ServeReport:
 
 @dataclass
 class MonitorServer:
-    """Delta-pushing front-end over a (sharded) query monitor.
+    """Delta-pushing front-end over a query monitor.
 
     Usage::
 
-        server = MonitorServer(ShardedMonitor(index, n_shards=4))
+        server = MonitorServer(QueryMonitor(index))
         kiosk = server.register(RangeSpec(q, 60.0))
         sub = server.subscribe(kiosk)           # primed with a snapshot
 
@@ -196,11 +191,7 @@ class MonitorServer:
         asyncio.run(asyncio.gather(produce(), consume()))
     """
 
-    monitor: QueryMonitor | ShardedMonitor
-    #: ``None`` (default) auto-detects: offload mutations to the loop's
-    #: default executor when the monitor runs parallel (``workers>1``).
-    #: ``True``/``False`` force either behaviour.
-    offload: bool | None = None
+    monitor: QueryMonitor
     #: Called with every batch handed to :meth:`publish` (after fan-out)
     #: — the tap :class:`repro.api.service.QueryService` uses to mirror
     #: published deltas onto attached JSONL wire feeds.
@@ -224,17 +215,13 @@ class MonitorServer:
     deltas_dropped: int = 0
     _subs: dict[str, list[Subscription]] = field(default_factory=dict)
     _closed: bool = False
-    # Restores the single-writer guarantee under offload: an inline
-    # op() could never interleave with another mutation (no await
-    # point), but an offloaded one yields the loop mid-mutation — the
-    # lock keeps concurrent apply_* callers serialized, publishes
-    # included, in acquisition order.
-    _mutex: asyncio.Lock = field(default_factory=asyncio.Lock)
-    # Thread-level writer lock around the monitor mutation itself:
-    # offloaded ops run on executor threads, and the QueryService
-    # façade's *synchronous* mutation path takes this same lock, so a
-    # sync ingest can never interleave with an in-flight offloaded
-    # batch (see QueryService._publish).
+    # Thread-level writer lock around the monitor mutation itself: a
+    # server loop runs on its own thread, and the QueryService façade's
+    # *synchronous* mutation path takes this same lock, so a sync
+    # ingest from another thread can never interleave with a batch the
+    # loop is absorbing (see QueryService._publish).  On the loop
+    # itself an op runs to completion with no await point, publish
+    # included, so concurrent apply_* callers cannot interleave.
     _op_lock: threading.Lock = field(default_factory=threading.Lock)
 
     # ------------------------------------------------------------------
@@ -390,37 +377,14 @@ class MonitorServer:
         if self._closed:
             raise QueryError("server is closed")
 
-        def locked_op() -> DeltaBatch:
-            with self._op_lock:
-                batch = op()
-                if mutation is not None and self.on_mutation is not None:
-                    self.on_mutation(*mutation)
-                return batch
-
-        async with self._mutex:
-            if self._offloads():
-                # A parallel sharded monitor grinds on its own thread
-                # pool; hop off the loop so subscribers keep draining
-                # meanwhile.  Publishing still happens on the loop
-                # thread (asyncio queues are not thread-safe),
-                # preserving delta order.
-                batch = await asyncio.get_running_loop().run_in_executor(
-                    None, locked_op
-                )
-            else:
-                batch = locked_op()
-            self.publish(batch)
+        with self._op_lock:
+            batch = op()
+            if mutation is not None and self.on_mutation is not None:
+                self.on_mutation(*mutation)
+        self.publish(batch)
         # Yield so subscribers drain between mutations.
         await asyncio.sleep(0)
         return batch
-
-    def _offloads(self) -> bool:
-        """Whether mutations leave the event loop: only worthwhile when
-        the monitor itself fans out on a pool (``workers > 1``) — for a
-        serial monitor the thread hop costs more than it frees."""
-        if self.offload is not None:
-            return self.offload
-        return getattr(self.monitor, "workers", 1) > 1
 
     async def serve(
         self,

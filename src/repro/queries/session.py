@@ -67,8 +67,9 @@ class QuerySession:
     _packs: dict[tuple[float, float, int], QueryPack] = field(
         default_factory=dict, repr=False
     )
-    # Shards of a parallel ShardedMonitor share one session and call in
-    # from pool threads; the lock keeps the cache/pin maps consistent.
+    # A monitor driven by a server loop and one-shot queries from
+    # other threads share one session; the lock keeps the cache/pin
+    # maps consistent.
     # The Dijkstra itself runs outside the lock, so concurrent searches
     # from *different* points never serialise each other.
     _lock: threading.Lock = field(
@@ -140,8 +141,8 @@ class QuerySession:
     def pin(self, q: Point) -> None:
         """Declare a long-lived user of the search from ``q`` (a
         standing query).  Pins are reference-counted **on the session**,
-        so monitors sharing one session (shards) cannot evict each
-        other's searches; the entry is dropped when the last pin at the
+        so monitors sharing one session cannot evict each other's
+        searches; the entry is dropped when the last pin at the
         point is released."""
         key = (q.x, q.y, q.floor)
         with self._lock:

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.api.net import NetClient, ServerThread
-from repro.api.service import QueryService, ServiceConfig
+from repro.api.service import QueryService
 from repro.api.specs import CountSpec, KNNSpec, ProbRangeSpec, RangeSpec
 from repro.api.testing import FlakyTransportFactory
 from repro.errors import NetError
@@ -81,21 +81,14 @@ def _manifest_seqs(store: CheckpointStore) -> list[int]:
 
 
 class TestKillRestartResume:
-    @pytest.mark.parametrize(
-        "config",
-        [ServiceConfig(), ServiceConfig(n_shards=2, workers=2)],
-        ids=["single", "sharded-parallel"],
-    )
-    def test_client_resumes_bit_identical(
-        self, five_rooms, config, tmp_path
-    ):
+    def test_client_resumes_bit_identical(self, five_rooms, tmp_path):
         """The acceptance path: kill mid-stream, restart from the
         manifest on the same port, reconnected client == uninterrupted
         twin == from-scratch evaluation."""
-        service = QueryService(_build_index(five_rooms), config)
+        service = QueryService(_build_index(five_rooms))
         # The uninterrupted twin: same engine, same scripted moves,
         # never crashes.
-        twin = QueryService(_build_index(five_rooms), config)
+        twin = QueryService(_build_index(five_rooms))
         twin_ids = {
             name: twin.watch(spec, query_id=name)
             for name, spec in SPECS.items()

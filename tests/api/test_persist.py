@@ -11,6 +11,7 @@ version, mid-log corruption) with recovery falling back to the
 previous manifest entry rather than restoring silently-wrong state.
 """
 
+import hashlib
 import json
 import random
 
@@ -35,6 +36,7 @@ from repro.persist import (
     recover,
     write_checkpoint,
 )
+from repro.queries import QueryMonitor
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
 
@@ -77,6 +79,21 @@ def _delta_key(delta):
 
 def _batch_keys(batch):
     return [_delta_key(d) for d in batch if not d.is_empty]
+
+
+def _rewrite_header(path, config, header):
+    """Add ``config`` keys and ``header`` keys to a checkpoint's header
+    record and re-seal the file, as a build that wrote them would."""
+    lines = path.read_text().splitlines()
+    head, digest = json.loads(lines[0]), json.loads(lines[-1])
+    head["config"].update(config)
+    head.update(header)
+    lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+    body = "".join(line + "\n" for line in lines[:-1])
+    digest["hex"] = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(
+        body + json.dumps(digest, sort_keys=True, separators=(",", ":")) + "\n"
+    )
 
 
 def _mall_world(seed=7, n_objects=40):
@@ -175,22 +192,12 @@ class TestCheckpointFormat:
 
 
 class TestServiceRoundTrip:
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ServiceConfig(),
-            ServiceConfig(n_shards=4, workers=2),
-            ServiceConfig(n_shards=4),
-        ],
-        ids=["single", "sharded-parallel", "sharded-serial"],
-    )
-    def test_restore_is_bit_identical(self, tmp_path, config):
+    def test_restore_is_bit_identical(self, tmp_path):
         """Same results, same subsequent delta sequences, same auto-id
-        allocation — for single and sharded (pooled and serial)
-        engines, across all three builtin maintainers plus the count
-        watch."""
+        allocation, across all three builtin maintainers plus the
+        count watch."""
         space, stream, index = _mall_world()
-        service = QueryService(index, config)
+        service = QueryService(index)
         ids = [service.watch(s) for s in _mall_specs(space)]
         for _ in range(6):
             service.ingest(list(stream.next_moves(10)))
@@ -247,20 +254,13 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
-    @pytest.mark.parametrize(
-        "config",
-        [ServiceConfig(), ServiceConfig(n_shards=4, workers=2)],
-        ids=["single", "sharded-parallel"],
-    )
-    def test_restored_index_rebuilds_its_columnar_table(
-        self, tmp_path, config
-    ):
+    def test_restored_index_rebuilds_its_columnar_table(self, tmp_path):
         """A checkpoint carries no columnar table: the restored index
         builds its own (slots in checkpoint order), keeps it current
         under later moves, inserts and deletes, and answers one-shot
         queries like the engine that never stopped."""
         space, stream, index = _mall_world()
-        service = QueryService(index, config)
+        service = QueryService(index)
         for spec in _mall_specs(space):
             service.watch(spec)
         for _ in range(3):
@@ -288,34 +288,43 @@ class TestServiceRoundTrip:
         restored.close()
 
     @pytest.mark.parametrize(
-        "config, key, value",
+        "config, header",
         [
-            (ServiceConfig(n_shards=2), "kernel", "scalar"),
-            (ServiceConfig(n_shards=2), "kernel", "vector"),
-            (ServiceConfig(n_shards=4, workers=2), "backend", "thread"),
-            (ServiceConfig(n_shards=4, workers=2), "backend", "process"),
+            ({"n_shards": 2, "kernel": "scalar"}, {}),
+            ({"n_shards": 2, "kernel": "vector"}, {}),
+            ({"n_shards": 4, "workers": 2, "backend": "thread"}, {}),
+            ({"n_shards": 4, "workers": 2, "backend": "process"}, {}),
+            (
+                {"n_shards": 4, "workers": 2, "bucketed_router": True},
+                {"v": 1, "reach_epoch": [0, 2, 0, 1]},
+            ),
         ],
-        ids=["scalar", "vector", "thread", "process"],
+        ids=["scalar", "vector", "thread", "process", "v1-sharded"],
     )
     def test_checkpoint_naming_a_bounds_kernel_still_restores(
-        self, tmp_path, config, key, value
+        self, tmp_path, config, header
     ):
-        """Checkpoints written while ``ServiceConfig`` had a ``kernel``
-        or a ``backend`` field carry the key; it is ignored on load
-        (every value gave bit-identical results), never a false
-        "unusable config"."""
+        """Checkpoints written while ``ServiceConfig`` had a
+        ``kernel``, ``backend`` or ``bucketed_router`` field — and
+        version-1 files, which also carry the shard router's
+        ``reach_epoch`` — name engine shapes that no longer exist.  The
+        keys are ignored on load, never a false "unusable config" or a
+        ``KeyError``: the file restores onto the one engine, equal to
+        a default service that was never checkpointed."""
         space, stream, index = _mall_world()
-        service = QueryService(index, config)
+        service = QueryService(index)
         ids = [service.watch(s) for s in _mall_specs(space)]
         for _ in range(3):
             service.ingest(list(stream.next_moves(10)))
         path = tmp_path / "ckpt.jsonl"
         service.checkpoint(path)
-        state = read_checkpoint(path)
-        assert key not in state.config
-        state.config[key] = value
-        restored = QueryService.from_state(state)
-        assert restored.config == service.config
+        assert "reach_epoch" not in path.read_text()
+        _rewrite_header(path, config, header)
+        restored = QueryService.restore(path)
+        assert isinstance(restored.monitor, QueryMonitor)
+        assert restored.config == ServiceConfig(
+            n_shards=config["n_shards"], workers=config.get("workers", 1)
+        )
         for qid in ids:
             assert restored.result_distances(qid) == \
                 service.result_distances(qid)
@@ -337,10 +346,9 @@ class TestServiceRoundTrip:
             QueryService.from_state(state)
         service.close()
 
-    def test_config_override_reshapes_the_engine(self, tmp_path):
-        """A single-engine checkpoint restored sharded (and vice
-        versa) still lands on the same results — the checkpoint
-        captures state, not engine shape."""
+    def test_config_override_replaces_the_recorded_config(self, tmp_path):
+        """``restore(config=...)`` wins over the checkpointed config
+        and lands on the same results."""
         space, stream, index = _mall_world()
         service = QueryService(index)
         ids = [service.watch(s) for s in _mall_specs(space)]
@@ -348,14 +356,13 @@ class TestServiceRoundTrip:
             service.ingest(list(stream.next_moves(10)))
         path = tmp_path / "ckpt.jsonl"
         service.checkpoint(path)
-        resharded = QueryService.restore(
-            path, config=ServiceConfig(n_shards=3)
-        )
+        bounded = QueryService.restore(path, config=ServiceConfig(maxlen=4))
+        assert bounded.config.maxlen == 4 and service.config.maxlen is None
         for qid in ids:
-            assert resharded.result_distances(qid) == \
+            assert bounded.result_distances(qid) == \
                 service.result_distances(qid)
         service.close()
-        resharded.close()
+        bounded.close()
 
     def test_count_watch_state_round_trips(
         self, five_rooms_index, tmp_path

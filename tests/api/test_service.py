@@ -26,7 +26,6 @@ from repro.objects.population import ObjectMove
 from repro.queries import (
     QueryMonitor,
     QuerySession,
-    ShardedMonitor,
     iPRQ,
     iRQ,
     ikNNQ,
@@ -153,9 +152,7 @@ class TestWatchAndIngest:
     """watch + ingest maintain results bit-identical to a legacy
     QueryMonitor driven with the same mutations."""
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_matches_legacy_monitor(self, mall_setup, small_mall,
-                                    n_shards):
+    def test_matches_legacy_monitor(self, mall_setup, small_mall):
         index, gen, pop = mall_setup
         # Twin world for the legacy monitor (streams mutate the index).
         gen2 = ObjectGenerator(
@@ -165,7 +162,7 @@ class TestWatchAndIngest:
         index2 = CompositeIndex.build(small_mall, pop2)
         legacy = QueryMonitor(index2)
 
-        service = QueryService(index, ServiceConfig(n_shards=n_shards))
+        service = QueryService(index)
         qa, qb = (small_mall.random_point(seed=s) for s in (11, 12))
         a = service.watch(RangeSpec(qa, 30.0))
         b = service.watch(KNNSpec(qb, 4))
@@ -249,15 +246,11 @@ class TestIdClaiming:
         auto = service.watch(RangeSpec(Q1, 12.0))
         assert auto != "irq-1" and len(service) == 2
 
-    def test_cross_shard_collision_rejected(self, five_rooms_index):
-        """The satellite bugfix end to end: an id claimed directly on a
-        shard monitor cannot be re-claimed through the service."""
-        service = QueryService(five_rooms_index, ServiceConfig(n_shards=2))
-        assert isinstance(service.monitor, ShardedMonitor)
-        home = service.monitor.shard_of(Q3)
-        service.monitor.shards[home].register(
-            RangeSpec(Q3, 5.0), query_id="rogue"
-        )
+    def test_id_claimed_on_the_monitor_rejected(self, five_rooms_index):
+        """An id claimed directly on the monitor cannot be re-claimed
+        through the service."""
+        service = QueryService(five_rooms_index)
+        service.monitor.register(RangeSpec(Q3, 5.0), query_id="rogue")
         with pytest.raises(QueryError):
             service.watch(RangeSpec(Q1, 5.0), query_id="rogue")
 
@@ -276,17 +269,6 @@ class TestServiceConfig:
         service = QueryService(five_rooms_index)
         assert isinstance(service.monitor, QueryMonitor)
         assert service.routing is None
-
-    def test_sharded_engine_selected(self, five_rooms_index):
-        config = ServiceConfig(
-            n_shards=3, workers=2, bucketed_router=False
-        )
-        with QueryService(five_rooms_index, config) as service:
-            assert isinstance(service.monitor, ShardedMonitor)
-            assert service.monitor.n_shards == 3
-            assert service.monitor.workers == 2
-            assert not service.monitor.bucketed_router
-            assert service.routing is not None
 
     def test_invalid_config_rejected(self):
         with pytest.raises(QueryError):

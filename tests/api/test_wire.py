@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.api import wire
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
-from repro.api.service import QueryService, ServiceConfig
+from repro.api.service import QueryService
 from repro.errors import WireError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
@@ -259,13 +259,8 @@ Q3 = Point(25.0, 5.0, 0)
 
 
 class TestFeedReplay:
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_replayed_feed_equals_live_results(
-        self, five_rooms_index, n_shards
-    ):
-        service = QueryService(
-            five_rooms_index, ServiceConfig(n_shards=n_shards)
-        )
+    def test_replayed_feed_equals_live_results(self, five_rooms_index):
+        service = QueryService(five_rooms_index)
         a = service.watch(RangeSpec(Q1, 10.0))
         fp = io.StringIO()
         service.attach_feed(fp)  # header covers the pre-existing query
@@ -394,14 +389,10 @@ class TestTornTail:
         assert got == want
         assert stats.torn_tail == 1
 
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_standing_iprq_rides_the_feed(self, five_rooms_index,
-                                          n_shards):
+    def test_standing_iprq_rides_the_feed(self, five_rooms_index):
         """A watched ProbRangeSpec flows through the v2 wire end to
         end: watch header, probability-annotated deltas, exact replay."""
-        service = QueryService(
-            five_rooms_index, ServiceConfig(n_shards=n_shards)
-        )
+        service = QueryService(five_rooms_index)
         fp = io.StringIO()
         service.attach_feed(fp)
         c = service.watch(ProbRangeSpec(Q1, 10.0, 0.5))

@@ -152,14 +152,6 @@ class TestCellRunners:
         assert result["timing"]["repeat"] == 2
         assert result["timing"]["min_s"] <= result["timing"]["mean_s"]
 
-    def test_serving_cell(self, tmp_path):
-        result = _run_one(
-            tmp_path, "serving",
-            {"workers": 2, "n_shards": 2, "batches": 2, "batch_size": 5},
-        )
-        assert result["updates"] == 10
-        assert result["updates_per_sec"] > 0
-
     def test_egress_cell_alerts_and_closures(self, tmp_path):
         result = _run_one(
             tmp_path, "scenario",

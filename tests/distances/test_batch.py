@@ -379,37 +379,6 @@ class TestUnreachedFloor:
 
 
 class TestBlockShapes:
-    def test_subset_equals_packing_the_kept_objects(self):
-        """``ObjectBlock.subset(keep)`` — what the sharded router hands
-        a shard — is value-identical to packing the kept objects
-        directly, array for array."""
-        w = _world(11)
-        space, session = w.space, w.session
-        objects = list(w.pop)
-        whole = _pack(w.index, session, objects)
-        keep = sorted(w.rng.sample(range(len(objects)), 9))
-        sub = whole.subset(keep)
-        direct = _pack(w.index, session, [objects[j] for j in keep])
-        assert sub.objects == direct.objects
-        assert sub.layout is direct.layout
-        assert sub.subs == direct.subs
-        assert sub.sub_mass == direct.sub_mass
-        assert (sub.sub_part == direct.sub_part).all()
-        fields = "obj_offsets row_n ent_start ent_door ent_min ent_max"
-        for name in fields.split():
-            assert np.array_equal(getattr(sub, name), getattr(direct, name))
-        points = [space.random_point(rng=w.rng) for _ in range(3)]
-        points.append(objects[keep[0]].region.center)
-        stack = _stack(
-            [session.kernel_pack(q) for q in points],
-            [None, 26.0, None, 26.0],
-        )
-        # The sub-block against the reference, pair by pair ...
-        got = _assert_stack_matches(w.index, stack, sub)
-        # ... and against the directly packed block, array for array.
-        want = block_object_bounds(stack, direct, space.floor_height)
-        _assert_same_bounds(got, want)
-
     def test_block_of_one_equals_its_row_in_a_larger_block(self):
         """An insert is a block of one: same numbers as the object's
         entry in any larger block."""

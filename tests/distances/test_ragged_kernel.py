@@ -9,7 +9,7 @@ axis in slices sized by ``BOUNDS_BUDGET``.  ``tests/distances/
 test_batch.py`` holds the kernel to the scalar path on ordinary worlds;
 this file holds the shapes the ragged form could get wrong: rows that
 own no entry (first, last, in the middle, all of them), own-partition
-rows of multi-partition objects, a gathered subset, a sliced stack.
+rows of multi-partition objects, a sliced stack.
 Every comparison is ``==`` on floats.
 """
 
@@ -228,39 +228,6 @@ class TestRaggedKernelMatchesReference:
         ]
         # From inside the first sealed room its own object is finite.
         assert np.isfinite(bounds.tmax[2:, 0]).all()
-
-
-class TestSubset:
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_subset_equals_a_direct_pack(self, seed, data):
-        """``block.subset(indices)`` — what the sharded router hands a
-        shard — is the block of those objects, array for array, whether
-        the whole was packed or gathered."""
-        index, session, rng, wide, shut = _world(seed)
-        space, grid = index.space, index.population.grid
-        objects = list(index.population)
-        keep = sorted(
-            data.draw(
-                st.sets(
-                    st.integers(0, len(objects) - 1),
-                    min_size=1,
-                    max_size=len(objects),
-                )
-            )
-        )
-        kept = [objects[j] for j in keep]
-        layout = index.columns.layout()
-        direct = pack_block(kept, space, grid, layout)
-        _assert_same_block(
-            pack_block(objects, space, grid, layout).subset(keep), direct
-        )
-        _assert_same_block(index.columns.block(objects).subset(keep), direct)
-        _assert_same_block(index.columns.block(kept), direct)
 
 
 class TestQueryAxisBudget:

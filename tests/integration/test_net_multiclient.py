@@ -20,7 +20,6 @@ from repro.api.service import QueryService
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
 from repro.index import CompositeIndex
 from repro.objects import MovementStream, ObjectGenerator
-from repro.queries import ShardedMonitor
 
 
 @pytest.fixture(scope="module")
@@ -141,31 +140,3 @@ class TestManyClients:
 
             for t in tails:
                 t.client.close()
-
-    def test_sharded_service_serves_identically(self, world):
-        """The same serving path over a ShardedMonitor backend: two
-        clients, exact convergence (the router is invisible on the
-        wire)."""
-        space, index, stream = world
-        from repro.api.service import ServiceConfig
-
-        service = QueryService(index, ServiceConfig(n_shards=2))
-        assert isinstance(service.monitor, ShardedMonitor)
-        q = space.random_point(seed=31)
-        with ServerThread(service) as st:
-            host, port = st.address
-            a = NetClient(host, port)
-            b = NetClient(host, port)
-            a.connect()
-            b.connect()
-            qid = a.watch(RangeSpec(q, 55.0), query_id="shared")
-            assert b.watch(query_id="shared") == qid
-            for _ in range(6):
-                st.ingest(stream.next_moves(20))
-            a.sync()
-            b.sync()
-            live = st.run(service.result_distances, qid)
-            assert a.states[qid] == live
-            assert b.states[qid] == live
-            a.close()
-            b.close()

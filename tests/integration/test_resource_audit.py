@@ -1,10 +1,10 @@
 """Resource audit: what the engine starts, its ``close()`` joins.
 
-The sharded engine owns exactly one resource — the ``shard*`` thread
-pool behind ``workers > 1`` — and a :class:`ServerThread` owns its
-``repro-net-server`` loop thread (the wrapped service, and so the
-pool, stays the caller's to close).  Each shutdown path is driven
-here and ``threading.enumerate()`` must show the owned threads gone.
+The query engine itself starts no thread — ``ServiceConfig.n_shards``
+and ``workers`` are inert, held here to a default service field for
+field — and a :class:`ServerThread` owns its ``repro-net-server`` loop
+thread.  Each shutdown path is driven here and
+``threading.enumerate()`` must show the owned threads gone.
 A durable :class:`ServerThread` also owns its store's open WAL segment:
 both ``close()`` and ``kill()`` must release the descriptor themselves
 (not leave it to the garbage collector, which says so with a
@@ -12,25 +12,35 @@ both ``close()`` and ``kill()`` must release the descriptor themselves
 """
 
 import gc
+import io
+import random
 import sys
 import threading
 import warnings
+from dataclasses import asdict
 
 import pytest
 
+from monitor_world import build_world
 from repro.api.net import ServerThread
 from repro.api.service import QueryService, ServiceConfig
-from repro.api.specs import KNNSpec, RangeSpec
+from repro.api.specs import (
+    CountSpec,
+    KNNSpec,
+    OccupancySpec,
+    ProbRangeSpec,
+    RangeSpec,
+)
 from repro.baselines import NaiveEvaluator
 from repro.geometry import Circle, Point
-from repro.objects import InstanceSet
+from repro.objects import InstanceSet, MovementStream
 from repro.objects.population import ObjectMove
 from repro.persist import CheckpointStore
-from repro.queries import ShardedMonitor
+from repro.queries import QueryMonitor
+from repro.space.events import CloseDoor
 
 Q_LEFT = Point(5.0, 5.0, 0)
 Q_RIGHT = Point(25.0, 5.0, 0)
-POOLED = ServiceConfig(n_shards=2, workers=2)
 
 
 def _point_move(object_id: str, x: float, y: float):
@@ -54,32 +64,53 @@ def owned_threads():
     return names
 
 
-def test_sharded_monitor_close_joins_its_pool(
-    crowded_index, five_rooms, owned_threads
-):
-    sharded = ShardedMonitor(crowded_index, n_shards=2, workers=2)
-    left = sharded.register(RangeSpec(Q_LEFT, 10.0))
-    sharded.register(KNNSpec(Q_RIGHT, 2))
-    sharded.apply_moves([_point_move("far", 6.0, 6.0)])
-    assert owned_threads("shard")  # the pool really ran the plan
-    sharded.close()
-    sharded.close()  # idempotent
-    assert owned_threads("shard") == []
-    # Still usable, serially: no pool comes back.
-    sharded.apply_moves([_point_move("far2", 7.0, 6.0)])
-    oracle = NaiveEvaluator(five_rooms, crowded_index.population)
-    assert sharded.result_ids(left) == oracle.range_query(Q_LEFT, 10.0)
-    assert owned_threads("shard") == []
+def _scripted_run(config, threads):
+    """A move / insert / delete / door-close script through a service
+    built with ``config``: the published feed, the final results, the
+    final counters."""
+    space, gen, pop, index = build_world(3, n_objects=30)
+    service = QueryService(index, config)
+    assert type(service.monitor) is QueryMonitor
+    feed = io.StringIO()
+    service.attach_feed(feed)
+    rng = random.Random(3)
+    q = [space.random_point(rng=rng) for _ in range(4)]
+    located = pop.grid.locate(next(iter(pop)).region.center)
+    qids = [
+        service.watch(spec)
+        for spec in (
+            RangeSpec(q[0], 30.0),
+            KNNSpec(q[1], 3),
+            ProbRangeSpec(q[2], 25.0, 0.5),
+            CountSpec(q[3], 30.0, 2),
+            OccupancySpec(located.partition_id, 1),
+        )
+    ]
+    stream = MovementStream(space, pop, gen, seed=4)
+    for step, batch in enumerate(stream.batches(5, 8)):
+        service.ingest(batch)
+        if step == 1:
+            service.insert(gen.generate_one())
+        elif step == 2:
+            service.delete(sorted(pop.ids())[0])
+        elif step == 3:
+            service.apply_event(CloseDoor(sorted(space.doors)[0]))
+        assert threads("shard") == []
+    results = {qid: service.result_distances(qid) for qid in qids}
+    service.close()
+    return feed.getvalue(), results, asdict(service.stats)
 
 
-def test_service_close_joins_the_pool(crowded_index, owned_threads):
-    service = QueryService(crowded_index, POOLED)
-    service.watch(RangeSpec(Q_LEFT, 10.0))
-    service.watch(KNNSpec(Q_RIGHT, 2))
-    service.ingest([_point_move("far", 6.0, 6.0)])
-    assert owned_threads("shard")
-    service.close()
-    service.close()
+def test_n_shards_and_workers_are_inert(owned_threads):
+    """``ServiceConfig(n_shards=4, workers=2)`` is ``ServiceConfig()``:
+    one ``QueryMonitor``, the same delta history, results and
+    ``MonitorStats``, and no engine thread during or after."""
+    default = _scripted_run(ServiceConfig(), owned_threads)
+    assert _scripted_run(
+        ServiceConfig(n_shards=4, workers=2), owned_threads
+    ) == default
+    stats = default[2]
+    assert stats["event_recomputes"] == 5 and stats["deltas_emitted"] > 5
     assert owned_threads("shard") == []
 
 
@@ -87,17 +118,15 @@ def test_service_close_joins_the_pool(crowded_index, owned_threads):
 def test_server_thread_stop_joins_its_loop(
     crowded_index, tmp_path, owned_threads, stop
 ):
-    service = QueryService(crowded_index, POOLED)
+    service = QueryService(crowded_index)
     st = ServerThread(service, store=CheckpointStore(tmp_path)).__enter__()
     st.watch(RangeSpec(Q_LEFT, 10.0))
     st.watch(KNNSpec(Q_RIGHT, 2))
     st.ingest([_point_move("far", 6.0, 6.0)])
     assert owned_threads("repro-net-server")
-    assert owned_threads("shard")
     getattr(st, stop)()
     assert owned_threads("repro-net-server") == []
     service.close()
-    assert owned_threads("shard") == []
 
 
 def _store_bytes(root):
@@ -120,7 +149,7 @@ def test_server_thread_stop_releases_the_store(
         warnings.simplefilter("error", ResourceWarning)
         gc.collect()  # somebody else's garbage is not this test's
         unraisable.clear()
-        service = QueryService(crowded_index, POOLED)
+        service = QueryService(crowded_index)
         store = CheckpointStore(tmp_path)
         st = ServerThread(service, store=store).__enter__()
         st.watch(RangeSpec(Q_LEFT, 10.0))

@@ -2,7 +2,7 @@
 tests: randomized floorplans, standing-query registration and the
 from-scratch equivalence assertion.  Used by
 ``test_prop_monitor.py`` (single monitor vs oracle) and
-``test_prop_deltas.py`` (delta replay + sharded equivalence)."""
+``test_prop_deltas.py`` (delta replay)."""
 
 import math
 
@@ -21,7 +21,7 @@ def build_world(seed: int, n_objects: int):
 
     Deterministic in ``seed``: calling twice yields two *independent*
     but identical worlds (same spaces, same object ids and positions) —
-    the sharded-equivalence tests run twin worlds in lockstep.
+    equivalence tests run twin worlds in lockstep.
     """
     space = build_mall(
         floors=1 + seed % 2,

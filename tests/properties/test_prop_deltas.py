@@ -1,19 +1,11 @@
 """Properties of the delta serving subsystem.
 
-Two contracts, over fully randomized scenarios (floorplan, standing
-queries, movement stream, interleaved inserts/deletes):
-
-* **Delta replay** — folding every emitted
-  :class:`~repro.queries.deltas.ResultDelta` for a query, starting from
-  the empty state at registration time, reproduces the monitor's
-  current result exactly (membership *and* stored distances) after
-  every batch, while the monitor itself stays equivalent to
-  from-scratch execution.
-* **Sharded equivalence** — a ``ShardedMonitor(n_shards=4)`` driven
-  with the same mutation sequence as a single ``QueryMonitor`` over a
-  twin world produces identical result sets for identically registered
-  standing queries, its own deltas replay too, and its router never
-  skips a shard it should have visited (equivalence is the proof).
+Over fully randomized scenarios (floorplan, standing queries, movement
+stream, interleaved inserts/deletes): folding every emitted
+:class:`~repro.queries.deltas.ResultDelta` for a query, starting from
+the empty state at registration time, reproduces the monitor's current
+result exactly (membership *and* stored distances) after every batch,
+while the monitor itself stays equivalent to from-scratch execution.
 """
 
 import random
@@ -21,7 +13,6 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api.specs import KNNSpec, RangeSpec
 from monitor_world import (
     assert_equivalent,
     assert_prob_equivalent,
@@ -30,7 +21,7 @@ from monitor_world import (
     register_random_queries,
 )
 from repro.objects import MovementStream
-from repro.queries import QueryMonitor, ShardedMonitor, replay_deltas
+from repro.queries import QueryMonitor, replay_deltas
 
 
 class _Replayer:
@@ -91,46 +82,3 @@ class TestDeltaReplay:
             ResultDelta("q", "delete", {}, ("c",)),
         ]
         assert replay_deltas(deltas) == {"b": 1.5}
-
-
-class TestShardedEquivalence:
-    @given(seed=st.integers(0, 10_000))
-    @settings(
-        max_examples=5,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    def test_sharded_matches_single_monitor(self, seed):
-        # Twin worlds: same seed, independent indexes/populations.
-        space, gen, pop, index = build_world(seed, n_objects=25)
-        space2, _gen2, pop2, index2 = build_world(seed, n_objects=25)
-        assert sorted(pop.ids()) == sorted(pop2.ids())
-        monitor = QueryMonitor(index)
-        sharded = ShardedMonitor(index2, n_shards=4)
-        rng = random.Random(seed ^ 0x54A2)
-        irqs, knns = register_random_queries(monitor, space, rng)
-        for qid, q, r in irqs:
-            sharded.register(RangeSpec(q, r), query_id=qid)
-        for qid, q, k in knns:
-            sharded.register(KNNSpec(q, k), query_id=qid)
-        replay = _Replayer(sharded)
-
-        # One stream drives both monitors: moves carry absolute
-        # positions, so the twin worlds stay in lockstep.
-        stream = MovementStream(space, pop, gen, seed=seed + 1)
-        for batch in stream.batches(4, 6):
-            monitor.apply_moves(batch)
-            replay.absorb(sharded.apply_moves(batch))
-            if rng.random() < 0.4 and len(pop) > 15:
-                victim = rng.choice(sorted(pop.ids()))
-                monitor.apply_delete(victim)
-                replay.absorb(sharded.apply_delete(victim))
-            for qid, _q, _p in irqs + knns:
-                assert sharded.result_ids(qid) == monitor.result_ids(qid)
-                assert sharded.result_distances(qid) == \
-                    monitor.result_distances(qid)
-            replay.assert_matches()
-            assert_equivalent(sharded, space2, pop2, index2, irqs, knns)
-        # The sharded monitor never evaluates more pairs than the
-        # single one — the router only removes work.
-        assert sharded.stats.pairs_evaluated <= monitor.stats.pairs_evaluated

@@ -7,9 +7,9 @@ query's influence radius, plus the ones the query holds; every other
 pair is counted as skipped without a call.  The reference is the same
 monitor with that method replaced by "every position, every query" —
 each maintainer then walks the whole block, as before the decision
-moved.  Over randomized scenarios with all five spec kinds, single and
-sharded, both runs must emit the same deltas after every mutation, end
-on the same results and agree on every ``MonitorStats`` field.
+moved.  Over randomized scenarios with all five spec kinds both runs
+must emit the same deltas after every mutation, end on the same
+results and agree on every ``MonitorStats`` field.
 """
 
 import random
@@ -37,7 +37,7 @@ from repro.objects import (
     ObjectPopulation,
     UncertainObject,
 )
-from repro.queries import QueryMonitor, ShardedMonitor
+from repro.queries import QueryMonitor
 
 
 def _everything(self, bounds, moved):
@@ -64,14 +64,12 @@ def _specs(space, pop, rng):
     ]
 
 
-def _run(seed, sharded):
+def _run(seed):
     """One scenario: every mutation's deltas, the final results and
     the final counters."""
     space, gen, pop, index = build_world(seed, n_objects=40)
     rng = random.Random(seed ^ 0xDEC1DE)
-    monitor = (
-        ShardedMonitor(index, n_shards=3) if sharded else QueryMonitor(index)
-    )
+    monitor = QueryMonitor(index)
     specs = _specs(space, pop, rng)
     qids = [monitor.register(spec) for spec in specs]
     # One ikNNQ goes on as a restored engine would hold it — the
@@ -98,9 +96,6 @@ def _run(seed, sharded):
 
 
 class TestDecisionEquivalence:
-    @pytest.mark.parametrize(
-        "sharded", [False, True], ids=["single", "sharded"]
-    )
     @given(seed=st.integers(0, 10_000))
     @settings(
         max_examples=6,
@@ -110,11 +105,11 @@ class TestDecisionEquivalence:
             HealthCheck.function_scoped_fixture,
         ],
     )
-    def test_same_deltas_results_and_counters(self, sharded, seed):
-        got = _run(seed, sharded)
+    def test_same_deltas_results_and_counters(self, seed):
+        got = _run(seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(QueryMonitor, "_undecided", _everything)
-            want = _run(seed, sharded)
+            want = _run(seed)
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] == want[2]

@@ -11,8 +11,7 @@ nothing is flushed or closed on its behalf, exactly like a process
 death — and :meth:`CheckpointStore.recover` must rebuild a service
 that (a) matches the uninterrupted twin on every maintained result,
 (b) emits the *same deltas* for every subsequent batch, and (c) agrees
-with from-scratch one-shot execution.  Both engine shapes are covered:
-single and sharded with a worker pool.
+with from-scratch one-shot execution.
 """
 
 import random
@@ -20,12 +19,11 @@ import shutil
 import tempfile
 from pathlib import Path
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monitor_world import build_world
-from repro.api.service import QueryService, ServiceConfig
+from repro.api.service import QueryService
 from repro.api.specs import CountSpec, KNNSpec, ProbRangeSpec, RangeSpec
 from repro.objects import MovementStream
 from repro.persist import CheckpointStore
@@ -66,23 +64,18 @@ def _random_specs(space, rng):
 
 
 class TestCrashRecoveryProperty:
-    @pytest.mark.parametrize(
-        "config",
-        [ServiceConfig(), ServiceConfig(n_shards=3, workers=2)],
-        ids=["single", "sharded-parallel"],
-    )
     @given(seed=st.integers(0, 10_000))
     @settings(
         max_examples=4,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_recovered_equals_uninterrupted(self, config, seed):
+    def test_recovered_equals_uninterrupted(self, seed):
         # Twin worlds: identical ids/positions, independent state.
         space, gen, pop, index = build_world(seed, n_objects=20)
         _space2, _gen2, _pop2, index2 = build_world(seed, n_objects=20)
-        service = QueryService(index, config)
-        twin = QueryService(index2, config)
+        service = QueryService(index)
+        twin = QueryService(index2)
         rng = random.Random(seed ^ 0xC4A5)
         specs = _random_specs(space, rng)
         ids = [service.watch(s) for s in specs]

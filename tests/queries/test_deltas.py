@@ -107,12 +107,6 @@ class TestDeltaBatch:
         assert batch.for_query("q1") == (d1, d3)
         assert batch.query_ids() == ["q1", "q2"]
 
-    def test_merge_concatenates(self):
-        a = DeltaBatch(deltas=(ResultDelta("q1", "move", {"a": 1.0}),))
-        b = DeltaBatch(deltas=(ResultDelta("q2", "move", {"b": 2.0}),))
-        merged = a.merge(b)
-        assert merged.query_ids() == ["q1", "q2"]
-
 
 class TestMonitorEmission:
     def test_register_parks_initial_delta(self, five_rooms_index):

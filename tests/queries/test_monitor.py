@@ -344,8 +344,7 @@ class TestIncrementalProbRange:
     def test_influence_radius_is_query_range(self, five_rooms_index):
         monitor = QueryMonitor(five_rooms_index)
         c = monitor.register(ProbRangeSpec(Q1, 7.5, 0.5))
-        (entry,) = monitor.influence_radii()
-        assert entry == (c, Q1, 7.5)
+        assert monitor._queries[c].influence_radius() == 7.5
 
 
 class TestKNNFallback:
@@ -354,8 +353,8 @@ class TestKNNFallback:
         monitor = QueryMonitor(crowded_index)
         b = monitor.register(KNNSpec(Q1, 2))
         assert monitor.result_ids(b) == {"near", "mid"}
-        (entry,) = monitor.influence_radii()
-        assert entry == (b, Q1, pytest.approx(4.6))  # rho: the 10th
+        # rho: the 10th
+        assert monitor._queries[b].influence_radius() == pytest.approx(4.6)
         # The nearest member drifts past the k-th distance (3 m) but
         # stays inside the band: one refinement, and the nearest band
         # entry is promoted from its stored distance — no search.
@@ -413,7 +412,7 @@ class TestKNNFallback:
         monitor.apply_insert(_point_object("n8", 1.3, 5.0))
         assert len(sq.buffer) == 10
         assert sq.rho == max(sq.buffer.values()) == pytest.approx(3.3)
-        assert monitor.influence_radii() == [(b, Q1, sq.rho)]
+        assert sq.influence_radius() == sq.rho
         assert monitor.stats.full_recomputes == 0
         oracle = NaiveEvaluator(five_rooms, crowded_index.population)
         assert monitor.result_ids(b) == {
@@ -481,7 +480,7 @@ class TestInsertDelete:
         assert monitor.result_ids(b) == {"b7", "far"}
         # Three objects are left, fewer than the band wants: rho is
         # infinite and a short buffer is no underflow any more.
-        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        assert monitor._queries[b].influence_radius() == math.inf
         monitor.apply_delete("b7")
         monitor.apply_delete("far")
         assert monitor.result_ids(b) == {"far2"}
@@ -649,7 +648,7 @@ class TestBelowK:
         monitor.apply_delete("mid")
         assert monitor.result_ids(b) == {"near"}
         # A short buffer under an infinite rho is not an underflow.
-        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        assert monitor._queries[b].influence_radius() == math.inf
         assert monitor.stats.full_recomputes == 0
         # An unfull result admits any reachable newcomer.
         monitor.apply_insert(_point_object("new", 5.0, 4.0))
@@ -678,7 +677,7 @@ class TestBelowK:
         monitor.apply_moves([_point_move("mid", 7.0, 5.0)])
         monitor.apply_moves([_point_move("far", 24.0, 4.0)])
         assert monitor.result_ids(b) == {"mid"}
-        assert monitor.influence_radii() == [(b, Q1, math.inf)]
+        assert monitor._queries[b].influence_radius() == math.inf
         assert monitor.stats.full_recomputes == 0
         assert monitor.stats.event_recomputes == 1
 

@@ -3,26 +3,21 @@
 The contract: an occupancy watch on partition ``p`` with threshold
 ``N`` publishes the synthetic ``"occupancy"`` member annotated with the
 partition's current population while that population is at least ``N``,
-and an empty result while it is not — through the single monitor, the
-sharded router (anchored routing: the spec has no query point), the
-wire encoding, persistence round-trips, and TCP serving.
+and an empty result while it is not — through the monitor, the wire
+encoding, persistence round-trips, and TCP serving.
 """
 
 import pytest
 
 from repro.api.net import NetClient, ServerThread
-from repro.api.service import QueryService, ServiceConfig
-from repro.api.specs import OccupancySpec, RangeSpec, spec_from_dict
+from repro.api.service import QueryService
+from repro.api.specs import OccupancySpec, spec_from_dict
 from repro.errors import QueryError, SpaceError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
 from repro.objects import InstanceSet, ObjectPopulation, UncertainObject
 from repro.objects.population import ObjectMove
-from repro.queries.maintainers import (
-    OCCUPANCY_KEY,
-    partition_anchor,
-    spec_anchor,
-)
+from repro.queries.maintainers import OCCUPANCY_KEY, partition_anchor
 
 
 def _point_object(object_id: str, x: float, y: float, floor: int = 0):
@@ -79,10 +74,10 @@ class TestSpec:
     def test_anchor_derivation(self, five_rooms):
         anchor = partition_anchor(five_rooms, "r1")
         assert five_rooms.partition("r1").contains_point(anchor)
-        assert spec_anchor(R1_WATCH, five_rooms) == anchor
-        # point-carrying specs anchor at their own query point
-        q = Point(5.0, 5.0, 0)
-        assert spec_anchor(RangeSpec(q, 6.0), five_rooms) == q
+        service = QueryService(_build_index(five_rooms))
+        qid = service.watch(R1_WATCH)
+        assert service.monitor._queries[qid].q == anchor
+        service.close()
 
     def test_unknown_partition_fails_at_registration(self, five_rooms):
         service = QueryService(_build_index(five_rooms))
@@ -150,74 +145,6 @@ class TestWatch:
         assert all(d.is_empty for d in batch)
         assert service.result_distances(qid) == before
         service.close()
-
-    def test_larger_object_radius_moves_the_reach(self, five_rooms):
-        """The radius pad is part of influence_radius(): growing it —
-        even with membership unchanged — bumps the monitor's
-        reach_epoch, so a sharded router rebuilds its reach table; an
-        ordinary update does not."""
-        service = QueryService(_build_index(five_rooms))
-        qid = service.watch(R1_WATCH)
-        monitor = service.monitor
-        ((_, _, reach),) = monitor.influence_radii()
-        epoch = monitor.reach_epoch
-        service.ingest([_point_move("d", 22.0, 3.0)])
-        assert monitor.reach_epoch == epoch
-        p = Point(24.0, 3.0, 0)
-        batch = service.ingest(
-            [ObjectMove("d", Circle(p, 1.5), InstanceSet.single(p))]
-        )
-        assert all(d.is_empty for d in batch)  # still in r3
-        assert monitor.influence_radii()[0][2] == reach + 1.5
-        assert monitor.reach_epoch == epoch + 1
-        service.close()
-
-
-# ---------------------------------------------------------------------
-# sharded routing (the spec has no query point)
-# ---------------------------------------------------------------------
-
-
-class TestSharded:
-    SCRIPT = [
-        [_point_move("b", 15.0, 7.0)],
-        [_point_move("c", 8.0, 2.0), _point_move("d", 4.0, 8.0)],
-        [_point_move("b", 5.0, 7.0)],
-        [_point_move("a", 25.0, 5.0), _point_move("d", 22.0, 3.0)],
-    ]
-
-    def test_sharded_matches_single(self, five_rooms):
-        single = QueryService(_build_index(five_rooms))
-        sharded = QueryService(
-            _build_index(five_rooms), ServiceConfig(n_shards=3)
-        )
-        specs = [
-            OccupancySpec("r1", 2),
-            OccupancySpec("h", 1),
-            RangeSpec(Point(5.0, 5.0, 0), 8.0),
-        ]
-        for i, spec in enumerate(specs):
-            for svc in (single, sharded):
-                svc.watch(spec, query_id=f"q{i}")
-        for moves in self.SCRIPT:
-            single.ingest(list(moves))
-            sharded.ingest(list(moves))
-            for i in range(len(specs)):
-                assert sharded.result_distances(f"q{i}") == \
-                    single.result_distances(f"q{i}")
-        single.close()
-        sharded.close()
-
-    def test_anchored_routing_is_deterministic(self, five_rooms):
-        index = _build_index(five_rooms)
-        a = QueryService(index, ServiceConfig(n_shards=4))
-        qid = a.watch(R1_WATCH)
-        home = a.monitor._homes[qid]
-        assert a.monitor.shards[home].query_ids() == [qid]
-        assert home == a.monitor.shard_of(
-            spec_anchor(R1_WATCH, five_rooms)
-        )
-        a.close()
 
 
 # ---------------------------------------------------------------------

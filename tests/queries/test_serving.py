@@ -21,7 +21,6 @@ from repro.queries import (
     MonitorServer,
     QueryMonitor,
     ResultDelta,
-    ShardedMonitor,
     Subscription,
     replay_deltas,
 )
@@ -332,43 +331,12 @@ class TestBackpressure:
         asyncio.run(run())
 
 
-class TestParallelOffload:
-    """A parallel sharded monitor's mutations leave the event loop."""
-
-    def test_offload_autodetects_parallel_monitor(self, five_rooms_index):
-        serial = MonitorServer(ShardedMonitor(five_rooms_index, n_shards=2))
-        assert not serial._offloads()
-        with ShardedMonitor(
-            five_rooms_index, n_shards=2, workers=2
-        ) as monitor:
-            parallel = MonitorServer(monitor)
-            assert parallel._offloads()
-            assert not MonitorServer(monitor, offload=False)._offloads()
-
-    def test_offloaded_mutations_still_fan_out(self, five_rooms_index):
-        async def run():
-            with ShardedMonitor(
-                five_rooms_index, n_shards=2, workers=2
-            ) as monitor:
-                server = MonitorServer(monitor)
-                a = server.register(RangeSpec(Q1, 10.0))
-                sub = server.subscribe(a)
-                await server.apply_moves([_point_move("far", 6.0, 6.0)])
-                await server.apply_delete("mid")
-                server.close()
-                deltas = [d async for d in sub]
-                assert replay_deltas(deltas) == \
-                    server.monitor.result_distances(a)
-
-        asyncio.run(run())
-
-
 class TestServeLoop:
     def test_serve_reports_and_feeds_subscribers(self, small_mall):
         gen = ObjectGenerator(small_mall, radius=3.0, n_instances=8, seed=3)
         pop = gen.generate(30)
         index = CompositeIndex.build(small_mall, pop)
-        server = MonitorServer(ShardedMonitor(index, n_shards=2))
+        server = MonitorServer(QueryMonitor(index))
         q = small_mall.random_point(seed=8)
         a = server.register(RangeSpec(q, 45.0))
         b = server.register(KNNSpec(q, 4))

@@ -97,27 +97,6 @@ class TestMonitorStatsUnits:
         s = MonitorStats(updates_seen=20, full_recomputes=5)
         assert s.recomputes_per_update == pytest.approx(0.25)
 
-    def test_merge_sums_counters(self):
-        a = MonitorStats(updates_seen=2, pairs_evaluated=4, pairs_skipped=3,
-                         pairs_refined=1, full_recomputes=1,
-                         deltas_emitted=2)
-        b = MonitorStats(updates_seen=3, pairs_evaluated=6, pairs_skipped=2,
-                         pairs_refined=2, pairs_recomputed=2,
-                         event_recomputes=1, topology_invalidations=1,
-                         deltas_emitted=1)
-        m = a.merge(b)
-        assert m.updates_seen == 5
-        assert m.pairs_evaluated == 10
-        assert m.pairs_skipped == 5
-        assert m.pairs_refined == 3
-        assert m.pairs_recomputed == 2
-        assert m.full_recomputes == 1
-        assert m.event_recomputes == 1
-        assert m.topology_invalidations == 1
-        assert m.deltas_emitted == 3
-        # merge does not mutate its inputs
-        assert a.updates_seen == 2 and b.updates_seen == 3
-
     def test_monitor_partitions_pairs_on_real_stream(self, two_floor_space):
         """The partition invariant holds on an actual monitored run."""
         from repro.objects import MovementStream
