@@ -4,10 +4,11 @@ delta server, against the same monitor driven directly.
 Not a paper figure: this measures the serving subsystem.  Two identical
 worlds are built (same seeds, independent indexes); one
 :class:`~repro.queries.monitor.QueryMonitor` is driven directly, the
-other sits behind a :class:`~repro.queries.serving.MonitorServer` with
-one subscription per standing query.  The *same* absolute-position move
-batches drive both, so all results — and the per-batch delta sequences
-— must agree exactly.
+other sits behind a :class:`~repro.api.service.QueryService` — its one
+write path, whose :class:`~repro.queries.serving.MonitorServer` fans
+every batch out — with one subscription per standing query.  The *same*
+absolute-position move batches drive both, so all results — and the
+per-batch delta sequences — must agree exactly.
 
 Reported: wall-clock + updates/sec of both, pair evaluations, deltas
 published and deltas/sec through the server, and the drops of one
@@ -33,7 +34,6 @@ Also runnable standalone (CI smoke)::
 """
 
 import argparse
-import asyncio
 import pathlib
 import shutil
 import sys
@@ -52,7 +52,7 @@ from repro.api.service import QueryService
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
 from repro.bench.workloads import ScaleProfile, WorkloadFactory
 from repro.persist import CheckpointStore
-from repro.queries import DeltaBatch, MonitorServer
+from repro.queries import DeltaBatch
 
 pytestmark = pytest.mark.tier2
 
@@ -141,62 +141,59 @@ def run_serving(
 ) -> ServingRun:
     # Independent but identical worlds (same seeds): the directly
     # driven monitor's scenario also owns the stream that drives both.
-    direct, served = (
-        factory.stream_scenario(
-            n_irq=n_irq, n_iknn=n_iknn, n_iprq=n_iprq, p_min=PROB_P_MIN
-        )
-        for _ in range(2)
+    # The served twin is the same population behind a service watching
+    # the same specs under the same ids.
+    direct = factory.stream_scenario(
+        n_irq=n_irq, n_iknn=n_iknn, n_iprq=n_iprq, p_min=PROB_P_MIN
     )
-    assert direct.query_ids == served.query_ids
-    server = MonitorServer(served.monitor)
-    # Discard registration history directly on the monitors
-    # (unpublished), then hold one snapshot-free subscription per
-    # standing query: from here on, every published delta lands in
-    # exactly one *primary* queue.
+    served = QueryService(factory.stream_scenario(n_irq=0, n_iknn=0).index)
+    for qid in direct.query_ids:
+        served.watch(direct.monitor.query_spec(qid), query_id=qid)
+    assert direct.query_ids == served.query_ids()
+    # Discard the direct monitor's registration history (the service
+    # published its own to nobody), then hold one snapshot-free
+    # subscription per standing query: from here on, every published
+    # delta lands in exactly one *primary* queue.
     direct.monitor.drain_pending_deltas()
-    served.monitor.drain_pending_deltas()
+    published_before = served.deltas_published
     subs = [
-        server.subscribe(qid, snapshot=False) for qid in served.query_ids
+        served.subscribe(qid, snapshot=False) for qid in direct.query_ids
     ]
     # Plus one deliberately lossy feed on the first standing query:
     # never drained, so its drop-oldest losses surface in the dropped
     # column (the primary queues stay loss-free).
-    audit = server.subscribe(
-        served.irq_ids[0], snapshot=False, maxlen=AUDIT_MAXLEN
+    audit = served.subscribe(
+        direct.irq_ids[0], snapshot=False, maxlen=AUDIT_MAXLEN
     )
 
     direct_history: list[tuple] = []
     history: list[tuple] = []
     direct_s = served_s = 0.0
     updates = 0
+    for _ in range(n_batches):
+        moves = direct.stream.next_moves(batch_size)
+        t0 = time.perf_counter()
+        batch = direct.monitor.apply_moves(moves)
+        direct_s += time.perf_counter() - t0
+        updates += len(batch.moved)
+        direct_history.append(batch.deltas)
+        t0 = time.perf_counter()
+        batch = served.ingest(moves)
+        served_s += time.perf_counter() - t0
+        history.append(batch.deltas)
+    served.close()
+    deltas_published = served.deltas_published - published_before
 
-    async def drive() -> None:
-        nonlocal direct_s, served_s, updates
-        for _ in range(n_batches):
-            moves = direct.stream.next_moves(batch_size)
-            t0 = time.perf_counter()
-            batch = direct.monitor.apply_moves(moves)
-            direct_s += time.perf_counter() - t0
-            updates += len(batch.moved)
-            direct_history.append(batch.deltas)
-            t0 = time.perf_counter()
-            batch = await server.apply_moves(moves)
-            served_s += time.perf_counter() - t0
-            history.append(batch.deltas)
-
-    asyncio.run(drive())
-    server.close()
-
-    # The fan-out path is load-bearing: everything the server published
+    # The fan-out path is load-bearing: everything the service published
     # is sitting in (or was drained from) the primary queues (deltas
     # are counted once per delta, not per subscriber, so the extra
     # audit feed does not inflate this).
     assert (
         sum(sub.delivered + sub.pending for sub in subs)
-        == server.deltas_published
+        == deltas_published
     )
     # The lossy audit feed accounts for every delta of its query:
-    # queued + dropped, with the drops mirrored on the server total.
+    # queued + dropped, with the drops mirrored on the service total.
     audit_published = sum(
         1
         for deltas in history
@@ -204,17 +201,17 @@ def run_serving(
         if d.query_id == audit.query_id
     )
     assert audit.pending + audit.dropped == audit_published
-    assert server.deltas_dropped == audit.dropped
+    assert served.deltas_dropped == audit.dropped
     return ServingRun(
         updates=updates,
         direct_s=direct_s,
         served_s=served_s,
-        pairs=served.monitor.stats.pairs_evaluated,
-        deltas_published=server.deltas_published,
-        deltas_dropped=server.deltas_dropped,
+        pairs=served.stats.pairs_evaluated,
+        deltas_published=deltas_published,
+        deltas_dropped=served.deltas_dropped,
         results_equal=all(
             direct.monitor.result_distances(qid)
-            == served.monitor.result_distances(qid)
+            == served.result_distances(qid)
             for qid in direct.query_ids
         ),
         direct_history=tuple(direct_history),

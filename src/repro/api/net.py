@@ -48,21 +48,23 @@ Semantics:
 
 :class:`NetClient` is the blocking counterpart (usable from plain
 threads, with optional automatic resume); :class:`AsyncNetClient` the
-in-loop one; :class:`ServerThread` hosts a server plus its service on
-a dedicated loop thread so synchronous code (benchmarks, tests) can
-drive ingest safely.
+in-loop one — both speak through one sans-IO protocol core and add
+only their I/O; :class:`ServerThread` hosts a server plus its service
+on a dedicated loop thread so synchronous code (benchmarks, tests) can
+drive the service's verbs safely.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import secrets
 import signal
 import socket
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -523,8 +525,8 @@ class NetServer:
 
 
 class ServerThread:
-    """A :class:`NetServer` (and its service's mutation path) on a
-    dedicated event-loop thread.
+    """A :class:`NetServer` and its service's verbs on a dedicated
+    event-loop thread.
 
     Synchronous code must not mutate a served :class:`QueryService`
     directly — publishes touch asyncio queues that belong to the
@@ -537,10 +539,13 @@ class ServerThread:
             ...
             st.ingest(stream.next_moves(50))
 
-    ``ingest``/``insert``/``delete``/``apply_event`` run as the
-    monitor-server coroutines (single-writer lock included); ``run``
-    executes any synchronous callable on the loop thread; ``call``
-    awaits any coroutine there.
+    ``watch``/``unwatch``/``ingest``/``insert``/``delete``/
+    ``apply_event`` run the same-named :class:`QueryService` verb on
+    the loop thread and return what it returns — the service's one
+    write path (writer lock, WAL, fan-out).  ``run`` executes any
+    synchronous callable on the loop thread; ``call`` awaits any
+    coroutine there.  Both raise :class:`~repro.errors.NetError` once
+    the thread is stopped.
 
     **Durability** — pass ``store`` (a
     :class:`~repro.persist.store.CheckpointStore`) and the thread
@@ -783,12 +788,17 @@ class ServerThread:
 
     def call(self, coro):
         """Await ``coro`` on the server loop; return its result."""
+        if self._loop is None:
+            coro.close()  # never awaited: no "never awaited" warning
+            raise NetError("server thread is not running")
         fut = asyncio.run_coroutine_threadsafe(coro, self._loop)
         return fut.result(timeout=60)
 
     def run(self, fn: Callable, *args, **kwargs):
         """Run the synchronous ``fn(*args, **kwargs)`` on the loop
         thread (where publishing to subscriber queues is safe)."""
+        if self._loop is None:
+            raise NetError("server thread is not running")
         done = threading.Event()
         box: list = [None, None]
 
@@ -818,20 +828,20 @@ class ServerThread:
         self.run(self.service.unwatch, query_id)
 
     def ingest(self, moves):
-        """Apply a move batch through the served mutation path."""
-        return self.call(self.service.server.apply_moves(moves))
+        """Apply a move batch on the loop thread."""
+        return self.run(self.service.ingest, moves)
 
     def insert(self, obj):
-        """Insert an object through the served mutation path."""
-        return self.call(self.service.server.apply_insert(obj))
+        """Insert an object on the loop thread."""
+        return self.run(self.service.insert, obj)
 
     def delete(self, object_id: str):
-        """Delete an object through the served mutation path."""
-        return self.call(self.service.server.apply_delete(object_id))
+        """Delete an object on the loop thread."""
+        return self.run(self.service.delete, object_id)
 
     def apply_event(self, event):
-        """Apply a topology event through the served mutation path."""
-        return self.call(self.service.server.apply_event(event))
+        """Apply a topology event on the loop thread."""
+        return self.run(self.service.apply_event, event)
 
 
 # =====================================================================
@@ -904,7 +914,6 @@ class _ClientState:
     #: mid-stream re-primes (drop-resync or reconnect).
     resyncs: int = 0
     server_said_bye: bool = False
-    pongs: set = field(default_factory=set)
     _primed: set = field(default_factory=set)
 
     def fold(self, record: NetRecord) -> None:
@@ -927,13 +936,12 @@ class _ClientState:
                 self._apply(delta)
         elif isinstance(record, HeartbeatRecord):
             self.heartbeats_seen += 1
-        elif isinstance(record, PongRecord):
-            self.pongs.add(record.nonce)
         elif isinstance(record, ByeRecord):
             self.server_said_bye = True
         elif isinstance(record, ErrorRecord):
             raise NetError(f"server error: {record.message}")
-        # A bare QuerySpec carries no query id: metadata only.
+        # A pong is awaited by its sender's predicate; a bare QuerySpec
+        # carries no query id: metadata only.
 
     def _apply(self, delta: ResultDelta) -> None:
         self.deltas_received += 1
@@ -945,7 +953,107 @@ class _ClientState:
         delta.apply_to(self.states.setdefault(delta.query_id, {}))
 
 
-class NetClient:
+class _ClientCore:
+    """The sans-IO protocol half both clients share.
+
+    Framing (one encoder / decoder per connection), the pending list of
+    decoded records, the folded :class:`_ClientState`, the
+    hello-or-resume opener, and the predicates the watch ack and the
+    ping/pong barrier wait on.  A client adds only I/O: it sends what
+    :meth:`_frame` encodes, hands every read to :meth:`_feed`, and reads
+    again while :meth:`_take` has not found the awaited record."""
+
+    def __init__(self) -> None:
+        self.state = _ClientState()
+        self.reconnects = 0
+        self._nonce = itertools.count(1)
+        self._fresh_connection()
+
+    @property
+    def states(self) -> dict[str, dict[str, float | None]]:
+        """Folded live result per watched query id."""
+        return self.state.states
+
+    @property
+    def watched(self) -> dict[str, QuerySpec]:
+        """Spec per watched query id, in watch order."""
+        return self.state.watched
+
+    @property
+    def token(self) -> str | None:
+        """The server-issued resume token (``None`` before hello)."""
+        return self.state.token
+
+    def _fresh_connection(self) -> HelloRecord | ResumeRequest:
+        """Reset the framing for a new connection; returns the record
+        that opens it — ``resume`` when a token is held, else
+        ``hello``."""
+        self._encoder = FrameEncoder()
+        self._decoder = FrameDecoder()
+        self._pending: deque[NetRecord] = deque()
+        self.state.server_said_bye = False
+        return ResumeRequest(self.token) if self.token else HelloRecord()
+
+    def _frame(self, record: NetRecord) -> bytes:
+        return self._encoder.encode(encode_net_record(record))
+
+    def _feed(self, data: bytes) -> None:
+        """Decode one read's bytes onto the pending list (a torn,
+        duplicated or reordered frame raises
+        :class:`~repro.errors.FramingError`)."""
+        for payload in self._decoder.feed(data):
+            self._pending.append(decode_net_record(payload))
+
+    def _next(self) -> NetRecord | None:
+        """Fold and return the oldest pending record (``None`` when
+        nothing is pending)."""
+        if not self._pending:
+            return None
+        record = self._pending.popleft()
+        self.state.fold(record)
+        return record
+
+    def _take(
+        self, pred: Callable[[NetRecord], bool], deadline: float
+    ) -> NetRecord | None:
+        """Fold pending records up to the first that satisfies
+        ``pred`` and return it; ``None`` means read more.  Past the
+        ``deadline`` that is a :class:`~repro.errors.NetError`."""
+        while (record := self._next()) is not None:
+            if pred(record):
+                return record
+        if time.monotonic() >= deadline:
+            raise NetError("timed out waiting for the server")
+        return None
+
+    def _watch_request(
+        self, spec: QuerySpec | None, query_id: str | None
+    ) -> tuple[WatchRequest, Callable[[NetRecord], bool]]:
+        """A ``watch_req`` and the predicate matching its ack: the
+        named query's, or for a bare spec the first new query acked
+        with that spec."""
+        if spec is None and query_id is None:
+            raise NetError("watch needs a spec or a query_id")
+        known = set(self.watched)
+
+        def acked(record: NetRecord) -> bool:
+            if not isinstance(record, wire.WatchRecord):
+                return False
+            if query_id is not None:
+                return record.query_id == query_id
+            return record.spec == spec and record.query_id not in known
+
+        return WatchRequest(spec, query_id), acked
+
+    def _ping(self) -> tuple[PingRecord, Callable[[NetRecord], bool]]:
+        """A fresh-nonce ``ping`` and the predicate matching its pong."""
+        nonce = next(self._nonce)
+        return PingRecord(nonce), (
+            lambda r: isinstance(r, PongRecord) and r.nonce == nonce
+        )
+
+
+class NetClient(_ClientCore):
     """Blocking subscriber to a :class:`NetServer`.
 
     Usage::
@@ -977,6 +1085,7 @@ class NetClient:
             Callable[[], TcpTransport] | None
         ) = None,
     ) -> None:
+        super().__init__()
         self.host = host
         self.port = port
         self.timeout = timeout
@@ -986,36 +1095,21 @@ class NetClient:
             lambda: TcpTransport(host, port, timeout)
         )
         self._transport: TcpTransport | None = None
-        self._encoder = FrameEncoder()
-        self._decoder = FrameDecoder()
-        self._pending: list[NetRecord] = []
-        self._nonce = itertools.count(1)
-        self.state = _ClientState()
-        self.reconnects = 0
-
-    # -- convenience views ---------------------------------------------
-
-    @property
-    def states(self) -> dict[str, dict[str, float | None]]:
-        """Folded live result per watched query id."""
-        return self.state.states
-
-    @property
-    def watched(self) -> dict[str, QuerySpec]:
-        """Spec per watched query id, in watch order."""
-        return self.state.watched
-
-    @property
-    def token(self) -> str | None:
-        """The server-issued resume token (``None`` before hello)."""
-        return self.state.token
 
     # -- lifecycle -----------------------------------------------------
 
     def connect(self) -> None:
-        """Open the connection and complete the hello handshake."""
-        self._open(ResumeRequest(self.token) if self.token
-                   else HelloRecord())
+        """Open the connection and complete the handshake (a resume
+        when a token is held, else a hello)."""
+        self._transport = self._transport_factory()
+        self._transport.connect()
+        opener = self._fresh_connection()
+        self._send_raw(opener)
+        self._read_until(
+            lambda r: isinstance(r, HelloRecord),
+            time.monotonic() + self.timeout,
+            handshake=True,
+        )
 
     def reconnect(self) -> None:
         """Resume the session on a fresh connection (token required);
@@ -1023,22 +1117,8 @@ class NetClient:
         if self.token is None:
             raise NetError("cannot resume: no token (connect first)")
         self.disconnect()
-        self._open(ResumeRequest(self.token))
+        self.connect()
         self.reconnects += 1
-
-    def _open(self, opener: HelloRecord | ResumeRequest) -> None:
-        self._transport = self._transport_factory()
-        self._transport.connect()
-        self._encoder = FrameEncoder()
-        self._decoder = FrameDecoder()
-        self._pending.clear()
-        self.state.server_said_bye = False
-        self._send_raw(opener)
-        self._read_until(
-            lambda r: isinstance(r, HelloRecord),
-            time.monotonic() + self.timeout,
-            allow_reconnect=False,
-        )
 
     def disconnect(self) -> None:
         """Drop the socket without a goodbye (the session stays
@@ -1068,21 +1148,10 @@ class NetClient:
         """Subscribe to a standing query (existing ``query_id``) or
         register a new one from ``spec``; returns the final id once
         the server acks.  Records arriving meanwhile are folded."""
-        if spec is None and query_id is None:
-            raise NetError("watch needs a spec or a query_id")
+        request, acked = self._watch_request(spec, query_id)
         deadline = time.monotonic() + (timeout or self.timeout)
-        known = set(self.watched)
-        self._send(WatchRequest(spec, query_id))
-
-        def acked(record: NetRecord) -> bool:
-            if not isinstance(record, wire.WatchRecord):
-                return False
-            if query_id is not None:
-                return record.query_id == query_id
-            return record.spec == spec and record.query_id not in known
-
-        ack = self._read_until(acked, deadline)
-        return ack.query_id
+        self._send(request)
+        return self._read_until(acked, deadline).query_id
 
     def sync(self, timeout: float | None = None) -> None:
         """Drain barrier: returns once every delta published before
@@ -1090,62 +1159,43 @@ class NetClient:
         Re-pings automatically if a reconnect interrupts the wait."""
         deadline = time.monotonic() + (timeout or self.timeout)
         while True:
-            nonce = next(self._nonce)
+            ping, ponged = self._ping()
             epoch = self.reconnects
-            self._send(PingRecord(nonce))
-            while time.monotonic() < deadline:
-                if nonce in self.state.pongs:
+            self._send(ping)
+            # A new connection lost this ping: re-ping on it.
+            while self.reconnects == epoch:
+                if self._take(ponged, deadline) is not None:
                     return
-                self._read_some(deadline)
-                if self.reconnects != epoch:
-                    break  # new connection: this ping is gone, re-ping
-            else:
-                raise NetError("sync barrier timed out")
+                self._recv()
 
     def poll(self, timeout: float = 0.05) -> int:
         """Opportunistic read: fold whatever arrives within
         ``timeout`` seconds; returns the number of records folded.
         A quiet wire is not an error."""
         before = self.state.records_received
-        try:
-            if self._transport is None:
-                raise ConnectionError("not connected")
-            self._transport.settimeout(timeout)
-            try:
-                self._feed(self._transport.recv())
-            finally:
-                try:
-                    self._transport.settimeout(self.timeout)
-                except (ConnectionError, OSError):
-                    pass  # surfaced by the next read, not a poll bug
-        except TimeoutError:
+        self._recv(poll_s=timeout)
+        while self._next() is not None:
             pass
-        except (ConnectionError, OSError, FramingError) as exc:
-            self._revive(exc)
-        self._fold_pending()
         return self.state.records_received - before
 
     def records(self) -> Iterator[NetRecord]:
         """Blocking record iterator (each record folded before it is
         yielded); ends at the server's bye."""
         while not self.state.server_said_bye:
-            if self._pending:
-                record = self._pending.pop(0)
-                self.state.fold(record)
-                if isinstance(record, ByeRecord):
-                    return
+            record = self._next()
+            if record is None:
+                self._recv()
+            elif isinstance(record, ByeRecord):
+                return
+            else:
                 yield record
-                continue
-            try:
-                if self._transport is None:
-                    raise ConnectionError("not connected")
-                self._feed(self._transport.recv())
-            except (
-                TimeoutError, ConnectionError, OSError, FramingError
-            ) as exc:
-                self._revive(exc)
 
     # -- internals -----------------------------------------------------
+
+    def _live(self) -> TcpTransport:
+        if self._transport is None:
+            raise ConnectionError("not connected")
+        return self._transport
 
     def _send(self, record: NetRecord) -> None:
         try:
@@ -1155,67 +1205,51 @@ class NetClient:
             self._send_raw(record)
 
     def _send_raw(self, record: NetRecord) -> None:
-        if self._transport is None:
-            raise ConnectionError("not connected")
-        self._transport.sendall(
-            self._encoder.encode(encode_net_record(record))
-        )
+        self._live().sendall(self._frame(record))
 
-    def _feed(self, data: bytes) -> None:
-        if data == b"":
-            raise ConnectionError("server closed the connection")
-        for payload in self._decoder.feed(data):
-            self._pending.append(decode_net_record(payload))
-
-    def _fold_pending(self) -> None:
-        while self._pending:
-            self.state.fold(self._pending.pop(0))
-
-    def _read_some(self, deadline: float) -> None:
-        """Fold at least one read's worth of records (or revive a dead
-        connection trying)."""
-        if self._pending:
-            self._fold_pending()
-            return
-        if time.monotonic() >= deadline:
-            raise NetError("timed out waiting for the server")
+    def _recv(
+        self, poll_s: float | None = None, handshake: bool = False
+    ) -> None:
+        """Hand one read's bytes to the protocol core.  A dead
+        connection — reset, EOF, torn or duplicated frame, stalled
+        read — is resumed, or during the ``handshake`` surfaced.  With
+        ``poll_s`` the read waits at most that long and a quiet wire is
+        not an error."""
         try:
-            if self._transport is None:
-                raise ConnectionError("not connected")
-            self._feed(self._transport.recv())
+            transport = self._live()
+            if poll_s is not None:
+                transport.settimeout(poll_s)
+            try:
+                data = transport.recv()
+            finally:
+                if poll_s is not None:
+                    with contextlib.suppress(OSError):
+                        transport.settimeout(self.timeout)
+            if not data:
+                raise ConnectionError("server closed the connection")
+            self._feed(data)
         except (
             TimeoutError, ConnectionError, OSError, FramingError
         ) as exc:
+            if poll_s is not None and isinstance(exc, TimeoutError):
+                return  # a quiet wire, not a stalled one
+            if handshake:
+                raise NetError(
+                    f"connection failed during handshake: {exc}"
+                ) from exc
             self._revive(exc)
-        self._fold_pending()
 
     def _read_until(
         self,
         pred: Callable[[NetRecord], bool],
         deadline: float,
-        allow_reconnect: bool = True,
+        handshake: bool = False,
     ) -> NetRecord:
-        """Fold records until one satisfies ``pred`` (returned), the
-        deadline passes (:class:`NetError`), or the stream ends."""
-        while time.monotonic() < deadline:
-            while self._pending:
-                record = self._pending.pop(0)
-                self.state.fold(record)
-                if pred(record):
-                    return record
-            try:
-                if self._transport is None:
-                    raise ConnectionError("not connected")
-                self._feed(self._transport.recv())
-            except (
-                TimeoutError, ConnectionError, OSError, FramingError
-            ) as exc:
-                if not allow_reconnect:
-                    raise NetError(
-                        f"connection failed during handshake: {exc}"
-                    ) from exc
-                self._revive(exc)
-        raise NetError("timed out waiting for the server")
+        """Fold records until one satisfies ``pred`` (returned) or the
+        deadline passes (:class:`NetError`)."""
+        while (record := self._take(pred, deadline)) is None:
+            self._recv(handshake=handshake)
+        return record
 
     def _revive(self, exc: Exception) -> None:
         """The connection is unusable (reset, torn frame, duplicated
@@ -1230,70 +1264,40 @@ class NetClient:
         self.reconnect()
 
 
-class AsyncNetClient:
+class AsyncNetClient(_ClientCore):
     """In-loop counterpart of :class:`NetClient` (asyncio streams).
 
     Reconnection is explicit (``await resume()``); everything else —
-    folding rules, watch ack, ping/pong barrier — matches the blocking
-    client, so either can stand in for the other in tests.
+    folding rules, watch ack, ping/pong barrier — is the shared
+    protocol core, so either can stand in for the other in tests.
     """
 
     def __init__(
         self, host: str, port: int, *, timeout: float = 10.0
     ) -> None:
+        super().__init__()
         self.host = host
         self.port = port
         self.timeout = timeout
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
-        self._encoder = FrameEncoder()
-        self._decoder = FrameDecoder()
-        self._pending: list[NetRecord] = []
-        self._nonce = itertools.count(1)
-        self.state = _ClientState()
-        self.reconnects = 0
-
-    @property
-    def states(self) -> dict[str, dict[str, float | None]]:
-        """Folded live result per watched query id."""
-        return self.state.states
-
-    @property
-    def watched(self) -> dict[str, QuerySpec]:
-        """Spec per watched query id, in watch order."""
-        return self.state.watched
-
-    @property
-    def token(self) -> str | None:
-        """The server-issued resume token (``None`` before hello)."""
-        return self.state.token
 
     async def connect(self) -> None:
         """Open the connection (resuming when a token is held)."""
-        await self._open(
-            ResumeRequest(self.token) if self.token else HelloRecord()
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
         )
+        opener = self._fresh_connection()
+        await self._send(opener)
+        await self._read_until(lambda r: isinstance(r, HelloRecord))
 
     async def resume(self) -> None:
         """Reconnect with the held token; watches re-prime in-band."""
         if self.token is None:
             raise NetError("cannot resume: no token (connect first)")
         await self.aclose(say_bye=False)
-        await self._open(ResumeRequest(self.token))
+        await self.connect()
         self.reconnects += 1
-
-    async def _open(
-        self, opener: HelloRecord | ResumeRequest
-    ) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        self._encoder = FrameEncoder()
-        self._decoder = FrameDecoder()
-        self._pending.clear()
-        self.state.server_said_bye = False
-        await self._send(opener)
-        await self._read_until(lambda r: isinstance(r, HelloRecord))
 
     async def aclose(self, say_bye: bool = True) -> None:
         """Close the connection (with a ``bye`` unless told not to)."""
@@ -1318,46 +1322,23 @@ class AsyncNetClient:
         query_id: str | None = None,
     ) -> str:
         """Negotiate one watch; returns the acked query id."""
-        if spec is None and query_id is None:
-            raise NetError("watch needs a spec or a query_id")
-        known = set(self.watched)
-        await self._send(WatchRequest(spec, query_id))
-
-        def acked(record: NetRecord) -> bool:
-            if not isinstance(record, wire.WatchRecord):
-                return False
-            if query_id is not None:
-                return record.query_id == query_id
-            return record.spec == spec and record.query_id not in known
-
-        ack = await self._read_until(acked)
-        return ack.query_id
+        request, acked = self._watch_request(spec, query_id)
+        await self._send(request)
+        return (await self._read_until(acked)).query_id
 
     async def sync(self) -> None:
         """Ping/pong drain barrier: returns with all deltas folded."""
-        nonce = next(self._nonce)
-        await self._send(PingRecord(nonce))
-        await self._read_until(
-            lambda r: isinstance(r, PongRecord) and r.nonce == nonce
-        )
+        ping, ponged = self._ping()
+        await self._send(ping)
+        await self._read_until(ponged)
 
     async def next_record(self) -> NetRecord | None:
         """The next folded record, or ``None`` at end of stream."""
         if self.state.server_said_bye:
             return None
-        while not self._pending:
-            data = await asyncio.wait_for(
-                self._reader.read(_READ_CHUNK), timeout=self.timeout
-            )
-            if not data:
-                raise NetError("server closed the connection")
-            for payload in self._decoder.feed(data):
-                self._pending.append(decode_net_record(payload))
-        record = self._pending.pop(0)
-        self.state.fold(record)
-        if isinstance(record, ByeRecord):
-            return None
-        return record
+        while (record := self._next()) is None:
+            await self._recv()
+        return None if isinstance(record, ByeRecord) else record
 
     def __aiter__(self) -> "AsyncNetClient":
         return self
@@ -1371,24 +1352,23 @@ class AsyncNetClient:
     async def _send(self, record: NetRecord) -> None:
         if self._writer is None:
             raise NetError("not connected")
-        self._writer.write(
-            self._encoder.encode(encode_net_record(record))
-        )
+        self._writer.write(self._frame(record))
         await self._writer.drain()
+
+    async def _recv(self) -> None:
+        data = await asyncio.wait_for(
+            self._reader.read(_READ_CHUNK), timeout=self.timeout
+        )
+        if not data:
+            raise NetError("server closed the connection")
+        self._feed(data)
 
     async def _read_until(
         self, pred: Callable[[NetRecord], bool]
     ) -> NetRecord:
         deadline = time.monotonic() + self.timeout
-        while time.monotonic() < deadline:
-            while self._pending:
-                record = self._pending.pop(0)
-                self.state.fold(record)
-                if pred(record):
-                    return record
-            record = await self.next_record()
-            if record is None:
+        while (record := self._take(pred, deadline)) is None:
+            if self.state.server_said_bye:
                 raise NetError("stream ended before the awaited record")
-            if pred(record):
-                return record
-        raise NetError("timed out waiting for the server")
+            await self._recv()
+        return record

@@ -3,9 +3,8 @@
 Before this layer, the paper's three query classes were reachable
 through divergent entry-point styles — the free functions
 :func:`~repro.queries.iRQ` / :func:`~repro.queries.ikNNQ` /
-:func:`~repro.queries.iPRQ` plus near-duplicate registration trios on
-:class:`~repro.queries.monitor.QueryMonitor` and
-:class:`~repro.queries.serving.MonitorServer`.  The façade collapses
+:func:`~repro.queries.iPRQ` plus registration on
+:class:`~repro.queries.monitor.QueryMonitor`.  The façade collapses
 them:
 
 * :meth:`QueryService.run` — one-shot evaluation of any spec, with the
@@ -19,9 +18,14 @@ them:
   :class:`~repro.queries.serving.Subscription` pushing every result
   delta, snapshot-primed;
 * :meth:`QueryService.ingest` (and ``insert``/``delete``/
-  ``apply_event``) — the single-writer mutation path; every emitted
-  delta fans out to subscribers *and* to any attached JSONL wire feed
-  (:meth:`attach_feed`), which is how subscribers live out-of-process.
+  ``apply_event``) — the one write path: under the writer lock each
+  verb applies the mutation, appends it to the attached WAL, then
+  publishes the emitted deltas to subscribers (through the
+  :class:`~repro.queries.serving.MonitorServer` fan-out, which never
+  writes) *and* to any attached JSONL wire feed (:meth:`attach_feed`),
+  which is how subscribers live out-of-process.  A
+  :class:`~repro.api.net.ServerThread` runs these same verbs on its
+  loop thread; there is no second writer.
 
 There is one execution engine, a single
 :class:`~repro.queries.monitor.QueryMonitor`, and every standing-query
@@ -32,6 +36,9 @@ loudly no matter which surface claimed first.
 
 from __future__ import annotations
 
+import asyncio
+import threading
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Any, Awaitable, Callable
@@ -172,10 +179,15 @@ class QueryService:
         self.session = session or QuerySession(index)
         self.monitor = QueryMonitor(index, session=self.session)
         self.server = MonitorServer(self.monitor)
-        self.server.on_publish = self._feed_batch
-        self.server.on_drop = self._feed_resync_snapshot
-        self.server.on_mutation = self._log_mutation
         self._feeds: list[DeltaFeedWriter] = []
+        # Writer lock around every mutation and checkpoint capture: a
+        # ServerThread runs the verbs on its loop thread, and a sync
+        # caller on another thread must never interleave with it (the
+        # publish itself is only loop-safe when no event loop is
+        # draining subscribers at that instant — interleave sync
+        # mutations with an active serve() from `on_batch`, not from a
+        # foreign thread).
+        self._op_lock = threading.Lock()
         self._id_counter = _IdCounter()
         self._wal: WalWriter | None = None
         self._closed = False
@@ -259,7 +271,7 @@ class QueryService:
         self._log(WalWatch(query_id, spec, self._id_counter.value))
         for feed in self._feeds:
             feed.watch(query_id, spec)
-        self.server.publish(self.monitor.drain_pending_deltas())
+        self.drain_pending_deltas()
         return query_id
 
     def unwatch(self, query_id: str) -> None:
@@ -267,8 +279,10 @@ class QueryService:
         member leaves) reaches subscribers and feeds, and all its
         subscriptions end."""
         members = self.monitor.result_distances(query_id)
-        self.server.deregister(query_id)
+        self.monitor.deregister(query_id)
         self._log(WalUnwatch(query_id))
+        self.drain_pending_deltas()
+        self.server.close_query(query_id)
         if not members:
             # An empty result deregisters without a delta (nothing
             # changed for in-process subscribers), but a wire feed
@@ -296,12 +310,18 @@ class QueryService:
         self-healing (a full-result snapshot delta is queued after any
         lossy publish — see
         :meth:`~repro.queries.serving.MonitorServer.subscribe`)."""
+        if self._closed:
+            raise QueryError("service is closed")
         if isinstance(spec_or_id, QuerySpec):
             query_id = self.watch(spec_or_id)
         else:
             query_id = spec_or_id
         if maxlen is _UNSET:
             maxlen = self.config.maxlen
+        # Flush parked deltas (registrations, out-of-band resyncs) to
+        # the *existing* subscribers first: a feed begins at its own
+        # snapshot, never with another query's history.
+        self.drain_pending_deltas()
         return self.server.subscribe(
             query_id,
             snapshot=snapshot,
@@ -314,27 +334,27 @@ class QueryService:
         self.server.unsubscribe(sub)
 
     # ------------------------------------------------------------------
-    # mutation (single writer)
+    # mutation (the one write path)
     # ------------------------------------------------------------------
 
     def ingest(self, moves: list[ObjectMove]) -> DeltaBatch:
         """Absorb a batch of position updates: index mutation, standing
         result maintenance, delta fan-out to subscribers and feeds."""
-        return self._publish(
+        return self._apply(
             lambda: self.monitor.apply_moves(moves),
             log=lambda: WalMoves(tuple(moves)),
         )
 
     def insert(self, obj: UncertainObject) -> DeltaBatch:
         """A brand-new object appears."""
-        return self._publish(
+        return self._apply(
             lambda: self.monitor.apply_insert(obj),
             log=lambda: WalInsert(obj),
         )
 
     def delete(self, object_id: str) -> DeltaBatch:
         """An object disappears."""
-        return self._publish(
+        return self._apply(
             lambda: self.monitor.apply_delete(object_id),
             log=lambda: WalDelete(object_id),
         )
@@ -343,57 +363,33 @@ class QueryService:
         """Apply a topology event (door closure, split, merge); every
         standing query resynchronises and the resync deltas fan out.
         Returns the space-level outcome."""
-        batch = self._publish(
+        batch = self._apply(
             lambda: self.monitor.apply_event(event),
             log=lambda: WalEvent(event),
         )
         return batch.event_result
 
-    def _publish(
+    def _apply(
         self,
         op: Callable[[], DeltaBatch],
-        log: Callable[[], WalRecord] | None = None,
+        log: Callable[[], WalRecord],
     ) -> DeltaBatch:
         if self._closed:
             raise QueryError("service is closed")
-        # The server's writer lock serialises this sync mutation against
-        # a batch a server loop on another thread is absorbing —
-        # monitor and index state stay single-writer.  (The
-        # publish itself is only loop-safe when no event loop is
-        # draining subscribers at this instant; interleave sync
-        # mutations with an active serve() from `on_batch`, not from a
-        # foreign thread.)
-        with self.server._op_lock:
+        with self._op_lock:
             batch = op()
             # WAL after the mutation succeeded (a raising op logs
             # nothing) and before the fan-out: in the crash window
             # between log and publish, recovery replays a mutation no
             # client ever saw — reconnecting clients re-prime from the
             # recovered snapshot, so both sides agree either way.
-            if log is not None:
-                self._log(log())
-            self.server.publish(batch)
+            self._log(log())
+            self._fan_out(batch)
         return batch
 
     def _log(self, record: WalRecord) -> None:
         if self._wal is not None:
             self._wal.write(record)
-
-    def _log_mutation(self, kind: str, payload: Any) -> None:
-        """WAL tap for mutations driven through the monitor server's
-        async ``apply_*`` verbs (``serve`` loops, the network layer) —
-        the synchronous verbs above log directly and never reach this
-        hook, so nothing is recorded twice."""
-        if self._wal is None:
-            return
-        if kind == "moves":
-            self._log(WalMoves(tuple(payload)))
-        elif kind == "insert":
-            self._log(WalInsert(payload))
-        elif kind == "delete":
-            self._log(WalDelete(payload))
-        elif kind == "event":
-            self._log(WalEvent(payload))
 
     async def serve(
         self,
@@ -404,12 +400,33 @@ class QueryService:
         | None = None,
     ) -> ServeReport:
         """Drive ``n_batches`` of ``batch_size`` moves from ``stream``
-        through the monitor inside the running event loop (see
-        :meth:`~repro.queries.serving.MonitorServer.serve`); the report
-        includes the run's published *and* dropped delta totals."""
-        return await self.server.serve(
-            stream, n_batches, batch_size, on_batch=on_batch
-        )
+        through :meth:`ingest` inside the running event loop, yielding
+        to it after each batch so subscribers drain.
+
+        ``on_batch(batch_no, delta_batch)`` is an optional hook (sync or
+        async) invoked after each batch — dashboards interleave topology
+        events or render progress from it.  The report covers
+        everything published (hook mutations too) and every delta a
+        bounded subscription shed while the call ran."""
+        report = ServeReport()
+        published_before = self.deltas_published
+        dropped_before = self.deltas_dropped
+        self.drain_pending_deltas()
+        for batch_no in range(n_batches):
+            moves = stream.next_moves(batch_size)
+            t0 = time.perf_counter()
+            batch = self.ingest(moves)
+            await asyncio.sleep(0)
+            report.elapsed_s += time.perf_counter() - t0
+            report.batches += 1
+            report.updates += len(batch.moved)
+            if on_batch is not None:
+                out = on_batch(batch_no, batch)
+                if asyncio.iscoroutine(out):
+                    await out
+        report.deltas_published = self.deltas_published - published_before
+        report.deltas_dropped = self.deltas_dropped - dropped_before
+        return report
 
     # ------------------------------------------------------------------
     # wire feeds (out-of-process subscribers)
@@ -441,23 +458,25 @@ class QueryService:
         for feed in self._feeds:
             feed.batch(batch)
 
-    def _feed_resync_snapshot(self, query_id: str) -> None:
-        """Feed resumption after loss: when a bounded subscription shed
-        deltas during a publish, write the query's *current* result as
-        a mid-stream ``snapshot`` record into every attached feed.
+    def _fan_out(self, batch: DeltaBatch) -> None:
+        """Publish ``batch`` to subscribers, then mirror it onto every
+        attached feed.
+
+        Feed resumption after loss: for each standing query a bounded
+        subscription shed deltas of during the publish, the query's
+        *current* result follows as a mid-stream ``snapshot`` record.
         ``replay_feed`` re-primes wholesale at a snapshot, so a feed
         consumer that resumes from (or across) the loss point — a
         rotated file, a tail that joined late — reconstructs the live
         result exactly even on lossy runs."""
+        lossy = self.server.publish(batch)
         if not self._feeds:
             return
-        if query_id not in self.monitor:
-            # Dropped during its own deregister publish: the feed
-            # already carries the closing deregister delta.
-            return
-        members = self.monitor.result_distances(query_id)
-        for feed in self._feeds:
-            feed.snapshot(query_id, members)
+        self._feed_batch(batch)
+        for query_id in lossy:
+            members = self.monitor.result_distances(query_id)
+            for feed in self._feeds:
+                feed.snapshot(query_id, members)
 
     # ------------------------------------------------------------------
     # durability (checkpoint / restore / WAL)
@@ -498,7 +517,7 @@ class QueryService:
         post-checkpoint tail.  ``extra`` is an opaque payload carried
         through the round trip (the net layer keeps its resume-session
         table there)."""
-        with self.server._op_lock:
+        with self._op_lock:
             state = self._capture(extra)
             old_stream: IO[str] | None = None
             if rotate_wal_to is not None:
@@ -671,7 +690,7 @@ class QueryService:
         """Flush deltas parked by out-of-band work through the publish
         path (subscribers and feeds see them); returns the batch."""
         batch = self.monitor.drain_pending_deltas()
-        self.server.publish(batch)
+        self._fan_out(batch)
         return batch
 
     def subscriptions(self, query_id: str) -> list[Subscription]:

@@ -26,10 +26,11 @@ Per-query maintenance is pluggable: one
 :class:`~repro.queries.maintainers.ProbRangeMaintainer` — standing
 iPRQ), registered in :mod:`repro.queries.maintainers`; a new watchable
 query kind is one maintainer class there.
-:class:`MonitorServer` serves the delta stream to asyncio subscribers.
+:class:`MonitorServer` fans the published delta stream out to asyncio
+subscribers.
 
-All standing registration funnels through one spec-based
-``register(spec)`` path per surface; prefer the :mod:`repro.api`
+All standing registration funnels through the monitor's spec-based
+``register(spec)``; prefer the :mod:`repro.api`
 façade — :class:`repro.api.QueryService` with declarative
 :class:`repro.api.RangeSpec` / :class:`repro.api.KNNSpec` /
 :class:`repro.api.ProbRangeSpec` specs and the JSON-lines wire protocol

@@ -1,41 +1,33 @@
-"""Async serving: fan a movement stream into a monitor, push deltas out.
+"""Async serving: fan a monitor's result deltas out to subscribers.
 
 The monitor's per-update maintenance is already ``O(standing queries)``
 (:mod:`repro.queries.monitor`) — the serving layer is the remaining
-plumbing: a :class:`MonitorServer` drives batches of position updates
-through the monitor inside an asyncio event loop and pushes every
-emitted :class:`~repro.queries.deltas.ResultDelta` into the per-query
-queues of its :class:`Subscription`\\ s, so consumers ``async for``
-over result *changes* instead of polling result sets.
+plumbing: a :class:`MonitorServer` pushes every published
+:class:`~repro.queries.deltas.ResultDelta` into the per-query queues
+of its :class:`Subscription`\\ s, so consumers ``async for`` over
+result *changes* instead of polling result sets.
 
-Single-writer by design: all index mutation happens through the
-server's ``apply_*`` coroutines (or :meth:`serve`): the monitor's call
-runs to completion inline and then yields to the loop.  Subscribers
-are decoupled through per-query queues — unbounded
-by default (a slow consumer delays only itself), or bounded with
-``maxlen`` under a drop-oldest overflow policy
-(:attr:`Subscription.dropped` counts the losses; a feed that dropped
-deltas no longer replays exactly and should be re-primed with a fresh
-snapshot).  :attr:`Subscription.pending` exposes the backlog either
-way.
+The server only fans out: it never mutates the monitor or the index.
+The one writer is :class:`repro.api.service.QueryService`, whose
+verbs apply a mutation, log it and hand the emitted batch to
+:meth:`MonitorServer.publish`.  Subscribers are decoupled through
+per-query queues — unbounded by default (a slow consumer delays only
+itself), or bounded with ``maxlen`` under a drop-oldest overflow
+policy (:attr:`Subscription.dropped` counts the losses; a feed that
+dropped deltas no longer replays exactly and should be re-primed with
+a fresh snapshot).  :attr:`Subscription.pending` exposes the backlog
+either way.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Awaitable, Callable
+from typing import AsyncIterator
 
-from repro.api.specs import QuerySpec
 from repro.errors import QueryError
-from repro.objects.generator import MovementStream
-from repro.objects.population import ObjectMove
-from repro.objects.uncertain import UncertainObject
 from repro.queries.deltas import DeltaBatch, ResultDelta
 from repro.queries.monitor import QueryMonitor
-from repro.space.events import TopologyEvent
 
 #: Queue sentinel marking the end of a subscription's delta stream.
 _CLOSED = object()
@@ -144,7 +136,8 @@ class Subscription:
 
 @dataclass
 class ServeReport:
-    """Aggregate outcome of one :meth:`MonitorServer.serve` run.
+    """Aggregate outcome of one
+    :meth:`~repro.api.service.QueryService.serve` run.
 
     ``deltas_dropped`` totals the queue overflows across every bounded
     subscription during the run (each one also counts on its own
@@ -172,78 +165,37 @@ class ServeReport:
 
 @dataclass
 class MonitorServer:
-    """Delta-pushing front-end over a query monitor.
+    """Delta fan-out over a query monitor's published batches.
 
-    Usage::
+    The monitor is only read here (a snapshot prime, a resync
+    snapshot); a :class:`~repro.api.service.QueryService` owns the
+    server, writes, and publishes what each write emitted::
 
-        server = MonitorServer(QueryMonitor(index))
-        kiosk = server.register(RangeSpec(q, 60.0))
-        sub = server.subscribe(kiosk)           # primed with a snapshot
+        service = QueryService(index)
+        kiosk = service.watch(RangeSpec(q, 60.0))
+        sub = service.subscribe(kiosk)          # primed with a snapshot
 
         async def consume():
             async for delta in sub:
                 render(delta)
 
         async def produce():
-            await server.serve(stream, n_batches=100, batch_size=50)
-            server.close()
+            await service.serve(stream, n_batches=100, batch_size=50)
+            service.close()
 
         asyncio.run(asyncio.gather(produce(), consume()))
     """
 
     monitor: QueryMonitor
-    #: Called with every batch handed to :meth:`publish` (after fan-out)
-    #: — the tap :class:`repro.api.service.QueryService` uses to mirror
-    #: published deltas onto attached JSONL wire feeds.
-    on_publish: Callable[[DeltaBatch], None] | None = None
-    #: Called once per standing query that lost at least one delta to a
-    #: bounded subscription's drop-oldest policy during a publish
-    #: (after ``on_publish``) — the hook the service layer uses to
-    #: emit a mid-stream snapshot record into attached wire feeds, so
-    #: a feed consumer re-primes exactly at the loss point.
-    on_drop: Callable[[str], None] | None = None
-    #: Called with ``(kind, payload)`` after each mutation coroutine's
-    #: op succeeds — inside the writer lock, before the fan-out — for
-    #: every batch driven through the ``apply_*`` verbs (``serve``
-    #: loops and the network layer included).  The tap
-    #: :class:`repro.api.service.QueryService` uses to append these
-    #: *inputs* to its write-ahead log; its own synchronous verbs log
-    #: directly and never reach this hook, so nothing double-logs.
-    on_mutation: Callable[[str, object], None] | None = None
     deltas_published: int = 0
     #: Total queue overflows across all bounded subscriptions.
     deltas_dropped: int = 0
     _subs: dict[str, list[Subscription]] = field(default_factory=dict)
     _closed: bool = False
-    # Thread-level writer lock around the monitor mutation itself: a
-    # server loop runs on its own thread, and the QueryService façade's
-    # *synchronous* mutation path takes this same lock, so a sync
-    # ingest from another thread can never interleave with a batch the
-    # loop is absorbing (see QueryService._publish).  On the loop
-    # itself an op runs to completion with no await point, publish
-    # included, so concurrent apply_* callers cannot interleave.
-    _op_lock: threading.Lock = field(default_factory=threading.Lock)
 
     # ------------------------------------------------------------------
-    # registration / subscription
+    # subscription
     # ------------------------------------------------------------------
-
-    def register(
-        self,
-        spec: QuerySpec,
-        query_id: str | None = None,
-    ) -> str:
-        """Register a standing query from its spec on the underlying
-        monitor; returns its id."""
-        return self.monitor.register(spec, query_id=query_id)
-
-    def deregister(self, query_id: str) -> None:
-        """Deregister the query; its deregister delta (everything
-        leaves) is pushed and all its subscriptions end."""
-        self.monitor.deregister(query_id)
-        self.publish(self.monitor.drain_pending_deltas())
-        for sub in self._subs.pop(query_id, []):
-            sub._close()
 
     def subscribe(
         self,
@@ -261,16 +213,14 @@ class MonitorServer:
         :class:`Subscription`); ``resync_on_drop`` additionally queues
         a fresh full-result snapshot delta after any lossy publish, so
         a bounded feed heals itself in-band (the network serving layer
-        turns these into mid-stream wire snapshots).
+        turns these into mid-stream wire snapshots).  Deltas the
+        monitor parked before this call belong to earlier history:
+        publish them first (:meth:`QueryService.subscribe` does).
         """
         if self._closed:
             raise QueryError("server is closed")
         if query_id not in self.monitor:
             raise QueryError(f"unknown standing query {query_id!r}")
-        # Flush parked deltas (registrations, out-of-band resyncs) to
-        # the *existing* subscribers first: a feed begins at its own
-        # snapshot, never with another query's history.
-        self.publish(self.monitor.drain_pending_deltas())
         sub = Subscription(
             query_id, maxlen=maxlen, resync_on_drop=resync_on_drop
         )
@@ -291,6 +241,11 @@ class MonitorServer:
             subs.remove(sub)
         sub._close()
 
+    def close_query(self, query_id: str) -> None:
+        """End every subscription of one (deregistered) query."""
+        for sub in self._subs.pop(query_id, []):
+            sub._close()
+
     def close(self) -> None:
         """End every subscription (pending deltas still drain)."""
         self._closed = True
@@ -303,122 +258,40 @@ class MonitorServer:
     # publishing
     # ------------------------------------------------------------------
 
-    def publish(self, batch: DeltaBatch) -> int:
-        """Fan a delta batch into the matching subscription queues;
-        returns the number of deltas published (counted once per delta,
-        not per subscriber; drops from bounded queues accumulate on
-        ``deltas_dropped``, and each query that lost a delta triggers
-        ``on_drop`` once, after the batch reached ``on_publish``)."""
-        published = 0
-        dropped_queries: dict[str, None] = {}
-        dropped_subs: dict[Subscription, None] = {}
+    def publish(self, batch: DeltaBatch) -> list[str]:
+        """Fan a delta batch into the matching subscription queues.
+
+        Returns the still-standing queries that lost at least one delta
+        to a bounded queue's drop-oldest policy — the caller re-primes
+        its own out-of-band feeds for those.  Deltas are counted once
+        per delta on ``deltas_published``, not per subscriber; drops
+        accumulate on ``deltas_dropped``."""
+        lossy: dict[str, None] = {}
+        resync: dict[Subscription, None] = {}
         for delta in batch:
             if delta.is_empty:
                 continue
-            published += 1
+            self.deltas_published += 1
             for sub in self._subs.get(delta.query_id, ()):
                 if sub._push(delta):
                     self.deltas_dropped += 1
-                    dropped_queries.setdefault(delta.query_id)
+                    lossy.setdefault(delta.query_id)
                     if sub.resync_on_drop:
-                        dropped_subs.setdefault(sub)
-        self.deltas_published += published
-        if self.on_publish is not None:
-            self.on_publish(batch)
-        if self.on_drop is not None:
-            for query_id in dropped_queries:
-                self.on_drop(query_id)
+                        resync.setdefault(sub)
         # In-band re-prime of lossy resync_on_drop subscriptions: queue
         # the query's *post-batch* full result as a snapshot delta.  It
         # lands after this batch's surviving deltas and before anything
         # published later, so replaying the queue stays exact.  (If the
         # snapshot push itself evicts an older delta that loss is
         # counted too, but no second resync is needed — the snapshot
-        # supersedes everything before it.)
-        for sub in dropped_subs:
+        # supersedes everything before it.)  A query dropped during its
+        # own deregister publish has no current result to re-prime
+        # from.
+        for sub in resync:
             if sub.query_id not in self.monitor:
-                continue  # dropped during its own deregister publish
+                continue
             members = self.monitor.result_distances(sub.query_id)
             if sub._push(ResultDelta(sub.query_id, "snapshot", members)):
                 self.deltas_dropped += 1
             sub.resyncs += 1
-        return published
-
-    # ------------------------------------------------------------------
-    # mutation coroutines (single writer)
-    # ------------------------------------------------------------------
-
-    async def apply_moves(self, moves: list[ObjectMove]) -> DeltaBatch:
-        return await self._mutate(
-            lambda: self.monitor.apply_moves(moves), ("moves", moves)
-        )
-
-    async def apply_insert(self, obj: UncertainObject) -> DeltaBatch:
-        return await self._mutate(
-            lambda: self.monitor.apply_insert(obj), ("insert", obj)
-        )
-
-    async def apply_delete(self, object_id: str) -> DeltaBatch:
-        return await self._mutate(
-            lambda: self.monitor.apply_delete(object_id),
-            ("delete", object_id),
-        )
-
-    async def apply_event(self, event: TopologyEvent) -> DeltaBatch:
-        return await self._mutate(
-            lambda: self.monitor.apply_event(event), ("event", event)
-        )
-
-    async def _mutate(
-        self,
-        op: Callable[[], DeltaBatch],
-        mutation: tuple[str, object] | None = None,
-    ) -> DeltaBatch:
-        if self._closed:
-            raise QueryError("server is closed")
-
-        with self._op_lock:
-            batch = op()
-            if mutation is not None and self.on_mutation is not None:
-                self.on_mutation(*mutation)
-        self.publish(batch)
-        # Yield so subscribers drain between mutations.
-        await asyncio.sleep(0)
-        return batch
-
-    async def serve(
-        self,
-        stream: MovementStream,
-        n_batches: int,
-        batch_size: int,
-        on_batch: Callable[[int, DeltaBatch], Awaitable[None] | None]
-        | None = None,
-    ) -> ServeReport:
-        """Drive ``n_batches`` of ``batch_size`` moves from ``stream``
-        through the monitor, publishing deltas as they are produced.
-
-        ``on_batch(batch_no, delta_batch)`` is an optional hook (sync or
-        async) invoked after each batch — dashboards interleave topology
-        events or render progress from it.
-        """
-        report = ServeReport()
-        published_before = self.deltas_published
-        dropped_before = self.deltas_dropped
-        self.publish(self.monitor.drain_pending_deltas())
-        for batch_no in range(n_batches):
-            moves = stream.next_moves(batch_size)
-            t0 = time.perf_counter()
-            batch = await self.apply_moves(moves)
-            report.elapsed_s += time.perf_counter() - t0
-            report.batches += 1
-            report.updates += len(batch.moved)
-            if on_batch is not None:
-                out = on_batch(batch_no, batch)
-                if asyncio.iscoroutine(out):
-                    await out
-        # publish() is the single counting authority; the report covers
-        # everything this serve call published (hook mutations too) and
-        # every delta a bounded subscription shed while it ran.
-        report.deltas_published = self.deltas_published - published_before
-        report.deltas_dropped = self.deltas_dropped - dropped_before
-        return report
+        return [query_id for query_id in lossy if query_id in self.monitor]

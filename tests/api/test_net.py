@@ -17,6 +17,7 @@ included), not just membership.
 """
 
 import asyncio
+import inspect
 import time
 
 import pytest
@@ -384,6 +385,23 @@ class TestServing:
             client.poll(timeout=0.05)
         assert client.state.server_said_bye
 
+    @pytest.mark.parametrize("stop", ["close", "kill"])
+    def test_stopped_thread_refuses_work(self, service, stop):
+        """After either shutdown path every marshalled verb raises
+        ``NetError`` (not an ``AttributeError`` on the dropped loop),
+        and a coroutine handed to ``call`` is closed, never left for
+        the collector to report as never awaited."""
+        st = ServerThread(service).__enter__()
+        getattr(st, stop)()
+        with pytest.raises(NetError, match="not running"):
+            st.watch(RangeSpec(Q1, 6.0))
+        with pytest.raises(NetError, match="not running"):
+            st.ingest([])
+        coro = asyncio.sleep(0)
+        with pytest.raises(NetError, match="not running"):
+            st.call(coro)
+        assert inspect.getcoroutinestate(coro) == inspect.CORO_CLOSED
+
 
 # ---------------------------------------------------------------------
 # the async client
@@ -401,18 +419,14 @@ class TestAsyncClient:
             await client.sync()
             assert client.states[qid] == service.result_distances(qid)
 
-            await service.server.apply_moves(
-                [_point_move("far", 6.0, 5.0)]
-            )
+            service.ingest([_point_move("far", 6.0, 5.0)])
             await client.sync()
             assert client.states[qid] == service.result_distances(qid)
             assert set(client.states[qid]) == {"near", "mid", "far"}
 
             # resume: drop without bye, mutate, reconnect, converge
             await client.aclose(say_bye=False)
-            await service.server.apply_moves(
-                [_point_move("far", 25.0, 5.0)]
-            )
+            service.ingest([_point_move("far", 25.0, 5.0)])
             await client.resume()
             await client.sync()
             assert client.states[qid] == service.result_distances(qid)
@@ -430,9 +444,7 @@ class TestAsyncClient:
             client = AsyncNetClient(*server.address)
             await client.connect()
             await client.watch(RangeSpec(Q1, 6.0), query_id="kiosk")
-            await service.server.apply_moves(
-                [_point_move("far", 6.0, 5.0)]
-            )
+            service.ingest([_point_move("far", 6.0, 5.0)])
             kinds = []
             async for record in client:
                 kinds.append(type(record).__name__)

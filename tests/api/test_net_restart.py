@@ -28,6 +28,8 @@ from repro.index import CompositeIndex
 from repro.objects import InstanceSet, ObjectPopulation, UncertainObject
 from repro.objects.population import ObjectMove
 from repro.persist import CheckpointStore
+from repro.space.events import CloseDoor
+from repro.space.io import space_from_dict, space_to_dict
 
 
 def _point_object(object_id: str, x: float, y: float, floor: int = 0):
@@ -323,3 +325,62 @@ class TestDurabilityLifecycle:
         st2.close()
         service.close()
         st2.service.close()
+
+
+class TestOneWritePath:
+    def test_served_and_bare_service_write_one_wal(
+        self, five_rooms, tmp_path
+    ):
+        """A ``ServerThread`` verb is the ``QueryService`` verb: one
+        script through a durable ``ServerThread`` and through a bare
+        service whose WAL a ``CheckpointStore`` attached writes
+        byte-identical WAL segments, and both stores recover to the
+        same results — a second writer could not fork the log unseen."""
+
+        def script(target) -> None:
+            target.watch(SPECS["kiosk"], query_id="kiosk")
+            target.watch(SPECS["board"])  # the auto id is logged too
+            target.ingest([_point_move("far", 6.0, 5.0)])
+            target.insert(_point_object("new", 5.0, 4.0))
+            target.delete("mid")
+            target.apply_event(CloseDoor("d12"))
+            target.ingest([_point_move("far", 25.0, 5.0)])
+
+        # The door event mutates the space: each side gets its own.
+        twin_space = space_from_dict(space_to_dict(five_rooms))
+        served = QueryService(_build_index(five_rooms))
+        st = ServerThread(
+            served, store=CheckpointStore(tmp_path / "served")
+        ).__enter__()
+        script(st)
+        live = st.run(served.results)
+        st.kill()  # no parting checkpoint: recovery replays the WAL
+
+        bare = QueryService(_build_index(twin_space))
+        store = CheckpointStore(tmp_path / "bare")
+        store.attach(bare)
+        script(bare)
+        store.close()
+        assert bare.results() == live
+
+        def wal(root) -> dict[str, bytes]:
+            return {p.name: p.read_bytes() for p in root.glob("wal-*")}
+
+        assert wal(tmp_path / "served") == wal(tmp_path / "bare")
+        assert any(wal(tmp_path / "served").values())
+
+        def recovered(root) -> dict:
+            store = CheckpointStore(root)
+            service, report = store.recover()
+            store.close()
+            assert report.wal_records == 7
+            return {
+                qid: service.result_distances(qid)
+                for qid in service.query_ids()
+            }
+
+        want = {qid: bare.result_distances(qid) for qid in live}
+        assert recovered(tmp_path / "served") == want
+        assert recovered(tmp_path / "bare") == want
+        served.close()
+        bare.close()

@@ -8,21 +8,26 @@ thread.  Each shutdown path is driven here and
 A durable :class:`ServerThread` also owns its store's open WAL segment:
 both ``close()`` and ``kill()`` must release the descriptor themselves
 (not leave it to the garbage collector, which says so with a
-``ResourceWarning``) and leave no ``*.tmp`` file behind.
+``ResourceWarning``) and leave no ``*.tmp`` file behind.  A client owns
+its socket: every way a client ends — ``close()``, ``disconnect()``,
+the auto-reconnect past a cut connection, ``aclose()`` — must close
+it, and the server must count the connection gone.
 """
 
+import asyncio
 import gc
 import io
 import random
 import sys
 import threading
+import time
 import warnings
 from dataclasses import asdict
 
 import pytest
 
 from monitor_world import build_world
-from repro.api.net import ServerThread
+from repro.api.net import AsyncNetClient, NetClient, ServerThread
 from repro.api.service import QueryService, ServiceConfig
 from repro.api.specs import (
     CountSpec,
@@ -31,6 +36,7 @@ from repro.api.specs import (
     ProbRangeSpec,
     RangeSpec,
 )
+from repro.api.testing import FlakyTransportFactory
 from repro.baselines import NaiveEvaluator
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet, MovementStream
@@ -185,3 +191,75 @@ def test_server_thread_stop_releases_the_store(
         del restarted, st
         gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
+
+
+def _net_client_session(st, end: str) -> NetClient:
+    """Watch, sync, then end the client the ``end`` way; the client
+    must hold no socket afterwards, the dead connection's included."""
+    host, port = st.address
+    factory = FlakyTransportFactory(
+        host, port, faults=("cut" if end == "cut" else None,)
+    )
+    client = NetClient(host, port, timeout=5.0, transport_factory=factory)
+    client.connect()
+    client.watch(RangeSpec(Q_LEFT, 10.0))
+    client.sync()
+    if end == "cut":
+        for i in range(6):  # every move flips membership: one delta
+            st.ingest([_point_move("far", 6.0 if i % 2 else 25.0, 6.0)])
+            client.poll(timeout=0.1)
+        client.sync()
+        assert client.reconnects == 1  # the scripted cut fired
+        client.close()
+    else:
+        getattr(client, end)()
+    assert client._transport is None
+    assert all(t.inner._sock is None for t in factory.transports)
+    return client
+
+
+def _async_client_session(st) -> AsyncNetClient:
+    client = AsyncNetClient(*st.address, timeout=5.0)
+
+    async def session() -> None:
+        await client.connect()
+        await client.watch(RangeSpec(Q_LEFT, 10.0))
+        await client.sync()
+        await client.aclose()
+
+    asyncio.run(session())
+    assert client._writer is None and client._reader is None
+    return client
+
+
+@pytest.mark.parametrize("end", ["close", "disconnect", "cut", "aclose"])
+def test_clients_release_their_sockets(crowded_index, monkeypatch, end):
+    """No client socket is left for the collector: with
+    ``ResourceWarning`` an error, dropping the client raises nothing,
+    and the server's ``connections_active`` returns to 0."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    service = QueryService(crowded_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        gc.collect()  # somebody else's garbage is not this test's
+        unraisable.clear()
+        with ServerThread(service) as st:
+            if end == "aclose":
+                client = _async_client_session(st)
+            else:
+                client = _net_client_session(st, end)
+            deadline = time.monotonic() + 5.0
+            while (
+                st.run(lambda: st.server.stats.connections_active)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert st.server.stats.connections_active == 0
+            assert st.server.stats.connections_accepted == (
+                2 if end == "cut" else 1
+            )
+        del client
+        gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+    service.close()
