@@ -1006,12 +1006,24 @@ class _ClientCore:
 
     def _next(self) -> NetRecord | None:
         """Fold and return the oldest pending record (``None`` when
-        nothing is pending)."""
+        nothing is pending).  An ``error`` or a ``bye`` ends the
+        session server-side: the transport is closed before the error
+        is raised or the bye returned."""
         if not self._pending:
             return None
         record = self._pending.popleft()
-        self.state.fold(record)
+        try:
+            self.state.fold(record)
+        except NetError:
+            self._close_transport()
+            raise
+        if isinstance(record, ByeRecord):
+            self._close_transport()
         return record
+
+    def _close_transport(self) -> None:
+        """Close the connection without a goodbye (a client's I/O)."""
+        raise NotImplementedError
 
     def _take(
         self, pred: Callable[[NetRecord], bool], deadline: float
@@ -1070,7 +1082,8 @@ class NetClient(_ClientCore):
     reset, stalled read, duplicated frame — is transparently resumed
     with the server-issued token, which re-primes every watch from a
     current snapshot.  A server ``error`` record always surfaces as
-    :class:`~repro.errors.NetError`.
+    :class:`~repro.errors.NetError`; it and a ``bye`` end the session,
+    and the client closes its socket on either.
     """
 
     def __init__(
@@ -1126,6 +1139,8 @@ class NetClient(_ClientCore):
         if self._transport is not None:
             self._transport.close()
             self._transport = None
+
+    _close_transport = disconnect
 
     def close(self) -> None:
         """Polite shutdown: say bye (ending the server-side session),
@@ -1234,6 +1249,7 @@ class NetClient(_ClientCore):
             if poll_s is not None and isinstance(exc, TimeoutError):
                 return  # a quiet wire, not a stalled one
             if handshake:
+                self.disconnect()
                 raise NetError(
                     f"connection failed during handshake: {exc}"
                 ) from exc
@@ -1316,6 +1332,12 @@ class AsyncNetClient(_ClientCore):
         self._writer = None
         self._reader = None
 
+    def _close_transport(self) -> None:
+        # Synchronous: the loop finishes closing the socket.
+        if self._writer is not None:
+            self._writer.close()
+        self._writer = self._reader = None
+
     async def watch(
         self,
         spec: QuerySpec | None = None,
@@ -1356,6 +1378,8 @@ class AsyncNetClient(_ClientCore):
         await self._writer.drain()
 
     async def _recv(self) -> None:
+        if self._reader is None:
+            raise NetError("not connected")
         data = await asyncio.wait_for(
             self._reader.read(_READ_CHUNK), timeout=self.timeout
         )

@@ -22,14 +22,19 @@ object is read to build it): the
 one span), the unit arrays (rect, floor,
 partition, rect-MINDIST to the entrances on the unit's floor) and the
 per-floor entrance index.  Per object slot (:class:`_State`): floor,
-entrance legs, the rows of the index units the object overlaps (the
-o-table's buckets, slot-major), a span of subregion rows (partition
-row, mass) and — ragged beneath the rows — one ``(emin, emax)`` entry
-per entry door of each row's partition.  Rows are stored ragged because
-a hallway has tens of doors and a room one: padded to the widest
-partition the table is several times larger, and the resident set is a
-gated metric; a block is the same ragged entries gathered, and the
-bounds kernel reduces them as they lie.  For the same reason instance
+entrance legs (and whether they are stale: see the write), the rows of
+the index units the object overlaps (the o-table's buckets,
+slot-major), a span of subregion rows (partition row, mass) and —
+ragged beneath the rows — one ``(emin, emax)`` entry per entry door of
+each row's partition.  Both span columns are bump-allocated: a slot
+whose count changes gets a fresh span at the top, and once the dead
+entries exceed :data:`_DEAD_SHARE` of the live ones the live spans are
+packed down, :data:`_BUILD_CHUNK` slots a pass.  Rows are stored
+ragged because a hallway has tens of doors and a room one: padded to
+the widest partition the table is several times larger, and the
+resident set is a gated metric; a block is the same ragged entries
+gathered, and the bounds kernel reduces them as they lie.  For the
+same reason instance
 coordinates are *not* copied here — the one test that needs them (min
 instance distance to a same-floor query point) reads them from the
 objects, a bounded number of objects at a time — and no instance x door
@@ -45,9 +50,16 @@ rect overlap over the candidates' unit spans; subregions as an
 ``(N x candidates)`` containment test whose first hit per instance is
 the scalar first-wins rule; door extrema as one ragged ``(row, door) x
 instances-of-row`` gather reduced straight into the ragged entries.
-Nothing is written until the whole batch has resolved
-(:meth:`_State.commit`), so a batch the index cannot hold leaves it
-untouched.  Each step repeats the floats or the set of a scalar
+Per batch, not per object, it also casts the piece vectors, checks the
+masses and — in :meth:`_State.commit` — allocates every changed span;
+per object only what a Python object has to change runs (the slot, the
+subregion list, a copy of its piece-vector slice).  Nothing is written
+until the whole batch has resolved, so a batch the index cannot hold
+leaves it untouched.  A write does not compute what no reader of the
+batch reads: entrance legs, read only by a search that reaches the
+object from another floor, are marked stale and refilled by that
+search (:data:`_BUILD_CHUNK` objects a pass; a build fills them
+all).  Each step repeats the floats or the set of a scalar
 reference, which stays in the tree for exactly that purpose —
 ``indr.units_overlapping_rect``, ``UncertainObject._assign`` (still what
 ``subregions()`` runs for an object no index owns, and for the rare
@@ -70,7 +82,10 @@ population.
 serialises.  Readers (one-shot queries on other threads) must not run
 concurrently with a writer; a rebuild is built privately and published
 by single assignment under a lock, so a reader sees either the old
-state or the complete new one.
+state or the complete new one.  A search writes too — it refills stale
+entrance legs — and two concurrent readers may refill one slot at
+once: both compute and store the same floats, so either order leaves
+the same row.
 
 Bit-identity with the tree walk
 (:meth:`~repro.index.composite.CompositeIndex.range_search_tree`) and
@@ -103,7 +118,7 @@ from repro.geometry.rect import Rect
 from repro.index.indr import IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.index.tables import OTable
-from repro.objects.instances import checked_mass
+from repro.objects.instances import check_mass
 from repro.objects.population import ObjectPopulation
 from repro.objects.uncertain import UncertainObject, split_subregions
 from repro.space.floorplan import IndoorSpace
@@ -119,29 +134,14 @@ _BUILD_CHUNK = 64
 #: Objects whose instances one pass of the search's Euclidean test
 #: gathers — bounds the transient arrays of a whole-venue search.
 _SEARCH_CHUNK = 512
-
-
-class _Spans:
-    """Contiguous-span allocator over the first axis of a group of
-    parallel arrays: freed spans are reused by exact size, everything
-    else is appended."""
-
-    __slots__ = ("top", "free")
-
-    def __init__(self) -> None:
-        self.top = 0
-        self.free: dict[int, list[int]] = {}
-
-    def take(self, n: int) -> int:
-        bucket = self.free.get(n)
-        if bucket:
-            return bucket.pop()
-        start = self.top
-        self.top += n
-        return start
-
-    def give(self, start: int, n: int) -> None:
-        self.free.setdefault(n, []).append(start)
+#: Row and entry spans are bump-allocated: a slot whose count changes
+#: gets a new span at the top and its old one is dead.  Once the dead
+#: entries of a column group exceed this share of the live ones, the
+#: group is compacted.  At a quarter, world A's table (0.97 MB built)
+#: reads 1.54 MB after 1 000, 5 000 and 20 000 twenty-move batches, as
+#: much as exact-size free lists did; compacting only once dead
+#: exceeds live reads 1.99 MB.
+_DEAD_SHARE = 0.25
 
 
 def _grown(array: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -185,7 +185,6 @@ class _Staged:
     unit_rows: np.ndarray  #: flat, object-major, ascending per object
     n_units: np.ndarray
     floor_idx: np.ndarray
-    legs: np.ndarray
     n_rows: np.ndarray
     sub_part: np.ndarray
     sub_mass: list[float]
@@ -204,6 +203,10 @@ class _Topology:
         self.version = space.topology_version
         self.layout = layout = DoorLayout(space)
         self.fh = fh = space.floor_height
+        # The layout's entry-door midpoints, one contiguous column each.
+        self.mid_x, self.mid_y, self.mid_z = np.ascontiguousarray(
+            layout.flat_mid.T
+        )
 
         # -- the partition table, in partition_id order (the order
         # ``UncertainObject._assign`` lets overlapping footprints claim
@@ -373,6 +376,32 @@ class _Topology:
         """The index units each object's uncertainty region overlaps."""
         return self._id_sets(*self._units(self._frame(objects)))
 
+    def legs(
+        self, objects: list[UncertainObject], floor_idx: np.ndarray
+    ) -> np.ndarray:
+        """Each object's min instance distance to each entrance on its
+        floor (row ``floor_idx[j]`` of the entrance index; padding
+        columns hold junk a ``+inf`` reach hides): column-wise
+        ``instances.min_distance_to(midpoint)``, as one ``(instances x
+        entrances)`` pass — callers bound it to :data:`_BUILD_CHUNK`
+        objects.  In place, so a refill after the window of a stream
+        holds two such matrices besides the gather, not five: the
+        out-of-place form raised ``knn_stream``'s ``peak_rss_mb`` by
+        0.7 MB."""
+        sets = [obj.instances.xy for obj in objects]
+        starts = offsets_of(
+            np.array([len(xy) for xy in sets], dtype=np.intp)
+        )
+        xy = np.concatenate(sets)
+        ent = self.floor_ent_xy[np.repeat(floor_idx, np.diff(starts))]
+        d = xy[:, :1] - ent[:, :, 0]
+        d *= d
+        dy = xy[:, 1:] - ent[:, :, 1]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        return np.minimum.reduceat(d, starts[:-1], axis=0)
+
     def stage(
         self,
         objects: list[UncertainObject],
@@ -454,14 +483,19 @@ class _Topology:
         row_part = part[order[first]]
         n_rows = np.bincount(row_obj, minlength=n_obj)
         r_start = offsets_of(n_rows)
-        xs = xy[order]
+        sx, sy = xy[:, 0][order], xy[:, 1][order]
         ps = np.concatenate([obj.instances.probs for obj in objects])[order]
         # One contiguous pairwise sum per row: the values and order of
         # ``probs[mask].sum()``, which ``reduceat`` would not give.
+        add = np.add.reduce
         masses = [
-            checked_mass(ps[a:b])
+            float(add(ps[a:b]))
             for a, b in zip(first.tolist(), (first + row_len).tolist())
         ]
+        mass = np.array(masses)
+        bad = np.flatnonzero((mass <= 0.0) | (mass > 1.0 + 1e-6))
+        if bad.size:
+            check_mass(masses[bad[0]])  # raises InstanceSet's error
 
         # -- door extrema: one ragged (row, entry door) x instances-of-
         # row gather, reduced straight into the ragged entries --------
@@ -471,40 +505,37 @@ class _Topology:
         pair_row = np.repeat(np.arange(len(first)), nd)
         per = row_len[pair_row]
         inst, cuts = span_index(first[pair_row], per)
-        mid = self.layout.flat_mid[pair_door]
-        dx = xs[inst, 0] - np.repeat(mid[:, 0], per)
-        dy = xs[inst, 1] - np.repeat(mid[:, 1], per)
-        d = dx * dx + dy * dy
-        dz = (frame.floors[row_obj][pair_row] - mid[:, 2]) * self.fh
+        d = sx[inst]
+        d -= np.repeat(self.mid_x[pair_door], per)
+        d *= d
+        dy = sy[inst]
+        dy -= np.repeat(self.mid_y[pair_door], per)
+        dy *= dy
+        d += dy
+        dz = frame.floors[row_obj][pair_row] - self.mid_z[pair_door]
+        dz *= self.fh
         d += np.repeat(dz * dz, per)
         np.sqrt(d, out=d)
         ent_min = np.minimum.reduceat(d, cuts[:-1])
         ent_max = np.maximum.reduceat(d, cuts[:-1])
 
-        # -- min instance distance to each entrance on the object's
-        # floor: column-wise ``instances.min_distance_to(midpoint)`` --
-        ent = self.floor_ent_xy[frame.floor_idx[owner]]
-        ddx = x - ent[:, :, 0]
-        ddy = y - ent[:, :, 1]
-        legs = np.minimum.reduceat(
-            np.sqrt(ddx * ddx + ddy * ddy), starts[:-1], axis=0
-        )
-
-        # Every check has passed: hand the objects their subregions.
-        piece = np.empty(len(owner), dtype=np.intp)
+        # Every check has passed: hand the objects their subregions —
+        # piece vectors cast once for the batch, each object a copy of
+        # its slice (a view would pin the whole batch's vector).
+        piece = np.empty(len(owner), np.min_scalar_type(n_rows.max()))
         piece[order] = (
             np.repeat(np.arange(len(first)), row_len) - r_start[owner[order]]
         )
         pids = [self.part_ids[p] for p in row_part.tolist()]
-        for j, obj in enumerate(objects):
-            if scalar[j]:
+        rows = r_start.tolist()
+        cut = starts.tolist()
+        for j, (obj, via_scalar) in enumerate(zip(objects, scalar.tolist())):
+            if via_scalar:
                 continue
-            a, b = r_start[j], r_start[j + 1]
+            a, b = rows[j], rows[j + 1]
             vector = None
             if b - a > 1:
-                vector = piece[starts[j] : starts[j + 1]].astype(
-                    np.min_scalar_type(b - a)
-                )
+                vector = piece[cut[j] : cut[j + 1]].copy()
             obj.adopt_subregions(
                 split_subregions(
                     obj.instances, pids[a:b], masses[a:b], vector
@@ -517,7 +548,6 @@ class _Topology:
             unit_rows,
             n_units,
             frame.floor_idx,
-            legs,
             n_rows,
             lrow,
             masses,
@@ -543,14 +573,17 @@ class _State:
         self.ent_start = np.zeros(0, dtype=np.intp)
         self.ent_count = np.zeros(0, dtype=np.intp)
         self.legs = np.zeros((0, topo.floor_ent.shape[1]))
+        #: Legs not recomputed since the object last moved.
+        self.legs_stale = np.zeros(0, dtype=bool)
         self.units = np.full((0, 1), topo.n_units, dtype=np.intp)
 
         # -- subregion rows, and ragged beneath them one (emin, emax)
-        # entry per entry door of the row's partition ------------------
-        self.rows = _Spans()
+        # entry per entry door of the row's partition; both bump-
+        # allocated up to ``*_top``, ``*_live`` of it in use ----------
+        self.row_top = self.row_live = 0
         self.sub_part = np.zeros(0, dtype=np.intp)
         self.sub_mass = np.zeros(0)
-        self.ents = _Spans()
+        self.ent_top = self.ent_live = 0
         self.ent_min = np.zeros(0)
         self.ent_max = np.zeros(0)
 
@@ -565,6 +598,7 @@ class _State:
         self.ent_start = _grown(self.ent_start, slots, 0)
         self.ent_count = _grown(self.ent_count, slots, 0)
         self.legs = _grown(self.legs, slots, 0.0)
+        self.legs_stale = _grown(self.legs_stale, slots, True)
         self.units = _grown(self.units, slots, self.topo.n_units)
         self.sub_part = _grown(self.sub_part, rows, 0)
         self.sub_mass = _grown(self.sub_mass, rows, 0.0)
@@ -583,32 +617,38 @@ class _State:
         self.slot_of[object_id] = slot
         return slot
 
-    def commit(self, staged: _Staged) -> None:
-        """(Over)write the rows of a staged batch of live objects."""
+    def commit(
+        self, staged: _Staged, legs: np.ndarray | None = None
+    ) -> None:
+        """(Over)write the rows of a staged batch of live objects.  Their
+        entrance legs are ``legs`` or, when none are given, marked stale
+        for the next search that reads them to refill."""
         objects = staged.objects
         slot_list = [self._slot_for(obj.object_id) for obj in objects]
         slots = np.array(slot_list, dtype=np.intp)
         n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
-        # Upper bounds: a respan below may reuse a freed span instead.
+        # Upper bounds: a slot whose count is unchanged keeps its span.
         self.reserve(
             len(self.objects),
-            self.rows.top + len(staged.sub_part),
-            self.ents.top + len(staged.ent_min),
+            self.row_top + len(staged.sub_part),
+            self.ent_top + len(staged.ent_min),
         )
         for slot, obj in zip(slot_list, objects):
             self.objects[slot] = obj
-        for j in np.flatnonzero(self.row_count[slots] != n_rows).tolist():
-            _respan(
-                self.rows, self.row_start, self.row_count,
-                slot_list[j], int(n_rows[j]),
-            )
-        for j in np.flatnonzero(self.ent_count[slots] != n_ents).tolist():
-            _respan(
-                self.ents, self.ent_start, self.ent_count,
-                slot_list[j], int(n_ents[j]),
-            )
+        self.row_top, grew = _bump(
+            self.row_start, self.row_count, slots, n_rows, self.row_top
+        )
+        self.row_live += grew
+        self.ent_top, grew = _bump(
+            self.ent_start, self.ent_count, slots, n_ents, self.ent_top
+        )
+        self.ent_live += grew
         self.floor_idx[slots] = staged.floor_idx
-        self.legs[slots] = staged.legs
+        if legs is None:
+            self.legs_stale[slots] = True
+        else:
+            self.legs[slots] = legs
+            self.legs_stale[slots] = False
         widest = int(n_units.max())
         if widest > self.units.shape[1]:
             wider = np.full(
@@ -627,17 +667,58 @@ class _State:
         dst, _ = span_index(self.ent_start[slots], n_ents)
         self.ent_min[dst] = staged.ent_min
         self.ent_max[dst] = staged.ent_max
+        if self.row_top - self.row_live > _DEAD_SHARE * self.row_live:
+            self.row_top = self._pack(
+                self.row_start, self.row_count, ("sub_part", "sub_mass")
+            )
+        if self.ent_top - self.ent_live > _DEAD_SHARE * self.ent_live:
+            self.ent_top = self._pack(
+                self.ent_start, self.ent_count, ("ent_min", "ent_max")
+            )
+
+    def _pack(
+        self, start: np.ndarray, count: np.ndarray, columns: tuple[str, ...]
+    ) -> int:
+        """Move every live span of a column group down into a dense
+        prefix and return its end.  Spans move in the order they lie,
+        :data:`_BUILD_CHUNK` slots a pass (one gather per column): a
+        span only moves down, past spans already moved, and no pass
+        holds more than its own spans — one gather of every live entry
+        raised the resident-set peak by its size."""
+        live = np.flatnonzero(count)
+        live = live[np.argsort(start[live])]
+        offsets = offsets_of(count[live])
+        for i in range(0, live.size, _BUILD_CHUNK):
+            mine = live[i : i + _BUILD_CHUNK]
+            src, _ = span_index(start[mine], count[mine])
+            dst = slice(offsets[i], offsets[i] + len(src))
+            for name in columns:
+                column = getattr(self, name)
+                column[dst] = column[src]
+        start[live] = offsets[:-1]
+        return int(offsets[-1])
+
+    def refill_legs(self, slots: np.ndarray) -> None:
+        """Recompute the stale legs among ``slots``, at most
+        :data:`_BUILD_CHUNK` objects per pass (a pass's temporaries are
+        bounded like a build's).  Two readers may refill one slot at
+        once; both write the same floats."""
+        stale = slots[self.legs_stale[slots]]
+        for i in range(0, stale.size, _BUILD_CHUNK):
+            chunk = stale[i : i + _BUILD_CHUNK]
+            self.legs[chunk] = self.topo.legs(
+                [self.objects[s] for s in chunk.tolist()],
+                self.floor_idx[chunk],
+            )
+            self.legs_stale[chunk] = False
 
     def drop(self, object_id: str) -> None:
         slot = self.slot_of.pop(object_id, None)
         if slot is None:
             return
-        self.rows.give(
-            int(self.row_start[slot]), int(self.row_count[slot])
-        )
-        self.ents.give(
-            int(self.ent_start[slot]), int(self.ent_count[slot])
-        )
+        # Its spans are dead; the next compaction reclaims them.
+        self.row_live -= int(self.row_count[slot])
+        self.ent_live -= int(self.ent_count[slot])
         self.row_count[slot] = self.ent_count[slot] = 0
         # In no bucket: never a candidate.
         self.units[slot] = self.topo.n_units
@@ -645,18 +726,26 @@ class _State:
         self.free_slots.append(slot)
 
 
-def _respan(
-    spans: _Spans, start: np.ndarray, count: np.ndarray, slot: int, n: int
-) -> None:
-    """Give ``slot`` a span of ``n`` entries, reusing its current one
-    when the size is unchanged."""
-    have = int(count[slot])
-    if have == n:
-        return
-    if have:
-        spans.give(int(start[slot]), have)
-    start[slot] = spans.take(n)
-    count[slot] = n
+def _bump(
+    start: np.ndarray,
+    count: np.ndarray,
+    slots: np.ndarray,
+    n: np.ndarray,
+    top: int,
+) -> tuple[int, int]:
+    """Give every slot of ``slots`` whose count differs from ``n`` a new
+    span of that size, laid end to end from ``top``; returns the new top
+    and the change in live entries."""
+    changed = np.flatnonzero(count[slots] != n)
+    if not changed.size:
+        return top, 0
+    mine = slots[changed]
+    size = n[changed]
+    offsets = offsets_of(size)
+    grew = int(offsets[-1] - count[mine].sum())
+    start[mine] = top + offsets[:-1]
+    count[mine] = size
+    return top + int(offsets[-1]), grew
 
 
 class ObjectColumns:
@@ -734,14 +823,15 @@ class ObjectColumns:
             # The o-table's unit sets, not a fresh resolution: after a
             # partition was removed it may keep an object on the units
             # it has left.
-            state.commit(
-                topo.stage(
-                    chunk,
-                    space,
-                    grid,
-                    [otable.units_of(o.object_id) for o in chunk],
-                )
+            staged = topo.stage(
+                chunk,
+                space,
+                grid,
+                [otable.units_of(o.object_id) for o in chunk],
             )
+            # A build fills every leg: the first searches after it
+            # refill nothing.
+            state.commit(staged, topo.legs(chunk, staged.floor_idx))
         return state
 
     def layout(self) -> DoorLayout:
@@ -890,8 +980,12 @@ class ObjectColumns:
         else:
             direct = (floor == q_floor) | ~topo.floor_has_ent[floor]
             far = ~direct
+            # Legs are computed on first read after a move, not by the
+            # write (most moved objects move again before any search).
+            far_slots = slots[far]
+            state.refill_legs(far_slots)
             dist[far] = (
-                reach[floor[far]] + state.legs[slots[far]]
+                reach[floor[far]] + state.legs[far_slots]
             ).min(axis=1)
         near = np.nonzero(direct)[0]
         for i in range(0, near.size, _SEARCH_CHUNK):
@@ -915,9 +1009,10 @@ class ObjectColumns:
 
     def validate(self) -> list[str]:
         """Rows that differ from a fresh :func:`pack_block` of the live
-        object, and buckets that disagree with the o-table.  A table
-        that is not built for the current topology holds no rows to
-        check."""
+        object, entrance legs (refilled first where stale) that differ
+        from the scalar distances, overlapping spans, and buckets that
+        disagree with the o-table.  A table that is not built for the
+        current topology holds no rows to check."""
         state = self._current()
         if state is None:
             return []
@@ -935,6 +1030,18 @@ class ObjectColumns:
             for object_id in state.slot_of
             if object_id not in indexed
         ]
+        live = np.fromiter(state.slot_of.values(), dtype=np.intp)
+        for what, start, count, top in (
+            ("row", state.row_start, state.row_count, state.row_top),
+            ("entry", state.ent_start, state.ent_count, state.ent_top),
+        ):
+            held = live[count[live] > 0]
+            order = np.argsort(start[held])
+            lo = start[held][order]
+            hi = lo + count[held][order]
+            if (lo[1:] < hi[:-1]).any() or (hi > top).any():
+                problems.append(f"live {what} spans overlap or pass the top")
+        state.refill_legs(live)
         for oid, obj in indexed.items():
             slot = state.slot_of.get(oid)
             if slot is None or state.objects[slot] is not obj:

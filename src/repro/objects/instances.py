@@ -21,7 +21,11 @@ def checked_mass(probs: np.ndarray) -> float:
     """``probs.sum()``, required to be a probability mass.  A full
     object's instances sum to 1; a subregion's to its share of the mass
     (Eq. 6 needs the raw p_i, not renormalised ones)."""
-    total = float(probs.sum())
+    return check_mass(float(probs.sum()))
+
+
+def check_mass(total: float) -> float:
+    """``total``, required to be a probability mass in ``(0, 1]``."""
     if total <= 0.0 or total > 1.0 + 1e-6:
         raise ReproError(f"probability mass must be in (0, 1], got {total}")
     return total

@@ -101,8 +101,9 @@ the monitor asks the session a pack for) and may override
 unreached subregion as merely "beyond some radius" rather than
 infinitely far, as the iPRQ does.  A kind that needs no distance
 bounds sets ``stacked = False`` and receives ``row=None`` and every
-position — its pairs then count in ``pairs_evaluated`` but not in
-``kernel_pairs`` (:class:`OccupancyMaintainer`).
+position, after the batch's stacked calls — its pairs then count in
+``pairs_evaluated`` but not in ``kernel_pairs``
+(:class:`OccupancyMaintainer`).
 
 The three built-in maintainers
 ------------------------------

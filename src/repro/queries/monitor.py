@@ -239,8 +239,12 @@ class QueryMonitor:
         # The stacked maintainers' searches as one weight matrix, for
         # the one bounds-kernel call per batch.  Dropped (under the
         # ingest lock) whenever the registered query list changes; a
-        # new DoorLayout outdates it by identity.
+        # new DoorLayout outdates it by identity.  Built with it, in
+        # registration order: the maintainers it stacks (row i is
+        # query i) and the ones it does not.
         self._stack: QueryStack | None = None
+        self._stacked: list[StandingQuery] = []
+        self._unstacked: list[StandingQuery] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -566,22 +570,27 @@ class QueryMonitor:
         layout change (the one time the session is asked for packs)."""
         stack = self._stack
         if stack is None or stack.layout is not layout:
-            stacked = [sq for sq in self._queries.values() if sq.stacked]
+            queries = self._queries.values()
+            stacked = [sq for sq in queries if sq.stacked]
             stack = self._stack = QueryStack(
                 layout,
                 [self.session.kernel_pack(sq.q) for sq in stacked],
                 [sq.unreached_floor() for sq in stacked],
             )
+            self._stacked = stacked
+            self._unstacked = [sq for sq in queries if not sq.stacked]
         return stack
 
     def _absorb_block(self, moved: list[UncertainObject]) -> None:
         """Gather the moved batch's rows once, evaluate them against
         every stacked standing query in one bounds-kernel call, decide
         the far pairs here (:meth:`_undecided`; they count as skipped,
-        here) and hand each maintainer its row and the positions left.
-        ``kernel_pruned`` is measured as the ``pairs_skipped`` delta
-        around each stacked query, so the counter partition (evaluated
-        = skipped + refined + recomputed) is untouched."""
+        here) and hand each stacked maintainer with a listed position
+        its row and those positions, in registration order; then every
+        unstacked maintainer the whole block.  The kernel counters move
+        once per batch; ``kernel_pruned`` is the ``pairs_skipped``
+        delta across the stacked calls, so the counter partition
+        (evaluated = skipped + refined + recomputed) is untouched."""
         if not moved:
             return
         stats = self.stats
@@ -593,24 +602,22 @@ class QueryMonitor:
         # ``update_objects`` / ``insert_object`` already wrote the rows.
         block = self.index.columns.block(moved)
         stack = self._query_stack(block.layout)
-        bounds = undecided = None
+        stats.pairs_evaluated += n * len(self._queries)
         if len(stack):
             bounds = block_object_bounds(stack, block, space.floor_height)
             undecided = self._undecided(bounds, moved)
-        stats.pairs_evaluated += n * len(self._queries)
-        i = 0
-        for sq in self._queries.values():
-            if not sq.stacked:
-                sq.on_update_batch(block, None, range(n))
-                continue
-            stats.kernel_pairs += n
+            pairs = n * len(stack)
+            stats.kernel_pairs += pairs
             skipped_before = stats.pairs_skipped
-            positions = undecided[i]
-            stats.pairs_skipped += n - len(positions)
-            if positions:
-                sq.on_update_batch(block, bounds.row(i), positions)
-            i += 1
+            stats.pairs_skipped += pairs - sum(map(len, undecided))
+            for i, positions in enumerate(undecided):
+                if positions:
+                    self._stacked[i].on_update_batch(
+                        block, bounds.row(i), positions
+                    )
             stats.kernel_pruned += stats.pairs_skipped - skipped_before
+        for sq in self._unstacked:
+            sq.on_update_batch(block, None, range(n))
 
     def _undecided(
         self, bounds: BlockBounds, moved: list[UncertainObject]
@@ -621,7 +628,7 @@ class QueryMonitor:
         for the whole block) and the moved objects among its
         ``members()`` (one set intersection each).  Every other pair is
         an outsider provably staying outside."""
-        stacked = [sq for sq in self._queries.values() if sq.stacked]
+        stacked = self._stacked
         reach = np.array([sq.influence_radius() for sq in stacked])
         listed: list[list[int]] = [[] for _ in stacked]
         near_query, near_at = np.nonzero(bounds.lo <= reach[:, None])

@@ -432,6 +432,17 @@ class TestStoreRecovery:
         service.watch(KNNSpec(Q3, 2), query_id="board")
         return service
 
+    @staticmethod
+    def _close(*services):
+        """Close each service and the WAL segment a store attached to
+        it — the test's own store or the one inside ``recover()`` —
+        so no descriptor is left for the collector."""
+        for service in services:
+            service.close()
+            writer = service.detach_wal()
+            if writer is not None:
+                writer.rotate(None).close()
+
     def test_wal_tail_replays_onto_the_checkpoint(
         self, five_rooms_index, tmp_path
     ):
@@ -456,8 +467,7 @@ class TestStoreRecovery:
         # Replay restored the auto-id counter too.
         assert recovered.watch(KNNSpec(Q1, 1)) == \
             service.watch(KNNSpec(Q1, 1))
-        service.close()
-        recovered.close()
+        self._close(service, recovered)
 
     def test_corrupt_newest_falls_back_to_previous(
         self, five_rooms_index, tmp_path
@@ -483,8 +493,7 @@ class TestStoreRecovery:
         for qid in ("kiosk", "board"):
             assert recovered.result_distances(qid) == \
                 service.result_distances(qid)
-        service.close()
-        recovered.close()
+        self._close(service, recovered)
 
     def test_all_checkpoints_bad_raises(
         self, five_rooms_index, tmp_path
@@ -495,7 +504,7 @@ class TestStoreRecovery:
         path.write_text(path.read_text()[: path.stat().st_size // 2])
         with pytest.raises(PersistError, match="no readable checkpoint"):
             CheckpointStore(tmp_path).recover()
-        service.close()
+        self._close(service)
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(PersistError, match="nothing to recover"):
@@ -518,8 +527,7 @@ class TestStoreRecovery:
         assert report.torn_tail == 1
         assert report.wal_records == 1
         assert recovered.result_distances("kiosk") == pre_tear
-        service.close()
-        recovered.close()
+        self._close(service, recovered)
 
     def test_mid_wal_corruption_raises(
         self, five_rooms_index, tmp_path
@@ -535,7 +543,7 @@ class TestStoreRecovery:
         wal.write_text("\n".join(lines) + "\n")
         with pytest.raises(PersistError):
             CheckpointStore(tmp_path).recover()
-        service.close()
+        self._close(service)
 
     def test_compaction_keeps_the_last_two(
         self, five_rooms_index, tmp_path
@@ -556,7 +564,7 @@ class TestStoreRecovery:
         ]
         wal_names = sorted(p.name for p in tmp_path.glob("wal-*"))
         assert wal_names == ["wal-000003.jsonl", "wal-000004.jsonl"]
-        service.close()
+        self._close(service)
 
     def test_rotation_is_atomic_with_the_capture(
         self, five_rooms_index, tmp_path
@@ -574,7 +582,7 @@ class TestStoreRecovery:
         wal2 = (tmp_path / "wal-000002.jsonl").read_text().splitlines()
         assert len(wal1) == 1
         assert len(wal2) == 1
-        service.close()
+        self._close(service)
 
     def test_orphan_segment_still_replays(
         self, five_rooms_index, tmp_path
@@ -596,8 +604,7 @@ class TestStoreRecovery:
         assert report.wal_records == 1  # the orphan wal-000002 record
         assert recovered.result_distances("kiosk") == \
             service.result_distances("kiosk")
-        service.close()
-        recovered.close()
+        self._close(service, recovered)
 
     def test_recovery_cuts_a_fresh_durable_point(
         self, five_rooms_index, tmp_path
@@ -612,9 +619,7 @@ class TestStoreRecovery:
         assert report2.restored_seq == report.checkpoint_seq
         assert again.result_distances("kiosk") == \
             recovered.result_distances("kiosk")
-        service.close()
-        recovered.close()
-        again.close()
+        self._close(service, recovered, again)
 
     def test_module_level_recover_shorthand(
         self, five_rooms_index, tmp_path
@@ -625,5 +630,4 @@ class TestStoreRecovery:
         assert report.restored_seq == 1
         assert recovered.result_distances("kiosk") == \
             service.result_distances("kiosk")
-        service.close()
-        recovered.close()
+        self._close(service, recovered)

@@ -24,7 +24,7 @@ from repro.distances.batch import pack_block
 from repro.geometry import Circle, Point, Rect
 from repro.geometry.polygon import Polygon
 from repro.index import CompositeIndex
-from repro.index.columns import _BUILD_CHUNK
+from repro.index.columns import _BUILD_CHUNK, _DEAD_SHARE, _State, _Topology
 from repro.objects import (
     InstanceSet,
     MovementStream,
@@ -364,6 +364,144 @@ class TestNoPerObjectGeometryOnTheWritePath:
             len(o.subregions(small_mall, pop.grid)) > 1 for o in moved
         )
         assert_equals_references(idx, moved)
+
+    def test_a_move_stream_computes_no_entrance_legs(
+        self, small_mall, count_calls
+    ):
+        """Legs are filled by the build and then on first read only: a
+        stream of moves no search reads never computes one."""
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=20, seed=4)
+        pop = gen.generate(80)
+        idx = CompositeIndex.build(small_mall, pop)
+        idx.columns.layout()
+        state = idx.columns._state
+        assert not state.legs_stale[: len(state.objects)].any()
+        legs = count_calls(_Topology, "legs")
+        for batch in MovementStream(small_mall, pop, gen, seed=6).batches(
+            10, 20
+        ):
+            idx.update_objects(batch)
+        assert legs == []
+        assert state.legs_stale[: len(state.objects)].any()
+
+
+def _far_floor_point(space, obj):
+    """A query point on a floor other than ``obj``'s."""
+    rng = random.Random(1)
+    while True:
+        q = space.random_point(rng=rng)
+        if q.floor != obj.floor:
+            return q
+
+
+class TestEntranceLegsOnFirstRead:
+    @pytest.fixture
+    def world(self, small_mall):
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=12, seed=8)
+        pop = gen.generate(2 * _BUILD_CHUNK + 30)
+        idx = CompositeIndex.build(small_mall, pop)
+        idx.columns.layout()
+        return idx, pop, gen
+
+    def test_a_cross_floor_search_refills_before_reading(
+        self, world, small_mall
+    ):
+        idx, pop, gen = world
+        stream = MovementStream(small_mall, pop, gen, seed=9)
+        (moved,) = idx.update_objects(stream.next_moves(1))
+        state = idx.columns._state
+        slot = state.slot_of[moved.object_id]
+        assert state.legs_stale[slot]
+        q = _far_floor_point(small_mall, moved)
+        found = idx.range_search(q, 1e9).objects
+        assert moved in found
+        assert not state.legs_stale[slot]
+        fh = small_mall.floor_height
+        entrances = idx.skeleton.entrances_on_floor(moved.floor)
+        assert state.legs[slot, : len(entrances)].tolist() == [
+            moved.instances.min_distance_to(e.midpoint, fh)
+            for e in entrances
+        ]
+        for r in (20.0, 60.0, 120.0):
+            got = idx.range_search(q, r).objects
+            want = idx.range_search_tree(q, r).objects
+            assert {o.object_id for o in got} == {o.object_id for o in want}
+        assert idx.validate() == []
+
+    def test_refill_passes_are_bounded(self, world, small_mall, count_calls):
+        idx, pop, gen = world
+        stream = MovementStream(small_mall, pop, gen, seed=10)
+        idx.update_objects(stream.next_moves(len(pop)))
+        state = idx.columns._state
+        stale = int(state.legs_stale[: len(state.objects)].sum())
+        assert stale > 2 * _BUILD_CHUNK
+        legs = count_calls(_Topology, "legs")
+        q = _far_floor_point(small_mall, next(iter(pop)))
+        idx.range_search(q, 1e9)
+        sizes = [len(objects) for _, objects, _ in legs]
+        assert sizes and max(sizes) <= _BUILD_CHUNK
+        # Every far object was refilled once; the near floor's never.
+        far = sum(o.floor != q.floor for o in pop)
+        assert sum(sizes) == far
+        assert not state.legs_stale[
+            [state.slot_of[o.object_id] for o in pop if o.floor != q.floor]
+        ].any()
+
+
+class TestBumpAllocatedSpans:
+    def test_churn_keeps_spans_dense_and_compacts(self, count_calls):
+        """A few hundred random move / insert / delete batches: every
+        live span lies below the top and overlaps no other, dead
+        entries never outlast a write above a quarter of the live ones
+        (so compaction fires), the table validates, and it stays within
+        the bound ``docs/operations.md`` states — 1.6x the ``nbytes``
+        of a fresh build over the same population."""
+        space, gen, rng, pop = _random_world(5, 40)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        packs = count_calls(_State, "_pack")
+        state = idx.columns._state
+        fresh = 0
+        for _ in range(300):
+            roll = rng.random()
+            if roll < 0.1 and len(pop) > 30:
+                idx.delete_object(rng.choice(sorted(pop.ids())))
+                continue
+            if roll < 0.2:
+                fresh += 1
+                location = _random_location(space, gen, rng)
+                idx.insert_object(UncertainObject(f"new{fresh}", *location))
+            else:
+                idx.update_objects(
+                    [
+                        ObjectMove(oid, *_random_location(space, gen, rng))
+                        for oid in rng.sample(
+                            sorted(pop.ids()), rng.randint(1, 8)
+                        )
+                    ]
+                )
+            live = np.fromiter(state.slot_of.values(), dtype=np.intp)
+            for start, count, top, in_use in (
+                (state.row_start, state.row_count, state.row_top,
+                 state.row_live),
+                (state.ent_start, state.ent_count, state.ent_top,
+                 state.ent_live),
+            ):
+                held = live[count[live] > 0]
+                order = np.argsort(start[held])
+                lo = start[held][order]
+                hi = lo + count[held][order]
+                assert (lo[1:] >= hi[:-1]).all() and (hi <= top).all()
+                assert in_use == count[live].sum()
+                assert top - in_use <= _DEAD_SHARE * in_use
+        assert len(packs) > 0
+        assert idx.validate() == []
+        twin = ObjectPopulation(space, grid=pop.grid)
+        for obj in pop:
+            twin.insert(_twin(obj))
+        rebuilt = CompositeIndex.build(space, twin)
+        rebuilt.columns.layout()
+        assert idx.columns.nbytes <= 1.6 * rebuilt.columns.nbytes
 
 
 class TestLazySubregion:

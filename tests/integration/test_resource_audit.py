@@ -10,7 +10,8 @@ both ``close()`` and ``kill()`` must release the descriptor themselves
 (not leave it to the garbage collector, which says so with a
 ``ResourceWarning``) and leave no ``*.tmp`` file behind.  A client owns
 its socket: every way a client ends — ``close()``, ``disconnect()``,
-the auto-reconnect past a cut connection, ``aclose()`` — must close
+the auto-reconnect past a cut connection, ``aclose()``, and the server
+ending the session with an ``error`` record or a ``bye`` — must close
 it, and the server must count the connection gone.
 """
 
@@ -38,6 +39,7 @@ from repro.api.specs import (
 )
 from repro.api.testing import FlakyTransportFactory
 from repro.baselines import NaiveEvaluator
+from repro.errors import NetError
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet, MovementStream
 from repro.objects.population import ObjectMove
@@ -202,9 +204,24 @@ def _net_client_session(st, end: str) -> NetClient:
     )
     client = NetClient(host, port, timeout=5.0, transport_factory=factory)
     client.connect()
-    client.watch(RangeSpec(Q_LEFT, 10.0))
+    query_id = client.watch(RangeSpec(Q_LEFT, 10.0))
     client.sync()
-    if end == "cut":
+    if end == "server-error":
+        # The server answers a spec mismatch with an error record and
+        # ends the session.
+        with pytest.raises(NetError, match="different spec"):
+            client.watch(RangeSpec(Q_LEFT, 99.0), query_id=query_id)
+    elif end == "server-bye":
+        # The server stops (its loop thread keeps running): a bye.
+        st.call(st.server.aclose())
+        deadline = time.monotonic() + 5.0
+        while (
+            not client.state.server_said_bye
+            and time.monotonic() < deadline
+        ):
+            client.poll(timeout=0.05)
+        assert client.state.server_said_bye
+    elif end == "cut":
         for i in range(6):  # every move flips membership: one delta
             st.ingest([_point_move("far", 6.0 if i % 2 else 25.0, 6.0)])
             client.poll(timeout=0.1)
@@ -232,7 +249,10 @@ def _async_client_session(st) -> AsyncNetClient:
     return client
 
 
-@pytest.mark.parametrize("end", ["close", "disconnect", "cut", "aclose"])
+@pytest.mark.parametrize(
+    "end",
+    ["close", "disconnect", "cut", "aclose", "server-error", "server-bye"],
+)
 def test_clients_release_their_sockets(crowded_index, monkeypatch, end):
     """No client socket is left for the collector: with
     ``ResourceWarning`` an error, dropping the client raises nothing,
