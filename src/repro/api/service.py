@@ -54,7 +54,7 @@ from repro.api.specs import (
     standing_spec,
 )
 from repro.api.wire import DeltaFeedWriter
-from repro.errors import PersistError, QueryError
+from repro.errors import PersistError, QueryError, ReproError
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import MovementStream
 from repro.objects.population import ObjectMove, ObjectPopulation
@@ -64,7 +64,7 @@ from repro.persist.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.persist.codec import object_from_dict, object_to_dict
+from repro.persist.codec import object_to_dict
 from repro.persist.wal import (
     WalDelete,
     WalEvent,
@@ -605,14 +605,19 @@ class QueryService:
         cfg.pop("backend", None)
         cfg.pop("bucketed_router", None)
         population = ObjectPopulation(space)
-        for payload in state.objects:
-            population.insert(object_from_dict(payload))
-        index = CompositeIndex.build(
-            space,
-            population,
-            fanout=int(index_shape.get("fanout", 20)),
-            t_shape=float(index_shape.get("t_shape", 0.5)),
-        )
+        try:
+            for obj in state.uncertain_objects():
+                population.insert(obj)
+            index = CompositeIndex.build(
+                space,
+                population,
+                fanout=int(index_shape.get("fanout", 20)),
+                t_shape=float(index_shape.get("t_shape", 0.5)),
+            )
+        except ReproError as exc:  # malformed, a duplicate, off the map
+            raise PersistError(
+                f"checkpoint carries an unusable object record: {exc}"
+            ) from None
         if config is None:
             try:
                 config = ServiceConfig(**cfg)

@@ -295,17 +295,13 @@ class _Topology:
         self.p_unit_count = np.bincount(self.u_part, minlength=len(pids))
         self.p_unit_start = offsets_of(self.p_unit_count)[:-1]
         # Rect-MINDIST of each unit to the entrances on its own floor
-        # (the ``leg`` of Eq. 10; same floor, so no vertical term).
-        ex = self.floor_ent_xy[self.u_floor, :, 0]
-        ey = self.floor_ent_xy[self.u_floor, :, 1]
-        dx = np.maximum(
-            np.maximum(self.u_minx[:, None] - ex, 0.0),
-            ex - self.u_maxx[:, None],
-        )
-        dy = np.maximum(
-            np.maximum(self.u_miny[:, None] - ey, 0.0),
-            ey - self.u_maxy[:, None],
-        )
+        # (the ``leg`` of Eq. 10; same floor, so no vertical term),
+        # entrance-major: ``u_legs[k]`` is one unit column, so a search
+        # folds the entrances a column at a time.
+        ex = np.ascontiguousarray(self.floor_ent_xy[self.u_floor, :, 0].T)
+        ey = np.ascontiguousarray(self.floor_ent_xy[self.u_floor, :, 1].T)
+        dx = np.maximum(np.maximum(self.u_minx - ex, 0.0), ex - self.u_maxx)
+        dy = np.maximum(np.maximum(self.u_miny - ey, 0.0), ey - self.u_maxy)
         self.u_legs = np.sqrt(dx * dx + dy * dy)
 
     # -- batched resolution (no per-object geometry calls) ------------
@@ -959,7 +955,15 @@ class ObjectColumns:
         dz = np.maximum(np.maximum(topo.u_z - qz, 0.0), qz - topo.u_z)
         bound = np.sqrt(dx * dx + dy * dy + dz * dz)
         if reach is not None:
-            via = (reach[topo.u_floor] + topo.u_legs).min(axis=1)
+            # min over entrances k of reach[floor, k] + leg[k], folded
+            # one unit column at a time: a min over a short trailing
+            # axis is slow, and no temporary outgrows one column.
+            via = np.full(topo.n_units, np.inf)
+            leg = np.empty(topo.n_units)
+            for reach_k, legs_k in zip(reach.T, topo.u_legs):
+                np.take(reach_k, topo.u_floor, out=leg)
+                np.add(leg, legs_k, out=leg)
+                np.minimum(via, leg, out=via)
             bound = np.where(topo.u_floor == q_floor, bound, via)
         passing = bound <= r
         partitions = {

@@ -12,13 +12,26 @@ and the service's auto-id counter.
 
 Layout (one JSON object per line, canonical encoding)::
 
-    {"type":"checkpoint","v":2,"spec_schema":1,"config":{...},
-     "space":{...},"topology_version":3,
-     "next_auto_id":5,"n_objects":120,"n_queries":4,"extra":{...}}
-    {"type":"object","id":"o1","center":[x,y,f],"radius":2.0,
-     "xy":[[..]],"probs":[..]}                      # xN, in order
-    {"type":"query","query_id":"irq-1","spec":{...},"state":{...}}
-    {"type":"digest","algo":"sha256","hex":"...","records":125}
+    {"config":{...},"extra":{...},"n_objects":120,"n_queries":4,
+     "next_auto_id":5,"space":{...},"spec_schema":1,
+     "topology_version":3,"type":"checkpoint","v":3}
+    {"center":[4.0,5.0,0],"id":"o1","radius":1.5,
+     "type":"object","xy":"AAAAAAAAEEAAAAAAAAAUQA=="}  # xN, in order
+    {"query_id":"irq-1","spec":{...},"state":{...},"type":"query"}
+    {"algo":"sha256","hex":"...","records":125,"type":"digest"}
+
+An object record's location is packed (base64 little-endian float64
+``xy``, and ``probs`` unless uniform — see :mod:`repro.persist.codec`).
+The reader accepts versions 1 to :data:`CHECKPOINT_VERSION`:
+
+* **3** — packed object locations;
+* **2** — ``"xy":[[x,y],…],"probs":[p,…]`` float lists;
+* **1** — as 2, plus the shard router's ``reach_epoch`` in the header
+  and shard-engine names in the config, which are read past.
+
+:attr:`CheckpointState.version` records which one a state was read
+from, and :meth:`CheckpointState.uncertain_objects` decodes its object
+records with that version's decoder.
 
 The digest line seals every preceding byte: a torn write (no digest
 line), a truncated body, or any flipped bit raises
@@ -36,15 +49,33 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.api.specs import SPEC_SCHEMA_VERSION
 from repro.errors import PersistError
+from repro.objects.uncertain import UncertainObject
+from repro.persist.codec import object_from_dict, object_to_dict
 
 #: Version stamped into every checkpoint header; readers reject
 #: versions they do not know how to restore.  Version 1 also carried
-#: the shard router's cache counters, which a version-2 file omits.
-CHECKPOINT_VERSION = 2
+#: the shard router's cache counters, which a version-2 file omits;
+#: version 3 packs object locations.
+CHECKPOINT_VERSION = 3
+
+#: Versions :func:`read_checkpoint` accepts.
+_READABLE_VERSIONS = (1, 2, CHECKPOINT_VERSION)
+
+#: The first version whose object records are packed.
+_PACKED_SINCE = 3
+
+#: Header fields and the JSON type each must have.
+_HEADER_FIELDS = (
+    ("config", dict),
+    ("space", dict),
+    ("topology_version", int),
+    ("next_auto_id", int),
+    ("extra", dict),
+)
 
 
 def _dumps(payload: dict[str, Any]) -> str:
@@ -57,6 +88,17 @@ def _dumps(payload: dict[str, Any]) -> str:
         )
     except (TypeError, ValueError) as exc:
         raise PersistError(f"unencodable checkpoint record: {exc}") from None
+
+
+def _record(line: str) -> dict[str, Any]:
+    """One checkpoint line as a JSON object, or ``PersistError``."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # or too many digits
+        raise PersistError(f"malformed checkpoint line: {exc}") from None
+    if not isinstance(record, dict):
+        raise PersistError(f"checkpoint line is not an object: {record!r}")
+    return record
 
 
 @dataclass
@@ -76,6 +118,16 @@ class CheckpointState:
     #: Opaque caller payload carried through the round trip (the net
     #: layer stores its resume-session table here).
     extra: dict[str, Any] = field(default_factory=dict)
+    #: The format version of ``objects``: the file's, for a state read
+    #: from disk; the current one for a freshly captured state.
+    version: int = CHECKPOINT_VERSION
+
+    def uncertain_objects(self) -> Iterator[UncertainObject]:
+        """The object records decoded, in order; ``PersistError`` on
+        the first malformed one."""
+        packed = self.version >= _PACKED_SINCE
+        for payload in self.objects:
+            yield object_from_dict(payload, packed)
 
 
 def write_checkpoint(path: str | Path, state: CheckpointState) -> int:
@@ -83,9 +135,13 @@ def write_checkpoint(path: str | Path, state: CheckpointState) -> int:
 
     The file appears under its final name only complete and sealed:
     content goes to a same-directory tmp file, is fsynced, then
-    ``os.replace``\\ d into place.
+    ``os.replace``\\ d into place.  A state read from an older file
+    is written in the current format: its objects are re-encoded.
     """
     path = Path(path)
+    objects = state.objects
+    if state.version < _PACKED_SINCE:
+        objects = [object_to_dict(o) for o in state.uncertain_objects()]
     header = {
         "type": "checkpoint",
         "v": CHECKPOINT_VERSION,
@@ -94,12 +150,12 @@ def write_checkpoint(path: str | Path, state: CheckpointState) -> int:
         "space": state.space,
         "topology_version": state.topology_version,
         "next_auto_id": state.next_auto_id,
-        "n_objects": len(state.objects),
+        "n_objects": len(objects),
         "n_queries": len(state.queries),
         "extra": state.extra,
     }
     lines = [_dumps(header)]
-    for obj in state.objects:
+    for obj in objects:
         lines.append(_dumps({"type": "object", **obj}))
     for query in state.queries:
         lines.append(_dumps({"type": "query", **query}))
@@ -133,12 +189,12 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
     if not lines:
         raise PersistError(f"empty checkpoint {path}")
     try:
-        tail = json.loads(lines[-1])
-    except json.JSONDecodeError:
+        tail = _record(lines[-1])
+    except PersistError:
         raise PersistError(
             f"torn checkpoint {path}: no digest line"
         ) from None
-    if not isinstance(tail, dict) or tail.get("type") != "digest":
+    if tail.get("type") != "digest":
         raise PersistError(f"torn checkpoint {path}: no digest line")
     body = "".join(line + "\n" for line in lines[:-1]).encode()
     if tail.get("algo") != "sha256":
@@ -149,16 +205,14 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
         raise PersistError(f"checkpoint {path}: content digest mismatch")
     if tail.get("records") != len(lines) - 1:
         raise PersistError(f"checkpoint {path}: record count mismatch")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise PersistError(f"checkpoint {path}: bad header: {exc}") from None
+    header = _record(lines[0])
     if header.get("type") != "checkpoint":
         raise PersistError(f"checkpoint {path}: missing header record")
-    if header.get("v") not in (1, CHECKPOINT_VERSION):
+    version = header.get("v")
+    if version not in _READABLE_VERSIONS:
         raise PersistError(
-            f"unsupported checkpoint version {header.get('v')!r} "
-            f"(this build reads versions 1 to {CHECKPOINT_VERSION})"
+            f"unsupported checkpoint version {version!r} "
+            f"(this build reads versions {_READABLE_VERSIONS})"
         )
     if header.get("spec_schema") != SPEC_SCHEMA_VERSION:
         raise PersistError(
@@ -168,12 +222,7 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
     objects: list[dict[str, Any]] = []
     queries: list[dict[str, Any]] = []
     for line in lines[1:-1]:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:  # pragma: no cover - sealed
-            raise PersistError(
-                f"checkpoint {path}: bad record: {exc}"
-            ) from None
+        record = _record(line)
         rtype = record.get("type")
         if rtype == "object":
             objects.append(record)
@@ -187,13 +236,21 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
         "n_queries"
     ):
         raise PersistError(f"checkpoint {path}: body/header count mismatch")
+    header.setdefault("extra", {})
+    for name, kind in _HEADER_FIELDS:
+        value = header.get(name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise PersistError(
+                f"checkpoint {path}: header field {name} is {value!r}"
+            )
     # A version-1 header's "reach_epoch" is read past, not restored.
     return CheckpointState(
         config=header["config"],
         space=header["space"],
-        topology_version=int(header["topology_version"]),
-        next_auto_id=int(header["next_auto_id"]),
+        topology_version=header["topology_version"],
+        next_auto_id=header["next_auto_id"],
         objects=objects,
         queries=queries,
-        extra=header.get("extra", {}),
+        extra=header["extra"],
+        version=version,
     )

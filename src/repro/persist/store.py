@@ -260,7 +260,9 @@ class CheckpointStore:
             if (seq := _seq_of(path)) is not None and seq >= chosen["seq"]
         )
         for _seq, path in segments:
-            with open(path, encoding="utf-8") as fp:
+            # A byte that is not UTF-8 survives as a lone surrogate,
+            # which the record decoder rejects like any malformed line.
+            with open(path, encoding="utf-8", errors="surrogateescape") as fp:
                 for record in read_wal(fp, stats):
                     _replay_record(service, record)
         report.restored_seq = chosen["seq"]

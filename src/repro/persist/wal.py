@@ -12,12 +12,20 @@ auto-allocated query ids all bit-identical.
 One JSON object per line, canonical encoding, ``"w"`` stamping
 :data:`WAL_VERSION`::
 
-    {"w":1,"op":"watch","query_id":"irq-2","spec":{...},"next_auto":3}
-    {"w":1,"op":"unwatch","query_id":"irq-2"}
-    {"w":1,"op":"moves","moves":[{...move...}, ...]}
-    {"w":1,"op":"insert","object":{...}}
-    {"w":1,"op":"delete","object_id":"o7"}
-    {"w":1,"op":"event","body":{"event":"close_door","door_id":"d3"}}
+    {"next_auto":3,"op":"watch","query_id":"irq-2","spec":{...},"w":2}
+    {"op":"unwatch","query_id":"irq-2","w":2}
+    {"moves":[{"center":[4.0,5.0,0],"id":"o1","radius":1.5,
+      "xy":"AAAAAAAAEEAAAAAAAAAUQA=="}, ...],"op":"moves","w":2}
+    {"object":{"center":[...],"id":"o9","probs":"...","radius":2.0,
+      "xy":"..."},"op":"insert","w":2}
+    {"object_id":"o7","op":"delete","w":2}
+    {"body":{"door_id":"d3","event":"close_door"},"op":"event","w":2}
+
+A location's ``xy`` (and ``probs``, omitted when uniform) are packed
+little-endian float64 bytes in base64 — see :mod:`repro.persist.codec`.
+**Version 2** introduced the packed form; the reader still accepts
+version 1 lines, whose locations are ``repr``-float lists, so a segment
+written before the change replays unchanged.  Other versions raise.
 
 ``watch`` carries ``next_auto`` — the service's auto-id counter *after*
 the registration — because replay registers by explicit id: without
@@ -27,14 +35,19 @@ shared across kinds, so an ``iknn-3`` minted before the crash must
 leave ``irq-…`` allocation at 4, not 3).
 
 Each record is flushed (and fsynced when the stream exposes a file
-descriptor) as it is written — the WAL is the durability boundary.  A
-process killed mid-write leaves at most one torn final line, which
-:func:`read_wal` skips and counts exactly like the feed reader's
-torn-tail rule; corruption anywhere earlier raises.
+descriptor) as it is written — the WAL is the durability boundary; a
+failed fsync raises :class:`~repro.errors.PersistError` out of the
+write.  A process killed mid-write leaves at most one torn final line,
+which :func:`read_wal` skips and counts exactly like the feed reader's
+torn-tail rule; corruption anywhere earlier raises.  Every malformed
+line — bad JSON, a non-ASCII byte, an unknown version or op, an
+invalid location, spec or event — is a ``PersistError``, so the rule
+sees all of them.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -42,7 +55,7 @@ from typing import IO, Any, Iterable, Iterator
 
 from repro.api.specs import QuerySpec, spec_from_dict
 from repro.api.wire import FeedReadStats
-from repro.errors import PersistError, QueryError
+from repro.errors import PersistError, ReproError
 from repro.objects.population import ObjectMove
 from repro.objects.uncertain import UncertainObject
 from repro.persist.codec import (
@@ -56,7 +69,12 @@ from repro.persist.codec import (
 from repro.space.events import TopologyEvent
 
 #: Version stamped into every WAL line; readers reject unknown ones.
-WAL_VERSION = 1
+#: v2 packs object locations (base64 float64 bytes).
+WAL_VERSION = 2
+
+#: Versions :func:`decode_wal_record` accepts.  v1 writes locations as
+#: float lists; the list decoder reads them.
+_READABLE_VERSIONS = (1, WAL_VERSION)
 
 
 @dataclass(frozen=True)
@@ -166,43 +184,58 @@ def encode_wal_record(record: WalRecord) -> str:
     return _dumps(payload)
 
 
+def _logged_spec(payload: Any) -> QuerySpec:
+    """The spec of a ``watch`` record; one the writer could not have
+    logged (a non-finite point or range) is malformed."""
+    spec = spec_from_dict(payload)
+    try:
+        json.dumps(spec.to_dict(), allow_nan=False)
+    except ValueError:
+        raise PersistError(f"non-finite spec in WAL watch: {spec}") from None
+    return spec
+
+
 def decode_wal_record(line: str) -> WalRecord:
     """Inverse of :func:`encode_wal_record`; raises ``PersistError``."""
+    if not line.isascii():  # the canonical encoding escapes the rest
+        raise PersistError("malformed WAL line: non-ASCII character")
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # or too many digits
         raise PersistError(f"malformed WAL line: {exc}") from None
     if not isinstance(data, dict):
         raise PersistError(f"WAL record must be an object, got {data!r}")
-    if data.get("w") != WAL_VERSION:
+    version = data.get("w")
+    if version not in _READABLE_VERSIONS:
         raise PersistError(
-            f"unsupported WAL version {data.get('w')!r} "
-            f"(this build reads version {WAL_VERSION})"
+            f"unsupported WAL version {version!r} "
+            f"(this build reads versions {_READABLE_VERSIONS})"
         )
+    packed = version >= 2
     op = data.get("op")
     try:
         if op == "watch":
+            next_auto = data["next_auto"]
+            if not isinstance(next_auto, int) or isinstance(next_auto, bool):
+                raise TypeError(f"next_auto {next_auto!r} is not an int")
             return WalWatch(
-                str(data["query_id"]),
-                spec_from_dict(data["spec"]),
-                int(data["next_auto"]),
+                str(data["query_id"]), _logged_spec(data["spec"]), next_auto
             )
         if op == "unwatch":
             return WalUnwatch(str(data["query_id"]))
         if op == "moves":
-            return WalMoves(
-                tuple(move_from_dict(m) for m in data["moves"])
-            )
+            moves = data["moves"]
+            if not isinstance(moves, list):
+                raise TypeError(f"moves must be a list, got {moves!r}")
+            return WalMoves(tuple(move_from_dict(m, packed) for m in moves))
         if op == "insert":
-            return WalInsert(object_from_dict(data["object"]))
+            return WalInsert(object_from_dict(data["object"], packed))
         if op == "delete":
             return WalDelete(str(data["object_id"]))
         if op == "event":
             return WalEvent(event_from_dict(data["body"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ReproError) as exc:
         raise PersistError(f"malformed WAL {op!r} record: {exc}") from None
-    except QueryError as exc:  # bad embedded spec
-        raise PersistError(f"malformed WAL watch record: {exc}") from None
     raise PersistError(f"unknown WAL op {op!r}")
 
 
@@ -221,13 +254,22 @@ class WalWriter:
         self.records_written = 0
 
     def write(self, record: WalRecord) -> None:
-        """Append ``record`` and make it durable (flush + fsync)."""
+        """Append ``record`` and make it durable (flush + fsync).
+
+        An ``fsync`` failure (``EIO``, ``ENOSPC``, …) raises
+        ``PersistError``: the record may not be on disk, and the verb
+        that logged it must not return as if it were."""
         self._fp.write(encode_wal_record(record) + "\n")
         self._fp.flush()
         try:
-            os.fsync(self._fp.fileno())
-        except (OSError, ValueError, AttributeError):
-            pass  # in-memory streams (tests) have no descriptor
+            fd = self._fp.fileno()
+        except (io.UnsupportedOperation, AttributeError):
+            fd = None  # an in-memory stream has no descriptor to sync
+        if fd is not None:
+            try:
+                os.fsync(fd)
+            except OSError as exc:
+                raise PersistError(f"WAL fsync failed: {exc}") from None
         self.records_written += 1
 
     def rotate(self, fp: IO[str]) -> IO[str]:

@@ -11,9 +11,13 @@ version, mid-log corruption) with recovery falling back to the
 previous manifest entry rather than restoring silently-wrong state.
 """
 
+import errno
 import hashlib
+import io
 import json
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +36,14 @@ from repro.objects.generator import MovementStream
 from repro.objects.population import ObjectMove
 from repro.persist import (
     CheckpointStore,
+    WalDelete,
+    WalWriter,
     read_checkpoint,
     recover,
     write_checkpoint,
 )
+from repro.persist import wal as wal_module
+from repro.persist.codec import object_from_dict, object_to_dict
 from repro.queries import QueryMonitor
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
@@ -63,6 +71,9 @@ def five_rooms_index(five_rooms):
 Q1 = Point(5.0, 5.0, 0)
 Q3 = Point(25.0, 5.0, 0)
 
+FIXTURE_STORE = Path(__file__).resolve().parents[1] / "fixtures" / "store_v1"
+WAL_OPS = {"watch", "unwatch", "moves", "insert", "delete", "event"}
+
 
 def _delta_key(delta):
     """Everything a delta says, as a comparable value — bit-identity
@@ -81,19 +92,37 @@ def _batch_keys(batch):
     return [_delta_key(d) for d in batch if not d.is_empty]
 
 
+def _list_form(record):
+    """An object record as checkpoint versions 1 and 2 wrote it: the
+    location as ``repr``-float lists instead of packed bytes."""
+    obj = object_from_dict(record)
+    record = dict(record)
+    record["xy"] = obj.instances.xy.tolist()
+    record["probs"] = obj.instances.probs.tolist()
+    return record
+
+
+def _canonical(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _rewrite_header(path, config, header):
     """Add ``config`` keys and ``header`` keys to a checkpoint's header
-    record and re-seal the file, as a build that wrote them would."""
+    record and re-seal the file, as a build that wrote them would (an
+    older version's file also carries its objects in the list form)."""
     lines = path.read_text().splitlines()
     head, digest = json.loads(lines[0]), json.loads(lines[-1])
     head["config"].update(config)
     head.update(header)
-    lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":"))
+    lines[0] = _canonical(head)
+    if head["v"] < 3:
+        for i, line in enumerate(lines[1:-1], start=1):
+            record = json.loads(line)
+            if record["type"] == "object":
+                lines[i] = _canonical(_list_form(record))
     body = "".join(line + "\n" for line in lines[:-1])
     digest["hex"] = hashlib.sha256(body.encode()).hexdigest()
-    path.write_text(
-        body + json.dumps(digest, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    path.write_text(body + _canonical(digest) + "\n")
 
 
 def _mall_world(seed=7, n_objects=40):
@@ -298,8 +327,9 @@ class TestServiceRoundTrip:
                 {"n_shards": 4, "workers": 2, "bucketed_router": True},
                 {"v": 1, "reach_epoch": [0, 2, 0, 1]},
             ),
+            ({"n_shards": 1}, {"v": 2}),
         ],
-        ids=["scalar", "vector", "thread", "process", "v1-sharded"],
+        ids=["scalar", "vector", "thread", "process", "v1-sharded", "v2"],
     )
     def test_checkpoint_naming_a_bounds_kernel_still_restores(
         self, tmp_path, config, header
@@ -343,6 +373,35 @@ class TestServiceRoundTrip:
         state = read_checkpoint(path)
         state.config["kernal"] = "vector"
         with pytest.raises(PersistError, match="unusable config"):
+            QueryService.from_state(state)
+        service.close()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda objects: objects.append(dict(objects[0])),
+            lambda objects: objects[0].update(
+                object_to_dict(_point_object("near", 500.0, 500.0))
+            ),
+            lambda objects: objects[0].update(center=[4.0, 5.0, 9]),
+            lambda objects: objects[0].update(xy="AAAA"),
+            lambda objects: objects[0].update(probs=[1.0]),
+            lambda objects: objects[0].pop("id"),
+        ],
+        ids=[
+            "duplicate-id", "off-the-map", "no-such-floor", "bad-xy",
+            "list-probs", "no-id",
+        ],
+    )
+    def test_unusable_object_record_fails_closed(
+        self, five_rooms_index, tmp_path, corrupt
+    ):
+        service = QueryService(five_rooms_index)
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        state = read_checkpoint(path)
+        corrupt(state.objects)
+        with pytest.raises(PersistError):
             QueryService.from_state(state)
         service.close()
 
@@ -631,3 +690,108 @@ class TestStoreRecovery:
         assert recovered.result_distances("kiosk") == \
             service.result_distances("kiosk")
         self._close(service, recovered)
+
+
+# ---------------------------------------------------------------------
+# WAL durability and a store written before the packed format
+# ---------------------------------------------------------------------
+
+
+class TestWalFsync:
+    def test_fsync_failure_raises_out_of_the_verb(
+        self, five_rooms_index, tmp_path, monkeypatch
+    ):
+        """An ``EIO`` / ``ENOSPC`` from ``fsync`` on a real segment is
+        not swallowed: the verb that logged the record raises
+        ``PersistError`` instead of returning as if it were durable."""
+        service = QueryService(five_rooms_index)
+        store = CheckpointStore(tmp_path)
+        store.attach(service)
+        writer = service._wal
+        service.ingest([_point_move("far", 6.0, 5.0)])
+        assert writer.records_written == 1
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(wal_module.os, "fsync", failing_fsync)
+        with pytest.raises(PersistError, match="fsync"):
+            service.ingest([_point_move("far", 25.0, 5.0)])
+        with pytest.raises(PersistError, match="fsync"):
+            service.watch(RangeSpec(Q3, 6.0))
+        assert writer.records_written == 1
+        TestStoreRecovery._close(service)
+
+    def test_a_stream_without_a_descriptor_is_not_synced(
+        self, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(wal_module.os, "fsync", synced.append)
+        stream = io.StringIO()
+        writer = WalWriter(stream)
+        writer.write(WalDelete("o1"))
+        assert synced == []
+        assert stream.getvalue() == '{"object_id":"o1","op":"delete","w":2}\n'
+
+
+class TestPreChangeStore:
+    """``tests/fixtures/store_v1`` was written by the list-form writer:
+    a version-2 checkpoint and a version-1 WAL segment on the five-rooms
+    world.  The checkpoint holds one watch of every kind (iRQ, ikNNQ,
+    iPRQ, count, occupancy) over uniform and non-uniform objects; the
+    segment holds more watches of every kind, moves (one with
+    non-uniform probabilities), an insert, a delete, a door close and
+    an unwatch.  ``expected.json`` is what the writing service held at
+    the end."""
+
+    def _copy(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(FIXTURE_STORE, root)
+        return root, json.loads((root / "expected.json").read_text())
+
+    def test_fixture_is_the_old_format(self, tmp_path):
+        root, _ = self._copy(tmp_path)
+        ckpt = (root / "checkpoint-000001.jsonl").read_text().splitlines()
+        assert json.loads(ckpt[0])["v"] == 2
+        objects = [json.loads(x) for x in ckpt if '"type":"object"' in x]
+        assert all(isinstance(o["xy"], list) for o in objects)
+        wal = (root / "wal-000001.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in wal]
+        assert {r["w"] for r in records} == {1}
+        assert {r["op"] for r in records} == WAL_OPS
+
+    def test_recovers_to_the_recorded_results(self, tmp_path):
+        root, expected = self._copy(tmp_path)
+        service, report = CheckpointStore(root).recover()
+        assert (report.restored_seq, report.wal_records) == (1, 13)
+        assert report.torn_tail == report.fell_back == 0
+        results = {
+            qid: service.result_distances(qid) for qid in service.query_ids()
+        }
+        assert results == expected["results"]
+        assert sorted(service.index.population.ids()) == expected["objects"]
+        assert service.index.space.topology_version == \
+            expected["topology_version"]
+        assert service._id_counter.value == expected["next_auto_id"]
+
+        # The fresh post-recovery checkpoint is the current, packed
+        # format, and holds the same instance bytes the engine does.
+        fresh = root / f"checkpoint-{report.checkpoint_seq:06d}.jsonl"
+        state = read_checkpoint(fresh)
+        assert state.version == 3
+        assert json.loads(fresh.read_text().splitlines()[0])["v"] == 3
+        assert all(isinstance(o["xy"], str) for o in state.objects)
+        packed_probs = {o["id"] for o in state.objects if "probs" in o}
+        assert packed_probs == {"late", "skew"}
+        for obj in state.uncertain_objects():
+            live = service.index.population.get(obj.object_id)
+            assert obj.instances.xy.tobytes() == live.instances.xy.tobytes()
+            assert obj.instances.probs.tobytes() == \
+                live.instances.probs.tobytes()
+
+        # ... and recovers again to the same results.
+        again, report2 = CheckpointStore(root).recover()
+        assert report2.restored_seq == report.checkpoint_seq
+        results = {q: again.result_distances(q) for q in again.query_ids()}
+        assert results == expected["results"]
+        TestStoreRecovery._close(service, again)

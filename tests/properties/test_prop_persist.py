@@ -47,6 +47,14 @@ def _batch_keys(batch):
     )
 
 
+def _close(service):
+    """Close ``service`` and the WAL segment its store attached."""
+    service.close()
+    writer = service.detach_wal()
+    if writer is not None:
+        writer.rotate(None).close()
+
+
 def _random_specs(space, rng):
     return [
         RangeSpec(space.random_point(rng=rng), rng.uniform(15.0, 60.0)),
@@ -146,8 +154,10 @@ class TestCrashRecoveryProperty:
             # the same id in both engines.
             probe = KNNSpec(space.random_point(seed=seed + 2), 3)
             assert recovered.watch(probe) == twin.watch(probe)
-            recovered.close()
+            _close(recovered)
         finally:
+            # The crashed service's segment stays open until here, as
+            # a dead process's would until the kernel reaped it.
+            _close(service)
             shutil.rmtree(root, ignore_errors=True)
-            service.close()
             twin.close()
