@@ -36,9 +36,13 @@ is judged on.
 ``peak_rss_mb`` is bounded against a PR's own parent, so it can creep
 from PR to PR without any one of them failing.  ``rss_since_baseline``
 therefore also sets the change's median reading, per workload, against
-the ``parent`` column of the child checkout's ``BENCH_18.json`` (the
-footprint before the block kernel, the columnar table and everything
-after them); the file is read before the first run starts.
+one column of an earlier trajectory file in the child checkout
+(:data:`RSS_BASELINE`, :data:`RSS_BASELINE_SIDE`; the file is read
+before the first run starts) and gives each row a verdict: above
+:data:`RSS_BUDGET` times the baseline it is ``over_budget``, else
+``within_budget``.  The verdicts are printed, and any row over budget
+makes the script exit 1 — the memory ratchet: whatever resident set a
+change adds stays on the books until a later change gives it back.
 """
 
 from __future__ import annotations
@@ -72,9 +76,17 @@ TRACED = (
     "engine.refined_per_result",
 )
 SIDES = ("parent", "change")
-#: The trajectory file, in the child checkout, whose ``parent`` column
-#: ``rss_since_baseline`` is read against (ROADMAP standing rule).
-RSS_BASELINE = "BENCH_18.json"
+#: The trajectory file, in the child checkout, and the side of its
+#: ``gated`` table that ``rss_since_baseline`` is read against (ROADMAP
+#: standing rule): the footprint once the index stopped keeping a
+#: second copy of its object -> units table.  Until then the baseline
+#: was ``BENCH_18.json``'s ``parent`` column, the footprint before the
+#: block kernel and the columnar table.
+RSS_BASELINE = "BENCH_32.json"
+RSS_BASELINE_SIDE = "change"
+#: A change whose median ``peak_rss_mb`` exceeds the baseline's by more
+#: than this factor is over budget.
+RSS_BUDGET = 1.05
 
 
 def run_side(checkout: Path, seed: int, traced: bool = True) -> dict:
@@ -158,21 +170,27 @@ def judge(pairs: list[tuple[float, float]], better: str, bound: float) -> dict:
 
 
 def rss_since(gated: dict, readings: dict) -> dict:
-    """Per workload: the median ``peak_rss_mb`` of the ``parent`` side
-    of the baseline trajectory file's ``gated`` table (over its seeds),
-    the median of this run's change side, and their ratio."""
+    """Per workload: the median ``peak_rss_mb`` of the
+    :data:`RSS_BASELINE_SIDE` side of the baseline trajectory file's
+    ``gated`` table (over its seeds), the median of this run's change
+    side, their ratio and its verdict against :data:`RSS_BUDGET`."""
     table = {}
     for (workload, name), pairs in readings.items():
         if name != "peak_rss_mb":
             continue
         then = statistics.median(
-            seed[workload]["parent"][name] for seed in gated.values()
+            seed[workload][RSS_BASELINE_SIDE][name]
+            for seed in gated.values()
         )
         now = statistics.median(change for _, change in pairs)
+        ratio = now / then
         table[workload] = {
-            "baseline_parent": then,
+            "baseline": then,
             "change": now,
-            "ratio": now / then,
+            "ratio": ratio,
+            "verdict": (
+                "over_budget" if ratio > RSS_BUDGET else "within_budget"
+            ),
         }
     return table
 
@@ -255,8 +273,9 @@ def main(argv: list[str] | None = None) -> int:
                     "[parent, change] readings, each side's quartiles, "
                     "the pairs the change won or lost and the "
                     "choosing-metrics verdict. 'rss_since_baseline' sets "
-                    "the change's median peak_rss_mb against the parent "
-                    "column of an earlier trajectory file. A side "
+                    "the change's median peak_rss_mb against one column "
+                    "of an earlier trajectory file, over budget above "
+                    "the factor it names. A side "
                     "measured from an uncommitted working tree reports "
                     "the git_sha of the "
                     "commit beneath it. Written by "
@@ -267,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
                 "paired": paired,
                 "rss_since_baseline": {
                     "file": RSS_BASELINE,
+                    "side": RSS_BASELINE_SIDE,
+                    "budget": RSS_BUDGET,
                     "peak_rss_mb": since,
                 },
                 "runs": runs,
@@ -294,15 +315,23 @@ def main(argv: list[str] | None = None) -> int:
             )
     for workload, row in since.items():
         print(
-            f"since {RSS_BASELINE} {workload:13s} peak_rss_mb "
-            f"{row['baseline_parent']:.4g} -> {row['change']:.4g} "
-            f"(x{row['ratio']:.3f})"
+            f"since {RSS_BASELINE} {RSS_BASELINE_SIDE} {workload:13s} "
+            f"peak_rss_mb {row['baseline']:.4g} -> {row['change']:.4g} "
+            f"(x{row['ratio']:.3f}): {row['verdict']}"
         )
     print(f"wrote {out}")
+    status = 0
     if wrong:
         print("wrong or failed operations in: " + ", ".join(wrong))
-        return 1
-    return 0
+        status = 1
+    over = [w for w, row in since.items() if row["verdict"] == "over_budget"]
+    if over:
+        print(
+            f"peak_rss_mb over x{RSS_BUDGET} of {RSS_BASELINE} "
+            f"{RSS_BASELINE_SIDE} in: " + ", ".join(over)
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ Three layers over one tree:
   with the ``M_s2s`` matrix and the skeleton distance of Definition 2);
 * **Topological layer** — door links between leaf partitions (a de facto
   doors graph integrated into the index);
-* **Object layer** — per-leaf object buckets plus the ``o-table`` and
-  ``h-table`` mappings, mirrored into the columnar
-  :class:`ObjectColumns` table that RangeSearch and the bounds kernel
-  read.
+* **Object layer** — the ``h-table`` (unit -> partition) and the
+  columnar :class:`ObjectColumns` table that RangeSearch and the bounds
+  kernel read: its unit rows are the ``o-table`` (object -> units), and
+  each leaf's object bucket is derived from them on read.
 
 :class:`CompositeIndex` ties the layers together and provides
 RangeSearch (Algorithm 4) plus the dynamic operations of Section III-C.
@@ -21,7 +21,7 @@ from repro.index.rstar import RStarTree, TreeNode
 from repro.index.bulk import str_bulk_load
 from repro.index.indr import IndexUnit, IndRTree
 from repro.index.skeleton import SkeletonTier
-from repro.index.tables import HTable, OTable
+from repro.index.tables import HTable
 from repro.index.columns import ObjectColumns
 from repro.index.composite import CompositeIndex, RangeSearchResult
 
@@ -32,7 +32,6 @@ __all__ = [
     "IndexUnit",
     "IndRTree",
     "SkeletonTier",
-    "OTable",
     "HTable",
     "ObjectColumns",
     "CompositeIndex",

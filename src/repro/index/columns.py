@@ -23,13 +23,21 @@ one span), the unit arrays (rect, floor,
 partition, rect-MINDIST to the entrances on the unit's floor) and the
 per-floor entrance index.  Per object slot (:class:`_State`): floor,
 entrance legs (and whether they are stale: see the write), the rows of
-the index units the object overlaps (the o-table's buckets,
-slot-major), a span of subregion rows (partition row, mass) and —
+the index units the object overlaps — the paper's o-table (object ->
+units), and the only place the index stores it — a span of subregion
+rows (partition row, mass) and —
 ragged beneath the rows — one ``(emin, emax)`` entry per entry door of
 each row's partition.  Both span columns are bump-allocated: a slot
 whose count changes gets a fresh span at the top, and once the dead
 entries exceed :data:`_DEAD_SHARE` of the live ones the live spans are
-packed down, :data:`_BUILD_CHUNK` slots a pass.  Rows are stored
+packed down, :data:`_BUILD_CHUNK` slots a pass.  The reverse lookup,
+unit -> objects (each leaf's bucket), is not maintained: it is a CSR
+over the unit rows (:meth:`_State.buckets`: offsets per unit, slots
+ascending within each), derived on the first bucket read after a write
+— O(memberships), about 60 KB on world A.  The search does not read it
+(it gathers the passing units straight from the rows); the ikNNQ seed
+expansion, the reference tree walk and :meth:`ObjectColumns.validate`
+do.  Rows are stored
 ragged because a hallway has tens of doors and a room one: padded to
 the widest partition the table is several times larger, and the
 resident set is a gated metric; a block is the same ragged entries
@@ -70,13 +78,17 @@ footprint), :func:`~repro.distances.batch.pack_block` (called by
 
 **Invalidation.**  Both parts are stamped with
 ``space.topology_version``.  A read under a newer version rebuilds the
-whole state from the population and the o-table (door indices, unit
-rows and subregions all move with the topology); the index's
-structural paths (``apply_event``, ``insert_partition``,
-``delete_partition``) additionally drop it outright.  Object writes
-against a dropped or stale state are resolved (the o-table needs the
-units) but not stored — the rebuild will read the object from the
-population.
+whole state from the population (door indices, unit rows and
+subregions all move with the topology), resolving every object afresh
+through the same batched write, :data:`_BUILD_CHUNK` objects a pass;
+an object that overlaps no unit any more — its partition was deleted —
+is left out until it moves back onto the map.  The index's structural
+paths (``apply_event``, ``insert_partition``, ``delete_partition``)
+additionally drop it outright and edit no object's units.  Object
+writes against a dropped or stale state are resolved (a write the
+index cannot hold still raises) but not stored: the population is the
+truth, and the rebuild reads the object from it.  Only the index's own
+build is strict: an object off the map raises there.
 
 **Threading.**  One writer: the index mutation the service already
 serialises.  Readers (one-shot queries on other threads) must not run
@@ -85,7 +97,8 @@ by single assignment under a lock, so a reader sees either the old
 state or the complete new one.  A search writes too — it refills stale
 entrance legs — and two concurrent readers may refill one slot at
 once: both compute and store the same floats, so either order leaves
-the same row.
+the same row.  Likewise two readers may both derive the bucket CSR
+after a write; each publishes the same arrays by one assignment.
 
 Bit-identity with the tree walk
 (:meth:`~repro.index.composite.CompositeIndex.range_search_tree`) and
@@ -117,7 +130,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.indr import IndRTree
 from repro.index.skeleton import SkeletonTier
-from repro.index.tables import OTable
 from repro.objects.instances import check_mass
 from repro.objects.population import ObjectPopulation
 from repro.objects.uncertain import UncertainObject, split_subregions
@@ -181,7 +193,6 @@ class _Staged:
     topology with nothing written yet (see :meth:`_Topology.stage`)."""
 
     objects: list[UncertainObject]
-    unit_ids: list[set[str]]
     unit_rows: np.ndarray  #: flat, object-major, ascending per object
     n_units: np.ndarray
     floor_idx: np.ndarray
@@ -354,23 +365,7 @@ class _Topology:
             & (hi[obj, 1] >= self.u_miny[rows])
         )
         n_units = np.bincount(obj[keep], minlength=len(frame.objects))
-        if not n_units.all():
-            stray = frame.objects[int(np.flatnonzero(n_units == 0)[0])]
-            raise IndexError_(
-                f"object {stray.object_id!r} overlaps no index unit"
-            )
         return rows[keep], n_units
-
-    def _id_sets(
-        self, unit_rows: np.ndarray, n_units: np.ndarray
-    ) -> list[set[str]]:
-        ids = [self.unit_ids[row] for row in unit_rows.tolist()]
-        ends = np.cumsum(n_units).tolist()
-        return [set(ids[b - n : b]) for n, b in zip(n_units.tolist(), ends)]
-
-    def unit_sets(self, objects: list[UncertainObject]) -> list[set[str]]:
-        """The index units each object's uncertainty region overlaps."""
-        return self._id_sets(*self._units(self._frame(objects)))
 
     def legs(
         self, objects: list[UncertainObject], floor_idx: np.ndarray
@@ -403,36 +398,33 @@ class _Topology:
         objects: list[UncertainObject],
         space: IndoorSpace,
         grid: PartitionGrid,
-        unit_sets: list[set[str]] | None = None,
-    ) -> _Staged:
-        """Resolve ``objects`` against this topology: their index units
-        (unless a rebuild hands in the o-table's), their subregions —
-        installed on the objects — and the table rows of each, column
-        for column the floats of :func:`pack_block`.  Raises, having
-        written nothing, when an object overlaps no index unit or a
-        subregion carries no probability mass."""
+        strict: bool = True,
+    ) -> _Staged | None:
+        """Resolve ``objects`` against this topology: their index units,
+        their subregions — installed on the objects — and the table rows
+        of each, column for column the floats of :func:`pack_block`.
+        Raises, having written nothing, when an object overlaps no index
+        unit or a subregion carries no probability mass — except that a
+        rebuild (``strict=False``) leaves an object on no unit out, and
+        gets ``None`` when that is every object."""
         frame = self._frame(objects)
+        unit_rows, n_units = self._units(frame)
+        if not n_units.all():
+            if strict:
+                stray = objects[int(np.flatnonzero(n_units == 0)[0])]
+                raise IndexError_(
+                    f"object {stray.object_id!r} overlaps no index unit"
+                )
+            # Stranded by a partition deletion (rare: only such a
+            # chunk is framed twice).
+            objects = [o for o, n in zip(objects, n_units.tolist()) if n]
+            if not objects:
+                return None
+            frame = self._frame(objects)
+            unit_rows, n_units = self._units(frame)
         n_obj = len(objects)
         starts, xy = frame.starts, frame.xy
         owner = np.repeat(np.arange(n_obj, dtype=np.intp), np.diff(starts))
-        if unit_sets is None:
-            unit_rows, n_units = self._units(frame)
-            unit_sets = self._id_sets(unit_rows, n_units)
-        else:
-            unit_rows = np.array(
-                [
-                    row
-                    for units in unit_sets
-                    for row in sorted(self.unit_row[u] for u in units)
-                ],
-                dtype=np.intp,
-            )
-            n_units = np.array([len(u) for u in unit_sets], dtype=np.intp)
-        if (frame.floor_idx < 0).any():
-            stray = objects[int(np.flatnonzero(frame.floor_idx < 0)[0])]
-            raise IndexError_(
-                f"object {stray.object_id!r} is on a floor without index units"
-            )
 
         # -- subregions: each instance goes to the first candidate, in
         # partition_id order, whose footprint contains it -------------
@@ -540,7 +532,6 @@ class _Topology:
             )
         return _Staged(
             objects,
-            unit_sets,
             unit_rows,
             n_units,
             frame.floor_idx,
@@ -572,6 +563,9 @@ class _State:
         #: Legs not recomputed since the object last moved.
         self.legs_stale = np.zeros(0, dtype=bool)
         self.units = np.full((0, 1), topo.n_units, dtype=np.intp)
+        #: Bumped by every write; :meth:`buckets` is derived per value.
+        self.writes = 0
+        self._buckets: tuple[int, np.ndarray, np.ndarray] | None = None
 
         # -- subregion rows, and ragged beneath them one (emin, emax)
         # entry per entry door of the row's partition; both bump-
@@ -620,6 +614,7 @@ class _State:
         entrance legs are ``legs`` or, when none are given, marked stale
         for the next search that reads them to refill."""
         objects = staged.objects
+        self.writes += 1
         slot_list = [self._slot_for(obj.object_id) for obj in objects]
         slots = np.array(slot_list, dtype=np.intp)
         n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
@@ -712,6 +707,7 @@ class _State:
         slot = self.slot_of.pop(object_id, None)
         if slot is None:
             return
+        self.writes += 1
         # Its spans are dead; the next compaction reclaims them.
         self.row_live -= int(self.row_count[slot])
         self.ent_live -= int(self.ent_count[slot])
@@ -720,6 +716,28 @@ class _State:
         self.units[slot] = self.topo.n_units
         self.objects[slot] = None
         self.free_slots.append(slot)
+
+    # -- reads --------------------------------------------------------
+
+    def buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit -> objects, the inverse of :attr:`units`, as a CSR:
+        ``slots[offsets[u] : offsets[u + 1]]`` are the slots bucketed in
+        unit row ``u``, ascending.  Derived on the first read after a
+        write — one stable sort of the live entries by unit — and kept
+        until the next; two readers may both derive it, and each
+        publishes the same arrays by one assignment."""
+        cached = self._buckets
+        if cached is not None and cached[0] == self.writes:
+            return cached[1], cached[2]
+        n_units = self.topo.n_units
+        flat = self.units[: len(self.objects)].ravel()
+        held = np.flatnonzero(flat < n_units)
+        unit = flat[held].astype(np.int32)
+        order = np.argsort(unit, kind="stable")
+        slots = (held[order] // self.units.shape[1]).astype(np.int32)
+        offsets = offsets_of(np.bincount(unit, minlength=n_units))
+        self._buckets = (self.writes, offsets, slots)
+        return offsets, slots
 
 
 def _bump(
@@ -753,7 +771,6 @@ class ObjectColumns:
         population: ObjectPopulation,
         indr: IndRTree,
         skeleton: SkeletonTier,
-        otable: OTable,
     ) -> None:
         # The layers the table mirrors — not the index that owns both,
         # which would make every discarded index wait for the cycle
@@ -762,7 +779,6 @@ class ObjectColumns:
         self.population = population
         self.indr = indr
         self.skeleton = skeleton
-        self.otable = otable
         self._topo: _Topology | None = None
         self._state: _State | None = None
         self._lock = threading.Lock()
@@ -805,29 +821,31 @@ class ObjectColumns:
                     state = self._state = self._build()
         return state
 
-    def _build(self) -> _State:
+    def build(self) -> None:
+        """Build the table now, strictly: the index's own build, where
+        an object the index cannot hold raises (a rebuild leaves an
+        object on no unit out)."""
+        with self._lock:
+            self._state = self._build(strict=True)
+
+    def _build(self, strict: bool = False) -> _State:
         topo = self._topology()
         state = _State(topo)
-        otable = self.otable
         # Population order = slot order, so a restored engine and a
         # freshly rebuilt one number their objects alike.
-        live = [o for o in self.population if o.object_id in otable]
+        live = list(self.population)
         space, grid = self.space, self.population.grid
         state.reserve(len(live), len(live), 0)
         for i in range(0, len(live), _BUILD_CHUNK):
-            chunk = live[i : i + _BUILD_CHUNK]
-            # The o-table's unit sets, not a fresh resolution: after a
-            # partition was removed it may keep an object on the units
-            # it has left.
             staged = topo.stage(
-                chunk,
-                space,
-                grid,
-                [otable.units_of(o.object_id) for o in chunk],
+                live[i : i + _BUILD_CHUNK], space, grid, strict
             )
-            # A build fills every leg: the first searches after it
-            # refill nothing.
-            state.commit(staged, topo.legs(chunk, staged.floor_idx))
+            if staged is not None:
+                # A build fills every leg: the first searches after it
+                # refill nothing.
+                state.commit(
+                    staged, topo.legs(staged.objects, staged.floor_idx)
+                )
         return state
 
     def layout(self) -> DoorLayout:
@@ -850,22 +868,11 @@ class ObjectColumns:
     # writes (the index's object mutation paths)
     # ------------------------------------------------------------------
 
-    def unit_sets(self, objects: list[UncertainObject]) -> list[set[str]]:
-        """The index units each object's uncertainty region overlaps —
-        ``indr.units_overlapping_rect`` for a whole list, without the
-        tree.  Raises :class:`IndexError_` if one overlaps none."""
-        topo = self._topology()
-        return [
-            units
-            for i in range(0, len(objects), _BUILD_CHUNK)
-            for units in topo.unit_sets(objects[i : i + _BUILD_CHUNK])
-        ]
-
     def stage(self, objects: list[UncertainObject]) -> _Staged:
         """Resolve a non-empty batch of objects about to be inserted or
         moved — units, subregions, table rows — touching nothing but
         the objects' own subregion cache.  Raises where the index could
-        not hold one of them; ``staged.unit_ids`` is for the o-table."""
+        not hold one of them."""
         return self._topology().stage(
             objects, self.space, self.population.grid
         )
@@ -887,6 +894,57 @@ class ObjectColumns:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
+
+    def units_of(self, object_id: str) -> set[str]:
+        """The o-table's object -> units lookup: the index units the
+        object's region overlaps; empty for one the table does not
+        hold."""
+        state = self._fresh()
+        slot = state.slot_of.get(object_id)
+        if slot is None:
+            return set()
+        topo = state.topo
+        return {
+            topo.unit_ids[row]
+            for row in state.units[slot].tolist()
+            if row < topo.n_units
+        }
+
+    def objects_in(self, unit_id: str) -> set[str]:
+        """The o-table's unit -> objects lookup: one leaf's bucket."""
+        self._fresh()
+        return self.held_in([unit_id])
+
+    def held_in(self, unit_ids: list[str]) -> set[str]:
+        """Ids of the objects the table as it stands — current or built
+        for an older topology — buckets in any of ``unit_ids``; empty
+        when none is built.  Never builds: a structural change reads
+        the table it is about to drop."""
+        state = self._state
+        if state is None:
+            return set()
+        offsets, slots = state.buckets()
+        rows = [state.topo.unit_row.get(u) for u in unit_ids]
+        return {
+            state.objects[s].object_id
+            for row in rows
+            if row is not None
+            for s in slots[offsets[row] : offsets[row + 1]].tolist()
+        }
+
+    def partition_objects(self, partition_id: str) -> list[UncertainObject]:
+        """The objects bucketed in any unit of one partition, ascending
+        by slot: one slice of the bucket CSR, since a partition's units
+        are one run of unit rows."""
+        state = self._fresh()
+        topo = state.topo
+        p = topo.part_row.get(partition_id)
+        if p is None:
+            return []
+        offsets, slots = state.buckets()
+        first = topo.p_unit_start[p]
+        mine = slots[offsets[first] : offsets[first + topo.p_unit_count[p]]]
+        return [state.objects[s] for s in sorted(set(mine.tolist()))]
 
     def block(self, objects: list[UncertainObject]) -> ObjectBlock:
         """``objects`` — live objects of the index — as the bounds
@@ -1012,29 +1070,40 @@ class ObjectColumns:
     # ------------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Rows that differ from a fresh :func:`pack_block` of the live
-        object, entrance legs (refilled first where stale) that differ
-        from the scalar distances, overlapping spans, and buckets that
-        disagree with the o-table.  A table that is not built for the
-        current topology holds no rows to check."""
-        state = self._current()
-        if state is None:
-            return []
+        """The table (built first if need be) against structures it
+        does not share: unit rows that differ from the indR-tree walk
+        (``indr.units_overlapping_rect``), a bucket CSR that is not the
+        inverse of the rows, a population object missing although the
+        tree finds units for it, rows that differ from a fresh
+        :func:`pack_block` of a copy of the object, entrance legs
+        (refilled first where stale) that differ from the scalar
+        distances, and overlapping spans."""
+        state = self._fresh()
         topo = state.topo
         space, grid = self.space, self.population.grid
         fh = space.floor_height
-        unit_ids = topo.unit_ids
-        indexed = {
-            o.object_id: o
-            for o in self.population
-            if o.object_id in self.otable
-        }
+        unit_ids, n_units = topo.unit_ids, topo.n_units
         problems = [
-            f"columns hold a row for unindexed object {object_id}"
+            f"columns hold a row for unknown object {object_id}"
             for object_id in state.slot_of
-            if object_id not in indexed
+            if object_id not in self.population
         ]
         live = np.fromiter(state.slot_of.values(), dtype=np.intp)
+        rows = state.units[live]
+        in_unit = rows < n_units
+        inverse = sorted(
+            zip(
+                rows[in_unit].tolist(),
+                np.repeat(live, in_unit.sum(axis=1)).tolist(),
+            )
+        )
+        offsets, slots = state.buckets()
+        csr = zip(
+            np.repeat(np.arange(n_units), np.diff(offsets)).tolist(),
+            slots.tolist(),
+        )
+        if list(csr) != inverse:
+            problems.append("bucket CSR is not the inverse of the unit rows")
         for what, start, count, top in (
             ("row", state.row_start, state.row_count, state.row_top),
             ("entry", state.ent_start, state.ent_count, state.ent_top),
@@ -1046,9 +1115,20 @@ class ObjectColumns:
             if (lo[1:] < hi[:-1]).any() or (hi > top).any():
                 problems.append(f"live {what} spans overlap or pass the top")
         state.refill_legs(live)
-        for oid, obj in indexed.items():
+        for obj in self.population:
+            oid = obj.object_id
+            tree = {
+                unit.unit_id
+                for unit in self.indr.units_overlapping_rect(
+                    obj.bounds(), obj.floor
+                )
+            }
             slot = state.slot_of.get(oid)
-            if slot is None or state.objects[slot] is not obj:
+            if slot is None:
+                if tree:  # else stranded: on no unit, in no bucket
+                    problems.append(f"object {oid} missing from the table")
+                continue
+            if state.objects[slot] is not obj:
                 problems.append(f"object {oid} has no current column row")
                 continue
             # A copy no index owns: its subregions come from the scalar
@@ -1083,12 +1163,12 @@ class ObjectColumns:
                     obj.instances.min_distance_to(e.midpoint, fh)
                     for e in entrances
                 ],
-                "unit buckets": {
+                "unit rows": {
                     unit_ids[row]
                     for row in state.units[slot].tolist()
-                    if row < topo.n_units
+                    if row < n_units
                 }
-                == self.otable.units_of(oid),
+                == tree,
             }
             problems.extend(
                 f"object {oid}: columns disagree on {what}"

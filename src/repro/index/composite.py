@@ -7,20 +7,22 @@ Ties the four pieces together:
 * skeleton tier (:class:`SkeletonTier`) — ``M_s2s`` and Lemma 6;
 * topological layer (:class:`DoorsGraph` adjacency, derived lazily from
   the space and annotated per partition) — inter-partition links;
-* object layer (:class:`OTable` buckets + :class:`HTable` unit mapping),
-  mirrored into the columnar :class:`~repro.index.columns.ObjectColumns`
-  table that RangeSearch and the bounds kernel read.
+* object layer (:class:`HTable` unit mapping + the columnar
+  :class:`~repro.index.columns.ObjectColumns` table, whose unit rows are
+  the o-table and whose derived bucket CSR is each leaf's bucket list)
+  that RangeSearch and the bounds kernel read.
 
 Dynamic operations (Section III-C) mutate the layers incrementally; the
 doors graph and the columns refresh themselves from the space's
 ``topology_version``.  Object updates (III-C.2) are batched array code:
 the columnar table resolves a whole batch — every unit each region
 overlaps, exactly what an indR-tree search returns, plus subregions and
-packed rows — before the population, the o-table or the columns are
-touched, so an index that has absorbed moves equals a freshly built one
-and a batch it cannot hold changes nothing.  The tree serves partition
-maintenance, point location and the reference walk
-:meth:`~CompositeIndex.range_search_tree`.
+packed rows — before the population or the columns are touched, so an
+index that has absorbed moves equals a freshly built one and a batch it
+cannot hold changes nothing.  A structural change drops the table and
+edits no object's units: the next read resolves every object afresh.
+The tree serves partition maintenance, point location and the reference
+walk :meth:`~CompositeIndex.range_search_tree`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.geometry.rect import Box3
 from repro.index.columns import ObjectColumns
 from repro.index.indr import IndexUnit, IndRTree
 from repro.index.skeleton import SkeletonTier
-from repro.index.tables import HTable, OTable
+from repro.index.tables import HTable
 from repro.objects.instances import InstanceSet
 from repro.objects.population import ObjectMove, ObjectPopulation
 from repro.objects.uncertain import UncertainObject
@@ -67,7 +69,6 @@ class CompositeIndex:
         indr: IndRTree,
         skeleton: SkeletonTier,
         doors_graph: DoorsGraph,
-        otable: OTable,
         htable: HTable,
         build_times: dict[str, float],
     ) -> None:
@@ -76,14 +77,12 @@ class CompositeIndex:
         self.indr = indr
         self.skeleton = skeleton
         self.doors_graph = doors_graph
-        self.otable = otable
         self.htable = htable
         self.build_times = build_times
-        #: Per-object packed state + the flattened leaf level; written
-        #: by the object mutation paths below, built on first read.
-        self.columns = ObjectColumns(
-            space, population, indr, skeleton, otable
-        )
+        #: Per-object packed state (the o-table among it) + the
+        #: flattened leaf level; written by the object mutation paths
+        #: below, rebuilt on the first read after a structural change.
+        self.columns = ObjectColumns(space, population, indr, skeleton)
 
     # ------------------------------------------------------------------
     # construction
@@ -119,13 +118,11 @@ class CompositeIndex:
         times["skeleton_tier"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        otable = OTable()
         index = CompositeIndex(
-            space, population, indr, skeleton, doors_graph, otable, htable, times
+            space, population, indr, skeleton, doors_graph, htable, times
         )
-        objects = list(population)
-        for obj, units in zip(objects, index.columns.unit_sets(objects)):
-            otable.add(obj.object_id, units)
+        # Strict: an object off the map raises here.
+        index.columns.build()
         times["object_layer"] = time.perf_counter() - t0
         return index
 
@@ -209,7 +206,7 @@ class CompositeIndex:
                                         use_skeleton) > r:
                         continue
                     result.partitions.add(unit.partition_id)
-                    for object_id in self.otable.objects_in(unit.unit_id):
+                    for object_id in self.columns.objects_in(unit.unit_id):
                         if object_id in seen_objects:
                             continue
                         obj = self.population.get(object_id)
@@ -257,29 +254,26 @@ class CompositeIndex:
 
     def _resolve_units(self, obj: UncertainObject) -> set[str]:
         """Index units overlapping the object's uncertainty region, by
-        indR-tree search.  Partition maintenance re-homes objects with
-        it; the object update paths compute the same set for a whole
-        batch without the tree (:meth:`ObjectColumns.stage`)."""
+        indR-tree search (empty off the map) — the reference for the
+        set the batched write records (:meth:`ObjectColumns.stage`)."""
         units = self.indr.units_overlapping_rect(obj.bounds(), obj.floor)
-        out = {u.unit_id for u in units}
-        if not out:
-            raise IndexError_(
-                f"object {obj.object_id!r} overlaps no index unit"
-            )
-        return out
+        return {u.unit_id for u in units}
 
     def insert_object(self, obj: UncertainObject) -> None:
-        """Insert an object (population + o-table + leaf buckets).  An
-        object the index cannot hold raises before anything changes."""
+        """Insert an object (population + its table row).  An object the
+        index cannot hold raises before anything changes."""
+        if obj.object_id in self.population:
+            raise IndexError_(f"object {obj.object_id!r} already indexed")
         staged = self.columns.stage([obj])
-        if obj.object_id not in self.population:
-            self.population.insert(obj)
-        self.otable.add(obj.object_id, staged.unit_ids[0])
+        self.population.insert(obj)
         self.columns.commit(staged)
 
     def delete_object(self, object_id: str) -> UncertainObject:
-        """Delete an object using the o-table (no tree search)."""
-        self.otable.remove(object_id)
+        """Delete an object: its table row names its slot (no tree
+        search).  An object the table does not hold — stranded off the
+        map — leaves the population all the same."""
+        if object_id not in self.population:
+            raise IndexError_(f"unknown object {object_id!r}")
         self.columns.drop(object_id)
         return self.population.delete(object_id)
 
@@ -300,13 +294,13 @@ class CompositeIndex:
 
         The whole batch is resolved in one array pass over the columnar
         table's topology arrays (:meth:`ObjectColumns.stage`): each
-        object's leaf units, its subregions and its packed table rows.
-        The o-table is then maintained by set *diffing*
-        (:meth:`repro.index.tables.OTable.update`) instead of
-        delete+insert, so an object that stays within its leaf units
-        costs no bucket churn at all.  Returns the moved objects in
-        input order — the continuous query monitor consumes them to
-        maintain standing result sets incrementally.
+        object's leaf units, its subregions and its packed table rows,
+        written by one :meth:`ObjectColumns.commit`.  The unit rows are
+        the o-table; no second copy is maintained — the leaf buckets
+        are derived from them on the next read that wants them.
+        Returns the moved objects in input order — the continuous query
+        monitor consumes them to maintain standing result sets
+        incrementally.
 
         **Exact.**  The recorded unit set of a moved object is
         :meth:`_resolve_units` of its new region — every same-floor
@@ -315,8 +309,8 @@ class CompositeIndex:
         number of moves equals :meth:`build` over the same population,
         and Algorithm 4 keeps Lemma 6's "no false negatives" on it.
 
-        **Atomic.**  Every move is resolved before the population, the
-        o-table or the columns are touched: an unknown id, a region
+        **Atomic.**  Every move is resolved before the population or
+        the columns are touched: an unknown id, a region
         overlapping no index unit and a subregion without probability
         mass all raise here and leave the index exactly as it was — a
         bad batch never leaves a half-applied prefix behind.
@@ -324,10 +318,9 @@ class CompositeIndex:
         A batch may carry several moves for the same object (a fast
         positioning system can re-observe an object twice within one
         collection window): the *last* move wins and the object is
-        diffed/returned exactly once, so consumers never see a stale
+        written/returned exactly once, so consumers never see a stale
         intermediate position.
         """
-        otable = self.otable
         population = self.population
         last_write: dict[str, ObjectMove] = {
             move.object_id: move for move in moves
@@ -335,7 +328,7 @@ class CompositeIndex:
         if not last_write:
             return []
         for object_id in last_write:
-            if object_id not in otable or object_id not in population:
+            if object_id not in population:
                 raise IndexError_(f"unknown object {object_id!r}")
         moved_objects = [
             UncertainObject(
@@ -344,10 +337,9 @@ class CompositeIndex:
             for move in last_write.values()
         ]
         staged = self.columns.stage(moved_objects)
-        for moved, units in zip(moved_objects, staged.unit_ids):
+        for moved in moved_objects:
             population.delete(moved.object_id)
             population.insert(moved)
-            otable.update(moved.object_id, units)
         self.columns.commit(staged)
         return moved_objects
 
@@ -356,7 +348,8 @@ class CompositeIndex:
     # ------------------------------------------------------------------
 
     def insert_partition(self, partition: Partition) -> None:
-        """Index a partition that was just added to the space."""
+        """Index a partition that was just added to the space (the
+        table's rebuild puts the objects over it in its buckets)."""
         self.columns.invalidate()
         units = self.indr.insert_partition(partition)
         for unit in units:
@@ -365,31 +358,25 @@ class CompositeIndex:
             self.skeleton.rebuild()
 
     def delete_partition(self, partition_id: str) -> list[str]:
-        """Un-index a partition; returns ids of objects that overlapped
-        it (their unit sets were re-resolved)."""
+        """Un-index a partition; returns the ids of the objects its
+        units held in the table this drops (none when an earlier
+        structural change already dropped it).  The rebuild resolves
+        them afresh; one left on no unit is out of the table until it
+        moves back onto the map."""
+        held = self.columns.held_in(
+            [
+                unit.unit_id
+                for unit in self.indr.units_of_partition.get(partition_id, ())
+            ]
+        )
         self.columns.invalidate()
         was_staircase = (
             partition_id in self.space.partitions
             and self.space.partition(partition_id).kind
             is PartitionKind.STAIRCASE
         )
-        units = self.indr.delete_partition(partition_id)
-        affected: set[str] = set()
-        for unit in units:
+        for unit in self.indr.delete_partition(partition_id):
             self.htable.remove_unit(unit.unit_id)
-            affected |= self.otable.drop_unit(unit.unit_id)
-        for object_id in affected:
-            obj = self.population.get(object_id)
-            obj.invalidate_subregions()
-            remaining = self.otable.units_of(object_id)
-            self.otable.remove(object_id)
-            try:
-                self.otable.add(object_id, self._resolve_units(obj))
-            except IndexError_:
-                # Object stranded in removed space: keep its remaining
-                # units if any, else drop it from the index.
-                if remaining:
-                    self.otable.add(object_id, remaining)
         if was_staircase:
             self.skeleton.rebuild()
         else:
@@ -397,48 +384,22 @@ class CompositeIndex:
             # event mutates the space first), bumping topology_version —
             # let the skeleton resynchronise from that.
             self.skeleton.ensure_fresh()
-        return sorted(affected)
+        return sorted(held)
 
     def apply_event(self, event: TopologyEvent) -> EventResult:
-        """Apply a topology event to the space and mirror it here."""
-        removed_ids = set()
+        """Apply a topology event to the space and mirror it here; the
+        next read re-homes every object in the new partitions."""
         self.columns.invalidate()
         result = event.apply(self.space)
         for partition in result.removed_partitions:
-            removed_ids.add(partition.partition_id)
             self.delete_partition(partition.partition_id)
         for partition in result.added_partitions:
             self.insert_partition(partition)
-        # Re-home objects that sat in replaced partitions.
-        for partition in result.added_partitions:
-            for unit in self.indr.units_of_partition[partition.partition_id]:
-                for object_id in self._objects_needing(unit):
-                    obj = self.population.get(object_id)
-                    obj.invalidate_subregions()
-                    if object_id in self.otable:
-                        self.otable.remove(object_id)
-                    self.otable.add(object_id, self._resolve_units(obj))
         if result.modified_doors:
             # Doors graph and skeleton refresh lazily off topology_version;
             # nothing structural to do in the tree/object layers.
             self.skeleton.ensure_fresh()
         return result
-
-    def _objects_needing(self, unit: IndexUnit) -> list[str]:
-        """Objects whose region overlaps a newly added unit but whose
-        o-table entry does not yet reference it."""
-        out = []
-        for obj in self.population:
-            if obj.floor != unit.floor:
-                continue
-            if not unit.rect.intersects(obj.bounds()):
-                continue
-            if (
-                obj.object_id not in self.otable
-                or unit.unit_id not in self.otable.units_of(obj.object_id)
-            ):
-                out.append(obj.object_id)
-        return out
 
     # ------------------------------------------------------------------
 
@@ -448,15 +409,6 @@ class CompositeIndex:
         for unit_id in self.indr.units:
             if unit_id not in self.htable:
                 problems.append(f"unit {unit_id} missing from h-table")
-        for obj in self.population:
-            if obj.object_id not in self.otable:
-                problems.append(f"object {obj.object_id} missing from o-table")
-                continue
-            for unit_id in self.otable.units_of(obj.object_id):
-                if unit_id not in self.indr.units:
-                    problems.append(
-                        f"object {obj.object_id} references dead unit {unit_id}"
-                    )
         if not problems:
             problems = self.columns.validate()
         return problems

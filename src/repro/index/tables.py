@@ -1,9 +1,11 @@
-"""The ``o-table`` and ``h-table`` of the object layer (Section III-A).
+"""The ``h-table`` of the object layer (Section III-A): an index unit
+-> the indoor partition it belongs to (the inverse of decomposition).
 
-* ``h-table`` maps an index unit to the indoor partition it belongs to
-  (the inverse of decomposition);
-* ``o-table`` maps an object to the set of index units it overlaps, so
-  object deletion never searches the tree.
+The layer's other mapping, the ``o-table`` (object -> the index units it
+overlaps, so object deletion never searches the tree), is the unit rows
+of the columnar table (:class:`repro.index.columns.ObjectColumns`):
+stored once, as integer rows, with each leaf's bucket derived from them
+on read.
 """
 
 from __future__ import annotations
@@ -57,86 +59,3 @@ class HTable:
 
     def __contains__(self, unit_id: str) -> bool:
         return unit_id in self._unit_to_partition
-
-
-@dataclass
-class OTable:
-    """``{object} -> 2^{index unit}`` (and the reverse buckets).
-
-    The reverse view *is* the object layer's per-leaf bucket list: for a
-    leaf unit, ``objects_in(unit)`` is the bucket of objects overlapping
-    that unit.
-    """
-
-    _object_to_units: dict[str, set[str]] = field(default_factory=dict)
-    _unit_to_objects: dict[str, set[str]] = field(default_factory=dict)
-
-    def add(self, object_id: str, unit_ids: set[str]) -> None:
-        if object_id in self._object_to_units:
-            raise IndexError_(f"object {object_id!r} already indexed")
-        self._object_to_units[object_id] = set(unit_ids)
-        for unit_id in unit_ids:
-            self._unit_to_objects.setdefault(unit_id, set()).add(object_id)
-
-    def remove(self, object_id: str) -> set[str]:
-        units = self._object_to_units.pop(object_id, None)
-        if units is None:
-            raise IndexError_(f"unknown object {object_id!r}")
-        for unit_id in units:
-            bucket = self._unit_to_objects.get(unit_id)
-            if bucket:
-                bucket.discard(object_id)
-                if not bucket:
-                    del self._unit_to_objects[unit_id]
-        return units
-
-    def update(self, object_id: str, unit_ids: set[str]) -> None:
-        """Replace an object's unit set by diffing against the old one.
-
-        Unlike ``remove`` + ``add``, only the buckets of units *entering*
-        or *leaving* the set are touched — the common case of a small
-        movement step that stays within the same leaf units costs zero
-        bucket churn, which is what makes the batched update path of
-        :meth:`repro.index.composite.CompositeIndex.update_objects`
-        amortize.
-        """
-        old = self._object_to_units.get(object_id)
-        if old is None:
-            raise IndexError_(f"unknown object {object_id!r}")
-        new = set(unit_ids)
-        for unit_id in old - new:
-            bucket = self._unit_to_objects.get(unit_id)
-            if bucket:
-                bucket.discard(object_id)
-                if not bucket:
-                    del self._unit_to_objects[unit_id]
-        for unit_id in new - old:
-            self._unit_to_objects.setdefault(unit_id, set()).add(object_id)
-        self._object_to_units[object_id] = new
-
-    def drop_unit(self, unit_id: str) -> set[str]:
-        """Detach a (deleted) unit from every object that overlapped it.
-
-        Returns the affected object ids so the caller can re-resolve
-        their units.
-        """
-        objects = self._unit_to_objects.pop(unit_id, set())
-        for object_id in objects:
-            self._object_to_units.get(object_id, set()).discard(unit_id)
-        return objects
-
-    def units_of(self, object_id: str) -> set[str]:
-        try:
-            return set(self._object_to_units[object_id])
-        except KeyError:
-            raise IndexError_(f"unknown object {object_id!r}") from None
-
-    def objects_in(self, unit_id: str) -> set[str]:
-        """The leaf bucket of one index unit."""
-        return set(self._unit_to_objects.get(unit_id, set()))
-
-    def __contains__(self, object_id: str) -> bool:
-        return object_id in self._object_to_units
-
-    def __len__(self) -> int:
-        return len(self._object_to_units)

@@ -40,8 +40,10 @@ class SeedExpansion:
     """Algorithm 5's greedy partition expansion, resumable.
 
     Expands partitions in order of (greedy) accumulated path length from
-    ``q``, collecting the objects bucketed in each.  :meth:`extend`
-    runs the loop until ``k`` seeds are held; a later call with a larger
+    ``q``, collecting the objects bucketed in each — one slice of the
+    table's bucket CSR per partition, in ascending slot order, so the
+    seed order is the same in every interpreter.  :meth:`extend` runs
+    the loop until ``k`` seeds are held; a later call with a larger
     ``k`` continues from the heap it stopped on — the loop is
     deterministic, so the state is exactly what a restart reaches.
 
@@ -78,12 +80,10 @@ class SeedExpansion:
             if pid in expanded:
                 continue
             expanded.add(pid)
-            for unit in index.indr.units_of_partition.get(pid, ()):
-                for object_id in index.otable.objects_in(unit.unit_id):
-                    if object_id in seen:
-                        continue
-                    seen.add(object_id)
-                    seeds.append(index.population.get(object_id))
+            for obj in index.columns.partition_objects(pid):
+                if obj.object_id not in seen:
+                    seen.add(obj.object_id)
+                    seeds.append(obj)
             for door in space.exit_doors(pid):
                 nbr = door.other_side(pid)
                 if nbr in expanded:

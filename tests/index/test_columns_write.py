@@ -50,7 +50,7 @@ def assert_equals_references(idx, objects):
     space, grid = idx.space, idx.population.grid
     twins = [_twin(obj) for obj in objects]
     for obj, twin in zip(objects, twins):
-        assert idx.otable.units_of(obj.object_id) == idx._resolve_units(obj)
+        assert idx.columns.units_of(obj.object_id) == idx._resolve_units(obj)
         mine = obj.subregions(space, grid)
         ref = twin.subregions(space, grid)
         assert [s.partition_id for s in mine] == [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from monitor_world import assert_buckets_are_the_tree_walk
 from repro.errors import IndexError_, ReproError
 from repro.geometry import Circle, Point, Rect
 from repro.index import CompositeIndex
@@ -36,7 +37,10 @@ class TestBuild:
     def test_layers_built(self, mall_index):
         assert len(mall_index.indr) > 0
         assert mall_index.skeleton.num_entrances == 8
-        assert len(mall_index.otable) == 60
+        assert all(
+            mall_index.columns.units_of(o.object_id)
+            for o in mall_index.population
+        )
         assert mall_index.validate() == []
 
     def test_build_times_recorded(self, mall_index):
@@ -47,7 +51,7 @@ class TestBuild:
 
     def test_empty_population(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
-        assert len(idx.otable) == 0
+        assert idx.columns.objects_in(next(iter(idx.indr.units))) == set()
         assert idx.validate() == []
 
 
@@ -106,15 +110,14 @@ class TestObjectOps:
     def test_insert_object(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))
-        assert "a" in idx.otable
-        units = idx.otable.units_of("a")
-        assert all(idx.htable.partition_of(u) == "r1" for u in units)
+        units = idx.columns.units_of("a")
+        assert units and all(idx.htable.partition_of(u) == "r1" for u in units)
 
     def test_delete_object(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))
         idx.delete_object("a")
-        assert "a" not in idx.otable
+        assert idx.columns.units_of("a") == set()
         assert len(idx.population) == 0
 
     def test_move_object_adjacent(self, five_rooms):
@@ -126,7 +129,7 @@ class TestObjectOps:
             Circle(Point(15, 12, 0), 1.0),
             InstanceSet.uniform(np.array([[15.0, 12.0]]), 0),
         )
-        units = idx.otable.units_of("a")
+        units = idx.columns.units_of("a")
         assert {idx.htable.partition_of(u) for u in units} == {"h"}
 
     def test_move_object_teleport_falls_back(self, five_rooms):
@@ -138,7 +141,7 @@ class TestObjectOps:
             Circle(Point(25, 20, 0), 1.0),
             InstanceSet.uniform(np.array([[25.0, 20.0]]), 0),
         )
-        units = idx.otable.units_of("a")
+        units = idx.columns.units_of("a")
         assert {idx.htable.partition_of(u) for u in units} == {"r5"}
 
     def test_update_objects_dedupes_duplicate_moves(self, five_rooms):
@@ -161,7 +164,7 @@ class TestObjectOps:
         moved = idx.update_objects(moves)
         assert [obj.object_id for obj in moved] == ["a"]
         assert idx.population.get("a").region.center == Point(6.0, 5.0, 0)
-        units = idx.otable.units_of("a")
+        units = idx.columns.units_of("a")
         assert {idx.htable.partition_of(u) for u in units} == {"r1"}
         assert not idx.validate()
 
@@ -174,9 +177,48 @@ class TestObjectOps:
         )
         idx.insert_object(obj)
         pids = {
-            idx.htable.partition_of(u) for u in idx.otable.units_of("wide")
+            idx.htable.partition_of(u) for u in idx.columns.units_of("wide")
         }
         assert {"r1", "r2"} <= pids
+
+
+class TestOTableLookups:
+    """The paper's two o-table lookups, read off the table's unit rows
+    (object -> units) and the bucket CSR derived from them (unit ->
+    objects) — no second copy to keep in step."""
+
+    def test_views_follow_inserts_moves_and_deletes(self, five_rooms):
+        idx = CompositeIndex.build(five_rooms)
+        idx.insert_object(point_obj("a", 5, 5))  # r1
+        wide = UncertainObject(
+            "wide",
+            Circle(Point(10, 5, 0), 4.0),
+            InstanceSet.uniform(np.array([[8.0, 5.0], [12.0, 5.0]]), 0),
+        )
+        idx.insert_object(wide)
+        r1 = idx.columns.units_of("a")
+        for unit_id in r1:
+            assert "a" in idx.columns.objects_in(unit_id)
+        for unit_id in idx.columns.units_of("wide"):
+            assert "wide" in idx.columns.objects_in(unit_id)
+        with pytest.raises(IndexError_):
+            idx.insert_object(point_obj("a", 6, 6))
+        idx.move_object(
+            "a",
+            Circle(Point(25, 20, 0), 1.0),
+            InstanceSet.uniform(np.array([[25.0, 20.0]]), 0),
+        )
+        assert all("a" not in idx.columns.objects_in(u) for u in r1)
+        r5 = idx.columns.units_of("a")
+        assert {idx.htable.partition_of(u) for u in r5} == {"r5"}
+        idx.delete_object("a")
+        assert idx.columns.units_of("a") == set()
+        assert all("a" not in idx.columns.objects_in(u) for u in r5)
+        with pytest.raises(IndexError_):
+            idx.delete_object("a")
+        assert idx.columns.objects_in("no such unit") == set()
+        assert_buckets_are_the_tree_walk(idx)
+        assert idx.validate() == []
 
 
 def _block_arrays(idx, objects):
@@ -196,11 +238,11 @@ def _block_arrays(idx, objects):
 
 def _snapshot(idx):
     """Everything an object update writes: population order and object
-    identity, the o-table, the columnar rows."""
+    identity, the unit rows (the o-table), the columnar rows."""
     objects = list(idx.population)
     return (
         [(o.object_id, id(o)) for o in objects],
-        {o.object_id: idx.otable.units_of(o.object_id) for o in objects},
+        {o.object_id: idx.columns.units_of(o.object_id) for o in objects},
         _block_arrays(idx, objects),
     )
 
@@ -217,7 +259,7 @@ def _move(oid, points, probs=None, floor=0):
 
 class TestUpdateObjectsIsAtomic:
     """A batch whose *last* move cannot be applied raises and leaves
-    the population, the o-table, the columns and every object's
+    the population, the columns and every object's
     identity exactly as they were — the good moves before it included."""
 
     @pytest.fixture
@@ -280,9 +322,10 @@ class TestMovedIndexEqualsBuild:
         stream = MovementStream(space, pop, gen, seed=9)
         for batch in stream.batches(45, 20):
             idx.update_objects(batch)
+            assert_buckets_are_the_tree_walk(idx)
         assert idx.validate() == []
         for obj in pop:
-            units = idx.otable.units_of(obj.object_id)
+            units = idx.columns.units_of(obj.object_id)
             assert units == idx._resolve_units(obj)
 
         copy = ObjectPopulation(space, grid=pop.grid)
@@ -293,7 +336,7 @@ class TestMovedIndexEqualsBuild:
         fresh = CompositeIndex.build(space, copy)
         for obj in pop:
             oid = obj.object_id
-            assert idx.otable.units_of(oid) == fresh.otable.units_of(oid)
+            assert idx.columns.units_of(oid) == fresh.columns.units_of(oid)
             assert _block_arrays(idx, [obj]) == _block_arrays(
                 fresh, [copy.get(oid)]
             )
@@ -319,7 +362,7 @@ class TestTopologyOps:
         affected = idx.delete_partition("r2")
         assert affected == ["wide"]
         pids = {
-            idx.htable.partition_of(u) for u in idx.otable.units_of("wide")
+            idx.htable.partition_of(u) for u in idx.columns.units_of("wide")
         }
         assert pids == {"r1"}
 
@@ -331,7 +374,7 @@ class TestTopologyOps:
         assert idx.locate(Point(8, 5, 0)).partition_id == "r1_b"
         # The object sat at x=5: it must live in exactly the units of the
         # half containing it.
-        pids = {idx.htable.partition_of(u) for u in idx.otable.units_of("a")}
+        pids = {idx.htable.partition_of(u) for u in idx.columns.units_of("a")}
         assert pids <= {"r1_a", "r1_b"}
         assert idx.validate() == []
 
@@ -341,7 +384,7 @@ class TestTopologyOps:
         idx.apply_event(SplitPartition("r1", axis="x", coord=5.0))
         idx.apply_event(MergePartitions(("r1_a", "r1_b"), "r1"))
         assert idx.locate(Point(2, 5, 0)).partition_id == "r1"
-        pids = {idx.htable.partition_of(u) for u in idx.otable.units_of("a")}
+        pids = {idx.htable.partition_of(u) for u in idx.columns.units_of("a")}
         assert pids == {"r1"}
         assert idx.validate() == []
 

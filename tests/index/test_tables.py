@@ -1,9 +1,10 @@
-"""Unit tests for the o-table and h-table."""
+"""Unit tests for the h-table (the o-table is the columnar table's unit
+rows: see ``tests/index/test_composite.py::TestOTableLookups``)."""
 
 import pytest
 
 from repro.errors import IndexError_
-from repro.index import HTable, OTable
+from repro.index import HTable
 
 
 class TestHTable:
@@ -44,46 +45,3 @@ class TestHTable:
     def test_unknown_unit_raises(self):
         with pytest.raises(IndexError_):
             HTable().partition_of("u")
-
-
-class TestOTable:
-    def test_add_and_views(self):
-        o = OTable()
-        o.add("obj1", {"u1", "u2"})
-        o.add("obj2", {"u2"})
-        assert o.units_of("obj1") == {"u1", "u2"}
-        assert o.objects_in("u2") == {"obj1", "obj2"}
-        assert o.objects_in("u9") == set()
-        assert len(o) == 2
-
-    def test_duplicate_object_rejected(self):
-        o = OTable()
-        o.add("obj1", {"u1"})
-        with pytest.raises(IndexError_):
-            o.add("obj1", {"u2"})
-
-    def test_remove(self):
-        o = OTable()
-        o.add("obj1", {"u1", "u2"})
-        assert o.remove("obj1") == {"u1", "u2"}
-        assert o.objects_in("u1") == set()
-        with pytest.raises(IndexError_):
-            o.remove("obj1")
-
-    def test_drop_unit(self):
-        o = OTable()
-        o.add("obj1", {"u1", "u2"})
-        o.add("obj2", {"u1"})
-        affected = o.drop_unit("u1")
-        assert affected == {"obj1", "obj2"}
-        assert o.units_of("obj1") == {"u2"}
-        assert o.units_of("obj2") == set()
-
-    def test_contains(self):
-        o = OTable()
-        o.add("obj1", {"u1"})
-        assert "obj1" in o and "obj2" not in o
-
-    def test_unknown_object_raises(self):
-        with pytest.raises(IndexError_):
-            OTable().units_of("nope")

@@ -2,7 +2,8 @@
 tests: randomized floorplans, standing-query registration and the
 from-scratch equivalence assertion.  Used by
 ``test_prop_monitor.py`` (single monitor vs oracle) and
-``test_prop_deltas.py`` (delta replay)."""
+``test_prop_deltas.py`` (delta replay); the index's bucket ground truth
+by ``test_prop_range_search.py`` and ``tests/index/test_composite.py``."""
 
 import math
 
@@ -36,6 +37,21 @@ def build_world(seed: int, n_objects: int):
     pop = gen.generate(n_objects)
     index = CompositeIndex.build(space, pop)
     return space, gen, pop, index
+
+
+def assert_buckets_are_the_tree_walk(index):
+    """Every leaf bucket the index reads — the CSR its table derives
+    from the unit rows — equals the inverse of each population object's
+    indR-tree walk (``_resolve_units``), which neither search reads."""
+    want: dict[str, set[str]] = {}
+    for obj in index.population:
+        for unit_id in index._resolve_units(obj):
+            want.setdefault(unit_id, set()).add(obj.object_id)
+    got = {
+        unit_id: index.columns.objects_in(unit_id)
+        for unit_id in index.indr.units
+    }
+    assert {u: ids for u, ids in got.items() if ids} == want
 
 
 def register_random_queries(monitor, space, rng):

@@ -10,10 +10,16 @@ the Euclidean ablation, and the table must still mirror the population
 (``CompositeIndex.validate``).
 
 Agreeing with each other is not enough — both searches read the same
-leaf buckets, so a bucket that lost an object fools them alike.  Every
-probe is therefore also held to the ground truth neither can fake,
-Lemma 6 itself: each indexed object whose lower bound to ``q`` is
-within ``r`` is a candidate."""
+unit rows (the tree walk through the bucket CSR derived from them), so
+a bucket that lost an object fools them alike.  Every probe is
+therefore also held to the ground truth neither can fake, Lemma 6
+itself: each indexed object whose lower bound to ``q`` is within ``r``
+is a candidate; and after every step each bucket is held to the
+inverse of the objects' own indR-tree walks.
+
+A deleted partition strands the objects it held until it is restored
+(Fig. 15(c)'s sequence); after the restore every one of them is back in
+the table."""
 
 import math
 import random
@@ -21,12 +27,16 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monitor_world import build_world
+from monitor_world import assert_buckets_are_the_tree_walk, build_world
+from repro.baselines import NaiveEvaluator
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.objects import MovementStream
+from repro.index import CompositeIndex
+from repro.index.columns import _State
+from repro.objects import InstanceSet, MovementStream, UncertainObject
 from repro.space.events import CloseDoor, OpenDoor, SplitPartition
-from repro.space.partition import PartitionKind
+from repro.space.partition import Partition, PartitionKind
 
 #: 0 (point location), room scale, one floor's reach (the test malls
 #: are 100 m wide with 4 m floors, so this straddles the stairs), the
@@ -41,7 +51,9 @@ NEAR_RADII = (0.5, 2.0, 4.0, 8.0)
 
 def _assert_search_agrees(index, space, rng):
     fh = space.floor_height
-    indexed = [o for o in index.population if o.object_id in index.otable]
+    indexed = [
+        o for o in index.population if index.columns.units_of(o.object_id)
+    ]
     points = [space.random_point(rng=rng) for _ in range(3)]
     probes = [(q, RADII) for q in points]
     if indexed:
@@ -141,12 +153,11 @@ class TestColumnarSearchEqualsTreeWalk:
                 oid = rng.choice(sorted(pop.ids()))
                 moved = gen.generate_one()
                 index.move_object(oid, moved.region, moved.instances)
-            # Object writes land on the table the previous search built
-            # (checked here, row by row); a topology event drops it and
-            # the next search rebuilds (checked after).
+            # Object writes land on the table the previous search built;
+            # a topology event drops it and this first read rebuilds.
+            assert_buckets_are_the_tree_walk(index)
             assert index.validate() == []
             _assert_search_agrees(index, space, rng)
-            assert index.validate() == []
 
     @given(seed=st.integers(0, 10_000))
     @settings(
@@ -168,3 +179,132 @@ class TestColumnarSearchEqualsTreeWalk:
         assert index.validate() == []
         for _ in range(3):
             _assert_search_agrees(index, space, rng)
+
+
+class TestBucketsEqualTheTreeWalk:
+    def test_scripted_interleaving(self, count_calls):
+        """Each path that rewrites or drops the unit rows, at least once:
+        moves until a compaction pass ran, a door closed and reopened, a
+        split, and a delete whose slot the next insert reuses.  A CSR
+        that a write does not invalidate fails the check after it."""
+        space, gen, pop, index = build_world(7, n_objects=30)
+        rng = random.Random(7)
+        packs = count_calls(_State, "_pack")
+        assert_buckets_are_the_tree_walk(index)
+        stream = MovementStream(space, pop, gen, seed=8)
+        for batch in stream.batches(60, 10):
+            index.update_objects(batch)
+            assert_buckets_are_the_tree_walk(index)
+            if packs:
+                break
+        assert packs
+        door = sorted(space.doors)[0]
+        for event in (CloseDoor(door), OpenDoor(door)):
+            index.apply_event(event)
+            assert_buckets_are_the_tree_walk(index)
+        _split_a_room(index, space, rng)
+        assert_buckets_are_the_tree_walk(index)
+        victim = sorted(pop.ids())[3]
+        slot = index.columns._state.slot_of[victim]
+        index.delete_object(victim)
+        assert_buckets_are_the_tree_walk(index)
+        new = gen.generate_one()
+        index.insert_object(new)
+        assert index.columns._state.slot_of[new.object_id] == slot
+        assert_buckets_are_the_tree_walk(index)
+        for batch in stream.batches(3, 10):
+            index.update_objects(batch)
+            assert_buckets_are_the_tree_walk(index)
+        assert index.validate() == []
+
+
+def _delete_and_restore(index, space, pids, read_between=False):
+    """Fig. 15(c)'s sequence: remove partitions from the space and the
+    index, then add the same partitions and doors back."""
+    removed = []
+    for pid in pids:
+        partition = space.partitions[pid]
+        doors = [space.doors[d] for d in sorted(partition.door_ids)]
+        space.remove_partition(pid)
+        index.delete_partition(pid)
+        removed.append((partition, doors))
+    if read_between:
+        # The rebuild in between leaves the stranded objects out.
+        assert index.validate() == []
+    for partition, doors in removed:
+        restored = Partition(
+            partition.partition_id,
+            partition.footprint,
+            partition.floor,
+            partition.kind,
+            upper_floor=partition.upper_floor,
+        )
+        space.add_partition(restored)
+        for door in doors:
+            space.add_door(door)
+        index.insert_partition(restored)
+
+
+class TestStrandedObjectsComeBack:
+    def test_object_inside_a_deleted_room(self, five_rooms):
+        index = CompositeIndex.build(five_rooms)
+        p = Point(15, 5, 0)  # fully inside r2
+        index.insert_object(
+            UncertainObject("a", Circle(p, 1.0), InstanceSet.single(p))
+        )
+        _delete_and_restore(index, five_rooms, ["r2"])
+        units = index.columns.units_of("a")
+        assert {index.htable.partition_of(u) for u in units} == {"r2"}
+        found = {o.object_id for o in index.range_search(p, 3.0).objects}
+        oracle = NaiveEvaluator(five_rooms, index.population)
+        assert found == oracle.range_query(p, 3.0) == {"a"}
+        assert index.validate() == []
+        index.delete_object("a")
+        assert len(index.population) == 0
+        assert index.validate() == []
+
+    def test_object_off_the_map_is_out_until_it_comes_back(self, five_rooms):
+        index = CompositeIndex.build(five_rooms)
+        p = Point(15, 5, 0)
+        index.insert_object(
+            UncertainObject("a", Circle(p, 1.0), InstanceSet.single(p))
+        )
+        five_rooms.remove_partition("r2")
+        assert index.delete_partition("r2") == ["a"]
+        assert index.columns.units_of("a") == set()
+        assert index.range_search(Point(5, 5, 0), math.inf).objects == []
+        assert index.validate() == []
+        index.delete_object("a")  # the population is the truth
+        assert "a" not in index.population
+        assert index.validate() == []
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_mall_rooms_deleted_and_restored(self, seed):
+        space, gen, pop, index = build_world(seed, n_objects=40)
+        rng = random.Random(seed ^ 0x15C)
+        rooms = sorted(
+            pid
+            for pid, p in space.partitions.items()
+            if p.kind is PartitionKind.ROOM
+        )
+        victims = rng.sample(rooms, min(3, len(rooms)))
+        _delete_and_restore(index, space, victims, rng.random() < 0.5)
+        assert all(
+            index.columns.units_of(o.object_id)
+            == index._resolve_units(o)
+            != set()
+            for o in pop
+        )
+        assert_buckets_are_the_tree_walk(index)
+        assert index.validate() == []
+        _assert_search_agrees(index, space, rng)
+        stream = MovementStream(space, pop, gen, seed=seed + 1)
+        for batch in stream.batches(3, 10):
+            index.update_objects(batch)
+            assert_buckets_are_the_tree_walk(index)
+        _assert_search_agrees(index, space, rng)
