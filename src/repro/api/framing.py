@@ -36,13 +36,12 @@ chunks.  This module supplies the missing transport layer:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Union
 
 from repro.api import wire
 from repro.api.specs import QuerySpec, spec_from_dict
-from repro.errors import FramingError, WireError
+from repro.errors import FramingError, QueryError, WireError
 
 #: Hard ceiling on one frame's payload size; a larger length prefix is
 #: treated as stream corruption, not a request to buffer without bound.
@@ -116,7 +115,7 @@ class FrameDecoder:
             out.append(payload)
 
     def _next_frame(self) -> str | None:
-        newline = self._buf.find(b"\n")
+        newline = self._buf.find(b"\n", 0, _MAX_HEADER_BYTES + 1)
         if newline < 0:
             if len(self._buf) > _MAX_HEADER_BYTES:
                 raise FramingError(
@@ -138,7 +137,12 @@ class FrameDecoder:
                 f"frame sequence violation: expected {self.expected_seq}, "
                 f"got {seq} (duplicated, dropped or reordered frame)"
             )
-        payload = bytes(self._buf[newline + 1:end]).decode("utf-8")
+        try:
+            payload = bytes(self._buf[newline + 1:end]).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FramingError(
+                f"frame {seq} is not UTF-8 ({exc.reason}): corrupt stream"
+            ) from None
         del self._buf[:end + 1]
         self.expected_seq += 1
         self.frames_decoded += 1
@@ -311,14 +315,14 @@ def encode_net_record(record: NetRecord) -> str:
 
 
 def decode_net_record(line: str) -> NetRecord:
-    """Parse one net-layer line back into its typed record."""
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"malformed wire line: {exc}") from None
+    """Parse one net-layer line back into its typed record (a field
+    of the wrong type is a :class:`~repro.errors.WireError` too)."""
+    data = wire.loads(line)
     if not isinstance(data, dict):
         raise WireError(f"wire record must be an object, got {data!r}")
     rtype = data.get("type")
+    if not isinstance(rtype, str):
+        raise WireError(f"malformed wire record type {rtype!r}")
     if rtype in _CONTROL_TYPES:
         version = data.get("v")
         if version not in wire._READABLE_VERSIONS:
@@ -332,7 +336,7 @@ def decode_net_record(line: str) -> NetRecord:
             hb = data.get("heartbeat_s")
             return HelloRecord(
                 None if token is None else str(token),
-                None if hb is None else float(hb),
+                None if hb is None else wire._finite(hb),
             )
         if rtype == "watch_req":
             spec = data.get("spec")
@@ -357,4 +361,6 @@ def decode_net_record(line: str) -> NetRecord:
         raise WireError(
             f"{rtype} record missing field {exc}"
         ) from None
+    except (TypeError, ValueError, OverflowError, QueryError) as exc:
+        raise WireError(f"malformed {rtype} record: {exc}") from None
     return wire.decode_record(line)

@@ -22,6 +22,7 @@ dict is byte-identical under the canonical JSON encoding of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -64,9 +65,12 @@ def _as_float(value: Any, what: str) -> float:
     if isinstance(value, bool):  # bool is an int subclass: not a number
         raise QueryError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise QueryError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):  # no wire line can carry it
+        raise QueryError(f"{what} must be finite, got {value!r}")
+    return out
 
 
 def _as_int(value: Any, what: str) -> int:

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Iterator
 
-from repro.errors import WireError
+from repro.errors import QueryError, WireError
 from repro.api.specs import QuerySpec, spec_from_dict
 from repro.queries.deltas import DeltaBatch, ResultDelta
 
@@ -86,6 +87,22 @@ def _dumps(payload: dict[str, Any]) -> str:
         raise WireError(f"unencodable wire record: {exc}") from None
     except TypeError as exc:  # non-JSON value smuggled in
         raise WireError(f"unencodable wire record: {exc}") from None
+
+
+def _finite(text: Any) -> float:
+    value = float(text)  # "NaN" / "Infinity" literals arrive here too
+    if not math.isfinite(value):
+        raise WireError(f"non-finite number {text!r}")
+    return value
+
+
+def loads(line: str) -> Any:
+    """``json.loads`` refusing what the encoder never writes: a
+    non-finite number, too many digits, too deep a nesting."""
+    try:
+        return json.loads(line, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError too
+        raise WireError(f"malformed wire line: {exc}") from None
 
 
 def _members_to_wire(
@@ -147,8 +164,6 @@ def _delta_from_body(body: Any) -> ResultDelta:
         )
     except KeyError as exc:
         raise WireError(f"delta record missing field {exc}") from None
-    except ValueError as exc:  # unknown cause
-        raise WireError(str(exc)) from None
 
 
 def encode_record(
@@ -202,11 +217,18 @@ def encode_record(
 def decode_record(
     line: str,
 ) -> QuerySpec | ResultDelta | DeltaBatch | WatchRecord | SnapshotRecord:
-    """Parse one wire line back into its typed record."""
+    """Parse one wire line back into its typed record; a field of the
+    wrong type is a :class:`~repro.errors.WireError` like the rest."""
+    data = loads(line)
     try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"malformed wire line: {exc}") from None
+        return _decode(data)
+    except (TypeError, ValueError, OverflowError, QueryError) as exc:
+        raise WireError(f"malformed wire record: {exc}") from None
+
+
+def _decode(
+    data: Any,
+) -> QuerySpec | ResultDelta | DeltaBatch | WatchRecord | SnapshotRecord:
     if not isinstance(data, dict):
         raise WireError(f"wire record must be an object, got {data!r}")
     version = data.get("v")

@@ -38,7 +38,6 @@ class NaiveEvaluator:
 
     def exact_distance(self, q: Point, obj: UncertainObject) -> float:
         """``|q, O|_I`` via one full Dijkstra (no pruning anywhere)."""
-        self.graph.ensure_fresh()
         dd = self.graph.dijkstra_from_point(q)
         return expected_indoor_distance(
             q, obj, dd, self.space, self.grid
@@ -46,7 +45,6 @@ class NaiveEvaluator:
 
     def all_distances(self, q: Point) -> dict[str, float]:
         """Exact expected distances of every object from ``q``."""
-        self.graph.ensure_fresh()
         dd = self.graph.dijkstra_from_point(q)
         return {
             obj.object_id: expected_indoor_distance(
@@ -94,7 +92,6 @@ class NaiveEvaluator:
         """Exact ``Pr(|q, s|_I <= r)`` for one object: the total mass
         of instances whose indoor distance is within ``r``, from one
         full Dijkstra (no bounds, no pruning)."""
-        self.graph.ensure_fresh()
         dd = self.graph.dijkstra_from_point(q)
         return qualifying_probability(q, obj, dd, self.space, r, self.grid)
 
@@ -107,8 +104,11 @@ class NaiveEvaluator:
             raise QueryError(f"negative query range {r}")
         if not 0.0 < p_min <= 1.0:
             raise QueryError(f"p_min must be in (0, 1], got {p_min}")
+        # One full search serves every object.
+        dd = self.graph.dijkstra_from_point(q)
         return {
             obj.object_id
             for obj in self.population
-            if self.qualifying_probability(q, obj, r) >= p_min
+            if qualifying_probability(q, obj, dd, self.space, r, self.grid)
+            >= p_min
         }

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
+
 from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -28,7 +30,13 @@ from repro.space.grid import PartitionGrid
 
 class PrecomputedDistanceIndex:
     """All-pairs door-to-door shortest distances, plus query evaluation
-    on top of them."""
+    on top of them.
+
+    ``d2d`` is one ``(doors x doors)`` float64 matrix over the doors
+    graph's numbering as of the last :meth:`build` (``numbering``):
+    row ``i`` holds the distances from door ``i``, ``+inf`` where it
+    reaches nothing.
+    """
 
     def __init__(
         self,
@@ -39,7 +47,6 @@ class PrecomputedDistanceIndex:
         self.population = population or ObjectPopulation(space)
         self.graph = DoorsGraph.from_space(space)
         self.grid = self.population.grid or PartitionGrid.build(space)
-        self.d2d: dict[str, dict[str, float]] = {}
         self.build_seconds = 0.0
         self.build()
 
@@ -48,11 +55,10 @@ class PrecomputedDistanceIndex:
     def build(self) -> float:
         """Run |D| single-source Dijkstras; returns the wall-clock cost."""
         t0 = time.perf_counter()
-        self.graph.ensure_fresh()
-        self.d2d = {
-            door_id: self.graph.dijkstra_between_doors(door_id)
-            for door_id in self.space.doors
-        }
+        self.numbering = doors = self.graph.ensure_fresh()
+        rows = map(self.graph.dijkstra_between_doors, doors.door_ids)
+        n = len(doors.door_ids)
+        self.d2d = np.array(list(rows)).reshape(n, n)
         self.build_seconds = time.perf_counter() - t0
         return self.build_seconds
 
@@ -62,10 +68,12 @@ class PrecomputedDistanceIndex:
 
     def door_distance(self, d_from: str, d_to: str) -> float:
         """``|d_from ~> d_to|_I`` from the matrix."""
-        try:
-            return self.d2d[d_from].get(d_to, math.inf)
-        except KeyError:
-            raise QueryError(f"unknown door {d_from!r}") from None
+        index = self.numbering.door_index
+        i = index.get(d_from)
+        if i is None:
+            raise QueryError(f"unknown door {d_from!r}")
+        j = index.get(d_to)
+        return math.inf if j is None else self.d2d.item(i, j)
 
     # ------------------------------------------------------------------
     # query evaluation on the precomputed matrix
@@ -73,22 +81,22 @@ class PrecomputedDistanceIndex:
 
     def door_distances_from(self, q: Point) -> DoorDistances:
         """Per-door distances from a query point, assembled from the
-        matrix instead of a fresh graph search."""
+        matrix instead of a fresh graph search: the ``min`` over the
+        source partition's exit doors of the leg to the door plus its
+        row."""
         located = self.space.locate(q)
         if located is None:
             raise QueryError(f"query point {q} outside every partition")
         source = located.partition_id
         fh = self.space.floor_height
-        dist: dict[str, float] = {}
+        doors = self.numbering
+        w = np.full(len(doors.door_ids), math.inf)
         for dq in self.space.exit_doors(source):
-            leg = q.distance(dq.midpoint, fh)
-            row = self.d2d.get(dq.door_id, {})
-            for ds, through in row.items():
-                total = leg + through
-                if total < dist.get(ds, math.inf):
-                    dist[ds] = total
-        predecessor = {door_id: None for door_id in dist}
-        return DoorDistances(q, source, dist, predecessor)
+            i = doors.door_index[dq.door_id]
+            np.minimum(w, q.distance(dq.midpoint, fh) + self.d2d[i], out=w)
+        w.flags.writeable = False
+        pred = np.full(w.size, -1, dtype=np.int32)  # paths not kept
+        return DoorDistances(q, source, doors.part_row[source], doors, w, pred)
 
     def exact_distance(self, q: Point, obj: UncertainObject) -> float:
         dd = self.door_distances_from(q)

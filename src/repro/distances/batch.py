@@ -19,18 +19,15 @@ all of a monitor's standing queries, one per candidate chunk for a
 one-shot query:
 
 * :class:`DoorLayout` — per topology version, a partition-indexed view
-  of the space's entry doors: door index rows and midpoint arrays,
-  shared by both operands below.
-* a **query-side pack** (:class:`QueryPack`) — a single-source search
-  flattened into one ``(n_doors,)`` weight vector (``+inf`` for a door
-  the search did not reach).  A standing query's
-  pack is built once per topology version and cached on the
-  :class:`~repro.queries.session.QuerySession` with the same
-  pin/unpin/evict lifecycle as the search itself; a one-shot query
-  flattens the search it ran with, per call.  :class:`QueryStack`
-  stacks packs into one ``(Q, n_doors)`` matrix: a monitor's standing
-  queries, rebuilt only on registration churn or a new layout, or the
-  one pack of a one-shot prune.
+  of the space's entry doors in the doors graph's numbering: door
+  index rows and midpoint arrays, shared by both operands below.
+* the **query side** is the search itself: a
+  :class:`~repro.space.doors_graph.DoorDistances` is one ``(n_doors,)``
+  weight vector (``+inf`` for a door it did not reach).
+  :class:`QueryStack` stacks searches into one ``(Q, n_doors)`` matrix:
+  a monitor's standing queries (their session-cached searches), rebuilt
+  only on registration churn or a new layout, or the one search of a
+  one-shot prune.
 * an **object-side pack** (:class:`ObjectBlock`) — every object's
   subregion rows (partition row, mass) and, ragged beneath them, one
   entry per entry door of each row's partition: the door's index and
@@ -145,9 +142,10 @@ from repro.distances.bounds import (
     SubregionStats,
     probabilistic_bounds,
 )
+from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.uncertain import Subregion, UncertainObject
-from repro.space.doors_graph import DoorDistances
+from repro.space.doors_graph import DoorDistances, DoorsCsr
 from repro.space.floorplan import IndoorSpace
 
 
@@ -224,6 +222,8 @@ def own_row_extrema(
 class DoorLayout:
     """Partition-indexed entry-door arrays for one topology version.
 
+    The numbering (``door_index``, ``part_row``) is the doors graph's
+    :class:`~repro.space.doors_graph.DoorsCsr`, never re-derived.
     ``part_row[pid]`` names the row of partition ``pid``;
     ``entry_idx[row]`` holds the global door indices of its entry doors
     (in :meth:`~repro.space.floorplan.IndoorSpace.entry_doors` order —
@@ -250,18 +250,15 @@ class DoorLayout:
         "flat_mid",
     )
 
-    def __init__(self, space: IndoorSpace) -> None:
-        self.topology_version = space.topology_version
-        self.door_index = {
-            door_id: i for i, door_id in enumerate(space.doors)
-        }
-        self.n_doors = len(self.door_index)
-        self.part_row: dict[str, int] = {}
+    def __init__(self, space: IndoorSpace, numbering: DoorsCsr) -> None:
+        self.topology_version = numbering.topology_version
+        self.door_index = numbering.door_index
+        self.n_doors = len(numbering.door_ids)
+        self.part_row = numbering.part_row
         self.entry_idx: list[np.ndarray] = []
         self.entry_mid: list[np.ndarray] = []
-        for pid in space.partitions:
+        for pid in self.part_row:  # in row order
             doors = space.entry_doors(pid)
-            self.part_row[pid] = len(self.entry_idx)
             self.entry_idx.append(
                 np.array(
                     [self.door_index[d.door_id] for d in doors],
@@ -285,29 +282,6 @@ class DoorLayout:
             self.entry_idx + [np.zeros(0, dtype=np.intp)]
         )
         self.flat_mid = np.concatenate(self.entry_mid + [np.zeros((0, 3))])
-
-
-class QueryPack:
-    """The query side of the batched bound: one single-source search
-    (a standing query's cached full Dijkstra, a one-shot query's
-    subgraph search) as a flat door-weight vector over a
-    :class:`DoorLayout`."""
-
-    __slots__ = ("dd", "layout", "w", "source_row")
-
-    def __init__(self, dd: DoorDistances, layout: DoorLayout) -> None:
-        self.dd = dd
-        self.layout = layout
-        n = layout.n_doors
-        w = np.full(n + 1, np.inf)
-        index = layout.door_index
-        # A door the layout does not know (removed since the search)
-        # lands on a scratch slot past the end.
-        w[[index.get(door_id, n) for door_id in dd.dist]] = list(
-            dd.dist.values()
-        )
-        self.w = w[:n]
-        self.source_row = layout.part_row.get(dd.source_partition, -1)
 
 
 @dataclass(slots=True, eq=False)
@@ -435,41 +409,45 @@ def mass_within(
 
 class QueryStack:
     """The query side of a whole ``(queries x objects)`` block: the
-    weight vectors of ``packs`` stacked into one ``(Q, n_doors)``
+    weight vectors of ``searches`` stacked into one ``(Q, n_doors)``
     matrix, so one gather + add + row-min serves every query at once.
 
+    A search of another topology version than the layout's is over
+    another numbering: it raises :class:`~repro.errors.QueryError`.
     ``floors[i]`` is query ``i``'s ``unreached_floor`` — the bound of
-    the cutoff or subgraph-restricted search its pack was flattened
-    from (see :func:`~repro.distances.bounds.subregion_stats`), or the
-    standing iPRQ's ``r + 1.0``; ``None`` leaves an infinite ``tmin``
-    infinite.  A monitor keeps one stack for its standing queries and
-    rebuilds it when they or the layout change; a one-shot prune
-    stacks the one search it ran with.
+    the cutoff or subgraph-restricted search it stacks (see
+    :func:`~repro.distances.bounds.subregion_stats`), or the standing
+    iPRQ's ``r + 1.0``; ``None`` leaves an infinite ``tmin`` infinite.
     """
 
-    __slots__ = ("packs", "layout", "w", "source_row", "source_xyz", "floor")
+    __slots__ = (
+        "searches", "layout", "w", "source_row", "source_xyz", "floor"
+    )
 
     def __init__(
         self,
         layout: DoorLayout,
-        packs: list[QueryPack],
+        searches: list[DoorDistances],
         floors: list[float | None],
     ) -> None:
-        self.packs = packs
+        version = layout.topology_version
+        if any(dd.topology_version != version for dd in searches):
+            raise QueryError(f"a search not of topology version {version}")
+        self.searches = searches
         self.layout = layout
-        self.w = np.array([p.w for p in packs]).reshape(
-            len(packs), layout.n_doors
+        self.w = np.array([dd.w for dd in searches]).reshape(
+            len(searches), layout.n_doors
         )
         self.source_row = np.array(
-            [p.source_row for p in packs], dtype=np.intp
+            [dd.source_row for dd in searches], dtype=np.intp
         )
         #: ``(Q, 3)`` query points, as ``x, y, floor`` columns.
         self.source_xyz = np.array(
             [
-                (p.dd.source.x, p.dd.source.y, float(p.dd.source.floor))
-                for p in packs
+                (dd.source.x, dd.source.y, float(dd.source.floor))
+                for dd in searches
             ]
-        ).reshape(len(packs), 3)
+        ).reshape(len(searches), 3)
         #: ``(Q, 1)`` floor column (``+inf`` = none), or ``None`` when
         #: no query has one.
         self.floor = None
@@ -479,7 +457,7 @@ class QueryStack:
             )
 
     def __len__(self) -> int:
-        return len(self.packs)
+        return len(self.searches)
 
 
 class BoundsRow:
@@ -516,7 +494,7 @@ class BoundsRow:
     )
 
     def __init__(self, bounds: "BlockBounds", i: int) -> None:
-        self.dd = bounds.stack.packs[i].dd
+        self.dd = bounds.stack.searches[i]
         self._arrays = (bounds.lo[i], bounds.tmin[i], bounds.tmax[i])
         self._floats: list[list[float]] | None = None
         self._stack = bounds.stack

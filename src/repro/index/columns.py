@@ -133,6 +133,7 @@ from repro.index.skeleton import SkeletonTier
 from repro.objects.instances import check_mass
 from repro.objects.population import ObjectPopulation
 from repro.objects.uncertain import UncertainObject, split_subregions
+from repro.space.doors_graph import DoorsGraph
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
 
@@ -208,11 +209,12 @@ class _Topology:
     """One topology version's static arrays, and the batched resolution
     of objects against them (see the module docstring)."""
 
-    def __init__(
-        self, space: IndoorSpace, indr: IndRTree, skeleton: SkeletonTier
-    ) -> None:
+    def __init__(self, columns: ObjectColumns) -> None:
+        space, indr, skeleton = columns.space, columns.indr, columns.skeleton
         self.version = space.topology_version
-        self.layout = layout = DoorLayout(space)
+        # The doors graph numbers the layout's doors and partitions.
+        numbering = columns.doors_graph.ensure_fresh()
+        self.layout = layout = DoorLayout(space, numbering)
         self.fh = fh = space.floor_height
         # The layout's entry-door midpoints, one contiguous column each.
         self.mid_x, self.mid_y, self.mid_z = np.ascontiguousarray(
@@ -771,6 +773,7 @@ class ObjectColumns:
         population: ObjectPopulation,
         indr: IndRTree,
         skeleton: SkeletonTier,
+        doors_graph: DoorsGraph,
     ) -> None:
         # The layers the table mirrors — not the index that owns both,
         # which would make every discarded index wait for the cycle
@@ -779,6 +782,7 @@ class ObjectColumns:
         self.population = population
         self.indr = indr
         self.skeleton = skeleton
+        self.doors_graph = doors_graph
         self._topo: _Topology | None = None
         self._state: _State | None = None
         self._lock = threading.Lock()
@@ -797,9 +801,7 @@ class ObjectColumns:
         the way to a rebuild."""
         topo = self._topo
         if topo is None or topo.version != self.space.topology_version:
-            topo = self._topo = _Topology(
-                self.space, self.indr, self.skeleton
-            )
+            topo = self._topo = _Topology(self)
         return topo
 
     def _current(self) -> _State | None:
@@ -849,7 +851,7 @@ class ObjectColumns:
         return state
 
     def layout(self) -> DoorLayout:
-        """The door layout every row and query pack of the current
+        """The door layout every row and search of the current
         topology is expressed in."""
         return self._fresh().topo.layout
 

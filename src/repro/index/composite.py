@@ -82,7 +82,9 @@ class CompositeIndex:
         #: Per-object packed state (the o-table among it) + the
         #: flattened leaf level; written by the object mutation paths
         #: below, rebuilt on the first read after a structural change.
-        self.columns = ObjectColumns(space, population, indr, skeleton)
+        self.columns = ObjectColumns(
+            space, population, indr, skeleton, doors_graph
+        )
 
     # ------------------------------------------------------------------
     # construction

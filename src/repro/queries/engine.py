@@ -17,7 +17,6 @@ import numpy as np
 from repro.distances.batch import (
     BoundsRow,
     ObjectBlock,
-    QueryPack,
     QueryStack,
     block_expected_distances,
     block_object_bounds,
@@ -129,19 +128,13 @@ class CandidateBounds:
     one candidate the envelope could not decide.
     """
 
-    __slots__ = ("lo", "hi", "pack", "_rows")
+    __slots__ = ("lo", "hi", "_rows")
 
     def __init__(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        pack: QueryPack,
-        rows: list[BoundsRow],
+        self, lo: np.ndarray, hi: np.ndarray, rows: list[BoundsRow]
     ) -> None:
         self.lo = lo
         self.hi = hi
-        #: The search as the kernel read it, for phase 4 to reuse.
-        self.pack = pack
         self._rows = rows  # one per chunk of PRUNE_CHUNK candidates
 
     def interval(self, j: int) -> DistanceInterval:
@@ -161,9 +154,9 @@ def pruning_phase(
 
     The block kernel over the candidates' rows of the index's
     columnar table (``candidates`` are live objects of ``index``), with
-    ``dd`` flattened to a :class:`~repro.distances.batch.QueryPack`
-    and stacked alone (the monitor's ingest path calls the same kernel
-    with all its standing queries stacked).  The kernel's envelope
+    the search ``dd`` stacked alone (the monitor's ingest path calls
+    the same kernel with all its standing queries stacked).  The
+    kernel's envelope
     decides most candidates; the caller builds an exact interval only
     for the rest, so the time of the whole phase is the caller's to
     take.
@@ -178,9 +171,7 @@ def pruning_phase(
         if search_radius is not None and math.isfinite(search_radius)
         else None
     )
-    layout = index.columns.layout()
-    pack = QueryPack(dd, layout)
-    stack = QueryStack(layout, [pack], [floor])
+    stack = QueryStack(index.columns.layout(), [dd], [floor])
     fh = index.space.floor_height
     lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
@@ -190,7 +181,7 @@ def pruning_phase(
         lo.append(bounds.lo[0])
         hi.append(bounds.hi_array(0))
         rows.append(bounds.row(0))
-    return CandidateBounds(np.concatenate(lo), np.concatenate(hi), pack, rows)
+    return CandidateBounds(np.concatenate(lo), np.concatenate(hi), rows)
 
 
 class Refiner:
@@ -198,9 +189,8 @@ class Refiner:
 
     The undecided objects of a query are refined together, by the
     block routine (:func:`repro.distances.batch.
-    block_expected_distances`) against the query's search flattened to
-    a stack of one — ``pack`` when the prune phase already flattened it
-    (:attr:`CandidateBounds.pack`).
+    block_expected_distances`) against the query's search, stacked
+    alone.
 
     An object whose expected distance is within the query bound can
     still own instances whose paths leave the candidate subgraph (a far
@@ -209,17 +199,10 @@ class Refiner:
     unrestricted Dijkstra — built lazily, at most once per query.
     """
 
-    def __init__(
-        self,
-        index: CompositeIndex,
-        q: Point,
-        dd: DoorDistances,
-        pack: QueryPack | None = None,
-    ):
+    def __init__(self, index: CompositeIndex, q: Point, dd: DoorDistances):
         self.index = index
         self.q = q
         self.dd = dd
-        self._pack = pack
         self._stack: QueryStack | None = None
         self._full_stack: QueryStack | None = None
         self.fallbacks = 0
@@ -245,10 +228,9 @@ class Refiner:
 
     def _own_stack(self) -> QueryStack:
         if self._stack is None:
-            pack = self._pack
-            if pack is None:
-                pack = QueryPack(self.dd, self.index.columns.layout())
-            self._stack = QueryStack(pack.layout, [pack], [None])
+            self._stack = QueryStack(
+                self.index.columns.layout(), [self.dd], [None]
+            )
         return self._stack
 
     def exact_many(self, objects: list[UncertainObject]) -> list[float]:
@@ -261,12 +243,11 @@ class Refiner:
         lost = [j for j, v in enumerate(values) if not math.isfinite(v)]
         if lost:
             if self._full_stack is None:
-                layout = self._own_stack().layout
                 full = self.index.doors_graph.dijkstra_from_point(
                     self.q, self.dd.source_partition
                 )
                 self._full_stack = QueryStack(
-                    layout, [QueryPack(full, layout)], [None]
+                    self._own_stack().layout, [full], [None]
                 )
             self.fallbacks += len(lost)
             again = self._refine(self._full_stack, [objects[j] for j in lost])

@@ -220,11 +220,10 @@ def ikNNQ(
             index, q, source, filtered.partitions, cutoff=cutoff
         )
         search_radius = kbound
-    stats.doors_settled = len(dd.dist)
+    stats.doors_settled = dd.doors_settled
 
     candidates = list(filtered.objects)
     result = QueryResult()
-    pack = None
     if with_pruning and len(candidates) > k:
         # Phase 3: bounds.  U, the k-th smallest envelope upper end,
         # is at least the k-th true distance, and a candidate's
@@ -235,7 +234,6 @@ def ikNNQ(
         bounds = pruning_phase(
             index, candidates, dd, search_radius=search_radius
         )
-        pack = bounds.pack
         ceiling = np.partition(bounds.hi, k - 1)[k - 1]
         ranked = np.flatnonzero(bounds.lo <= ceiling).tolist()
         stats.rejected_by_bounds += len(candidates) - len(ranked)
@@ -275,7 +273,7 @@ def ikNNQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd, pack)
+    refiner = Refiner(index, q, dd)
     stats.refined += len(undecided)
     refined = sorted(
         (d, obj.object_id, obj)

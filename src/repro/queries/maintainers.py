@@ -96,7 +96,7 @@ takes the unlisted ones back out of ``pairs_skipped``.
 a monitor that lists every position of every query.
 
 A new kind opts in by default (``stacked = True``; its ``q`` is what
-the monitor asks the session a pack for) and may override
+the monitor asks the session a search for) and may override
 :meth:`~StandingQuery.unreached_floor` when its bounds treat an
 unreached subregion as merely "beyond some radius" rather than
 infinitely far, as the iPRQ does.  A kind that needs no distance
@@ -704,12 +704,12 @@ class ProbRangeMaintainer(StandingQuery):
         are identical to a full-population scan, at candidate cost."""
         host = self.host
         host.touch(self)
-        pack = host.session.kernel_pack(self.q)
+        dd = host.session.door_distances(self.q)
         filtered, _ = filtering_phase(host.index, self.q, self.r, True)
         result: dict[str, float | None] = {}
         undecided = []
         for obj, lo, hi in candidate_probability_bounds(
-            host.index, filtered.objects, pack, self.r
+            host.index, filtered.objects, dd, self.r
         ):
             if lo >= self.p_min:
                 result[obj.object_id] = None
@@ -717,7 +717,7 @@ class ProbRangeMaintainer(StandingQuery):
                 # Holds its place in candidate order until refined.
                 result[obj.object_id] = None
                 undecided.append(obj)
-        refiner = Refiner(host.index, self.q, pack.dd, pack)
+        refiner = Refiner(host.index, self.q, dd)
         for obj, prob in zip(
             undecided, refiner.probabilities(undecided, self.r)
         ):

@@ -565,16 +565,16 @@ class QueryMonitor:
         self._pending.extend(self._collect("topology"))
 
     def _query_stack(self, layout: DoorLayout) -> QueryStack:
-        """The stacked maintainers' packs over ``layout``, in
+        """The stacked maintainers' searches over ``layout``, in
         registration order; rebuilt only after registration churn or a
-        layout change (the one time the session is asked for packs)."""
+        layout change (the one time the session is asked for them)."""
         stack = self._stack
         if stack is None or stack.layout is not layout:
             queries = self._queries.values()
             stacked = [sq for sq in queries if sq.stacked]
             stack = self._stack = QueryStack(
                 layout,
-                [self.session.kernel_pack(sq.q) for sq in stacked],
+                [self.session.door_distances(sq.q) for sq in stacked],
                 [sq.unreached_floor() for sq in stacked],
             )
             self._stacked = stacked

@@ -21,11 +21,7 @@ import time
 from typing import Iterator
 
 from repro.distances import expected
-from repro.distances.batch import (
-    QueryPack,
-    QueryStack,
-    block_object_bounds,
-)
+from repro.distances.batch import QueryStack, block_object_bounds
 from repro.distances.bounds import subregion_stats
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -80,12 +76,12 @@ def probability_bounds(
 
 
 def candidate_probability_bounds(
-    index: CompositeIndex, candidates: list, pack: QueryPack, r: float
+    index: CompositeIndex, candidates: list, dd, r: float
 ) -> Iterator[tuple[object, float, float]]:
     """``(object, lo, hi)`` per candidate — :func:`probability_bounds`
-    for all of them, from the block kernel over the index's columnar
-    table."""
-    stack = QueryStack(pack.layout, [pack], [r + 1.0])
+    for all of them against the search ``dd``, from the block kernel
+    over the index's columnar table."""
+    stack = QueryStack(index.columns.layout(), [dd], [r + 1.0])
     fh = index.space.floor_height
     for block in candidate_blocks(index, candidates):
         row = block_object_bounds(stack, block, fh).row(0)
@@ -124,14 +120,13 @@ def iPRQ(
     dd, stats.t_subgraph = subgraph_phase(
         index, q, source, filtered.partitions, cutoff=r
     )
-    stats.doors_settled = len(dd.dist)
+    stats.doors_settled = dd.doors_settled
 
     result = QueryResult()
     undecided = []
     t0 = time.perf_counter()
-    pack = QueryPack(dd, index.columns.layout())
     for obj, lo, hi in candidate_probability_bounds(
-        index, filtered.objects, pack, r
+        index, filtered.objects, dd, r
     ):
         if lo >= theta:
             stats.accepted_by_bounds += 1
@@ -145,7 +140,7 @@ def iPRQ(
 
     t0 = time.perf_counter()
     stats.refined += len(undecided)
-    refiner = Refiner(index, q, dd, pack)
+    refiner = Refiner(index, q, dd)
     for obj, prob in zip(undecided, refiner.probabilities(undecided, r)):
         if prob >= theta:
             result.objects.append(obj)

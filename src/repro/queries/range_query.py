@@ -78,10 +78,9 @@ def iRQ(
             index, q, source, filtered.partitions, cutoff=r
         )
         search_radius = r
-    stats.doors_settled = len(dd.dist)
+    stats.doors_settled = dd.doors_settled
 
     result = QueryResult()
-    pack = None
     if with_pruning:
         # Phase 3: bounds.  The envelope rejects first; only the
         # candidates it cannot place beyond r get an exact interval.
@@ -89,7 +88,6 @@ def iRQ(
         bounds = pruning_phase(
             index, filtered.objects, dd, search_radius=search_radius
         )
-        pack = bounds.pack
         near = np.flatnonzero(bounds.lo <= r).tolist()
         stats.rejected_by_bounds += len(filtered.objects) - len(near)
         undecided = []
@@ -110,7 +108,7 @@ def iRQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd, pack)
+    refiner = Refiner(index, q, dd)
     stats.refined += len(undecided)
     for obj, d in zip(undecided, refiner.exact_many(undecided)):
         if d <= r:

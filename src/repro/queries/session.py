@@ -19,6 +19,9 @@ Two properties make the cache broadly reusable:
   whole cache is dropped the moment a door closes or a partition
   changes, while arbitrarily many object moves leave it valid.
 
+An entry is the search itself: a float64 weight vector and int32
+predecessors, the operand the bounds kernel stacks.
+
 The second property is what the continuous query monitor
 (:mod:`repro.queries.monitor`) is built on: each *standing* query keeps
 its session-cached search across a whole stream of position updates and
@@ -31,7 +34,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.distances.batch import DoorLayout, QueryPack
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.queries.engine import QueryResult, locate_source
@@ -61,12 +63,6 @@ class QuerySession:
     #: Unpinned entries dropped by the LRU bound (topology
     #: invalidations and pin-lifecycle evictions are not counted here).
     evictions: int = 0
-    #: Per-point :class:`~repro.distances.batch.QueryPack` views of the
-    #: cached searches (the batch kernel's query-side operand), managed
-    #: by the same pin/evict/invalidate lifecycle as ``_cache``.
-    _packs: dict[tuple[float, float, int], QueryPack] = field(
-        default_factory=dict, repr=False
-    )
     # A monitor driven by a server loop and one-shot queries from
     # other threads share one session; the lock keeps the cache/pin
     # maps consistent.
@@ -77,43 +73,42 @@ class QuerySession:
     )
 
     def door_distances(self, q: Point) -> DoorDistances:
-        """The (memoised) full single-source search from ``q``.
+        """The (memoised) full single-source search from ``q``, over
+        the current topology's door numbering.
 
         ``misses`` counts searches actually paid: two threads racing on
         one uncached point may both compute (the search is deterministic,
-        so either result is the same), and each counts one miss.
+        so either result is the same), and each counts one miss.  A
+        search the topology moved under is over a numbering that is
+        gone: it is searched again, and counts again.
         """
         space = self.index.space
         key = (q.x, q.y, q.floor)
-        with self._lock:
-            if self._cached_version != space.topology_version:
-                # Any topology change invalidates every cached search.
-                self._cache.clear()
-                self._packs.clear()
-                self._cached_version = space.topology_version
-            dd = self._cache.get(key)
-            if dd is not None:
-                self.hits += 1
-                # Refresh LRU recency (dict order is the eviction order).
-                self._cache[key] = self._cache.pop(key)
-                return dd
-            self.misses += 1
-            searched_version = self._cached_version
-        source = locate_source(self.index, q)
-        dd = self.index.doors_graph.dijkstra_from_point(q, source)
-        with self._lock:
-            if (
-                self._cached_version == searched_version
-                and space.topology_version == searched_version
-            ):
-                # First writer wins, so every caller shares one object.
-                cached = self._cache.setdefault(key, dd)
-                self._evict_overflow()
-                return cached
-            # Topology moved mid-search (the version this search ran
-            # under is gone): usable for this caller, stale for the
-            # cache.
-            return dd
+        while True:
+            with self._lock:
+                if self._cached_version != space.topology_version:
+                    # Any topology change invalidates every cached
+                    # search.
+                    self._cache.clear()
+                    self._cached_version = space.topology_version
+                dd = self._cache.get(key)
+                if dd is not None:
+                    self.hits += 1
+                    # Refresh LRU recency (dict order is the eviction
+                    # order).
+                    self._cache[key] = self._cache.pop(key)
+                    return dd
+                self.misses += 1
+            source = locate_source(self.index, q)
+            dd = self.index.doors_graph.dijkstra_from_point(q, source)
+            with self._lock:
+                version = dd.topology_version
+                if version == self._cached_version == space.topology_version:
+                    # First writer wins, so every caller shares one
+                    # object.
+                    cached = self._cache.setdefault(key, dd)
+                    self._evict_overflow()
+                    return cached
 
     def _evict_overflow(self) -> None:
         """Drop least-recently-used *unpinned* entries past the bound.
@@ -124,7 +119,6 @@ class QuerySession:
         ]
         for key in unpinned[: max(0, len(unpinned) - self.max_unpinned)]:
             del self._cache[key]
-            self._packs.pop(key, None)
             self.evictions += 1
 
     def evict(self, q: Point) -> bool:
@@ -135,7 +129,6 @@ class QuerySession:
         with self._lock:
             if self._pins.get(key, 0) > 0:
                 return False
-            self._packs.pop(key, None)
             return self._cache.pop(key, None) is not None
 
     def pin(self, q: Point) -> None:
@@ -165,50 +158,12 @@ class QuerySession:
                 self._pins[key] = count - 1
                 return False
             del self._pins[key]
-            self._packs.pop(key, None)
             return self._cache.pop(key, None) is not None
 
     @property
     def cache_size(self) -> int:
         """Number of memoised single-source searches currently held."""
         return len(self._cache)
-
-    # ------------------------------------------------------------------
-    # batch-kernel operands (see repro.distances.batch)
-    # ------------------------------------------------------------------
-
-    def door_layout(self) -> DoorLayout:
-        """The partition-indexed door layout for the current topology —
-        the one the index's columnar table packs its rows against, so
-        every query pack and object block in a batch share it."""
-        return self.index.columns.layout()
-
-    def kernel_pack(self, q: Point) -> QueryPack:
-        """The query-side operand of the batched bounds kernel: the
-        memoised search from ``q`` flattened into a door-weight vector
-        (:class:`~repro.distances.batch.QueryPack`).  Cached alongside
-        the search and dropped with it — same pin/unpin/evict/topology
-        lifecycle, so a pinned standing query keeps its pack until it
-        deregisters and an ad-hoc point's pack leaves with its LRU
-        slot."""
-        key = (q.x, q.y, q.floor)
-        layout = self.door_layout()
-        with self._lock:
-            pack = self._packs.get(key)
-            if pack is not None and pack.layout is layout:
-                # A served pack stands in for the door_distances() call
-                # its consumer would otherwise make.
-                self.hits += 1
-                return pack
-        dd = self.door_distances(q)
-        pack = QueryPack(dd, layout)
-        with self._lock:
-            if (
-                self._cache.get(key) is dd
-                and self._cached_version == layout.topology_version
-            ):
-                self._packs[key] = pack
-        return pack
 
     # ------------------------------------------------------------------
 

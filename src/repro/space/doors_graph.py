@@ -9,10 +9,12 @@ midpoints (footnote 1 of the paper).
 
 The paper does not materialise a separate graph — the composite index's
 topological layer plays that role.  This module is that layer's
-algorithmic engine: it derives adjacency from an :class:`IndoorSpace`
-(optionally restricted to a candidate-partition subset, the *subgraph
-phase* of query processing) and runs single-source Dijkstra seeded at a
-query point.
+algorithmic engine: per topology version it numbers doors and
+partitions once (:class:`DoorsCsr`, the numbering every array of the
+query path uses) and runs one integer Dijkstra over the CSR edges,
+seeded at a query point or at a door, optionally restricted to
+candidate partitions (the *subgraph phase* of query processing).  Its
+result, :class:`DoorDistances`, is the bounds kernel's query operand.
 """
 
 from __future__ import annotations
@@ -21,60 +23,87 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import SpaceError, UnreachableError
 from repro.geometry.point import Point
 from repro.space.floorplan import IndoorSpace
 
 
-@dataclass(frozen=True)
-class DoorDistances:
-    """Result of a single-source Dijkstra from a query point.
+@dataclass(frozen=True, eq=False)
+class DoorsCsr:
+    """One topology version of the doors graph: door ``i`` is
+    ``door_ids[i]``, partition ``pid`` row ``part_row[pid]``; door
+    ``i``'s out-edges are ``indices[indptr[i]:indptr[i + 1]]`` with
+    ``weights`` and ``edge_row`` (the partition crossed), and ``out``
+    the same as per-door ``(target, weight, row)`` lists for the loop."""
 
-    ``dist[d]`` is the indoor distance ``|q, d|_I`` from the source point
-    to door ``d``'s midpoint, *including* the initial in-partition leg
-    ``|q, d_q|_E``.  ``predecessor[d]`` supports path reconstruction
-    (``None`` marks a seed door of the source partition).
+    topology_version: int
+    door_ids: tuple[str, ...]
+    door_index: dict[str, int]
+    part_row: dict[str, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    edge_row: np.ndarray
+    out: list[list[tuple[int, float, int]]] = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class DoorDistances:
+    """Result of a single-source Dijkstra, over ``numbering``.
+
+    ``w[i]`` is ``|q, d|_I`` from the source point to door ``i``'s
+    midpoint, *including* the initial leg ``|q, d_q|_E`` (``+inf`` if
+    unreached; read-only, a session shares it).  ``pred[i]`` is the
+    door before ``i`` on its shortest path (``-1``: a seed door).
     """
 
     source: Point
     source_partition: str
-    dist: dict[str, float]
-    predecessor: dict[str, str | None]
+    source_row: int
+    numbering: DoorsCsr
+    w: np.ndarray
+    pred: np.ndarray
+
+    @property
+    def topology_version(self) -> int:
+        return self.numbering.topology_version
+
+    @property
+    def doors_settled(self) -> int:
+        """Doors the search reached."""
+        return int(np.count_nonzero(np.isfinite(self.w)))
 
     def distance_to(self, door_id: str) -> float:
         """``|q, d|_I``; infinity when the door is unreachable."""
-        return self.dist.get(door_id, math.inf)
+        i = self.numbering.door_index.get(door_id)
+        return math.inf if i is None else self.w.item(i)
 
     def path_to(self, door_id: str) -> list[str]:
         """Door sequence of the shortest path ``q ~> door_id``."""
-        if door_id not in self.dist:
+        if not math.isfinite(self.distance_to(door_id)):
             raise UnreachableError(
                 f"door {door_id!r} unreachable from {self.source}"
             )
+        door_ids = self.numbering.door_ids
         path: list[str] = []
-        cur: str | None = door_id
-        while cur is not None:
-            path.append(cur)
-            cur = self.predecessor[cur]
+        i = self.numbering.door_index[door_id]
+        while i >= 0:
+            path.append(door_ids[i])
+            i = self.pred.item(i)
         path.reverse()
         return path
 
 
-@dataclass
 class DoorsGraph:
-    """Directed, weighted doors graph derived from an indoor space.
+    """Directed, weighted doors graph derived from an indoor space: one
+    :class:`DoorsCsr` per topology version, rebuilt on first use after
+    the space's topology moved."""
 
-    ``adjacency[d]`` is a list of ``(neighbour_door, weight,
-    partition_id)`` triples, where ``partition_id`` names the partition
-    the edge crosses — that is what lets the subgraph phase restrict
-    relaxation to candidate partitions.
-    """
-
-    space: IndoorSpace
-    adjacency: dict[str, list[tuple[str, float, str]]] = field(
-        default_factory=dict
-    )
-    _built_for_version: int = -1
+    def __init__(self, space: IndoorSpace) -> None:
+        self.space = space
+        self._csr: DoorsCsr | None = None
 
     @staticmethod
     def from_space(space: IndoorSpace) -> "DoorsGraph":
@@ -82,41 +111,88 @@ class DoorsGraph:
         graph.rebuild()
         return graph
 
-    def rebuild(self) -> None:
-        """(Re)derive the adjacency from the space's current topology."""
+    def rebuild(self) -> DoorsCsr:
+        """(Re)number the doors and partitions and derive the edges
+        from the space's current topology."""
         space = self.space
-        adjacency: dict[str, list[tuple[str, float, str]]] = {
-            door_id: [] for door_id in space.doors
-        }
-        for partition in space.partitions.values():
-            pid = partition.partition_id
+        version = space.topology_version
+        door_ids = tuple(space.doors)
+        door_index = {door_id: i for i, door_id in enumerate(door_ids)}
+        part_row = {pid: i for i, pid in enumerate(space.partitions)}
+        out: list[list[tuple[int, float, int]]] = [[] for _ in door_ids]
+        for pid, row in part_row.items():
             doors = space.doors_of(pid)
             for d_in in doors:
                 if not d_in.allows_entry(pid):
                     continue
+                edges = out[door_index[d_in.door_id]]
                 for d_out in doors:
                     if d_out.door_id == d_in.door_id:
                         continue
                     if not d_out.allows_exit(pid):
                         continue
                     weight = space.door_to_door(d_in, d_out)
-                    adjacency[d_in.door_id].append(
-                        (d_out.door_id, weight, pid)
-                    )
-        self.adjacency = adjacency
-        self._built_for_version = space.topology_version
+                    edges.append((door_index[d_out.door_id], weight, row))
+        indptr = np.zeros(len(out) + 1, dtype=np.int32)
+        np.cumsum([len(edges) for edges in out], out=indptr[1:])
+        flat = np.array([e for edges in out for e in edges]).reshape(-1, 3)
+        target, weight, row = flat.T  # exact: every int is < 2**53
+        self._csr = csr = DoorsCsr(
+            version, door_ids, door_index, part_row, indptr,
+            target.astype(np.int32), weight, row.astype(np.int32), out,
+        )
+        return csr
 
-    def ensure_fresh(self) -> None:
-        if self._built_for_version != self.space.topology_version:
-            self.rebuild()
+    def ensure_fresh(self) -> DoorsCsr:
+        """The graph of the space's current topology version."""
+        csr = self._csr
+        if csr is None or csr.topology_version != self.space.topology_version:
+            csr = self.rebuild()
+        return csr
 
     @property
     def num_edges(self) -> int:
-        return sum(len(v) for v in self.adjacency.values())
+        return len(self.ensure_fresh().indices)
 
     # ------------------------------------------------------------------
     # Dijkstra
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def _search(
+        csr: DoorsCsr,
+        seeds: dict[int, float],
+        allowed: list[bool] | None,
+        cutoff: float | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one relaxation loop: door distances from ``seeds`` (door
+        -> initial distance, always recorded), relaxing only edges whose
+        row ``allowed`` admits and never past ``cutoff``."""
+        limit = math.inf if cutoff is None else cutoff
+        dist = [math.inf] * len(csr.door_ids)
+        pred = [-1] * len(dist)
+        heap = []
+        for i, d in seeds.items():
+            dist[i] = d
+            heap.append((d, i))
+        heapq.heapify(heap)
+        out = csr.out
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u] or d > limit:
+                continue  # stale entry, or beyond the cutoff
+            for v, weight, row in out[u]:
+                if allowed is not None and not allowed[row]:
+                    continue
+                nd = d + weight
+                if nd < dist[v] and nd <= limit:
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+        w = np.array(dist, dtype=np.float64)
+        w.flags.writeable = False
+        return w, np.array(pred, dtype=np.int32)
 
     def dijkstra_from_point(
         self,
@@ -135,7 +211,7 @@ class DoorsGraph:
         search beyond a distance bound (safe for range queries: any path
         longer than the range cannot qualify).
         """
-        self.ensure_fresh()
+        csr = self.ensure_fresh()
         space = self.space
         if source_partition is None:
             located = space.locate(q)
@@ -143,67 +219,35 @@ class DoorsGraph:
                 raise SpaceError(f"query point {q} is outside every partition")
             source_partition = located.partition_id
 
-        seeds: dict[str, float] = {}
+        seeds: dict[int, float] = {}
         for door in space.exit_doors(source_partition):
+            i = csr.door_index[door.door_id]
             d = q.distance(door.midpoint, space.floor_height)
-            if door.door_id not in seeds or d < seeds[door.door_id]:
-                seeds[door.door_id] = d
+            if d < seeds.get(i, math.inf):
+                seeds[i] = d
+        allowed = None  # else a mask over partition rows
+        if allowed_partitions is not None:
+            allowed = [False] * len(csr.part_row)
+            for pid in allowed_partitions & csr.part_row.keys():
+                allowed[csr.part_row[pid]] = True
+        w, pred = self._search(csr, seeds, allowed, cutoff)
+        return DoorDistances(
+            q, source_partition, csr.part_row[source_partition], csr, w, pred
+        )
 
-        dist: dict[str, float] = {}
-        predecessor: dict[str, str | None] = {}
-        heap: list[tuple[float, str]] = []
-        for door_id, d in seeds.items():
-            dist[door_id] = d
-            predecessor[door_id] = None
-            heapq.heappush(heap, (d, door_id))
-
-        while heap:
-            d, door_id = heapq.heappop(heap)
-            if d > dist.get(door_id, math.inf):
-                continue  # stale entry
-            if cutoff is not None and d > cutoff:
-                continue
-            for nbr, weight, pid in self.adjacency.get(door_id, ()):
-                if (
-                    allowed_partitions is not None
-                    and pid not in allowed_partitions
-                ):
-                    continue
-                nd = d + weight
-                if cutoff is not None and nd > cutoff:
-                    continue
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    predecessor[nbr] = door_id
-                    heapq.heappush(heap, (nd, nbr))
-
-        return DoorDistances(q, source_partition, dist, predecessor)
-
-    def dijkstra_between_doors(
-        self, source_door: str, cutoff: float | None = None
-    ) -> dict[str, float]:
-        """All-door shortest distances from one door midpoint.
+    def dijkstra_between_doors(self, source_door: str) -> np.ndarray:
+        """All-door shortest distances from one door midpoint, as a
+        weight vector over the current numbering (``+inf`` =
+        unreached).
 
         This is the building block of the pre-computation baseline
         ([16]/[24]-style, measured in Figure 15(d)).
         """
-        self.ensure_fresh()
-        if source_door not in self.adjacency:
+        csr = self.ensure_fresh()
+        i = csr.door_index.get(source_door)
+        if i is None:
             raise SpaceError(f"unknown door {source_door!r}")
-        dist = {source_door: 0.0}
-        heap = [(0.0, source_door)]
-        while heap:
-            d, door_id = heapq.heappop(heap)
-            if d > dist.get(door_id, math.inf):
-                continue
-            if cutoff is not None and d > cutoff:
-                continue
-            for nbr, weight, _pid in self.adjacency.get(door_id, ()):
-                nd = d + weight
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return dist
+        return self._search(csr, {i: 0.0}, None, None)[0]
 
     # ------------------------------------------------------------------
     # point-to-point indoor distance (reference implementation)

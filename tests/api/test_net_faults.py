@@ -9,8 +9,18 @@ writes), then asserts the client's replayed state equals
 ``service.result_distances`` bit for bit.
 """
 
+import socket
+
 import pytest
 
+from repro.api.framing import (
+    ErrorRecord,
+    FrameDecoder,
+    FrameEncoder,
+    HelloRecord,
+    decode_net_record,
+    encode_net_record,
+)
 from repro.api.net import NetClient, ServerThread
 from repro.api.service import QueryService
 from repro.api.specs import KNNSpec, RangeSpec
@@ -206,3 +216,63 @@ class TestSurfacedErrors:
             )
             with pytest.raises(NetError):
                 client.connect()
+
+
+#: Lines that once escaped the server's read loop as an unhandled
+#: ``TypeError`` / ``ValueError`` / ``QueryError``: each sent right
+#: after a valid hello.
+_MALFORMED_FIELDS = {
+    "heartbeat-seq-object": '{"type":"heartbeat","v":2,"seq":{}}',
+    "hello-heartbeat-text": (
+        '{"type":"hello","v":2,"token":null,"heartbeat_s":"x"}'
+    ),
+    "watch-req-spec-list": (
+        '{"type":"watch_req","v":2,"query_id":"a","spec":[]}'
+    ),
+    "spec-null": '{"type":"spec","v":1,"spec":null}',
+}
+
+
+def _raw_exchange(address, line: str) -> list:
+    """Open a raw socket, say hello, await the server's, send
+    ``line``; every record the server sends until it hangs up."""
+    encoder, decoder = FrameEncoder(), FrameDecoder()
+    records = []
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(encoder.encode(encode_net_record(HelloRecord())))
+        while not records:
+            records += map(decode_net_record, decoder.feed(sock.recv(4096)))
+        sock.sendall(encoder.encode(line))
+        while data := sock.recv(65536):
+            records += map(decode_net_record, decoder.feed(data))
+    return records
+
+
+class TestMalformedControlFields:
+    """A control record with a field of the wrong type is a protocol
+    violation: the client gets an ``error`` record, the loop sees no
+    unhandled exception, and the server keeps serving."""
+
+    @pytest.mark.parametrize(
+        "line", _MALFORMED_FIELDS.values(), ids=_MALFORMED_FIELDS
+    )
+    def test_answered_with_an_error_record(self, service, line):
+        with ServerThread(service) as st:
+            unhandled = []
+            st.run(
+                lambda: st._loop.set_exception_handler(
+                    lambda loop, context: unhandled.append(context)
+                )
+            )
+            records = _raw_exchange(st.address, line)
+            assert isinstance(records[0], HelloRecord)
+            errors = [r for r in records if isinstance(r, ErrorRecord)]
+            assert len(errors) == 1
+            assert errors[0].message.startswith("protocol violation: ")
+            client = NetClient(*st.address, timeout=2.0)
+            client.connect()
+            qid = client.watch(RangeSpec(Q1, 8.0))
+            st.ingest([_point_move("far", 6.0, 5.0)])
+            _converges(client, st, qid)
+            client.close()
+            assert unhandled == []

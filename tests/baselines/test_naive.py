@@ -74,6 +74,23 @@ class TestQueries:
         assert oracle.kth_distance(q, 5) == pytest.approx(ranked[-1][1])
         assert oracle.kth_distance(q, 999) == math.inf
 
+    def test_prob_range_searches_once_per_query(
+        self, setup, small_mall, count_calls
+    ):
+        """One full search serves every object, and the answer is the
+        per-object :meth:`qualifying_probability` filter."""
+        oracle, pop = setup
+        q = small_mall.random_point(seed=7)
+        expected = {
+            obj.object_id
+            for obj in pop
+            if oracle.qualifying_probability(q, obj, 40.0) >= 0.5
+        }
+        calls = count_calls(oracle.graph, "dijkstra_from_point")
+        assert oracle.prob_range_query(q, 40.0, 0.5) == expected
+        assert len(calls) == 1
+        assert expected  # the radius reaches someone
+
     def test_respects_topology_changes(self, five_rooms):
         import numpy as np
         from repro.geometry import Circle

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from monitor_world import build_world
 from repro.distances.batch import (
-    QueryPack,
     QueryStack,
     block_object_bounds,
     mass_within,
@@ -42,12 +41,12 @@ from repro.space.partition import PartitionKind
 RADII = (8.0, 25.0, 60.0)
 
 
-def _pack(index, session, objects):
+def _pack(index, objects):
     return pack_block(
         objects,
         index.space,
         index.population.grid,
-        session.door_layout(),
+        index.columns.layout(),
     )
 
 
@@ -77,10 +76,12 @@ def _add_straddlers(index, gen, rng, n=4, floor=None):
     raise AssertionError("no door-straddling object could be placed")
 
 
-def _stack(packs, floors=None):
-    """``packs`` stacked as the monitor and the one-shot prune stack
+def _stack(index, searches, floors=None):
+    """``searches`` stacked as the monitor and the one-shot prune stack
     them (``floors`` defaulting to none)."""
-    return QueryStack(packs[0].layout, packs, floors or [None] * len(packs))
+    return QueryStack(
+        index.columns.layout(), searches, floors or [None] * len(searches)
+    )
 
 
 def _assert_stack_matches(index, stack, block):
@@ -95,8 +96,8 @@ def _assert_stack_matches(index, stack, block):
     shape = (len(stack), len(block.sub_part))
     assert bounds.tmin.shape == bounds.tmax.shape == shape
     assert bounds.lo.shape == (len(stack), len(block))
-    for i, pack in enumerate(stack.packs):
-        q, dd = pack.dd.source, pack.dd
+    for i, dd in enumerate(stack.searches):
+        q = dd.source
         floor = None if stack.floor is None else stack.floor[i, 0]
         if floor == math.inf:
             floor = None
@@ -132,14 +133,14 @@ def _assert_matches_reference(index, session, objects, points):
     standing iRQ/ikNNQ row) and with the iPRQ floor of each radius —
     against a freshly packed block and against the columnar table's
     gather of the same objects."""
-    packs, floors = [], []
+    searches, floors = [], []
     for q in points:
-        pack = session.kernel_pack(q)
+        dd = session.door_distances(q)
         for floor in (None, *(r + 1.0 for r in RADII)):
-            packs.append(pack)
+            searches.append(dd)
             floors.append(floor)
-    stack = _stack(packs, floors)
-    block = _pack(index, session, objects)
+    stack = _stack(index, searches, floors)
+    block = _pack(index, objects)
     bounds = _assert_stack_matches(index, stack, block)
     # The columnar table serves the rows pack_block computes.
     fh = index.space.floor_height
@@ -215,9 +216,9 @@ class TestBlockMatchesReference:
             [obj.region.center for obj in inside]
             + [w.space.random_point(rng=w.rng)],
         )
-        for obj, pack in zip(inside, stack.packs[:: 1 + len(RADII)]):
+        for obj, dd in zip(inside, stack.searches[:: 1 + len(RADII)]):
             _, rows = _rows(block, obj)
-            assert pack.source_row in block.sub_part[rows]
+            assert dd.source_row in block.sub_part[rows]
 
     def test_partition_without_entry_doors(self):
         """Closing a room's only door leaves it no entry door at all:
@@ -234,7 +235,7 @@ class TestBlockMatchesReference:
         )
         (door,) = space.doors_of(room)
         w.index.apply_event(CloseDoor(door.door_id))
-        layout = w.session.door_layout()
+        layout = w.index.columns.layout()
         assert layout.entry_idx[layout.part_row[room]].size == 0
         q = _point_where(
             space, lambda p: grid.locate(p).partition_id != room
@@ -284,12 +285,12 @@ class TestUnreachedFloor:
     :func:`repro.distances.bounds.subregion_stats`."""
 
     @staticmethod
-    def _cutoff_pack(index, q, r):
+    def _cutoff_search(index, q, r):
         filtered = index.range_search(q, r)
         dd, _ = subgraph_phase(
             index, q, locate_source(index, q), filtered.partitions, cutoff=r
         )
-        return QueryPack(dd, index.columns.layout())
+        return dd
 
     @given(seed=st.integers(0, 10_000), r=st.sampled_from(RADII))
     @settings(
@@ -302,18 +303,20 @@ class TestUnreachedFloor:
         against the same restricted search, floored and unfloored."""
         w = _world(seed)
         block = w.index.columns.block(list(w.pop))
-        packs, floors = [], []
+        searches, floors = [], []
         for q in (
             w.space.random_point(rng=w.rng),
             w.straddlers[0].region.center,
         ):
-            pack = self._cutoff_pack(w.index, q, r)
-            assert not all(
-                d in pack.dd.dist for d in w.space.doors
-            ), "cutoff reached every door: nothing is floored"
-            packs += [pack, pack]
+            dd = self._cutoff_search(w.index, q, r)
+            assert not np.isfinite(
+                dd.w
+            ).all(), "cutoff reached every door: nothing is floored"
+            searches += [dd, dd]
             floors += [r, None]
-        _assert_stack_matches(w.index, _stack(packs, floors), block)
+        _assert_stack_matches(
+            w.index, _stack(w.index, searches, floors), block
+        )
 
     def test_multi_partition_object_straddling_the_radius(self):
         """An object across the wall between two rooms, asked from the
@@ -361,20 +364,22 @@ class TestUnreachedFloor:
         )
         assert near < far < float("inf")
         r = (near + far) / 2.0
-        pack = self._cutoff_pack(w.index, q, r)
-        assert reached in pack.dd.dist and unreached not in pack.dd.dist
+        cut = self._cutoff_search(w.index, q, r)
+        assert math.isfinite(cut.distance_to(reached))
+        assert not math.isfinite(cut.distance_to(unreached))
         block = w.index.columns.block([obj])
-        full_pack = w.session.kernel_pack(q)
         bounds = _assert_stack_matches(
-            w.index, _stack([pack, pack, full_pack], [r, None, None]), block
+            w.index,
+            _stack(w.index, [cut, cut, full], [r, None, None]),
+            block,
         )
         got = bounds.row(0).interval(0)
         assert got == object_bounds(
-            q, obj, pack.dd, space, grid, unreached_floor=r
+            q, obj, cut, space, grid, unreached_floor=r
         )
         assert got.lower < float("inf") and got.upper == float("inf")
         assert bounds.row(1).interval(0) == object_bounds(
-            q, obj, pack.dd, space, grid
+            q, obj, cut, space, grid
         )
 
 
@@ -385,11 +390,12 @@ class TestBlockShapes:
         w = _world(12)
         space, session = w.space, w.session
         objects = list(w.pop)
-        whole = _pack(w.index, session, objects)
+        whole = _pack(w.index, objects)
         fh = space.floor_height
         stack = _stack(
+            w.index,
             [
-                session.kernel_pack(space.random_point(rng=w.rng))
+                session.door_distances(space.random_point(rng=w.rng))
                 for _ in range(3)
             ],
             [None, 26.0, 26.0],
@@ -397,7 +403,7 @@ class TestBlockShapes:
         whole_bounds = block_object_bounds(stack, whole, fh)
         for j, obj in enumerate(objects):
             one = block_object_bounds(
-                stack, _pack(w.index, session, [obj]), fh
+                stack, _pack(w.index, [obj]), fh
             )
             for i in range(len(stack)):
                 big, small = whole_bounds.row(i), one.row(i)

@@ -20,7 +20,6 @@ import pytest
 
 from repro.distances.batch import (
     REFINE_CHUNK,
-    QueryPack,
     QueryStack,
     block_expected_distances,
     block_object_bounds,
@@ -45,9 +44,9 @@ RADII = (6.0, 20.0, 45.0)
 
 
 def _stack(index, searches):
-    layout = index.columns.layout()
-    packs = [QueryPack(dd, layout) for dd in searches]
-    return QueryStack(layout, packs, [None] * len(packs))
+    return QueryStack(
+        index.columns.layout(), searches, [None] * len(searches)
+    )
 
 
 def _assert_block_equals_scalar(index, searches, objects, radii=RADII):

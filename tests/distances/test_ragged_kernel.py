@@ -90,8 +90,12 @@ def _straddlers(index, gen, rng, n):
 
 def _stack(session, points):
     """Every point stacked once per entry of :data:`FLOORS`."""
-    packs = [session.kernel_pack(q) for q in points for _ in FLOORS]
-    return QueryStack(packs[0].layout, packs, list(FLOORS) * len(points))
+    searches = [session.door_distances(q) for q in points for _ in FLOORS]
+    return QueryStack(
+        session.index.columns.layout(),
+        searches,
+        list(FLOORS) * len(points),
+    )
 
 
 def _assert_matches_reference(index, stack, block):
@@ -100,8 +104,8 @@ def _assert_matches_reference(index, stack, block):
     ``object_bounds``."""
     space, grid = index.space, index.population.grid
     bounds = block_object_bounds(stack, block, space.floor_height)
-    for i, pack in enumerate(stack.packs):
-        q, dd = pack.dd.source, pack.dd
+    for i, dd in enumerate(stack.searches):
+        q = dd.source
         floor = FLOORS[i % len(FLOORS)]
         row = bounds.row(i)
         for j, obj in enumerate(block.objects):
@@ -198,8 +202,8 @@ class TestRaggedKernelMatchesReference:
         stack = _stack(session, points)
         block = index.columns.block([obj, *wide[1:]])
         bounds = _assert_matches_reference(index, stack, block)
-        for i, pack in enumerate(stack.packs):
-            own = block.sub_part[:2] == pack.source_row
+        for i, dd in enumerate(stack.searches):
+            own = block.sub_part[:2] == dd.source_row
             assert own.tolist() == [i < len(FLOORS), i >= len(FLOORS)]
             # The instance the query sits on: a direct path of length 0.
             assert bounds.tmin[i, :2][own].tolist() == [0.0]
@@ -238,9 +242,9 @@ class TestQueryAxisBudget:
     def big(self):
         index, session, rng, _, _ = _world(3, n_objects=1500)
         points = [index.space.random_point(rng=rng) for _ in range(15)]
-        packs = [session.kernel_pack(q) for q in points] * 20
-        floors = [FLOORS[i % 2] for i in range(len(packs))]
-        stack = QueryStack(packs[0].layout, packs, floors)
+        searches = [session.door_distances(q) for q in points] * 20
+        floors = [FLOORS[i % 2] for i in range(len(searches))]
+        stack = QueryStack(index.columns.layout(), searches, floors)
         block = index.columns.block(list(index.population))
         return index, stack, block
 

@@ -28,7 +28,6 @@ from monitor_world import (
 )
 from repro.distances.batch import (
     BoundsRow,
-    QueryPack,
     QueryStack,
     block_expected_distances,
     subregion_rows,
@@ -71,10 +70,7 @@ class TestBlockComposition:
             # Restricted: some doors unreached, some objects infinite.
             index.doors_graph.dijkstra_from_point(points[2], cutoff=25.0),
         ]
-        layout = index.columns.layout()
-        stack = QueryStack(
-            layout, [QueryPack(dd, layout) for dd in searches], [None] * 3
-        )
+        stack = QueryStack(index.columns.layout(), searches, [None] * 3)
         subs, offsets = subregion_rows(objects, space, grid)
         every = [(i, j) for i in range(3) for j in range(len(objects))]
         r = data.draw(st.sampled_from([5.0, 20.0, 60.0]))

@@ -1,25 +1,120 @@
-"""Property tests for the doors graph: random building configurations,
+"""Property tests for the doors graph: random building configurations
+(one-way doors, closed doors, one to three floors), the integer search
+checked bit for bit against a dict-keyed reference Dijkstra and
 cross-checked against networkx."""
 
+import heapq
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.precompute import PrecomputedDistanceIndex
+from repro.errors import UnreachableError
 from repro.space import DoorsGraph
 from repro.space.mall import build_mall
 
 
 def nx_graph(graph: DoorsGraph) -> nx.DiGraph:
+    csr = graph.ensure_fresh()
     g = nx.DiGraph()
-    g.add_nodes_from(graph.adjacency)
-    for src, edges in graph.adjacency.items():
-        for dst, weight, _pid in edges:
+    g.add_nodes_from(csr.door_ids)
+    for i, src in enumerate(csr.door_ids):
+        span = slice(csr.indptr[i], csr.indptr[i + 1])
+        for j, weight in zip(
+            csr.indices[span].tolist(), csr.weights[span].tolist()
+        ):
+            dst = csr.door_ids[j]
             if not g.has_edge(src, dst) or g[src][dst]["weight"] > weight:
                 g.add_edge(src, dst, weight=weight)
     return g
+
+
+# ----------------------------------------------------------------------
+# the reference: a Dijkstra over string-keyed dicts, derived from the
+# space without the graph's numbering
+# ----------------------------------------------------------------------
+
+
+def reference_adjacency(space) -> dict[str, list[tuple[str, float, str]]]:
+    """Per door, its ``(target door, weight, crossed partition)``
+    out-edges."""
+    adjacency = {door_id: [] for door_id in space.doors}
+    for pid in space.partitions:
+        doors = space.doors_of(pid)
+        for d_in in doors:
+            if not d_in.allows_entry(pid):
+                continue
+            for d_out in doors:
+                if d_out.door_id == d_in.door_id:
+                    continue
+                if not d_out.allows_exit(pid):
+                    continue
+                weight = space.door_to_door(d_in, d_out)
+                adjacency[d_in.door_id].append((d_out.door_id, weight, pid))
+    return adjacency
+
+
+def reference_from_point(space, q, source, allowed=None, cutoff=None):
+    """``dist`` / ``predecessor`` dicts of the search from ``q``."""
+    adjacency = reference_adjacency(space)
+    seeds: dict[str, float] = {}
+    for door in space.exit_doors(source):
+        d = q.distance(door.midpoint, space.floor_height)
+        if door.door_id not in seeds or d < seeds[door.door_id]:
+            seeds[door.door_id] = d
+    dist: dict[str, float] = {}
+    predecessor: dict[str, str | None] = {}
+    heap: list[tuple[float, str]] = []
+    for door_id, d in seeds.items():
+        dist[door_id] = d
+        predecessor[door_id] = None
+        heapq.heappush(heap, (d, door_id))
+    while heap:
+        d, door_id = heapq.heappop(heap)
+        if d > dist.get(door_id, math.inf):
+            continue
+        if cutoff is not None and d > cutoff:
+            continue
+        for nbr, weight, pid in adjacency[door_id]:
+            if allowed is not None and pid not in allowed:
+                continue
+            nd = d + weight
+            if cutoff is not None and nd > cutoff:
+                continue
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                predecessor[nbr] = door_id
+                heapq.heappush(heap, (nd, nbr))
+    return dist, predecessor
+
+
+def reference_from_door(space, source_door):
+    """``dist`` dict of the search from one door midpoint."""
+    adjacency = reference_adjacency(space)
+    dist = {source_door: 0.0}
+    heap = [(0.0, source_door)]
+    while heap:
+        d, door_id = heapq.heappop(heap)
+        if d > dist.get(door_id, math.inf):
+            continue
+        for nbr, weight, _pid in adjacency[door_id]:
+            nd = d + weight
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                heapq.heappush(heap, (nd, nbr))
+    return dist
+
+
+def as_vector(graph: DoorsGraph, dist: dict[str, float]) -> np.ndarray:
+    door_ids = graph.ensure_fresh().door_ids
+    return np.array([dist.get(door_id, math.inf) for door_id in door_ids])
+
+
+# ----------------------------------------------------------------------
 
 
 @st.composite
@@ -34,6 +129,92 @@ def mall_configs(draw):
         one_way_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
         seed=draw(st.integers(0, 50)),
     )
+
+
+@st.composite
+def malls(draw):
+    """A generated mall with up to three of its doors closed."""
+    space = build_mall(**draw(mall_configs()))
+    doors = sorted(space.doors)
+    for i in draw(st.lists(st.integers(0, 10_000), max_size=3)):
+        space.door(doors[i % len(doors)]).is_open = False
+    space.topology_version += 1
+    return space
+
+
+class TestAgainstReference:
+    """The integer search == the dict reference, bit for bit."""
+
+    @given(
+        space=malls(),
+        q_seed=st.integers(0, 100),
+        cutoff=st.sampled_from([None, 10.0, 40.0, 100.0, "a door's"]),
+        restrict=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_point_search(self, space, q_seed, cutoff, restrict, data):
+        graph = DoorsGraph.from_space(space)
+        q = space.random_point(seed=q_seed)
+        src = space.locate(q).partition_id
+        if cutoff == "a door's":  # a cutoff some path meets exactly
+            full = graph.dijkstra_from_point(q, src).w
+            reached = sorted(full[np.isfinite(full)].tolist())
+            cutoff = data.draw(st.sampled_from(reached)) if reached else None
+        allowed = None
+        if restrict:
+            pids = sorted(space.partitions)
+            allowed = {src} | set(
+                data.draw(st.lists(st.sampled_from(pids), max_size=8))
+            )
+        dd = graph.dijkstra_from_point(q, src, allowed, cutoff)
+        dist, _ = reference_from_point(space, q, src, allowed, cutoff)
+        ref = as_vector(graph, dist)
+        assert dd.w.dtype == np.float64 and dd.pred.dtype == np.int32
+        assert dd.w.tobytes() == ref.tobytes()
+        assert dd.doors_settled == len(dist)
+        assert not dd.w.flags.writeable
+
+        # Every finite door has a path whose legs, summed in path
+        # order, are its distance; every other door has none.
+        fh = space.floor_height
+        legs: dict[tuple[str, str], float] = {}
+        for u, edges in reference_adjacency(space).items():
+            for v, weight, pid in edges:
+                if allowed is None or pid in allowed:
+                    legs[u, v] = min(legs.get((u, v), math.inf), weight)
+        for door_id in space.doors:
+            d = dd.distance_to(door_id)
+            assert type(d) is float
+            if not math.isfinite(d):
+                with pytest.raises(UnreachableError):
+                    dd.path_to(door_id)
+                continue
+            path = dd.path_to(door_id)
+            total = q.distance(space.door(path[0]).midpoint, fh)
+            for u, v in zip(path, path[1:]):
+                total = total + legs[u, v]
+            assert path[-1] == door_id
+            assert total == d
+
+    @given(space=malls(), door_idx=st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_door_search(self, space, door_idx):
+        graph = DoorsGraph.from_space(space)
+        doors = sorted(space.doors)
+        src = doors[door_idx % len(doors)]
+        got = graph.dijkstra_between_doors(src)
+        ref = as_vector(graph, reference_from_door(space, src))
+        assert got.tobytes() == ref.tobytes()
+
+    @given(space=malls())
+    @settings(max_examples=20, deadline=None)
+    def test_rows_are_the_precompute_matrix(self, space):
+        graph = DoorsGraph.from_space(space)
+        d2d = PrecomputedDistanceIndex(space).d2d
+        for i, door_id in enumerate(graph.ensure_fresh().door_ids):
+            row = graph.dijkstra_between_doors(door_id)
+            assert d2d[i].tobytes() == row.tobytes()
 
 
 class TestAgainstNetworkx:
@@ -67,9 +248,11 @@ class TestAgainstNetworkx:
         src = doors[door_idx % len(doors)]
         got = graph.dijkstra_between_doors(src)
         expected = nx.single_source_dijkstra_path_length(nx_graph(graph), src)
-        assert set(got) == set(expected)
-        for door_id, d in got.items():
-            assert d == pytest.approx(expected[door_id])
+        csr = graph.ensure_fresh()
+        reached = {csr.door_ids[i] for i in np.flatnonzero(np.isfinite(got))}
+        assert reached == set(expected)
+        for door_id, d in expected.items():
+            assert got[csr.door_index[door_id]] == pytest.approx(d)
 
 
 class TestMetricProperties:

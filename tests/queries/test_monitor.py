@@ -875,7 +875,7 @@ def _count_kernel_calls(monkeypatch):
 
 def _stacked_points(monitor):
     """Query points of the monitor's current stack, in stack order."""
-    return [pack.dd.source for pack in monitor._stack.packs]
+    return [dd.source for dd in monitor._stack.searches]
 
 
 def _assert_matches_fresh_registration(monitor, index):

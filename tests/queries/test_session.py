@@ -1,8 +1,11 @@
 """Tests for query sessions (Dijkstra reuse across related queries)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import NaiveEvaluator
+from repro.distances.batch import QueryStack
+from repro.errors import QueryError
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import QuerySession
@@ -76,19 +79,54 @@ class TestReuse:
         session.irq(q, 40.0, stats=stats)
         assert stats.t_subgraph == 0.0  # phase 2 served from the cache
 
-    def test_served_kernel_pack_counts_as_hit(self, setup, small_mall):
-        """A cached pack answers in place of ``door_distances``, so a
-        warm standing query must read as hits, not as silence."""
+    def test_served_search_counts_as_hit(self, setup, small_mall):
+        """The cached search is the kernel's operand itself, so a warm
+        standing query reads as hits, not as silence."""
         index, _ = setup
         session = QuerySession(index)
         q = small_mall.random_point(seed=8)
         session.pin(q)
-        first = session.kernel_pack(q)  # pays the search, builds the pack
+        first = session.door_distances(q)  # pays the search
         assert (session.hits, session.misses) == (0, 1)
         for served in (1, 2, 3):
-            assert session.kernel_pack(q) is first
+            assert session.door_distances(q) is first
             assert (session.hits, session.misses) == (served, 1)
         assert session.hit_rate == pytest.approx(3 / 4)
+        assert not first.w.flags.writeable  # shared: read-only
+
+    def test_topology_moving_mid_search_searches_again(
+        self, setup, small_mall, monkeypatch
+    ):
+        """A search the topology moved under is over a numbering that
+        is gone: the caller gets a search over the current one, and a
+        stale search is never stacked."""
+        index, _ = setup
+        session = QuerySession(index)
+        q = small_mall.random_point(seed=9)
+        graph = index.doors_graph
+        search = graph.dijkstra_from_point
+        stale = []
+
+        def moving(*args, **kwargs):
+            dd = search(*args, **kwargs)
+            if not stale:
+                stale.append(dd)
+                small_mall.topology_version += 1  # moves mid-search
+            return dd
+
+        monkeypatch.setattr(graph, "dijkstra_from_point", moving)
+        dd = session.door_distances(q)
+        assert dd is not stale[0]
+        assert dd.topology_version == small_mall.topology_version
+        assert stale[0].topology_version == small_mall.topology_version - 1
+        assert np.array_equal(dd.w, stale[0].w)  # no real edit
+        assert (session.hits, session.misses) == (0, 2)
+        assert session.door_distances(q) is dd
+        layout = index.columns.layout()
+        assert layout.topology_version == small_mall.topology_version
+        QueryStack(layout, [dd], [None])
+        with pytest.raises(QueryError, match="topology version"):
+            QueryStack(layout, [dd, stale[0]], [None, None])
 
 
 class TestLRUBound:

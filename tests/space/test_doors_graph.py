@@ -4,6 +4,7 @@ networkx as an independent oracle)."""
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import SpaceError, UnreachableError
@@ -11,11 +12,29 @@ from repro.geometry import Point
 from repro.space import DoorsGraph
 
 
+def out_edges(graph: DoorsGraph, door_id: str) -> list:
+    """``door_id``'s out-edges from the CSR, as ``(target door,
+    weight, partition)`` triples."""
+    csr = graph.ensure_fresh()
+    pids = list(csr.part_row)
+    i = csr.door_index[door_id]
+    span = slice(csr.indptr[i], csr.indptr[i + 1])
+    return [
+        (csr.door_ids[j], w, pids[row])
+        for j, w, row in zip(
+            csr.indices[span].tolist(),
+            csr.weights[span].tolist(),
+            csr.edge_row[span].tolist(),
+        )
+    ]
+
+
 def to_networkx(graph: DoorsGraph) -> nx.DiGraph:
     g = nx.DiGraph()
-    g.add_nodes_from(graph.adjacency)
-    for src, edges in graph.adjacency.items():
-        for dst, weight, _pid in edges:
+    door_ids = graph.ensure_fresh().door_ids
+    g.add_nodes_from(door_ids)
+    for src in door_ids:
+        for dst, weight, _pid in out_edges(graph, src):
             if g.has_edge(src, dst):
                 g[src][dst]["weight"] = min(g[src][dst]["weight"], weight)
             else:
@@ -26,17 +45,24 @@ def to_networkx(graph: DoorsGraph) -> nx.DiGraph:
 class TestGraphStructure:
     def test_nodes_are_doors(self, five_rooms):
         graph = DoorsGraph.from_space(five_rooms)
-        assert set(graph.adjacency) == set(five_rooms.doors)
+        csr = graph.ensure_fresh()
+        assert csr.door_ids == tuple(five_rooms.doors)
+        assert csr.door_index == {d: i for i, d in enumerate(csr.door_ids)}
+        assert list(csr.part_row) == list(five_rooms.partitions)
+        assert len(csr.indptr) == len(csr.door_ids) + 1
+        assert csr.indptr.dtype == csr.indices.dtype == csr.edge_row.dtype
+        assert csr.indptr.dtype == np.int32
+        assert csr.weights.dtype == np.float64
 
     def test_bidirectional_edges_symmetric(self, five_rooms):
         graph = DoorsGraph.from_space(five_rooms)
-        targets_d1 = {t for t, _, _ in graph.adjacency["d1"]}
-        targets_d2 = {t for t, _, _ in graph.adjacency["d2"]}
+        targets_d1 = {t for t, _, _ in out_edges(graph, "d1")}
+        targets_d2 = {t for t, _, _ in out_edges(graph, "d2")}
         assert "d2" in targets_d1 and "d1" in targets_d2
 
     def test_edges_annotated_with_partition(self, five_rooms):
         graph = DoorsGraph.from_space(five_rooms)
-        pids = {pid for _, _, pid in graph.adjacency["d1"]}
+        pids = {pid for _, _, pid in out_edges(graph, "d1")}
         # d1 borders r1 and h; edges cross one of those two partitions.
         assert pids <= {"r1", "h"}
 
@@ -45,20 +71,20 @@ class TestGraphStructure:
         # d21 allows movement r2 -> r1 only, so there is an edge
         # d21 -> dh1 (through r1) but no edge d21 -> dh2 (through r2:
         # entering r2 via d21 is forbidden).
-        targets = {t for t, _, _ in graph.adjacency["d21"]}
+        targets = {t for t, _, _ in out_edges(graph, "d21")}
         assert "dh1" in targets
         assert "dh2" not in targets
         # dh2 (entering r2) may continue to d21 (exiting r2).
-        assert "d21" in {t for t, _, _ in graph.adjacency["dh2"]}
+        assert "d21" in {t for t, _, _ in out_edges(graph, "dh2")}
 
     def test_closed_door_removed_from_graph(self, five_rooms):
         five_rooms.door("d12").is_open = False
         five_rooms.topology_version += 1
         graph = DoorsGraph.from_space(five_rooms)
-        assert graph.adjacency["d12"] == []
+        assert out_edges(graph, "d12") == []
         assert all(
-            "d12" not in {t for t, _, _ in edges}
-            for edges in graph.adjacency.values()
+            "d12" not in {t for t, _, _ in out_edges(graph, d)}
+            for d in five_rooms.doors
         )
 
     def test_rebuild_tracks_topology_version(self, five_rooms):
@@ -173,7 +199,7 @@ class TestDijkstraBetweenDoors:
     def test_source_distance_zero(self, five_rooms):
         graph = DoorsGraph.from_space(five_rooms)
         dist = graph.dijkstra_between_doors("d1")
-        assert dist["d1"] == 0.0
+        assert dist[graph.ensure_fresh().door_index["d1"]] == 0.0
 
     def test_matches_networkx(self, small_mall):
         graph = DoorsGraph.from_space(small_mall)
@@ -182,9 +208,11 @@ class TestDijkstraBetweenDoors:
         expected = nx.single_source_dijkstra_path_length(
             to_networkx(graph), some_door
         )
-        assert set(got) == set(expected)
-        for k in got:
-            assert got[k] == pytest.approx(expected[k])
+        csr = graph.ensure_fresh()
+        reached = {csr.door_ids[i] for i in np.flatnonzero(np.isfinite(got))}
+        assert reached == set(expected)
+        for k in expected:
+            assert got[csr.door_index[k]] == pytest.approx(expected[k])
 
     def test_unknown_door_raises(self, five_rooms):
         graph = DoorsGraph.from_space(five_rooms)
