@@ -10,8 +10,9 @@ slot-addressed numpy columns, written when an object moves instead of
 recomputed by every query that looks at it, next to the leaf level of
 the indR-tree flattened into arrays.  One table then serves
 
-* :meth:`ObjectColumns.search` — Algorithm 4's leaf criterion for all
-  units, then for all bucketed objects, in a handful of array ops;
+* :meth:`ObjectColumns.search` — Algorithm 4's leaf criterion for the
+  units, floor by floor, then for the bucketed objects, in a handful
+  of array ops;
 * :meth:`ObjectColumns.block` — the candidate set (or a moved batch)
   as an :class:`~repro.distances.batch.ObjectBlock`, by gather.
 
@@ -20,9 +21,10 @@ object is read to build it): the
 :class:`~repro.distances.batch.DoorLayout`, the partition table in
 ``partition_id`` order (bounds, floor span, layout row, its units as
 one span), the unit arrays (rect, floor,
-partition, rect-MINDIST to the entrances on the unit's floor) and the
-per-floor entrance index.  Per object slot (:class:`_State`): floor,
-entrance legs (and whether they are stale: see the write), the rows of
+partition), the same unit rows grouped per floor with each floor's
+rect-MINDIST to its entrances, and the per-floor entrance index.  Per
+object slot (:class:`_State`): floor, instance bounding box, entrance
+legs (and whether they are stale: see the write), the rows of
 the index units the object overlaps — the paper's o-table (object ->
 units), and the only place the index stores it — a span of subregion
 rows (partition row, mass) and —
@@ -43,10 +45,12 @@ the widest partition the table is several times larger, and the
 resident set is a gated metric; a block is the same ragged entries
 gathered, and the bounds kernel reduces them as they lie.  For the
 same reason instance
-coordinates are *not* copied here — the one test that needs them (min
-instance distance to a same-floor query point) reads them from the
-objects, a bounded number of objects at a time — and no instance x door
-matrix outlives the write that computed it.
+coordinates are *not* copied here, only each object's instance box (32
+B a slot): the one test that needs instances (min instance distance to
+a same-floor query point) decides from the box whenever the box lies
+wholly within or wholly beyond ``r``, and reads the instances from the
+objects only for those it straddles, a bounded number at a time.  No
+instance x door matrix outlives the write that computed it.
 
 **The write.**  One routine, :meth:`_Topology.stage`, resolves a list
 of objects in a fixed number of array operations and is the only body
@@ -107,7 +111,13 @@ the scalar operation sequence (see the float notes in
 :mod:`repro.distances.batch`), and Eq. 10's ``min`` over the query
 floor's entrances is hoisted out of the per-entity loop —
 ``min_sq((dq + M[sq, e]) + leg) == min_sq(dq + M[sq, e]) + leg``
-because float addition is monotone.
+because float addition is monotone.  The same monotonicity makes the
+search's two shortcuts exact: a floor none of whose entrances ``q``
+reaches within ``r`` holds no passing unit (``fl(reach + leg) >=
+reach`` for ``leg >= 0``), and an instance box bounds every instance
+distance float for float (rounding is monotone, so per axis ``fl(lo -
+qx) <= fl(x - qx) <= fl(hi - qx)``; squares, the same-order sum and
+``sqrt`` are monotone too — see :func:`_within`).
 """
 
 from __future__ import annotations
@@ -150,10 +160,10 @@ _SEARCH_CHUNK = 512
 #: Row and entry spans are bump-allocated: a slot whose count changes
 #: gets a new span at the top and its old one is dead.  Once the dead
 #: entries of a column group exceed this share of the live ones, the
-#: group is compacted.  At a quarter, world A's table (0.97 MB built)
-#: reads 1.54 MB after 1 000, 5 000 and 20 000 twenty-move batches, as
+#: group is compacted.  At a quarter, world A's table (1.01 MB built)
+#: reads 1.58 MB after 1 000, 5 000 and 20 000 twenty-move batches, as
 #: much as exact-size free lists did; compacting only once dead
-#: exceeds live reads 1.99 MB.
+#: exceeds live reads 0.45 MB more.
 _DEAD_SHARE = 0.25
 
 
@@ -197,6 +207,8 @@ class _Staged:
     unit_rows: np.ndarray  #: flat, object-major, ascending per object
     n_units: np.ndarray
     floor_idx: np.ndarray
+    lo: np.ndarray  #: ``(B, 2)`` instance bounds, as ``obj.bounds()``
+    hi: np.ndarray
     n_rows: np.ndarray
     sub_part: np.ndarray
     sub_mass: list[float]
@@ -307,15 +319,39 @@ class _Topology:
         )
         self.p_unit_count = np.bincount(self.u_part, minlength=len(pids))
         self.p_unit_start = offsets_of(self.p_unit_count)[:-1]
-        # Rect-MINDIST of each unit to the entrances on its own floor
-        # (the ``leg`` of Eq. 10; same floor, so no vertical term),
-        # entrance-major: ``u_legs[k]`` is one unit column, so a search
-        # folds the entrances a column at a time.
-        ex = np.ascontiguousarray(self.floor_ent_xy[self.u_floor, :, 0].T)
-        ey = np.ascontiguousarray(self.floor_ent_xy[self.u_floor, :, 1].T)
-        dx = np.maximum(np.maximum(self.u_minx - ex, 0.0), ex - self.u_maxx)
-        dy = np.maximum(np.maximum(self.u_miny - ey, 0.0), ey - self.u_maxy)
-        self.u_legs = np.sqrt(dx * dx + dy * dy)
+
+        # -- the same units grouped per floor (a permutation: the rows
+        # stay in partition order, since a staircase's units span
+        # floors and a partition's units must stay one span) ---------
+        self.f_units = np.argsort(self.u_floor, kind="stable")
+        self.f_unit_start = offsets_of(
+            np.bincount(self.u_floor, minlength=len(floors))
+        )
+        # Rect-MINDIST of each unit to each entrance on its floor (the
+        # ``leg`` of Eq. 10; same floor, so no vertical term), one flat
+        # block per floor with entrances, entrance-major: block ``f``
+        # viewed as ``(k_f, n_f)`` has one row of floor ``f``'s units
+        # per entrance, so a search folds the entrances a row at a
+        # time.  ``ent_floors`` lists ``(floor row, k_f, block start)``.
+        blocks = []
+        self.ent_floors: list[tuple[int, int, int]] = []
+        at = 0
+        for f in np.flatnonzero(self.floor_has_ent).tolist():
+            a, b = self.f_unit_start[f], self.f_unit_start[f + 1]
+            rows = self.f_units[a:b]
+            k = int((self.floor_ent[f] < n_entrances).sum())
+            ex = self.floor_ent_xy[f, :k, :1]
+            ey = self.floor_ent_xy[f, :k, 1:]
+            dx = np.maximum(
+                np.maximum(self.u_minx[rows] - ex, 0.0), ex - self.u_maxx[rows]
+            )
+            dy = np.maximum(
+                np.maximum(self.u_miny[rows] - ey, 0.0), ey - self.u_maxy[rows]
+            )
+            blocks.append(np.sqrt(dx * dx + dy * dy).ravel())
+            self.ent_floors.append((f, k, at))
+            at += blocks[-1].size
+        self.f_legs = np.concatenate(blocks) if blocks else np.zeros(0)
 
     # -- batched resolution (no per-object geometry calls) ------------
 
@@ -537,6 +573,8 @@ class _Topology:
             unit_rows,
             n_units,
             frame.floor_idx,
+            frame.lo,
+            frame.hi,
             n_rows,
             lrow,
             masses,
@@ -557,6 +595,9 @@ class _State:
         self.objects: list[UncertainObject | None] = []
         self.free_slots: list[int] = []
         self.floor_idx = np.zeros(0, dtype=np.intp)  # row of its floor
+        #: Instance bounding box, ``(x, y)`` min and max per slot.
+        self.box_lo = np.zeros((0, 2))
+        self.box_hi = np.zeros((0, 2))
         self.row_start = np.zeros(0, dtype=np.intp)
         self.row_count = np.zeros(0, dtype=np.intp)
         self.ent_start = np.zeros(0, dtype=np.intp)
@@ -585,6 +626,8 @@ class _State:
         """Make room for ``slots`` objects, ``rows`` subregion rows and
         ``ents`` door entries."""
         self.floor_idx = _grown(self.floor_idx, slots, 0)
+        self.box_lo = _grown(self.box_lo, slots, 0.0)
+        self.box_hi = _grown(self.box_hi, slots, 0.0)
         self.row_start = _grown(self.row_start, slots, 0)
         self.row_count = _grown(self.row_count, slots, 0)
         self.ent_start = _grown(self.ent_start, slots, 0)
@@ -637,6 +680,8 @@ class _State:
         )
         self.ent_live += grew
         self.floor_idx[slots] = staged.floor_idx
+        self.box_lo[slots] = staged.lo
+        self.box_hi[slots] = staged.hi
         if legs is None:
             self.legs_stale[slots] = True
         else:
@@ -762,6 +807,104 @@ def _bump(
     start[mine] = top + offsets[:-1]
     count[mine] = size
     return top + int(offsets[-1]), grew
+
+
+def _within(
+    state: _State, slots: np.ndarray, q: Point, r: float, fh: float
+) -> np.ndarray:
+    """Whether each object's min instance distance to ``q`` (planar
+    offset plus the floor gap, as :func:`point_distances`) is within
+    ``r`` — decided from the stored instance box where the box can, and
+    from the instances only for the objects whose box straddles ``r``.
+
+    The box decides exactly what the instances would: per axis,
+    ``fl(lo - qx) <= fl(x - qx) <= fl(hi - qx)`` for every instance
+    ``x`` in ``[lo, hi]`` because rounding is monotone, and
+    ``fl(qx - hi) == -fl(hi - qx)``; the squares of non-negative
+    numbers, the sum taken in :func:`point_distances`' order
+    ``(dx*dx + dy*dy) + dz*dz`` and ``sqrt`` are monotone too.  So
+    ``box_min`` (per axis ``max(lo - q, 0, q - hi)``) is at most, and
+    ``box_max`` (per axis ``max(|lo - q|, |hi - q|)``) at least, every
+    instance's distance, float for float."""
+    topo = state.topo
+    dz = (topo.floors[state.floor_idx[slots]] - q.floor) * fh
+    dz *= dz
+    lo = state.box_lo[slots] - (q.x, q.y)
+    hi = state.box_hi[slots] - (q.x, q.y)
+    gap = np.maximum(np.maximum(lo, 0.0), -hi)
+    gap *= gap
+    np.abs(lo, out=lo)
+    np.abs(hi, out=hi)
+    span = np.maximum(lo, hi)
+    span *= span
+    hit = np.sqrt(span[:, 0] + span[:, 1] + dz) <= r
+    open_ = np.flatnonzero(~hit & (np.sqrt(gap[:, 0] + gap[:, 1] + dz) <= r))
+    for i in range(0, open_.size, _SEARCH_CHUNK):
+        # Min instance distance to q, a bounded number of objects at a
+        # time (an unbounded radius can leave the whole venue open).
+        part = open_[i : i + _SEARCH_CHUNK]
+        mine = slots[part]
+        d, starts = point_distances(
+            [state.objects[s].instances.xy for s in mine.tolist()],
+            topo.floors[state.floor_idx[mine]],
+            q,
+            fh,
+        )
+        hit[part] = np.minimum.reduceat(d, starts) <= r
+    return hit
+
+
+def _passing_units(
+    topo: _Topology,
+    q: Point,
+    r: float,
+    reach: np.ndarray | None,
+    q_floor: int,
+) -> np.ndarray:
+    """Algorithm 4's leaf criterion, one flag per unit row: the
+    Euclidean MINDIST to the flattened rect on q's floor — on every
+    floor when ``reach`` is ``None`` — and the skeleton bound on
+    the others, floor by floor."""
+    # Euclidean MINDIST to the flattened rect: every unit without
+    # the skeleton, else the units of q's floor.
+    start = topo.f_unit_start
+    rows = (
+        slice(None)
+        if reach is None
+        else topo.f_units[start[q_floor] : start[q_floor + 1]]
+    )
+    qx, qy, qz = q.x, q.y, q.z(topo.fh)
+    dx = np.maximum(
+        np.maximum(topo.u_minx[rows] - qx, 0.0), qx - topo.u_maxx[rows]
+    )
+    dy = np.maximum(
+        np.maximum(topo.u_miny[rows] - qy, 0.0), qy - topo.u_maxy[rows]
+    )
+    z = topo.u_z[rows]
+    dz = np.maximum(np.maximum(z - qz, 0.0), qz - z)
+    euclid = np.sqrt(dx * dx + dy * dy + dz * dz) <= r
+    if reach is None:
+        return euclid
+    passing = np.zeros(topo.n_units, dtype=bool)
+    passing[rows] = euclid
+    # Every other floor with entrances: min over its entrances k of
+    # reach[f, k] + leg[k], folded one entrance row at a time.  A
+    # floor none of whose entrances q reaches within r is skipped
+    # whole: ``reach + leg >= reach`` for ``leg >= 0``.  A floor
+    # without entrances passes nothing (the skeleton reaches none).
+    for f, k, at in topo.ent_floors:
+        reach_f = reach[f, :k]
+        if f == q_floor or reach_f.min() > r:
+            continue
+        n = start[f + 1] - start[f]
+        legs = topo.f_legs[at : at + k * n].reshape(k, n)
+        via = legs[0] + reach_f[0]
+        leg = np.empty(n)
+        for legs_k, reach_k in zip(legs[1:], reach_f[1:].tolist()):
+            np.add(legs_k, reach_k, out=leg)
+            np.minimum(via, leg, out=via)
+        passing[topo.f_units[start[f] : start[f + 1]]] = via <= r
+    return passing
 
 
 class ObjectColumns:
@@ -989,11 +1132,17 @@ class ObjectColumns:
     ) -> tuple[list[UncertainObject], set[str], int]:
         """Algorithm 4 over the columns: candidate objects (ascending
         slot order), candidate partitions, and the number of units
-        tested."""
+        tested (every unit: a skipped floor's units count as tested).
+
+        Units pass on q's floor by Euclidean MINDIST, on every other
+        floor by the skeleton bound, and a floor whose nearest
+        entrance is beyond ``r`` is not folded at all.  An object on
+        another floor is tested by its entrance legs; one on q's floor
+        (or any, without the skeleton) by its stored instance box,
+        and by its instances only when the box straddles ``r``."""
         state = self._fresh()
         topo = state.topo
         fh = self.space.floor_height
-        qx, qy, qz = q.x, q.y, q.z(fh)
         q_floor = topo.floor_row.get(q.floor, -1)
 
         # Reach of every entrance from q through the skeleton:
@@ -1008,24 +1157,7 @@ class ObjectColumns:
             via = dq[:, None] + skeleton.ms2s[[s.index for s in sqs], :]
             reach = np.append(via.min(axis=0), np.inf)[topo.floor_ent]
 
-        # Units: Euclidean MINDIST to the flattened rect, replaced by
-        # the skeleton bound on the other floors.
-        dx = np.maximum(np.maximum(topo.u_minx - qx, 0.0), qx - topo.u_maxx)
-        dy = np.maximum(np.maximum(topo.u_miny - qy, 0.0), qy - topo.u_maxy)
-        dz = np.maximum(np.maximum(topo.u_z - qz, 0.0), qz - topo.u_z)
-        bound = np.sqrt(dx * dx + dy * dy + dz * dz)
-        if reach is not None:
-            # min over entrances k of reach[floor, k] + leg[k], folded
-            # one unit column at a time: a min over a short trailing
-            # axis is slow, and no temporary outgrows one column.
-            via = np.full(topo.n_units, np.inf)
-            leg = np.empty(topo.n_units)
-            for reach_k, legs_k in zip(reach.T, topo.u_legs):
-                np.take(reach_k, topo.u_floor, out=leg)
-                np.add(leg, legs_k, out=leg)
-                np.minimum(via, leg, out=via)
-            bound = np.where(topo.u_floor == q_floor, bound, via)
-        passing = bound <= r
+        passing = _passing_units(topo, q, r, reach, q_floor)
         partitions = {
             topo.part_ids[row]
             for row in set(topo.u_part[passing].tolist())
@@ -1038,33 +1170,21 @@ class ObjectColumns:
         if slots.size == 0:
             return [], partitions, topo.n_units
         floor = state.floor_idx[slots]
-        dist = np.empty(slots.size)
         if reach is None:
-            direct = np.ones(slots.size, dtype=bool)
+            hit = _within(state, slots, q, r, fh)
         else:
+            hit = np.empty(slots.size, dtype=bool)
             direct = (floor == q_floor) | ~topo.floor_has_ent[floor]
             far = ~direct
             # Legs are computed on first read after a move, not by the
             # write (most moved objects move again before any search).
             far_slots = slots[far]
             state.refill_legs(far_slots)
-            dist[far] = (
+            hit[far] = (
                 reach[floor[far]] + state.legs[far_slots]
-            ).min(axis=1)
-        near = np.nonzero(direct)[0]
-        for i in range(0, near.size, _SEARCH_CHUNK):
-            # Min instance distance to q, a bounded number of objects
-            # at a time (an unbounded radius tests the whole venue).
-            part = near[i : i + _SEARCH_CHUNK]
-            mine = slots[part]
-            d, starts = point_distances(
-                [state.objects[s].instances.xy for s in mine.tolist()],
-                topo.floors[state.floor_idx[mine]],
-                q,
-                fh,
-            )
-            dist[part] = np.minimum.reduceat(d, starts)
-        found = slots[dist <= r].tolist()
+            ).min(axis=1) <= r
+            hit[direct] = _within(state, slots[direct], q, r, fh)
+        found = slots[hit].tolist()
         return [state.objects[s] for s in found], partitions, topo.n_units
 
     # ------------------------------------------------------------------
@@ -1077,9 +1197,10 @@ class ObjectColumns:
         (``indr.units_overlapping_rect``), a bucket CSR that is not the
         inverse of the rows, a population object missing although the
         tree finds units for it, rows that differ from a fresh
-        :func:`pack_block` of a copy of the object, entrance legs
-        (refilled first where stale) that differ from the scalar
-        distances, and overlapping spans."""
+        :func:`pack_block` of a copy of the object, an instance box
+        that is not the instances' min / max, entrance legs (refilled
+        first where stale) that differ from the scalar distances, and
+        overlapping spans."""
         state = self._fresh()
         topo = state.topo
         space, grid = self.space, self.population.grid
@@ -1160,6 +1281,12 @@ class ObjectColumns:
                 )
                 and np.array_equal(state.ent_max[ea:eb], fresh.ent_max),
                 "floor": state.floor_idx[slot] == topo.floor_row[obj.floor],
+                "instance box": np.array_equal(
+                    state.box_lo[slot], obj.instances.xy.min(axis=0)
+                )
+                and np.array_equal(
+                    state.box_hi[slot], obj.instances.xy.max(axis=0)
+                ),
                 "entrance legs": state.legs[slot, : len(entrances)].tolist()
                 == [
                     obj.instances.min_distance_to(e.midpoint, fh)

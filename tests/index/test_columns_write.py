@@ -504,6 +504,85 @@ class TestBumpAllocatedSpans:
         assert idx.columns.nbytes <= 1.6 * rebuilt.columns.nbytes
 
 
+def assert_boxes_are_the_instance_bounds(idx):
+    """Every held object's stored instance box is ``obj.bounds()``."""
+    state = idx.columns._state
+    for obj in idx.population:
+        slot = state.slot_of.get(obj.object_id)
+        if slot is None:
+            continue
+        b = obj.bounds()
+        assert state.box_lo[slot].tolist() == [b.minx, b.miny]
+        assert state.box_hi[slot].tolist() == [b.maxx, b.maxy]
+
+
+class TestStoredInstanceBox:
+    """The search decides most same-floor objects from the instance box
+    the write stores; it must be ``obj.bounds()`` after every path that
+    writes or rebuilds a slot."""
+
+    def test_every_write_path(self, count_calls):
+        space, gen, rng, pop = _random_world(11, 40)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        assert_boxes_are_the_instance_bounds(idx)
+        packs = count_calls(_State, "_pack")
+        for _ in range(200):
+            idx.update_objects(
+                [
+                    ObjectMove(oid, *_random_location(space, gen, rng))
+                    for oid in rng.sample(sorted(pop.ids()), 8)
+                ]
+            )
+            assert_boxes_are_the_instance_bounds(idx)
+            if packs:
+                break
+        assert packs  # a compaction pass ran
+        state = idx.columns._state
+        victim = sorted(pop.ids())[5]
+        slot = state.slot_of[victim]
+        idx.delete_object(victim)
+        new = UncertainObject("new", *_random_location(space, gen, rng))
+        idx.insert_object(new)
+        assert state.slot_of["new"] == slot
+        assert_boxes_are_the_instance_bounds(idx)
+        assert idx.validate() == []
+
+    def test_rebuild_that_strands_objects(self):
+        """A partition deletion strands the objects it held: the rebuild
+        frames such a chunk twice and must store the second frame's
+        boxes, one per object it keeps."""
+        space, gen, rng, pop = _random_world(3, 60)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        rooms = sorted(
+            pid
+            for pid, p in space.partitions.items()
+            if p.kind is PartitionKind.ROOM
+            and idx.columns.partition_objects(pid)
+        )
+        victim = rooms[0]
+        space.remove_partition(victim)
+        idx.delete_partition(victim)
+        idx.columns.layout()  # the rebuild
+        state = idx.columns._state
+        assert len(state.slot_of) < len(pop)
+        assert_boxes_are_the_instance_bounds(idx)
+        assert idx.validate() == []
+
+    def test_validate_reports_a_corrupted_box(self):
+        space, gen, rng, pop = _random_world(4, 20)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        assert idx.validate() == []
+        victim = sorted(pop.ids())[2]
+        state = idx.columns._state
+        state.box_hi[state.slot_of[victim], 1] += 0.5
+        assert idx.validate() == [
+            f"object {victim}: columns disagree on instance box"
+        ]
+
+
 class TestLazySubregion:
     @pytest.fixture
     def wide(self, five_rooms):

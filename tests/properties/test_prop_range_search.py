@@ -17,6 +17,16 @@ itself: each indexed object whose lower bound to ``q`` is within ``r``
 is a candidate; and after every step each bucket is held to the
 inverse of the objects' own indR-tree walks.
 
+The columnar search decides a same-floor object from its stored
+instance box where the box lies wholly within or beyond ``r``, and
+skips a floor none of whose staircase entrances ``q`` reaches within
+``r``.  Both decisions are exact only to the last float, so the probes
+include radii equal to an object's min instance distance and to a
+floor's nearest entrance reach, one ulp either side of each, query
+points on box corners and edges, and an object whose box is within
+``r`` while neither of its two instances is; near objects are held to
+their min instance distance itself.
+
 A deleted partition strands the objects it held until it is restored
 (Fig. 15(c)'s sequence); after the restore every one of them is back in
 the table."""
@@ -24,6 +34,7 @@ the table."""
 import math
 import random
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +59,77 @@ RADII = (0.0, 12.0, 55.0, 400.0, math.inf)
 #: small enough that only the unit the instance is in passes.
 NEAR_RADII = (0.5, 2.0, 4.0, 8.0)
 
+#: Id of the scripted object :func:`_insert_corner_object` adds.
+CORNERS = "corners"
+
+
+def _around(d):
+    """``d`` and its float neighbours toward 0 and toward infinity."""
+    return (float(np.nextafter(d, 0.0)), d, float(np.nextafter(d, np.inf)))
+
+
+def _insert_corner_object(index, space, rng):
+    """Two instances at opposite corners of a 2 m square in a room: from
+    a free corner of that square its box is within 1 m, neither
+    instance is."""
+    room = rng.choice(
+        sorted(
+            p.partition_id
+            for p in space.partitions.values()
+            if p.kind is PartitionKind.ROOM and isinstance(p.footprint, Rect)
+        )
+    )
+    partition = space.partition(room)
+    cx, cy = partition.footprint.center
+    xy = np.array([[cx - 1.0, cy - 1.0], [cx + 1.0, cy + 1.0]])
+    center = Point(cx, cy, partition.floor)
+    index.insert_object(
+        UncertainObject(
+            CORNERS,
+            Circle(center, 1.5),
+            InstanceSet(xy, partition.floor, np.array([0.5, 0.5])),
+        )
+    )
+
+
+def _boundary_probes(index, space, points, indexed, rng):
+    """Probes on the float boundaries of the search's box and floor
+    decisions (see the module docstring)."""
+    fh = space.floor_height
+    probes = []
+    q = points[0]
+    for obj in rng.sample(indexed, min(2, len(indexed))):
+        probes.append((q, _around(obj.instances.min_distance_to(q, fh))))
+    for obj in rng.sample(indexed, min(2, len(indexed))):
+        b = obj.bounds()
+        for x, y in ((b.minx, b.miny), ((b.minx + b.maxx) / 2.0, b.maxy)):
+            corner = Point(x, y, obj.floor)
+            if space.locate(corner) is not None:
+                d = obj.instances.min_distance_to(corner, fh)
+                probes.append((corner, _around(d) + NEAR_RADII))
+    for obj in indexed:
+        if obj.object_id == CORNERS:
+            b = obj.bounds()
+            corner = Point(b.maxx, b.miny, obj.floor)
+            d = obj.instances.min_distance_to(corner, fh)
+            probes.append((corner, (d / 2.0,) + _around(d)))
+    # r exactly a floor's nearest entrance reach from q: the floor's
+    # units touching that entrance pass, so the floor is not skipped.
+    skeleton = index.skeleton
+    skeleton.ensure_fresh()
+    ms2s = skeleton.ms2s
+    sqs = skeleton.entrances_on_floor(q.floor)
+    for floor, entrances in sorted(skeleton.by_floor.items()):
+        if floor == q.floor or not sqs or not entrances:
+            continue
+        reach = min(
+            q.distance(s.midpoint, fh) + float(ms2s[s.index, e.index])
+            for s in sqs
+            for e in entrances
+        )
+        probes.append((q, _around(reach)))
+    return probes
+
 
 def _assert_search_agrees(index, space, rng):
     fh = space.floor_height
@@ -68,6 +150,7 @@ def _assert_search_agrees(index, space, rng):
                 q = Point(float(xy[i, 0]), float(xy[i, 1]), obj.floor)
                 if space.locate(q) is not None:
                     probes.append((q, NEAR_RADII))
+        probes += _boundary_probes(index, space, points, indexed, rng)
     for q, radii in probes:
         bounds = {
             True: [
@@ -75,6 +158,7 @@ def _assert_search_agrees(index, space, rng):
             ],
             False: [o.instances.min_distance_to(q, fh) for o in indexed],
         }
+        exact = {o.object_id: d for o, d in zip(indexed, bounds[False])}
         for r in radii:
             for use_skeleton in (True, False):
                 got = index.range_search(q, r, use_skeleton)
@@ -95,6 +179,12 @@ def _assert_search_agrees(index, space, rng):
                     for o, d in zip(indexed, bounds[use_skeleton])
                     if d <= r
                 } <= set(ids)
+                # A near object is decided by its instances themselves.
+                assert all(
+                    exact[o.object_id] <= r
+                    for o in got.objects
+                    if o.floor == q.floor or not use_skeleton
+                )
 
 
 def _split_a_room(index, space, rng):
@@ -127,6 +217,7 @@ class TestColumnarSearchEqualsTreeWalk:
     def test_after_random_mutations(self, seed):
         space, gen, pop, index = build_world(seed, n_objects=30)
         rng = random.Random(seed ^ 0xC01)
+        _insert_corner_object(index, space, rng)
         _assert_search_agrees(index, space, rng)  # builds the table
         assert index.validate() == []
         stream = MovementStream(space, pop, gen, seed=seed + 1)
@@ -173,6 +264,7 @@ class TestColumnarSearchEqualsTreeWalk:
         missed the object from the room across the wall)."""
         space, gen, pop, index = build_world(seed, n_objects=40)
         rng = random.Random(seed ^ 0xB0C)
+        _insert_corner_object(index, space, rng)
         stream = MovementStream(space, pop, gen, seed=seed + 1)
         for batch in stream.batches(40, 20):
             index.update_objects(batch)
