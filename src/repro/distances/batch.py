@@ -29,14 +29,16 @@ one-shot query:
   only on registration churn or a new layout, or the one search of a
   one-shot prune.
 * an **object-side pack** (:class:`ObjectBlock`) — every object's
-  subregion rows (partition row, mass) and, ragged beneath them, one
-  entry per entry door of each row's partition: the door's index and
-  the Euclidean min/max distances of the row's instances to its
-  midpoint (padded to a world-A batch's widest partition, three
-  quarters of the operand would be padding).  The index's columnar table
+  subregion rows (:class:`SubregionRows`: partition row, mass, the
+  row's instances) and, ragged beneath them, one entry per entry door
+  of each row's partition: the door's index and the Euclidean min/max
+  distances of the row's instances to its midpoint (padded to a
+  world-A batch's widest partition, three quarters of the operand would
+  be padding).  The index's columnar table
   (:mod:`repro.index.columns`) stores the same entries, computes them
-  for a whole batch when objects are written and serves every later
-  block — a moved batch, a candidate set — as a gather of them;
+  for a whole batch when objects are written — and each object's
+  instances, in row order — and serves every later block — a moved
+  batch, a candidate set — as a gather of them;
   :func:`pack_block` is the per-object reference that write is tested
   against (and what packs objects no index owns).
 
@@ -64,9 +66,10 @@ other routine, over the same two operands:
 * **exact refinement** (:func:`block_expected_distances`) — the
   expected indoor distance ``|q, O|_I`` (Definition 1), or the iPRQ
   qualifying probability, of a list of (query, object) pairs in one
-  array pass: the objects' instances gathered in subregion-row order
-  from their parent sets and piece vectors, one ragged ``(instance x
-  entry door)`` distance vector reduced to the best door per instance,
+  array pass: the objects' instances read in subregion-row order from
+  their :class:`SubregionRows` (the index's table stores them in that
+  order), one ragged ``(instance x entry door)`` distance vector
+  reduced to the best door per instance,
   the own-partition direct path, one contiguous sum per subregion.  A
   standing query reaches it through its :class:`BoundsRow`
   (:meth:`~BoundsRow.prefetch` / :meth:`~BoundsRow.exact` /
@@ -150,9 +153,10 @@ from repro.space.floorplan import IndoorSpace
 
 
 def offsets_of(counts: np.ndarray) -> np.ndarray:
-    """``(n + 1,)`` running offsets of ``n`` consecutive spans."""
+    """``(n + 1,)`` running offsets of ``n`` consecutive spans
+    (``counts`` an integer array)."""
     offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
+    counts.cumsum(out=offsets[1:])
     return offsets
 
 
@@ -164,9 +168,8 @@ def span_index(
     that flat sequence — the row gather behind the columnar table's
     blocks."""
     offsets = offsets_of(counts)
-    flat = np.repeat(starts - offsets[:-1], counts) + np.arange(
-        offsets[-1], dtype=np.intp
-    )
+    flat = (starts - offsets[:-1]).repeat(counts)
+    flat += np.arange(offsets[-1], dtype=np.intp)
     return flat, offsets
 
 
@@ -191,31 +194,28 @@ def point_distances(
 
 
 def own_row_extrema(
-    subs: list[Subregion], rows: np.ndarray, src: np.ndarray, fh: float
+    rows: SubregionRows, idx: np.ndarray, src: np.ndarray, fh: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``min`` and ``max`` of ``|s, q|_E`` over the instances of
-    subregion ``rows[i]`` (positions in ``subs``) from the query point
-    ``src[i]`` (``x, y, floor`` columns), for every ``i`` in one ragged
-    pass — the direct-path term of rows lying in a query's own
-    partition.  Instances are read from each row's parent
-    :class:`~repro.objects.instances.InstanceSet` and piece vector: no
-    ``Subregion.instances`` copy is read or built.  Element for element
-    the floats of :meth:`~repro.objects.instances.InstanceSet.
-    distances_to`."""
-    mine = [subs[a] for a in rows.tolist()]
-    sets = [
-        s.parent.xy if s.pieces is None else s.parent.xy[s.pieces == s.piece]
-        for s in mine
-    ]
-    counts = np.array([len(xy) for xy in sets], dtype=np.intp)
-    xy = np.concatenate(sets)
-    xy -= src[:, :2].repeat(counts, axis=0)
-    np.multiply(xy, xy, out=xy)
-    d = xy[:, 0] + xy[:, 1]
-    dz = (np.array([float(s.parent.floor) for s in mine]) - src[:, 2]) * fh
+    subregion row ``idx[i]`` of ``rows`` from the query point ``src[i]``
+    (``x, y, floor`` columns), for every ``i`` in one ragged pass — the
+    direct-path term of rows lying in a query's own partition.  Element
+    for element the floats of :meth:`~repro.objects.instances.
+    InstanceSet.distances_to`."""
+    first = rows.start[idx]
+    counts = rows.start[idx + 1] - first
+    inst, cuts = span_index(first, counts)
+    d = rows.x[inst]
+    d -= src[:, 0].repeat(counts)
+    d *= d
+    dy = rows.y[inst]
+    dy -= src[:, 1].repeat(counts)
+    dy *= dy
+    d += dy
+    dz = (rows.floor[idx] - src[:, 2]) * fh
     d += (dz * dz).repeat(counts)
     np.sqrt(d, out=d)
-    starts = offsets_of(counts)[:-1]
+    starts = cuts[:-1]
     return np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
 
 
@@ -224,7 +224,8 @@ class DoorLayout:
 
     The numbering (``door_index``, ``part_row``) is the doors graph's
     :class:`~repro.space.doors_graph.DoorsCsr`, never re-derived.
-    ``part_row[pid]`` names the row of partition ``pid``;
+    ``part_row[pid]`` names the row of partition ``pid`` (and
+    ``part_ids[row]`` the partition of a row);
     ``entry_idx[row]`` holds the global door indices of its entry doors
     (in :meth:`~repro.space.floorplan.IndoorSpace.entry_doors` order —
     the order the scalar path iterates) and ``entry_mid[row]`` their
@@ -234,7 +235,8 @@ class DoorLayout:
     write's door extrema, a block's door entries, exact refinement):
     row ``p``'s doors are
     ``flat_idx`` / ``flat_mid`` at ``entry_start[p] : entry_start[p] +
-    n_entry[p]``.
+    n_entry[p]`` (and ``flat_mid``'s columns, contiguous, are
+    ``mid_x`` / ``mid_y`` / ``mid_z``).
     """
 
     __slots__ = (
@@ -242,12 +244,16 @@ class DoorLayout:
         "door_index",
         "n_doors",
         "part_row",
+        "part_ids",
         "entry_idx",
         "entry_mid",
         "n_entry",
         "entry_start",
         "flat_idx",
         "flat_mid",
+        "mid_x",
+        "mid_y",
+        "mid_z",
     )
 
     def __init__(self, space: IndoorSpace, numbering: DoorsCsr) -> None:
@@ -255,6 +261,7 @@ class DoorLayout:
         self.door_index = numbering.door_index
         self.n_doors = len(numbering.door_ids)
         self.part_row = numbering.part_row
+        self.part_ids = list(self.part_row)  # in row order
         self.entry_idx: list[np.ndarray] = []
         self.entry_mid: list[np.ndarray] = []
         for pid in self.part_row:  # in row order
@@ -282,6 +289,34 @@ class DoorLayout:
             self.entry_idx + [np.zeros(0, dtype=np.intp)]
         )
         self.flat_mid = np.concatenate(self.entry_mid + [np.zeros((0, 3))])
+        self.mid_x, self.mid_y, self.mid_z = np.ascontiguousarray(
+            self.flat_mid.T
+        )
+
+
+@dataclass(slots=True, eq=False)
+class SubregionRows:
+    """Subregions as arrays: the operand of exact refinement and of the
+    own-partition direct path.
+
+    Row ``a`` is one subregion ``S[j]``: its partition's layout row
+    ``part[a]``, its mass ``mass[a]``, the floor its instances lie on
+    ``floor[a]``, and its instances — ``x`` / ``y`` / ``probs`` at
+    ``start[a] : start[a + 1]``, in the object's instance order (one
+    contiguous column each: numpy gathers a 1-D column several times
+    faster than the rows of an ``(n, 2)`` array).  Rows come in
+    ``(object, subregion)`` order, an object's subregions in
+    ``obj.subregions()`` order.  The arrays are the holder's own (a
+    gather copies): a later index write moves nothing they hold.
+    """
+
+    part: np.ndarray
+    mass: list[float]
+    floor: np.ndarray
+    start: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    probs: np.ndarray
 
 
 @dataclass(slots=True, eq=False)
@@ -290,9 +325,9 @@ class ObjectBlock:
     subregion stats, ragged as the index's table stores them, shared
     across queries.
 
-    Rows are subregions in ``(object, subregion)`` order — objects in
-    batch order, subregions in ``obj.subregions()`` order (the order
-    the scalar path iterates, which the stable sort inside
+    ``rows`` are the subregions in ``(object, subregion)`` order —
+    objects in batch order, subregions in ``obj.subregions()`` order (the
+    order the scalar path iterates, which the stable sort inside
     :func:`~repro.distances.bounds.probabilistic_bounds` depends on).
     ``obj_offsets[j] : obj_offsets[j + 1]`` is object ``j``'s row span.
     Beneath the rows, flat, one entry per entry door of each row's
@@ -308,12 +343,7 @@ class ObjectBlock:
     ent_min: np.ndarray
     ent_max: np.ndarray
     row_n: np.ndarray
-    sub_part: np.ndarray
-    sub_mass: list[float]
-    #: The rows' :class:`Subregion`s themselves — not their instance
-    #: sets, which no kernel of this module reads (they gather from the
-    #: parent set and the piece vector).
-    subs: list[Subregion]
+    rows: SubregionRows
     obj_offsets: np.ndarray
     ent_start: np.ndarray = field(init=False)
 
@@ -322,6 +352,43 @@ class ObjectBlock:
 
     def __len__(self) -> int:
         return len(self.objects)
+
+    @property
+    def sub_part(self) -> np.ndarray:
+        """Each row's partition, as its layout row."""
+        return self.rows.part
+
+    @property
+    def sub_mass(self) -> list[float]:
+        return self.rows.mass
+
+
+def subregion_rows(
+    objects: list[UncertainObject], space: IndoorSpace, grid, layout
+) -> tuple[SubregionRows, np.ndarray]:
+    """``objects``' subregions (``obj.subregions()``, the scalar
+    assignment) as :class:`SubregionRows` in ``layout``'s partition
+    rows, and each object's row span — the reference the index's table
+    rows are held to, and the rows of objects no index owns."""
+    subs: list[Subregion] = []
+    counts = []
+    for obj in objects:
+        mine = obj.subregions(space, grid)
+        subs.extend(mine)
+        counts.append(len(mine))
+    sets = [s.instances for s in subs]
+    xy = np.concatenate([inst.xy for inst in sets] + [np.zeros((0, 2))])
+    return SubregionRows(
+        np.array(
+            [layout.part_row[s.partition_id] for s in subs], dtype=np.intp
+        ),
+        [s.mass for s in subs],
+        np.array([float(inst.floor) for inst in sets]),
+        offsets_of(np.array([len(inst) for inst in sets], dtype=np.intp)),
+        np.ascontiguousarray(xy[:, 0]),
+        np.ascontiguousarray(xy[:, 1]),
+        np.concatenate([inst.probs for inst in sets] + [np.zeros(0)]),
+    ), offsets_of(np.array(counts, dtype=np.intp))
 
 
 def pack_block(
@@ -342,46 +409,33 @@ def pack_block(
     argument).
     """
     fh = space.floor_height
+    rows, offsets = subregion_rows(objects, space, grid, layout)
     empty = np.empty(0, dtype=np.float64)
     rows_door: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
     rows_min: list[np.ndarray] = [empty]
     rows_max: list[np.ndarray] = [empty]
-    sub_part: list[int] = []
-    sub_mass: list[float] = []
-    subs: list[Subregion] = []
-    offsets = [0]
-    for obj in objects:
-        mine = obj.subregions(space, grid)
-        for s in mine:
-            row = layout.part_row[s.partition_id]
-            idx = layout.entry_idx[row]
-            inst = s.instances
-            if idx.size:
-                mids = layout.entry_mid[row]
-                dx = inst.xy[:, 0][:, None] - mids[:, 0][None, :]
-                dy = inst.xy[:, 1][:, None] - mids[:, 1][None, :]
-                d2 = dx * dx + dy * dy
-                dz = (float(inst.floor) - mids[:, 2]) * fh
-                d = np.sqrt(d2 + (dz * dz)[None, :])
-                rows_min.append(d.min(axis=0))
-                rows_max.append(d.max(axis=0))
-                rows_door.append(idx)
-            sub_part.append(row)
-            sub_mass.append(s.mass)
-            subs.append(s)
-        offsets.append(offsets[-1] + len(mine))
-    part = np.array(sub_part, dtype=np.intp)
+    for a, row in enumerate(rows.part.tolist()):
+        idx = layout.entry_idx[row]
+        if idx.size:
+            span = slice(rows.start[a], rows.start[a + 1])
+            mids = layout.entry_mid[row]
+            dx = rows.x[span][:, None] - mids[:, 0][None, :]
+            dy = rows.y[span][:, None] - mids[:, 1][None, :]
+            d2 = dx * dx + dy * dy
+            dz = (rows.floor[a] - mids[:, 2]) * fh
+            d = np.sqrt(d2 + (dz * dz)[None, :])
+            rows_min.append(d.min(axis=0))
+            rows_max.append(d.max(axis=0))
+            rows_door.append(idx)
     return ObjectBlock(
         list(objects),
         layout,
         np.concatenate(rows_door),
         np.concatenate(rows_min),
         np.concatenate(rows_max),
-        layout.n_entry[part],
-        part,
-        sub_mass,
-        subs,
-        np.array(offsets, dtype=np.intp),
+        layout.n_entry[rows.part],
+        rows,
+        offsets,
     )
 
 
@@ -477,15 +531,17 @@ class BoundsRow:
 
     The row holds views of the kernel's arrays and makes the Python
     floats its per-pair decisions run on when the first one is asked
-    for: a row nobody decides from costs nothing.
+    for: a row nobody decides from costs nothing.  A row made with
+    ``refine=False`` decides but cannot refine: it keeps none of the
+    block's instance copies alive.
     """
 
     __slots__ = (
         "dd",
         "_arrays",
         "_floats",
-        "_subs",
         "_mass",
+        "_rows",
         "_offsets",
         "_stack",
         "_i",
@@ -493,23 +549,30 @@ class BoundsRow:
         "_exact",
     )
 
-    def __init__(self, bounds: "BlockBounds", i: int) -> None:
+    def __init__(
+        self, bounds: "BlockBounds", i: int, refine: bool = True
+    ) -> None:
         self.dd = bounds.stack.searches[i]
-        self._arrays = (bounds.lo[i], bounds.tmin[i], bounds.tmax[i])
-        self._floats: list[list[float]] | None = None
+        rows = bounds.block.rows
+        self._arrays = (
+            bounds.lo[i], bounds.tmin[i], bounds.tmax[i], rows.part
+        )
+        self._floats: list[list] | None = None
         self._stack = bounds.stack
         self._i = i
         self._fh = bounds.fh
         self._exact: dict[int, float] = {}
         # Not the block itself: a row may outlive the kernel call (the
         # one-shot prune keeps every chunk's), and the block's door
-        # entries are what chunking exists to keep transient.
-        self._subs = bounds.block.subs
-        self._mass = bounds.block.sub_mass
+        # entries — like its instance copies, for a row that does not
+        # refine — are what chunking exists to keep transient.
+        self._mass = rows.mass
+        self._rows = rows if refine else None
         self._offsets = bounds.offsets
 
-    def _lists(self) -> list[list[float]]:
-        """``lo`` per object, ``tmin`` and ``tmax`` per subregion row."""
+    def _lists(self) -> list[list]:
+        """``lo`` per object; ``tmin``, ``tmax`` and the partition's
+        layout row per subregion row."""
         floats = self._floats
         if floats is None:
             floats = self._floats = [a.tolist() for a in self._arrays]
@@ -527,13 +590,14 @@ class BoundsRow:
         order, to the scalar :func:`~repro.distances.bounds.
         probabilistic_bounds` (Eq. 8), so sort stability and float
         accumulation match the scalar path by construction."""
-        (_, tmin, tmax), subs, mass = self._lists(), self._subs, self._mass
+        _, tmin, tmax, part = self._lists()
         a, b = self._offsets[j], self._offsets[j + 1]
         if b - a == 1:
             return DistanceInterval(tmin[a], tmax[a])
+        ids, mass = self._stack.layout.part_ids, self._mass
         return probabilistic_bounds(
             [
-                SubregionStats(subs[i].partition_id, tmin[i], tmax[i], mass[i])
+                SubregionStats(ids[part[i]], tmin[i], tmax[i], mass[i])
                 for i in range(a, b)
             ]
         )
@@ -545,16 +609,18 @@ class BoundsRow:
         ``unreached_floor = r + 1.0``).  Beyond the envelope every
         subregion has ``tmax >= tmin > r`` and :func:`mass_within`
         would add nothing."""
-        lo, tmin, tmax = self._lists()
+        lo, tmin, tmax, _ = self._lists()
         if lo[j] > r:
             return 0.0, 0.0
         rows = range(self._offsets[j], self._offsets[j + 1])
         return mass_within(tmin, tmax, self._mass, rows, r)
 
     def _refine(self, js: list[int], r: float | None = None) -> list[float]:
+        if self._rows is None:
+            raise QueryError("a row made with refine=False cannot refine")
         return block_expected_distances(
             self._stack,
-            self._subs,
+            self._rows,
             self._offsets,
             [(self._i, j) for j in js],
             self._fh,
@@ -612,9 +678,10 @@ class BlockBounds:
         self.lo = np.minimum.reduceat(self.tmin, starts[:-1], axis=1)
         self.offsets = starts.tolist()
 
-    def row(self, i: int) -> BoundsRow:
-        """The view of query ``i`` (its position in the stack)."""
-        return BoundsRow(self, i)
+    def row(self, i: int, refine: bool = True) -> BoundsRow:
+        """The view of query ``i`` (its position in the stack); with
+        ``refine=False`` one that keeps no instance copy alive."""
+        return BoundsRow(self, i, refine)
 
     def hi_array(self, i: int) -> np.ndarray:
         """``hi[j] = max_S tmax(S)`` for query ``i``: the upper end of
@@ -677,7 +744,7 @@ def block_object_bounds(
     )
     if len(own_row):
         near, far = own_row_extrema(
-            block.subs, own_row, stack.source_xyz[own_query], fh
+            block.rows, own_row, stack.source_xyz[own_query], fh
         )
         own = (own_query, own_row)
         tmin[own] = np.minimum(tmin[own], near)
@@ -695,24 +762,9 @@ def block_object_bounds(
 REFINE_CHUNK = 32
 
 
-def subregion_rows(
-    objects: list[UncertainObject], space: IndoorSpace, grid
-) -> tuple[list[Subregion], list[int]]:
-    """``objects``' subregions laid end to end in ``obj.subregions()``
-    order, and each object's span in that list — the row order of an
-    :class:`ObjectBlock` (its ``subs`` / ``obj_offsets``), for a caller
-    that refines objects it holds no block of."""
-    subs: list[Subregion] = []
-    offsets = [0]
-    for obj in objects:
-        subs.extend(obj.subregions(space, grid))
-        offsets.append(len(subs))
-    return subs, offsets
-
-
 def block_expected_distances(
     stack: QueryStack,
-    subs: list[Subregion],
+    rows: SubregionRows,
     offsets: Sequence[int] | np.ndarray,
     pairs: list[tuple[int, int]],
     fh: float,
@@ -724,10 +776,11 @@ def block_expected_distances(
     ``sum_i p_i [|q, s_i|_I <= r]``.
 
     A pair is ``(stack position, block position)``: query ``i`` of
-    ``stack`` against the object whose subregions are
-    ``subs[offsets[j] : offsets[j + 1]]`` — a block's ``subs`` /
-    ``obj_offsets``, or :func:`subregion_rows` of bare objects.  Float
-    for float the scalar
+    ``stack`` against the object whose subregions are rows
+    ``offsets[j] : offsets[j + 1]`` of ``rows`` — a block's ``rows`` /
+    ``obj_offsets``, the index table's
+    (:meth:`~repro.index.columns.ObjectColumns.rows`), or
+    :func:`subregion_rows` of bare objects.  Float for float the scalar
     :func:`repro.distances.expected.expected_indoor_distance` ``.value``
     / :func:`~repro.distances.expected.qualifying_probability`, and a
     pair's value does not depend on what else is in the list: every
@@ -738,24 +791,18 @@ def block_expected_distances(
     the very elements, in the very order, the scalar path sums (which
     ``np.add.reduceat`` would not give), accumulated per pair in
     ``obj.subregions()`` order.
-
-    Instance coordinates are gathered in subregion-row order straight
-    from each object's parent :class:`~repro.objects.instances.
-    InstanceSet` and piece vector (a stable sort keeps a piece's
-    instances in their order, as ``xy[pieces == k]`` does): no lazy
-    ``Subregion.instances`` copy is read or built.
     """
     out: list[float] = []
     for at in range(0, len(pairs), REFINE_CHUNK):
         out += _refine_pass(
-            stack, subs, offsets, pairs[at : at + REFINE_CHUNK], fh, r
+            stack, rows, offsets, pairs[at : at + REFINE_CHUNK], fh, r
         )
     return out
 
 
 def _refine_pass(
     stack: QueryStack,
-    subs: list[Subregion],
+    rows: SubregionRows,
     offsets: Sequence[int] | np.ndarray,
     pairs: list[tuple[int, int]],
     fh: float,
@@ -763,64 +810,45 @@ def _refine_pass(
 ) -> list[float]:
     """One array pass of :func:`block_expected_distances`."""
     layout = stack.layout
-    spans = [(int(offsets[j]), int(offsets[j + 1])) for _, j in pairs]
-    parents = [subs[a].parent for a, _ in spans]
-    n_rows = np.array([b - a for a, b in spans], dtype=np.intp)
-    counts = np.array([len(p.probs) for p in parents], dtype=np.intp)
-    xy = np.concatenate([p.xy for p in parents])
-    probs = np.concatenate([p.probs for p in parents])
-
-    # -- instances in (pair, subregion) row order: a pair's first row,
-    # plus the instance's piece where the object has several ----------
-    first_row = offsets_of(n_rows)
-    total_rows = int(first_row[-1])
-    row_of = first_row[:-1].repeat(counts)
-    if total_rows > len(pairs):
-        at = 0
-        for (a, b), n in zip(spans, counts.tolist()):
-            if b - a > 1:
-                row_of[at : at + n] += subs[a].pieces
-            at += n
-        order = np.argsort(row_of, kind="stable")
-        row_of = row_of[order]
-        xy = xy[order]
-        probs = probs[order]
-    row_ends = np.bincount(row_of, minlength=total_rows).cumsum()
+    # -- the pairs' rows laid end to end, and their instances --------
+    first = np.array([offsets[j] for _, j in pairs], dtype=np.intp)
+    n_rows = np.array([offsets[j + 1] for _, j in pairs], dtype=np.intp)
+    n_rows -= first
+    mine, first_row = span_index(first, n_rows)
+    lrow = rows.part[mine]
+    row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
+    row_floor = rows.floor[mine]
+    row_len = rows.start[mine + 1] - rows.start[mine]
+    inst, row_cuts = span_index(rows.start[mine], row_len)
+    x, y, probs = rows.x[inst], rows.y[inst], rows.probs[inst]
+    row_of = np.arange(len(mine)).repeat(row_len)
+    row_ends = row_cuts[1:]
 
     # -- per (row, entry door of its partition): midpoint, squared
     # vertical leg, the query's weight --------------------------------
-    part_row = layout.part_row
-    lrow = np.array(
-        [
-            part_row[subs[row].partition_id]
-            for a, b in spans
-            for row in range(a, b)
-        ],
-        dtype=np.intp,
-    )
-    row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
-    row_floor = np.array([float(p.floor) for p in parents]).repeat(n_rows)
     row_doors = layout.n_entry[lrow]
     entry, entry_start = span_index(layout.entry_start[lrow], row_doors)
-    mid = layout.flat_mid[entry]
-    dz = (row_floor.repeat(row_doors) - mid[:, 2]) * fh
-    via = np.empty((len(entry), 4))
-    via[:, :2] = mid[:, :2]
-    via[:, 2] = dz * dz
-    via[:, 3] = stack.w[row_query.repeat(row_doors), layout.flat_idx[entry]]
+    mid_x, mid_y = layout.mid_x[entry], layout.mid_y[entry]
+    dz = (row_floor.repeat(row_doors) - layout.mid_z[entry]) * fh
+    dz *= dz
+    w = stack.w[row_query.repeat(row_doors), layout.flat_idx[entry]]
 
-    # -- ragged (instance x entry door), reduced to the best door -----
+    # -- ragged (instance x entry door), reduced to the best door: one
+    # 1-D column per term (a row gather of an ``(n, 4)`` array is
+    # several times slower) -------------------------------------------
     doors = row_doors[row_of]
     if entry.size:
         pick, cuts = span_index(entry_start[:-1][row_of], doors)
-        leg = via[pick]
-        planar = xy.repeat(doors, axis=0)
-        planar -= leg[:, :2]
-        planar *= planar
-        path = planar[:, 0] + planar[:, 1]
-        path += leg[:, 2]
+        path = x.repeat(doors)
+        path -= mid_x[pick]
+        path *= path
+        dy = y.repeat(doors)
+        dy -= mid_y[pick]
+        dy *= dy
+        path += dy
+        path += dz[pick]
         np.sqrt(path, out=path)
-        path += leg[:, 3]
+        path += w[pick]
     if row_doors.all():
         d = np.minimum.reduceat(path, cuts[:-1])
     else:
@@ -834,9 +862,9 @@ def _refine_pass(
     own_row = lrow == stack.source_row[row_query]
     if own_row.any():
         at = np.flatnonzero(own_row[row_of])
-        src = stack.source_xyz[row_query[row_of[at]]]
-        dx = xy[at, 0] - src[:, 0]
-        dy = xy[at, 1] - src[:, 1]
+        src = np.take(stack.source_xyz, row_query[row_of[at]], axis=0)
+        dx = x[at] - src[:, 0]
+        dy = y[at] - src[:, 1]
         dz = (row_floor[row_of[at]] - src[:, 2]) * fh
         d[at] = np.minimum(d[at], np.sqrt(dx * dx + dy * dy + dz * dz))
 

@@ -20,71 +20,82 @@ the indR-tree flattened into arrays.  One table then serves
 object is read to build it): the
 :class:`~repro.distances.batch.DoorLayout`, the partition table in
 ``partition_id`` order (bounds, floor span, layout row, its units as
-one span), the unit arrays (rect, floor,
+one span) and the same partition rows listed per floor (a staircase
+under every floor it spans), the unit arrays (rect, floor,
 partition), the same unit rows grouped per floor with each floor's
 rect-MINDIST to its entrances, and the per-floor entrance index.  Per
 object slot (:class:`_State`): floor, instance bounding box, entrance
 legs (and whether they are stale: see the write), the rows of
 the index units the object overlaps — the paper's o-table (object ->
 units), and the only place the index stores it — a span of subregion
-rows (partition row, mass) and —
-ragged beneath the rows — one ``(emin, emax)`` entry per entry door of
-each row's partition.  Both span columns are bump-allocated: a slot
-whose count changes gets a fresh span at the top, and once the dead
-entries exceed :data:`_DEAD_SHARE` of the live ones the live spans are
-packed down, :data:`_BUILD_CHUNK` slots a pass.  The reverse lookup,
-unit -> objects (each leaf's bucket), is not maintained: it is a CSR
-over the unit rows (:meth:`_State.buckets`: offsets per unit, slots
-ascending within each), derived on the first bucket read after a write
-— O(memberships), about 60 KB on world A.  The search does not read it
-(it gathers the passing units straight from the rows); the ikNNQ seed
-expansion, the reference tree walk and :meth:`ObjectColumns.validate`
-do.  Rows are stored
-ragged because a hallway has tens of doors and a room one: padded to
-the widest partition the table is several times larger, and the
-resident set is a gated metric; a block is the same ragged entries
-gathered, and the bounds kernel reduces them as they lie.  For the
-same reason instance
-coordinates are *not* copied here, only each object's instance box (32
-B a slot): the one test that needs instances (min instance distance to
-a same-floor query point) decides from the box whenever the box lies
-wholly within or wholly beyond ``r``, and reads the instances from the
-objects only for those it straddles, a bounded number at a time.  No
-instance x door matrix outlives the write that computed it.
+rows (partition row, mass, instance count), ragged beneath the rows
+one ``(emin, emax)`` entry per entry door of each row's partition,
+and the object itself: its instances (``x``, ``y``, probability, 24 B
+each) laid out in subregion-row order, so that the subregion ``S[j]``
+of Section II-B is a contiguous slice of them.  All three span columns
+are bump-allocated: a slot whose count grows gets a fresh span at the
+top (one whose count shrinks keeps the head of its own), and once the
+dead entries exceed :data:`_DEAD_SHARE` of the live ones the live
+spans are packed down, :data:`_BUILD_CHUNK` slots a pass.  The reverse
+lookup, unit -> objects (each leaf's bucket), is not maintained: it is
+a CSR over the unit rows (:meth:`_State.buckets`: offsets per unit,
+slots ascending within each), derived on the first bucket read after a
+write — O(memberships), about 60 KB on world A.  The search does not
+read it (it gathers the passing units straight from the rows); the
+ikNNQ seed expansion, the reference tree walk and
+:meth:`ObjectColumns.validate` do.  Rows are stored ragged because a
+hallway has tens of doors and a room one: padded to the widest
+partition the table is several times larger, and the resident set is
+a gated metric; a block is the same ragged entries gathered, and the
+bounds kernel reduces them as they lie.  A block also gathers — copies
+— its objects' instance rows (:class:`~repro.distances.batch.
+SubregionRows`), which exact refinement and the own-partition direct
+path read: a later write, compaction included, moves nothing a block
+has handed out.  The filter's one instance test (min instance distance
+to a same-floor query point) decides from the instance box (32 B a
+slot) whenever the box lies wholly within or wholly beyond ``r``, and
+reads the instances only for those it straddles, a bounded number at a
+time.  No instance x door matrix outlives the write that computed it.
 
 **The write.**  One routine, :meth:`_Topology.stage`, resolves a list
 of objects in a fixed number of array operations and is the only body
 behind the index's ``update_objects`` / ``move_object`` /
 ``insert_object`` and the table's own rebuild (in chunks of
 :data:`_BUILD_CHUNK`): instance bounds by ``reduceat``; candidate
-partitions as one ``(B x P)`` overlap mask; index units as same-floor
-rect overlap over the candidates' unit spans; subregions as an
-``(N x candidates)`` containment test whose first hit per instance is
-the scalar first-wins rule; door extrema as one ragged ``(row, door) x
-instances-of-row`` gather reduced straight into the ragged entries.
-Per batch, not per object, it also casts the piece vectors, checks the
-masses and — in :meth:`_State.commit` — allocates every changed span;
-per object only what a Python object has to change runs (the slot, the
-subregion list, a copy of its piece-vector slice).  Nothing is written
-until the whole batch has resolved, so a batch the index cannot hold
-leaves it untouched.  A write does not compute what no reader of the
-batch reads: entrance legs, read only by a search that reaches the
-object from another floor, are marked stale and refilled by that
-search (:data:`_BUILD_CHUNK` objects a pass; a build fills them
-all).  Each step repeats the floats or the set of a scalar
-reference, which stays in the tree for exactly that purpose —
-``indr.units_overlapping_rect``, ``UncertainObject._assign`` (still what
-``subregions()`` runs for an object no index owns, and for the rare
+partitions as a rect-overlap test over the partitions of each object's
+floor; index units as same-floor rect overlap over the candidates'
+unit spans; subregions as one containment test per (instance,
+candidate of its object) pair whose first hit per instance is the
+scalar first-wins rule; rows as runs of one stable sort of the
+instances by (object, subregion), which lays the instances out in the
+order the table stores them; door extrema as one ragged ``(row, door)
+x instances-of-row`` gather reduced straight into the ragged entries.
+Per row it sums the mass (one contiguous sum each: the floats of
+``probs[mask].sum()``); per object only the slot lookup runs — no
+:class:`~repro.objects.uncertain.Subregion` is built, no piece vector
+is kept.  :meth:`_State.commit` allocates every changed span and writes
+the rows, entries and instances.  Nothing is written until the whole
+batch has resolved, so a batch the index cannot hold leaves it
+untouched.  A write does not compute what no reader of the batch
+reads: entrance legs, read only by a search that reaches the object
+from another floor, are marked stale and refilled by that search
+(:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
+step repeats the floats or the set of a scalar reference, which stays
+in the tree for exactly that purpose — ``indr.units_overlapping_rect``,
+``UncertainObject._assign`` (what ``subregions()`` runs; the rare
 object with a wall-clipped instance or a non-rectangular candidate
-footprint), :func:`~repro.distances.batch.pack_block` (called by
+footprint takes the same assignment, :meth:`~repro.objects.uncertain.
+UncertainObject.pieces`, without building subregions),
+:func:`~repro.distances.batch.pack_block` (called by
 :meth:`ObjectColumns.validate` and the tests only) — and
 ``tests/index/test_columns_write.py`` holds it to them by ``==``.
 
 **Invalidation.**  Both parts are stamped with
 ``space.topology_version``.  A read under a newer version rebuilds the
-whole state from the population (door indices, unit rows and
-subregions all move with the topology), resolving every object afresh
-through the same batched write, :data:`_BUILD_CHUNK` objects a pass;
+whole state from the population (door indices, unit rows, subregion
+rows and the instances' order all move with the topology), resolving
+every object afresh through the same batched write,
+:data:`_BUILD_CHUNK` objects a pass;
 an object that overlaps no unit any more — its partition was deleted —
 is left out until it moves back onto the map.  The index's structural
 paths (``apply_event``, ``insert_partition``, ``delete_partition``)
@@ -130,6 +141,7 @@ import numpy as np
 from repro.distances.batch import (
     DoorLayout,
     ObjectBlock,
+    SubregionRows,
     offsets_of,
     pack_block,
     point_distances,
@@ -142,7 +154,7 @@ from repro.index.indr import IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.objects.instances import check_mass
 from repro.objects.population import ObjectPopulation
-from repro.objects.uncertain import UncertainObject, split_subregions
+from repro.objects.uncertain import UncertainObject
 from repro.space.doors_graph import DoorsGraph
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
@@ -157,13 +169,15 @@ _BUILD_CHUNK = 64
 #: Objects whose instances one pass of the search's Euclidean test
 #: gathers — bounds the transient arrays of a whole-venue search.
 _SEARCH_CHUNK = 512
-#: Row and entry spans are bump-allocated: a slot whose count changes
-#: gets a new span at the top and its old one is dead.  Once the dead
-#: entries of a column group exceed this share of the live ones, the
-#: group is compacted.  At a quarter, world A's table (1.01 MB built)
-#: reads 1.58 MB after 1 000, 5 000 and 20 000 twenty-move batches, as
-#: much as exact-size free lists did; compacting only once dead
-#: exceeds live reads 0.45 MB more.
+#: Row, entry and instance spans are bump-allocated: a slot whose count
+#: grows gets a new span at the top and its old one is dead (one whose
+#: count shrinks keeps the head of its own).  Once the dead entries of a
+#: column group exceed this share of the live ones, the group is
+#: compacted.  At a quarter, world A's table (3.46 MB built, 2.40 MB of
+#: it the instances) reads 4.06 MB after 1 000, 5 000 and 20 000
+#: twenty-move batches; before the instance columns it read 1.58 MB
+#: from 1.01 MB, as much as exact-size free lists did, and compacting
+#: only once dead exceeded live read 0.45 MB more.
 _DEAD_SHARE = 0.25
 
 
@@ -212,6 +226,11 @@ class _Staged:
     n_rows: np.ndarray
     sub_part: np.ndarray
     sub_mass: list[float]
+    sub_len: np.ndarray  #: instances per row
+    n_inst: np.ndarray
+    x: np.ndarray  #: the instances in row order, object-major
+    y: np.ndarray
+    probs: np.ndarray
     n_ents: np.ndarray
     ent_min: np.ndarray
     ent_max: np.ndarray
@@ -228,10 +247,6 @@ class _Topology:
         numbering = columns.doors_graph.ensure_fresh()
         self.layout = layout = DoorLayout(space, numbering)
         self.fh = fh = space.floor_height
-        # The layout's entry-door midpoints, one contiguous column each.
-        self.mid_x, self.mid_y, self.mid_z = np.ascontiguousarray(
-            layout.flat_mid.T
-        )
 
         # -- the partition table, in partition_id order (the order
         # ``UncertainObject._assign`` lets overlapping footprints claim
@@ -259,6 +274,18 @@ class _Topology:
         self.p_layout = np.array(
             [layout.part_row[pid] for pid in pids], dtype=np.intp
         )
+        # Partition rows per floor, floor ``pf_base + f`` at ``pf_part[
+        # pf_start[f] : pf_start[f + 1]]``: a staircase under every floor
+        # it spans, each floor's rows ascending — the order ``_assign``
+        # lets overlapping footprints claim instances in.
+        self.pf_base = base = int(self.p_lo.min(initial=0))
+        span = self.p_hi - self.p_lo + 1
+        floor_of, _ = span_index(self.p_lo - base, span)
+        part_of = np.repeat(np.arange(len(pids), dtype=np.intp), span)
+        order = np.argsort(floor_of, kind="stable")
+        self.pf_part = part_of[order]
+        self.pf_count = np.bincount(floor_of)
+        self.pf_start = offsets_of(self.pf_count)
 
         # Units grouped by partition row, so a partition's units are one
         # span and an object's resolved rows come out ascending.
@@ -356,34 +383,46 @@ class _Topology:
     # -- batched resolution (no per-object geometry calls) ------------
 
     def _frame(self, objects: list[UncertainObject]) -> _Frame:
-        """Instance bounds by ``reduceat``; candidate partitions as one
-        ``(B x P)`` floor-span-and-rect-overlap mask — as a set exactly
-        ``grid.candidates_for_rect(obj.bounds(), obj.floor)``, and
-        ``np.nonzero`` lists each object's in ``_assign``'s order."""
+        """Instance bounds by ``reduceat``; candidate partitions as a
+        rect-overlap test over the partitions of each object's floor —
+        as a set exactly ``grid.candidates_for_rect(obj.bounds(),
+        obj.floor)``, each object's listed in ``_assign``'s order."""
         sets = [obj.instances for obj in objects]
         starts = offsets_of(
-            np.array([len(s.xy) for s in sets], dtype=np.intp)
+            np.array([s.xy.shape[0] for s in sets], dtype=np.intp)
         )
         xy = np.concatenate([s.xy for s in sets])
         floors = np.array([s.floor for s in sets], dtype=np.intp)
         lo = np.minimum.reduceat(xy, starts[:-1], axis=0)
         hi = np.maximum.reduceat(xy, starts[:-1], axis=0)
-        f = floors[:, None]
-        cand = (
-            (self.p_lo <= f)
-            & (f <= self.p_hi)
-            & (lo[:, :1] <= self.p_maxx[:-1])
-            & (hi[:, :1] >= self.p_minx[:-1])
-            & (lo[:, 1:] <= self.p_maxy[:-1])
-            & (hi[:, 1:] >= self.p_miny[:-1])
+        f = floors - self.pf_base
+        on_map = (f >= 0) & (f < len(self.pf_count))
+        f[~on_map] = 0
+        count = np.where(on_map, self.pf_count[f], 0)
+        at, _ = span_index(self.pf_start[f], count)
+        c_part = self.pf_part[at]
+        keep = (
+            (np.repeat(lo[:, 0], count) <= self.p_maxx[c_part])
+            & (np.repeat(hi[:, 0], count) >= self.p_minx[c_part])
+            & (np.repeat(lo[:, 1], count) <= self.p_maxy[c_part])
+            & (np.repeat(hi[:, 1], count) >= self.p_miny[c_part])
         )
-        c_obj, c_part = np.nonzero(cand)
-        floor_idx = np.array(
-            [self.floor_row.get(f, -1) for f in floors.tolist()],
-            dtype=np.intp,
-        )
+        c_obj = np.repeat(np.arange(len(objects), dtype=np.intp), count)
+        # ``floor_row.get(floor, -1)``, as one sorted lookup.
+        row = np.searchsorted(self.floors, floors)
+        known = row < len(self.floors)
+        known[known] = self.floors[row[known]] == floors[known]
+        floor_idx = np.where(known, row, -1)
         return _Frame(
-            objects, starts, xy, floors, floor_idx, lo, hi, c_obj, c_part
+            objects,
+            starts,
+            xy,
+            floors,
+            floor_idx,
+            lo,
+            hi,
+            c_obj[keep],
+            c_part[keep],
         )
 
     def _units(self, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
@@ -397,10 +436,10 @@ class _Topology:
         lo, hi = frame.lo, frame.hi
         keep = (
             (self.u_floor[rows] == frame.floor_idx[obj])
-            & (lo[obj, 0] <= self.u_maxx[rows])
-            & (hi[obj, 0] >= self.u_minx[rows])
-            & (lo[obj, 1] <= self.u_maxy[rows])
-            & (hi[obj, 1] >= self.u_miny[rows])
+            & (lo[:, 0][obj] <= self.u_maxx[rows])
+            & (hi[:, 0][obj] >= self.u_minx[rows])
+            & (lo[:, 1][obj] <= self.u_maxy[rows])
+            & (hi[:, 1][obj] >= self.u_miny[rows])
         )
         n_units = np.bincount(obj[keep], minlength=len(frame.objects))
         return rows[keep], n_units
@@ -438,14 +477,25 @@ class _Topology:
         grid: PartitionGrid,
         strict: bool = True,
     ) -> _Staged | None:
-        """Resolve ``objects`` against this topology: their index units,
-        their subregions — installed on the objects — and the table rows
-        of each, column for column the floats of :func:`pack_block`.
-        Raises, having written nothing, when an object overlaps no index
-        unit or a subregion carries no probability mass — except that a
+        """Resolve ``objects`` against this topology: their index units
+        and the table rows of each — subregion rows with their
+        instances, door entries — column for column the floats of
+        :func:`pack_block`.
+        Raises, having written nothing, when an object has a non-finite
+        instance, overlaps no index unit or has a subregion without
+        probability mass — except that a
         rebuild (``strict=False``) leaves an object on no unit out, and
         gets ``None`` when that is every object."""
         frame = self._frame(objects)
+        # ``InstanceSet`` refuses a non-finite coordinate; one written
+        # into its array afterwards still fails closed here (a NaN or
+        # infinity reaches the bounds).
+        lost = ~(np.isfinite(frame.lo) & np.isfinite(frame.hi)).all(axis=1)
+        if lost.any():
+            stray = objects[int(np.flatnonzero(lost)[0])]
+            raise IndexError_(
+                f"object {stray.object_id!r} has a non-finite instance"
+            )
         unit_rows, n_units = self._units(frame)
         if not n_units.all():
             if strict:
@@ -465,37 +515,39 @@ class _Topology:
         owner = np.repeat(np.arange(n_obj, dtype=np.intp), np.diff(starts))
 
         # -- subregions: each instance goes to the first candidate, in
-        # partition_id order, whose footprint contains it -------------
+        # partition_id order, whose footprint contains it — tested as
+        # one (instance, candidate of its object) pair each ----------
         c_obj, c_part = frame.c_obj, frame.c_part
         n_cand = np.bincount(c_obj, minlength=n_obj)
         width = max(int(n_cand.max(initial=0)), 1)
-        table = np.full((n_obj, width), len(self.part_ids), dtype=np.intp)
-        c_start = offsets_of(n_cand)
-        table[c_obj, np.arange(len(c_obj)) - c_start[c_obj]] = c_part
-        mine = table[owner]
-        x, y = xy[:, :1], xy[:, 1:]
-        inside = (
-            (x >= self.p_minx[mine])
-            & (x <= self.p_maxx[mine])
-            & (y >= self.p_miny[mine])
-            & (y <= self.p_maxy[mine])
+        per = n_cand[owner]
+        pair, cuts = span_index(offsets_of(n_cand)[owner], per)
+        cand = c_part[pair]
+        x, y = np.repeat(xy[:, 0], per), np.repeat(xy[:, 1], per)
+        hits = np.flatnonzero(
+            (x >= self.p_minx[cand])
+            & (x <= self.p_maxx[cand])
+            & (y >= self.p_miny[cand])
+            & (y <= self.p_maxy[cand])
         )
-        rank = inside.argmax(axis=1)
-        at = np.arange(len(owner))
-        part = mine[at, rank]
+        # Each instance's first hit at or past its first pair; past its
+        # last one (or the sentinel ``len(pair)``) means none.
+        hit = np.append(hits, len(pair))[np.searchsorted(hits, cuts[:-1])]
+        found = hit < cuts[1:]
+        rank = np.where(found, hit - cuts[:-1], 0)
+        part = np.append(cand, 0)[hit]
         # A wall-clipped straggler (the centre-partition attachment
         # rule) or a non-rectangular footprint: that object goes through
         # the scalar assignment, whose pieces are read back.
         scalar = n_cand == 0
-        scalar[owner[~inside[at, rank]]] = True
+        scalar[owner[~found]] = True
         scalar[c_obj[~self.p_is_rect[c_part]]] = True
         for j in np.flatnonzero(scalar).tolist():
-            subs = objects[j].subregions(space, grid)
+            ids, pieces = objects[j].pieces(space, grid)
             span = slice(starts[j], starts[j + 1])
-            pieces = subs[0].pieces
             rank[span] = 0 if pieces is None else pieces
             part[span] = np.array(
-                [self.part_row[s.partition_id] for s in subs], dtype=np.intp
+                [self.part_row[pid] for pid in ids], dtype=np.intp
             )[rank[span]]
 
         # Rows = runs of a stable sort on (object, piece): within a row
@@ -519,7 +571,7 @@ class _Topology:
             for a, b in zip(first.tolist(), (first + row_len).tolist())
         ]
         mass = np.array(masses)
-        bad = np.flatnonzero((mass <= 0.0) | (mass > 1.0 + 1e-6))
+        bad = np.flatnonzero(~((mass > 0.0) & (mass <= 1.0 + 1e-6)))
         if bad.size:
             check_mass(masses[bad[0]])  # raises InstanceSet's error
 
@@ -532,42 +584,18 @@ class _Topology:
         per = row_len[pair_row]
         inst, cuts = span_index(first[pair_row], per)
         d = sx[inst]
-        d -= np.repeat(self.mid_x[pair_door], per)
+        d -= np.repeat(self.layout.mid_x[pair_door], per)
         d *= d
         dy = sy[inst]
-        dy -= np.repeat(self.mid_y[pair_door], per)
+        dy -= np.repeat(self.layout.mid_y[pair_door], per)
         dy *= dy
         d += dy
-        dz = frame.floors[row_obj][pair_row] - self.mid_z[pair_door]
+        dz = frame.floors[row_obj][pair_row] - self.layout.mid_z[pair_door]
         dz *= self.fh
         d += np.repeat(dz * dz, per)
         np.sqrt(d, out=d)
         ent_min = np.minimum.reduceat(d, cuts[:-1])
         ent_max = np.maximum.reduceat(d, cuts[:-1])
-
-        # Every check has passed: hand the objects their subregions —
-        # piece vectors cast once for the batch, each object a copy of
-        # its slice (a view would pin the whole batch's vector).
-        piece = np.empty(len(owner), np.min_scalar_type(n_rows.max()))
-        piece[order] = (
-            np.repeat(np.arange(len(first)), row_len) - r_start[owner[order]]
-        )
-        pids = [self.part_ids[p] for p in row_part.tolist()]
-        rows = r_start.tolist()
-        cut = starts.tolist()
-        for j, (obj, via_scalar) in enumerate(zip(objects, scalar.tolist())):
-            if via_scalar:
-                continue
-            a, b = rows[j], rows[j + 1]
-            vector = None
-            if b - a > 1:
-                vector = piece[cut[j] : cut[j + 1]].copy()
-            obj.adopt_subregions(
-                split_subregions(
-                    obj.instances, pids[a:b], masses[a:b], vector
-                ),
-                self.version,
-            )
         return _Staged(
             objects,
             unit_rows,
@@ -578,6 +606,11 @@ class _Topology:
             n_rows,
             lrow,
             masses,
+            row_len,
+            np.diff(starts),
+            sx,
+            sy,
+            ps,
             np.add.reduceat(nd, r_start[:-1]),
             ent_min,
             ent_max,
@@ -611,32 +644,49 @@ class _State:
         self._buckets: tuple[int, np.ndarray, np.ndarray] | None = None
 
         # -- subregion rows, and ragged beneath them one (emin, emax)
-        # entry per entry door of the row's partition; both bump-
-        # allocated up to ``*_top``, ``*_live`` of it in use ----------
+        # entry per entry door of the row's partition; the object's
+        # instances in row order, each row ``sub_len`` of them; all
+        # bump-allocated up to ``*_top``, ``*_live`` of it in use -----
         self.row_top = self.row_live = 0
         self.sub_part = np.zeros(0, dtype=np.intp)
         self.sub_mass = np.zeros(0)
+        self.sub_len = np.zeros(0, dtype=np.intp)
+        self.inst_start = np.zeros(0, dtype=np.intp)
+        self.inst_count = np.zeros(0, dtype=np.intp)
+        self.inst_top = self.inst_live = 0
+        self.inst_x = np.zeros(0)
+        self.inst_y = np.zeros(0)
+        self.inst_p = np.zeros(0)
         self.ent_top = self.ent_live = 0
         self.ent_min = np.zeros(0)
         self.ent_max = np.zeros(0)
 
     # -- writes -------------------------------------------------------
 
-    def reserve(self, slots: int, rows: int, ents: int) -> None:
-        """Make room for ``slots`` objects, ``rows`` subregion rows and
-        ``ents`` door entries."""
+    def reserve_slots(self, slots: int) -> None:
+        """Make room for ``slots`` objects."""
         self.floor_idx = _grown(self.floor_idx, slots, 0)
         self.box_lo = _grown(self.box_lo, slots, 0.0)
         self.box_hi = _grown(self.box_hi, slots, 0.0)
         self.row_start = _grown(self.row_start, slots, 0)
         self.row_count = _grown(self.row_count, slots, 0)
+        self.inst_start = _grown(self.inst_start, slots, 0)
+        self.inst_count = _grown(self.inst_count, slots, 0)
         self.ent_start = _grown(self.ent_start, slots, 0)
         self.ent_count = _grown(self.ent_count, slots, 0)
         self.legs = _grown(self.legs, slots, 0.0)
         self.legs_stale = _grown(self.legs_stale, slots, True)
         self.units = _grown(self.units, slots, self.topo.n_units)
+
+    def reserve_spans(self, rows: int, ents: int, insts: int) -> None:
+        """Make room for ``rows`` subregion rows, ``ents`` door entries
+        and ``insts`` instances."""
         self.sub_part = _grown(self.sub_part, rows, 0)
         self.sub_mass = _grown(self.sub_mass, rows, 0.0)
+        self.sub_len = _grown(self.sub_len, rows, 0)
+        self.inst_x = _grown(self.inst_x, insts, 0.0)
+        self.inst_y = _grown(self.inst_y, insts, 0.0)
+        self.inst_p = _grown(self.inst_p, insts, 0.0)
         self.ent_min = _grown(self.ent_min, ents, 0.0)
         self.ent_max = _grown(self.ent_max, ents, 0.0)
 
@@ -663,12 +713,7 @@ class _State:
         slot_list = [self._slot_for(obj.object_id) for obj in objects]
         slots = np.array(slot_list, dtype=np.intp)
         n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
-        # Upper bounds: a slot whose count is unchanged keeps its span.
-        self.reserve(
-            len(self.objects),
-            self.row_top + len(staged.sub_part),
-            self.ent_top + len(staged.ent_min),
-        )
+        self.reserve_slots(len(self.objects))
         for slot, obj in zip(slot_list, objects):
             self.objects[slot] = obj
         self.row_top, grew = _bump(
@@ -679,6 +724,17 @@ class _State:
             self.ent_start, self.ent_count, slots, n_ents, self.ent_top
         )
         self.ent_live += grew
+        self.inst_top, grew = _bump(
+            self.inst_start,
+            self.inst_count,
+            slots,
+            staged.n_inst,
+            self.inst_top,
+        )
+        self.inst_live += grew
+        # A slot whose count is unchanged kept its span: only the new
+        # spans above the old tops need room.
+        self.reserve_spans(self.row_top, self.ent_top, self.inst_top)
         self.floor_idx[slots] = staged.floor_idx
         self.box_lo[slots] = staged.lo
         self.box_hi[slots] = staged.hi
@@ -702,16 +758,29 @@ class _State:
         dst, _ = span_index(self.row_start[slots], n_rows)
         self.sub_part[dst] = staged.sub_part
         self.sub_mass[dst] = staged.sub_mass
+        self.sub_len[dst] = staged.sub_len
         dst, _ = span_index(self.ent_start[slots], n_ents)
         self.ent_min[dst] = staged.ent_min
         self.ent_max[dst] = staged.ent_max
+        dst, _ = span_index(self.inst_start[slots], staged.n_inst)
+        self.inst_x[dst] = staged.x
+        self.inst_y[dst] = staged.y
+        self.inst_p[dst] = staged.probs
         if self.row_top - self.row_live > _DEAD_SHARE * self.row_live:
             self.row_top = self._pack(
-                self.row_start, self.row_count, ("sub_part", "sub_mass")
+                self.row_start,
+                self.row_count,
+                ("sub_part", "sub_mass", "sub_len"),
             )
         if self.ent_top - self.ent_live > _DEAD_SHARE * self.ent_live:
             self.ent_top = self._pack(
                 self.ent_start, self.ent_count, ("ent_min", "ent_max")
+            )
+        if self.inst_top - self.inst_live > _DEAD_SHARE * self.inst_live:
+            self.inst_top = self._pack(
+                self.inst_start,
+                self.inst_count,
+                ("inst_x", "inst_y", "inst_p"),
             )
 
     def _pack(
@@ -758,7 +827,9 @@ class _State:
         # Its spans are dead; the next compaction reclaims them.
         self.row_live -= int(self.row_count[slot])
         self.ent_live -= int(self.ent_count[slot])
+        self.inst_live -= int(self.inst_count[slot])
         self.row_count[slot] = self.ent_count[slot] = 0
+        self.inst_count[slot] = 0
         # In no bucket: never a candidate.
         self.units[slot] = self.topo.n_units
         self.objects[slot] = None
@@ -794,19 +865,24 @@ def _bump(
     n: np.ndarray,
     top: int,
 ) -> tuple[int, int]:
-    """Give every slot of ``slots`` whose count differs from ``n`` a new
-    span of that size, laid end to end from ``top``; returns the new top
-    and the change in live entries."""
-    changed = np.flatnonzero(count[slots] != n)
+    """Give every slot of ``slots`` whose count grows to ``n`` a new
+    span of that size, laid end to end from ``top``; one whose count
+    shrinks keeps the head of its span (its tail is dead).  Returns the
+    new top and the change in live entries."""
+    old = count[slots]
+    changed = np.flatnonzero(old != n)
     if not changed.size:
         return top, 0
     mine = slots[changed]
     size = n[changed]
-    offsets = offsets_of(size)
-    grew = int(offsets[-1] - count[mine].sum())
-    start[mine] = top + offsets[:-1]
+    grew = int(size.sum() - old[changed].sum())
     count[mine] = size
-    return top + int(offsets[-1]), grew
+    moved = size > old[changed]
+    if moved.any():
+        offsets = offsets_of(size[moved])
+        start[mine[moved]] = top + offsets[:-1]
+        top += int(offsets[-1])
+    return top, grew
 
 
 def _within(
@@ -980,7 +1056,8 @@ class ObjectColumns:
         # freshly rebuilt one number their objects alike.
         live = list(self.population)
         space, grid = self.space, self.population.grid
-        state.reserve(len(live), len(live), 0)
+        state.reserve_slots(len(live))
+        state.reserve_spans(len(live), 0, sum(map(len, live)))
         for i in range(0, len(live), _BUILD_CHUNK):
             staged = topo.stage(
                 live[i : i + _BUILD_CHUNK], space, grid, strict
@@ -1015,9 +1092,9 @@ class ObjectColumns:
 
     def stage(self, objects: list[UncertainObject]) -> _Staged:
         """Resolve a non-empty batch of objects about to be inserted or
-        moved — units, subregions, table rows — touching nothing but
-        the objects' own subregion cache.  Raises where the index could
-        not hold one of them."""
+        moved — units, subregion rows, instances, door entries —
+        touching nothing.  Raises where the index could not hold one of
+        them."""
         return self._topology().stage(
             objects, self.space, self.population.grid
         )
@@ -1091,10 +1168,11 @@ class ObjectColumns:
         mine = slots[offsets[first] : offsets[first + topo.p_unit_count[p]]]
         return [state.objects[s] for s in sorted(set(mine.tolist()))]
 
-    def block(self, objects: list[UncertainObject]) -> ObjectBlock:
-        """``objects`` — live objects of the index — as the bounds
-        kernel's object-side operand: the rows :func:`pack_block` would
-        compute, gathered instead."""
+    def _slots(
+        self, objects: list[UncertainObject]
+    ) -> tuple[_State, np.ndarray]:
+        """The state and the slots of ``objects``, which must be live
+        objects of the index."""
         state = self._fresh()
         slots = np.empty(len(objects), dtype=np.intp)
         for j, obj in enumerate(objects):
@@ -1105,15 +1183,52 @@ class ObjectColumns:
                     "this index"
                 )
             slots[j] = slot
-        layout = state.topo.layout
-        rows, offsets = span_index(
-            state.row_start[slots], state.row_count[slots]
+        return state, slots
+
+    @staticmethod
+    def _rows(
+        state: _State, slots: np.ndarray
+    ) -> tuple[SubregionRows, np.ndarray]:
+        """The slots' subregion rows, gathered (copied), and each
+        slot's row span."""
+        count = state.row_count[slots]
+        rows, offsets = span_index(state.row_start[slots], count)
+        inst, _ = span_index(state.inst_start[slots], state.inst_count[slots])
+        floor = state.topo.floors[state.floor_idx[slots]].astype(np.float64)
+        return (
+            SubregionRows(
+                state.sub_part[rows],
+                state.sub_mass[rows].tolist(),
+                floor.repeat(count),
+                offsets_of(state.sub_len[rows]),
+                state.inst_x[inst],
+                state.inst_y[inst],
+                state.inst_p[inst],
+            ),
+            offsets,
         )
+
+    def rows(
+        self, objects: list[UncertainObject]
+    ) -> tuple[SubregionRows, np.ndarray]:
+        """``objects`` — live objects of the index — as exact
+        refinement's operand: their subregion rows and each object's
+        row span, the rows :func:`~repro.distances.batch.subregion_rows`
+        would compute, gathered instead."""
+        state, slots = self._slots(objects)
+        return self._rows(state, slots)
+
+    def block(self, objects: list[UncertainObject]) -> ObjectBlock:
+        """``objects`` — live objects of the index — as the bounds
+        kernel's object-side operand: the rows :func:`pack_block` would
+        compute, gathered instead."""
+        state, slots = self._slots(objects)
+        layout = state.topo.layout
+        rows, offsets = self._rows(state, slots)
         ents, _ = span_index(state.ent_start[slots], state.ent_count[slots])
-        part = state.sub_part[rows]
+        part = rows.part
         row_n = layout.n_entry[part]
         doors, _ = span_index(layout.entry_start[part], row_n)
-        space, grid = self.space, self.population.grid
         return ObjectBlock(
             list(objects),
             layout,
@@ -1121,9 +1236,7 @@ class ObjectColumns:
             state.ent_min[ents],
             state.ent_max[ents],
             row_n,
-            part,
-            state.sub_mass[rows].tolist(),
-            [s for obj in objects for s in obj.subregions(space, grid)],
+            rows,
             offsets,
         )
 
@@ -1197,7 +1310,9 @@ class ObjectColumns:
         (``indr.units_overlapping_rect``), a bucket CSR that is not the
         inverse of the rows, a population object missing although the
         tree finds units for it, rows that differ from a fresh
-        :func:`pack_block` of a copy of the object, an instance box
+        :func:`pack_block` of a copy of the object (its subregions the
+        scalar ``_assign``'s: partition order, each row's instances in
+        order, each mass ``checked_mass(probs[mask])``), an instance box
         that is not the instances' min / max, entrance legs (refilled
         first where stale) that differ from the scalar distances, and
         overlapping spans."""
@@ -1230,6 +1345,7 @@ class ObjectColumns:
         for what, start, count, top in (
             ("row", state.row_start, state.row_count, state.row_top),
             ("entry", state.ent_start, state.ent_count, state.ent_top),
+            ("instance", state.inst_start, state.inst_count, state.inst_top),
         ):
             held = live[count[live] > 0]
             order = np.argsort(start[held])
@@ -1258,24 +1374,24 @@ class ObjectColumns:
             # assignment, not from the batched write under test.
             twin = UncertainObject(oid, obj.region, obj.instances)
             fresh = pack_block([twin], space, grid, topo.layout)
-            mine = obj.subregions(space, grid)
             a = state.row_start[slot]
             b = a + state.row_count[slot]
             ea = state.ent_start[slot]
             eb = ea + state.ent_count[slot]
+            ia = state.inst_start[slot]
+            ib = ia + state.inst_count[slot]
             entrances = self.skeleton.entrances_on_floor(obj.floor)
             checks = {
-                "subregions": len(mine) == len(fresh.subs)
-                and all(
-                    s.partition_id == t.partition_id
-                    and s.mass == t.mass
-                    and np.array_equal(s.pieces, t.pieces)
-                    for s, t in zip(mine, fresh.subs)
-                ),
                 "subregion rows": np.array_equal(
                     state.sub_part[a:b], fresh.sub_part
                 )
                 and state.sub_mass[a:b].tolist() == fresh.sub_mass,
+                "instance rows": np.array_equal(
+                    offsets_of(state.sub_len[a:b]), fresh.rows.start
+                )
+                and np.array_equal(state.inst_x[ia:ib], fresh.rows.x)
+                and np.array_equal(state.inst_y[ia:ib], fresh.rows.y)
+                and np.array_equal(state.inst_p[ia:ib], fresh.rows.probs),
                 "door entries": np.array_equal(
                     state.ent_min[ea:eb], fresh.ent_min
                 )

@@ -25,8 +25,9 @@ def checked_mass(probs: np.ndarray) -> float:
 
 
 def check_mass(total: float) -> float:
-    """``total``, required to be a probability mass in ``(0, 1]``."""
-    if total <= 0.0 or total > 1.0 + 1e-6:
+    """``total``, required to be a probability mass in ``(0, 1]`` (a
+    NaN is none: it fails both comparisons)."""
+    if not 0.0 < total <= 1.0 + 1e-6:
         raise ReproError(f"probability mass must be in (0, 1], got {total}")
     return total
 
@@ -59,6 +60,10 @@ class InstanceSet:
             raise ReproError("probs shape must match number of instances")
         if xy.shape[0] == 0:
             raise ReproError("an instance set cannot be empty")
+        if not np.isfinite(xy).all():
+            raise ReproError("instance coordinates must be finite")
+        if not np.isfinite(probs).all():
+            raise ReproError("probabilities must be finite")
         if np.any(probs < 0):
             raise ReproError("probabilities must be non-negative")
         checked_mass(probs)

@@ -30,8 +30,10 @@ class Subregion:
     per-instance piece vector (shared by its subregions; instance ``i``
     belongs to subregion ``pieces[i]``) and its own mass, and builds —
     and validates — the :class:`InstanceSet` copy the first time
-    :attr:`instances` is read.  No ingest or query path reads it (the
-    kernels gather from ``parent`` and ``pieces``); scalar references do.
+    :attr:`instances` is read.  No ingest or query path builds one:
+    the index's columnar table holds each object's instances in
+    subregion-row order, and the kernels read those rows; scalar
+    references (and objects no index owns) do.
     """
 
     __slots__ = (
@@ -67,25 +69,6 @@ class Subregion:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Subregion({self.partition_id!r}, mass={self.mass!r})"
-
-
-def split_subregions(
-    instances: InstanceSet,
-    partition_ids: list[str],
-    masses: list[float],
-    pieces: np.ndarray | None,
-) -> list[Subregion]:
-    """The subregion list of an object whose instance ``i`` falls in
-    partition ``partition_ids[pieces[i]]`` (``pieces`` may be ``None``
-    when there is one partition)."""
-    if len(partition_ids) == 1:
-        # One partition holds every instance: the subregion *is* the
-        # instance set (immutable), no per-object copy to keep alive.
-        return [Subregion(partition_ids[0], instances, masses[0])]
-    return [
-        Subregion(pid, instances, mass, pieces, k)
-        for k, (pid, mass) in enumerate(zip(partition_ids, masses))
-    ]
 
 
 @dataclass(eq=False)
@@ -150,7 +133,9 @@ class UncertainObject:
         grid: PartitionGrid | None = None,
     ) -> list[Subregion]:
         """Divide the instances into per-partition subregions (cached
-        until the space's topology changes).
+        until the space's topology changes) — the scalar reference the
+        index's table rows are held to; no ingest or query path calls
+        it.
 
         Every instance is assigned to exactly one partition (overlapping
         staircase shafts are disambiguated by assignment order).
@@ -163,35 +148,62 @@ class UncertainObject:
             and self._subregions_version == space.topology_version
         ):
             return self._subregions
-        if grid is not None:
-            candidates = grid.candidates_for_rect(self.bounds(), self.floor)
-        else:
-            rect = self.bounds()
-            candidates = [
-                p
-                for p in space.partitions_on_floor(self.floor)
-                if p.bounds.intersects(rect)
-            ]
-        subregions = self._assign(candidates, space)
-        self.adopt_subregions(subregions, space.topology_version)
+        subregions = self._assign(self._candidates(space, grid), space)
+        self._subregions = subregions
+        self._subregions_version = space.topology_version
         return subregions
 
-    def adopt_subregions(
-        self, subregions: list[Subregion], topology_version: int
-    ) -> None:
-        """Install subregions computed elsewhere for this topology —
-        the index's batched write resolves a whole batch at once."""
-        self._subregions = subregions
-        self._subregions_version = topology_version
+    def pieces(
+        self,
+        space: IndoorSpace,
+        grid: PartitionGrid | None = None,
+    ) -> tuple[list[str], np.ndarray | None]:
+        """The assignment :meth:`subregions` splits, without building
+        a subregion: the partition ids in subregion order and the piece
+        vector (instance ``i`` lies in partition ``ids[pieces[i]]``;
+        ``None`` for a single partition).  Not cached."""
+        return self._pieces(self._candidates(space, grid), space)
 
     def invalidate_subregions(self) -> None:
         """Drop the cached subregions (e.g. after the object moved)."""
         self._subregions = None
         self._subregions_version = -1
 
+    def _candidates(
+        self, space: IndoorSpace, grid: PartitionGrid | None
+    ) -> list[Partition]:
+        rect = self.bounds()
+        if grid is not None:
+            return grid.candidates_for_rect(rect, self.floor)
+        return [
+            p
+            for p in space.partitions_on_floor(self.floor)
+            if p.bounds.intersects(rect)
+        ]
+
     def _assign(
         self, candidates: list[Partition], space: IndoorSpace
     ) -> list[Subregion]:
+        ids, vector = self._pieces(candidates, space)
+        probs = self.instances.probs
+        if vector is None:
+            # One partition holds every instance: the subregion *is*
+            # the instance set (immutable), no per-object copy.
+            return [Subregion(ids[0], self.instances, checked_mass(probs))]
+        return [
+            Subregion(
+                pid,
+                self.instances,
+                checked_mass(probs[vector == k]),
+                vector,
+                k,
+            )
+            for k, pid in enumerate(ids)
+        ]
+
+    def _pieces(
+        self, candidates: list[Partition], space: IndoorSpace
+    ) -> tuple[list[str], np.ndarray | None]:
         # Deterministic order: where footprints overlap (stacked
         # staircase shafts), every code path must pick the same owner.
         candidates = sorted(candidates, key=lambda p: p.partition_id)
@@ -211,7 +223,9 @@ class UncertainObject:
             # or to the first candidate when the center is in a wall too.
             center_part = None
             for partition in candidates:
-                if partition.contains_xy(self.region.center.x, self.region.center.y):
+                if partition.contains_xy(
+                    self.region.center.x, self.region.center.y
+                ):
                     center_part = partition.partition_id
                     break
             if center_part is None:
@@ -226,18 +240,12 @@ class UncertainObject:
                     break
             else:
                 pieces.append((center_part, unassigned.copy()))
-        probs = self.instances.probs
         vector = None
         if len(pieces) > 1:
             vector = np.empty(n, dtype=np.min_scalar_type(len(pieces)))
             for k, (_, mask) in enumerate(pieces):
                 vector[mask] = k
-        return split_subregions(
-            self.instances,
-            [pid for pid, _ in pieces],
-            [checked_mass(probs[mask]) for _, mask in pieces],
-            vector,
-        )
+        return [pid for pid, _ in pieces], vector
 
     # ------------------------------------------------------------------
 

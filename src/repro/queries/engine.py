@@ -20,7 +20,6 @@ from repro.distances.batch import (
     QueryStack,
     block_expected_distances,
     block_object_bounds,
-    subregion_rows,
 )
 from repro.distances.bounds import DistanceInterval
 from repro.errors import QueryError
@@ -175,22 +174,24 @@ def pruning_phase(
     fh = index.space.floor_height
     lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
-        # One chunk's door entries at a time: only its envelope and
-        # its row of per-subregion extrema are kept.
+        # One chunk's door entries and instance copies at a time: only
+        # its envelope and its row of per-subregion extrema are kept
+        # (the candidates refine through ``Refiner``, not the row).
         bounds = block_object_bounds(stack, block, fh)
         lo.append(bounds.lo[0])
         hi.append(bounds.hi_array(0))
-        rows.append(bounds.row(0))
+        rows.append(bounds.row(0, refine=False))
     return CandidateBounds(np.concatenate(lo), np.concatenate(hi), rows)
 
 
 class Refiner:
     """Phase 4: exact expected distances, with an escape hatch.
 
-    The undecided objects of a query are refined together, by the
-    block routine (:func:`repro.distances.batch.
-    block_expected_distances`) against the query's search, stacked
-    alone.
+    The undecided objects of a query — live objects of the index —
+    are refined together, by the block routine
+    (:func:`repro.distances.batch.block_expected_distances`) over their
+    rows of the index's columnar table, against the query's search,
+    stacked alone.
 
     An object whose expected distance is within the query bound can
     still own instances whose paths leave the candidate subgraph (a far
@@ -213,16 +214,13 @@ class Refiner:
         objects: list[UncertainObject],
         r: float | None = None,
     ) -> list[float]:
-        index = self.index
-        subs, offsets = subregion_rows(
-            objects, index.space, index.population.grid
-        )
+        rows, offsets = self.index.columns.rows(objects)
         return block_expected_distances(
             stack,
-            subs,
+            rows,
             offsets,
             [(0, j) for j in range(len(objects))],
-            index.space.floor_height,
+            self.index.space.floor_height,
             r,
         )
 

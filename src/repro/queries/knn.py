@@ -139,7 +139,7 @@ class SeedExpansion:
             own = np.flatnonzero(part == source_row)
             if own.size:
                 _, tlu[own] = own_row_extrema(
-                    block.subs, own, src.repeat(own.size, axis=0), fh
+                    block.rows, own, src.repeat(own.size, axis=0), fh
                 )
             out.append(np.maximum.reduceat(tlu, block.obj_offsets[:-1]))
         return np.concatenate(out)

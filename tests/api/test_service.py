@@ -3,16 +3,18 @@ legacy entry points for all three spec kinds, the single id-claiming
 guard, ServiceConfig engine selection, and feed plumbing."""
 
 import asyncio
+import io
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.api.service import QueryService, ServiceConfig
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
 from repro.objects import (
@@ -31,6 +33,7 @@ from repro.queries import (
     ikNNQ,
     replay_deltas,
 )
+from repro.persist import WalWriter
 from repro.space.events import CloseDoor
 
 
@@ -231,6 +234,96 @@ class TestWatchAndIngest:
         assert service.result_ids(a) == iRQ(
             Q1, 6.0, service.index
         ).ids()
+
+
+class TestStandingProbRangeDeltas:
+    """Standing iPRQs watched through the service and driven by a
+    movement stream emit deltas, and each ends on the one-shot result
+    (the ``bench_serving.py --quick --prob`` smoke's one assertion no
+    other tier-1 test made)."""
+
+    def test_standing_iprqs_emit_deltas(self, mall_setup, small_mall):
+        from repro.queries import iPRQ
+
+        index, gen, pop = mall_setup
+        service = QueryService(index)
+        ids = [
+            service.watch(
+                ProbRangeSpec(small_mall.random_point(seed=s), 25.0, 0.5)
+            )
+            for s in (11, 12)
+        ]
+        emitted = 0
+        stream = MovementStream(small_mall, pop, gen, seed=5)
+        for moves in stream.batches(4, 10):
+            batch = service.ingest(moves)
+            emitted += sum(d.query_id in ids for d in batch.deltas)
+        assert emitted > 0, "standing iPRQs never changed"
+        for qid in ids:
+            spec = service.query_spec(qid)
+            assert service.result_ids(qid) == iPRQ(
+                spec.q, spec.r, spec.p_min, index
+            ).ids()
+
+
+class TestNonFiniteLocationsFailClosed:
+    """A NaN or infinite coordinate or probability never reaches the
+    index: ``InstanceSet`` refuses it, and a set whose arrays were
+    written after construction is refused by the write, before the
+    index, the standing results or the WAL change."""
+
+    @pytest.mark.parametrize(
+        "xy, probs",
+        [
+            ([[4.0, 5.0], [5.0, 5.0]], [np.nan, 0.5]),
+            ([[4.0, 5.0], [5.0, 5.0]], [np.inf, 0.0]),
+            ([[np.nan, 5.0], [5.0, 5.0]], [0.5, 0.5]),
+            ([[4.0, 5.0], [5.0, -np.inf]], [0.5, 0.5]),
+        ],
+    )
+    def test_instance_set_refuses_non_finite_input(self, xy, probs):
+        with pytest.raises(ReproError, match="finite"):
+            InstanceSet(np.array(xy), 0, np.array(probs))
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("probs", np.nan),
+            ("probs", np.inf),
+            ("xy", np.nan),
+            ("xy", -np.inf),
+        ],
+    )
+    def test_ingest_of_a_forged_move_changes_nothing(
+        self, five_rooms_index, column, value
+    ):
+        index = five_rooms_index
+        service = QueryService(index)
+        qid = service.watch(RangeSpec(Q1, 10.0))
+        wal = io.StringIO()
+        service.attach_wal(WalWriter(wal))
+        service.ingest([_point_move("far", 6.0, 5.0)])
+        before = (
+            service.result_distances(qid),
+            wal.getvalue(),
+            index.population.get("mid"),
+            index.columns.units_of("mid"),
+        )
+        forged = InstanceSet(
+            np.array([[4.0, 5.0], [5.0, 5.0]]), 0, np.array([0.5, 0.5])
+        )
+        getattr(forged, column)[0] = value  # written after construction
+        move = ObjectMove("mid", Circle(Point(4.5, 5.0, 0), 1.0), forged)
+        with pytest.raises(ReproError):
+            service.ingest([move])
+        assert (
+            service.result_distances(qid),
+            wal.getvalue(),
+            index.population.get("mid"),
+            index.columns.units_of("mid"),
+        ) == before
+        assert index.validate() == []
+        service.detach_wal()
 
 
 class TestIdClaiming:

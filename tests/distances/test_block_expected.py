@@ -29,6 +29,7 @@ from repro.distances.expected import (
     expected_indoor_distance,
     qualifying_probability,
 )
+from repro.errors import QueryError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
 from repro.objects import (
@@ -56,7 +57,7 @@ def _assert_block_equals_scalar(index, searches, objects, radii=RADII):
     space, grid = index.space, index.population.grid
     fh = space.floor_height
     stack = _stack(index, searches)
-    subs, offsets = subregion_rows(objects, space, grid)
+    subs, offsets = subregion_rows(objects, space, grid, stack.layout)
     pairs = [(i, j) for i in range(len(searches)) for j in range(len(objects))]
     got = block_expected_distances(stack, subs, offsets, pairs, fh)
     want = [
@@ -65,6 +66,12 @@ def _assert_block_equals_scalar(index, searches, objects, radii=RADII):
         for obj in objects
     ]
     assert got == want
+    # The index table's rows (what the one-shot refiner reads) too.
+    table, table_offsets = index.columns.rows(objects)
+    assert (
+        block_expected_distances(stack, table, table_offsets, pairs, fh)
+        == want
+    )
     assert not any(math.isnan(v) for v in got)
     for r in radii:
         assert block_expected_distances(
@@ -188,9 +195,9 @@ class TestRestrictedSearch:
         assert math.isinf(dd.distance_to("d3"))
         assert math.isfinite(dd.distance_to("d12"))
         space, grid = index.space, index.population.grid
-        subs, offsets = subregion_rows([obj], space, grid)
-        assert [s.partition_id for s in subs] == ["r2", "r3"]
         stack = _stack(index, [dd])
+        subs, offsets = subregion_rows([obj], space, grid, stack.layout)
+        assert [stack.layout.part_ids[p] for p in subs.part] == ["r2", "r3"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = block_expected_distances(
@@ -393,7 +400,7 @@ class TestBlockShapes:
             for s in (21, 22, 23)
         ]
         stack = _stack(index, searches)
-        subs, offsets = subregion_rows(objects, space, grid)
+        subs, offsets = subregion_rows(objects, space, grid, stack.layout)
         alone = {
             (i, j): block_expected_distances(
                 stack, subs, offsets, [(i, j)], fh
@@ -439,13 +446,23 @@ class TestBlockShapes:
                         dd.source, objects[j], dd, space, 30.0, grid
                     )
                 )
+            # The one-shot prune's kind: it decides alike, and keeps no
+            # instance copy to refine with.
+            decides = bounds.row(i, refine=False)
+            for j in range(len(objects)):
+                assert decides.interval(j) == cold.interval(j)
+                assert decides.probability(j, 30.0) == cold.probability(
+                    j, 30.0
+                )
+            with pytest.raises(QueryError):
+                decides.exact(0)
 
 
 class TestNoInstanceCopies:
     """A multi-partition object's subregions copy their instances out
     of the parent set only when something reads ``.instances``; the
-    block routine gathers from the parent set and the piece vector, so
-    refinement on the hot paths is no such reader."""
+    hot paths read the index table's instance rows, so refinement there
+    is no such reader."""
 
     @staticmethod
     def _uncopied(index):

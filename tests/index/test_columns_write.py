@@ -3,12 +3,13 @@
 ``CompositeIndex.update_objects`` / ``move_object`` / ``insert_object``
 and the table's own rebuild resolve a list of objects in one array pass
 (``repro.index.columns._Topology.stage``): index units, subregions,
-packed rows.  The scalar code it replaced on those paths survives as
-the reference — ``indr.units_overlapping_rect`` (through
-``_resolve_units``), ``UncertainObject._assign`` (what ``subregions()``
-runs for an object no index owns) and ``pack_block`` — and every
-comparison here is ``==``, never a tolerance: a standing result and a
-one-shot run must not disagree on a pruning decision.
+packed rows, the instances in row order.  The scalar code it replaced
+on those paths survives as the reference —
+``indr.units_overlapping_rect`` (through ``_resolve_units``),
+``UncertainObject._assign`` (what ``subregions()`` runs) and
+``pack_block`` — and every comparison here is ``==``, never a
+tolerance: a standing result and a one-shot run must not disagree on
+a pruning decision.
 """
 
 import random
@@ -31,6 +32,7 @@ from repro.objects import (
     ObjectGenerator,
     ObjectMove,
     ObjectPopulation,
+    Subregion,
     UncertainObject,
 )
 from repro.space import SpaceBuilder
@@ -45,26 +47,29 @@ def _twin(obj):
 
 
 def assert_equals_references(idx, objects):
-    """``objects`` — live objects of ``idx`` — carry the unit sets,
-    subregion lists and table rows the scalar references give."""
+    """``objects`` — live objects of ``idx`` — carry the unit sets and
+    table rows the scalar references give: each row's partition, mass
+    and instances those of the scalar ``_assign``'s subregion."""
     space, grid = idx.space, idx.population.grid
     twins = [_twin(obj) for obj in objects]
-    for obj, twin in zip(objects, twins):
+    layout = idx.columns.layout()
+    got = idx.columns.block(objects)
+    rows = got.rows
+    for j, (obj, twin) in enumerate(zip(objects, twins)):
         assert idx.columns.units_of(obj.object_id) == idx._resolve_units(obj)
-        mine = obj.subregions(space, grid)
         ref = twin.subregions(space, grid)
-        assert [s.partition_id for s in mine] == [
+        mine = range(got.obj_offsets[j], got.obj_offsets[j + 1])
+        assert [layout.part_ids[rows.part[a]] for a in mine] == [
             s.partition_id for s in ref
         ]
-        assert [s.mass for s in mine] == [s.mass for s in ref]
-        for s, t in zip(mine, ref):
-            assert s.instances.xy.tolist() == t.instances.xy.tolist()
-            assert s.instances.probs.tolist() == t.instances.probs.tolist()
-            assert s.instances.floor == t.instances.floor
-        if len(mine) == 1:
-            assert mine[0].instances is obj.instances
-    want = pack_block(twins, space, grid, idx.columns.layout())
-    got = idx.columns.block(objects)
+        assert [rows.mass[a] for a in mine] == [s.mass for s in ref]
+        for a, t in zip(mine, ref):
+            span = slice(rows.start[a], rows.start[a + 1])
+            assert rows.x[span].tolist() == t.instances.xy[:, 0].tolist()
+            assert rows.y[span].tolist() == t.instances.xy[:, 1].tolist()
+            assert rows.probs[span].tolist() == t.instances.probs.tolist()
+            assert rows.floor[a] == t.instances.floor
+    want = pack_block(twins, space, grid, layout)
     assert got.ent_door.tolist() == want.ent_door.tolist()
     assert got.ent_min.tolist() == want.ent_min.tolist()
     assert got.ent_max.tolist() == want.ent_max.tolist()
@@ -346,8 +351,8 @@ class TestNoPerObjectGeometryOnTheWritePath:
     ):
         """The per-object loops the batched write replaced — one
         ``Rect.intersects`` per (object, unit), one ``InstanceSet``
-        copy per subregion, the scalar assignment — cannot come back
-        unnoticed."""
+        copy per subregion, the scalar assignment, a ``Subregion`` per
+        piece — cannot come back unnoticed."""
         gen = ObjectGenerator(small_mall, radius=3.0, n_instances=20, seed=4)
         pop = gen.generate(80)
         idx = CompositeIndex.build(small_mall, pop)
@@ -356,9 +361,11 @@ class TestNoPerObjectGeometryOnTheWritePath:
         intersects = count_calls(Rect, "intersects")
         subset = count_calls(InstanceSet, "subset")
         assign = count_calls(UncertainObject, "_assign")
+        built = count_calls(Subregion, "__init__")
         moved = idx.update_objects(batch)
         assert len(moved) == 20
-        assert (len(intersects), len(subset), len(assign)) == (0, 0, 0)
+        calls = (intersects, subset, assign, built)
+        assert [len(c) for c in calls] == [0, 0, 0, 0]
         monkeypatch.undo()
         assert any(
             len(o.subregions(small_mall, pop.grid)) > 1 for o in moved

@@ -71,7 +71,7 @@ class TestBlockComposition:
             index.doors_graph.dijkstra_from_point(points[2], cutoff=25.0),
         ]
         stack = QueryStack(index.columns.layout(), searches, [None] * 3)
-        subs, offsets = subregion_rows(objects, space, grid)
+        subs, offsets = subregion_rows(objects, space, grid, stack.layout)
         every = [(i, j) for i in range(3) for j in range(len(objects))]
         r = data.draw(st.sampled_from([5.0, 20.0, 60.0]))
         alone = {

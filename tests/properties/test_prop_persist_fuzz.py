@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.wire import FeedReadStats
-from repro.errors import PersistError
+from repro.errors import PersistError, ReproError
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet
 from repro.objects.population import ObjectMove
@@ -325,11 +325,13 @@ class TestWalRoundTrip:
 
     def test_the_writer_refuses_non_finite_instances(self):
         xy = np.array([[1.0, 2.0], [math.nan, 3.0]])
-        move = ObjectMove(
-            "o",
-            Circle(Point(1.0, 2.0, 0), 2.0),
-            InstanceSet.uniform(xy, 0),
-        )
+        with pytest.raises(ReproError, match="finite"):
+            InstanceSet.uniform(xy, 0)
+        # The constructor refuses it; a set whose array was written
+        # after construction still reaches the writer's own check.
+        forged = InstanceSet.uniform(np.array([[1.0, 2.0], [2.0, 3.0]]), 0)
+        forged.xy[1, 0] = math.nan
+        move = ObjectMove("o", Circle(Point(1.0, 2.0, 0), 2.0), forged)
         with pytest.raises(PersistError, match="non-finite"):
             encode_wal_record(WalMoves((move,)))
 
@@ -357,6 +359,8 @@ _MALFORMED = {
     "v1-nan-coordinate": _moves_line(1, xy=[[math.nan, 5.0], [5.5, 5.0]]),
     "v2-nan-coordinate": _moves_line(2, xy=_b64([math.nan, 5.0])),
     "v2-inf-probability": _moves_line(2, probs=_b64([math.inf, 0.0])),
+    "v1-nan-probability": _moves_line(1, probs=[math.nan, 0.5]),
+    "v2-nan-probability": _moves_line(2, probs=_b64([math.nan, 0.5])),
     "v1-nan-center": _moves_line(1, center=[math.nan, 5.0, 0]),
     "v2-nan-center": _moves_line(2, center=[5.0, math.nan, 0]),
     "v1-inf-radius": _moves_line(1, radius=1e999),
@@ -447,6 +451,22 @@ class TestCheckpointDecoderFuzz:
             assert x.instances.probs.tobytes() == \
                 y.instances.probs.tobytes()
         assert len(blobs[3]) < len(blobs[2])
+
+    @pytest.mark.parametrize("field", ["probs", "xy"])
+    def test_an_object_carrying_a_nan_fails_closed(self, checkpoints, field):
+        """A packed NaN, re-sealed so the digest passes: the object
+        decoder refuses it."""
+        blobs, root = checkpoints
+        lines = blobs[3].decode().splitlines()[:-1]
+        record = json.loads(lines[1])
+        n = len(object_from_dict(record))
+        width = 2 if field == "xy" else 1
+        record[field] = _b64([math.nan] + [0.5] * (width * n - 1))
+        lines[1] = json.dumps(record, sort_keys=True)
+        path = root / "nan.jsonl"
+        path.write_bytes(_reseal(lines))
+        with pytest.raises(PersistError, match="non-finite"):
+            list(read_checkpoint(path).uncertain_objects())
 
     @settings(max_examples=150, deadline=None)
     @given(version=st.sampled_from([2, 3]), edits=_EDITS)
