@@ -1,48 +1,22 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 tier2 test bench bench-stream bench-serving \
-	bench-serving-net \
-	bench-restart bench-grid bench-grid-quick bench-trajectory lint \
-	docs-check figures
+.PHONY: tier1 tier2 test bench bench-grid bench-grid-quick \
+	bench-trajectory lint docs-check figures
 
 # Fast correctness gate (default pytest run already excludes tier2).
 tier1:
 	$(PYTHON) -m pytest -x -q
 
-# Slow streaming/property workloads (monitor equivalence at scale,
-# streaming benchmarks).
+# Slow property workloads (monitor equivalence at scale).
 tier2:
-	$(PYTHON) -m pytest -q -m tier2 tests benchmarks
+	$(PYTHON) -m pytest -q -m tier2 tests
 
 test: tier1 tier2
 
 # Paper-figure benchmark panels (pytest-benchmark harness).
 bench:
 	$(PYTHON) -m pytest -q -m "not tier2" benchmarks
-
-# The continuous-monitoring stream benchmark alone.
-bench-stream:
-	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_stream.py
-
-# The delta-serving benchmark (a served monitor vs the same monitor
-# driven directly).  The quick CLI variant
-# (`python benchmarks/bench_serving.py --quick`) is the CI smoke gate.
-bench-serving:
-	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_serving.py
-
-# Network serving: N TCP subscribers x M standing queries against a
-# live NetServer, asserting exact convergence at quiesce.
-bench-serving-net:
-	$(PYTHON) benchmarks/bench_serving.py --net
-
-# Crash recovery: checkpointed serving killed mid-stream, restarted
-# from its manifest, every subscriber resuming to the exact result —
-# plus the checkpoint/restore-latency sweep (nightly table).
-bench-restart:
-	$(PYTHON) benchmarks/bench_serving.py --restart
-	$(PYTHON) -m pytest -q -m tier2 \
-		benchmarks/bench_serving.py::test_serving_restart
 
 # Experiment grids (declarative sweeps; see benchmarks/grids/ and
 # docs/operations.md).  Resumable: cells with a verified result.json

@@ -37,7 +37,7 @@ def test_fig14b(factory, save_table, benchmark):
     # At paper scale (100 instances/object) the pruning phase clearly
     # pays for itself; at the scaled-down profiles refinement is cheap
     # enough that interval computation roughly breaks even, so only a
-    # loose sanity band is asserted here.  See EXPERIMENTS.md.
+    # loose sanity band is asserted here.  See benchmarks/README.md.
     assert _mean(without_p) >= 0.5 * _mean(with_p)
     index = factory.index()
     q = factory.query_points()[0]

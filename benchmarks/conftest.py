@@ -5,8 +5,8 @@ medium / paper; default small).  Workloads are cached for the whole
 session — construction would otherwise dominate every benchmark.
 
 Each panel's series table is printed and also written to
-``benchmarks/tables/<figure>.txt`` so EXPERIMENTS.md can reference the
-exact measured numbers.
+``benchmarks/tables/<figure>.txt`` so benchmarks/README.md can reference
+the exact measured numbers.
 """
 
 import pathlib
@@ -21,16 +21,6 @@ TABLE_DIR = pathlib.Path(__file__).parent / "tables"
 @pytest.fixture(scope="session")
 def factory():
     return WorkloadFactory()
-
-
-@pytest.fixture
-def stream_scenario(factory):
-    """A fresh continuous-monitoring scenario (``bench_stream``).
-
-    Function-scoped on purpose: streaming mutates its population, so
-    every benchmark gets its own (the factory's cached index stays
-    pristine — see WorkloadFactory.stream_scenario)."""
-    return factory.stream_scenario()
 
 
 @pytest.fixture(scope="session")

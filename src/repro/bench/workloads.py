@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from dataclasses import dataclass, field
 
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
@@ -26,7 +25,7 @@ from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import MovementStream, ObjectGenerator
 from repro.objects.population import ObjectPopulation
-from repro.queries.monitor import MonitorStats, QueryMonitor
+from repro.queries.monitor import QueryMonitor
 from repro.space.floorplan import IndoorSpace
 from repro.space.mall import build_mall
 
@@ -162,7 +161,8 @@ class WorkloadFactory:
 
     def space(self, floors: int | None = None) -> IndoorSpace:
         p = self.profile
-        floors = floors or p.default_floors
+        if floors is None:
+            floors = p.default_floors
         if floors not in self._spaces:
             self._spaces[floors] = build_mall(
                 floors=floors,
@@ -239,11 +239,6 @@ class WorkloadFactory:
         n_iprq: int = 0,
         floors: int | None = None,
         n_objects: int | None = None,
-        radius: float | None = None,
-        hop_probability: float = 0.5,
-        query_range: float | None = None,
-        k: int | None = None,
-        p_min: float = 0.5,
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -254,46 +249,40 @@ class WorkloadFactory:
         shared read-only; streaming scenarios must not apply topology
         events to it.
 
-        ``n_iprq`` mixes standing probabilistic-threshold range queries (iPRQ,
-        threshold ``p_min``, range = the profile's default range) into
-        the workload — the ``--prob`` serving variant.  ``seed`` overrides
-        the factory's base seed for this scenario's population and
-        movement stream only (the shared space keeps the factory
-        seed — grid cells vary workloads without rebuilding venues).
+        The standing queries take the profile's defaults: iRQ range
+        ``default_range``, ikNNQ ``default_k``, and iPRQ (``n_iprq``
+        of them) the same range at threshold 0.5.  ``floors`` and
+        ``n_objects`` fall back to the profile only when ``None``: an
+        explicit 0 builds what it says.  ``seed`` overrides the
+        factory's base seed for this scenario's population and
+        movement stream only (the shared space keeps the factory seed —
+        grid cells vary workloads without rebuilding venues).
         """
         p = self.profile
+        if n_objects is None:
+            n_objects = p.default_objects
         space = self.space(floors)
-        radius = radius or p.default_radius
         base_seed = self.seed if seed is None else int(seed)
         gen = ObjectGenerator(
             space,
-            radius=radius,
+            radius=p.default_radius,
             n_instances=p.n_instances,
             seed=base_seed + 4242,
             id_prefix="s",
         )
-        population = gen.generate(n_objects or p.default_objects)
+        population = gen.generate(n_objects)
         index = CompositeIndex.build(space, population, fanout=p.fanout)
-        stream = MovementStream(
-            space, population, gen,
-            hop_probability=hop_probability, seed=base_seed + 7,
-        )
+        stream = MovementStream(space, population, gen, seed=base_seed + 7)
         monitor = QueryMonitor(index)
-        if query_range is None:
-            query_range = p.default_range
-        if k is None:
-            k = p.default_k
+        r = p.default_range
         points = self.query_points(floors, n=n_irq + n_iknn + n_iprq)
-        irq_ids = [
-            monitor.register(RangeSpec(q, query_range))
-            for q in points[:n_irq]
-        ]
+        irq_ids = [monitor.register(RangeSpec(q, r)) for q in points[:n_irq]]
         knn_ids = [
-            monitor.register(KNNSpec(q, k))
+            monitor.register(KNNSpec(q, p.default_k))
             for q in points[n_irq:n_irq + n_iknn]
         ]
         iprq_ids = [
-            monitor.register(ProbRangeSpec(q, query_range, p_min))
+            monitor.register(ProbRangeSpec(q, r, 0.5))
             for q in points[n_irq + n_iknn:]
         ]
         return StreamScenario(
@@ -317,64 +306,3 @@ class StreamScenario:
     def query_ids(self) -> list[str]:
         """Every standing query id, in registration order."""
         return self.irq_ids + self.knn_ids + self.iprq_ids
-
-    def absorb_batch(self, batch_size: int) -> float:
-        """Generate and absorb one batch; returns absorb seconds (the
-        generation cost is excluded — it models the positioning system,
-        not the monitor)."""
-        batch = self.stream.next_moves(batch_size)
-        t0 = time.perf_counter()
-        self.monitor.apply_moves(batch)
-        return time.perf_counter() - t0
-
-    def reexecute_all(self) -> float:
-        """Seconds to re-run every standing query from scratch — the
-        per-batch cost a non-incremental monitor would pay."""
-        from repro.queries.knn import ikNNQ
-        from repro.queries.prob_range import iPRQ
-        from repro.queries.range_query import iRQ
-
-        specs = [
-            self.monitor.query_spec(qid) for qid in self.query_ids
-        ]
-        t0 = time.perf_counter()
-        for spec in specs:
-            if isinstance(spec, RangeSpec):
-                iRQ(spec.q, spec.r, self.index)
-            elif isinstance(spec, KNNSpec):
-                ikNNQ(spec.q, spec.k, self.index)
-            else:
-                iPRQ(spec.q, spec.r, spec.p_min, self.index)
-        return time.perf_counter() - t0
-
-
-@dataclass
-class StreamReport:
-    """Aggregate outcome of a streamed run (see ``bench_stream``)."""
-
-    updates: int
-    elapsed_s: float
-    stats: MonitorStats
-
-    @property
-    def updates_per_sec(self) -> float:
-        return self.updates / self.elapsed_s if self.elapsed_s else 0.0
-
-
-def run_stream(
-    scenario: StreamScenario, n_batches: int, batch_size: int
-) -> StreamReport:
-    """Drive a scenario for ``n_batches`` and aggregate throughput.
-
-    ``updates`` counts the moves actually absorbed (the stream clamps a
-    batch to the population size), not the nominal product."""
-    seen_before = scenario.monitor.stats.updates_seen
-    elapsed = 0.0
-    for _ in range(n_batches):
-        elapsed += scenario.absorb_batch(batch_size)
-    stats = scenario.monitor.stats
-    return StreamReport(
-        updates=stats.updates_seen - seen_before,
-        elapsed_s=elapsed,
-        stats=stats,
-    )

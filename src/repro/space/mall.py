@@ -290,7 +290,7 @@ def _build_staircases(
 
 
 def mall_statistics(space: IndoorSpace) -> dict[str, int]:
-    """Aggregate counts, used by benchmarks and EXPERIMENTS.md."""
+    """Aggregate counts, used by the benchmarks (benchmarks/README.md)."""
     kinds = {kind: 0 for kind in PartitionKind}
     for p in space.partitions.values():
         kinds[p.kind] += 1

@@ -83,10 +83,14 @@ def _manifest_seqs(store: CheckpointStore) -> list[int]:
 
 
 class TestKillRestartResume:
-    def test_client_resumes_bit_identical(self, five_rooms, tmp_path):
+    @pytest.mark.parametrize("n_clients", [1, 3])
+    def test_client_resumes_bit_identical(
+        self, five_rooms, tmp_path, n_clients
+    ):
         """The acceptance path: kill mid-stream, restart from the
-        manifest on the same port, reconnected client == uninterrupted
-        twin == from-scratch evaluation."""
+        manifest on the same port, every reconnected client (each
+        watching its own share of ``SPECS``) == uninterrupted twin ==
+        from-scratch evaluation."""
         service = QueryService(_build_index(five_rooms))
         # The uninterrupted twin: same engine, same scripted moves,
         # never crashes.
@@ -99,18 +103,27 @@ class TestKillRestartResume:
         store = CheckpointStore(tmp_path)
         st = ServerThread(service, store=store).__enter__()
         host, port = st.address
-        client = NetClient(host, port, timeout=5.0)
-        client.connect()
-        for name, spec in SPECS.items():
-            client.watch(spec, query_id=name)
-        client.sync()
+        names = list(SPECS)
+        clients = []
+        for c in range(n_clients):
+            client = NetClient(host, port, timeout=5.0)
+            client.connect()
+            for name in names[c::n_clients]:
+                client.watch(SPECS[name], query_id=name)
+            client.sync()
+            clients.append(client)
+        holder = {
+            name: client for client in clients for name in client.watched
+        }
+        assert sorted(holder) == sorted(SPECS)
 
         for i, moves in enumerate(PRE_CRASH):
             st.ingest(list(moves))
             twin.ingest(list(moves))
             if i == 0:
                 st.checkpoint_now()  # later moves live in the WAL
-        client.sync()
+        for client in clients:
+            client.sync()
         st.kill()
 
         st2 = ServerThread.from_store(store, port=port).__enter__()
@@ -118,31 +131,30 @@ class TestKillRestartResume:
         for moves in POST_CRASH:
             st2.ingest(list(moves))
             twin.ingest(list(moves))
-        client.poll()
-        client.sync()
-        assert client.reconnects == 1
+        for client in clients:
+            client.poll()
+            client.sync()
+            assert client.reconnects == 1
 
         restored = st2.service
-        for name in SPECS:
+        for name, client in holder.items():
             live = st2.run(restored.result_distances, name)
             assert client.states[name] == live
             assert live == twin.result_distances(twin_ids[name])
         # From-scratch one-shots on the restored engine agree
         # (CountSpec is watch-only; its from-scratch form is the range
         # count).
-        assert set(client.states["kiosk"]) == \
-            st2.run(restored.run, SPECS["kiosk"]).ids()
-        assert set(client.states["board"]) == \
-            st2.run(restored.run, SPECS["board"]).ids()
-        assert set(client.states["vip"]) == \
-            st2.run(restored.run, SPECS["vip"]).ids()
+        for name in ("kiosk", "board", "vip"):
+            assert set(holder[name].states[name]) == \
+                st2.run(restored.run, SPECS[name]).ids()
         n_in_range = len(
             st2.run(restored.run, RangeSpec(Q1, 8.0)).objects
         )
         want = {"count": float(n_in_range)} if n_in_range >= 2 else {}
-        assert client.states["crowd"] == want
+        assert holder["crowd"].states["crowd"] == want
 
-        client.close()
+        for client in clients:
+            client.close()
         st2.close()
         service.close()
         restored.close()

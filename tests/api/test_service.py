@@ -156,6 +156,10 @@ class TestWatchAndIngest:
     QueryMonitor driven with the same mutations."""
 
     def test_matches_legacy_monitor(self, mall_setup, small_mall):
+        """Results *and* every mutation's delta batch equal the legacy
+        monitor's, and the fan-out loses or duplicates nothing: one
+        snapshot-free subscription per query receives exactly the
+        deltas the service published."""
         index, gen, pop = mall_setup
         # Twin world for the legacy monitor (streams mutate the index).
         gen2 = ObjectGenerator(
@@ -167,29 +171,41 @@ class TestWatchAndIngest:
 
         service = QueryService(index)
         qa, qb = (small_mall.random_point(seed=s) for s in (11, 12))
-        a = service.watch(RangeSpec(qa, 30.0))
-        b = service.watch(KNNSpec(qb, 4))
-        la = legacy.register(RangeSpec(qa, 30.0))
-        lb = legacy.register(KNNSpec(qb, 4))
+        specs = [
+            RangeSpec(qa, 30.0), KNNSpec(qb, 4), ProbRangeSpec(qa, 30.0, 0.5)
+        ]
+        ids = [service.watch(spec) for spec in specs]
+        # Auto ids on both sides, so the deltas compare by value.
+        assert [legacy.register(spec) for spec in specs] == ids
+        # The service published its registrations to nobody; drop the
+        # legacy monitor's, which would otherwise open its next batch.
+        legacy.drain_pending_deltas()
+        published_before = service.deltas_published
+        subs = [service.subscribe(qid, snapshot=False) for qid in ids]
+        changed: set[str] = set()
+
+        def assert_same(batch, legacy_batch):
+            assert batch.deltas == legacy_batch.deltas
+            changed.update(d.query_id for d in batch.deltas)
+            for qid in ids:
+                assert service.result_distances(qid) == \
+                    legacy.result_distances(qid)
 
         stream = MovementStream(small_mall, pop, gen, seed=5)
-        for _ in range(4):
+        for _ in range(6):
             moves = stream.next_moves(12)
-            service.ingest(moves)
-            legacy.apply_moves(moves)
-            assert service.result_distances(a) == \
-                legacy.result_distances(la)
-            assert service.result_distances(b) == \
-                legacy.result_distances(lb)
+            assert_same(service.ingest(moves), legacy.apply_moves(moves))
 
         obj = gen.generate_one()
-        service.insert(obj)
-        legacy.apply_insert(obj)
-        victim = sorted(index.population.ids())[0]
-        service.delete(victim)
-        legacy.apply_delete(victim)
-        assert service.result_distances(a) == legacy.result_distances(la)
-        assert service.result_distances(b) == legacy.result_distances(lb)
+        assert_same(service.insert(obj), legacy.apply_insert(obj))
+        # A current ikNNQ member, so the delete changes a result.
+        victim = min(service.result_ids(ids[1]))
+        assert_same(service.delete(victim), legacy.apply_delete(victim))
+        assert changed == set(ids)
+
+        published = service.deltas_published - published_before
+        assert sum(sub.delivered + sub.pending for sub in subs) == \
+            published
 
     def test_watch_prob_range_spec(self, five_rooms_index, five_rooms):
         """Standing iPRQ end to end through the façade: watch, ingest,
@@ -238,9 +254,8 @@ class TestWatchAndIngest:
 
 class TestStandingProbRangeDeltas:
     """Standing iPRQs watched through the service and driven by a
-    movement stream emit deltas, and each ends on the one-shot result
-    (the ``bench_serving.py --quick --prob`` smoke's one assertion no
-    other tier-1 test made)."""
+    movement stream emit deltas, and each ends on the one-shot
+    result."""
 
     def test_standing_iprqs_emit_deltas(self, mall_setup, small_mall):
         from repro.queries import iPRQ

@@ -1,6 +1,6 @@
 """Unit tests for the benchmark harness internals (workloads, runner,
-reporting) — these must be trustworthy for EXPERIMENTS.md to mean
-anything."""
+reporting) — these must be trustworthy for the numbers in
+benchmarks/README.md to mean anything."""
 
 
 import pytest
@@ -15,6 +15,7 @@ from repro.bench.workloads import (
     WorkloadFactory,
     active_profile,
 )
+from repro.errors import ReproError
 
 
 class TestProfiles:
@@ -122,23 +123,23 @@ class TestReporting:
 
 
 class TestStreamScenarios:
-    def test_run_stream_reports_monitor_stats(self, tiny_factory):
-        """The report carries the moves actually absorbed and the
-        monitor's counters as they stand after the loop."""
-        from repro.bench.workloads import run_stream
+    def test_standing_queries_take_profile_defaults(self, tiny_factory):
+        scenario = tiny_factory.stream_scenario(n_irq=1, n_iknn=1, n_iprq=1)
+        spec = scenario.monitor.query_spec
+        p = tiny_factory.profile
+        assert spec(scenario.irq_ids[0]).r == p.default_range
+        assert spec(scenario.knn_ids[0]).k == p.default_k
+        iprq = spec(scenario.iprq_ids[0])
+        assert (iprq.r, iprq.p_min) == (p.default_range, 0.5)
+        assert len(scenario.index.population) == p.default_objects
 
-        scenario = tiny_factory.stream_scenario(n_irq=1, n_iknn=1)
-        report = run_stream(scenario, n_batches=2, batch_size=5)
-        assert report.updates == 10
-        assert report.stats.updates_seen == 10
-        assert report.stats.pairs_evaluated > 0
-        assert report.updates_per_sec > 0
-
-    def test_stream_scenario_zero_range_respected(self, tiny_factory):
-        """Regression: an explicit query_range=0.0 must not be replaced
-        by the profile default (falsy-zero bug)."""
+    def test_zero_objects_builds_an_empty_population(self, tiny_factory):
+        """Regression: an explicit ``n_objects=0`` (a grid cell's
+        ``objects: 0``) must not fall back to the profile default; the
+        stream then refuses to run instead of measuring 20 objects."""
         scenario = tiny_factory.stream_scenario(
-            n_irq=1, n_iknn=1, query_range=0.0, k=1
+            n_irq=1, n_iknn=0, n_objects=0
         )
-        assert scenario.monitor.query_spec(scenario.irq_ids[0]).r == 0.0
-        assert scenario.monitor.query_spec(scenario.knn_ids[0]).k == 1
+        assert len(scenario.index.population) == 0
+        with pytest.raises(ReproError, match="empty population"):
+            scenario.stream.next_moves(5)
