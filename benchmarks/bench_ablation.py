@@ -10,14 +10,15 @@ A4 — query-session Dijkstra reuse for repeated query points (the
 import numpy as np
 
 from repro.bench.runner import ExperimentResult, run_queries
-from repro.distances.bounds import (
-    probabilistic_bounds,
+from repro.distances.bounds import probabilistic_bounds
+from repro.index import CompositeIndex, IndRTree
+from repro.reference import (
+    classify_subregion_paths,
     subregion_stats,
+    subregions,
     topological_bounds,
     weighted_topological_bounds,
 )
-from repro.distances.expected import classify_subregion_paths
-from repro.index import CompositeIndex, IndRTree
 
 def test_bisector_fastpath(factory, save_table, benchmark):
     """A1: both classification routes agree; benchmark the bisector one."""
@@ -26,11 +27,11 @@ def test_bisector_fastpath(factory, save_table, benchmark):
     q = factory.query_points()[0]
     dd = index.doors_graph.dijkstra_from_point(q)
     pop = factory.population()
-    subregions = []
+    split = []
     for obj in list(pop)[:40]:
-        subregions.extend(obj.subregions(space, pop.grid))
+        split.extend(subregions(obj, space, pop.grid))
     agree = 0
-    for s in subregions:
+    for s in split:
         exact = classify_subregion_paths(q, s, dd, space)
         fast = classify_subregion_paths(q, s, dd, space, use_bisectors=True)
         # The bisector route is conservative: fast=True implies
@@ -40,16 +41,16 @@ def test_bisector_fastpath(factory, save_table, benchmark):
     result = ExperimentResult(
         "Ablation A1: path classification agreement", "subregions", unit="#"
     )
-    result.x_values = [len(subregions)]
+    result.x_values = [len(split)]
     result.add("agreements", agree)
-    result.add("total", len(subregions))
+    result.add("total", len(split))
     save_table("ablation_a1", result)
     # The fast path should settle the bulk of the subregions.
-    assert agree >= 0.5 * len(subregions)
+    assert agree >= 0.5 * len(split)
     benchmark(
         lambda: [
             classify_subregion_paths(q, s, dd, space, use_bisectors=True)
-            for s in subregions[:10]
+            for s in split[:10]
         ]
     )
 
@@ -93,7 +94,7 @@ def test_prob_bounds_tightness(factory, save_table, benchmark):
     widths = {"topological": [], "probabilistic": [], "weighted": []}
     multi = 0
     for obj in pop:
-        subs = obj.subregions(space, pop.grid)
+        subs = subregions(obj, space, pop.grid)
         if len(subs) < 2:
             continue
         multi += 1
@@ -123,7 +124,7 @@ def test_prob_bounds_tightness(factory, save_table, benchmark):
     benchmark(
         lambda: [
             subregion_stats(q, s, dd, space)
-            for s in sample.subregions(space, pop.grid)
+            for s in subregions(sample, space, pop.grid)
         ]
     )
 

@@ -3,7 +3,7 @@ construction cost, dynamic-operation cost, and the pre-computation
 baseline's maintenance bill."""
 
 from repro.bench import figures
-from repro.baselines import PrecomputedDistanceIndex
+from repro.reference import PrecomputedDistanceIndex
 from repro.index import CompositeIndex
 
 

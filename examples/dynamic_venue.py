@@ -15,7 +15,7 @@ Run with::
 import time
 
 from repro import CompositeIndex, ObjectGenerator, iRQ
-from repro.baselines import PrecomputedDistanceIndex
+from repro.reference import PrecomputedDistanceIndex
 from repro.geometry import Point, Rect
 from repro.space import MergePartitions, SpaceBuilder, SplitPartition
 

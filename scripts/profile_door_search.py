@@ -30,8 +30,8 @@ from pathlib import Path
 def profile(shape, seed: int, precompute: bool) -> dict[str, float]:
     from worlds import World
 
-    from repro.baselines import NaiveEvaluator
-    from repro.baselines.precompute import PrecomputedDistanceIndex
+    from repro.reference import NaiveEvaluator
+    from repro.reference.precompute import PrecomputedDistanceIndex
     from repro.queries import QuerySession
 
     world = World.build(shape, seed)

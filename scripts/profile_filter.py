@@ -13,8 +13,9 @@ Prints
   median columnar ``range_search`` and tree-walk ``range_search_tree``
   over the profile's query points, and their ratio.
 
-Only public names both sides of a change share are used, so the same
-script measures a parent checkout and a change::
+The world profile uses only public names both sides of a change share,
+so the same script measures a parent checkout and a change (the
+``PAPER`` profile's tree walk is ``repro.reference.tree``'s)::
 
     PYTHONPATH=<tree>/src python scripts/profile_filter.py <tree>
 
@@ -92,6 +93,7 @@ def profile_world(shape, seed: int, rounds: int) -> dict[str, float]:
 
 def profile_paper(seed: int | None) -> None:
     from repro.bench.workloads import PAPER, WorkloadFactory
+    from repro.reference.tree import range_search_tree
 
     for floors in PAPER.floors_grid:
         factory = WorkloadFactory(PAPER, seed=seed)
@@ -103,7 +105,7 @@ def profile_paper(seed: int | None) -> None:
                 _best(lambda q=q: index.range_search(q, r)) for q in points
             )
             tree = statistics.median(
-                _best(lambda q=q: index.range_search_tree(q, r), 1)
+                _best(lambda q=q: range_search_tree(index, q, r), 1)
                 for q in points
             )
             print(

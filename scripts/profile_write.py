@@ -50,10 +50,13 @@ def profile_size(world, stream, size: int, batches: int) -> dict:
         index.update_objects(moves)
         profiler.disable()
     stats = pstats.Stats(profiler)
+    # ``Subregion`` lives in repro/reference/subregions.py (in
+    # repro/objects/uncertain.py in older trees).
     subregions = sum(
         calls
         for (path, _, name), (calls, *_) in stats.stats.items()
-        if path.endswith("uncertain.py") and name == "__init__"
+        if path.endswith(("uncertain.py", "subregions.py"))
+        and name == "__init__"
     )
     return {
         "median_us": 1e6 * statistics.median(times),

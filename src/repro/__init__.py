@@ -3,8 +3,8 @@ Indoor Moving Objects* (Xie, Lu, Pedersen; ICDE 2013).
 
 The package implements the paper's full stack:
 
-* :mod:`repro.geometry` — planar/3-D primitives, weighted bisectors
-  (Table II) and partition decomposition (Algorithm 3);
+* :mod:`repro.geometry` — planar/3-D primitives and partition
+  decomposition (Algorithm 3);
 * :mod:`repro.space` — the indoor-space model (partitions, doors,
   staircases), the doors graph, a synthetic mall generator and topology
   events;
@@ -12,11 +12,13 @@ The package implements the paper's full stack:
   instance sets (Section II-B);
 * :mod:`repro.index` — the composite index: R*-tree tree tier, skeleton
   tier, topological layer and object layer (Section III);
-* :mod:`repro.distances` — expected indoor distances (Eqs. 2-6) and the
-  pruning bounds (Lemmas 1-6);
+* :mod:`repro.distances` — the bounds kernel (Lemmas 1-2, 5) and exact
+  refinement (Eqs. 2-6) over whole query x object blocks;
 * :mod:`repro.queries` — the iRQ and ikNNQ processors (Algorithms 1-2);
-* :mod:`repro.baselines` — the naive evaluator, the pre-computation
-  alternative and ablation variants;
+* :mod:`repro.reference` — what checks the system: the naive
+  evaluator, the pre-computation alternative and the scalar form of
+  every step above (Table II bisectors, Table III bounds, Algorithm 4's
+  tree walk);
 * :mod:`repro.bench` — the experiment harness regenerating Figures 12-15.
 
 Quickstart::
@@ -62,8 +64,8 @@ _EXPORTS = {
     "SkeletonTier": "repro.index",
     "DistanceInterval": "repro.distances",
     "euclidean": "repro.distances",
-    "expected_indoor_distance": "repro.distances",
-    "object_bounds": "repro.distances",
+    "expected_indoor_distance": "repro.reference",
+    "object_bounds": "repro.reference",
     "iRQ": "repro.queries",
     "ikNNQ": "repro.queries",
     "iPRQ": "repro.queries",
@@ -93,8 +95,8 @@ _EXPORTS = {
     "replay_deltas": "repro.queries",
     "MonitorServer": "repro.queries",
     "Subscription": "repro.queries",
-    "NaiveEvaluator": "repro.baselines",
-    "PrecomputedDistanceIndex": "repro.baselines",
+    "NaiveEvaluator": "repro.reference",
+    "PrecomputedDistanceIndex": "repro.reference",
     "render_floor": "repro.viz",
     "render_building": "repro.viz",
     "save_space": "repro.space.io",

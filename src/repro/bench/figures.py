@@ -11,7 +11,6 @@ import time
 
 from repro.bench.runner import ExperimentResult, run_queries
 from repro.bench.workloads import WorkloadFactory
-from repro.baselines.precompute import PrecomputedDistanceIndex
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import ObjectGenerator
 from repro.space.mall import mall_statistics
@@ -315,6 +314,8 @@ def fig15c(factory: WorkloadFactory, op_counts=(10, 50, 100)) -> ExperimentResul
 def fig15d(factory: WorkloadFactory) -> ExperimentResult:
     """Door-to-door pre-computation time vs #partitions — what one
     topology change costs the prior-work baseline."""
+    from repro.reference.precompute import PrecomputedDistanceIndex
+
     p = factory.profile
     out = ExperimentResult(
         "Fig 15(d): distance pre-computation time",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -83,63 +83,3 @@ def run_queries(
     )
     out._n = len(queries)
     return out
-
-
-@dataclass(frozen=True)
-class Timing:
-    """Per-call wall-clock timing of a repeated measurement.
-
-    ``min_s`` is the best (least-interfered) call — the conventional
-    microbenchmark statistic; ``mean_s`` the average over all calls;
-    ``repeat`` how many calls produced them.  Comparisons and float
-    conversion use ``min_s``, so existing ``time_call(...) > x`` call
-    sites keep their meaning under the least-noise statistic.
-    """
-
-    min_s: float
-    mean_s: float
-    repeat: int
-
-    def __float__(self) -> float:
-        return self.min_s
-
-    def __lt__(self, other: Any) -> bool:
-        return self.min_s < float(other)
-
-    def __gt__(self, other: Any) -> bool:
-        return self.min_s > float(other)
-
-    def __le__(self, other: Any) -> bool:
-        return self.min_s <= float(other)
-
-    def __ge__(self, other: Any) -> bool:
-        return self.min_s >= float(other)
-
-    def to_dict(self) -> dict[str, float | int]:
-        """Plain-dict form, as grid cell results record it."""
-        return {
-            "min_s": self.min_s,
-            "mean_s": self.mean_s,
-            "repeat": self.repeat,
-        }
-
-
-def time_call(fn: Callable[[], Any], repeat: int = 1) -> Timing:
-    """Time ``fn`` per call over ``repeat`` calls.
-
-    Each call is timed individually so the result separates the
-    best-case ``min`` (robust against scheduler noise) from the
-    ``mean`` (what a caller actually pays on average) instead of
-    collapsing both into one aggregate.
-    """
-    repeat = max(1, repeat)
-    samples = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return Timing(
-        min_s=min(samples),
-        mean_s=sum(samples) / repeat,
-        repeat=repeat,
-    )

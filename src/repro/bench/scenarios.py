@@ -233,8 +233,8 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
         )
         timings.append(result)
         ctx.log(f"pass: {result['updates_per_sec']:.0f} upd/s")
-    # Surface the repeat structure the way `time_call` does: min/mean
-    # of the measured wall-clock, plus the count.
+    # The repeat structure: min/mean of the measured wall-clock, plus
+    # the count.
     samples = [t["elapsed_s"] for t in timings]
     return _merge(
         timings[-1],

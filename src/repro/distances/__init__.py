@@ -1,50 +1,27 @@
 """Indoor distances for uncertain objects (Section II).
 
 * :mod:`repro.distances.euclidean` — Euclidean lower bounds;
-* :mod:`repro.distances.expected` — the exact expected indoor distance
-  ``|q, O|_I`` (Definition 1) with the three-case analysis of
-  Section II-C (Eqs. 3, 4, 6) and the weighted-bisector machinery;
-* :mod:`repro.distances.bounds` — the pruning bounds: topological
-  upper/lower bounds (Lemmas 1-2, Eq. 7), the Topological Looser Upper
-  Bound (Lemma 3), the Markov bound (Lemma 4) and the probabilistic
-  bounds (Lemma 5).
+* :mod:`repro.distances.bounds` — the pruning interval
+  (:class:`DistanceInterval`) and the probabilistic bounds (Lemma 5);
+* :mod:`repro.distances.batch` — the bounds kernel (Lemmas 1-2, Eq. 7)
+  and exact refinement (Definition 1, Eqs. 2-6) over whole
+  ``(queries x objects)`` blocks.
+
+The per-pair scalar forms of the same definitions live in
+:mod:`repro.reference`.
 """
 
 from repro.distances.euclidean import euclidean, euclidean_lower_bound
-from repro.distances.expected import (
-    DistanceCase,
-    ExactDistance,
-    classify_subregion_paths,
-    expected_indoor_distance,
-    instance_indoor_distances,
-)
 from repro.distances.bounds import (
     DistanceInterval,
     SubregionStats,
-    markov_lower_bound,
-    object_bounds,
     probabilistic_bounds,
-    subregion_stats,
-    topological_bounds,
-    topological_looser_upper_bound,
-    weighted_topological_bounds,
 )
 
 __all__ = [
     "euclidean",
     "euclidean_lower_bound",
-    "DistanceCase",
-    "ExactDistance",
-    "expected_indoor_distance",
-    "instance_indoor_distances",
-    "classify_subregion_paths",
     "DistanceInterval",
     "SubregionStats",
-    "subregion_stats",
-    "topological_bounds",
-    "weighted_topological_bounds",
-    "topological_looser_upper_bound",
-    "markov_lower_bound",
     "probabilistic_bounds",
-    "object_bounds",
 ]

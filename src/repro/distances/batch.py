@@ -5,7 +5,7 @@ funnel into the same inner loop.  A standing query derives a pruning
 interval for each moved object; a one-shot iRQ/ikNNQ/iPRQ (hence
 every maintainer ``recompute``) derives one for each candidate of its
 filter phase; and only undecided pairs pay an exact refinement.  The
-per-pair (scalar) implementation in :mod:`repro.distances.bounds` —
+per-pair (scalar) implementation in :mod:`repro.reference.bounds` —
 the reference this module is tested against — walks subregions and
 entry doors in Python,
 and repeats the per-object geometry (instance-to-door Euclidean
@@ -39,8 +39,8 @@ one-shot query:
   for a whole batch when objects are written — and each object's
   instances, in row order — and serves every later block — a moved
   batch, a candidate set — as a gather of them;
-  :func:`pack_block` is the per-object reference that write is tested
-  against (and what packs objects no index owns).
+  :func:`repro.reference.pack.pack_block` is the per-object reference
+  that write is tested against.
 
 A pair's topological bounds then reduce to a gather + add + ragged
 row-min (``tmin(S) = min_d (w[d] + emin[S, d])``: ``w[:, ent_door]``
@@ -48,7 +48,7 @@ for the whole query axis, ``np.minimum.reduceat`` over each row's
 entries), in slices of the query axis sized by :data:`BOUNDS_BUDGET`,
 with every (query, row in its own partition) pair of the block patched
 in one pass by the direct-path term (:func:`own_row_extrema`), exactly
-as :func:`repro.distances.bounds.subregion_stats` computes it.
+as :func:`repro.reference.bounds.subregion_stats` computes it.
 
 The kernel stops there.  Its result (:class:`BlockBounds`) carries the
 per-subregion extrema and, per (query, object), the Eq. 7 envelope
@@ -75,7 +75,7 @@ other routine, over the same two operands:
   (:meth:`~BoundsRow.prefetch` / :meth:`~BoundsRow.exact` /
   :meth:`~BoundsRow.exact_probability`), a one-shot query through
   :class:`repro.queries.engine.Refiner`; the scalar
-  :func:`repro.distances.expected.expected_indoor_distance` is the
+  :func:`repro.reference.expected.expected_indoor_distance` is the
   oracle's path and the reference it is held to, by ``==``, in
   ``tests/distances/test_block_expected.py``.
 
@@ -99,7 +99,7 @@ arranged so every float operation matches the scalar sequence:
   row's entries included (a row with none is left out of it and reads
   ``+inf``, the scalar loop's initial value);
 * multi-subregion objects hand their per-subregion extrema — packed in
-  the same ``obj.subregions()`` order the scalar path iterates — to the
+  the same ``obj.pieces()`` order the scalar path iterates — to the
   *scalar* :func:`~repro.distances.bounds.probabilistic_bounds`, so the
   stable sort and the prefix/suffix float accumulation are literally
   the same code; likewise the probability-mass accumulation of the
@@ -118,7 +118,7 @@ arranged so every float operation matches the scalar sequence:
   ``d_i * p_i`` as one contiguous slice — numpy's pairwise summation
   depends on the elements and their order, both the scalar path's —
   never with ``np.add.reduceat``, whose accumulation order is another;
-  a pair's subregion shares are then added in ``obj.subregions()``
+  a pair's subregion shares are then added in ``obj.pieces()``
   order, in Python, from ``0.0`` as the scalar loop does.  An
   unreachable instance turns its subregion's share into ``inf`` by
   assignment, not by ``inf * p`` (the scalar path overwrites the
@@ -147,7 +147,7 @@ from repro.distances.bounds import (
 )
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.objects.uncertain import Subregion, UncertainObject
+from repro.objects.uncertain import UncertainObject
 from repro.space.doors_graph import DoorDistances, DoorsCsr
 from repro.space.floorplan import IndoorSpace
 
@@ -306,7 +306,7 @@ class SubregionRows:
     contiguous column each: numpy gathers a 1-D column several times
     faster than the rows of an ``(n, 2)`` array).  Rows come in
     ``(object, subregion)`` order, an object's subregions in
-    ``obj.subregions()`` order.  The arrays are the holder's own (a
+    ``obj.pieces()`` order.  The arrays are the holder's own (a
     gather copies): a later index write moves nothing they hold.
     """
 
@@ -326,7 +326,7 @@ class ObjectBlock:
     across queries.
 
     ``rows`` are the subregions in ``(object, subregion)`` order —
-    objects in batch order, subregions in ``obj.subregions()`` order (the
+    objects in batch order, subregions in ``obj.pieces()`` order (the
     order the scalar path iterates, which the stable sort inside
     :func:`~repro.distances.bounds.probabilistic_bounds` depends on).
     ``obj_offsets[j] : obj_offsets[j + 1]`` is object ``j``'s row span.
@@ -363,82 +363,6 @@ class ObjectBlock:
         return self.rows.mass
 
 
-def subregion_rows(
-    objects: list[UncertainObject], space: IndoorSpace, grid, layout
-) -> tuple[SubregionRows, np.ndarray]:
-    """``objects``' subregions (``obj.subregions()``, the scalar
-    assignment) as :class:`SubregionRows` in ``layout``'s partition
-    rows, and each object's row span — the reference the index's table
-    rows are held to, and the rows of objects no index owns."""
-    subs: list[Subregion] = []
-    counts = []
-    for obj in objects:
-        mine = obj.subregions(space, grid)
-        subs.extend(mine)
-        counts.append(len(mine))
-    sets = [s.instances for s in subs]
-    xy = np.concatenate([inst.xy for inst in sets] + [np.zeros((0, 2))])
-    return SubregionRows(
-        np.array(
-            [layout.part_row[s.partition_id] for s in subs], dtype=np.intp
-        ),
-        [s.mass for s in subs],
-        np.array([float(inst.floor) for inst in sets]),
-        offsets_of(np.array([len(inst) for inst in sets], dtype=np.intp)),
-        np.ascontiguousarray(xy[:, 0]),
-        np.ascontiguousarray(xy[:, 1]),
-        np.concatenate([inst.probs for inst in sets] + [np.zeros(0)]),
-    ), offsets_of(np.array(counts, dtype=np.intp))
-
-
-def pack_block(
-    objects: list[UncertainObject],
-    space: IndoorSpace,
-    grid,
-    layout: DoorLayout,
-) -> ObjectBlock:
-    """Pack one batch's subregion stats — the per-object reference the
-    index's batched write is held to, and what packs objects no index
-    owns.
-
-    Per subregion, the instance-to-door Euclidean extrema come from a
-    single ``(n_instances, n_doors)`` distance matrix whose per-door
-    columns are bit-identical to the scalar per-door
-    :meth:`~repro.objects.instances.InstanceSet.min_distance_to` /
-    ``max_distance_to`` calls (see the module docstring for the float
-    argument).
-    """
-    fh = space.floor_height
-    rows, offsets = subregion_rows(objects, space, grid, layout)
-    empty = np.empty(0, dtype=np.float64)
-    rows_door: list[np.ndarray] = [np.empty(0, dtype=np.intp)]
-    rows_min: list[np.ndarray] = [empty]
-    rows_max: list[np.ndarray] = [empty]
-    for a, row in enumerate(rows.part.tolist()):
-        idx = layout.entry_idx[row]
-        if idx.size:
-            span = slice(rows.start[a], rows.start[a + 1])
-            mids = layout.entry_mid[row]
-            dx = rows.x[span][:, None] - mids[:, 0][None, :]
-            dy = rows.y[span][:, None] - mids[:, 1][None, :]
-            d2 = dx * dx + dy * dy
-            dz = (rows.floor[a] - mids[:, 2]) * fh
-            d = np.sqrt(d2 + (dz * dz)[None, :])
-            rows_min.append(d.min(axis=0))
-            rows_max.append(d.max(axis=0))
-            rows_door.append(idx)
-    return ObjectBlock(
-        list(objects),
-        layout,
-        np.concatenate(rows_door),
-        np.concatenate(rows_min),
-        np.concatenate(rows_max),
-        layout.n_entry[rows.part],
-        rows,
-        offsets,
-    )
-
-
 def mass_within(
     tmin: list[float],
     tmax: list[float],
@@ -450,7 +374,7 @@ def mass_within(
     ``rows``: a subregion with ``tmax <= r`` counts on both sides, one
     with ``tmin <= r`` on the upper side only.  Sequential in subregion
     order, so float sums match the scalar loop of
-    :func:`repro.queries.prob_range.probability_bounds` exactly."""
+    :func:`repro.reference.bounds.probability_bounds` exactly."""
     lo = hi = 0.0
     for i in rows:
         if tmax[i] <= r:
@@ -470,7 +394,7 @@ class QueryStack:
     another numbering: it raises :class:`~repro.errors.QueryError`.
     ``floors[i]`` is query ``i``'s ``unreached_floor`` — the bound of
     the cutoff or subgraph-restricted search it stacks (see
-    :func:`~repro.distances.bounds.subregion_stats`), or the standing
+    :func:`~repro.reference.bounds.subregion_stats`), or the standing
     iPRQ's ``r + 1.0``; ``None`` leaves an infinite ``tmin`` infinite.
     """
 
@@ -584,9 +508,9 @@ class BoundsRow:
 
     def interval(self, j: int) -> DistanceInterval:
         """Object ``j``'s pruning interval — the batched twin of
-        :func:`repro.distances.bounds.object_bounds`.  A
+        :func:`repro.reference.bounds.object_bounds`.  A
         single-partition object takes its row directly (Eq. 7); a
-        multi-partition object hands its rows, in ``obj.subregions()``
+        multi-partition object hands its rows, in ``obj.pieces()``
         order, to the scalar :func:`~repro.distances.bounds.
         probabilistic_bounds` (Eq. 8), so sort stability and float
         accumulation match the scalar path by construction."""
@@ -604,7 +528,7 @@ class BoundsRow:
 
     def probability(self, j: int, r: float) -> tuple[float, float]:
         """Bounds on object ``j``'s probability of lying within ``r`` —
-        the batched twin of :func:`repro.queries.prob_range.
+        the batched twin of :func:`repro.reference.bounds.
         probability_bounds` (the query must have been stacked with
         ``unreached_floor = r + 1.0``).  Beyond the envelope every
         subregion has ``tmax >= tmin > r`` and :func:`mass_within`
@@ -639,7 +563,7 @@ class BoundsRow:
 
     def exact(self, j: int) -> float:
         """Object ``j``'s exact expected indoor distance ``|q, O|_I`` —
-        float for float :func:`repro.distances.expected.
+        float for float :func:`repro.reference.expected.
         expected_indoor_distance` against the query's search."""
         d = self._exact.get(j)
         if d is None:
@@ -648,7 +572,7 @@ class BoundsRow:
 
     def exact_probability(self, j: int, r: float) -> float:
         """Object ``j``'s exact probability of lying within ``r`` —
-        float for float :func:`repro.distances.expected.
+        float for float :func:`repro.reference.expected.
         qualifying_probability`."""
         return self._refine([j], r)[0]
 
@@ -657,7 +581,7 @@ class BoundsRow:
 class BlockBounds:
     """What :func:`block_object_bounds` returns, as arrays:
     ``tmin[i, a]`` / ``tmax[i, a]`` for query ``i`` and subregion row
-    ``a`` — the floats of :func:`repro.distances.bounds.
+    ``a`` — the floats of :func:`repro.reference.bounds.
     subregion_stats` — and ``lo[i, j]``, object ``j``'s lower envelope,
     the min of ``tmin[i]`` over its rows ``offsets[j] : offsets[j +
     1]``.  A caller that decides a whole block at once (the monitor's
@@ -707,7 +631,7 @@ def block_object_bounds(
 ) -> BlockBounds:
     """The bounds kernel: Lemmas 1-2 for every ``(query, subregion)``
     pair of the block — the whole-block twin of
-    :func:`repro.distances.bounds.subregion_stats`, own-partition
+    :func:`repro.reference.bounds.subregion_stats`, own-partition
     direct path and ``unreached_floor`` patch included.  One gather of
     the queries' weights at the block's door entries, one add per
     extremum, one ragged row-min.  An unreachable door carries a
@@ -780,9 +704,10 @@ def block_expected_distances(
     ``offsets[j] : offsets[j + 1]`` of ``rows`` — a block's ``rows`` /
     ``obj_offsets``, the index table's
     (:meth:`~repro.index.columns.ObjectColumns.rows`), or
-    :func:`subregion_rows` of bare objects.  Float for float the scalar
-    :func:`repro.distances.expected.expected_indoor_distance` ``.value``
-    / :func:`~repro.distances.expected.qualifying_probability`, and a
+    :func:`repro.reference.pack.subregion_rows` of bare objects.  Float
+    for float the scalar
+    :func:`repro.reference.expected.expected_indoor_distance` ``.value``
+    / :func:`~repro.reference.expected.qualifying_probability`, and a
     pair's value does not depend on what else is in the list: every
     per-instance distance is elementwise arithmetic and an
     order-insensitive ``min`` (the module docstring's argument), and
@@ -790,7 +715,7 @@ def block_expected_distances(
     instances — is one contiguous pairwise ``sum`` per subregion over
     the very elements, in the very order, the scalar path sums (which
     ``np.add.reduceat`` would not give), accumulated per pair in
-    ``obj.subregions()`` order.
+    ``obj.pieces()`` order.
     """
     out: list[float] = []
     for at in range(0, len(pairs), REFINE_CHUNK):

@@ -16,7 +16,6 @@ from repro.geometry.rect import Box3, Rect
 from repro.geometry.segment import Segment
 from repro.geometry.circle import Circle
 from repro.geometry.polygon import Polygon
-from repro.geometry.bisector import BisectorShape, WeightedBisector
 from repro.geometry.decompose import decompose_partition_geometry
 
 __all__ = [
@@ -28,7 +27,5 @@ __all__ = [
     "Segment",
     "Circle",
     "Polygon",
-    "BisectorShape",
-    "WeightedBisector",
     "decompose_partition_geometry",
 ]

@@ -51,20 +51,6 @@ class Circle:
             math.hypot(x - self.center.x, y - self.center.y) <= self.radius
         )
 
-    def intersects_rect(self, rect: Rect) -> bool:
-        """Planar circle/rect overlap test."""
-        return rect.min_distance_xy(self.center.x, self.center.y) <= self.radius
-
-    def min_distance_xy(self, x: float, y: float) -> float:
-        """Distance from a point to the circle (0 when inside)."""
-        return max(
-            0.0, math.hypot(x - self.center.x, y - self.center.y) - self.radius
-        )
-
-    def max_distance_xy(self, x: float, y: float) -> float:
-        """Distance from a point to the farthest point of the circle."""
-        return math.hypot(x - self.center.x, y - self.center.y) + self.radius
-
     def polygonize(self, n: int = 16) -> list[tuple[float, float]]:
         """Approximate the circle by an ``n``-gon (CCW vertex list).
 

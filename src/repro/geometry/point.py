@@ -32,10 +32,6 @@ class Point:
         """Vertical elevation of this point."""
         return self.floor * floor_height
 
-    def planar_distance(self, other: "Point") -> float:
-        """Planar (x, y) distance, ignoring floors."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def distance(
         self, other: "Point", floor_height: float = DEFAULT_FLOOR_HEIGHT
     ) -> float:
@@ -47,10 +43,6 @@ class Point:
         return math.sqrt(
             (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + dz * dz
         )
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """A copy moved by ``(dx, dy)`` on the same floor."""
-        return Point(self.x + dx, self.y + dy, self.floor)
 
     def on_floor(self, floor: int) -> "Point":
         """A copy of this point placed on ``floor``."""

@@ -49,23 +49,6 @@ class Polygon:
     def area(self) -> float:
         return abs(_signed_area(list(self.vertices)))
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        a = _signed_area(list(self.vertices))
-        if abs(a) < _EPS:
-            xs = [v[0] for v in self.vertices]
-            ys = [v[1] for v in self.vertices]
-            return (sum(xs) / len(xs), sum(ys) / len(ys))
-        cx = cy = 0.0
-        verts = self.vertices
-        for i in range(len(verts)):
-            x0, y0 = verts[i]
-            x1, y1 = verts[(i + 1) % len(verts)]
-            cross = x0 * y1 - x1 * y0
-            cx += (x0 + x1) * cross
-            cy += (y0 + y1) * cross
-        return (cx / (6.0 * a), cy / (6.0 * a))
-
     def bounds(self) -> Rect:
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
@@ -79,10 +62,6 @@ class Polygon:
 
     # -- predicates -----------------------------------------------------------
 
-    def is_convex(self) -> bool:
-        """True when no vertex is reflex (collinear vertices allowed)."""
-        return not self.reflex_vertices()
-
     def is_rectilinear(self) -> bool:
         """True when every edge is axis-aligned."""
         return all(
@@ -95,21 +74,6 @@ class Polygon:
         if not self.is_rectilinear():
             return False
         return abs(self.area - self.bounds().area) < _EPS
-
-    def reflex_vertices(self) -> list[tuple[float, float]]:
-        """The *turning points* of Algorithm 3: vertices whose internal
-        angle exceeds 180 degrees."""
-        out = []
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[(i - 1) % n]
-            bx, by = verts[i]
-            cx, cy = verts[(i + 1) % n]
-            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            if cross < -_EPS:  # CCW ring => negative cross means reflex
-                out.append(verts[i])
-        return out
 
     def contains_xy(self, x: float, y: float) -> bool:
         """Point-in-polygon (boundary counts as inside)."""

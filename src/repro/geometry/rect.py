@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import GeometryError
-from repro.geometry.point import Point
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,18 +131,6 @@ class Rect:
 
     # -- distances ---------------------------------------------------------
 
-    def min_distance_xy(self, x: float, y: float) -> float:
-        """Planar MINDIST from a point to this rect (0 when inside)."""
-        dx = max(self.minx - x, 0.0, x - self.maxx)
-        dy = max(self.miny - y, 0.0, y - self.maxy)
-        return math.hypot(dx, dy)
-
-    def max_distance_xy(self, x: float, y: float) -> float:
-        """Planar MAXDIST from a point to this rect (farthest corner)."""
-        dx = max(abs(x - self.minx), abs(x - self.maxx))
-        dy = max(abs(y - self.miny), abs(y - self.maxy))
-        return math.hypot(dx, dy)
-
     def corners(self) -> list[tuple[float, float]]:
         return [
             (self.minx, self.miny),
@@ -233,13 +220,6 @@ class Box3:
             and self.maxz >= other.maxz
         )
 
-    def contains_xyz(self, x: float, y: float, z: float) -> bool:
-        return (
-            self.minx <= x <= self.maxx
-            and self.miny <= y <= self.maxy
-            and self.minz <= z <= self.maxz
-        )
-
     # -- constructions --------------------------------------------------------
 
     def union(self, other: "Box3") -> "Box3":
@@ -289,12 +269,6 @@ class Box3:
         dz = max(self.minz - other.maxz, 0.0, other.minz - self.maxz)
         return math.sqrt(dx * dx + dy * dy + dz * dz)
 
-    def max_distance_xyz(self, x: float, y: float, z: float) -> float:
-        dx = max(abs(x - self.minx), abs(x - self.maxx))
-        dy = max(abs(y - self.miny), abs(y - self.maxy))
-        dz = max(abs(z - self.minz), abs(z - self.maxz))
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
-
     @staticmethod
     def from_rect(
         rect: Rect, floor: int, floor_height: float, vertical_extent: float = 0.01
@@ -306,17 +280,3 @@ class Box3:
         """
         z = floor * floor_height
         return Box3(rect.minx, rect.miny, z, rect.maxx, rect.maxy, z + vertical_extent)
-
-
-def point_box_min_distance(
-    p: Point, box: Box3, floor_height: float
-) -> float:
-    """MINDIST from an indoor point to a (flattened) box, in metres."""
-    return box.flattened().min_distance_xyz(p.x, p.y, p.z(floor_height))
-
-
-def point_box_max_distance(
-    p: Point, box: Box3, floor_height: float
-) -> float:
-    """MAXDIST from an indoor point to a (flattened) box, in metres."""
-    return box.flattened().max_distance_xyz(p.x, p.y, p.z(floor_height))

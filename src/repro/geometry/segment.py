@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import GeometryError
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,26 +29,6 @@ class Segment:
 
     def is_axis_aligned(self) -> bool:
         return self.x1 == self.x2 or self.y1 == self.y2
-
-    def point_at(self, t: float) -> tuple[float, float]:
-        """Parametric point, ``t`` in ``[0, 1]``."""
-        if not 0.0 <= t <= 1.0:
-            raise GeometryError(f"t={t} outside [0, 1]")
-        return (
-            self.x1 + t * (self.x2 - self.x1),
-            self.y1 + t * (self.y2 - self.y1),
-        )
-
-    def distance_to_xy(self, x: float, y: float) -> float:
-        """Distance from a point to this segment."""
-        dx, dy = self.x2 - self.x1, self.y2 - self.y1
-        len2 = dx * dx + dy * dy
-        if len2 == 0.0:
-            return math.hypot(x - self.x1, y - self.y1)
-        t = ((x - self.x1) * dx + (y - self.y1) * dy) / len2
-        t = max(0.0, min(1.0, t))
-        px, py = self.x1 + t * dx, self.y1 + t * dy
-        return math.hypot(x - px, y - py)
 
     def overlap_1d(self, other: "Segment") -> "Segment | None":
         """Shared collinear sub-segment of two axis-aligned segments.

@@ -3,7 +3,7 @@ filter and prune phases.
 
 The paper's RangeSearch (Algorithm 4) and the Table III bounds both
 consume per-object geometry that does not depend on the query: an
-object's subregion rows (the :func:`~repro.distances.batch.pack_block`
+object's subregion rows (the :class:`~repro.distances.batch.ObjectBlock`
 operand of the bounds kernel) and its instances' distance to the
 staircase entrances on its floor.  This module keeps that state in
 slot-addressed numpy columns, written when an object moves instead of
@@ -72,21 +72,22 @@ order the table stores them; door extrema as one ragged ``(row, door)
 x instances-of-row`` gather reduced straight into the ragged entries.
 Per row it sums the mass (one contiguous sum each: the floats of
 ``probs[mask].sum()``); per object only the slot lookup runs — no
-:class:`~repro.objects.uncertain.Subregion` is built, no piece vector
-is kept.  :meth:`_State.commit` allocates every changed span and writes
-the rows, entries and instances.  Nothing is written until the whole
+:class:`~repro.reference.subregions.Subregion` is built, no piece
+vector is kept.  :meth:`_State.commit` allocates every changed span
+and writes the rows, entries and instances.  Nothing is written until the whole
 batch has resolved, so a batch the index cannot hold leaves it
 untouched.  A write does not compute what no reader of the batch
 reads: entrance legs, read only by a search that reaches the object
 from another floor, are marked stale and refilled by that search
 (:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
-step repeats the floats or the set of a scalar reference, which stays
-in the tree for exactly that purpose — ``indr.units_overlapping_rect``,
-``UncertainObject._assign`` (what ``subregions()`` runs; the rare
-object with a wall-clipped instance or a non-rectangular candidate
-footprint takes the same assignment, :meth:`~repro.objects.uncertain.
-UncertainObject.pieces`, without building subregions),
-:func:`~repro.distances.batch.pack_block` (called by
+step repeats the floats or the set of a scalar reference in
+:mod:`repro.reference` — :func:`~repro.reference.tree.resolve_units`
+(``indr.units_overlapping_rect``),
+:func:`~repro.reference.subregions.subregions` (the split of
+:meth:`~repro.objects.uncertain.UncertainObject.pieces`, which the
+rare object with a wall-clipped instance or a non-rectangular
+candidate footprint takes directly, without building subregions),
+:func:`~repro.reference.pack.pack_block` (called by
 :meth:`ObjectColumns.validate` and the tests only) — and
 ``tests/index/test_columns_write.py`` holds it to them by ``==``.
 
@@ -116,7 +117,7 @@ the same row.  Likewise two readers may both derive the bucket CSR
 after a write; each publishes the same arrays by one assignment.
 
 Bit-identity with the tree walk
-(:meth:`~repro.index.composite.CompositeIndex.range_search_tree`) and
+(:func:`~repro.reference.tree.range_search_tree`) and
 with the per-pair bounds is by construction: every distance repeats
 the scalar operation sequence (see the float notes in
 :mod:`repro.distances.batch`), and Eq. 10's ``min`` over the query
@@ -143,7 +144,6 @@ from repro.distances.batch import (
     ObjectBlock,
     SubregionRows,
     offsets_of,
-    pack_block,
     point_distances,
     span_index,
 )
@@ -249,7 +249,7 @@ class _Topology:
         self.fh = fh = space.floor_height
 
         # -- the partition table, in partition_id order (the order
-        # ``UncertainObject._assign`` lets overlapping footprints claim
+        # ``UncertainObject.pieces`` lets overlapping footprints claim
         # instances in); one empty rect past the end pads candidate
         # lists -------------------------------------------------------
         self.part_ids = pids = sorted(space.partitions)
@@ -276,7 +276,7 @@ class _Topology:
         )
         # Partition rows per floor, floor ``pf_base + f`` at ``pf_part[
         # pf_start[f] : pf_start[f + 1]]``: a staircase under every floor
-        # it spans, each floor's rows ascending — the order ``_assign``
+        # it spans, each floor's rows ascending — the order ``pieces``
         # lets overlapping footprints claim instances in.
         self.pf_base = base = int(self.p_lo.min(initial=0))
         span = self.p_hi - self.p_lo + 1
@@ -386,7 +386,7 @@ class _Topology:
         """Instance bounds by ``reduceat``; candidate partitions as a
         rect-overlap test over the partitions of each object's floor —
         as a set exactly ``grid.candidates_for_rect(obj.bounds(),
-        obj.floor)``, each object's listed in ``_assign``'s order."""
+        obj.floor)``, each object's listed in ``pieces``' order."""
         sets = [obj.instances for obj in objects]
         starts = offsets_of(
             np.array([s.xy.shape[0] for s in sets], dtype=np.intp)
@@ -480,7 +480,7 @@ class _Topology:
         """Resolve ``objects`` against this topology: their index units
         and the table rows of each — subregion rows with their
         instances, door entries — column for column the floats of
-        :func:`pack_block`.
+        :func:`~repro.reference.pack.pack_block`.
         Raises, having written nothing, when an object has a non-finite
         instance, overlaps no index unit or has a subregion without
         probability mass — except that a
@@ -1213,15 +1213,16 @@ class ObjectColumns:
     ) -> tuple[SubregionRows, np.ndarray]:
         """``objects`` — live objects of the index — as exact
         refinement's operand: their subregion rows and each object's
-        row span, the rows :func:`~repro.distances.batch.subregion_rows`
+        row span, the rows :func:`~repro.reference.pack.subregion_rows`
         would compute, gathered instead."""
         state, slots = self._slots(objects)
         return self._rows(state, slots)
 
     def block(self, objects: list[UncertainObject]) -> ObjectBlock:
         """``objects`` — live objects of the index — as the bounds
-        kernel's object-side operand: the rows :func:`pack_block` would
-        compute, gathered instead."""
+        kernel's object-side operand: the rows
+        :func:`~repro.reference.pack.pack_block` would compute, gathered
+        instead."""
         state, slots = self._slots(objects)
         layout = state.topo.layout
         rows, offsets = self._rows(state, slots)
@@ -1311,11 +1312,13 @@ class ObjectColumns:
         inverse of the rows, a population object missing although the
         tree finds units for it, rows that differ from a fresh
         :func:`pack_block` of a copy of the object (its subregions the
-        scalar ``_assign``'s: partition order, each row's instances in
+        scalar split's: partition order, each row's instances in
         order, each mass ``checked_mass(probs[mask])``), an instance box
         that is not the instances' min / max, entrance legs (refilled
         first where stale) that differ from the scalar distances, and
         overlapping spans."""
+        from repro.reference.pack import pack_block
+
         state = self._fresh()
         topo = state.topo
         space, grid = self.space, self.population.grid

@@ -21,8 +21,8 @@ packed rows — before the population or the columns are touched, so an
 index that has absorbed moves equals a freshly built one and a batch it
 cannot hold changes nothing.  A structural change drops the table and
 edits no object's units: the next read resolves every object afresh.
-The tree serves partition maintenance, point location and the reference
-walk :meth:`~CompositeIndex.range_search_tree`.
+The tree serves partition maintenance and point location (and the
+reference walk :func:`repro.reference.tree.range_search_tree`).
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from typing import Iterable
 from repro.errors import IndexError_
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.geometry.rect import Box3
 from repro.index.columns import ObjectColumns
-from repro.index.indr import IndexUnit, IndRTree
+from repro.index.indr import IndRTree
 from repro.index.skeleton import SkeletonTier
 from repro.index.tables import HTable
 from repro.objects.instances import InstanceSet
@@ -136,27 +135,6 @@ class CompositeIndex:
         return iter(self.population)
 
     # ------------------------------------------------------------------
-    # geometric-layer distances
-    # ------------------------------------------------------------------
-
-    def min_skeleton_distance_to_node(self, q: Point, node) -> float:
-        """``|q, e|_K^min`` for a tree node (Eq. 10)."""
-        lf, uf = self.indr.node_floor_span(node)
-        return self.skeleton.min_distance_to_box(q, node.box, lf, uf)
-
-    def min_skeleton_distance_to_unit(self, q: Point, unit: IndexUnit) -> float:
-        box = unit.box(self.space.floor_height)
-        return self.skeleton.min_distance_to_box(q, box, unit.floor, unit.floor)
-
-    def min_skeleton_distance_to_object(
-        self, q: Point, obj: UncertainObject
-    ) -> float:
-        """``|q, O|_K^min`` over the object's instances."""
-        return self.skeleton.min_distance_to_point_set(
-            q, obj.instances, obj.floor
-        )
-
-    # ------------------------------------------------------------------
     # RangeSearch (Algorithm 4)
     # ------------------------------------------------------------------
 
@@ -177,7 +155,8 @@ class CompositeIndex:
         back in ascending slot order — the same order in every
         interpreter; ``units_checked`` is the number of index units and
         ``nodes_visited`` stays 0 (no tree node is read).  Same
-        candidates and partitions as :meth:`range_search_tree`.
+        candidates and partitions as
+        :func:`repro.reference.tree.range_search_tree`.
         """
         objects, partitions, n_units = self.columns.search(
             q, r, use_skeleton
@@ -185,59 +164,6 @@ class CompositeIndex:
         return RangeSearchResult(
             objects=objects, partitions=partitions, units_checked=n_units
         )
-
-    def range_search_tree(
-        self, q: Point, r: float, use_skeleton: bool = True
-    ) -> RangeSearchResult:
-        """Algorithm 4 as the paper states it: a stack walk over the
-        indR-tree with per-entry bounds.  The reference the columnar
-        :meth:`range_search` is tested against, and the source of
-        ``nodes_visited`` for the index-cost figure (Figure 15)."""
-        result = RangeSearchResult()
-        fh = self.space.floor_height
-        seen_objects: set[str] = set()
-        stack = [self.indr.root]
-        while stack:
-            node = stack.pop()
-            result.nodes_visited += 1
-            if node.is_leaf:
-                for entry in node.entries:
-                    unit: IndexUnit = entry.item
-                    result.units_checked += 1
-                    if self._node_bound(q, entry.box, unit.floor, unit.floor,
-                                        use_skeleton) > r:
-                        continue
-                    result.partitions.add(unit.partition_id)
-                    for object_id in self.columns.objects_in(unit.unit_id):
-                        if object_id in seen_objects:
-                            continue
-                        obj = self.population.get(object_id)
-                        if use_skeleton:
-                            d = self.min_skeleton_distance_to_object(q, obj)
-                        else:
-                            d = obj.instances.min_distance_to(q, fh)
-                        if d <= r:
-                            seen_objects.add(object_id)
-                            result.objects.append(obj)
-                continue
-            for entry in node.entries:
-                child = entry.child
-                lf, uf = self.indr.node_floor_span(child)
-                if self._node_bound(q, entry.box, lf, uf, use_skeleton) <= r:
-                    stack.append(child)
-        return result
-
-    def _node_bound(
-        self, q: Point, box: Box3, lf: int, uf: int, use_skeleton: bool
-    ) -> float:
-        if use_skeleton:
-            return self.skeleton.min_distance_to_box(q, box, lf, uf)
-        fh = self.space.floor_height
-        # Flattening (dropping the 1 cm vertical extent) is only valid
-        # for single-floor boxes; a multi-floor node's z-range must stay
-        # intact or upper floors would be wrongly pruned.
-        flat = box.flattened() if lf == uf else box
-        return flat.min_distance_xyz(q.x, q.y, q.z(fh))
 
     # ------------------------------------------------------------------
     # point location
@@ -253,13 +179,6 @@ class CompositeIndex:
     # ------------------------------------------------------------------
     # object-layer operations (Section III-C.2)
     # ------------------------------------------------------------------
-
-    def _resolve_units(self, obj: UncertainObject) -> set[str]:
-        """Index units overlapping the object's uncertainty region, by
-        indR-tree search (empty off the map) — the reference for the
-        set the batched write records (:meth:`ObjectColumns.stage`)."""
-        units = self.indr.units_overlapping_rect(obj.bounds(), obj.floor)
-        return {u.unit_id for u in units}
 
     def insert_object(self, obj: UncertainObject) -> None:
         """Insert an object (population + its table row).  An object the
@@ -305,7 +224,8 @@ class CompositeIndex:
         incrementally.
 
         **Exact.**  The recorded unit set of a moved object is
-        :meth:`_resolve_units` of its new region — every same-floor
+        :func:`repro.reference.tree.resolve_units` of its new region —
+        every same-floor
         unit its instances' bounding rectangle overlaps, door-adjacent
         to the old position or not — so an index that has absorbed any
         number of moves equals :meth:`build` over the same population,

@@ -13,13 +13,11 @@ properties:
 4. otherwise: the shortest path in the skeleton graph.
 
 The *skeleton distance* (Definition 2) then lower-bounds the indoor
-distance (Lemma 6, the Geometric Lower Bound Property) and drives the
-tree-tier RangeSearch.
-
-Deviation noted in DESIGN.md: for entities spanning several floors we
-minimise over staircase entrances on **all** floors of the span instead
-of only the lowest/highest (Eq. 10's ``lf``/``uf``) — identical for
-single-floor entities, and never above the true indoor distance.
+distance (Lemma 6, the Geometric Lower Bound Property) and drives
+RangeSearch: the columnar table
+(:meth:`repro.index.columns.ObjectColumns.search`) reads ``M_s2s`` and
+the per-floor entrances directly, and :mod:`repro.reference.tree`
+holds the same distances one entity at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Box3
 from repro.space.floorplan import IndoorSpace
 from repro.space.partition import PartitionKind
 
@@ -118,80 +115,3 @@ class SkeletonTier:
     def entrances_on_floor(self, floor: int) -> list[Entrance]:
         """``S(f)`` — staircase entrances on one floor."""
         return self.by_floor.get(floor, [])
-
-    # ------------------------------------------------------------------
-    # skeleton distances
-    # ------------------------------------------------------------------
-
-    def skeleton_distance(self, q: Point, p: Point) -> float:
-        """``|q, p|_K`` (Definition 2).
-
-        Same floor: plain Euclidean.  Different floors: best combination
-        of an entrance near ``q``, the ``M_s2s`` hop, and an entrance
-        near ``p``.  Infinite when either floor has no staircase access.
-        """
-        self.ensure_fresh()
-        fh = self.space.floor_height
-        if q.floor == p.floor:
-            return q.distance(p, fh)
-        best = math.inf
-        for sq in self.entrances_on_floor(q.floor):
-            dq = q.distance(sq.midpoint, fh)
-            for sp in self.entrances_on_floor(p.floor):
-                total = (
-                    dq
-                    + self.ms2s[sq.index, sp.index]
-                    + sp.midpoint.distance(p, fh)
-                )
-                if total < best:
-                    best = total
-        return best
-
-    def min_distance_to_box(
-        self, q: Point, box: Box3, lf: int, uf: int
-    ) -> float:
-        """``|q, e|_K^min`` (Eq. 10) for an entity with MBR ``box``
-        spanning floors ``[lf, uf]``."""
-        self.ensure_fresh()
-        fh = self.space.floor_height
-        flat = box.flattened() if lf == uf else box
-        if lf <= q.floor <= uf:
-            return flat.min_distance_xyz(q.x, q.y, q.z(fh))
-        sqs = self.entrances_on_floor(q.floor)
-        if not sqs:
-            # No staircase on the query's floor: fall back to the plain
-            # Euclidean MINDIST, which is always a valid lower bound.
-            return flat.min_distance_xyz(q.x, q.y, q.z(fh))
-        best = math.inf
-        dqs = [q.distance(s.midpoint, fh) for s in sqs]
-        for floor in range(lf, uf + 1):
-            for se in self.entrances_on_floor(floor):
-                leg = flat.min_distance_xyz(
-                    se.midpoint.x, se.midpoint.y, se.midpoint.z(fh)
-                )
-                for dq, sq in zip(dqs, sqs):
-                    total = dq + self.ms2s[sq.index, se.index] + leg
-                    if total < best:
-                        best = total
-        return best
-
-    def min_distance_to_point_set(self, q: Point, instances, floor: int) -> float:
-        """``|q, O|_K^min`` against an object's instances (tighter than
-        the MBR version; used in the filtering phase's object test)."""
-        self.ensure_fresh()
-        fh = self.space.floor_height
-        if q.floor == floor:
-            return instances.min_distance_to(q, fh)
-        sqs = self.entrances_on_floor(q.floor)
-        ses = self.entrances_on_floor(floor)
-        if not sqs or not ses:
-            return instances.min_distance_to(q, fh)
-        best = math.inf
-        legs = [instances.min_distance_to(se.midpoint, fh) for se in ses]
-        for sq in sqs:
-            dq = q.distance(sq.midpoint, fh)
-            for se, leg in zip(ses, legs):
-                total = dq + self.ms2s[sq.index, se.index] + leg
-                if total < best:
-                    best = total
-        return best

@@ -8,18 +8,17 @@ for arbitrary distributions.
 
 Because the region may straddle walls, an object's instances are divided
 into *uncertainty subregions* ``S[j]``, one per overlapped partition
-(Figure 6); the distance machinery in :mod:`repro.distances` works per
-subregion.
+(Figure 6): :meth:`UncertainObject.pieces` assigns the instances, and
+the index's columnar table stores them subregion by subregion.
 """
 
 from repro.objects.instances import InstanceSet
-from repro.objects.uncertain import Subregion, UncertainObject
+from repro.objects.uncertain import UncertainObject
 from repro.objects.generator import MovementStream, ObjectGenerator
 from repro.objects.population import ObjectMove, ObjectPopulation
 
 __all__ = [
     "InstanceSet",
-    "Subregion",
     "UncertainObject",
     "MovementStream",
     "ObjectGenerator",

@@ -12,7 +12,6 @@ from typing import Iterator
 
 from repro.errors import ReproError
 from repro.geometry.circle import Circle
-from repro.geometry.point import Point
 from repro.objects.instances import InstanceSet
 from repro.objects.uncertain import UncertainObject
 from repro.space.floorplan import IndoorSpace
@@ -94,13 +93,3 @@ class ObjectPopulation:
 
     def on_floor(self, floor: int) -> list[UncertainObject]:
         return [o for o in self if o.floor == floor]
-
-    def nearest_center(self, p: Point) -> UncertainObject:
-        """Object whose region center is Euclidean-closest to ``p``
-        (diagnostic helper)."""
-        if not self._objects:
-            raise ReproError("empty population")
-        return min(
-            self._objects.values(),
-            key=lambda o: p.distance(o.region.center, self.space.floor_height),
-        )

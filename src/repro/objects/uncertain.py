@@ -1,74 +1,25 @@
-"""Uncertain objects and their per-partition subregions.
+"""Uncertain objects and their per-partition split.
 
-An :class:`UncertainObject` bundles an uncertainty region (circle), the
-discrete instance set, and — once resolved against a space — the
-*uncertainty subregions* ``S[j]`` of Section II-B: one
-:class:`Subregion` per partition the instances fall into.
+An :class:`UncertainObject` bundles an uncertainty region (circle) and
+the discrete instance set.  Resolved against a space, its instances
+fall into the *uncertainty subregions* ``S[j]`` of Section II-B, one
+per partition they lie in: :meth:`UncertainObject.pieces` names them
+(the index's columnar table stores the instances in that order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
-from repro.objects.instances import InstanceSet, checked_mass
+from repro.objects.instances import InstanceSet
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
 from repro.space.partition import Partition
-
-
-class Subregion:
-    """``S[j]`` — the instances of one object inside one partition.
-
-    When one partition holds every instance the subregion *is* the
-    object's instance set (``pieces is None``).  A piece of a
-    multi-partition object instead holds the parent set, the object's
-    per-instance piece vector (shared by its subregions; instance ``i``
-    belongs to subregion ``pieces[i]``) and its own mass, and builds —
-    and validates — the :class:`InstanceSet` copy the first time
-    :attr:`instances` is read.  No ingest or query path builds one:
-    the index's columnar table holds each object's instances in
-    subregion-row order, and the kernels read those rows; scalar
-    references (and objects no index owns) do.
-    """
-
-    __slots__ = (
-        "partition_id", "mass", "parent", "pieces", "piece", "_instances"
-    )
-
-    def __init__(
-        self,
-        partition_id: str,
-        parent: InstanceSet,
-        mass: float,
-        pieces: np.ndarray | None = None,
-        piece: int = 0,
-    ) -> None:
-        self.partition_id = partition_id
-        #: ``sum_{s_i in S[j]} p_i`` — the subregion's probability.
-        self.mass = mass
-        self.parent = parent
-        self.pieces = pieces
-        self.piece = piece
-        self._instances = parent if pieces is None else None
-
-    @property
-    def instances(self) -> InstanceSet:
-        instances = self._instances
-        if instances is None:
-            # Built from locals and published by one assignment: two
-            # pool threads racing on a first read both get a valid,
-            # equal set.
-            instances = self.parent.subset(self.pieces == self.piece)
-            self._instances = instances
-        return instances
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Subregion({self.partition_id!r}, mass={self.mass!r})"
 
 
 @dataclass(eq=False)
@@ -89,8 +40,6 @@ class UncertainObject:
     object_id: str
     region: Circle
     instances: InstanceSet
-    _subregions: list[Subregion] | None = field(default=None, repr=False)
-    _subregions_version: int = field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
         if self.instances.floor != self.region.floor:
@@ -124,86 +73,33 @@ class UncertainObject:
         return len(self.instances)
 
     # ------------------------------------------------------------------
-    # subregions
+    # the per-partition split
     # ------------------------------------------------------------------
-
-    def subregions(
-        self,
-        space: IndoorSpace,
-        grid: PartitionGrid | None = None,
-    ) -> list[Subregion]:
-        """Divide the instances into per-partition subregions (cached
-        until the space's topology changes) — the scalar reference the
-        index's table rows are held to; no ingest or query path calls
-        it.
-
-        Every instance is assigned to exactly one partition (overlapping
-        staircase shafts are disambiguated by assignment order).
-        Instances falling into no partition — inside a wall, an artifact
-        of sampling — are attached to the partition containing the
-        region's center, preserving total probability mass.
-        """
-        if (
-            self._subregions is not None
-            and self._subregions_version == space.topology_version
-        ):
-            return self._subregions
-        subregions = self._assign(self._candidates(space, grid), space)
-        self._subregions = subregions
-        self._subregions_version = space.topology_version
-        return subregions
 
     def pieces(
         self,
         space: IndoorSpace,
         grid: PartitionGrid | None = None,
     ) -> tuple[list[str], np.ndarray | None]:
-        """The assignment :meth:`subregions` splits, without building
-        a subregion: the partition ids in subregion order and the piece
-        vector (instance ``i`` lies in partition ``ids[pieces[i]]``;
-        ``None`` for a single partition).  Not cached."""
-        return self._pieces(self._candidates(space, grid), space)
+        """The subregions ``S[j]`` as an assignment: the partition ids
+        in subregion order and the piece vector (instance ``i`` lies in
+        partition ``ids[pieces[i]]``; ``None`` for a single partition).
 
-    def invalidate_subregions(self) -> None:
-        """Drop the cached subregions (e.g. after the object moved)."""
-        self._subregions = None
-        self._subregions_version = -1
-
-    def _candidates(
-        self, space: IndoorSpace, grid: PartitionGrid | None
-    ) -> list[Partition]:
+        Every instance goes to exactly one partition: the first
+        candidate, in ``partition_id`` order, whose footprint contains
+        it (stacked staircase shafts share a footprint).  Instances in
+        no partition — inside a wall, an artifact of sampling — are
+        attached to the partition containing the region's center,
+        preserving total probability mass.  Not cached."""
         rect = self.bounds()
         if grid is not None:
-            return grid.candidates_for_rect(rect, self.floor)
-        return [
-            p
-            for p in space.partitions_on_floor(self.floor)
-            if p.bounds.intersects(rect)
-        ]
-
-    def _assign(
-        self, candidates: list[Partition], space: IndoorSpace
-    ) -> list[Subregion]:
-        ids, vector = self._pieces(candidates, space)
-        probs = self.instances.probs
-        if vector is None:
-            # One partition holds every instance: the subregion *is*
-            # the instance set (immutable), no per-object copy.
-            return [Subregion(ids[0], self.instances, checked_mass(probs))]
-        return [
-            Subregion(
-                pid,
-                self.instances,
-                checked_mass(probs[vector == k]),
-                vector,
-                k,
-            )
-            for k, pid in enumerate(ids)
-        ]
-
-    def _pieces(
-        self, candidates: list[Partition], space: IndoorSpace
-    ) -> tuple[list[str], np.ndarray | None]:
+            candidates = grid.candidates_for_rect(rect, self.floor)
+        else:
+            candidates = [
+                p
+                for p in space.partitions_on_floor(self.floor)
+                if p.bounds.intersects(rect)
+            ]
         # Deterministic order: where footprints overlap (stacked
         # staircase shafts), every code path must pick the same owner.
         candidates = sorted(candidates, key=lambda p: p.partition_id)
@@ -253,7 +149,7 @@ class UncertainObject:
         self, space: IndoorSpace, grid: PartitionGrid | None = None
     ) -> list[str]:
         """``P(O)`` — ids of partitions the object overlaps."""
-        return [s.partition_id for s in self.subregions(space, grid)]
+        return self.pieces(space, grid)[0]
 
 
 def _contains_many(partition: Partition, xy: np.ndarray) -> np.ndarray:

@@ -95,20 +95,6 @@ class ResultDelta:
         state.update(self.distance_changed)
         state.update(self.probability_changed)
 
-    def summary(self) -> str:
-        """Compact human-readable rendering (dashboards, logs)."""
-        parts = []
-        if self.entered:
-            parts.append("+" + ",".join(sorted(self.entered)))
-        if self.left:
-            parts.append("-" + ",".join(sorted(self.left)))
-        if self.distance_changed:
-            parts.append("~" + ",".join(sorted(self.distance_changed)))
-        if self.probability_changed:
-            parts.append("%" + ",".join(sorted(self.probability_changed)))
-        body = " ".join(parts) if parts else "(no change)"
-        return f"{self.query_id}[{self.cause}] {body}"
-
 
 def diff_results(
     query_id: str,

@@ -138,7 +138,7 @@ class CandidateBounds:
 
     def interval(self, j: int) -> DistanceInterval:
         """Candidate ``j``'s exact pruning interval — float for float
-        :func:`repro.distances.bounds.object_bounds`."""
+        :func:`repro.reference.bounds.object_bounds`."""
         chunk, at = divmod(j, PRUNE_CHUNK)
         return self._rows[chunk].interval(at)
 
@@ -163,7 +163,7 @@ def pruning_phase(
     ``search_radius`` is the bound the subgraph/cutoff Dijkstra was run
     with; doors it failed to reach are provably farther than it, which
     keeps lower bounds finite for radius-straddling objects (see
-    :func:`repro.distances.bounds.subregion_stats`).
+    :func:`repro.reference.bounds.subregion_stats`).
     """
     floor = (
         search_radius

@@ -111,7 +111,7 @@ class SeedExpansion:
         source partition's rows, reached by no door, take
         ``max |s, q|_E`` from the instances as the bounds kernel's
         own-partition patch does.  Float for float
-        :func:`repro.distances.bounds.topological_looser_upper_bound`,
+        :func:`repro.reference.bounds.topological_looser_upper_bound`,
         which ``tests/queries/test_prune_exactness.py`` holds it to by
         ``==``.
         """

@@ -117,7 +117,7 @@ a from-scratch ikNNQ runs only when the band runs dry (see the class
 docstring for the invariant).  :class:`ProbRangeMaintainer` is the
 probabilistic-threshold range query (standing iPRQ) — per update, the
 subregion probability bounds of
-:func:`repro.queries.prob_range.probability_bounds` (from its row of
+:func:`repro.reference.bounds.probability_bounds` (from its row of
 the stacked call: :meth:`repro.distances.batch.BoundsRow.probability`)
 decide membership whenever the qualifying probability provably stays
 on one side of ``p_min``, and only an update whose probability can
@@ -610,7 +610,7 @@ class ProbRangeMaintainer(StandingQuery):
     Maintenance mirrors the standing iRQ shape — one moved object is
     re-decided in isolation against the session-cached full search —
     with the probability bounds of
-    :func:`~repro.queries.prob_range.probability_bounds` in place of
+    :func:`~repro.reference.bounds.probability_bounds` in place of
     the Table III distance interval: a subregion whose ``tmax`` stays
     within ``r`` contributes all of its mass to the lower bound, one
     whose ``tmin`` exceeds ``r`` contributes nothing to the upper
@@ -643,7 +643,7 @@ class ProbRangeMaintainer(StandingQuery):
 
     def unreached_floor(self) -> float:
         """A subregion no reached door serves is beyond ``r`` — the
-        scalar :func:`~repro.queries.prob_range.probability_bounds`
+        scalar :func:`~repro.reference.bounds.probability_bounds`
         convention."""
         return self.r + 1.0
 

@@ -170,13 +170,6 @@ class MonitorStats:
         return self.pairs_skipped / self.pairs_evaluated
 
     @property
-    def refine_ratio(self) -> float:
-        """Share of pairs that paid exactly one exact refinement."""
-        if self.pairs_evaluated == 0:
-            return 0.0
-        return self.pairs_refined / self.pairs_evaluated
-
-    @property
     def recomputes_per_update(self) -> float:
         """Standing-query re-executions (guard-band refills) per
         absorbed update — the query-level fallback rate."""

@@ -20,9 +20,7 @@ from __future__ import annotations
 import time
 from typing import Iterator
 
-from repro.distances import expected
 from repro.distances.batch import QueryStack, block_object_bounds
-from repro.distances.bounds import subregion_stats
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
@@ -37,50 +35,18 @@ from repro.queries.engine import (
 from repro.queries.stats import QueryStats
 
 
-def qualifying_probability(
-    index: CompositeIndex, q: Point, obj, dd, r: float
-) -> float:
-    """Exact ``Pr(|q, s|_I <= r)`` for one object — the scalar
-    reference (:func:`repro.distances.expected.qualifying_probability`)
-    of what :meth:`repro.queries.engine.Refiner.probabilities`
-    computes for the query processors."""
-    return expected.qualifying_probability(
-        q, obj, dd, index.space, r, index.population.grid
-    )
-
-
-def probability_bounds(
-    index: CompositeIndex, q: Point, obj, dd, r: float
-) -> tuple[float, float]:
-    """Bounds on the qualifying probability from subregion stats —
-    the per-pair reference of
-    :meth:`repro.distances.batch.BoundsRow.probability`, which the
-    query processors run.
+def candidate_probability_bounds(
+    index: CompositeIndex, candidates: list, dd, r: float
+) -> Iterator[tuple[object, float, float]]:
+    """``(object, lo, hi)`` per candidate: bounds on its qualifying
+    probability from subregion stats, against the search ``dd``, from
+    the block kernel over the index's columnar table
+    (:meth:`~repro.distances.batch.BoundsRow.probability`).
 
     A subregion with ``tmax <= r`` contributes all its mass to the
     lower bound; one with ``tmin > r`` contributes nothing to the upper
     bound.  (``tmax`` is the best door's worst instance, so
-    ``tmax <= r`` proves every instance of the subregion qualifies.)
-    """
-    lo = 0.0
-    hi = 0.0
-    for subregion in obj.subregions(index.space, index.population.grid):
-        stats = subregion_stats(q, subregion, dd, index.space,
-                                unreached_floor=r + 1.0)
-        if stats.tmax <= r:
-            lo += subregion.mass
-            hi += subregion.mass
-        elif stats.tmin <= r:
-            hi += subregion.mass
-    return lo, hi
-
-
-def candidate_probability_bounds(
-    index: CompositeIndex, candidates: list, dd, r: float
-) -> Iterator[tuple[object, float, float]]:
-    """``(object, lo, hi)`` per candidate — :func:`probability_bounds`
-    for all of them against the search ``dd``, from the block kernel
-    over the index's columnar table."""
+    ``tmax <= r`` proves every instance of the subregion qualifies.)"""
     stack = QueryStack(index.columns.layout(), [dd], [r + 1.0])
     fh = index.space.floor_height
     for block in candidate_blocks(index, candidates):

@@ -22,9 +22,11 @@ null           one door dominates: its weighted distance is smaller for
                inequality form of the same criterion)
 =============  ==========================================================
 
-The bisector object also offers exact point-side tests, which is what the
-expected-distance computation actually consumes: if all of an object's
-instances fall on one side, the single-path formula (Eq. 3) applies.
+The bisector object also offers exact point-side tests, which is what
+the bisector route of
+:func:`repro.reference.expected.classify_subregion_paths` consumes: if
+all of an object's instances fall on one side, the single-path formula
+(Eq. 3) applies.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ class BisectorShape(enum.Enum):
 class Side(enum.IntEnum):
     """Which door serves a point."""
 
-    I_SIDE = -1  # door d_i is (strictly) better
-    ON = 0
-    J_SIDE = 1  # door d_j is (strictly) better
+    I_SIDE = -1  # door d_i is (weakly) better
+    J_SIDE = 1  # door d_j is (weakly) better
 
 
 @dataclass(frozen=True)
@@ -99,33 +100,7 @@ class WeightedBisector:
             return BisectorShape.LINE
         return BisectorShape.HYPERBOLA
 
-    @property
-    def dominating_side(self) -> Side | None:
-        """For a NULL bisector, which door wins everywhere; else ``None``."""
-        if self.shape is not BisectorShape.NULL:
-            return None
-        if self.wi < self.wj:
-            return Side.I_SIDE
-        if self.wj < self.wi:
-            return Side.J_SIDE
-        return Side.I_SIDE  # coincident doors: either one
-
     # -- point-side tests ----------------------------------------------------
-
-    def weighted_gap(self, x: float, y: float) -> float:
-        """``(w_i + |p, d_i|) - (w_j + |p, d_j|)``; negative means the
-        point is served by ``d_i``."""
-        gi = self.wi + math.hypot(x - self.di[0], y - self.di[1])
-        gj = self.wj + math.hypot(x - self.dj[0], y - self.dj[1])
-        return gi - gj
-
-    def side_of(self, x: float, y: float, tol: float = 1e-12) -> Side:
-        gap = self.weighted_gap(x, y)
-        if gap < -tol:
-            return Side.I_SIDE
-        if gap > tol:
-            return Side.J_SIDE
-        return Side.ON
 
     def split_points(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised side test for an ``(n, 2)`` array of points.
@@ -147,19 +122,3 @@ class WeightedBisector:
         if bool(np.all(on_j)):
             return Side.J_SIDE
         return None
-
-    # -- hyperbola parameters (for inspection/plotting) -------------------------
-
-    def hyperbola_parameters(self) -> dict[str, float]:
-        """Canonical parameters of the hyperbola branch.
-
-        The bisector satisfies ``|p, d_j| - |p, d_i| = w_i - w_j``
-        (constant difference of focal distances), i.e. one branch of a
-        hyperbola with foci at the doors, ``2a = |w_i - w_j|`` and
-        ``2c = |d_i, d_j|``.
-        """
-        if self.shape is not BisectorShape.HYPERBOLA:
-            raise GeometryError(f"bisector shape is {self.shape}, not hyperbola")
-        c = self.focal_distance / 2.0
-        a = abs(self.wi - self.wj) / 2.0
-        return {"a": a, "c": c, "b": math.sqrt(max(c * c - a * a, 0.0))}

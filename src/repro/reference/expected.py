@@ -1,4 +1,6 @@
-"""The exact expected indoor distance ``|q, O|_I`` (Section II-B/C).
+"""The exact expected indoor distance ``|q, O|_I`` (Section II-B/C),
+one object at a time: the scalar form of
+:func:`repro.distances.batch.block_expected_distances`.
 
 Definition 1: ``|q, O|_I = E[|q, s_i|_I] = sum_i |q, s_i|_I * p_i``.
 
@@ -27,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.bisector import WeightedBisector
 from repro.geometry.point import Point
-from repro.objects.uncertain import Subregion, UncertainObject
+from repro.objects.uncertain import UncertainObject
+from repro.reference.bisector import WeightedBisector
+from repro.reference.subregions import Subregion, subregions
 from repro.space.doors_graph import DoorDistances
 from repro.space.floorplan import IndoorSpace
 
@@ -50,10 +53,6 @@ class ExactDistance:
     case: DistanceCase
     #: (partition_id, expected contribution, subregion mass) per subregion.
     per_subregion: tuple[tuple[str, float, float], ...] = field(default=())
-
-    @property
-    def is_reachable(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def subregion_door_weights(
@@ -221,11 +220,18 @@ def expected_indoor_distance(
     partitions as long as those cover every path shorter than any bound
     being compared against (the query processors guarantee this).
     """
-    subregions = obj.subregions(space, grid)
+    return expected_over(q, subregions(obj, space, grid), dd, space)
+
+
+def expected_over(
+    q: Point, subs: list[Subregion], dd: DoorDistances, space: IndoorSpace
+) -> ExactDistance:
+    """:func:`expected_indoor_distance` of an object already split into
+    its subregions ``subs``."""
     contributions: list[tuple[str, float, float]] = []
     total = 0.0
     single_path = True
-    for subregion in subregions:
+    for subregion in subs:
         door_ids, totals, direct = _subregion_paths(q, subregion, dd, space)
         dists = _shortest(totals, direct)
         contrib = float((dists * subregion.instances.probs).sum())
@@ -233,10 +239,10 @@ def expected_indoor_distance(
             contrib = math.inf
         contributions.append((subregion.partition_id, contrib, subregion.mass))
         total += contrib
-        if len(subregions) == 1:
+        if len(subs) == 1:
             # Eq. 3 vs Eq. 4, from the totals already built.
             single_path = len(set(_servers(door_ids, totals, direct))) <= 1
-    if len(subregions) > 1:
+    if len(subs) > 1:
         case = DistanceCase.MULTI_PARTITION
     elif single_path:
         case = DistanceCase.SINGLE_PARTITION_SINGLE_PATH
@@ -257,8 +263,20 @@ def qualifying_probability(
     instances whose indoor distance is within ``r`` — the scalar
     reference of the iPRQ refinement
     (:func:`repro.distances.batch.block_expected_distances` with ``r``)."""
+    return probability_over(q, subregions(obj, space, grid), dd, space, r)
+
+
+def probability_over(
+    q: Point,
+    subs: list[Subregion],
+    dd: DoorDistances,
+    space: IndoorSpace,
+    r: float,
+) -> float:
+    """:func:`qualifying_probability` of an object already split into
+    its subregions ``subs``."""
     total = 0.0
-    for subregion in obj.subregions(space, grid):
+    for subregion in subs:
         dists = instance_indoor_distances(q, subregion, dd, space)
         total += float(subregion.instances.probs[dists <= r].sum())
     return total

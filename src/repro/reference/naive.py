@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 
-from repro.distances.expected import (
-    expected_indoor_distance,
-    qualifying_probability,
-)
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.population import ObjectPopulation
 from repro.objects.uncertain import UncertainObject
+from repro.reference.expected import expected_over, probability_over
+from repro.reference.subregions import Subregion, subregions
 from repro.space.doors_graph import DoorsGraph
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
@@ -33,24 +31,48 @@ class NaiveEvaluator:
         self.population = population
         self.graph = DoorsGraph.from_space(space)
         self.grid = population.grid or PartitionGrid.build(space)
+        #: object id -> (the object, the topology version, its
+        #: subregions): at most one entry per id of the population.
+        self._split: dict[
+            str, tuple[UncertainObject, int, list[Subregion]]
+        ] = {}
 
     # ------------------------------------------------------------------
+
+    def subregions(self, obj: UncertainObject) -> list[Subregion]:
+        """``obj``'s subregions, split once per object and topology
+        version.  An entry serves only the very object it was made for
+        — a moved object's successor shares its id, not its instances
+        — and only under the topology it was made at."""
+        version = self.space.topology_version
+        held = self._split.get(obj.object_id)
+        if held is not None and held[0] is obj and held[1] == version:
+            return held[2]
+        subs = subregions(obj, self.space, self.grid)
+        oid = obj.object_id
+        if oid in self.population and self.population.get(oid) is obj:
+            self._split[oid] = (obj, version, subs)
+        return subs
+
+    def _population_split(self):
+        """``(object, subregions)`` over the population, in order; drops
+        the entries of ids the population no longer holds."""
+        split = self._split
+        for oid in split.keys() - self.population.ids():
+            del split[oid]
+        return [(obj, self.subregions(obj)) for obj in self.population]
 
     def exact_distance(self, q: Point, obj: UncertainObject) -> float:
         """``|q, O|_I`` via one full Dijkstra (no pruning anywhere)."""
         dd = self.graph.dijkstra_from_point(q)
-        return expected_indoor_distance(
-            q, obj, dd, self.space, self.grid
-        ).value
+        return expected_over(q, self.subregions(obj), dd, self.space).value
 
     def all_distances(self, q: Point) -> dict[str, float]:
         """Exact expected distances of every object from ``q``."""
         dd = self.graph.dijkstra_from_point(q)
         return {
-            obj.object_id: expected_indoor_distance(
-                q, obj, dd, self.space, self.grid
-            ).value
-            for obj in self.population
+            obj.object_id: expected_over(q, subs, dd, self.space).value
+            for obj, subs in self._population_split()
         }
 
     # ------------------------------------------------------------------
@@ -93,7 +115,7 @@ class NaiveEvaluator:
         of instances whose indoor distance is within ``r``, from one
         full Dijkstra (no bounds, no pruning)."""
         dd = self.graph.dijkstra_from_point(q)
-        return qualifying_probability(q, obj, dd, self.space, r, self.grid)
+        return probability_over(q, self.subregions(obj), dd, self.space, r)
 
     def prob_range_query(
         self, q: Point, r: float, p_min: float
@@ -108,7 +130,6 @@ class NaiveEvaluator:
         dd = self.graph.dijkstra_from_point(q)
         return {
             obj.object_id
-            for obj in self.population
-            if qualifying_probability(q, obj, dd, self.space, r, self.grid)
-            >= p_min
+            for obj, subs in self._population_split()
+            if probability_over(q, subs, dd, self.space, r) >= p_min
         }

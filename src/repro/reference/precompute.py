@@ -18,11 +18,11 @@ import time
 
 import numpy as np
 
-from repro.distances.expected import expected_indoor_distance
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.population import ObjectPopulation
 from repro.objects.uncertain import UncertainObject
+from repro.reference.expected import expected_indoor_distance
 from repro.space.doors_graph import DoorDistances, DoorsGraph
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid

@@ -165,15 +165,6 @@ class IndoorSpace:
                 return partition
         return None
 
-    def intra_distance(self, a: Point, b: Point) -> float:
-        """Distance between two points inside one partition.
-
-        Euclidean, per the paper's footnote 1 (obstructed intra-partition
-        distances are out of scope).  Cross-floor staircase traversals get
-        the vertical leg through the 3-D metric.
-        """
-        return a.distance(b, self.floor_height)
-
     def door_to_door(self, d1: Door, d2: Door) -> float:
         """Intra-partition distance between two door midpoints."""
         return d1.midpoint.distance(d2.midpoint, self.floor_height)

@@ -211,7 +211,7 @@ class TestWatchAndIngest:
         """Standing iPRQ end to end through the façade: watch, ingest,
         delete — membership tracks the one-shot iPRQ after every
         mutation and the feed replays to the live result."""
-        from repro.baselines import NaiveEvaluator
+        from repro.reference import NaiveEvaluator
         from repro.queries import iPRQ
 
         service = QueryService(five_rooms_index)

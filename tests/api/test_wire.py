@@ -290,6 +290,39 @@ class TestFeedReplay:
         assert set(states) == {b}
         assert states[b] == service.result_distances(b)
 
+    def test_detached_feed_gets_no_later_line(self, five_rooms_index):
+        service = QueryService(five_rooms_index)
+        a = service.watch(RangeSpec(Q1, 10.0))
+        kept, dropped = io.StringIO(), io.StringIO()
+        service.attach_feed(kept)
+        writer = service.attach_feed(dropped)
+        service.ingest([_point_move("far", 6.0, 6.0)])
+        cut = dropped.getvalue()
+        assert cut == kept.getvalue()  # both carried the first batch
+
+        service.detach_feed(writer)
+        b = service.watch(KNNSpec(Q3, 2))
+        service.ingest([_point_move("near", 21.0, 5.0)])
+        service.insert(_point_object("new", 24.0, 5.0))
+        assert dropped.getvalue() == cut
+        assert kept.getvalue() != cut
+
+        states = wire.replay_feed(
+            wire.read_feed(kept.getvalue().splitlines())
+        )
+        assert states == {
+            qid: service.result_distances(qid) for qid in (a, b)
+        }
+
+        service.detach_feed(writer)  # a second detach is a no-op
+        service.ingest([_point_move("far", 25.0, 5.0)])
+        assert dropped.getvalue() == cut
+        states = wire.replay_feed(
+            wire.read_feed(kept.getvalue().splitlines())
+        )
+        assert states[a] == service.result_distances(a)
+        assert states[b] == service.result_distances(b)
+
     def test_feed_lines_round_trip_byte_identically(
         self, five_rooms_index
     ):

@@ -2,13 +2,20 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.baselines import NaiveEvaluator
 from repro.errors import QueryError
-from repro.geometry import Point
-from repro.objects import ObjectGenerator
-from repro.space import CloseDoor
+from repro.geometry import Circle, Point, Rect
+from repro.objects import (
+    InstanceSet,
+    ObjectGenerator,
+    ObjectPopulation,
+    UncertainObject,
+)
+from repro.reference import NaiveEvaluator
+from repro.reference import naive as naive_module
+from repro.space import CloseDoor, Partition
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +99,6 @@ class TestQueries:
         assert expected  # the radius reaches someone
 
     def test_respects_topology_changes(self, five_rooms):
-        import numpy as np
-        from repro.geometry import Circle
-        from repro.objects import InstanceSet, ObjectPopulation, UncertainObject
         pop = ObjectPopulation(five_rooms)
         pop.insert(UncertainObject(
             "t", Circle(Point(25, 5, 0), 1.0),
@@ -107,3 +111,100 @@ class TestQueries:
         CloseDoor("d3").apply(five_rooms)
         after = oracle.exact_distance(q, pop.get("t"))
         assert math.isinf(after)
+
+
+def _at(oid, *xy, floor=0):
+    """An object with one uniform instance per ``(x, y)``, its region
+    centred on the first."""
+    center = Point(xy[0][0], xy[0][1], floor)
+    return UncertainObject(
+        oid,
+        Circle(center, 30.0),
+        InstanceSet.uniform(np.array(xy, dtype=float), floor),
+    )
+
+
+def _partitions(subs):
+    return [s.partition_id for s in subs]
+
+
+class TestSubregionCache:
+    """The evaluator owns the subregion split of the objects it
+    evaluates: one entry per live id, valid for the very object it was
+    made for under the topology it was made at."""
+
+    def test_moved_successor_gets_its_own_subregions(self, five_rooms):
+        pop = ObjectPopulation(five_rooms)
+        before = pop.insert(_at("o", (5.0, 5.0)))
+        oracle = NaiveEvaluator(five_rooms, pop)
+        q = Point(5.0, 5.0, 0)
+        assert _partitions(oracle.subregions(before)) == ["r1"]
+        assert oracle.exact_distance(q, before) == 0.0
+        after = pop.move("o", Circle(Point(25.0, 5.0, 0), 1.0),
+                         InstanceSet.uniform(np.array([[25.0, 5.0]]), 0))
+        assert after is not before and after.object_id == "o"
+        assert _partitions(oracle.subregions(after)) == ["r3"]
+        assert oracle.all_distances(q) == {
+            "o": oracle.exact_distance(q, after)
+        }
+        assert oracle.exact_distance(q, after) > 0.0
+        # The predecessor, asked about again, is still its own object.
+        assert _partitions(oracle.subregions(before)) == ["r1"]
+        assert oracle.exact_distance(q, before) == 0.0
+        assert _partitions(oracle.subregions(after)) == ["r3"]
+
+    def test_split_once_per_object(self, five_rooms, count_calls):
+        pop = ObjectPopulation(five_rooms)
+        obj = pop.insert(_at("o", (8.0, 5.0), (12.0, 5.0)))
+        oracle = NaiveEvaluator(five_rooms, pop)
+        split = count_calls(naive_module, "subregions")
+        q = Point(15.0, 12.0, 0)
+        oracle.all_distances(q)
+        oracle.range_query(q, 50.0)
+        oracle.prob_range_query(q, 50.0, 0.5)
+        oracle.exact_distance(q, obj)
+        assert len(split) == 1
+        assert _partitions(oracle.subregions(obj)) == ["r1", "r2"]
+
+    def test_close_door_resolves_again(self, five_rooms, count_calls):
+        pop = ObjectPopulation(five_rooms)
+        obj = pop.insert(_at("o", (25.0, 5.0)))
+        oracle = NaiveEvaluator(five_rooms, pop)
+        first = oracle.subregions(obj)
+        assert oracle.subregions(obj) is first
+        split = count_calls(naive_module, "subregions")
+        CloseDoor("d3").apply(five_rooms)
+        again = oracle.subregions(obj)
+        assert len(split) == 1 and again is not first
+        assert _partitions(again) == ["r3"]
+        assert math.isinf(oracle.exact_distance(Point(5.0, 5.0, 0), obj))
+
+    def test_partition_insert_resolves_again(self, five_rooms):
+        pop = ObjectPopulation(five_rooms)
+        # (5, 30) lies in no partition: it rides with the centre's r1.
+        obj = pop.insert(_at("o", (5.0, 5.0), (5.0, 30.0)))
+        oracle = NaiveEvaluator(five_rooms, pop)
+        (only,) = oracle.subregions(obj)
+        assert only.partition_id == "r1" and only.mass == 1.0
+        five_rooms.add_partition(Partition("r6", Rect(0, 24, 15, 34), 0))
+        assert _partitions(oracle.subregions(obj)) == ["r1", "r6"]
+        assert [s.mass for s in oracle.subregions(obj)] == [0.5, 0.5]
+
+    def test_at_most_one_entry_per_live_id(self, five_rooms):
+        pop = ObjectPopulation(five_rooms)
+        for i, x in enumerate((5.0, 15.0, 25.0)):
+            pop.insert(_at(f"o{i}", (x, 5.0)))
+        oracle = NaiveEvaluator(five_rooms, pop)
+        q = Point(15.0, 12.0, 0)
+        oracle.all_distances(q)
+        assert set(oracle._split) == {"o0", "o1", "o2"}
+        pop.move("o1", Circle(Point(5.0, 20.0, 0), 1.0),
+                 InstanceSet.uniform(np.array([[5.0, 20.0]]), 0))
+        pop.delete("o2")
+        # An object the population does not hold is evaluated, not kept.
+        oracle.exact_distance(q, _at("stray", (15.0, 5.0)))
+        assert "stray" not in oracle._split
+        oracle.range_query(q, 100.0)
+        assert set(oracle._split) == {"o0", "o1"}
+        for oid, (obj, _, _) in oracle._split.items():
+            assert pop.get(oid) is obj

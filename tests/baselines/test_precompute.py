@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.baselines import NaiveEvaluator, PrecomputedDistanceIndex
+from repro.reference import NaiveEvaluator, PrecomputedDistanceIndex
 from repro.errors import QueryError
 from repro.objects import ObjectGenerator
 from repro.space import CloseDoor, DoorsGraph

@@ -1,18 +1,17 @@
-"""Ablation variants must return exactly the same results, only slower
+"""Ablation variants — the ``with_pruning`` / ``use_skeleton`` switches
+of iRQ and ikNNQ — must return exactly the same results, only slower
 or with different internal statistics."""
 
 import pytest
 
-from repro.baselines import (
-    NaiveEvaluator,
-    iknnq_euclidean_filter,
-    iknnq_without_pruning,
-    irq_euclidean_filter,
-    irq_without_pruning,
-)
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
-from repro.queries import QueryStats, iRQ
+from repro.queries import QueryStats, iRQ, ikNNQ
+from repro.reference import NaiveEvaluator
+
+#: The ablations of Figures 14(b)/(d) and 15(a), by their legend names.
+WITHOUT_PRUNING = {"with_pruning": False}
+EUCLIDEAN_FILTER = {"use_skeleton": False}
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +24,23 @@ def setup(small_mall):
 
 
 class TestIRQVariants:
-    @pytest.mark.parametrize("variant", [irq_without_pruning, irq_euclidean_filter])
-    def test_same_results(self, setup, small_mall, variant):
+    @pytest.mark.parametrize(
+        "switch",
+        [WITHOUT_PRUNING, EUCLIDEAN_FILTER],
+        ids=["irq_without_pruning", "irq_euclidean_filter"],
+    )
+    def test_same_results(self, setup, small_mall, switch):
         index, oracle = setup
         q = small_mall.random_point(seed=7)
         expected = oracle.range_query(q, 45.0)
-        assert variant(q, 45.0, index).ids() == expected
+        assert iRQ(q, 45.0, index, **switch).ids() == expected
 
     def test_no_pruning_refines_more(self, setup, small_mall):
         index, _ = setup
         q = small_mall.random_point(seed=8)
         s_with, s_without = QueryStats(), QueryStats()
         iRQ(q, 45.0, index, stats=s_with)
-        irq_without_pruning(q, 45.0, index, stats=s_without)
+        iRQ(q, 45.0, index, stats=s_without, **WITHOUT_PRUNING)
         assert s_without.refined >= s_with.refined
 
     def test_euclidean_filter_retrieves_more_partitions(self, setup, small_mall):
@@ -46,21 +49,23 @@ class TestIRQVariants:
         q = small_mall.random_point(seed=9)
         s_with, s_without = QueryStats(), QueryStats()
         iRQ(q, 45.0, index, stats=s_with)
-        irq_euclidean_filter(q, 45.0, index, stats=s_without)
+        iRQ(q, 45.0, index, stats=s_without, **EUCLIDEAN_FILTER)
         assert s_without.partitions_retrieved >= s_with.partitions_retrieved
 
 
 class TestIKNNQVariants:
     @pytest.mark.parametrize(
-        "variant", [iknnq_without_pruning, iknnq_euclidean_filter]
+        "switch",
+        [WITHOUT_PRUNING, EUCLIDEAN_FILTER],
+        ids=["iknnq_without_pruning", "iknnq_euclidean_filter"],
     )
-    def test_same_results(self, setup, small_mall, variant):
+    def test_same_results(self, setup, small_mall, switch):
         index, oracle = setup
         q = small_mall.random_point(seed=10)
         k = 12
         exact = oracle.all_distances(q)
         kth = oracle.kth_distance(q, k)
-        result = variant(q, k, index)
+        result = ikNNQ(q, k, index, **switch)
         assert len(result) == k
         for oid in result.ids():
             assert exact[oid] <= kth + 1e-6
@@ -69,5 +74,5 @@ class TestIKNNQVariants:
         index, _ = setup
         q = small_mall.random_point(seed=11)
         stats = QueryStats()
-        iknnq_without_pruning(q, 10, index, stats=stats)
+        ikNNQ(q, 10, index, stats=stats, **WITHOUT_PRUNING)
         assert stats.refined == stats.candidates_after_filtering

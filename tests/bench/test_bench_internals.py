@@ -6,7 +6,7 @@ benchmarks/README.md to mean anything."""
 import pytest
 
 from repro.bench.reporting import format_series
-from repro.bench.runner import ExperimentResult, run_queries, time_call
+from repro.bench.runner import ExperimentResult, run_queries
 from repro.bench.workloads import (
     MEDIUM,
     PAPER,
@@ -93,15 +93,6 @@ class TestRunner:
     def test_unknown_kind(self, tiny_factory):
         with pytest.raises(ValueError):
             run_queries(tiny_factory.index(), [], "bogus", 1)
-
-    def test_time_call(self):
-        t = time_call(lambda: None, repeat=3)
-        assert t.repeat == 3
-        assert 0 <= t.min_s <= t.mean_s
-        assert t >= 0 and float(t) == t.min_s
-        assert t.to_dict() == {
-            "min_s": t.min_s, "mean_s": t.mean_s, "repeat": 3
-        }
 
 
 class TestReporting:

@@ -1,7 +1,7 @@
 """The stacked bounds kernel (:mod:`repro.distances.batch`) held to
-the per-pair reference (:func:`repro.distances.bounds.subregion_stats`
-/ :func:`~repro.distances.bounds.object_bounds`,
-:func:`repro.queries.prob_range.probability_bounds`) function for
+the per-pair reference (:func:`repro.reference.bounds.subregion_stats`
+/ :func:`~repro.reference.bounds.object_bounds`,
+:func:`repro.reference.bounds.probability_bounds`) function for
 function, for every (query, object) pair of a stack.
 
 Every comparison is exact ``==`` on floats, never ``approx``: the
@@ -22,19 +22,22 @@ from repro.distances.batch import (
     QueryStack,
     block_object_bounds,
     mass_within,
-    pack_block,
 )
 from repro.distances.bounds import (
     DistanceInterval,
     SubregionStats,
-    object_bounds,
     probabilistic_bounds,
-    subregion_stats,
 )
 from repro.geometry import Point
 from repro.queries import QuerySession
 from repro.queries.engine import locate_source, subgraph_phase
-from repro.queries.prob_range import probability_bounds
+from repro.reference.bounds import (
+    object_bounds,
+    probability_bounds,
+    subregion_stats,
+)
+from repro.reference.pack import pack_block
+from repro.reference.subregions import subregions
 from repro.space.events import CloseDoor
 from repro.space.partition import PartitionKind
 
@@ -51,7 +54,7 @@ def _pack(index, objects):
 
 
 def _n_subregions(index, obj):
-    return len(obj.subregions(index.space, index.population.grid))
+    return len(subregions(obj, index.space, index.population.grid))
 
 
 def _add_straddlers(index, gen, rng, n=4, floor=None):
@@ -96,6 +99,7 @@ def _assert_stack_matches(index, stack, block):
     shape = (len(stack), len(block.sub_part))
     assert bounds.tmin.shape == bounds.tmax.shape == shape
     assert bounds.lo.shape == (len(stack), len(block))
+    splits = [subregions(obj, space, grid) for obj in block.objects]
     for i, dd in enumerate(stack.searches):
         q = dd.source
         floor = None if stack.floor is None else stack.floor[i, 0]
@@ -104,7 +108,7 @@ def _assert_stack_matches(index, stack, block):
         row = bounds.row(i)
         assert row.dd is dd
         for j, obj in enumerate(block.objects):
-            subs = obj.subregions(space, grid)
+            subs = splits[j]
             rows = range(bounds.offsets[j], bounds.offsets[j + 1])
             assert len(subs) == len(rows)
             for a, sub in zip(rows, subs):
@@ -228,7 +232,7 @@ class TestBlockMatchesReference:
         obj, room = next(
             (o, subs[0].partition_id)
             for o in w.pop
-            for subs in [o.subregions(space, grid)]
+            for subs in [subregions(o, space, grid)]
             if len(subs) == 1
             and space.partition(subs[0].partition_id).kind
             is PartitionKind.ROOM
@@ -282,7 +286,7 @@ class TestUnreachedFloor:
     cutoff, subgraph-restricted search: a door it did not reach is
     proven farther than the cutoff, so ``unreached_floor`` replaces an
     infinite ``tmin`` — in the kernel exactly as in
-    :func:`repro.distances.bounds.subregion_stats`."""
+    :func:`repro.reference.bounds.subregion_stats`."""
 
     @staticmethod
     def _cutoff_search(index, q, r):
@@ -343,7 +347,7 @@ class TestUnreachedFloor:
             )
         )
         w.index.insert_object(obj)
-        assert [s.partition_id for s in obj.subregions(space, grid)] == [
+        assert [s.partition_id for s in subregions(obj, space, grid)] == [
             a.partition_id,
             b.partition_id,
         ]

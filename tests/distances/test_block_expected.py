@@ -1,7 +1,7 @@
 """Block exact refinement (:func:`repro.distances.batch.
 block_expected_distances`) held to the scalar reference —
-:func:`repro.distances.expected.expected_indoor_distance` ``.value``
-and :func:`~repro.distances.expected.qualifying_probability` — for
+:func:`repro.reference.expected.expected_indoor_distance` ``.value``
+and :func:`~repro.reference.expected.qualifying_probability` — for
 every (query, object) pair it is handed.
 
 Every comparison is exact ``==`` on floats, never ``approx``: the
@@ -23,11 +23,6 @@ from repro.distances.batch import (
     QueryStack,
     block_expected_distances,
     block_object_bounds,
-    subregion_rows,
-)
-from repro.distances.expected import (
-    expected_indoor_distance,
-    qualifying_probability,
 )
 from repro.errors import QueryError
 from repro.geometry import Circle, Point
@@ -39,6 +34,12 @@ from repro.objects import (
     UncertainObject,
 )
 from repro.queries.engine import locate_source, subgraph_phase
+from repro.reference.expected import (
+    expected_indoor_distance,
+    qualifying_probability,
+)
+from repro.reference.pack import subregion_rows
+from repro.reference.subregions import subregions
 from repro.space.events import CloseDoor, OpenDoor
 
 RADII = (6.0, 20.0, 45.0)
@@ -110,7 +111,9 @@ class TestWholePopulations:
         _straddlers(index, gen, five_rooms.doors.values())
         objects = list(index.population)
         grid = index.population.grid
-        assert {len(o.subregions(five_rooms, grid)) for o in objects} >= {1, 2}
+        assert {
+            len(subregions(o, five_rooms, grid)) for o in objects
+        } >= {1, 2}
         points = [
             Point(15.0, 12.0, 0),  # the hallway
             Point(5.0, 5.0, 0),  # r1: two doors out
@@ -225,7 +228,7 @@ class TestOwnPartition:
         (astride,) = _straddlers(index, gen, [five_rooms.doors["d12"]])
         grid = index.population.grid
         assert [
-            s.partition_id for s in astride.subregions(five_rooms, grid)
+            s.partition_id for s in subregions(astride, five_rooms, grid)
         ] == ["r1", "r2"]
         # From inside each half, and from the far side of either door.
         points = [Point(9.0, 5.0, 0), Point(11.0, 5.0, 0), Point(9.5, 9.5, 0)]
@@ -377,7 +380,7 @@ class TestPieceOrder:
         )
         grid = index.population.grid
         assert [
-            [s.partition_id for s in o.subregions(five_rooms, grid)]
+            [s.partition_id for s in subregions(o, five_rooms, grid)]
             for o in moved
         ] == [["r2", "r1"], ["r1", "r2"], ["r1"]]
         searches = [
@@ -470,7 +473,7 @@ class TestNoInstanceCopies:
         pieces = [
             s
             for o in index.population
-            for s in o.subregions(space, grid)
+            for s in subregions(o, space, grid)
             if s.pieces is not None
         ]
         assert pieces

@@ -9,18 +9,21 @@ import pytest
 from repro.distances import (
     DistanceInterval,
     euclidean_lower_bound,
-    expected_indoor_distance,
-    markov_lower_bound,
-    object_bounds,
     probabilistic_bounds,
-    subregion_stats,
-    topological_bounds,
-    topological_looser_upper_bound,
-    weighted_topological_bounds,
 )
 from repro.errors import QueryError
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet, ObjectGenerator, UncertainObject
+from repro.reference import (
+    expected_indoor_distance,
+    markov_lower_bound,
+    object_bounds,
+    subregion_stats,
+    subregions,
+    topological_bounds,
+    topological_looser_upper_bound,
+    weighted_topological_bounds,
+)
 from repro.space import DoorsGraph
 
 
@@ -73,7 +76,7 @@ class TestTopologicalBounds:
         exact = expected_indoor_distance(q, obj, dd, five_rooms).value
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         iv = topological_bounds(stats)
         assert iv.lower - 1e-9 <= exact <= iv.upper + 1e-9
@@ -86,7 +89,7 @@ class TestTopologicalBounds:
         exact = expected_indoor_distance(q, obj, dd, five_rooms).value
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         for iv in (
             topological_bounds(stats),
@@ -102,7 +105,7 @@ class TestTopologicalBounds:
         dd = graph.dijkstra_from_point(q)
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         plain = topological_bounds(stats)
         weighted = weighted_topological_bounds(stats)
@@ -129,7 +132,7 @@ class TestProbabilisticBounds:
         dd = graph.dijkstra_from_point(q)
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         plain = topological_bounds(stats)
         prob = probabilistic_bounds(stats)
@@ -144,7 +147,7 @@ class TestProbabilisticBounds:
         exact = expected_indoor_distance(q, obj, dd, five_rooms).value
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         assert markov_lower_bound(stats) <= exact + 1e-9
 
@@ -155,7 +158,7 @@ class TestProbabilisticBounds:
         dd = graph.dijkstra_from_point(q)
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         assert probabilistic_bounds(stats) == topological_bounds(stats)
 
@@ -208,7 +211,7 @@ class TestTLU:
         dd = graph.dijkstra_from_point(q)
         stats = [
             subregion_stats(q, s, dd, five_rooms)
-            for s in obj.subregions(five_rooms)
+            for s in subregions(obj, five_rooms)
         ]
         tight = topological_bounds(stats).upper
         d12 = five_rooms.door("d12")

@@ -23,14 +23,12 @@ from hypothesis import strategies as st
 
 from monitor_world import build_world
 from repro.distances import batch
-from repro.distances.batch import (
-    QueryStack,
-    block_object_bounds,
-    pack_block,
-)
-from repro.distances.bounds import object_bounds, subregion_stats
+from repro.distances.batch import QueryStack, block_object_bounds
 from repro.geometry import Point
 from repro.queries import QuerySession
+from repro.reference.bounds import object_bounds, subregion_stats
+from repro.reference.pack import pack_block
+from repro.reference.subregions import subregions
 from repro.space.events import CloseDoor
 from repro.space.partition import PartitionKind
 
@@ -38,7 +36,7 @@ FLOORS = (None, 26.0)  # a standing iRQ / ikNNQ row, an iPRQ row of r = 25
 
 
 def _subregions(index, obj):
-    return obj.subregions(index.space, index.population.grid)
+    return subregions(obj, index.space, index.population.grid)
 
 
 def _seal_rooms(index, n):
@@ -104,12 +102,13 @@ def _assert_matches_reference(index, stack, block):
     ``object_bounds``."""
     space, grid = index.space, index.population.grid
     bounds = block_object_bounds(stack, block, space.floor_height)
+    splits = [subregions(obj, space, grid) for obj in block.objects]
     for i, dd in enumerate(stack.searches):
         q = dd.source
         floor = FLOORS[i % len(FLOORS)]
         row = bounds.row(i)
         for j, obj in enumerate(block.objects):
-            subs = obj.subregions(space, grid)
+            subs = splits[j]
             rows = range(bounds.offsets[j], bounds.offsets[j + 1])
             assert len(rows) == len(subs)
             refs = [

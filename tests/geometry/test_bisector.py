@@ -1,13 +1,10 @@
-"""Unit tests for repro.geometry.bisector (Table II of the paper)."""
-
-import math
+"""Unit tests for repro.reference.bisector (Table II of the paper)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import BisectorShape, WeightedBisector
-from repro.geometry.bisector import Side
+from repro.reference.bisector import BisectorShape, Side, WeightedBisector
 
 DI, DJ = (0.0, 0.0), (10.0, 0.0)
 
@@ -25,15 +22,10 @@ class TestShapeClassification:
         # w_j - w_i = 15 >= |d_i, d_j| = 10: d_i always wins.
         b = WeightedBisector(DI, DJ, 0.0, 15.0)
         assert b.shape is BisectorShape.NULL
-        assert b.dominating_side is Side.I_SIDE
 
     def test_dominance_other_side(self):
         b = WeightedBisector(DI, DJ, 15.0, 0.0)
         assert b.shape is BisectorShape.NULL
-        assert b.dominating_side is Side.J_SIDE
-
-    def test_non_null_has_no_dominating_side(self):
-        assert WeightedBisector(DI, DJ, 3.0, 3.0).dominating_side is None
 
     def test_negative_weight_rejected(self):
         with pytest.raises(GeometryError):
@@ -41,24 +33,6 @@ class TestShapeClassification:
 
 
 class TestSideTests:
-    def test_line_case_splits_at_perpendicular_bisector(self):
-        b = WeightedBisector(DI, DJ, 1.0, 1.0)
-        assert b.side_of(2, 0) is Side.I_SIDE
-        assert b.side_of(8, 0) is Side.J_SIDE
-        assert b.side_of(5, 3) is Side.ON
-
-    def test_weighted_gap_sign(self):
-        b = WeightedBisector(DI, DJ, 0.0, 4.0)
-        # At x=6: w_i + 6 = 6, w_j + 4 = 8 -> d_i still wins.
-        assert b.weighted_gap(6, 0) < 0
-        # At x=8: w_i + 8 = 8, w_j + 2 = 6 -> d_j wins.
-        assert b.weighted_gap(8, 0) > 0
-
-    def test_on_curve_point(self):
-        b = WeightedBisector(DI, DJ, 0.0, 4.0)
-        # On the x-axis the bisector point solves x = (10 - x) + 4 -> x = 7.
-        assert b.side_of(7, 0) is Side.ON
-
     def test_split_points_masks(self):
         b = WeightedBisector(DI, DJ, 1.0, 1.0)
         xy = np.array([[1.0, 0.0], [9.0, 0.0], [5.0, 2.0]])
@@ -74,28 +48,3 @@ class TestSideTests:
         assert b.single_side(left) is Side.I_SIDE
         assert b.single_side(right) is Side.J_SIDE
         assert b.single_side(both) is None
-
-
-class TestHyperbolaParameters:
-    def test_parameters(self):
-        b = WeightedBisector(DI, DJ, 2.0, 6.0)
-        params = b.hyperbola_parameters()
-        assert params["a"] == pytest.approx(2.0)
-        assert params["c"] == pytest.approx(5.0)
-        assert params["b"] == pytest.approx(math.sqrt(21.0))
-
-    def test_parameters_require_hyperbola(self):
-        with pytest.raises(GeometryError):
-            WeightedBisector(DI, DJ, 1.0, 1.0).hyperbola_parameters()
-
-    def test_points_on_hyperbola_have_constant_difference(self):
-        b = WeightedBisector(DI, DJ, 2.0, 6.0)
-        # Find bisector crossings numerically along several horizontal lines
-        # and check |p,dj| - |p,di| == wi - wj ... i.e. gap == 0.
-        for y in (0.0, 1.0, 3.0):
-            xs = np.linspace(-5, 15, 20001)
-            gaps = np.array([b.weighted_gap(x, y) for x in xs])
-            sign_changes = np.where(np.diff(np.sign(gaps)) != 0)[0]
-            assert len(sign_changes) >= 1
-            x0 = xs[sign_changes[0]]
-            assert abs(b.weighted_gap(x0, y)) < 1e-2

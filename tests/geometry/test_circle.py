@@ -29,18 +29,6 @@ class TestCircle:
         assert c.contains_xy(1, 0)  # boundary inclusive
         assert not c.contains_xy(1.01, 0)
 
-    def test_intersects_rect(self):
-        c = Circle(Point(0, 0), 1)
-        assert c.intersects_rect(Rect(0.5, 0.5, 2, 2))
-        assert c.intersects_rect(Rect(-2, -2, 2, 2))  # circle inside rect
-        assert not c.intersects_rect(Rect(2, 2, 3, 3))
-
-    def test_min_max_distance(self):
-        c = Circle(Point(0, 0), 1)
-        assert c.min_distance_xy(3, 4) == pytest.approx(4.0)
-        assert c.max_distance_xy(3, 4) == pytest.approx(6.0)
-        assert c.min_distance_xy(0.2, 0) == 0.0
-
     def test_polygonize_vertices_on_circle(self):
         c = Circle(Point(1, 1), 2)
         for x, y in c.polygonize(12):

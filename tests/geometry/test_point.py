@@ -22,10 +22,6 @@ class TestPointBasics:
     def test_xy_tuple(self):
         assert Point(1.5, -2.0, 4).xy() == (1.5, -2.0)
 
-    def test_translated_keeps_floor(self):
-        p = Point(1, 1, 3).translated(2, -1)
-        assert (p.x, p.y, p.floor) == (3, 0, 3)
-
     def test_on_floor(self):
         assert Point(1, 1, 0).on_floor(5) == Point(1, 1, 5)
 
@@ -33,9 +29,6 @@ class TestPointBasics:
 class TestDistances:
     def test_same_floor_distance_is_planar(self):
         assert Point(0, 0).distance(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_planar_distance_ignores_floor(self):
-        assert Point(0, 0, 0).planar_distance(Point(3, 4, 9)) == pytest.approx(5.0)
 
     def test_cross_floor_distance_adds_vertical_leg(self):
         p, q = Point(0, 0, 0), Point(0, 0, 1)

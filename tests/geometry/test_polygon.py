@@ -37,9 +37,6 @@ class TestMeasures:
     def test_area_l_shape(self):
         assert Polygon(L_SHAPE).area == pytest.approx(12.0)
 
-    def test_centroid_of_square(self):
-        assert Polygon.from_rect(Rect(0, 0, 2, 2)).centroid == pytest.approx((1, 1))
-
     def test_bounds(self):
         assert Polygon(L_SHAPE).bounds() == Rect(0, 0, 4, 4)
 
@@ -48,10 +45,6 @@ class TestMeasures:
 
 
 class TestPredicates:
-    def test_convexity(self):
-        assert Polygon.from_rect(Rect(0, 0, 1, 1)).is_convex()
-        assert not Polygon(L_SHAPE).is_convex()
-
     def test_rectilinear(self):
         assert Polygon(L_SHAPE).is_rectilinear()
         assert not Polygon([(0, 0), (2, 1), (0, 2)]).is_rectilinear()
@@ -59,18 +52,6 @@ class TestPredicates:
     def test_is_rectangle(self):
         assert Polygon.from_rect(Rect(0, 0, 5, 1)).is_rectangle()
         assert not Polygon(L_SHAPE).is_rectangle()
-
-    def test_reflex_vertices_of_l_shape(self):
-        assert Polygon(L_SHAPE).reflex_vertices() == [(2.0, 2.0)]
-
-    def test_reflex_vertices_of_convex_is_empty(self):
-        assert Polygon.from_rect(Rect(0, 0, 1, 1)).reflex_vertices() == []
-
-    def test_reflex_count_u_shape(self):
-        u = Polygon(
-            [(0, 0), (6, 0), (6, 4), (4, 4), (4, 2), (2, 2), (2, 4), (0, 4)]
-        )
-        assert len(u.reflex_vertices()) == 2
 
 
 class TestContainment:

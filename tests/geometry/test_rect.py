@@ -1,13 +1,11 @@
 """Unit tests for repro.geometry.rect."""
 
-import math
 import random
 
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import Box3, Point, Rect
-from repro.geometry.rect import point_box_max_distance, point_box_min_distance
+from repro.geometry import Box3, Rect
 
 
 class TestRect:
@@ -62,23 +60,6 @@ class TestRect:
     def test_buffered(self):
         assert Rect(1, 1, 2, 2).buffered(1) == Rect(0, 0, 3, 3)
 
-    def test_min_distance_zero_inside(self):
-        assert Rect(0, 0, 2, 2).min_distance_xy(1, 1) == 0.0
-
-    def test_min_distance_outside(self):
-        assert Rect(0, 0, 1, 1).min_distance_xy(4, 5) == pytest.approx(5.0)
-
-    def test_max_distance_is_farthest_corner(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.max_distance_xy(0, 0) == pytest.approx(math.sqrt(2))
-
-    def test_min_le_max_randomised(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            r = Rect(0, 0, rng.uniform(0.1, 10), rng.uniform(0.1, 10))
-            x, y = rng.uniform(-20, 20), rng.uniform(-20, 20)
-            assert r.min_distance_xy(x, y) <= r.max_distance_xy(x, y) + 1e-12
-
     def test_random_xy_falls_inside(self):
         rng = random.Random(1)
         r = Rect(5, 5, 7, 9)
@@ -118,8 +99,6 @@ class TestBox3:
     def test_contains(self):
         outer = Box3(0, 0, 0, 10, 10, 10)
         assert outer.contains_box(Box3(1, 1, 1, 2, 2, 2))
-        assert outer.contains_xyz(5, 5, 5)
-        assert not outer.contains_xyz(11, 5, 5)
 
     def test_from_rect_applies_vertical_extent(self):
         b = Box3.from_rect(Rect(0, 0, 5, 5), floor=2, floor_height=4.0)
@@ -134,13 +113,3 @@ class TestBox3:
     def test_rect_roundtrip(self):
         r = Rect(1, 2, 3, 4)
         assert Box3.from_rect(r, 0, 4.0).rect() == r
-
-    def test_point_box_distances(self):
-        b = Box3.from_rect(Rect(0, 0, 10, 10), floor=0, floor_height=4.0)
-        inside = Point(5, 5, 0)
-        assert point_box_min_distance(inside, b, 4.0) == 0.0
-        above = Point(5, 5, 1)  # directly above: distance = one floor height
-        assert point_box_min_distance(above, b, 4.0) == pytest.approx(4.0)
-        assert point_box_max_distance(inside, b, 4.0) >= point_box_min_distance(
-            inside, b, 4.0
-        )

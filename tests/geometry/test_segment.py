@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import GeometryError
 from repro.geometry import Segment
 
 
@@ -16,22 +15,6 @@ class TestSegment:
         assert Segment(0, 0, 0, 5).is_axis_aligned()
         assert Segment(0, 0, 5, 0).is_axis_aligned()
         assert not Segment(0, 0, 1, 1).is_axis_aligned()
-
-    def test_point_at(self):
-        s = Segment(0, 0, 10, 0)
-        assert s.point_at(0.3) == (3.0, 0.0)
-        with pytest.raises(GeometryError):
-            s.point_at(1.5)
-
-    def test_distance_to_xy(self):
-        s = Segment(0, 0, 10, 0)
-        assert s.distance_to_xy(5, 3) == pytest.approx(3.0)
-        assert s.distance_to_xy(-4, 3) == pytest.approx(5.0)  # clamps to endpoint
-        assert s.distance_to_xy(5, 0) == 0.0
-
-    def test_distance_degenerate_segment(self):
-        s = Segment(1, 1, 1, 1)
-        assert s.distance_to_xy(4, 5) == pytest.approx(5.0)
 
 
 class TestOverlap1D:

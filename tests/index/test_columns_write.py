@@ -4,10 +4,10 @@
 and the table's own rebuild resolve a list of objects in one array pass
 (``repro.index.columns._Topology.stage``): index units, subregions,
 packed rows, the instances in row order.  The scalar code it replaced
-on those paths survives as the reference —
-``indr.units_overlapping_rect`` (through ``_resolve_units``),
-``UncertainObject._assign`` (what ``subregions()`` runs) and
-``pack_block`` — and every comparison here is ``==``, never a
+on those paths survives in ``repro.reference`` —
+``indr.units_overlapping_rect`` (through ``tree.resolve_units``),
+``subregions.subregions`` (the split of ``UncertainObject.pieces``)
+and ``pack.pack_block`` — and every comparison here is ``==``, never a
 tolerance: a standing result and a one-shot run must not disagree on
 a pruning decision.
 """
@@ -21,7 +21,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.distances.batch import pack_block
 from repro.geometry import Circle, Point, Rect
 from repro.geometry.polygon import Polygon
 from repro.index import CompositeIndex
@@ -32,9 +31,11 @@ from repro.objects import (
     ObjectGenerator,
     ObjectMove,
     ObjectPopulation,
-    Subregion,
     UncertainObject,
 )
+from repro.reference.pack import pack_block
+from repro.reference.subregions import Subregion, subregions
+from repro.reference.tree import range_search_tree, resolve_units
 from repro.space import SpaceBuilder
 from repro.space.mall import build_mall
 from repro.space.partition import PartitionKind
@@ -42,22 +43,22 @@ from repro.space.partition import PartitionKind
 
 def _twin(obj):
     """The same object as one no index owns: its subregions come from
-    the scalar ``_assign``."""
+    the scalar split."""
     return UncertainObject(obj.object_id, obj.region, obj.instances)
 
 
 def assert_equals_references(idx, objects):
     """``objects`` — live objects of ``idx`` — carry the unit sets and
     table rows the scalar references give: each row's partition, mass
-    and instances those of the scalar ``_assign``'s subregion."""
+    and instances those of the scalar split's subregion."""
     space, grid = idx.space, idx.population.grid
     twins = [_twin(obj) for obj in objects]
     layout = idx.columns.layout()
     got = idx.columns.block(objects)
     rows = got.rows
     for j, (obj, twin) in enumerate(zip(objects, twins)):
-        assert idx.columns.units_of(obj.object_id) == idx._resolve_units(obj)
-        ref = twin.subregions(space, grid)
+        assert idx.columns.units_of(obj.object_id) == resolve_units(idx, obj)
+        ref = subregions(twin, space, grid)
         mine = range(got.obj_offsets[j], got.obj_offsets[j + 1])
         assert [layout.part_ids[rows.part[a]] for a in mine] == [
             s.partition_id for s in ref
@@ -206,7 +207,7 @@ class TestBatchedWriteEqualsScalarReferences:
         owner, other = sorted([lower.partition_id, upper.partition_id])
         subs = {
             s.partition_id: s
-            for s in obj.subregions(space, idx.population.grid)
+            for s in subregions(obj, space, idx.population.grid)
         }
         assert len(subs) >= 2 and other not in subs
         assert len(subs[owner].instances) == 3
@@ -280,7 +281,7 @@ class TestBatchedWriteEqualsScalarReferences:
         )
         grid = idx.population.grid
         assert [
-            [s.partition_id for s in o.subregions(five_rooms, grid)]
+            [s.partition_id for s in subregions(o, five_rooms, grid)]
             for o in moved
         ] == [["r1"], ["r1", "r2"], ["r2", "r1"], ["r1"], ["r1", "r2"]]
         assert_equals_references(idx, moved)
@@ -309,7 +310,7 @@ class TestBatchedWriteEqualsScalarReferences:
             ),
         )
         idx.insert_object(obj)
-        subs = obj.subregions(space, idx.population.grid)
+        subs = subregions(obj, space, idx.population.grid)
         assert [(s.partition_id, len(s.instances)) for s in subs] == [
             ("L", 2), ("h", 1), ("r2", 1),
         ]
@@ -360,7 +361,7 @@ class TestNoPerObjectGeometryOnTheWritePath:
         batch = MovementStream(small_mall, pop, gen, seed=6).next_moves(20)
         intersects = count_calls(Rect, "intersects")
         subset = count_calls(InstanceSet, "subset")
-        assign = count_calls(UncertainObject, "_assign")
+        assign = count_calls(UncertainObject, "pieces")
         built = count_calls(Subregion, "__init__")
         moved = idx.update_objects(batch)
         assert len(moved) == 20
@@ -368,7 +369,7 @@ class TestNoPerObjectGeometryOnTheWritePath:
         assert [len(c) for c in calls] == [0, 0, 0, 0]
         monkeypatch.undo()
         assert any(
-            len(o.subregions(small_mall, pop.grid)) > 1 for o in moved
+            len(subregions(o, small_mall, pop.grid)) > 1 for o in moved
         )
         assert_equals_references(idx, moved)
 
@@ -431,7 +432,7 @@ class TestEntranceLegsOnFirstRead:
         ]
         for r in (20.0, 60.0, 120.0):
             got = idx.range_search(q, r).objects
-            want = idx.range_search_tree(q, r).objects
+            want = range_search_tree(idx, q, r).objects
             assert {o.object_id for o in got} == {o.object_id for o in want}
         assert idx.validate() == []
 
@@ -603,7 +604,7 @@ class TestLazySubregion:
                 np.array([0.2, 0.5, 0.3]),
             ),
         )
-        return obj, obj.subregions(five_rooms)
+        return obj, subregions(obj, five_rooms)
 
     def test_copy_is_built_on_first_read_and_only_once(
         self, wide, count_calls
@@ -630,7 +631,7 @@ class TestLazySubregion:
     def test_single_piece_subregion_is_the_instance_set(self, five_rooms):
         p = Point(5, 5, 0)
         obj = UncertainObject("a", Circle(p, 1.0), InstanceSet.single(p))
-        (only,) = obj.subregions(five_rooms)
+        (only,) = subregions(obj, five_rooms)
         assert only.instances is obj.instances and only.pieces is None
         assert only.mass == 1.0
 
@@ -646,7 +647,7 @@ class TestLazySubregion:
                         np.array([[8.0, 5.0], [12.0, 5.0], [9.0, 4.0]]), 0
                     ),
                 )
-                left = obj.subregions(five_rooms)[0]
+                left = subregions(obj, five_rooms)[0]
                 barrier = threading.Barrier(2)
                 seen = []
 

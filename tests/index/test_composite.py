@@ -15,6 +15,7 @@ from repro.objects import (
     ObjectPopulation,
     UncertainObject,
 )
+from repro.reference.tree import min_distance_to_point_set, resolve_units
 from repro.space import DoorsGraph, Partition, SplitPartition, MergePartitions
 
 
@@ -78,7 +79,9 @@ class TestRangeSearch:
             # Min indoor distance to any instance lower-bounds the
             # expected distance; check candidates cover everything whose
             # *skeleton* min distance is within r.
-            d = mall_index.min_skeleton_distance_to_object(q, obj)
+            d = min_distance_to_point_set(
+                mall_index.skeleton, q, obj.instances, obj.floor
+            )
             if d <= r:
                 assert obj.object_id in got
 
@@ -326,7 +329,7 @@ class TestMovedIndexEqualsBuild:
         assert idx.validate() == []
         for obj in pop:
             units = idx.columns.units_of(obj.object_id)
-            assert units == idx._resolve_units(obj)
+            assert units == resolve_units(idx, obj)
 
         copy = ObjectPopulation(space, grid=pop.grid)
         for obj in pop:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.geometry import Point
 from repro.index import SkeletonTier
+from repro.reference.tree import min_distance_to_box, skeleton_distance
 from repro.space import DoorsGraph
 
 
@@ -73,19 +74,19 @@ class TestSkeletonDistance:
     def test_same_floor_is_euclidean(self, two_floor_space):
         sk = SkeletonTier(two_floor_space)
         q, p = Point(1, 1, 0), Point(9, 7, 0)
-        assert sk.skeleton_distance(q, p) == pytest.approx(q.distance(p))
+        assert skeleton_distance(sk, q, p) == pytest.approx(q.distance(p))
 
     def test_cross_floor_routes_through_entrances(self, two_floor_space):
         sk = SkeletonTier(two_floor_space)
         q, p = Point(5, 5, 0), Point(5, 5, 1)
-        d = sk.skeleton_distance(q, p)
+        d = skeleton_distance(sk, q, p)
         assert d > q.distance(p, two_floor_space.floor_height) - 1e-9
         se0 = two_floor_space.door("se0").midpoint
         assert d >= q.distance(se0, two_floor_space.floor_height)
 
     def test_unreachable_floor_is_infinite(self, five_rooms):
         sk = SkeletonTier(five_rooms)
-        assert sk.skeleton_distance(Point(5, 5, 0), Point(5, 5, 3)) == math.inf
+        assert skeleton_distance(sk, Point(5, 5, 0), Point(5, 5, 3)) == math.inf
 
     def test_lemma6_lower_bound(self, small_mall):
         """|q,p|_K <= |q,p|_I on random point pairs (Lemma 6)."""
@@ -95,7 +96,7 @@ class TestSkeletonDistance:
             q = small_mall.random_point(seed=seed)
             p = small_mall.random_point(seed=seed + 50)
             indoor = graph.indoor_distance(q, p)
-            skel = sk.skeleton_distance(q, p)
+            skel = skeleton_distance(sk, q, p)
             assert skel <= indoor + 1e-6, (q, p, skel, indoor)
 
 
@@ -106,7 +107,7 @@ class TestMinDistanceToBox:
         from repro.geometry.rect import Box3
         box = Box3.from_rect(unit_box, 0, two_floor_space.floor_height)
         q = Point(15, 5, 0)
-        assert sk.min_distance_to_box(q, box, 0, 0) == pytest.approx(5.0)
+        assert min_distance_to_box(sk, q, box, 0, 0) == pytest.approx(5.0)
 
     def test_cross_floor_bound_holds(self, small_mall):
         sk = SkeletonTier(small_mall)
@@ -119,7 +120,7 @@ class TestMinDistanceToBox:
                 continue
             part = small_mall.locate(p)
             box = Box3.from_rect(part.bounds, p.floor, small_mall.floor_height)
-            bound = sk.min_distance_to_box(q, box, p.floor, p.floor)
+            bound = min_distance_to_box(sk, q, box, p.floor, p.floor)
             indoor = graph.indoor_distance(q, p)
             assert bound <= indoor + 1e-6
 

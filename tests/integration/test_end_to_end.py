@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.geometry import Circle
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator

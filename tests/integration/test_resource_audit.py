@@ -38,7 +38,7 @@ from repro.api.specs import (
     RangeSpec,
 )
 from repro.api.testing import FlakyTransportFactory
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.errors import NetError
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet, MovementStream

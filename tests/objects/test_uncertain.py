@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ReproError
 from repro.geometry import Circle, Point
 from repro.objects import InstanceSet, UncertainObject
+from repro.reference.subregions import subregions
 from repro.space.grid import PartitionGrid
 
 
@@ -45,7 +46,7 @@ class TestConstruction:
 class TestSubregions:
     def test_single_partition(self, five_rooms):
         o = obj_at([[2, 2], [3, 3], [4, 4]], (3, 3))
-        subs = o.subregions(five_rooms)
+        subs = subregions(o, five_rooms)
         assert len(subs) == 1
         assert subs[0].partition_id == "r1"
         assert subs[0].mass == pytest.approx(1.0)
@@ -53,7 +54,7 @@ class TestSubregions:
     def test_straddling_two_rooms(self, five_rooms):
         # r1 is x in [0, 10], r2 is x in [10, 20]: instances across.
         o = obj_at([[8, 5], [9, 5], [12, 5], [13, 5]], (10, 5))
-        subs = o.subregions(five_rooms)
+        subs = subregions(o, five_rooms)
         by_pid = {s.partition_id: s for s in subs}
         assert set(by_pid) == {"r1", "r2"}
         assert by_pid["r1"].mass == pytest.approx(0.5)
@@ -61,47 +62,32 @@ class TestSubregions:
 
     def test_three_partitions(self, five_rooms):
         o = obj_at([[5, 9], [5, 12], [5, 15]], (5, 12), radius=6.0)
-        subs = o.subregions(five_rooms)
+        subs = subregions(o, five_rooms)
         assert {s.partition_id for s in subs} == {"r1", "h", "r4"}
 
     def test_total_mass_preserved(self, five_rooms):
         o = obj_at([[8, 5], [12, 5], [15, 12]], (11, 7), radius=8.0)
-        subs = o.subregions(five_rooms)
+        subs = subregions(o, five_rooms)
         assert sum(s.mass for s in subs) == pytest.approx(1.0)
 
     def test_wall_instance_reattached(self, five_rooms):
         # (15, 30) lies outside every partition; mass must not vanish.
         o = obj_at([[5, 5], [15, 30]], (5, 5), radius=30.0)
-        subs = o.subregions(five_rooms)
+        subs = subregions(o, five_rooms)
         assert sum(s.mass for s in subs) == pytest.approx(1.0)
         assert {s.partition_id for s in subs} == {"r1"}
 
     def test_object_outside_everything_raises(self, five_rooms):
         o = obj_at([[500, 500]], (500, 500))
         with pytest.raises(ReproError):
-            o.subregions(five_rooms)
-
-    def test_caching_and_invalidation(self, five_rooms):
-        o = obj_at([[5, 5]], (5, 5))
-        first = o.subregions(five_rooms)
-        assert o.subregions(five_rooms) is first
-        o.invalidate_subregions()
-        again = o.subregions(five_rooms)
-        assert again is not first
-        assert again[0].partition_id == first[0].partition_id
-
-    def test_cache_expires_on_topology_change(self, five_rooms):
-        o = obj_at([[5, 5]], (5, 5))
-        first = o.subregions(five_rooms)
-        five_rooms.topology_version += 1
-        assert o.subregions(five_rooms) is not first
+            subregions(o, five_rooms)
 
     def test_grid_path_matches_scan_path(self, five_rooms):
         o1 = obj_at([[8, 5], [12, 5], [15, 12]], (11, 7), radius=8.0)
         o2 = obj_at([[8, 5], [12, 5], [15, 12]], (11, 7), radius=8.0, oid="o2")
         grid = PartitionGrid.build(five_rooms)
-        a = {s.partition_id: s.mass for s in o1.subregions(five_rooms)}
-        b = {s.partition_id: s.mass for s in o2.subregions(five_rooms, grid)}
+        a = {s.partition_id: s.mass for s in subregions(o1, five_rooms)}
+        b = {s.partition_id: s.mass for s in subregions(o2, five_rooms, grid)}
         assert a == b
 
     def test_overlapped_partitions(self, five_rooms):

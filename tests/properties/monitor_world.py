@@ -10,10 +10,11 @@ import math
 import pytest
 
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
-from repro.baselines import NaiveEvaluator
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import iRQ
+from repro.reference import NaiveEvaluator
+from repro.reference.tree import resolve_units
 from repro.space.mall import build_mall
 
 
@@ -42,10 +43,11 @@ def build_world(seed: int, n_objects: int):
 def assert_buckets_are_the_tree_walk(index):
     """Every leaf bucket the index reads — the CSR its table derives
     from the unit rows — equals the inverse of each population object's
-    indR-tree walk (``_resolve_units``), which neither search reads."""
+    indR-tree walk (``reference.tree.resolve_units``), which neither
+    search reads."""
     want: dict[str, set[str]] = {}
     for obj in index.population:
-        for unit_id in index._resolve_units(obj):
+        for unit_id in resolve_units(index, obj):
             want.setdefault(unit_id, set()).add(obj.object_id)
     got = {
         unit_id: index.columns.objects_in(unit_id)

@@ -30,15 +30,15 @@ from repro.distances.batch import (
     BoundsRow,
     QueryStack,
     block_expected_distances,
-    subregion_rows,
-)
-from repro.distances.expected import (
-    expected_indoor_distance,
-    qualifying_probability,
 )
 from repro.geometry import Point
 from repro.objects import ObjectMove
 from repro.queries import QueryMonitor
+from repro.reference.expected import (
+    expected_indoor_distance,
+    qualifying_probability,
+)
+from repro.reference.pack import subregion_rows
 
 
 def _insert_straddlers(space, gen, index, rng, n):

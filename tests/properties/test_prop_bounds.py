@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distances import (
-    euclidean_lower_bound,
+from repro.distances import euclidean_lower_bound, probabilistic_bounds
+from repro.index import SkeletonTier
+from repro.objects import ObjectGenerator
+from repro.reference import (
     expected_indoor_distance,
     markov_lower_bound,
     object_bounds,
-    probabilistic_bounds,
     subregion_stats,
+    subregions,
     topological_bounds,
     weighted_topological_bounds,
 )
-from repro.index import SkeletonTier
-from repro.objects import ObjectGenerator
+from repro.reference.tree import min_distance_to_point_set, skeleton_distance
 from repro.space import DoorsGraph
 from repro.space.mall import build_mall
 
@@ -51,7 +52,7 @@ class TestBoundsSandwich:
             return
         stats = [
             subregion_stats(q, s, dd, space)
-            for s in obj.subregions(space, gen.grid)
+            for s in subregions(obj, space, gen.grid)
         ]
         assert euclidean_lower_bound(q, obj, space.floor_height) <= exact + 1e-6
         for bound_fn in (
@@ -74,7 +75,7 @@ class TestBoundsSandwich:
         dd = graph.dijkstra_from_point(q)
         stats = [
             subregion_stats(q, s, dd, space)
-            for s in obj.subregions(space, gen.grid)
+            for s in subregions(obj, space, gen.grid)
         ]
         plain = topological_bounds(stats)
         prob = probabilistic_bounds(stats)
@@ -90,7 +91,7 @@ class TestLemma6:
         q = space.random_point(seed=a)
         p = space.random_point(seed=b)
         indoor = graph.indoor_distance(q, p)
-        assert skeleton.skeleton_distance(q, p) <= indoor + 1e-6
+        assert skeleton_distance(skeleton, q, p) <= indoor + 1e-6
 
     @given(a=st.integers(0, 300), obj_idx=st.integers(0, 39))
     @settings(max_examples=40, deadline=None)
@@ -102,7 +103,7 @@ class TestLemma6:
         obj = objects[obj_idx]
         dd = graph.dijkstra_from_point(q)
         exact = expected_indoor_distance(q, obj, dd, space, gen.grid).value
-        bound = skeleton.min_distance_to_point_set(
+        bound = min_distance_to_point_set(skeleton,
             q, obj.instances, obj.floor
         )
         if math.isfinite(exact):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.precompute import PrecomputedDistanceIndex
+from repro.reference.precompute import PrecomputedDistanceIndex
 from repro.errors import UnreachableError
 from repro.space import DoorsGraph
 from repro.space.mall import build_mall

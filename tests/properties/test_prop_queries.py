@@ -11,11 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import NaiveEvaluator
-from repro.distances.bounds import (
-    object_bounds,
-    topological_looser_upper_bound,
-)
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import (
@@ -26,6 +21,12 @@ from repro.queries import (
     k_seeds_selection,
 )
 from repro.queries.engine import locate_source, subgraph_phase
+from repro.reference import (
+    NaiveEvaluator,
+    object_bounds,
+    subregions,
+    topological_looser_upper_bound,
+)
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
 
@@ -111,7 +112,7 @@ def _straddling_world(seed):
         space, radius=6.0, n_instances=8, seed=seed
     ).generate(50)
     grid = pop.grid
-    assert 2 * sum(len(o.subregions(space, grid)) > 1 for o in pop) > len(pop)
+    assert 2 * sum(len(subregions(o, space, grid)) > 1 for o in pop) > len(pop)
     index = CompositeIndex.build(space, pop)
     return space, index, NaiveEvaluator(space, pop), QuerySession(index)
 

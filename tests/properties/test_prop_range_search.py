@@ -39,13 +39,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monitor_world import assert_buckets_are_the_tree_walk, build_world
-from repro.baselines import NaiveEvaluator
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index import CompositeIndex
 from repro.index.columns import _State
 from repro.objects import InstanceSet, MovementStream, UncertainObject
+from repro.reference import NaiveEvaluator
+from repro.reference.tree import (
+    min_distance_to_point_set,
+    range_search_tree,
+    resolve_units,
+)
 from repro.space.events import CloseDoor, OpenDoor, SplitPartition
 from repro.space.partition import Partition, PartitionKind
 
@@ -154,7 +159,10 @@ def _assert_search_agrees(index, space, rng):
     for q, radii in probes:
         bounds = {
             True: [
-                index.min_skeleton_distance_to_object(q, o) for o in indexed
+                min_distance_to_point_set(
+                    index.skeleton, q, o.instances, o.floor
+                )
+                for o in indexed
             ],
             False: [o.instances.min_distance_to(q, fh) for o in indexed],
         }
@@ -162,7 +170,7 @@ def _assert_search_agrees(index, space, rng):
         for r in radii:
             for use_skeleton in (True, False):
                 got = index.range_search(q, r, use_skeleton)
-                want = index.range_search_tree(q, r, use_skeleton)
+                want = range_search_tree(index, q, r, use_skeleton)
                 ids = [o.object_id for o in got.objects]
                 assert len(ids) == len(set(ids))
                 assert set(ids) == {o.object_id for o in want.objects}
@@ -388,7 +396,7 @@ class TestStrandedObjectsComeBack:
         _delete_and_restore(index, space, victims, rng.random() < 0.5)
         assert all(
             index.columns.units_of(o.object_id)
-            == index._resolve_units(o)
+            == resolve_units(index, o)
             != set()
             for o in pop
         )

@@ -7,7 +7,7 @@ refinement on the ingest and query paths — reads them there.  After
 each path that writes, moves or drops those spans:
 
 * ``validate()`` is empty — it checks each slot's slices against the
-  scalar ``_assign``'s pieces (partition order, instance order within a
+  scalar split's pieces (partition order, instance order within a
   piece, ``checked_mass(probs[mask])``);
 * block refinement of every held object ``==`` the scalar
   ``expected_indoor_distance``.
@@ -28,10 +28,10 @@ from hypothesis import strategies as st
 
 from monitor_world import build_world
 from repro.distances.batch import QueryStack, block_expected_distances
-from repro.distances.expected import expected_indoor_distance
 from repro.geometry import Circle, Point
 from repro.index.columns import _State
 from repro.objects import InstanceSet, ObjectMove, UncertainObject
+from repro.reference.expected import expected_indoor_distance
 from repro.space.events import CloseDoor, OpenDoor
 from repro.space.partition import Partition, PartitionKind
 

@@ -84,11 +84,6 @@ class TestDeltaAlgebra:
         with pytest.raises(ValueError):
             ResultDelta("q", "telepathy", {})
 
-    def test_summary_renders_compactly(self):
-        delta = ResultDelta("q", "move", {"a": 1.0}, ("b",), {"c": 2.0})
-        assert delta.summary() == "q[move] +a -b ~c"
-        assert ResultDelta("q", "move").summary() == "q[move] (no change)"
-
 
 class TestDeltaBatch:
     def test_iteration_len_and_truthiness(self):

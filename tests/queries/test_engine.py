@@ -78,7 +78,7 @@ class TestPhases:
 
 class TestRefiner:
     def test_exact_matches_direct_computation(self, setup, small_mall):
-        from repro.distances import expected_indoor_distance
+        from repro.reference import expected_indoor_distance
         q = small_mall.random_point(seed=5)
         source = locate_source(setup, q)
         dd = setup.doors_graph.dijkstra_from_point(q, source)

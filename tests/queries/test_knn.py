@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.errors import QueryError
 from repro.geometry import Point
 from repro.index import CompositeIndex

@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from repro.baselines import NaiveEvaluator
 from repro.errors import QueryError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
@@ -30,6 +29,7 @@ from repro.api.specs import (
 )
 from repro.distances.batch import BlockBounds
 from repro.queries import QueryMonitor, QuerySession, ikNNQ, maintainers
+from repro.reference import NaiveEvaluator, subregions
 from repro.space.events import CloseDoor, OpenDoor
 
 
@@ -445,7 +445,7 @@ class TestInsertDelete:
         monitor = QueryMonitor(five_rooms_index)
         qids = [monitor.register(spec) for spec in specs]
         obj = _two_spot("split", (5.0, 7.0), (5.0, 12.0))
-        assert len(obj.subregions(five_rooms_index.space)) == 2
+        assert len(subregions(obj, five_rooms_index.space)) == 2
         monitor.apply_insert(obj)
         fresh = QueryMonitor(five_rooms_index)  # registration recomputes
         for spec, qid in zip(specs, qids):
@@ -1109,7 +1109,7 @@ class TestNoPerPairWorkOnDecidedPairs:
         pop = gen.generate(80)
         index = CompositeIndex.build(small_mall, pop)
         grid = pop.grid
-        wide = [o for o in pop if len(o.subregions(small_mall, grid)) > 1]
+        wide = [o for o in pop if len(subregions(o, small_mall, grid)) > 1]
         assert wide
         monitor = QueryMonitor(index)
         stream = MovementStream(small_mall, pop, gen, seed=6)
@@ -1124,7 +1124,7 @@ class TestNoPerPairWorkOnDecidedPairs:
         for batch in stream.batches(5, 20):
             moved = monitor.apply_moves(batch).moved
             moved_wide += sum(
-                len(o.subregions(small_mall, grid)) > 1 for o in moved
+                len(subregions(o, small_mall, grid)) > 1 for o in moved
             )
         assert moved_wide and monitor.stats.pairs_refined
         for obj in wide[:3]:

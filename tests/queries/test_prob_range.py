@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.baselines import NaiveEvaluator
 from repro.errors import QueryError
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import QueryStats, iPRQ
-from repro.queries.prob_range import qualifying_probability
+from repro.reference import NaiveEvaluator, qualifying_probability
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +23,9 @@ def oracle_iprq(oracle, index, q, r, theta):
     out = set()
     dd = oracle.graph.dijkstra_from_point(q)
     for obj in index.population:
-        prob = qualifying_probability(index, q, obj, dd, r)
+        prob = qualifying_probability(
+            q, obj, dd, index.space, r, index.population.grid
+        )
         if prob >= theta:
             out.add(obj.object_id)
     return out
@@ -62,7 +63,9 @@ class TestCorrectness:
         exact = oracle.all_distances(q)
         dd = oracle.graph.dijkstra_from_point(q)
         for obj in result.objects:
-            prob = qualifying_probability(index, q, obj, dd, 50.0)
+            prob = qualifying_probability(
+                q, obj, dd, index.space, 50.0, index.population.grid
+            )
             assert prob == pytest.approx(1.0)
 
     def test_probabilities_reported(self, setup, small_mall):

@@ -5,11 +5,11 @@ table, and neither may move a float:
 
 * the seeds' Lemma 3 bound (:meth:`repro.queries.knn.SeedExpansion.
   seed_upper_bounds`) against
-  :func:`repro.distances.bounds.topological_looser_upper_bound`;
+  :func:`repro.reference.bounds.topological_looser_upper_bound`;
 * the candidates' envelope (``pruning_phase(...).lo`` / ``.hi``)
-  against :func:`repro.distances.bounds.topological_bounds`, and the
+  against :func:`repro.reference.bounds.topological_bounds`, and the
   on-demand interval against
-  :func:`~repro.distances.bounds.object_bounds`.
+  :func:`~repro.reference.bounds.object_bounds`.
 
 Every comparison is exact ``==`` on floats, as in
 ``tests/distances/test_batch.py``.
@@ -19,12 +19,6 @@ import math
 
 import pytest
 
-from repro.distances.bounds import (
-    object_bounds,
-    subregion_stats,
-    topological_bounds,
-    topological_looser_upper_bound,
-)
 from repro.geometry import Point
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
@@ -35,6 +29,13 @@ from repro.queries.engine import (
     subgraph_phase,
 )
 from repro.queries.knn import SeedExpansion
+from repro.reference import (
+    object_bounds,
+    subregion_stats,
+    subregions,
+    topological_bounds,
+    topological_looser_upper_bound,
+)
 from repro.space.events import CloseDoor, OpenDoor
 
 
@@ -91,7 +92,7 @@ class TestSeedBoundsFromTheTable:
         grid = index.population.grid
         many = [
             tlu for seed, tlu in seen
-            if len(seed.subregions(five_rooms, grid)) > 1
+            if len(subregions(seed, five_rooms, grid)) > 1
         ]
         # Both outcomes of a straddler were compared.
         assert any(math.isinf(tlu) for tlu in many)
@@ -158,7 +159,7 @@ class TestEnvelopeIsTheTopologicalBounds:
             for j, obj in enumerate(filtered.objects):
                 stats = [
                     subregion_stats(q, s, dd, space, unreached_floor=floor)
-                    for s in obj.subregions(space, grid)
+                    for s in subregions(obj, space, grid)
                 ]
                 straddlers += len(stats) > 1
                 envelope = topological_bounds(stats)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.errors import QueryError
 from repro.geometry import Point
 from repro.index import CompositeIndex

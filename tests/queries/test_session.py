@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import NaiveEvaluator
+from repro.reference import NaiveEvaluator
 from repro.distances.batch import QueryStack
 from repro.errors import QueryError
 from repro.index import CompositeIndex

@@ -77,7 +77,6 @@ class TestMonitorStatsUnits:
         s = MonitorStats()
         assert s.recompute_ratio == 0.0
         assert s.skip_ratio == 0.0
-        assert s.refine_ratio == 0.0
         assert s.recomputes_per_update == 0.0
 
     def test_pair_level_ratios_partition(self):
@@ -86,7 +85,6 @@ class TestMonitorStatsUnits:
             pairs_recomputed=1,
         )
         assert s.skip_ratio == pytest.approx(0.6)
-        assert s.refine_ratio == pytest.approx(0.3)
         assert s.recompute_ratio == pytest.approx(0.1)
         assert (
             s.pairs_skipped + s.pairs_refined + s.pairs_recomputed

@@ -108,11 +108,6 @@ class TestGeometry:
         assert five_rooms.locate(Point(15, 12, 0)).partition_id == "h"
         assert five_rooms.locate(Point(5, 5, 3)) is None
 
-    def test_intra_distance_same_floor(self, five_rooms):
-        assert five_rooms.intra_distance(
-            Point(0, 0, 0), Point(3, 4, 0)
-        ) == pytest.approx(5.0)
-
     def test_door_to_door_cross_floor(self, two_floor_space):
         d0 = two_floor_space.door("se0")
         d1 = two_floor_space.door("se1")
