@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import Box3, Rect
+from repro.geometry import Box3, Point, Rect
 
 
 class TestRect:
@@ -113,3 +113,18 @@ class TestBox3:
     def test_rect_roundtrip(self):
         r = Rect(1, 2, 3, 4)
         assert Box3.from_rect(r, 0, 4.0).rect() == r
+
+    def test_point_box_distances(self):
+        b = Box3.from_rect(Rect(0, 0, 10, 10), floor=0, floor_height=4.0)
+        inside = Point(5, 5, 0)
+        assert b.min_distance_xyz(inside.x, inside.y, inside.z(4.0)) == 0.0
+        above = Point(5, 5, 1)  # directly above: one floor height less
+        # the slab's 0.01 thickness
+        assert b.min_distance_xyz(
+            above.x, above.y, above.z(4.0)
+        ) == pytest.approx(4.0 - 0.01)
+        beside = Point(13, 14, 0)  # (3, 4) off the corner, same floor
+        assert b.min_distance_xyz(
+            beside.x, beside.y, beside.z(4.0)
+        ) == pytest.approx(5.0)
+        assert b.flattened().min_distance_xyz(5, 5, 4.0) == pytest.approx(4.0)

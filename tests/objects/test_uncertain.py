@@ -1,12 +1,15 @@
 """Unit tests for repro.objects.uncertain (subregion resolution)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.geometry import Circle, Point
+from repro.geometry import Circle, Point, Rect
 from repro.objects import InstanceSet, UncertainObject
 from repro.reference.subregions import subregions
+from repro.space import Partition
 from repro.space.grid import PartitionGrid
 
 
@@ -93,3 +96,25 @@ class TestSubregions:
     def test_overlapped_partitions(self, five_rooms):
         o = obj_at([[8, 5], [12, 5]], (10, 5))
         assert set(o.overlapped_partitions(five_rooms)) == {"r1", "r2"}
+
+    def test_caching_and_invalidation(self, five_rooms):
+        # The object holds no split of its own: the reference's split
+        # (and any cache of it) lives with whoever evaluates it.
+        fields = {f.name for f in dataclasses.fields(UncertainObject)}
+        assert not any("subregion" in name for name in fields)
+        assert not hasattr(UncertainObject, "subregions")
+        assert not hasattr(UncertainObject, "invalidate_subregions")
+        o = obj_at([[8, 5], [12, 5]], (10, 5))
+        assert subregions(o, five_rooms) is not subregions(o, five_rooms)
+
+    def test_cache_expires_on_topology_change(self, five_rooms):
+        # (5, 30) lies in no partition: it rides with the centre's r1
+        # until a partition covers it; pieces() sees that at once.
+        o = obj_at([[5, 5], [5, 30]], (5, 5), radius=30.0)
+        ids, pieces = o.pieces(five_rooms)
+        assert ids == ["r1"] and pieces is None
+        five_rooms.add_partition(Partition("r6", Rect(0, 24, 15, 34), 0))
+        ids, pieces = o.pieces(five_rooms)
+        assert ids == ["r1", "r6"] and pieces.tolist() == [0, 1]
+        assert o.overlapped_partitions(five_rooms) == ids
+        assert [s.mass for s in subregions(o, five_rooms)] == [0.5, 0.5]

@@ -1,6 +1,8 @@
 """Property-based tests for the geometry substrate (hypothesis)."""
 
+import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,7 @@ from repro.geometry.decompose import (
     decompose_partition_geometry,
     fill_enclosed_cells,
 )
-from repro.reference.bisector import BisectorShape, WeightedBisector
+from repro.reference.bisector import BisectorShape, Side, WeightedBisector
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.1, 500, allow_nan=False, allow_infinity=False)
@@ -95,6 +97,39 @@ class TestBisectorProperties:
         b = WeightedBisector(di, dj, wi, wj)
         dominated = abs(wi - wj) >= b.focal_distance - 1e-12
         assert (b.shape is BisectorShape.NULL) == dominated
+
+    @given(
+        st.tuples(coords, coords), st.tuples(coords, coords),
+        st.floats(0, 500), st.floats(0, 500),
+        coords, coords,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_side_matches_weighted_gap(self, di, dj, wi, wj, x, y):
+        b = WeightedBisector(di, dj, wi, wj)
+        gi = wi + math.hypot(x - di[0], y - di[1])
+        gj = wj + math.hypot(x - dj[0], y - dj[1])
+        (on_i,), (on_j,) = b.split_points(np.array([[x, y]]))
+        assert on_i == (gi <= gj)
+        assert on_j == (gj <= gi)
+        side = b.single_side(np.array([[x, y]]))
+        if gi < gj:
+            assert side is Side.I_SIDE
+        elif gj < gi:
+            assert side is Side.J_SIDE
+
+    @given(
+        st.floats(0, 100), st.floats(0, 100),
+        coords, coords,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_dominating_door_always_wins(self, wi, wj, x, y):
+        b = WeightedBisector((0.0, 0.0), (10.0, 0.0), wi, wj)
+        if b.shape is BisectorShape.NULL:
+            gap = (wi + math.hypot(x, y)) - (wj + math.hypot(x - 10.0, y))
+            if wi <= wj:
+                assert gap <= 1e-9
+            else:
+                assert gap >= -1e-9
 
 
 class TestPointProperties:

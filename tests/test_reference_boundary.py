@@ -8,11 +8,15 @@ of ``repro/__init__.py`` resolves its names on first use, and a
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "repro"
@@ -121,6 +125,103 @@ class TestImportBoundary:
             "expected_indoor_distance",
             "object_bounds",
         }
+
+
+def _resolve(dotted: str):
+    """``module:attr.attr`` -> the object, or ``None`` if any step of
+    the path is missing."""
+    module, _, path = dotted.partition(":")
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        obj = getattr(obj, name, None)
+        if obj is None:
+            return None
+    return obj
+
+
+#: Each scalar form that left the system, and where it lives now.
+MOVED = [
+    ("repro.distances.bounds:subregion_stats",
+     "repro.reference.bounds:subregion_stats"),
+    ("repro.distances.bounds:topological_bounds",
+     "repro.reference.bounds:topological_bounds"),
+    ("repro.distances.bounds:weighted_topological_bounds",
+     "repro.reference.bounds:weighted_topological_bounds"),
+    ("repro.distances.bounds:markov_lower_bound",
+     "repro.reference.bounds:markov_lower_bound"),
+    ("repro.distances.bounds:object_bounds",
+     "repro.reference.bounds:object_bounds"),
+    ("repro.distances.bounds:topological_looser_upper_bound",
+     "repro.reference.bounds:topological_looser_upper_bound"),
+    ("repro.distances:expected_indoor_distance",
+     "repro.reference.expected:expected_indoor_distance"),
+    ("repro.queries.prob_range:probability_bounds",
+     "repro.reference.bounds:probability_bounds"),
+    ("repro.queries.prob_range:qualifying_probability",
+     "repro.reference.expected:qualifying_probability"),
+    ("repro.distances.batch:pack_block",
+     "repro.reference.pack:pack_block"),
+    ("repro.distances.batch:subregion_rows",
+     "repro.reference.pack:subregion_rows"),
+    ("repro.index.composite:CompositeIndex.range_search_tree",
+     "repro.reference.tree:range_search_tree"),
+    ("repro.index.composite:CompositeIndex._node_bound",
+     "repro.reference.tree:node_bound"),
+    ("repro.index.composite:CompositeIndex._resolve_units",
+     "repro.reference.tree:resolve_units"),
+    ("repro.index.skeleton:SkeletonTier.skeleton_distance",
+     "repro.reference.tree:skeleton_distance"),
+    ("repro.index.skeleton:SkeletonTier.min_distance_to_box",
+     "repro.reference.tree:min_distance_to_box"),
+    ("repro.index.skeleton:SkeletonTier.min_distance_to_point_set",
+     "repro.reference.tree:min_distance_to_point_set"),
+    ("repro.objects:Subregion",
+     "repro.reference.subregions:Subregion"),
+    ("repro.objects.uncertain:UncertainObject.subregions",
+     "repro.reference.subregions:subregions"),
+    ("repro.geometry:WeightedBisector",
+     "repro.reference.bisector:WeightedBisector"),
+]
+
+#: Modules that moved whole into the reference package.
+MOVED_MODULES = [
+    ("repro.baselines", "repro.reference.naive"),
+    ("repro.distances.expected", "repro.reference.expected"),
+    ("repro.geometry.bisector", "repro.reference.bisector"),
+]
+
+
+class TestMovedNames:
+    @pytest.mark.parametrize(
+        "system, reference", MOVED, ids=[old for old, _ in MOVED]
+    )
+    def test_the_system_no_longer_holds_it(self, system, reference):
+        assert _resolve(reference) is not None
+        assert _resolve(system) is None
+
+    @pytest.mark.parametrize(
+        "system, reference",
+        MOVED_MODULES,
+        ids=[old for old, _ in MOVED_MODULES],
+    )
+    def test_the_module_moved_whole(self, system, reference):
+        assert importlib.util.find_spec(reference) is not None
+        assert importlib.util.find_spec(system) is None
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "NaiveEvaluator",
+            "PrecomputedDistanceIndex",
+            "expected_indoor_distance",
+            "object_bounds",
+        ],
+    )
+    def test_the_top_level_name_is_the_reference(self, name):
+        import repro
+        import repro.reference
+
+        assert getattr(repro, name) is getattr(repro.reference, name)
 
 
 #: Drives the served path in a fresh interpreter and reports the
