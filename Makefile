@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 tier2 test bench bench-grid bench-grid-quick \
-	bench-trajectory lint docs-check figures
+.PHONY: tier1 tier2 test bench-grid bench-grid-quick bench-trajectory \
+	lint docs-check
 
 # Fast correctness gate (default pytest run already excludes tier2).
 tier1:
@@ -14,21 +14,24 @@ tier2:
 
 test: tier1 tier2
 
-# Paper-figure benchmark panels (pytest-benchmark harness).
-bench:
-	$(PYTHON) -m pytest -q -m "not tier2" benchmarks
-
 # Experiment grids (declarative sweeps; see benchmarks/grids/ and
-# docs/operations.md).  Resumable: cells with a verified result.json
-# are skipped, so rerunning a killed sweep picks up where it stopped.
+# docs/operations.md): the scenario fleet, then the paper's Figures
+# 12-15 and the design ablations, one table per panel, at the default
+# scale (small).  Resumable: cells with a verified result.json are
+# skipped, so rerunning a killed sweep picks up where it stopped.
+GRIDS := scenario_fleet fig12 fig13 fig14 fig15 ablation
 bench-grid:
-	$(PYTHON) -m repro.bench grid benchmarks/grids/scenario_fleet.xp \
-		--tables benchmarks/tables
+	set -e; for g in $(GRIDS); do \
+		$(PYTHON) -m repro.bench grid benchmarks/grids/$$g.xp \
+			--tables benchmarks/tables; \
+	done
 
 # CI-smoke grid: a tiny 2x2 scenario sweep, run twice to prove resume.
 bench-grid-quick:
-	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp --quick
-	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp --quick
+	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp \
+		--scale quick
+	$(PYTHON) -m repro.bench grid benchmarks/grids/quick_smoke.xp \
+		--scale quick
 
 # The trajectory file a perf PR commits (ROADMAP standing rule): the
 # e2e benchmark on a checkout of the parent commit and on this tree,
@@ -49,7 +52,3 @@ lint:
 # markdown docs must resolve (stdlib only, no network).
 docs-check:
 	$(PYTHON) scripts/check_md_links.py
-
-# Regenerate the paper's figure tables via the CLI harness.
-figures:
-	$(PYTHON) -m repro.bench

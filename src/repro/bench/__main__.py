@@ -1,18 +1,18 @@
-"""Command-line harness: regenerate the paper's figures, run grids.
+"""Command-line harness: run (or resume) an experiment grid.
 
 Usage::
 
-    python -m repro.bench                    # every panel, active profile
-    python -m repro.bench fig12a fig15d      # selected panels
-    REPRO_BENCH_SCALE=medium python -m repro.bench fig14a
-    python -m repro.bench grid benchmarks/grids/scenario_fleet.xp
-
-Each panel prints its series table (the same rows/series the paper
-plots) and, with ``--out DIR``, writes it to ``DIR/<figure>.txt``.
+    python -m repro.bench grid benchmarks/grids/fig12.xp
+    python -m repro.bench grid benchmarks/grids/fig14.xp --scale medium
+    python -m repro.bench grid benchmarks/grids/scenario_fleet.xp \
+        --tables benchmarks/tables
 
 ``grid <xpfile>`` materialises a declarative experiment grid (see
 :mod:`repro.bench.grid`): one directory per cell under ``--out``,
-cached cells skipped — rerunning a killed sweep resumes it.
+cached cells skipped — rerunning a killed sweep resumes it.  The
+paper's Figures 12-15 are ``benchmarks/grids/fig12.xp`` ...
+``fig15.xp``, one panel per cell; ``--tables DIR`` writes each panel
+to ``DIR/<panel>.txt``.
 """
 
 from __future__ import annotations
@@ -20,90 +20,22 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-import time
 
-from repro.bench.figures import ALL_FIGURES
-from repro.bench.workloads import WorkloadFactory, active_profile
+from repro.bench.grid import (
+    GridError,
+    GridInterrupted,
+    GridRunner,
+    load_xpfile,
+    write_cells_csv,
+)
+from repro.bench.workloads import PROFILES
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv[:1] == ["grid"]:
-        return grid_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Regenerate the evaluation figures of Xie et al., "
-        "ICDE 2013 (or run an experiment grid: "
-        "`python -m repro.bench grid <xpfile>`).",
-    )
-    parser.add_argument(
-        "figures",
-        nargs="*",
-        metavar="FIGURE",
-        help=f"panels to run (default: all); one of {sorted(ALL_FIGURES)}",
-    )
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="directory to write per-panel tables into",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the profile's base seed (space, population, "
-        "queries and movement all derive from it)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list available panels and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list:
-        for name in sorted(ALL_FIGURES):
-            print(name)
-        return 0
-
-    selected = args.figures or sorted(ALL_FIGURES)
-    unknown = [f for f in selected if f not in ALL_FIGURES]
-    if unknown:
-        parser.error(
-            f"unknown figure(s) {unknown}; choose from {sorted(ALL_FIGURES)}"
-        )
-
-    profile = active_profile()
-    print(f"profile: {profile.name} (override with REPRO_BENCH_SCALE)")
-    factory = WorkloadFactory(profile, seed=args.seed)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-    for name in selected:
-        t0 = time.perf_counter()
-        result = ALL_FIGURES[name](factory)
-        elapsed = time.perf_counter() - t0
-        table = result.to_table()
-        print()
-        print(table)
-        print(f"  [{name} took {elapsed:.1f}s]")
-        if args.out is not None:
-            (args.out / f"{name}.txt").write_text(table + "\n")
-    return 0
-
-
-def grid_main(argv: list[str]) -> int:
     """``python -m repro.bench grid <xpfile> [options]``."""
-    from repro.bench.grid import (
-        GridError,
-        GridInterrupted,
-        GridRunner,
-        load_xpfile,
-        write_cells_csv,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench grid",
-        description="Run (or resume) a declarative experiment grid.",
+    top = argparse.ArgumentParser(prog="python -m repro.bench")
+    parser = top.add_subparsers(dest="command", required=True).add_parser(
+        "grid", description="Run (or resume) a declarative experiment grid."
     )
     parser.add_argument("xpfile", type=pathlib.Path, help="grid xpfile")
     parser.add_argument(
@@ -116,12 +48,15 @@ def grid_main(argv: list[str]) -> int:
         "--tables",
         type=pathlib.Path,
         default=None,
-        help="also write each pivot table to DIR/<grid>_<n>.txt",
+        help="also write each pivot table to DIR/<stem>.txt (a "
+        "panel's name, or the grid's)",
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-smoke scale: tiny venues and workloads",
+        "--scale",
+        choices=list(PROFILES),
+        default="small",
+        help="workload scale, recorded in each cell's params.json "
+        "(default: small; quick is the CI smoke)",
     )
     parser.add_argument(
         "--seed", type=int, default=2013, help="base seed (default 2013)"
@@ -145,7 +80,7 @@ def grid_main(argv: list[str]) -> int:
         default=None,
         help="write a flat all-cells CSV to this path",
     )
-    args = parser.parse_args(argv)
+    args = top.parse_args(argv)
 
     try:
         grid = load_xpfile(args.xpfile)
@@ -154,14 +89,14 @@ def grid_main(argv: list[str]) -> int:
     runner = GridRunner(
         grid,
         args.out,
-        quick=args.quick,
+        profile=PROFILES[args.scale],
         seed=args.seed,
         force=args.force,
         verbose=True,
     )
     print(
         f"grid: {grid.name} ({len(grid.cells())} cells, "
-        f"runner={grid.runner}) -> {runner.out_dir}"
+        f"runner={grid.runner}, scale={args.scale}) -> {runner.out_dir}"
     )
     try:
         report = runner.run(max_cells=args.max_cells)
@@ -176,16 +111,13 @@ def grid_main(argv: list[str]) -> int:
         f"cells: {len(report.ran)} computed, {len(report.skipped)} "
         f"cached, {len(report.recomputed)} recomputed"
     )
-    for table in report.tables():
+    tables = report.tables()
+    for table in tables.values():
         print()
         print(table.to_table())
     if args.tables is not None:
         args.tables.mkdir(parents=True, exist_ok=True)
-        tables = report.tables()
-        for i, table in enumerate(tables):
-            stem = (
-                grid.name if len(tables) == 1 else f"{grid.name}_{i}"
-            )
+        for stem, table in tables.items():
             path = args.tables / f"{stem}.txt"
             path.write_text(table.to_table() + "\n")
             print(f"wrote {path}")

@@ -1,16 +1,23 @@
-"""Experiment definitions: one function per panel of Figures 12-15.
+"""The paper's evaluation: one function per panel of Figures 12-15,
+plus three design ablations, and the ``figure`` cell runner.
 
 Each function drives the workload factory through the profile's
 parameter grid and returns an :class:`ExperimentResult` whose table is
-the panel's data (same x axis, same series as the paper's plot).
+the panel's data (same x axis, same series as the paper's plot).  A
+grid cell is one panel (``param("panel", ...)`` in
+``benchmarks/grids/fig12.xp`` ... ``fig15.xp`` and ``ablation.xp``),
+run on a world of its own at the cell's scale and seed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
+from repro.bench.grid import CellContext, register_cell_runner
 from repro.bench.runner import ExperimentResult, run_queries
 from repro.bench.workloads import WorkloadFactory
+from repro.errors import ReproError
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import ObjectGenerator
 from repro.space.mall import mall_statistics
@@ -330,9 +337,122 @@ def fig15d(factory: WorkloadFactory) -> ExperimentResult:
     return out
 
 
-ALL_FIGURES = {
+# ---------------------------------------------------------------------------
+# Ablations of design choices the paper leaves open
+# ---------------------------------------------------------------------------
+
+
+def ablation_a1(factory: WorkloadFactory) -> ExperimentResult:
+    """Path-case classification of the first 40 objects' subregions:
+    the bisector fast path against the direct argmin.  The fast path
+    is conservative — a ``contradiction`` (single path claimed, argmin
+    disagrees) must never happen."""
+    from repro.reference import classify_subregion_paths, subregions
+
+    space, pop = factory.space(), factory.population()
+    q = factory.query_points()[0]
+    dd = factory.index().doors_graph.dijkstra_from_point(q)
+    split = [
+        s for obj in list(pop)[:40] for s in subregions(obj, space, pop.grid)
+    ]
+    exact = [classify_subregion_paths(q, s, dd, space) for s in split]
+    fast = [
+        classify_subregion_paths(q, s, dd, space, use_bisectors=True)
+        for s in split
+    ]
+    out = ExperimentResult(
+        "Ablation A1: path classification agreement", "subregions", unit="#"
+    )
+    out.x_values = [len(split)]
+    out.add("agreements", sum(f == e for f, e in zip(fast, exact)))
+    out.add("total", len(split))
+    out.add("contradictions", sum(f and not e for f, e in zip(fast, exact)))
+    return out
+
+
+def ablation_a2(factory: WorkloadFactory) -> ExperimentResult:
+    """The decomposition threshold T_shape: index-unit count and iRQ
+    time on the default world."""
+    p = factory.profile
+    space, population = factory.space(), factory.population()
+    queries = factory.query_points()
+    out = ExperimentResult(
+        "Ablation A2: T_shape sweep", "T_shape", unit="mixed"
+    )
+    out.x_values = [0.0, 0.3, 0.5, 0.8]
+    for t_shape in out.x_values:
+        index = CompositeIndex.build(
+            space, population, fanout=p.fanout, t_shape=t_shape
+        )
+        m = run_queries(index, queries, "irq", p.default_range)
+        out.add("index_units", len(index.indr.units))
+        out.add("iRQ_ms", m.mean_ms)
+    return out
+
+
+def ablation_a3(factory: WorkloadFactory) -> ExperimentResult:
+    """Mean bound-interval width over the first 60 multi-partition
+    objects: plain topological (Lemmas 1-2), probabilistic (Lemma 5)
+    and mass-weighted bounds."""
+    from repro.distances.bounds import probabilistic_bounds
+    from repro.reference import (
+        subregion_stats,
+        subregions,
+        topological_bounds,
+        weighted_topological_bounds,
+    )
+
+    bounds = {
+        "topological": topological_bounds,
+        "probabilistic": probabilistic_bounds,
+        "weighted": weighted_topological_bounds,
+    }
+    space, pop = factory.space(), factory.population()
+    q = factory.query_points()[0]
+    dd = factory.index().doors_graph.dijkstra_from_point(q)
+    widths: dict[str, list[float]] = {name: [] for name in bounds}
+    multi = 0
+    for obj in pop:
+        subs = subregions(obj, space, pop.grid)
+        if len(subs) < 2:
+            continue
+        multi += 1
+        stats = [subregion_stats(q, s, dd, space) for s in subs]
+        if all(math.isfinite(s.tmax) for s in stats):
+            for name, fn in bounds.items():
+                iv = fn(stats)
+                widths[name].append(iv.upper - iv.lower)
+        if multi >= 60:
+            break
+    out = ExperimentResult(
+        "Ablation A3: bound interval width", "bound", unit="m"
+    )
+    out.x_values = ["mean width"]
+    for name, values in widths.items():
+        out.add(name, sum(values) / max(1, len(values)))
+    return out
+
+
+PANELS = {
     "fig12a": fig12a, "fig12b": fig12b, "fig12c": fig12c, "fig12d": fig12d,
     "fig13a": fig13a, "fig13b": fig13b, "fig13c": fig13c, "fig13d": fig13d,
     "fig14a": fig14a, "fig14b": fig14b, "fig14c": fig14c, "fig14d": fig14d,
     "fig15a": fig15a, "fig15b": fig15b, "fig15c": fig15c, "fig15d": fig15d,
+    "ablation_a1": ablation_a1, "ablation_a2": ablation_a2,
+    "ablation_a3": ablation_a3,
 }
+
+
+@register_cell_runner("figure")
+def run_figure_cell(params: dict, ctx: CellContext) -> dict:
+    """One panel per cell, on a fresh factory: a panel that mutates its
+    world (``fig15c`` deletes and restores partitions) leaves no trace
+    in another's."""
+    try:
+        panel = PANELS[params["panel"]]
+    except KeyError:
+        raise ReproError(
+            f"unknown panel {params.get('panel')!r}; "
+            f"choose from {sorted(PANELS)}"
+        ) from None
+    return panel(WorkloadFactory(ctx.profile, seed=ctx.seed)).to_json()

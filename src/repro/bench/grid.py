@@ -1,17 +1,18 @@
 """Declarative experiment grids — compose, resume, compare.
 
-The benchmark scripts each hand-roll one sweep; this subsystem makes
-sweeps *data*.  An :class:`ExperimentGrid` declares named parameter
-axes (objects x update rate x query mix x scenario ...) plus
-constraints that prune invalid cells; a :class:`GridRunner`
+The one experiment system: the paper's figures and the scenario fleet
+are both sweeps declared as *data*.  An :class:`ExperimentGrid`
+declares named parameter axes (figure panel, objects x update rate x
+query mix x scenario ...) plus constraints that prune invalid cells;
+a :class:`GridRunner`
 materialises one output directory per surviving
 cell (``params.json`` + ``result.json`` + ``log.txt``), skipping cells
 whose results already exist and verify — so a killed sweep, rerun with
 the same arguments, resumes exactly where it stopped (gridxp's
 ``--update`` semantics) and a corrupted ``result.json`` is detected by
 its digest and recomputed.  A reporting layer pivots the cell results
-into the same ASCII tables the existing ``benchmarks/tables/*.txt``
-files use (and CSV for anything downstream).
+into the ASCII tables of ``benchmarks/tables/*.txt`` (and CSV for
+anything downstream).
 
 Grids are written as *xpfiles* — small Python files evaluated in a
 scope exposing the declaration DSL::
@@ -26,9 +27,10 @@ scope exposing the declaration DSL::
     table(_table)                           # cells -> ExperimentResult
 
 Cell runners are plain callables registered with
-:func:`register_cell_runner`; the built-in fleet lives in
-:mod:`repro.bench.scenarios`.  Run a grid with
-``python -m repro.bench grid <xpfile>``.
+:func:`register_cell_runner`; the built-in ones are the ``figure``
+runner of :mod:`repro.bench.figures` (one paper panel per cell) and
+the fleet of :mod:`repro.bench.scenarios`.  Run a grid with
+``python -m repro.bench grid <xpfile> [--scale quick|small|medium|paper]``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.bench.runner import ExperimentResult
+from repro.bench.workloads import SMALL, ScaleProfile
 from repro.errors import ReproError
 
 #: Version stamped into every ``result.json``; bump on layout changes
@@ -234,8 +237,8 @@ def load_xpfile(path: str | Path) -> ExperimentGrid:
 class CellContext:
     """What a cell runner gets besides its parameters."""
 
-    #: Shrunken workloads for CI smoke runs (``--quick``).
-    quick: bool
+    #: The scale every workload of the cell is built at (``--scale``).
+    profile: ScaleProfile
     #: Base seed: with the cell params, fully determines the workload.
     seed: int
     #: The cell's output directory (runners may drop extra artifacts).
@@ -265,8 +268,9 @@ def register_cell_runner(
 
 
 def cell_runner(name: str) -> Callable[[dict, CellContext], dict]:
-    # The built-in fleet registers on import; importing here keeps
+    # The built-in runners register on import; importing here keeps
     # `from repro.bench.grid import ...` cheap for non-runner users.
+    import repro.bench.figures  # noqa: F401
     import repro.bench.scenarios  # noqa: F401
 
     try:
@@ -316,13 +320,19 @@ class GridReport:
             for cell in self.grid.cells()
         ]
 
-    def tables(self) -> list[ExperimentResult]:
-        out = []
-        for fn in self.grid.tables:
+    def tables(self) -> dict[str, ExperimentResult]:
+        """Every pivot, keyed by its table-file stem: a callable's
+        ``{stem: panel}`` dict as returned, a lone panel under the
+        grid's name (``<grid>_<n>`` when the grid declares several)."""
+        out: dict[str, ExperimentResult] = {}
+        for i, fn in enumerate(self.grid.tables):
             made = fn(self.cells)
-            out.extend(
-                made if isinstance(made, (list, tuple)) else [made]
-            )
+            if isinstance(made, dict):
+                out.update(made)
+            elif len(self.grid.tables) == 1:
+                out[self.grid.name] = made
+            else:
+                out[f"{self.grid.name}_{i}"] = made
         return out
 
 
@@ -333,7 +343,7 @@ class GridRunner:
     written atomically (tmp + rename) and sealed with a content digest;
     on the next run a cell is skipped iff its file parses, the digest
     verifies, and the recorded parameters match the cell's — anything
-    else (torn write, hand-edited file, changed params or seed)
+    else (torn write, hand-edited file, changed params, scale or seed)
     recomputes.  ``force=True`` recomputes everything.
     """
 
@@ -341,14 +351,14 @@ class GridRunner:
         self,
         grid: ExperimentGrid,
         out_root: str | Path,
-        quick: bool = False,
+        profile: ScaleProfile = SMALL,
         seed: int = 2013,
         force: bool = False,
         verbose: bool = False,
     ) -> None:
         self.grid = grid
         self.out_dir = Path(out_root) / grid.name
-        self.quick = quick
+        self.profile = profile
         self.seed = int(seed)
         self.force = force
         self.verbose = verbose
@@ -365,7 +375,7 @@ class GridRunner:
             "grid": self.grid.name,
             "runner": self.grid.runner,
             "cell": cell.cell_id,
-            "quick": self.quick,
+            "scale": self.profile.name,
             "seed": self.seed,
             "params": cell.params,
         }
@@ -458,7 +468,7 @@ class GridRunner:
                 self._say(f"[{cell.cell_id}] {line}")
 
             ctx = CellContext(
-                quick=self.quick,
+                profile=self.profile,
                 seed=self.seed,
                 cell_dir=cdir,
                 log=log,

@@ -40,17 +40,6 @@ def format_series(
     return "\n".join(lines)
 
 
-def print_series(
-    title: str,
-    x_label: str,
-    x_values: Sequence[Any],
-    series: dict[str, Sequence[float]],
-    unit: str = "",
-) -> None:
-    print()
-    print(format_series(title, x_label, x_values, series, unit))
-
-
 def _fmt(v: float) -> str:
     if isinstance(v, str):
         return v

@@ -32,6 +32,29 @@ class ExperimentResult:
             self.title, self.x_label, self.x_values, self.series, self.unit
         )
 
+    def to_json(self) -> dict[str, Any]:
+        """The panel as a grid cell's result.  ``series`` is a list of
+        ``[name, values]`` pairs: a ``result.json`` sorts its keys, and
+        the series order is the table's column order."""
+        return {
+            "title": self.title,
+            "x_label": self.x_label,
+            "unit": self.unit,
+            "x_values": list(self.x_values),
+            "series": [[name, list(v)] for name, v in self.series.items()],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict[str, Any]) -> "ExperimentResult":
+        """Inverse of :meth:`to_json` (an xpfile's table pivot)."""
+        return cls(
+            data["title"],
+            data["x_label"],
+            list(data["x_values"]),
+            {name: list(values) for name, values in data["series"]},
+            data["unit"],
+        )
+
 
 @dataclass
 class WorkloadMeasurement:

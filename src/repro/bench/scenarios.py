@@ -33,11 +33,7 @@ from typing import Any
 
 from repro.api.specs import KNNSpec, RangeSpec
 from repro.bench.grid import CellContext, register_cell_runner
-from repro.bench.workloads import (
-    ScaleProfile,
-    WorkloadFactory,
-    active_profile,
-)
+from repro.bench.workloads import SMALL, ScaleProfile, WorkloadFactory
 from repro.errors import ReproError
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import (
@@ -51,36 +47,6 @@ from repro.space.events import CloseDoor
 from repro.space.floorplan import IndoorSpace
 from repro.space.mall import MallParameters, add_mall
 
-#: CI-smoke scale (``--quick``): the smallest venue the generators
-#: accept with staircases and a middle hallway band.
-QUICK = ScaleProfile(
-    name="quick",
-    floors_grid=(1, 2),
-    default_floors=1,
-    objects_grid=(20, 40),
-    default_objects=20,
-    radii_grid=(2.0,),
-    default_radius=2.0,
-    ranges_grid=(20.0,),
-    default_range=20.0,
-    k_grid=(3,),
-    default_k=3,
-    n_instances=5,
-    n_queries=4,
-    bands=2,
-    rooms_per_band_side=2,
-    floor_size=80.0,
-    hallway_width=4.0,
-    stair_size=10.0,
-)
-
-
-def scenario_profile(ctx: CellContext) -> ScaleProfile:
-    """``--quick`` pins the CI-smoke profile; otherwise the usual
-    ``REPRO_BENCH_SCALE`` selection applies."""
-    return QUICK if ctx.quick else active_profile()
-
-
 # ---------------------------------------------------------------------
 # campus composition
 # ---------------------------------------------------------------------
@@ -89,7 +55,7 @@ def scenario_profile(ctx: CellContext) -> ScaleProfile:
 def build_campus(
     buildings: int,
     floors: int | None = None,
-    profile: ScaleProfile | None = None,
+    profile: ScaleProfile = SMALL,
     gap: float | None = None,
     seed: int | None = None,
 ) -> IndoorSpace:
@@ -103,7 +69,7 @@ def build_campus(
     the paper-scale profile this composes venues 10-100x the single
     mall of Section V-A.
     """
-    p = profile or active_profile()
+    p = profile
     floors = floors or p.default_floors
     if buildings < 1:
         raise ReproError("campus needs at least one building")
@@ -211,8 +177,7 @@ def _merge(*parts: dict[str, Any], **extra: Any) -> dict[str, Any]:
 def run_stream_cell(params: dict, ctx: CellContext) -> dict:
     """Generic continuous-monitoring cell: objects x update rate x
     query mix, each an optional param with profile defaults."""
-    profile = scenario_profile(ctx)
-    factory = WorkloadFactory(profile, seed=ctx.seed)
+    factory = WorkloadFactory(ctx.profile, seed=ctx.seed)
     repeat = int(params.get("repeat", 1))
     timings: list[dict] = []
     result: dict[str, Any] = {}
@@ -273,10 +238,9 @@ def run_scenario_cell(params: dict, ctx: CellContext) -> dict:
 def _run_egress(params: dict, ctx: CellContext) -> dict:
     """Evacuation surge: random warmup, then a directed crowd pushing
     toward the exits while doors close under it."""
-    profile = scenario_profile(ctx)
     # Fresh factory per cell: the egress churn closes doors on the
     # factory's space, which must not leak into other cells.
-    factory = WorkloadFactory(profile, seed=ctx.seed)
+    factory = WorkloadFactory(ctx.profile, seed=ctx.seed)
     scenario = factory.stream_scenario(
         n_irq=1,
         n_iknn=1,
@@ -374,7 +338,7 @@ def _occupancy_snapshot(monitor, occ_ids: list[str]) -> int:
 
 def _run_campus(params: dict, ctx: CellContext) -> dict:
     """The standard random walk over a multi-building campus."""
-    profile = scenario_profile(ctx)
+    profile = ctx.profile
     buildings = int(params.get("buildings", 2))
     floors = int(params.get("floors", profile.default_floors))
     space = build_campus(
@@ -426,8 +390,7 @@ def _run_diurnal(params: dict, ctx: CellContext) -> dict:
     """A day of load: per-hour batch sizes follow a trough-to-peak
     sinusoid, so the cell reports throughput under swelling and
     ebbing update rates (plus the hourly series for plotting)."""
-    profile = scenario_profile(ctx)
-    factory = WorkloadFactory(profile, seed=ctx.seed)
+    factory = WorkloadFactory(ctx.profile, seed=ctx.seed)
     scenario = factory.stream_scenario(
         n_irq=int(params.get("n_irq", 2)),
         n_iknn=int(params.get("n_iknn", 1)),

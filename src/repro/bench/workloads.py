@@ -10,13 +10,13 @@ The paper's grid (Section V-A, defaults bolded there):
 * queries: 50 random query points; iRQ ranges 50 / **100** / 150 m;
   ikNNQ k = 50 / **100** / 150; fanout 20.
 
-Scaled profiles shrink every axis proportionally so the harness runs in
-minutes in pure Python while preserving the *shape* of each figure.
+Scaled profiles shrink every axis proportionally while preserving the
+*shape* of each figure; the grid's ``--scale`` picks one by name
+(:data:`PROFILES`).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -55,6 +55,29 @@ class ScaleProfile:
     fanout: int = 20
     seed: int = 2013  # the paper's year; fixed for reproducibility
 
+
+#: CI-smoke scale: the smallest venue the generators accept with
+#: staircases and a middle hallway band.
+QUICK = ScaleProfile(
+    name="quick",
+    floors_grid=(1, 2),
+    default_floors=1,
+    objects_grid=(20, 40),
+    default_objects=20,
+    radii_grid=(2.0,),
+    default_radius=2.0,
+    ranges_grid=(20.0,),
+    default_range=20.0,
+    k_grid=(3,),
+    default_k=3,
+    n_instances=5,
+    n_queries=4,
+    bands=2,
+    rooms_per_band_side=2,
+    floor_size=80.0,
+    hallway_width=4.0,
+    stair_size=10.0,
+)
 
 SMALL = ScaleProfile(
     name="small",
@@ -119,19 +142,8 @@ PAPER = ScaleProfile(
     stair_size=20.0,
 )
 
-_PROFILES = {p.name: p for p in (SMALL, MEDIUM, PAPER)}
-
-
-def active_profile() -> ScaleProfile:
-    """The profile selected by ``REPRO_BENCH_SCALE`` (default small)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "small").lower()
-    try:
-        return _PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown REPRO_BENCH_SCALE={name!r}; "
-            f"choose from {sorted(_PROFILES)}"
-        ) from None
+#: The grid's ``--scale`` choices, by name.
+PROFILES = {p.name: p for p in (QUICK, SMALL, MEDIUM, PAPER)}
 
 
 class WorkloadFactory:
@@ -143,10 +155,10 @@ class WorkloadFactory:
 
     def __init__(
         self,
-        profile: ScaleProfile | None = None,
+        profile: ScaleProfile = SMALL,
         seed: int | None = None,
     ) -> None:
-        self.profile = profile or active_profile()
+        self.profile = profile
         #: The single base seed every derived stream of randomness
         #: (space layout, population, query points, movement) hangs off
         #: — profile default unless the caller pins one (the grid

@@ -1,10 +1,14 @@
 """A uniform grid over partitions, for fast candidate lookups.
 
 The composite index's tree tier is the paper's structure for partition
-retrieval; this grid is an *auxiliary* accelerator used where the tree is
-not available yet — object generation (placing millions of instances
-needs fast "which partitions could contain this circle" answers) and the
-naive baseline.
+retrieval; this grid is an *auxiliary* accelerator for "which partitions
+could contain this region / point" answers outside the tree's walk:
+object generation (placing millions of instances), the naive baseline,
+the columnar object table (``ObjectColumns``: ``stage`` splits a
+straggler — a wall-clipped object or a non-rectangular footprint —
+through it, and ``validate`` re-splits every object through it), and
+the occupancy watch (``OccupancyMaintainer`` locates each object's
+region centre with it).
 """
 
 from __future__ import annotations

@@ -2,18 +2,18 @@
 reporting) — these must be trustworthy for the numbers in
 benchmarks/README.md to mean anything."""
 
+import json
 
 import pytest
 
 from repro.bench.reporting import format_series
 from repro.bench.runner import ExperimentResult, run_queries
 from repro.bench.workloads import (
-    MEDIUM,
     PAPER,
+    PROFILES,
     SMALL,
     ScaleProfile,
     WorkloadFactory,
-    active_profile,
 )
 from repro.errors import ReproError
 
@@ -31,14 +31,11 @@ class TestProfiles:
         assert PAPER.fanout == 20
         assert PAPER.floor_size == 600.0
 
-    def test_active_profile_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "medium")
-        assert active_profile() is MEDIUM
-        monkeypatch.delenv("REPRO_BENCH_SCALE")
-        assert active_profile() is SMALL
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
-        with pytest.raises(ValueError):
-            active_profile()
+    def test_profiles_by_scale_name(self):
+        """``--scale`` picks from these, smallest first."""
+        assert list(PROFILES) == ["quick", "small", "medium", "paper"]
+        assert PROFILES["small"] is SMALL and PROFILES["paper"] is PAPER
+        assert WorkloadFactory().profile is SMALL
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +108,18 @@ class TestReporting:
         r.add("s1", 2.0)
         assert "Panel" in r.to_table()
         assert "s1" in r.to_table()
+
+    def test_json_round_trip_keeps_series_order(self):
+        """A cell's ``result.json`` sorts its keys; the table's column
+        order must survive it."""
+        r = ExperimentResult("Panel", "n", [10, 20], unit="%")
+        for name in ("zeta", "alpha"):
+            r.add(name, 1.0)
+            r.add(name, 2.5)
+        stored = json.loads(json.dumps(r.to_json(), sort_keys=True))
+        back = ExperimentResult.from_json(stored)
+        assert back == r
+        assert back.to_table() == r.to_table()
 
 
 class TestStreamScenarios:

@@ -4,23 +4,14 @@ runners end-to-end at CI-smoke scale."""
 
 import pytest
 
-from repro.bench.grid import Axis, CellContext, ExperimentGrid, GridRunner
-from repro.bench.scenarios import (
-    QUICK,
-    build_campus,
-    egress_targets,
-)
+from repro.bench.grid import Axis, ExperimentGrid, GridRunner
+from repro.bench.scenarios import build_campus, egress_targets
+from repro.bench.workloads import QUICK
 from repro.errors import ReproError
 from repro.index.composite import CompositeIndex
 from repro.objects.generator import DirectedMovementStream, ObjectGenerator
 from repro.queries.monitor import QueryMonitor
 from repro.space.events import CloseDoor
-
-
-def _ctx(tmp_path, quick=True, seed=7):
-    return CellContext(
-        quick=quick, seed=seed, cell_dir=tmp_path, log=lambda line: None
-    )
 
 
 class TestCampus:
@@ -138,7 +129,7 @@ def _run_one(tmp_path, runner_name, params):
         axes=[Axis("cell", "{}", ("only",))],
         fixed=params,
     )
-    report = GridRunner(grid, tmp_path, quick=True, seed=7).run()
+    report = GridRunner(grid, tmp_path, profile=QUICK, seed=7).run()
     return report.results["only"]
 
 

@@ -21,6 +21,8 @@ from repro.bench.grid import (
     series_table,
     write_cells_csv,
 )
+from repro.bench.runner import ExperimentResult
+from repro.bench.workloads import QUICK, SMALL
 
 # A deterministic-but-stateful runner: each *computed* cell consumes
 # the next tick, so two sweeps only agree byte-for-byte when every
@@ -38,6 +40,13 @@ if "ticker" not in grid_mod._CELL_RUNNERS:
             "value": params["x"] * params.get("mult", 1),
             "seed": ctx.seed,
         }
+
+
+if "scale_echo" not in grid_mod._CELL_RUNNERS:
+
+    @register_cell_runner("scale_echo")
+    def _scale_echo(params: dict, ctx: CellContext) -> dict:
+        return {"scale": ctx.profile.name}
 
 
 def _reset_ticks() -> None:
@@ -222,8 +231,8 @@ class TestRunner:
         _reset_ticks()
         straight = GridRunner(grid, tmp_path / "straight").run()
         assert (
-            resumed.tables()[0].to_table()
-            == straight.tables()[0].to_table()
+            resumed.tables()["tiny"].to_table()
+            == straight.tables()["tiny"].to_table()
         )
 
     def test_corrupt_result_recomputed(self, tmp_path):
@@ -254,6 +263,20 @@ class TestRunner:
         assert len(second.recomputed) == 4
         assert all(r["seed"] == 2 for r in second.results.values())
 
+    def test_changed_scale_recomputes(self, tmp_path):
+        """The scale is part of the cache key: a cell computed at one
+        scale is recomputed, not served, at another."""
+        grid = tiny_grid(runner="scale_echo")
+        first = GridRunner(grid, tmp_path, profile=QUICK).run()
+        assert {r["scale"] for r in first.results.values()} == {"quick"}
+        second = GridRunner(grid, tmp_path, profile=SMALL).run()
+        assert len(second.recomputed) == 4 and second.skipped == []
+        assert {r["scale"] for r in second.results.values()} == {"small"}
+        params = json.loads(
+            (tmp_path / "tiny" / "x1_a" / "params.json").read_text()
+        )
+        assert params["scale"] == "small"
+
     def test_force_recomputes_everything(self, tmp_path):
         grid = tiny_grid()
         GridRunner(grid, tmp_path).run()
@@ -273,6 +296,26 @@ class TestReporting:
             self._cells(), "T", x="x", values=["value"], unit=""
         ).to_table()
         assert "== T ==" in table and "value" in table
+
+    def test_tables_keyed_by_stem(self, tmp_path):
+        """A pivot's ``{stem: panel}`` dict names its table files; a lone
+        panel takes the grid's name, ``<grid>_<n>`` among several."""
+
+        def by_kind(cells):
+            return {
+                f"kind_{p['kind']}": ExperimentResult(p["kind"], "x")
+                for p, _ in cells
+            }
+
+        def lone(cells):
+            return ExperimentResult("lone", "x")
+
+        report = GridRunner(tiny_grid(tables=[by_kind]), tmp_path).run()
+        assert list(report.tables()) == ["kind_a", "kind_b"]
+        report.grid = tiny_grid(tables=[lone])
+        assert list(report.tables()) == ["tiny"]
+        report.grid = tiny_grid(tables=[by_kind, lone])
+        assert list(report.tables()) == ["kind_a", "kind_b", "tiny_1"]
 
     def test_csv_unions_scalar_keys(self, tmp_path):
         path = tmp_path / "cells.csv"
