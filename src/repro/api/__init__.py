@@ -65,9 +65,9 @@ The protocol's load-bearing records:
   :class:`~repro.errors.FramingError`); server ``error`` records are
   always surfaced as :class:`~repro.errors.NetError`, never retried.
 * **backpressure** — each watch rides a bounded drop-oldest
-  subscription with ``resync_on_drop``: a lossy connection's next
-  record is a fresh full-result snapshot (loss means re-prime, never
-  silent divergence).
+  subscription, and every lossy publish is followed by a fresh
+  full-result snapshot (loss means re-prime, never silent
+  divergence).
 
 Durability and recovery
 -----------------------
@@ -81,10 +81,11 @@ complementary artifacts, one directory
   topology, every object in insertion order, every standing query's
   spec *and exact maintainer state* in registration order, the auto-id
   counter) atomically — tmp + fsync + rename.
-  :meth:`QueryService.restore` rebuilds the engine *provably
-  bit-identical* (``config=`` overrides the recorded one): the
-  same subsequent updates produce the same delta sequences, and auto
-  query-id allocation continues where it left off.
+  :meth:`QueryService.restore` rebuilds the engine, with the config
+  it recorded, *provably bit-identical*: the same subsequent updates
+  produce the same delta sequences, and auto query-id allocation
+  continues where it left off.  A checkpoint that does not restore
+  raises :class:`~repro.errors.PersistError`.
 * **write-ahead log** — with a WAL attached (the store does this at
   every checkpoint), each absorbed mutation (``watch``/``unwatch``/
   ``ingest``/``insert``/``delete``/``apply_event``) is appended and
@@ -93,8 +94,8 @@ complementary artifacts, one directory
   (:meth:`CheckpointStore.recover <repro.persist.store.CheckpointStore.recover>`
   or the module-level :func:`repro.persist.store.recover`) replays the
   tail through the restored service's own verbs — torn final records
-  tolerated, corrupt checkpoints falling back to the previous manifest
-  entry — and reconverges exactly.
+  tolerated, a corrupt or unrestorable checkpoint falling back to the
+  previous manifest entry — and reconverges exactly.
 
 The network layer rides the same machinery: ``ServerThread(service,
 store=..., checkpoint_every_s=...)`` cuts durable points periodically

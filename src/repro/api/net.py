@@ -28,9 +28,9 @@ Semantics:
   reconstructs the live result from nothing.
 * **Backpressure** — each watch is served from a bounded
   :class:`~repro.queries.serving.Subscription` under the drop-oldest
-  policy, with ``resync_on_drop``: when a slow connection sheds
-  deltas, the very next record it gets is a fresh full-result
-  ``snapshot``, so a lossy subscriber re-primes in-band and never
+  policy: when a slow connection sheds deltas, the server re-primes
+  the subscription with a fresh full-result ``snapshot`` after the
+  lossy publish, so a lossy subscriber re-primes in-band and never
   silently diverges.
 * **Heartbeats** — the server emits a ``heartbeat`` whenever a
   connection has been silent for its cadence, and tears down
@@ -376,12 +376,7 @@ class NetServer:
             conn,
             wire.WatchRecord(query_id, self.service.query_spec(query_id)),
         )
-        sub = self.service.subscribe(
-            query_id,
-            snapshot=True,
-            maxlen=self.maxlen,
-            resync_on_drop=True,
-        )
+        sub = self.service.subscribe(query_id, maxlen=self.maxlen)
         conn.subs[query_id] = sub
         conn.pumps[query_id] = asyncio.ensure_future(
             self._pump(conn, sub)
@@ -595,20 +590,14 @@ class ServerThread:
         self._ckpt_task: asyncio.Task | None = None
 
     @classmethod
-    def from_store(
-        cls,
-        store,
-        config=None,
-        **kwargs,
-    ) -> "ServerThread":
-        """Recover a service from ``store`` (newest readable checkpoint
-        + WAL tail replay) and host it — the restart half of the crash
-        story.  Resume sessions recorded in the checkpoint's ``extra``
-        are reinstated at boot; pass ``port=`` the pre-crash port so
-        clients can transparently resume.  ``config`` optionally
-        overrides the checkpointed engine shape; the recovery report
+    def from_store(cls, store, **kwargs) -> "ServerThread":
+        """Recover a service from ``store`` (newest restorable
+        checkpoint + WAL tail replay) and host it — the restart half of
+        the crash story.  Resume sessions recorded in the checkpoint's
+        ``extra`` are reinstated at boot; pass ``port=`` the pre-crash
+        port so clients can transparently resume.  The recovery report
         lands on ``.recovery``."""
-        service, report = store.recover(config=config)
+        service, report = store.recover()
         thread = cls(service, store=store, **kwargs)
         thread._resume_sessions = list(
             report.extra.get("net_sessions", ())

@@ -36,12 +36,11 @@ loudly no matter which surface claimed first.
 
 from __future__ import annotations
 
-import asyncio
 import threading
-import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Any, Awaitable, Callable
+from typing import IO, Any, Callable, Iterator
 
 from repro.api.specs import (
     CountSpec,
@@ -56,7 +55,6 @@ from repro.api.specs import (
 from repro.api.wire import DeltaFeedWriter
 from repro.errors import PersistError, QueryError, ReproError
 from repro.index.composite import CompositeIndex
-from repro.objects.generator import MovementStream
 from repro.objects.population import ObjectMove, ObjectPopulation
 from repro.objects.uncertain import UncertainObject
 from repro.persist.checkpoint import (
@@ -82,20 +80,34 @@ from repro.queries.monitor import (
     QueryMonitor,
     claim_query_id,
 )
-from repro.queries.prob_range import iPRQ
-from repro.queries.serving import (
-    MonitorServer,
-    ServeReport,
-    Subscription,
-)
+from repro.queries.serving import MonitorServer, Subscription
 from repro.queries.session import QuerySession
 from repro.queries.stats import QueryStats
 from repro.space.events import EventResult, TopologyEvent
 from repro.space.io import space_from_dict, space_to_dict
 
-#: Sentinel: "caller did not pass maxlen" (None is a meaningful value —
-#: an explicitly unbounded queue overriding the config default).
-_UNSET = object()
+#: What decoding a checkpoint's JSON values into live objects raises.
+_DECODE_ERRORS = (
+    ReproError,
+    TypeError,
+    ValueError,
+    KeyError,
+    AttributeError,
+    OverflowError,
+)
+
+
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Translate any failure to rebuild one part of a checkpoint into
+    :class:`~repro.errors.PersistError` — restore never lets an
+    untyped error escape, and recovery falls back on this one."""
+    try:
+        yield
+    except _DECODE_ERRORS as exc:
+        raise PersistError(
+            f"checkpoint carries an unusable {what}: {exc}"
+        ) from None
 
 
 class _IdCounter:
@@ -123,23 +135,18 @@ class _IdCounter:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Execution knobs of a :class:`QueryService`.
+    """The recorded shape of a :class:`QueryService`.
 
-    ``maxlen`` is the default subscription queue bound (``None`` =
-    unbounded; see :class:`~repro.queries.serving.Subscription` for the
-    drop-oldest policy and the ``dropped`` counter).
-
-    ``n_shards`` and ``workers`` are **inert**: validated ``>= 1`` and
-    otherwise ignored — every service runs one
+    Both fields are **inert**: validated ``>= 1`` and otherwise
+    ignored — every service runs one
     :class:`~repro.queries.monitor.QueryMonitor`.  They remain only
     because ``benchmarks/e2e/workloads.py`` passes both and stored
-    checkpoints carry them; ROADMAP item 1's harness-only PR removes
-    them.
+    checkpoints carry them; once the harness stops passing them
+    (ROADMAP item 1(e)) the class goes.
     """
 
     n_shards: int = 1
     workers: int = 1
-    maxlen: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -148,8 +155,6 @@ class ServiceConfig:
             )
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {self.workers}")
-        if self.maxlen is not None and self.maxlen < 1:
-            raise QueryError(f"maxlen must be >= 1, got {self.maxlen}")
 
 
 class QueryService:
@@ -184,9 +189,8 @@ class QueryService:
         # ServerThread runs the verbs on its loop thread, and a sync
         # caller on another thread must never interleave with it (the
         # publish itself is only loop-safe when no event loop is
-        # draining subscribers at that instant — interleave sync
-        # mutations with an active serve() from `on_batch`, not from a
-        # foreign thread).
+        # draining subscribers at that instant — mutate from the loop
+        # that consumes the subscriptions, not from a foreign thread).
         self._op_lock = threading.Lock()
         self._id_counter = _IdCounter()
         self._wal: WalWriter | None = None
@@ -216,16 +220,15 @@ class QueryService:
         self, spec: QuerySpec, stats: QueryStats | None = None
     ) -> QueryResult:
         """Evaluate ``spec`` once, immediately, against the current
-        population.  iRQ/ikNNQ serve their subgraph phase from the
-        shared session cache (one Dijkstra per query point, reused by
-        standing queries at the same spot); iPRQ runs the full
-        four-phase pipeline."""
+        population.  iRQ, ikNNQ and iPRQ serve their subgraph phase
+        from the shared session cache (one Dijkstra per query point,
+        reused by standing queries at the same spot)."""
         if isinstance(spec, RangeSpec):
             return self.session.irq(spec.q, spec.r, stats=stats)
         if isinstance(spec, KNNSpec):
             return self.session.iknnq(spec.q, spec.k, stats=stats)
         if isinstance(spec, ProbRangeSpec):
-            return iPRQ(spec.q, spec.r, spec.p_min, self.index, stats=stats)
+            return self.session.iprq(spec.q, spec.r, spec.p_min, stats=stats)
         if isinstance(spec, CountSpec):
             raise QueryError(
                 "CountSpec is watch-only: a one-shot count is "
@@ -295,20 +298,17 @@ class QueryService:
             )
 
     def subscribe(
-        self,
-        spec_or_id: QuerySpec | str,
-        snapshot: bool = True,
-        maxlen: int | None = _UNSET,  # type: ignore[assignment]
-        resync_on_drop: bool = False,
+        self, spec_or_id: QuerySpec | str, maxlen: int | None = None
     ) -> Subscription:
-        """A live delta feed for one standing query.
+        """A live delta feed for one standing query, primed with a
+        snapshot of its current result.
 
         Pass a spec to register-and-subscribe in one step (the
         subscription's ``query_id`` carries the new id), or an existing
-        id to add another consumer.  ``maxlen`` defaults to the
-        service config's bound; ``resync_on_drop`` makes a bounded feed
-        self-healing (a full-result snapshot delta is queued after any
-        lossy publish — see
+        id to add another consumer.  ``maxlen`` bounds the feed's queue
+        (unbounded by default); a bounded feed drops its oldest delta
+        on overflow and is re-primed with a snapshot after the lossy
+        publish (see
         :meth:`~repro.queries.serving.MonitorServer.subscribe`)."""
         if self._closed:
             raise QueryError("service is closed")
@@ -316,18 +316,11 @@ class QueryService:
             query_id = self.watch(spec_or_id)
         else:
             query_id = spec_or_id
-        if maxlen is _UNSET:
-            maxlen = self.config.maxlen
         # Flush parked deltas (registrations, out-of-band resyncs) to
         # the *existing* subscribers first: a feed begins at its own
         # snapshot, never with another query's history.
         self.drain_pending_deltas()
-        return self.server.subscribe(
-            query_id,
-            snapshot=snapshot,
-            maxlen=maxlen,
-            resync_on_drop=resync_on_drop,
-        )
+        return self.server.subscribe(query_id, maxlen=maxlen)
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Detach a subscription from the delta fan-out."""
@@ -390,43 +383,6 @@ class QueryService:
     def _log(self, record: WalRecord) -> None:
         if self._wal is not None:
             self._wal.write(record)
-
-    async def serve(
-        self,
-        stream: MovementStream,
-        n_batches: int,
-        batch_size: int,
-        on_batch: Callable[[int, DeltaBatch], Awaitable[None] | None]
-        | None = None,
-    ) -> ServeReport:
-        """Drive ``n_batches`` of ``batch_size`` moves from ``stream``
-        through :meth:`ingest` inside the running event loop, yielding
-        to it after each batch so subscribers drain.
-
-        ``on_batch(batch_no, delta_batch)`` is an optional hook (sync or
-        async) invoked after each batch — dashboards interleave topology
-        events or render progress from it.  The report covers
-        everything published (hook mutations too) and every delta a
-        bounded subscription shed while the call ran."""
-        report = ServeReport()
-        published_before = self.deltas_published
-        dropped_before = self.deltas_dropped
-        self.drain_pending_deltas()
-        for batch_no in range(n_batches):
-            moves = stream.next_moves(batch_size)
-            t0 = time.perf_counter()
-            batch = self.ingest(moves)
-            await asyncio.sleep(0)
-            report.elapsed_s += time.perf_counter() - t0
-            report.batches += 1
-            report.updates += len(batch.moved)
-            if on_batch is not None:
-                out = on_batch(batch_no, batch)
-                if asyncio.iscoroutine(out):
-                    await out
-        report.deltas_published = self.deltas_published - published_before
-        report.deltas_dropped = self.deltas_dropped - dropped_before
-        return report
 
     # ------------------------------------------------------------------
     # wire feeds (out-of-process subscribers)
@@ -509,7 +465,8 @@ class QueryService:
         ``path`` atomically; returns bytes written.
 
         The capture runs under the single-writer lock, so it is a
-        consistent cut even against a concurrently running ``serve``.
+        consistent cut even against a concurrently serving
+        :class:`~repro.api.net.ServerThread`.
         When ``rotate_wal_to`` is given (an open text stream), the
         attached WAL rotates onto it *inside the same lock* — no
         mutation can slip between the snapshot and the segment
@@ -564,24 +521,15 @@ class QueryService:
         )
 
     @classmethod
-    def restore(
-        cls,
-        path: str | Path,
-        config: "ServiceConfig | None" = None,
-    ) -> "QueryService":
-        """Rebuild a service from a checkpoint file (digest verified —
-        a torn or corrupt file raises
-        :class:`~repro.errors.PersistError` rather than restoring
-        silently-wrong state).  ``config`` overrides the checkpointed
-        :class:`ServiceConfig`."""
-        return cls.from_state(read_checkpoint(path), config=config)
+    def restore(cls, path: str | Path) -> "QueryService":
+        """Rebuild a service, with the config it recorded, from a
+        checkpoint file (digest verified — a torn, corrupt or
+        unrestorable file raises :class:`~repro.errors.PersistError`
+        rather than restoring silently-wrong state)."""
+        return cls.from_state(read_checkpoint(path))
 
     @classmethod
-    def from_state(
-        cls,
-        state: CheckpointState,
-        config: "ServiceConfig | None" = None,
-    ) -> "QueryService":
+    def from_state(cls, state: CheckpointState) -> "QueryService":
         """Rebuild from an already-read :class:`CheckpointState`.
 
         The index is rebuilt from scratch over the restored space and
@@ -593,49 +541,42 @@ class QueryService:
         their snapshots, never recomputed: a fresh recompute could
         legitimately differ in unobservable internals (bound markers,
         incremental kNN bookkeeping) and leak phantom deltas on the
-        next update."""
-        space = space_from_dict(state.space)
-        space.topology_version = int(state.topology_version)
+        next update.
+
+        Decoding fails closed: a space, config, index shape, object or
+        query record that does not rebuild — including a maintainer
+        state its ``snapshot()`` could not have produced — raises
+        :class:`~repro.errors.PersistError`."""
+        with _decoding("space"):
+            space = space_from_dict(state.space)
+            space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
         # Checkpoints written while the bounds kernel, the shard
-        # execution engine and the shard router were selectable carry
-        # their names; every value gave bit-identical results.
-        cfg.pop("kernel", None)
-        cfg.pop("backend", None)
-        cfg.pop("bucketed_router", None)
+        # execution engine, the shard router and the default
+        # subscription bound were settable carry them; none changes
+        # what a restored service computes.
+        for name in ("kernel", "backend", "bucketed_router", "maxlen"):
+            cfg.pop(name, None)
+        with _decoding("index shape"):
+            fanout = int(index_shape.get("fanout", 20))
+            t_shape = float(index_shape.get("t_shape", 0.5))
         population = ObjectPopulation(space)
-        try:
+        with _decoding("object record"):  # malformed, duplicate, off map
             for obj in state.uncertain_objects():
                 population.insert(obj)
             index = CompositeIndex.build(
-                space,
-                population,
-                fanout=int(index_shape.get("fanout", 20)),
-                t_shape=float(index_shape.get("t_shape", 0.5)),
+                space, population, fanout=fanout, t_shape=t_shape
             )
-        except ReproError as exc:  # malformed, a duplicate, off the map
-            raise PersistError(
-                f"checkpoint carries an unusable object record: {exc}"
-            ) from None
-        if config is None:
-            try:
-                config = ServiceConfig(**cfg)
-            except (TypeError, QueryError) as exc:
-                raise PersistError(
-                    f"checkpoint carries an unusable config: {exc}"
-                ) from None
-        service = cls(index, config)
+        with _decoding("config"):
+            service = cls(index, ServiceConfig(**cfg))
         for payload in state.queries:
-            try:
-                query_id = str(payload["query_id"])
-                spec = spec_from_dict(payload["spec"])
-                query_state = payload["state"]
-            except (KeyError, TypeError, QueryError) as exc:
-                raise PersistError(
-                    f"checkpoint carries an unusable query record: {exc}"
-                ) from None
-            service.monitor.restore_query(spec, query_id, query_state)
+            with _decoding("query record"):
+                service.monitor.restore_query(
+                    spec_from_dict(payload["spec"]),
+                    str(payload["query_id"]),
+                    payload["state"],
+                )
         service._id_counter.value = int(state.next_auto_id)
         return service
 

@@ -29,6 +29,9 @@ The reader accepts versions 1 to :data:`CHECKPOINT_VERSION`:
 * **1** — as 2, plus the shard router's ``reach_epoch`` in the header
   and shard-engine names in the config, which are read past.
 
+A config's ``maxlen`` (the removed default subscription bound) is read
+past too.
+
 :attr:`CheckpointState.version` records which one a state was read
 from, and :meth:`CheckpointState.uncertain_objects` decodes its object
 records with that version's decoder.

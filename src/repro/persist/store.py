@@ -23,8 +23,8 @@ directory, whatever instant the process dies at):
    the newest turn out corrupt on read.
 
 :meth:`CheckpointStore.recover` inverts it: newest manifest entry
-whose checkpoint reads clean (digest verified) → restore a service
-from it → replay **every** WAL segment with ``seq >=`` the chosen
+whose checkpoint reads clean (digest verified) and restores into a
+service → replay **every** WAL segment with ``seq >=`` the chosen
 entry's, in order, torn-tail tolerant — the segment glob (rather than
 the manifest) closes the crash window between steps 2 and 3, where
 records land in a segment the manifest does not reference yet.  A
@@ -61,7 +61,7 @@ from repro.persist.wal import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.service import QueryService, ServiceConfig
+    from repro.api.service import QueryService
 
 #: Manifest line schema version.
 MANIFEST_VERSION = 1
@@ -93,7 +93,7 @@ class RecoveryReport:
     #: Torn final WAL records skipped (at most one per segment).
     torn_tail: int = 0
     #: Manifest entries skipped because their checkpoint was unreadable
-    #: (torn, digest mismatch, unknown version).
+    #: (torn, digest mismatch, unknown version) or did not restore.
     fell_back: int = 0
     #: The ``extra`` payload carried by the restored checkpoint (the
     #: net layer keeps its resume-session table here).
@@ -224,35 +224,29 @@ class CheckpointStore:
     # recovery
     # ------------------------------------------------------------------
 
-    def recover(
-        self, config: "ServiceConfig | None" = None
-    ) -> tuple["QueryService", RecoveryReport]:
-        """Bring a service back from this directory: newest readable
-        checkpoint + full WAL tail replay + a fresh durable point.
-        ``config`` overrides the checkpointed
-        :class:`~repro.api.service.ServiceConfig`; the default restores
-        the recorded one."""
+    def recover(self) -> tuple["QueryService", RecoveryReport]:
+        """Bring a service back from this directory, with the config it
+        recorded: newest restorable checkpoint + full WAL tail replay +
+        a fresh durable point."""
         from repro.api.service import QueryService
 
         entries = self.read_manifest()
         if not entries:
             raise PersistError(f"nothing to recover in {self.root}")
         report = RecoveryReport()
-        state = None
-        chosen: dict[str, Any] | None = None
         for entry in reversed(entries):
             try:
                 state = read_checkpoint(self.root / entry["checkpoint"])
+                service = QueryService.from_state(state)
                 chosen = entry
                 break
             except PersistError:
                 report.fell_back += 1
-        if state is None or chosen is None:
+        else:
             raise PersistError(
                 f"no readable checkpoint among {len(entries)} manifest "
                 f"entries in {self.root}"
             )
-        service = QueryService.from_state(state, config=config)
         stats = FeedReadStats()
         segments = sorted(
             (seq, path)
@@ -300,13 +294,11 @@ def _replay_record(service: "QueryService", record: WalRecord) -> None:
 
 
 def recover(
-    root: str | Path,
-    config: "ServiceConfig | None" = None,
-    keep: int = 2,
+    root: str | Path, keep: int = 2
 ) -> tuple["QueryService", RecoveryReport]:
     """Module-level convenience: recover a service from a checkpoint
     directory.  The returned store state lives inside the report's
     companion — callers that keep checkpointing should construct a
     :class:`CheckpointStore` instead; this shorthand suits one-shot
     tail consumers (``examples/delta_tail.py --from-checkpoint``)."""
-    return CheckpointStore(root, keep=keep).recover(config=config)
+    return CheckpointStore(root, keep=keep).recover()

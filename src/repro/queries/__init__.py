@@ -57,7 +57,7 @@ from repro.queries.maintainers import (
     register_maintainer,
 )
 from repro.queries.monitor import MonitorStats, QueryMonitor
-from repro.queries.serving import MonitorServer, ServeReport, Subscription
+from repro.queries.serving import MonitorServer, Subscription
 from repro.queries.selectivity import (
     candidate_upper_bound,
     estimate_irq_result_size,
@@ -83,7 +83,6 @@ __all__ = [
     "diff_results",
     "replay_deltas",
     "MonitorServer",
-    "ServeReport",
     "Subscription",
     "candidate_upper_bound",
     "estimate_irq_result_size",

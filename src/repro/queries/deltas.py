@@ -40,7 +40,7 @@ DELTA_CAUSES = (
     "insert",      # a brand-new object appeared
     "delete",      # an object disappeared
     "topology",    # a topology_version bump forced a full resync
-    "snapshot",    # synthetic: a subscriber priming itself (serving)
+    "snapshot",    # synthetic: the whole result, priming a subscriber
 )
 
 
@@ -88,7 +88,11 @@ class ResultDelta:
         return not self
 
     def apply_to(self, state: dict[str, float | None]) -> None:
-        """Fold this delta into ``state`` (member id -> annotation)."""
+        """Fold this delta into ``state`` (member id -> annotation).
+        A ``snapshot`` delta carries the whole result: it replaces
+        ``state`` instead of merging into it."""
+        if self.cause == "snapshot":
+            state.clear()
         for oid in self.left:
             state.pop(oid, None)
         state.update(self.entered)

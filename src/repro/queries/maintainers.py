@@ -146,9 +146,9 @@ from repro.distances.batch import BoundsRow, ObjectBlock
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.uncertain import UncertainObject
-from repro.queries.engine import Refiner, filtering_phase
+from repro.queries.engine import Refiner
 from repro.queries.knn import ikNNQ
-from repro.queries.prob_range import candidate_probability_bounds
+from repro.queries.prob_range import iPRQ
 from repro.queries.range_query import iRQ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -161,6 +161,30 @@ Positions = Sequence[int]
 #: Distinguishes "not a member" from a stored ``None`` annotation (a
 #: member accepted by bounds alone) in result-dict lookups.
 _MISSING = object()
+
+
+def _restored_result(
+    state: Any, population: Any, bounds_marker: bool = True
+) -> dict[str, Any]:
+    """A restored result mapping — member id -> annotation — checked
+    to be one a snapshot could have produced: a mapping from ids of
+    live objects to finite non-negative numbers (or ``None``, the
+    bounds-accepted marker, where ``bounds_marker``); otherwise
+    :class:`~repro.errors.QueryError`."""
+    if not isinstance(state, dict):
+        raise QueryError(f"restored result is not a mapping: {state!r}")
+    for oid, value in state.items():
+        if not isinstance(oid, str) or oid not in population:
+            raise QueryError(f"restored result holds unknown id {oid!r}")
+        if value is None and bounds_marker:
+            continue
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not 0.0 <= value < math.inf
+        ):
+            raise QueryError(f"restored annotation of {oid!r} is {value!r}")
+    return dict(state)
 
 
 #: Spec type -> maintainer class; fed by :func:`register_maintainer`.
@@ -251,8 +275,10 @@ class StandingQuery:
         :meth:`recompute`) is what makes a restored engine
         bit-identical: a recompute could legitimately differ in
         bounds-accepted ``None`` markers or incrementally-grown member
-        sets, which would leak phantom deltas after restore."""
-        self.result = dict(state)
+        sets, which would leak phantom deltas after restore.  A state
+        no snapshot could have produced raises
+        :class:`~repro.errors.QueryError`."""
+        self.result = _restored_result(state, self.host.index.population)
 
     # -- the per-kind contract -----------------------------------------
 
@@ -454,9 +480,15 @@ class KNNMaintainer(StandingQuery):
 
     def restore(self, state: Any) -> None:
         """The degenerate band: the k-th distance when the result is
-        full, else infinity (any reachable object could still enter)."""
-        super().restore(state)
-        self.buffer = dict(self.result)
+        full, else infinity (any reachable object could still enter).
+        Every member carries its exact distance."""
+        result = _restored_result(
+            state, self.host.index.population, bounds_marker=False
+        )
+        if len(result) > self.k:
+            raise QueryError(f"restored kNN result holds {len(result)} > k")
+        self.result = result
+        self.buffer = dict(result)
         full = len(self.buffer) >= self.k
         self.rho = max(self.buffer.values()) if full else math.inf
 
@@ -692,40 +724,15 @@ class ProbRangeMaintainer(StandingQuery):
         self.host.stats.pairs_skipped += 1
 
     def recompute(self) -> None:
-        """Full re-execution against the session-cached full search,
-        applying the identical bounds-then-refine decision per object
-        that :meth:`on_update_batch` applies per pair (one convention for
-        both paths keeps re-annotation deltas quiet).
-
-        The filtering phase prunes the candidate set first: an object
-        whose skeleton min-distance exceeds ``r`` (no false negatives,
-        Lemma 6) has every instance beyond ``r`` and therefore
-        qualifying probability exactly 0 — membership and annotations
-        are identical to a full-population scan, at candidate cost."""
+        """One-shot iPRQ against the session-cached full search: the
+        same bounds-then-refine decision per object that
+        :meth:`on_update_batch` applies per pair (one convention for
+        both paths keeps re-annotation deltas quiet)."""
         host = self.host
         host.touch(self)
         dd = host.session.door_distances(self.q)
-        filtered, _ = filtering_phase(host.index, self.q, self.r, True)
-        result: dict[str, float | None] = {}
-        undecided = []
-        for obj, lo, hi in candidate_probability_bounds(
-            host.index, filtered.objects, dd, self.r
-        ):
-            if lo >= self.p_min:
-                result[obj.object_id] = None
-            elif hi >= self.p_min:
-                # Holds its place in candidate order until refined.
-                result[obj.object_id] = None
-                undecided.append(obj)
-        refiner = Refiner(host.index, self.q, dd)
-        for obj, prob in zip(
-            undecided, refiner.probabilities(undecided, self.r)
-        ):
-            if prob >= self.p_min:
-                result[obj.object_id] = prob
-            else:
-                del result[obj.object_id]
-        self.result = result
+        res = iPRQ(self.q, self.r, self.p_min, host.index, precomputed_dd=dd)
+        self.result = dict(res.distances)
 
 
 def partition_anchor(space: Any, partition_id: str) -> Point:
@@ -859,8 +866,11 @@ class CountMaintainer(StandingQuery):
         }
 
     def restore(self, state: Any) -> None:
-        self._inner.result = dict(state["members"])
-        self.result = dict(state["result"])
+        """Both layers; the count must be the one ``members`` gives."""
+        self._inner.restore(state["members"])
+        self._republish()
+        if self.result != state["result"]:
+            raise QueryError("restored count disagrees with its members")
 
 
 #: The single synthetic member id an occupancy watch publishes.
@@ -983,5 +993,15 @@ class OccupancyMaintainer(StandingQuery):
         }
 
     def restore(self, state: Any) -> None:
-        self._members = set(state["members"])
-        self.result = dict(state["result"])
+        """Both layers; the occupancy must be the one ``members``
+        gives."""
+        members = state["members"]
+        population = self.host.index.population
+        if not isinstance(members, list) or not all(
+            isinstance(oid, str) and oid in population for oid in members
+        ):
+            raise QueryError(f"restored occupancy members {members!r}")
+        self._members = set(members)
+        self._republish()
+        if self.result != state["result"]:
+            raise QueryError("restored occupancy disagrees with its members")

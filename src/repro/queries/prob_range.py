@@ -18,7 +18,6 @@ only undecided objects have their instances evaluated exactly.
 from __future__ import annotations
 
 import time
-from typing import Iterator
 
 from repro.distances.batch import QueryStack, block_object_bounds
 from repro.errors import QueryError
@@ -35,40 +34,31 @@ from repro.queries.engine import (
 from repro.queries.stats import QueryStats
 
 
-def candidate_probability_bounds(
-    index: CompositeIndex, candidates: list, dd, r: float
-) -> Iterator[tuple[object, float, float]]:
-    """``(object, lo, hi)`` per candidate: bounds on its qualifying
-    probability from subregion stats, against the search ``dd``, from
-    the block kernel over the index's columnar table
-    (:meth:`~repro.distances.batch.BoundsRow.probability`).
-
-    A subregion with ``tmax <= r`` contributes all its mass to the
-    lower bound; one with ``tmin > r`` contributes nothing to the upper
-    bound.  (``tmax`` is the best door's worst instance, so
-    ``tmax <= r`` proves every instance of the subregion qualifies.)"""
-    stack = QueryStack(index.columns.layout(), [dd], [r + 1.0])
-    fh = index.space.floor_height
-    for block in candidate_blocks(index, candidates):
-        row = block_object_bounds(stack, block, fh).row(0)
-        for j, obj in enumerate(block.objects):
-            lo, hi = row.probability(j, r)
-            yield obj, lo, hi
-
-
 def iPRQ(
     q: Point,
     r: float,
     theta: float,
     index: CompositeIndex,
     stats: QueryStats | None = None,
+    precomputed_dd=None,
 ) -> QueryResult:
     """Evaluate the probabilistic-threshold range query.
 
     Returns objects whose probability of being within indoor distance
     ``r`` is at least ``theta``; ``QueryResult.distances`` carries the
     exact probability for refined objects (``None`` when accepted by
-    bounds alone).
+    bounds alone).  ``precomputed_dd`` is a full (unrestricted)
+    :class:`DoorDistances` from ``q``, e.g. from a
+    :class:`repro.queries.session.QuerySession`; it skips the subgraph
+    phase, as in :func:`~repro.queries.range_query.iRQ`.
+
+    Pruning bounds each candidate's qualifying probability from its
+    subregions (:meth:`~repro.distances.batch.BoundsRow.probability`):
+    a subregion with ``tmax <= r`` contributes all its mass to the
+    lower bound, one with ``tmin > r`` nothing to the upper bound
+    (``tmax`` is the best door's worst instance, so ``tmax <= r``
+    proves every instance of the subregion qualifies).  A subregion no
+    reached door serves is beyond ``r``.
     """
     if r < 0:
         raise QueryError(f"negative query range {r}")
@@ -83,25 +73,31 @@ def iPRQ(
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
 
-    dd, stats.t_subgraph = subgraph_phase(
-        index, q, source, filtered.partitions, cutoff=r
-    )
+    if precomputed_dd is not None:
+        dd = precomputed_dd
+    else:
+        dd, stats.t_subgraph = subgraph_phase(
+            index, q, source, filtered.partitions, cutoff=r
+        )
     stats.doors_settled = dd.doors_settled
 
     result = QueryResult()
     undecided = []
     t0 = time.perf_counter()
-    for obj, lo, hi in candidate_probability_bounds(
-        index, filtered.objects, dd, r
-    ):
-        if lo >= theta:
-            stats.accepted_by_bounds += 1
-            result.objects.append(obj)
-            result.distances[obj.object_id] = None
-        elif hi < theta:
-            stats.rejected_by_bounds += 1
-        else:
-            undecided.append(obj)
+    stack = QueryStack(index.columns.layout(), [dd], [r + 1.0])
+    fh = index.space.floor_height
+    for block in candidate_blocks(index, filtered.objects):
+        row = block_object_bounds(stack, block, fh).row(0)
+        for j, obj in enumerate(block.objects):
+            lo, hi = row.probability(j, r)
+            if lo >= theta:
+                stats.accepted_by_bounds += 1
+                result.objects.append(obj)
+                result.distances[obj.object_id] = None
+            elif hi < theta:
+                stats.rejected_by_bounds += 1
+            else:
+                undecided.append(obj)
     stats.t_pruning = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,13 +10,17 @@ result *changes* instead of polling result sets.
 The server only fans out: it never mutates the monitor or the index.
 The one writer is :class:`repro.api.service.QueryService`, whose
 verbs apply a mutation, log it and hand the emitted batch to
-:meth:`MonitorServer.publish`.  Subscribers are decoupled through
-per-query queues — unbounded by default (a slow consumer delays only
-itself), or bounded with ``maxlen`` under a drop-oldest overflow
-policy (:attr:`Subscription.dropped` counts the losses; a feed that
-dropped deltas no longer replays exactly and should be re-primed with
-a fresh snapshot).  :attr:`Subscription.pending` exposes the backlog
-either way.
+:meth:`MonitorServer.publish`.
+
+Every subscription keeps one contract: its feed opens with a
+``snapshot`` delta carrying the query's current result, and folding
+the feed from empty state (:func:`~repro.queries.deltas.replay_deltas`)
+always ends at the live result.  The per-query queue is unbounded by
+default (a slow consumer delays only itself); with ``maxlen`` it drops
+its oldest delta on overflow (:attr:`Subscription.dropped` counts the
+losses) and the server queues a fresh ``snapshot`` after the lossy
+publish, so the fold re-primes instead of diverging.
+:attr:`Subscription.pending` exposes the backlog either way.
 """
 
 from __future__ import annotations
@@ -41,33 +45,21 @@ class Subscription:
     query is deregistered, or the server closes.
 
     ``maxlen`` bounds the queue: when a push would exceed it, the
-    *oldest* queued delta is dropped and ``dropped`` is incremented —
-    the newest state always gets through, and the consumer can detect
-    the gap (``dropped > 0`` means the feed no longer replays exactly;
-    resubscribe with a snapshot to re-prime).  ``None`` keeps the
-    PR-2 unbounded behaviour.
+    *oldest* queued delta is dropped and ``dropped`` is incremented,
+    and the server follows the lossy publish with a ``snapshot`` delta
+    of the query's current result (counted on ``resyncs``) — the
+    queue-level analogue of the wire feeds' mid-stream snapshot
+    records.  ``None`` leaves the queue unbounded.
     """
 
-    def __init__(
-        self,
-        query_id: str,
-        maxlen: int | None = None,
-        resync_on_drop: bool = False,
-    ) -> None:
+    def __init__(self, query_id: str, maxlen: int | None = None) -> None:
         if maxlen is not None and maxlen < 1:
             raise QueryError(f"maxlen must be >= 1, got {maxlen}")
         self.query_id = query_id
         self.maxlen = maxlen
-        #: When set, the server re-primes this feed in-band after a
-        #: drop: a synthetic ``snapshot`` delta carrying the query's
-        #: *current* full result is queued right after the lossy
-        #: publish, so the consumer's replayed state snaps back to
-        #: exact instead of staying diverged (the queue-level analogue
-        #: of the wire feeds' mid-stream snapshot records).
-        self.resync_on_drop = resync_on_drop
         self.delivered = 0
         self.dropped = 0
-        #: Snapshot re-primes pushed by the drop-resync path.
+        #: Snapshot re-primes queued after a lossy publish.
         self.resyncs = 0
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closed = False
@@ -135,35 +127,6 @@ class Subscription:
 
 
 @dataclass
-class ServeReport:
-    """Aggregate outcome of one
-    :meth:`~repro.api.service.QueryService.serve` run.
-
-    ``deltas_dropped`` totals the queue overflows across every bounded
-    subscription during the run (each one also counts on its own
-    :attr:`Subscription.dropped`) — a nonzero value means some feed was
-    lossy and no longer replays exactly, which belongs in benchmark
-    tables and ops dashboards, not buried per-subscriber.
-    """
-
-    batches: int = 0
-    updates: int = 0
-    deltas_published: int = 0
-    deltas_dropped: int = 0
-    elapsed_s: float = 0.0
-
-    @property
-    def updates_per_sec(self) -> float:
-        return self.updates / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def deltas_per_sec(self) -> float:
-        return (
-            self.deltas_published / self.elapsed_s if self.elapsed_s else 0.0
-        )
-
-
-@dataclass
 class MonitorServer:
     """Delta fan-out over a query monitor's published batches.
 
@@ -180,7 +143,9 @@ class MonitorServer:
                 render(delta)
 
         async def produce():
-            await service.serve(stream, n_batches=100, batch_size=50)
+            for _ in range(100):
+                service.ingest(stream.next_moves(50))
+                await asyncio.sleep(0)          # let consumers drain
             service.close()
 
         asyncio.run(asyncio.gather(produce(), consume()))
@@ -198,42 +163,31 @@ class MonitorServer:
     # ------------------------------------------------------------------
 
     def subscribe(
-        self,
-        query_id: str,
-        snapshot: bool = True,
-        maxlen: int | None = None,
-        resync_on_drop: bool = False,
+        self, query_id: str, maxlen: int | None = None
     ) -> Subscription:
-        """A live delta feed for one standing query.
+        """A live delta feed for one standing query, primed with a
+        ``snapshot`` delta of its current result.
 
-        ``snapshot=True`` primes the feed with a synthetic ``snapshot``
-        delta carrying the current members, so replaying the feed from
-        empty state always reconstructs the full result.  ``maxlen``
-        bounds the feed's queue under the drop-oldest policy (see
-        :class:`Subscription`); ``resync_on_drop`` additionally queues
-        a fresh full-result snapshot delta after any lossy publish, so
-        a bounded feed heals itself in-band (the network serving layer
-        turns these into mid-stream wire snapshots).  Deltas the
-        monitor parked before this call belong to earlier history:
-        publish them first (:meth:`QueryService.subscribe` does).
+        ``maxlen`` bounds the feed's queue under the drop-oldest
+        policy, re-primed after every lossy publish (see
+        :class:`Subscription`); the network serving layer turns those
+        snapshots into wire ``snapshot`` records.  Deltas the monitor
+        parked before this call belong to earlier history: publish
+        them first (:meth:`QueryService.subscribe` does).
         """
         if self._closed:
             raise QueryError("server is closed")
         if query_id not in self.monitor:
             raise QueryError(f"unknown standing query {query_id!r}")
-        sub = Subscription(
-            query_id, maxlen=maxlen, resync_on_drop=resync_on_drop
-        )
-        if snapshot:
-            sub._push(
-                ResultDelta(
-                    query_id,
-                    "snapshot",
-                    self.monitor.result_distances(query_id),
-                )
-            )
+        sub = Subscription(query_id, maxlen=maxlen)
+        sub._push(self._snapshot(query_id))
         self._subs.setdefault(query_id, []).append(sub)
         return sub
+
+    def _snapshot(self, query_id: str) -> ResultDelta:
+        return ResultDelta(
+            query_id, "snapshot", self.monitor.result_distances(query_id)
+        )
 
     def unsubscribe(self, sub: Subscription) -> None:
         subs = self._subs.get(sub.query_id, [])
@@ -276,10 +230,9 @@ class MonitorServer:
                 if sub._push(delta):
                     self.deltas_dropped += 1
                     lossy.setdefault(delta.query_id)
-                    if sub.resync_on_drop:
-                        resync.setdefault(sub)
-        # In-band re-prime of lossy resync_on_drop subscriptions: queue
-        # the query's *post-batch* full result as a snapshot delta.  It
+                    resync.setdefault(sub)
+        # In-band re-prime of every lossy subscription: queue the
+        # query's *post-batch* full result as a snapshot delta.  It
         # lands after this batch's surviving deltas and before anything
         # published later, so replaying the queue stays exact.  (If the
         # snapshot push itself evicts an older delta that loss is
@@ -290,8 +243,7 @@ class MonitorServer:
         for sub in resync:
             if sub.query_id not in self.monitor:
                 continue
-            members = self.monitor.result_distances(sub.query_id)
-            if sub._push(ResultDelta(sub.query_id, "snapshot", members)):
+            if sub._push(self._snapshot(sub.query_id)):
                 self.deltas_dropped += 1
             sub.resyncs += 1
         return [query_id for query_id in lossy if query_id in self.monitor]

@@ -38,6 +38,7 @@ from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex
 from repro.queries.engine import QueryResult, locate_source
 from repro.queries.knn import ikNNQ
+from repro.queries.prob_range import iPRQ
 from repro.queries.range_query import iRQ
 from repro.queries.stats import QueryStats
 from repro.space.doors_graph import DoorDistances
@@ -180,6 +181,17 @@ class QuerySession:
         """ikNNQ with the subgraph phase served from the session cache."""
         dd = self.door_distances(q)
         return ikNNQ(q, k, self.index, stats=stats, precomputed_dd=dd)
+
+    def iprq(
+        self,
+        q: Point,
+        r: float,
+        p_min: float,
+        stats: QueryStats | None = None,
+    ) -> QueryResult:
+        """iPRQ with the subgraph phase served from the session cache."""
+        dd = self.door_distances(q)
+        return iPRQ(q, r, p_min, self.index, stats=stats, precomputed_dd=dd)
 
     @property
     def hit_rate(self) -> float:

@@ -21,6 +21,12 @@ from repro.geometry.rect import Rect
 from repro.space.floorplan import IndoorSpace
 from repro.space.partition import Partition
 
+#: Cells a floor's grid may hold: a map too large for ``cell_size``
+#: gets coarser cells, so no rectangle enumerates more than this many.
+#: A campus row of 100 malls on 600 m floors needs about 41 000 cells
+#: of 30 m.
+_MAX_CELLS = 1 << 16
+
 
 @dataclass
 class PartitionGrid:
@@ -29,6 +35,9 @@ class PartitionGrid:
     space: IndoorSpace
     cell_size: float = 30.0
     _origin: tuple[float, float] = (0.0, 0.0)
+    #: The cell edge in use and the last cell index along x and y.
+    _step: float = 30.0
+    _last: tuple[int, int] = (0, 0)
     _cells: dict[tuple[int, int, int], list[Partition]] = field(
         default_factory=dict
     )
@@ -43,6 +52,18 @@ class PartitionGrid:
     def rebuild(self) -> None:
         bounds = self.space.bounds()
         self._origin = (bounds.minx, bounds.miny)
+        width = bounds.maxx - bounds.minx
+        height = bounds.maxy - bounds.miny
+        self._step = max(
+            self.cell_size,
+            math.sqrt(width * height / _MAX_CELLS),
+            width / _MAX_CELLS,
+            height / _MAX_CELLS,
+        )
+        self._last = (
+            math.floor(width / self._step),
+            math.floor(height / self._step),
+        )
         self._cells = {}
         for partition in self.space.partitions.values():
             rect = partition.bounds
@@ -91,16 +112,19 @@ class PartitionGrid:
         ox, oy = self._origin
         return (
             floor,
-            math.floor((x - ox) / self.cell_size),
-            math.floor((y - oy) / self.cell_size),
+            math.floor((x - ox) / self._step),
+            math.floor((y - oy) / self._step),
         )
 
     def _keys_for_rect(self, rect: Rect, floor: int):
+        """The cells ``rect`` overlaps, clipped to the map's: a cell off
+        the map holds no partition."""
         ox, oy = self._origin
-        i0 = math.floor((rect.minx - ox) / self.cell_size)
-        i1 = math.floor((rect.maxx - ox) / self.cell_size)
-        j0 = math.floor((rect.miny - oy) / self.cell_size)
-        j1 = math.floor((rect.maxy - oy) / self.cell_size)
+        last_i, last_j = self._last
+        i0 = max(math.floor((rect.minx - ox) / self._step), 0)
+        i1 = min(math.floor((rect.maxx - ox) / self._step), last_i)
+        j0 = max(math.floor((rect.miny - oy) / self._step), 0)
+        j1 = min(math.floor((rect.maxy - oy) / self._step), last_j)
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
                 yield (floor, i, j)

@@ -11,14 +11,17 @@ version, mid-log corruption) with recovery falling back to the
 previous manifest entry rather than restoring silently-wrong state.
 """
 
+import base64
 import errno
 import hashlib
 import io
 import json
+import math
 import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api.service import QueryService, ServiceConfig
@@ -328,14 +331,24 @@ class TestServiceRoundTrip:
                 {"v": 1, "reach_epoch": [0, 2, 0, 1]},
             ),
             ({"n_shards": 1}, {"v": 2}),
+            ({"n_shards": 1, "maxlen": 4}, {}),
         ],
-        ids=["scalar", "vector", "thread", "process", "v1-sharded", "v2"],
+        ids=[
+            "scalar",
+            "vector",
+            "thread",
+            "process",
+            "v1-sharded",
+            "v2",
+            "maxlen",
+        ],
     )
     def test_checkpoint_naming_a_bounds_kernel_still_restores(
         self, tmp_path, config, header
     ):
         """Checkpoints written while ``ServiceConfig`` had a
-        ``kernel``, ``backend`` or ``bucketed_router`` field — and
+        ``kernel``, ``backend``, ``bucketed_router`` or ``maxlen``
+        field — and
         version-1 files, which also carry the shard router's
         ``reach_epoch`` — name engine shapes that no longer exist.  The
         keys are ignored on load, never a false "unusable config" or a
@@ -404,24 +417,6 @@ class TestServiceRoundTrip:
         with pytest.raises(PersistError):
             QueryService.from_state(state)
         service.close()
-
-    def test_config_override_replaces_the_recorded_config(self, tmp_path):
-        """``restore(config=...)`` wins over the checkpointed config
-        and lands on the same results."""
-        space, stream, index = _mall_world()
-        service = QueryService(index)
-        ids = [service.watch(s) for s in _mall_specs(space)]
-        for _ in range(3):
-            service.ingest(list(stream.next_moves(10)))
-        path = tmp_path / "ckpt.jsonl"
-        service.checkpoint(path)
-        bounded = QueryService.restore(path, config=ServiceConfig(maxlen=4))
-        assert bounded.config.maxlen == 4 and service.config.maxlen is None
-        for qid in ids:
-            assert bounded.result_distances(qid) == \
-                service.result_distances(qid)
-        service.close()
-        bounded.close()
 
     def test_count_watch_state_round_trips(
         self, five_rooms_index, tmp_path
@@ -548,6 +543,50 @@ class TestStoreRecovery:
         assert report.restored_seq == 1
         # Both WAL segments (>= seq 1) replay, so the post-seq-2
         # mutation is not lost with the bad checkpoint.
+        assert report.wal_records == 2
+        for qid in ("kiosk", "board"):
+            assert recovered.result_distances(qid) == \
+                service.result_distances(qid)
+        self._close(service, recovered)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda records: records[1].update(
+                xy=base64.b64encode(
+                    np.array([math.nan, 5.0]).tobytes()
+                ).decode()
+            ),
+            lambda records: records[-2].update(state={"ghost": None}),
+        ],
+        ids=["nan-instance", "ghost-member"],
+    )
+    def test_unrestorable_newest_falls_back_to_previous(
+        self, five_rooms_index, tmp_path, edit
+    ):
+        """A newest checkpoint that reads clean (re-sealed, digest
+        valid) but does not restore is skipped like a torn one: the
+        previous generation restores and both WAL segments replay."""
+        service = self._service(five_rooms_index)
+        store = CheckpointStore(tmp_path)
+        store.attach(service)                      # seq 1
+        service.ingest([_point_move("far", 6.0, 5.0)])
+        store.checkpoint(service)                  # seq 2
+        service.ingest([_point_move("far", 25.0, 5.0)])
+
+        newest = tmp_path / "checkpoint-000002.jsonl"
+        records = [json.loads(x) for x in newest.read_text().splitlines()]
+        assert records[1]["type"] == "object"
+        assert records[-2]["query_id"] == "board"
+        edit(records)
+        body = "".join(_canonical(r) + "\n" for r in records[:-1])
+        records[-1]["hex"] = hashlib.sha256(body.encode()).hexdigest()
+        newest.write_text(body + _canonical(records[-1]) + "\n")
+        read_checkpoint(newest)  # the digest passes
+
+        recovered, report = CheckpointStore(tmp_path).recover()
+        assert report.fell_back == 1
+        assert report.restored_seq == 1
         assert report.wal_records == 2
         for qid in ("kiosk", "board"):
             assert recovered.result_distances(qid) == \

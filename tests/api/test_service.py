@@ -181,7 +181,7 @@ class TestWatchAndIngest:
         # legacy monitor's, which would otherwise open its next batch.
         legacy.drain_pending_deltas()
         published_before = service.deltas_published
-        subs = [service.subscribe(qid, snapshot=False) for qid in ids]
+        subs = [service.subscribe(qid) for qid in ids]
         changed: set[str] = set()
 
         def assert_same(batch, legacy_batch):
@@ -203,9 +203,11 @@ class TestWatchAndIngest:
         assert_same(service.delete(victim), legacy.apply_delete(victim))
         assert changed == set(ids)
 
+        # Every published delta reached its one feed, after the feed's
+        # priming snapshot.
         published = service.deltas_published - published_before
         assert sum(sub.delivered + sub.pending for sub in subs) == \
-            published
+            published + len(subs)
 
     def test_watch_prob_range_spec(self, five_rooms_index, five_rooms):
         """Standing iPRQ end to end through the façade: watch, ingest,
@@ -383,25 +385,6 @@ class TestServiceConfig:
             ServiceConfig(n_shards=0)
         with pytest.raises(QueryError):
             ServiceConfig(workers=0)
-        with pytest.raises(QueryError):
-            ServiceConfig(maxlen=0)
-
-    def test_config_maxlen_is_subscription_default(
-        self, five_rooms_index
-    ):
-        service = QueryService(five_rooms_index, ServiceConfig(maxlen=2))
-        a = service.watch(RangeSpec(Q1, 10.0))
-        bounded = service.subscribe(a, snapshot=False)
-        unbounded = service.subscribe(a, snapshot=False, maxlen=None)
-        assert bounded.maxlen == 2
-        assert unbounded.maxlen is None
-        for i in range(6):
-            # In and out of range alternately: one delta per ingest.
-            x = 6.0 if i % 2 == 0 else 25.0
-            service.ingest([_point_move("far", x, 5.0)])
-        assert bounded.pending <= 2
-        assert unbounded.dropped == 0 and unbounded.pending == 6
-        assert service.deltas_dropped == bounded.dropped > 0
 
     def test_closed_service_rejects_work(self, five_rooms_index):
         service = QueryService(five_rooms_index)
@@ -445,27 +428,29 @@ class TestSubscribe:
 
         asyncio.run(run())
 
-    def test_serve_reports_drops(self, mall_setup, small_mall):
-        """ServeReport surfaces the dropped total (the satellite)."""
+    def test_bounded_feed_drops_and_reprimes(self, mall_setup, small_mall):
+        """A bounded feed's losses add up on the service, and what
+        survives in a never-drained queue is the current result."""
         index, gen, pop = mall_setup
         service = QueryService(index)
         q = small_mall.random_point(seed=11)
         # A kNN feed churns every batch (member moves re-refine stored
         # distances), so a maxlen=1 queue must shed continuously.
-        sub = service.subscribe(
-            KNNSpec(q, 4), snapshot=False, maxlen=1
-        )
+        sub = service.subscribe(KNNSpec(q, 4), maxlen=1)
+        unbounded = service.subscribe(sub.query_id)
         stream = MovementStream(small_mall, pop, gen, seed=5)
+        for _ in range(6):
+            service.ingest(stream.next_moves(15))
+        assert service.deltas_dropped == sub.dropped > 0
+        assert unbounded.dropped == 0 and unbounded.maxlen is None
+        assert sub.pending == 1
 
-        async def run():
-            return await service.serve(stream, n_batches=6, batch_size=15)
+        async def newest():
+            return await sub.next_delta()
 
-        report = asyncio.run(run())
-        assert report.batches == 6
-        assert report.deltas_published > 0
-        # The never-drained maxlen=1 queue sheds all but the newest.
-        assert report.deltas_dropped == sub.dropped
-        assert sub.dropped > 0 and sub.pending == 1
+        delta = asyncio.run(newest())
+        assert delta.cause == "snapshot"
+        assert delta.entered == service.result_distances(sub.query_id)
 
     def test_subscribe_unknown_id_rejected(self, five_rooms_index):
         service = QueryService(five_rooms_index)

@@ -455,11 +455,13 @@ class TestTornTail:
         a = service.watch(RangeSpec(Q1, 10.0))
         fp = io.StringIO()
         service.attach_feed(fp)
-        sub = service.subscribe(a, snapshot=False, maxlen=1)
+        sub = service.subscribe(a, maxlen=2)  # holds its prime
         service.ingest([_point_move("far", 6.0, 6.0)])   # queue fills
         service.ingest([_point_move("far", 25.0, 5.0)])  # drops oldest
         service.ingest([_point_move("far", 6.5, 6.0)])   # drops again
-        assert sub.dropped == 2
+        # Each lossy publish sheds twice: the oldest entry for its
+        # delta, and the next for the re-prime queued after it.
+        assert sub.dropped == 4
         records = list(wire.read_feed(fp.getvalue().splitlines()))
         snapshots = [
             (i, r)
@@ -485,7 +487,7 @@ class TestTornTail:
         a = service.watch(RangeSpec(Q1, 10.0))
         fp = io.StringIO()
         service.attach_feed(fp)
-        service.subscribe(a, snapshot=False)  # unbounded: never drops
+        service.subscribe(a)  # unbounded: never drops
         service.ingest([_point_move("far", 6.0, 6.0)])
         service.ingest([_point_move("far", 25.0, 5.0)])
         records = list(wire.read_feed(fp.getvalue().splitlines()))

@@ -1,5 +1,6 @@
 """Decoder fuzz target for the durable state: WAL lines and checkpoint
-files either decode or raise :class:`~repro.errors.PersistError`.
+files either decode or raise :class:`~repro.errors.PersistError`, and a
+checkpoint either restores into a service or raises it.
 
 Inputs are arbitrary bytes, byte- and field-level mutations of valid
 WAL lines of every op (version 1 from the committed pre-change store,
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api.service import QueryService
 from repro.api.wire import FeedReadStats
 from repro.errors import PersistError, ReproError
 from repro.geometry import Circle, Point
@@ -105,6 +107,18 @@ def _reads_or_fails_closed(path):
     return state
 
 
+def _restores_or_fails_closed(path):
+    """Restore a service from a checkpoint; ``None`` on
+    ``PersistError``.  A restored index is consistent."""
+    try:
+        service = QueryService.restore(path)
+    except PersistError:
+        return None
+    assert service.index.validate() == []
+    service.close()
+    return service
+
+
 # -- hostile values and mutations -----------------------------------------
 
 _PACKED = st.sampled_from(
@@ -156,9 +170,14 @@ def _paths(node, prefix=()):
     return out
 
 
-def _mutate_field(data, payload):
-    """Replace, delete, or add one field somewhere in ``payload``."""
-    paths = _paths(payload)
+def _mutate_field(data, payload, under=()):
+    """Replace, delete, or add one field somewhere in ``payload`` (in
+    the subtree at path ``under``)."""
+    paths = [
+        (prefix, key)
+        for prefix, key in _paths(payload)
+        if prefix[: len(under)] == under and (prefix or key) != ()
+    ]
     prefix, key = data.draw(st.sampled_from(paths))
     parent = payload
     for step in prefix:
@@ -495,15 +514,95 @@ class TestCheckpointDecoderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(version=st.sampled_from([2, 3]), data=st.data())
     def test_resealed_field_mutations(self, checkpoints, version, data):
-        """Re-sealed, so the digest passes and the record decoders see
-        the mutant: header fields and object records both."""
+        """Re-sealed, so the digest passes and the decoders see the
+        mutant: the header (its space and config subtrees drawn on
+        their own too), object records and query records.  Reading,
+        and restoring a service, fail only with ``PersistError``."""
         blobs, root = checkpoints
         lines = blobs[version].decode().splitlines()[:-1]
-        n_objects = json.loads(lines[0])["n_objects"]
-        i = data.draw(st.integers(0, n_objects))  # header or an object
+        i = data.draw(st.integers(0, len(lines) - 1))
+        under = ()
+        if i == 0:
+            under = data.draw(st.sampled_from([(), ("space",), ("config",)]))
         lines[i] = json.dumps(
-            _mutate_field(data, json.loads(lines[i])), sort_keys=True
+            _mutate_field(data, json.loads(lines[i]), under), sort_keys=True
         )
         path = root / "fields.jsonl"
         path.write_bytes(_reseal(lines))
         _reads_or_fails_closed(path)
+        _restores_or_fails_closed(path)
+
+
+# -- records that decode but must not restore -------------------------------
+
+
+_DELETE = object()
+
+
+def _set(path, value, kind=None):
+    """Set ``path`` (remove it, for ``_DELETE``) in the header record,
+    or in the record of the query of spec ``kind``."""
+
+    def mutate(records):
+        node = records[0]
+        if kind is not None:
+            node = next(
+                r for r in records if r.get("spec", {}).get("kind") == kind
+            )
+        for step in path[:-1]:
+            node = node[step]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+
+    return mutate
+
+
+_UNRESTORABLE = {
+    "space-empty": _set(("space",), {}),
+    "space-partitions-int": _set(("space", "partitions"), 5),
+    "space-floor-height-str": _set(("space", "floor_height"), "x"),
+    "index-fanout-str": _set(("config", "index", "fanout"), "x"),
+    "config-n-shards-str": _set(("config", "n_shards"), "x"),
+    "knn-state-int": _set(("state",), 7, "iknn"),
+    "knn-state-nan": _set(("state",), {"o1": math.nan}, "iknn"),
+    "knn-state-none": _set(("state",), {"o1": None}, "iknn"),
+    "count-no-members": _set(("state", "members"), _DELETE, "icount"),
+    "count-disagrees": _set(("state", "result"), {"count": 9.0}, "icount"),
+    "range-ghost-id": _set(("state",), {"ghost-object": None}, "irq"),
+    "range-x-far": _set(("state",), {"x": "far"}, "irq"),
+    "range-str-annotation": _set(("state",), {"o8": "far"}, "irq"),
+    "range-state-list": _set(("state",), ["o8"], "irq"),
+    "iprq-inf": _set(("state",), {"o4": math.inf}, "iprq"),
+    "occupancy-int-member": _set(("state", "members"), [5], "iocc"),
+    "occupancy-ghost": _set(("state", "members"), ["ghost"], "iocc"),
+    "query-no-state": _set(("state",), _DELETE, "irq"),
+    "query-bad-spec": _set(("spec", "r"), "far", "irq"),
+    "query-duplicate-id": _set(("query_id",), "irq-1", "iknn"),
+}
+
+
+class TestRestoreFailsClosed:
+    """Re-sealed checkpoints whose records decode but could not have
+    been written by a live service: restore raises ``PersistError``,
+    never another exception and never a silently-wrong service."""
+
+    @pytest.mark.parametrize(
+        "mutate", _UNRESTORABLE.values(), ids=_UNRESTORABLE
+    )
+    def test_raises_persist_error(self, checkpoints, mutate):
+        blobs, root = checkpoints
+        records = [json.loads(x) for x in blobs[3].decode().splitlines()]
+        mutate(records)
+        lines = [json.dumps(r, sort_keys=True) for r in records[:-1]]
+        path = root / "unrestorable.jsonl"
+        path.write_bytes(_reseal(lines))
+        with pytest.raises(PersistError):
+            QueryService.restore(path)
+
+    def test_the_clean_file_restores(self, checkpoints):
+        blobs, root = checkpoints
+        path = root / "clean.jsonl"
+        path.write_bytes(blobs[3])
+        assert _restores_or_fails_closed(path) is not None

@@ -1,6 +1,6 @@
 """Unit tests for the asyncio serving layer: subscription lifecycle,
-delta fan-out, snapshot priming, drop-oldest backpressure and the
-serve() loop.  Every mutation goes through the
+delta fan-out, snapshot priming, and drop-oldest backpressure with its
+snapshot re-prime.  Every mutation goes through the
 :class:`~repro.api.service.QueryService` verbs — the one write path —
 and :class:`MonitorServer` only fans out what they publish."""
 
@@ -61,6 +61,11 @@ def service(five_rooms_index):
 Q1 = Point(5.0, 5.0, 0)
 
 
+async def _skip_prime(sub):
+    """Consume a fresh subscription's priming snapshot."""
+    assert (await sub.next_delta()).cause == "snapshot"
+
+
 class TestSubscriptions:
     def test_snapshot_primes_feed(self, service):
         async def run():
@@ -82,8 +87,10 @@ class TestSubscriptions:
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
             b = service.watch(KNNSpec(Q1, 2))
-            sub_a = service.subscribe(a, snapshot=False)
-            sub_b = service.subscribe(b, snapshot=False)
+            sub_a = service.subscribe(a)
+            sub_b = service.subscribe(b)
+            await _skip_prime(sub_a)
+            await _skip_prime(sub_b)
             service.ingest([_point_move("far", 6.0, 6.0)])
             delta = await sub_a.next_delta()
             assert delta.query_id == a and "far" in delta.entered
@@ -124,8 +131,9 @@ class TestSubscriptions:
     def test_unsubscribe_ends_iteration(self, service):
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(a, snapshot=False)
+            sub = service.subscribe(a)
             service.unsubscribe(sub)
+            await _skip_prime(sub)  # queued before the close
             assert await sub.next_delta() is None
             service.ingest([_point_move("far", 6.0, 6.0)])
             assert sub.closed and sub.pending == 0
@@ -135,7 +143,8 @@ class TestSubscriptions:
     def test_deregister_pushes_final_delta_and_closes(self, service):
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(a, snapshot=False)
+            sub = service.subscribe(a)
+            await _skip_prime(sub)
             service.unwatch(a)
             delta = await sub.next_delta()
             assert delta.cause == "deregister"
@@ -197,13 +206,15 @@ class TestDropHook:
 
             # Two bounded never-drained subscriptions on one query:
             # both shed in the same publish, the feed re-primes once.
-            service.subscribe(a, snapshot=False, maxlen=1)
-            service.subscribe(a, snapshot=False, maxlen=1)
+            service.subscribe(a, maxlen=2)
+            service.subscribe(a, maxlen=2)
             service.ingest([_point_move("far", 6.0, 6.0)])
-            assert resyncs() == 0  # queues just filled, nothing shed yet
+            assert resyncs() == 0  # prime + delta: full, nothing shed
             service.ingest([_point_move("far", 25.0, 5.0)])
             assert resyncs() == 1
-            assert service.deltas_dropped == 2
+            # Each queue sheds its prime for the new delta, then the
+            # older delta for its own re-prime.
+            assert service.deltas_dropped == 4
             lossy = ResultDelta(a, "move", entered={"far": 1.0})
             assert service.server.publish(DeltaBatch((lossy,))) == [a]
 
@@ -259,55 +270,38 @@ class TestBackpressure:
     def test_slow_subscriber_keeps_newest_state(self, service):
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(a, snapshot=False, maxlen=1)
+            sub = service.subscribe(a, maxlen=1)
             service.ingest([_point_move("far", 6.0, 6.0)])
             service.ingest([_point_move("far", 25.0, 5.0)])
-            assert sub.dropped == 1 and sub.pending == 1
+            # Every push into the full queue drops: the prime, each
+            # move delta, and the first re-prime.
+            assert sub.dropped == 4 and sub.pending == 1
+            assert sub.resyncs == 2
             delta = await sub.next_delta()
-            assert delta.left == ("far",)  # the newest delta survived
+            # The newest state survived: the post-batch snapshot.
+            assert delta.cause == "snapshot"
+            assert delta.entered == service.result_distances(a)
+            assert "far" not in delta.entered
 
         asyncio.run(run())
 
-    def test_resync_on_drop_appends_current_snapshot(self, service):
-        """The network layer's in-band re-prime: a lossy publish to a
-        ``resync_on_drop`` subscription is followed by a snapshot-cause
-        delta carrying the query's *current* full result, so folding
-        the queue tail converges exactly despite the loss."""
+    def test_lossy_publish_appends_current_snapshot(self, service):
+        """The in-band re-prime: a lossy publish to a bounded
+        subscription is followed by a snapshot-cause delta carrying
+        the query's *current* full result, so folding the queue tail
+        converges exactly despite the loss."""
 
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(
-                a, snapshot=False, maxlen=1, resync_on_drop=True
-            )
-            service.ingest([_point_move("far", 6.0, 6.0)])
-            service.ingest([_point_move("far", 25.0, 5.0)])
+            sub = service.subscribe(a, maxlen=2)
+            for x in (6.0, 25.0, 6.5):
+                service.ingest([_point_move("far", x, 6.0)])
             assert sub.dropped >= 1
             assert sub.resyncs >= 1
-            # Drain and fold: the tail must end in a snapshot that
-            # reproduces the live result exactly.
-            state: dict[str, float | None] = {}
-            saw_snapshot = False
-            while sub.pending:
-                delta = await sub.next_delta()
-                if delta.cause == "snapshot":
-                    saw_snapshot = True
-                    state = dict(delta.entered)
-                else:
-                    delta.apply_to(state)
-            assert saw_snapshot
-            assert state == service.result_distances(a)
-
-        asyncio.run(run())
-
-    def test_resync_not_pushed_without_optin(self, service):
-        async def run():
-            a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(a, snapshot=False, maxlen=1)
-            service.ingest([_point_move("far", 6.0, 6.0)])
-            service.ingest([_point_move("far", 25.0, 5.0)])
-            assert sub.dropped == 1 and sub.resyncs == 0
-            delta = await sub.next_delta()
-            assert delta.cause != "snapshot"
+            service.close()
+            deltas = [d async for d in sub]
+            assert deltas[-1].cause == "snapshot"
+            assert replay_deltas(deltas) == service.result_distances(a)
 
         asyncio.run(run())
 
@@ -318,102 +312,82 @@ class TestBackpressure:
 
         async def run():
             a = service.watch(RangeSpec(Q1, 10.0))
-            sub = service.subscribe(
-                a, snapshot=False, maxlen=1, resync_on_drop=True
-            )
+            sub = service.subscribe(a, maxlen=1)
             service.ingest([_point_move("far", 6.0, 6.0)])
-            service.unwatch(a)  # lossy: evicts the move delta
+            resyncs = sub.resyncs
+            service.unwatch(a)  # lossy: evicts the re-prime
             assert a not in service
-            assert sub.resyncs == 0
+            assert sub.resyncs == resyncs
             delta = await sub.next_delta()
             assert delta.cause == "deregister"
 
         asyncio.run(run())
 
 
-class TestServeLoop:
-    def test_serve_reports_and_feeds_subscribers(self, small_mall):
-        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=8, seed=3)
-        pop = gen.generate(30)
-        service = QueryService(CompositeIndex.build(small_mall, pop))
-        q = small_mall.random_point(seed=8)
-        a = service.watch(RangeSpec(q, 45.0))
-        b = service.watch(KNNSpec(q, 4))
-        stream = MovementStream(small_mall, pop, gen, seed=13)
-
-        async def run():
-            sub = service.subscribe(a)
-            consumed: list = []
-
-            async def consume():
-                async for delta in sub:
-                    consumed.append(delta)
-
-            task = asyncio.ensure_future(consume())
-            report = await service.serve(
-                stream, n_batches=4, batch_size=10
-            )
-            service.close()
-            await task
-            return report, consumed
-
-        report, consumed = asyncio.run(run())
-        assert report.batches == 4
-        assert report.updates == 40
-        assert report.updates_per_sec > 0
-        # Every published delta for `a` reached the subscriber, and the
-        # replayed feed (snapshot included) equals the live result.
-        assert replay_deltas(consumed) == service.result_distances(a)
-        assert service.deltas_published >= report.deltas_published
-        assert b in service  # untouched by the close
-
-    def test_on_batch_hook_can_mutate(self, service, five_rooms):
-        """The per-batch hook interleaves topology events (sync or
-        async) with the served stream."""
-        gen = ObjectGenerator(five_rooms, radius=1.0, n_instances=4, seed=2)
-        a = service.watch(RangeSpec(Q1, 40.0))
-        stream = MovementStream(
-            five_rooms, service.index.population, gen, seed=5
-        )
-        seen: list[int] = []
-
-        async def on_batch(batch_no, batch):
-            seen.append(batch_no)
-            if batch_no == 0:
-                service.apply_event(CloseDoor("d3"))
-
-        async def run():
-            return await service.serve(
-                stream, n_batches=2, batch_size=2, on_batch=on_batch
-            )
-
-        asyncio.run(run())
-        assert seen == [0, 1]
-        assert "far" not in service.result_ids(a)
-
-    def test_subscribe_flushes_history(self, service, five_rooms):
+class TestFeedHistory:
+    def test_subscribe_flushes_history(self, service):
         """A feed begins at its own snapshot: the register delta parked
         by a registration made straight on the monitor is flushed at
         subscribe time, not replayed into the new feed."""
-        gen = ObjectGenerator(five_rooms, radius=1.0, n_instances=4, seed=2)
         a = service.monitor.register(RangeSpec(Q1, 10.0))
-        sub = service.subscribe(a, snapshot=False)
-        stream = MovementStream(
-            five_rooms, service.index.population, gen, seed=5
-        )
+        sub = service.subscribe(a)
+        service.ingest([_point_move("far", 6.0, 6.0)])
 
         async def run():
-            await service.serve(stream, n_batches=1, batch_size=1)
             service.close()
             return [d async for d in sub]
 
         deltas = asyncio.run(run())
-        assert all(d.cause != "register" for d in deltas)
+        assert [d.cause for d in deltas] == ["snapshot", "move"]
 
-    def test_serve_counts_filtered_duplicates_once(self, service):
+    def test_ingest_counts_filtered_duplicates_once(self, service):
         service.watch(RangeSpec(Q1, 10.0))
         batch = service.ingest([
             _point_move("far", 6.0, 6.0),
             _point_move("far", 25.0, 5.0),
         ])
         assert len(batch.moved) == 1  # last-write-wins, single diff
+
+
+class TestBoundedFold:
+    """A bounded feed folded with :meth:`ResultDelta.apply_to` /
+    :func:`replay_deltas` ends at the live result: each lossy publish
+    is followed by a snapshot, and a snapshot *replaces* the folded
+    state — a member whose ``left`` was dropped must not linger."""
+
+    def test_snapshot_delta_replaces_state(self):
+        state = {"stale": 1.0, "kept": 2.0}
+        ResultDelta("q", "snapshot", {"kept": 2.5}).apply_to(state)
+        assert state == {"kept": 2.5}
+        assert replay_deltas(
+            [
+                ResultDelta("q", "register", {"a": 1.0, "b": 2.0}),
+                ResultDelta("q", "snapshot", {"b": 2.0}),
+            ]
+        ) == {"b": 2.0}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fold_across_drops_matches_live(self, small_mall, seed):
+        gen = ObjectGenerator(small_mall, radius=3.0, n_instances=8, seed=seed)
+        pop = gen.generate(80)
+        service = QueryService(CompositeIndex.build(small_mall, pop))
+        q = small_mall.random_point(seed=seed + 100)
+        sub = service.subscribe(RangeSpec(q, 40.0), maxlen=2)
+        stream = MovementStream(small_mall, pop, gen, seed=seed + 200)
+        state: dict[str, float | None] = {}
+
+        async def drain():
+            while sub.pending:
+                (await sub.next_delta()).apply_to(state)
+
+        async def run():
+            for _ in range(5):  # a consumer that keeps up
+                service.ingest(stream.next_moves(20))
+                await drain()
+            for _ in range(30):  # falls behind: the queue sheds
+                service.ingest(stream.next_moves(20))
+            await drain()
+
+        asyncio.run(run())
+        assert sub.dropped > 0
+        assert state == service.result_distances(sub.query_id)

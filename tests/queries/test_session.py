@@ -8,7 +8,7 @@ from repro.distances.batch import QueryStack
 from repro.errors import QueryError
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
-from repro.queries import QuerySession
+from repro.queries import QuerySession, iPRQ
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,22 @@ class TestResultEquality:
             assert len(result) == k
             for oid in result.ids():
                 assert exact[oid] <= kth + 1e-6
+
+    def test_iprq_same_results(self, setup, small_mall):
+        """The cached full search decides every object as the one-shot
+        query's own cutoff search does: same members, same exact
+        probabilities, and the search is a cache hit."""
+        index, oracle = setup
+        session = QuerySession(index)
+        q = small_mall.random_point(seed=3)
+        session.irq(q, 20.0)
+        # Each radius holds a member that only refinement accepts.
+        for r, p_min in ((30.0, 0.5), (45.0, 0.9), (55.0, 0.3)):
+            result = session.iprq(q, r, p_min)
+            assert result.ids() == oracle.prob_range_query(q, r, p_min)
+            assert result.distances == iPRQ(q, r, p_min, index).distances
+            assert any(p is not None for p in result.distances.values())
+        assert session.misses == 1
 
 
 class TestReuse:
