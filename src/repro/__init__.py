@@ -10,15 +10,16 @@ The package implements the paper's full stack:
   events;
 * :mod:`repro.objects` — uncertain indoor moving objects with discrete
   instance sets (Section II-B);
-* :mod:`repro.index` — the composite index: R*-tree tree tier, skeleton
-  tier, topological layer and object layer (Section III);
+* :mod:`repro.index` — the composite index: index units (the tree
+  tier's leaves), skeleton tier, topological layer and object layer
+  (Section III);
 * :mod:`repro.distances` — the bounds kernel (Lemmas 1-2, 5) and exact
   refinement (Eqs. 2-6) over whole query x object blocks;
 * :mod:`repro.queries` — the iRQ and ikNNQ processors (Algorithms 1-2);
 * :mod:`repro.reference` — what checks the system: the naive
   evaluator, the pre-computation alternative and the scalar form of
-  every step above (Table II bisectors, Table III bounds, Algorithm 4's
-  tree walk);
+  every step above (Table II bisectors, Table III bounds, the indR-tree
+  and Algorithm 4's walk over it);
 * :mod:`repro.bench` — the experiment harness regenerating Figures 12-15.
 
 Quickstart::
@@ -59,8 +60,8 @@ _EXPORTS = {
     "ObjectMove": "repro.objects",
     "ObjectPopulation": "repro.objects",
     "CompositeIndex": "repro.index",
-    "IndRTree": "repro.index",
-    "RStarTree": "repro.index",
+    "IndRTree": "repro.reference",
+    "RStarTree": "repro.reference",
     "SkeletonTier": "repro.index",
     "DistanceInterval": "repro.distances",
     "euclidean": "repro.distances",

@@ -498,8 +498,8 @@ class QueryService:
         space = self.index.space
         config = dict(asdict(self.config))
         config["index"] = {
-            "fanout": self.index.indr.fanout,
-            "t_shape": self.index.indr.t_shape,
+            "fanout": self.index.fanout,
+            "t_shape": self.index.t_shape,
         }
         return CheckpointState(
             config=config,
@@ -550,6 +550,8 @@ class QueryService:
         with _decoding("space"):
             space = space_from_dict(state.space)
             space.topology_version = int(state.topology_version)
+            # The population's grid reads every partition's bounds.
+            population = ObjectPopulation(space)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
         # Checkpoints written while the bounds kernel, the shard
@@ -561,7 +563,6 @@ class QueryService:
         with _decoding("index shape"):
             fanout = int(index_shape.get("fanout", 20))
             t_shape = float(index_shape.get("t_shape", 0.5))
-        population = ObjectPopulation(space)
         with _decoding("object record"):  # malformed, duplicate, off map
             for obj in state.uncertain_objects():
                 population.insert(obj)

@@ -82,7 +82,7 @@ from another floor, are marked stale and refilled by that search
 (:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
 step repeats the floats or the set of a scalar reference in
 :mod:`repro.reference` — :func:`~repro.reference.tree.resolve_units`
-(``indr.units_overlapping_rect``),
+(an indR-tree search),
 :func:`~repro.reference.subregions.subregions` (the split of
 :meth:`~repro.objects.uncertain.UncertainObject.pieces`, which the
 rare object with a wall-clipped instance or a non-rectangular
@@ -120,8 +120,9 @@ Bit-identity with the tree walk
 (:func:`~repro.reference.tree.range_search_tree`) and
 with the per-pair bounds is by construction: every distance repeats
 the scalar operation sequence (see the float notes in
-:mod:`repro.distances.batch`), and Eq. 10's ``min`` over the query
-floor's entrances is hoisted out of the per-entity loop —
+:mod:`repro.distances.batch`), and Eq. 10's ``min`` over the query's
+first-hop entrances (those on its floor, plus every entrance of a
+staircase it stands in) is hoisted out of the per-entity loop —
 ``min_sq((dq + M[sq, e]) + leg) == min_sq(dq + M[sq, e]) + leg``
 because float addition is monotone.  The same monotonicity makes the
 search's two shortcuts exact: a floor none of whose entrances ``q``
@@ -150,7 +151,7 @@ from repro.distances.batch import (
 from repro.errors import IndexError_
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.indr import IndRTree
+from repro.index.indr import IndexUnit
 from repro.index.skeleton import SkeletonTier
 from repro.objects.instances import check_mass
 from repro.objects.population import ObjectPopulation
@@ -158,6 +159,7 @@ from repro.objects.uncertain import UncertainObject
 from repro.space.doors_graph import DoorsGraph
 from repro.space.floorplan import IndoorSpace
 from repro.space.grid import PartitionGrid
+from repro.space.partition import PartitionKind
 
 #: Objects resolved per array pass during a build or rebuild — bounds
 #: the transient arrays (and so the resident-set peak) of a full build:
@@ -241,7 +243,7 @@ class _Topology:
     of objects against them (see the module docstring)."""
 
     def __init__(self, columns: ObjectColumns) -> None:
-        space, indr, skeleton = columns.space, columns.indr, columns.skeleton
+        space, skeleton = columns.space, columns.skeleton
         self.version = space.topology_version
         # The doors graph numbers the layout's doors and partitions.
         numbering = columns.doors_graph.ensure_fresh()
@@ -290,7 +292,7 @@ class _Topology:
         # Units grouped by partition row, so a partition's units are one
         # span and an object's resolved rows come out ascending.
         units = sorted(
-            indr.units.values(), key=lambda u: part_row[u.partition_id]
+            columns.units.values(), key=lambda u: part_row[u.partition_id]
         )
 
         # -- staircase entrances, grouped per floor -------------------
@@ -428,7 +430,7 @@ class _Topology:
     def _units(self, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
         """``(unit rows, rows per object)``: same-floor rect overlap
         over the candidate partitions' unit spans — exactly
-        ``indr.units_overlapping_rect(obj.bounds(), obj.floor)``, since
+        :func:`~repro.reference.tree.resolve_units`, since
         a unit lies inside its partition's bounds and floor span."""
         per = self.p_unit_count[frame.c_part]
         rows, _ = span_index(self.p_unit_start[frame.c_part], per)
@@ -990,7 +992,7 @@ class ObjectColumns:
         self,
         space: IndoorSpace,
         population: ObjectPopulation,
-        indr: IndRTree,
+        units: dict[str, IndexUnit],
         skeleton: SkeletonTier,
         doors_graph: DoorsGraph,
     ) -> None:
@@ -999,7 +1001,7 @@ class ObjectColumns:
         # collector.
         self.space = space
         self.population = population
-        self.indr = indr
+        self.units = units
         self.skeleton = skeleton
         self.doors_graph = doors_graph
         self._topo: _Topology | None = None
@@ -1262,11 +1264,24 @@ class ObjectColumns:
         # Reach of every entrance from q through the skeleton:
         # reach[e] = min_sq(|q, sq|_E + M_s2s[sq, e]); None when the
         # Euclidean bound applies everywhere (ablation, or no staircase
-        # on q's floor).
+        # on q's floor).  A path leaves q's floor by an entrance on it
+        # or, from inside a staircase, by any entrance of that
+        # staircase straight away: those are first hops too.
         reach = None
         if use_skeleton and q_floor >= 0 and topo.floor_has_ent[q_floor]:
             skeleton = self.skeleton
             sqs = skeleton.entrances_on_floor(q.floor)
+            inside = {
+                p.partition_id
+                for p in self.population.grid.candidates_for_point(q)
+                if p.kind is PartitionKind.STAIRCASE
+            }
+            if inside:
+                sqs = sqs + [
+                    e
+                    for e in skeleton.entrances
+                    if e.staircase_id in inside and e.floor != q.floor
+                ]
             dq = np.array([q.distance(s.midpoint, fh) for s in sqs])
             via = dq[:, None] + skeleton.ms2s[[s.index for s in sqs], :]
             reach = np.append(via.min(axis=0), np.inf)[topo.floor_ent]
@@ -1307,10 +1322,11 @@ class ObjectColumns:
 
     def validate(self) -> list[str]:
         """The table (built first if need be) against structures it
-        does not share: unit rows that differ from the indR-tree walk
-        (``indr.units_overlapping_rect``), a bucket CSR that is not the
-        inverse of the rows, a population object missing although the
-        tree finds units for it, rows that differ from a fresh
+        does not share: unit rows that differ from an indR-tree search
+        (the reference tree, packed over :attr:`units`), a bucket CSR
+        that is not the inverse of the rows, a population object
+        missing although the tree finds units for it, rows that differ
+        from a fresh
         :func:`pack_block` of a copy of the object (its subregions the
         scalar split's: partition order, each row's instances in
         order, each mass ``checked_mass(probs[mask])``), an instance box
@@ -1318,11 +1334,13 @@ class ObjectColumns:
         first where stale) that differ from the scalar distances, and
         overlapping spans."""
         from repro.reference.pack import pack_block
+        from repro.reference.tree import IndRTree
 
         state = self._fresh()
         topo = state.topo
         space, grid = self.space, self.population.grid
         fh = space.floor_height
+        indr = IndRTree(self.units.values(), fh)
         unit_ids, n_units = topo.unit_ids, topo.n_units
         problems = [
             f"columns hold a row for unknown object {object_id}"
@@ -1361,7 +1379,7 @@ class ObjectColumns:
             oid = obj.object_id
             tree = {
                 unit.unit_id
-                for unit in self.indr.units_overlapping_rect(
+                for unit in indr.units_overlapping_rect(
                     obj.bounds(), obj.floor
                 )
             }

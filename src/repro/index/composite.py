@@ -2,15 +2,17 @@
 
 Ties the four pieces together:
 
-* tree tier (:class:`IndRTree`) — geometric pruning via the skeleton
-  distance bound;
+* tree tier — the partitions' index units (Algorithm 3; the paper's
+  indR-tree holds them in an R*-tree, which only
+  :mod:`repro.reference.tree` builds);
 * skeleton tier (:class:`SkeletonTier`) — ``M_s2s`` and Lemma 6;
 * topological layer (:class:`DoorsGraph` adjacency, derived lazily from
   the space and annotated per partition) — inter-partition links;
-* object layer (:class:`HTable` unit mapping + the columnar
+* object layer — the columnar
   :class:`~repro.index.columns.ObjectColumns` table, whose unit rows are
-  the o-table and whose derived bucket CSR is each leaf's bucket list)
-  that RangeSearch and the bounds kernel read.
+  the o-table and whose derived bucket CSR is each leaf's bucket list,
+  that RangeSearch and the bounds kernel read.  The paper's h-table
+  (unit -> partition) is :attr:`IndexUnit.partition_id`.
 
 Dynamic operations (Section III-C) mutate the layers incrementally; the
 doors graph and the columns refresh themselves from the space's
@@ -21,23 +23,27 @@ packed rows — before the population or the columns are touched, so an
 index that has absorbed moves equals a freshly built one and a batch it
 cannot hold changes nothing.  A structural change drops the table and
 edits no object's units: the next read resolves every object afresh.
-The tree serves partition maintenance and point location (and the
-reference walk :func:`repro.reference.tree.range_search_tree`).
+Point location is the population's :class:`~repro.space.grid.
+PartitionGrid`, which follows :meth:`IndoorSpace.locate`'s tie rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.errors import IndexError_
 from repro.geometry.circle import Circle
+from repro.geometry.decompose import (
+    DEFAULT_T_SHAPE,
+    decompose_partition_geometry,
+)
 from repro.geometry.point import Point
 from repro.index.columns import ObjectColumns
-from repro.index.indr import IndRTree
+from repro.index.indr import IndexUnit
 from repro.index.skeleton import SkeletonTier
-from repro.index.tables import HTable
 from repro.objects.instances import InstanceSet
 from repro.objects.population import ObjectMove, ObjectPopulation
 from repro.objects.uncertain import UncertainObject
@@ -50,11 +56,10 @@ from repro.space.partition import Partition, PartitionKind
 @dataclass
 class RangeSearchResult:
     """Output of Algorithm 4: candidate objects ``R^o`` and candidate
-    partitions ``R^p``, plus traversal statistics."""
+    partitions ``R^p``, plus the number of index units checked."""
 
     objects: list[UncertainObject] = field(default_factory=list)
     partitions: set[str] = field(default_factory=set)
-    nodes_visited: int = 0
     units_checked: int = 0
 
 
@@ -65,24 +70,30 @@ class CompositeIndex:
         self,
         space: IndoorSpace,
         population: ObjectPopulation,
-        indr: IndRTree,
         skeleton: SkeletonTier,
         doors_graph: DoorsGraph,
-        htable: HTable,
         build_times: dict[str, float],
+        fanout: int,
+        t_shape: float,
     ) -> None:
         self.space = space
         self.population = population
-        self.indr = indr
         self.skeleton = skeleton
         self.doors_graph = doors_graph
-        self.htable = htable
         self.build_times = build_times
+        #: Inert: recorded in checkpoints' index shape and otherwise
+        #: ignored — no run path builds the R*-tree it would shape.
+        self.fanout = fanout
+        self.t_shape = t_shape
+        #: The index units (Algorithm 3), by id and by partition.
+        self.units: dict[str, IndexUnit] = {}
+        self.units_of_partition: dict[str, list[IndexUnit]] = {}
+        self._unit_ids = itertools.count(1)
         #: Per-object packed state (the o-table among it) + the
         #: flattened leaf level; written by the object mutation paths
         #: below, rebuilt on the first read after a structural change.
         self.columns = ObjectColumns(
-            space, population, indr, skeleton, doors_graph
+            space, population, self.units, skeleton, doors_graph
         )
 
     # ------------------------------------------------------------------
@@ -94,23 +105,16 @@ class CompositeIndex:
         space: IndoorSpace,
         population: ObjectPopulation | None = None,
         fanout: int = 20,
-        t_shape: float = 0.5,
-        bulk: bool = True,
+        t_shape: float = DEFAULT_T_SHAPE,
     ) -> "CompositeIndex":
         """Build all layers; per-layer wall-clock times are recorded in
-        ``build_times`` (Figure 15(b))."""
+        ``build_times`` (Figure 15(b); ``tree_tier`` is the unit
+        decomposition).  ``fanout`` is inert (see :attr:`fanout`)."""
         if population is None:
             population = ObjectPopulation(space)
         times: dict[str, float] = {}
 
         t0 = time.perf_counter()
-        indr = IndRTree.from_space(space, fanout=fanout, t_shape=t_shape, bulk=bulk)
-        times["tree_tier"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        htable = HTable()
-        for unit in indr.units.values():
-            htable.add(unit.unit_id, unit.partition_id)
         doors_graph = DoorsGraph.from_space(space)
         times["topological_layer"] = time.perf_counter() - t0
 
@@ -118,10 +122,15 @@ class CompositeIndex:
         skeleton = SkeletonTier(space)
         times["skeleton_tier"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
         index = CompositeIndex(
-            space, population, indr, skeleton, doors_graph, htable, times
+            space, population, skeleton, doors_graph, times, fanout, t_shape
         )
+        t0 = time.perf_counter()
+        for partition in space.partitions.values():
+            index._add_units(partition)
+        times["tree_tier"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         # Strict: an object off the map raises here.
         index.columns.build()
         times["object_layer"] = time.perf_counter() - t0
@@ -153,9 +162,8 @@ class CompositeIndex:
         criterion for every index unit at once, then the instance bound
         for every object bucketed in a surviving unit.  Candidates come
         back in ascending slot order — the same order in every
-        interpreter; ``units_checked`` is the number of index units and
-        ``nodes_visited`` stays 0 (no tree node is read).  Same
-        candidates and partitions as
+        interpreter; ``units_checked`` is the number of index units.
+        Same candidates and partitions as
         :func:`repro.reference.tree.range_search_tree`.
         """
         objects, partitions, n_units = self.columns.search(
@@ -170,11 +178,10 @@ class CompositeIndex:
     # ------------------------------------------------------------------
 
     def locate(self, q: Point) -> Partition | None:
-        """Tree-based point location (the r = 0 degenerate range query)."""
-        unit = self.indr.locate_point(q)
-        if unit is None:
-            return None
-        return self.space.partition(self.htable.partition_of(unit.unit_id))
+        """``P(q)`` through the population's partition grid: the
+        partition :meth:`IndoorSpace.locate` returns, shared walls
+        included."""
+        return self.population.grid.locate(q)
 
     # ------------------------------------------------------------------
     # object-layer operations (Section III-C.2)
@@ -269,13 +276,30 @@ class CompositeIndex:
     # topological-layer operations (Section III-C.1)
     # ------------------------------------------------------------------
 
+    def _add_units(self, partition: Partition) -> None:
+        """Decompose a partition into index units (Algorithm 3), one
+        set per floor of its span."""
+        rects = decompose_partition_geometry(partition.footprint, self.t_shape)
+        units = [
+            IndexUnit(
+                f"u{next(self._unit_ids)}", partition.partition_id, rect, floor
+            )
+            for floor in range(partition.floor, partition.upper_floor + 1)
+            for rect in rects
+        ]
+        for unit in units:
+            self.units[unit.unit_id] = unit
+        self.units_of_partition[partition.partition_id] = units
+
     def insert_partition(self, partition: Partition) -> None:
         """Index a partition that was just added to the space (the
         table's rebuild puts the objects over it in its buckets)."""
+        if partition.partition_id in self.units_of_partition:
+            raise IndexError_(
+                f"partition {partition.partition_id!r} already indexed"
+            )
         self.columns.invalidate()
-        units = self.indr.insert_partition(partition)
-        for unit in units:
-            self.htable.add(unit.unit_id, unit.partition_id)
+        self._add_units(partition)
         if partition.kind is PartitionKind.STAIRCASE:
             self.skeleton.rebuild()
 
@@ -285,20 +309,19 @@ class CompositeIndex:
         structural change already dropped it).  The rebuild resolves
         them afresh; one left on no unit is out of the table until it
         moves back onto the map."""
-        held = self.columns.held_in(
-            [
-                unit.unit_id
-                for unit in self.indr.units_of_partition.get(partition_id, ())
-            ]
-        )
+        units = self.units_of_partition.get(partition_id)
+        if units is None:
+            raise IndexError_(f"partition {partition_id!r} not indexed")
+        held = self.columns.held_in([unit.unit_id for unit in units])
         self.columns.invalidate()
+        del self.units_of_partition[partition_id]
+        for unit in units:
+            del self.units[unit.unit_id]
         was_staircase = (
             partition_id in self.space.partitions
             and self.space.partition(partition_id).kind
             is PartitionKind.STAIRCASE
         )
-        for unit in self.indr.delete_partition(partition_id):
-            self.htable.remove_unit(unit.unit_id)
         if was_staircase:
             self.skeleton.rebuild()
         else:
@@ -319,18 +342,14 @@ class CompositeIndex:
             self.insert_partition(partition)
         if result.modified_doors:
             # Doors graph and skeleton refresh lazily off topology_version;
-            # nothing structural to do in the tree/object layers.
+            # nothing structural to do in the unit list or object layer.
             self.skeleton.ensure_fresh()
         return result
 
     # ------------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Cross-layer consistency check (tests + debugging)."""
-        problems = self.indr.tree.validate(check_fill=False)
-        for unit_id in self.indr.units:
-            if unit_id not in self.htable:
-                problems.append(f"unit {unit_id} missing from h-table")
-        if not problems:
-            problems = self.columns.validate()
-        return problems
+        """Cross-layer consistency check (tests + debugging): the
+        columnar table against the scalar references
+        (:meth:`ObjectColumns.validate`)."""
+        return self.columns.validate()

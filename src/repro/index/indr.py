@@ -1,28 +1,21 @@
-"""The indR-tree — the tree tier of the composite index (Section III-A.2).
+"""Index units — the leaf level of the paper's indR-tree (Section III-A.2).
 
-Partitions are indexed as 3-D boxes whose vertical extent is 1 cm: large
-enough for the R*-tree's volume heuristics, negligible for distances
-(the query phase treats units as 2-D rectangles at floor elevation via
-:meth:`Box3.flattened`).  Irregular partitions are decomposed into
-regular *index units* by Algorithm 3; a staircase spanning several
-floors contributes one unit per floor so node floor-intervals stay
-tight.
+Irregular partitions are decomposed into regular *index units* by
+Algorithm 3; a staircase spanning several floors contributes one unit
+per floor.  :class:`~repro.index.composite.CompositeIndex` keeps the
+unit list, and the columnar table
+(:class:`~repro.index.columns.ObjectColumns`) flattens it into the
+arrays RangeSearch and every write read.  No run path builds the tree
+the paper holds the units in: :class:`repro.reference.tree.IndRTree`
+packs an R*-tree over a unit list on demand.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
-from repro.errors import IndexError_
-from repro.geometry.decompose import DEFAULT_T_SHAPE, decompose_partition_geometry
 from repro.geometry.point import Point
-from repro.geometry.rect import Box3, Rect
-from repro.index.bulk import str_bulk_load
-from repro.index.rstar import DEFAULT_FANOUT, RStarTree, TreeNode
-from repro.space.floorplan import IndoorSpace
-from repro.space.partition import Partition
+from repro.geometry.rect import Rect
 
 
 @dataclass(frozen=True)
@@ -35,135 +28,5 @@ class IndexUnit:
     rect: Rect
     floor: int
 
-    def box(self, floor_height: float, vertical_extent: float = 0.01) -> Box3:
-        return Box3.from_rect(self.rect, self.floor, floor_height, vertical_extent)
-
     def contains_point(self, p: Point) -> bool:
         return p.floor == self.floor and self.rect.contains_xy(p.x, p.y)
-
-
-class IndRTree:
-    """R*-tree over index units, with partition-level bookkeeping."""
-
-    def __init__(
-        self,
-        floor_height: float,
-        fanout: int = DEFAULT_FANOUT,
-        t_shape: float = DEFAULT_T_SHAPE,
-    ) -> None:
-        self.floor_height = floor_height
-        self.fanout = fanout
-        self.t_shape = t_shape
-        self.tree = RStarTree(fanout=fanout)
-        self.units: dict[str, IndexUnit] = {}
-        self.units_of_partition: dict[str, list[IndexUnit]] = {}
-        self._unit_counter = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def from_space(
-        space: IndoorSpace,
-        fanout: int = DEFAULT_FANOUT,
-        t_shape: float = DEFAULT_T_SHAPE,
-        bulk: bool = True,
-    ) -> "IndRTree":
-        """Index every partition; ``bulk`` packs with STR (paper setup)."""
-        indr = IndRTree(space.floor_height, fanout, t_shape)
-        pairs = []
-        for partition in space.partitions.values():
-            for unit in indr._make_units(partition):
-                indr._register(unit)
-                pairs.append((unit, unit.box(space.floor_height)))
-        if bulk:
-            indr.tree = str_bulk_load(pairs, fanout=fanout)
-        else:
-            for unit, box in pairs:
-                indr.tree.insert(unit, box)
-        return indr
-
-    def _make_units(self, partition: Partition) -> list[IndexUnit]:
-        """Decompose one partition into index units (Algorithm 3), one
-        per floor of the partition's span."""
-        rects = decompose_partition_geometry(partition.footprint, self.t_shape)
-        units = []
-        for floor in range(partition.floor, partition.upper_floor + 1):
-            for rect in rects:
-                units.append(
-                    IndexUnit(
-                        f"u{next(self._unit_counter)}",
-                        partition.partition_id,
-                        rect,
-                        floor,
-                    )
-                )
-        return units
-
-    def _register(self, unit: IndexUnit) -> None:
-        self.units[unit.unit_id] = unit
-        self.units_of_partition.setdefault(unit.partition_id, []).append(unit)
-
-    # ------------------------------------------------------------------
-    # dynamic operations (Section III-C.1)
-    # ------------------------------------------------------------------
-
-    def insert_partition(self, partition: Partition) -> list[IndexUnit]:
-        if partition.partition_id in self.units_of_partition:
-            raise IndexError_(
-                f"partition {partition.partition_id!r} already indexed"
-            )
-        units = self._make_units(partition)
-        for unit in units:
-            self._register(unit)
-            self.tree.insert(unit, unit.box(self.floor_height))
-        return units
-
-    def delete_partition(self, partition_id: str) -> list[IndexUnit]:
-        units = self.units_of_partition.pop(partition_id, None)
-        if units is None:
-            raise IndexError_(f"partition {partition_id!r} not indexed")
-        for unit in units:
-            del self.units[unit.unit_id]
-            if not self.tree.delete(unit, unit.box(self.floor_height)):
-                raise IndexError_(
-                    f"unit {unit.unit_id!r} missing from the tree"
-                )
-        return units
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-
-    @property
-    def root(self) -> TreeNode:
-        return self.tree.root
-
-    def locate_point(self, p: Point) -> IndexUnit | None:
-        """Point location through the tree (the paper's r=0 degenerate
-        range query)."""
-        z = p.floor * self.floor_height
-        probe = Box3(p.x, p.y, z, p.x, p.y, z + 0.005)
-        for unit in self.tree.items_in_box(probe):
-            if unit.contains_point(p):
-                return unit
-        return None
-
-    def units_overlapping_rect(self, rect: Rect, floor: int) -> list[IndexUnit]:
-        z = floor * self.floor_height
-        probe = Box3(rect.minx, rect.miny, z, rect.maxx, rect.maxy, z + 0.005)
-        return [
-            u for u in self.tree.items_in_box(probe)
-            if u.floor == floor and u.rect.intersects(rect)
-        ]
-
-    def node_floor_span(self, node: TreeNode) -> tuple[int, int]:
-        """``[e.lf, e.uf]`` of a tree node, from its box's z-range."""
-        box = node.box
-        lf = int(math.floor(box.minz / self.floor_height + 1e-9))
-        uf = int(math.floor((box.maxz - 0.005) / self.floor_height + 1e-9))
-        return lf, max(lf, uf)
-
-    def __len__(self) -> int:
-        return len(self.tree)

@@ -52,7 +52,9 @@ class QueryResult:
 
 
 def locate_source(index: CompositeIndex, q: Point) -> str:
-    """``P(q)`` via the tree (r = 0 point location)."""
+    """``P(q)``: the partition
+    :meth:`~repro.space.floorplan.IndoorSpace.locate` returns, through
+    the index's partition grid."""
     partition = index.locate(q)
     if partition is None:
         raise QueryError(f"query point {q} lies outside every partition")

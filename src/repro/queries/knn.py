@@ -208,7 +208,6 @@ def ikNNQ(
     stats.t_filtering = t_seeds + t_range
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
-    stats.nodes_visited = filtered.nodes_visited
 
     # Phase 2: subgraph Dijkstra (or a session-cached full search).
     if precomputed_dd is not None:

@@ -66,7 +66,6 @@ def iRQ(
     filtered, stats.t_filtering = filtering_phase(index, q, r, use_skeleton)
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
-    stats.nodes_visited = filtered.nodes_visited
 
     # Phase 2: subgraph Dijkstra (sources = doors of P(q)); a session
     # cache may supply a full search instead.

@@ -34,7 +34,6 @@ class QueryStats:
     result_size: int = 0
 
     partitions_retrieved: int = 0
-    nodes_visited: int = 0
     doors_settled: int = 0
 
     extra: dict[str, float] = field(default_factory=dict)
@@ -80,7 +79,7 @@ class QueryStats:
             "total_objects", "candidates_after_filtering",
             "accepted_by_bounds", "rejected_by_bounds", "refined",
             "fallback_recomputes", "result_size", "partitions_retrieved",
-            "nodes_visited", "doors_settled",
+            "doors_settled",
         ):
             setattr(out, name, getattr(self, name) + getattr(other, name))
         return out

@@ -22,9 +22,10 @@ where the array code promises bit-identity:
   II-B as :class:`Subregion` objects;
 * :mod:`repro.reference.pack` — the kernel's object-side operand packed
   one object at a time;
-* :mod:`repro.reference.tree` — Algorithm 4's stack walk over the
-  indR-tree, an object's units by tree search, and the skeleton
-  distance (Definition 2, Eq. 10, Lemma 6).
+* :mod:`repro.reference.tree` — the indR-tree (:class:`IndRTree`, an
+  STR-packed :class:`RStarTree` over an index's units, built on
+  demand), Algorithm 4's stack walk over it, an object's units by tree
+  search, and the skeleton distance (Definition 2, Eq. 10, Lemma 6).
 
 Nothing outside this package imports it at module level (a
 ``validate()`` may, locally); ``tests/test_reference_boundary.py``
@@ -50,7 +51,9 @@ from repro.reference.expected import (
 )
 from repro.reference.naive import NaiveEvaluator
 from repro.reference.precompute import PrecomputedDistanceIndex
+from repro.reference.rstar import RStarTree
 from repro.reference.subregions import Subregion, subregions
+from repro.reference.tree import IndRTree
 
 __all__ = [
     "NaiveEvaluator",
@@ -70,4 +73,6 @@ __all__ = [
     "weighted_topological_bounds",
     "Subregion",
     "subregions",
+    "IndRTree",
+    "RStarTree",
 ]

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from repro.errors import IndexError_
 from repro.geometry.rect import Box3
-from repro.index.rstar import Entry, RStarTree, TreeNode
+from repro.reference.rstar import Entry, RStarTree, TreeNode
 
 
 def str_bulk_load(

@@ -14,8 +14,10 @@ ingredients:
 
 The tree is payload-generic: an entry couples a :class:`Box3` with an
 arbitrary item.  Deletion uses item identity (``==``) within the
-matching box.  :func:`repro.index.bulk.str_bulk_load` provides the
-packed construction.
+matching box.  :func:`repro.reference.bulk.str_bulk_load` provides the
+packed construction.  No run path builds one: the index reads its units
+through the columnar table, and :class:`repro.reference.tree.IndRTree`
+packs this tree over them for the reference walks.
 """
 
 from __future__ import annotations

@@ -157,8 +157,12 @@ class IndoorSpace:
     def locate(self, point: Point) -> Partition | None:
         """``P(q)`` — the partition containing a point (linear scan).
 
-        The composite index offers the fast, tree-based version; this one
-        is the reference implementation used by tests and small examples.
+        Tie rule: a point on a shared wall or corner lies in several
+        partitions, and the first of them in :attr:`partitions` order
+        is returned.  Every locator follows it — the grid version
+        :meth:`repro.space.grid.PartitionGrid.locate`, which the
+        composite index and the queries use, is this scan restricted to
+        one cell, and a checkpoint keeps the partition order.
         """
         for partition in self.partitions.values():
             if partition.contains_point(point):

@@ -1,14 +1,16 @@
 """A uniform grid over partitions, for fast candidate lookups.
 
-The composite index's tree tier is the paper's structure for partition
-retrieval; this grid is an *auxiliary* accelerator for "which partitions
-could contain this region / point" answers outside the tree's walk:
+The grid answers "which partitions could contain this region / point":
+point location ``P(q)`` for the composite index and every query
+(:meth:`PartitionGrid.locate`, the run path's one point locator),
 object generation (placing millions of instances), the naive baseline,
 the columnar object table (``ObjectColumns``: ``stage`` splits a
 straggler — a wall-clipped object or a non-rectangular footprint —
 through it, and ``validate`` re-splits every object through it), and
 the occupancy watch (``OccupancyMaintainer`` locates each object's
-region centre with it).
+region centre with it).  A cell lists its partitions in
+``space.partitions`` order, so every answer follows
+:meth:`IndoorSpace.locate`'s tie rule.
 """
 
 from __future__ import annotations
@@ -102,7 +104,9 @@ class PartitionGrid:
         ]
 
     def locate(self, point: Point) -> Partition | None:
-        """Grid-accelerated version of :meth:`IndoorSpace.locate`."""
+        """Grid-accelerated version of :meth:`IndoorSpace.locate`: the
+        first partition in ``space.partitions`` order that contains
+        ``point``."""
         candidates = self.candidates_for_point(point)
         return candidates[0] if candidates else None
 

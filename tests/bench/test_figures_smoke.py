@@ -47,4 +47,5 @@ def test_fig15b_measures_all_layers(tiny):
     result = figures.fig15b(tiny)
     assert set(result.series) == {
         "tree_tier", "object_layer", "topological_layer", "skeleton_tier",
+        "rstar_bulk_load",
     }

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.geometry import Box3
-from repro.index import RStarTree, str_bulk_load
+from repro.reference.bulk import str_bulk_load
+from repro.reference.rstar import RStarTree
 
 
 def random_items(n, seed=0):

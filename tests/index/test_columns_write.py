@@ -5,7 +5,7 @@ and the table's own rebuild resolve a list of objects in one array pass
 (``repro.index.columns._Topology.stage``): index units, subregions,
 packed rows, the instances in row order.  The scalar code it replaced
 on those paths survives in ``repro.reference`` —
-``indr.units_overlapping_rect`` (through ``tree.resolve_units``),
+``tree.resolve_units`` (an indR-tree search, the tree packed on demand),
 ``subregions.subregions`` (the split of ``UncertainObject.pieces``)
 and ``pack.pack_block`` — and every comparison here is ``==``, never a
 tolerance: a standing result and a one-shot run must not disagree on

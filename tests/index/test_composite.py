@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from monitor_world import assert_buckets_are_the_tree_walk
+from monitor_world import assert_buckets_are_the_tree_walk, boundary_points
+from repro.api import QueryService
 from repro.errors import IndexError_, ReproError
 from repro.geometry import Circle, Point, Rect
 from repro.index import CompositeIndex
@@ -16,7 +17,16 @@ from repro.objects import (
     UncertainObject,
 )
 from repro.reference.tree import min_distance_to_point_set, resolve_units
-from repro.space import DoorsGraph, Partition, SplitPartition, MergePartitions
+from repro.space import (
+    CloseDoor,
+    DoorsGraph,
+    MergePartitions,
+    OpenDoor,
+    Partition,
+    PartitionKind,
+    SplitPartition,
+)
+from repro.space.mall import build_mall
 
 
 def point_obj(oid, x, y, floor=0):
@@ -36,7 +46,7 @@ def mall_index(small_mall):
 
 class TestBuild:
     def test_layers_built(self, mall_index):
-        assert len(mall_index.indr) > 0
+        assert len(mall_index.units) > 0
         assert mall_index.skeleton.num_entrances == 8
         assert all(
             mall_index.columns.units_of(o.object_id)
@@ -52,7 +62,7 @@ class TestBuild:
 
     def test_empty_population(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
-        assert idx.columns.objects_in(next(iter(idx.indr.units))) == set()
+        assert idx.columns.objects_in(next(iter(idx.units))) == set()
         assert idx.validate() == []
 
 
@@ -64,6 +74,117 @@ class TestPointLocation:
 
     def test_locate_outside(self, mall_index):
         assert mall_index.locate(Point(-100, -100, 0)) is None
+
+
+def _mall_index(seed=42):
+    space = build_mall(
+        floors=2, bands=2, rooms_per_band_side=3, floor_size=120.0,
+        hallway_width=4.0, stair_size=10.0, seed=seed,
+    )
+    pop = ObjectGenerator(space, radius=3.0, n_instances=8, seed=seed)
+    return CompositeIndex.build(space, pop.generate(30))
+
+
+def _probes(space):
+    return boundary_points(space) + [
+        space.random_point(seed=seed) for seed in range(40)
+    ]
+
+
+def assert_one_locator(index):
+    """``index.locate(q) is space.locate(q)`` on every door midpoint,
+    partition corner, wall midpoint and 40 random points: the first
+    containing partition in ``space.partitions`` order, a shared wall
+    included."""
+    space = index.space
+    assert [
+        q for q in _probes(space) if index.locate(q) is not space.locate(q)
+    ] == []
+
+
+class TestOneLocator:
+    """The index locates ``P(q)`` as :meth:`IndoorSpace.locate` does —
+    the oracle's locator — through every change of the partition list
+    and across a checkpoint."""
+
+    def test_fresh_build(self):
+        idx = _mall_index()
+        on_a_wall = [
+            q for q in boundary_points(idx.space)
+            if sum(p.contains_point(q) for p in idx.space.partitions.values())
+            > 1
+        ]
+        assert on_a_wall  # the probes do reach ties
+        assert_one_locator(idx)
+
+    def test_after_partition_insert_and_delete(self):
+        idx = _mall_index()
+        space = idx.space
+        room = next(
+            p for p in space.partitions.values()
+            if p.kind is PartitionKind.ROOM
+        )
+        doors = [space.doors[d] for d in room.door_ids]
+        space.remove_partition(room.partition_id)
+        idx.delete_partition(room.partition_id)
+        assert_one_locator(idx)
+        # Back at the end of the partition order: its shared walls now
+        # go to its neighbours.
+        again = Partition(room.partition_id, room.footprint, room.floor)
+        space.add_partition(again)
+        for door in doors:
+            space.add_door(door)
+        idx.insert_partition(again)
+        assert list(space.partitions)[-1] == room.partition_id
+        assert_one_locator(idx)
+        assert idx.validate() == []
+
+    def test_after_split_merge_and_door_events(self):
+        idx = _mall_index()
+        space = idx.space
+        room = next(
+            p for p in space.partitions.values()
+            if p.kind is PartitionKind.ROOM
+        )
+        b = room.bounds
+        idx.apply_event(
+            SplitPartition(
+                room.partition_id, axis="x", coord=(b.minx + b.maxx) / 2,
+                connecting_door=True,
+            )
+        )
+        assert_one_locator(idx)
+        halves = (f"{room.partition_id}_a", f"{room.partition_id}_b")
+        idx.apply_event(MergePartitions(halves, room.partition_id))
+        assert_one_locator(idx)
+        door = next(iter(space.doors))
+        idx.apply_event(CloseDoor(door))
+        assert_one_locator(idx)
+        idx.apply_event(OpenDoor(door))
+        assert_one_locator(idx)
+        assert idx.validate() == []
+
+    def test_after_checkpoint_round_trip(self, tmp_path):
+        idx = _mall_index()
+        space = idx.space
+        room = next(
+            p for p in space.partitions.values()
+            if p.kind is PartitionKind.ROOM
+        )
+        b = room.bounds
+        idx.apply_event(
+            SplitPartition(
+                room.partition_id, axis="y", coord=(b.miny + b.maxy) / 2,
+                connecting_door=True,
+            )
+        )
+        QueryService(idx).checkpoint(tmp_path / "cp.jsonl")
+        restored = QueryService.restore(tmp_path / "cp.jsonl").index
+        assert list(restored.space.partitions) == list(space.partitions)
+        assert_one_locator(restored)
+        for q in _probes(space):
+            was, now = idx.locate(q), restored.locate(q)
+            assert (was and was.partition_id) == (now and now.partition_id)
 
 
 class TestRangeSearch:
@@ -114,7 +235,7 @@ class TestObjectOps:
         idx = CompositeIndex.build(five_rooms)
         idx.insert_object(point_obj("a", 5, 5))
         units = idx.columns.units_of("a")
-        assert units and all(idx.htable.partition_of(u) == "r1" for u in units)
+        assert units and all(idx.units[u].partition_id == "r1" for u in units)
 
     def test_delete_object(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
@@ -133,7 +254,7 @@ class TestObjectOps:
             InstanceSet.uniform(np.array([[15.0, 12.0]]), 0),
         )
         units = idx.columns.units_of("a")
-        assert {idx.htable.partition_of(u) for u in units} == {"h"}
+        assert {idx.units[u].partition_id for u in units} == {"h"}
 
     def test_move_object_teleport_falls_back(self, five_rooms):
         idx = CompositeIndex.build(five_rooms)
@@ -145,7 +266,7 @@ class TestObjectOps:
             InstanceSet.uniform(np.array([[25.0, 20.0]]), 0),
         )
         units = idx.columns.units_of("a")
-        assert {idx.htable.partition_of(u) for u in units} == {"r5"}
+        assert {idx.units[u].partition_id for u in units} == {"r5"}
 
     def test_update_objects_dedupes_duplicate_moves(self, five_rooms):
         """A batch carrying several moves for one object applies
@@ -168,7 +289,7 @@ class TestObjectOps:
         assert [obj.object_id for obj in moved] == ["a"]
         assert idx.population.get("a").region.center == Point(6.0, 5.0, 0)
         units = idx.columns.units_of("a")
-        assert {idx.htable.partition_of(u) for u in units} == {"r1"}
+        assert {idx.units[u].partition_id for u in units} == {"r1"}
         assert not idx.validate()
 
     def test_straddling_object_in_multiple_buckets(self, five_rooms):
@@ -180,7 +301,7 @@ class TestObjectOps:
         )
         idx.insert_object(obj)
         pids = {
-            idx.htable.partition_of(u) for u in idx.columns.units_of("wide")
+            idx.units[u].partition_id for u in idx.columns.units_of("wide")
         }
         assert {"r1", "r2"} <= pids
 
@@ -213,7 +334,7 @@ class TestOTableLookups:
         )
         assert all("a" not in idx.columns.objects_in(u) for u in r1)
         r5 = idx.columns.units_of("a")
-        assert {idx.htable.partition_of(u) for u in r5} == {"r5"}
+        assert {idx.units[u].partition_id for u in r5} == {"r5"}
         idx.delete_object("a")
         assert idx.columns.units_of("a") == set()
         assert all("a" not in idx.columns.objects_in(u) for u in r5)
@@ -365,7 +486,7 @@ class TestTopologyOps:
         affected = idx.delete_partition("r2")
         assert affected == ["wide"]
         pids = {
-            idx.htable.partition_of(u) for u in idx.columns.units_of("wide")
+            idx.units[u].partition_id for u in idx.columns.units_of("wide")
         }
         assert pids == {"r1"}
 
@@ -377,7 +498,7 @@ class TestTopologyOps:
         assert idx.locate(Point(8, 5, 0)).partition_id == "r1_b"
         # The object sat at x=5: it must live in exactly the units of the
         # half containing it.
-        pids = {idx.htable.partition_of(u) for u in idx.columns.units_of("a")}
+        pids = {idx.units[u].partition_id for u in idx.columns.units_of("a")}
         assert pids <= {"r1_a", "r1_b"}
         assert idx.validate() == []
 
@@ -387,7 +508,7 @@ class TestTopologyOps:
         idx.apply_event(SplitPartition("r1", axis="x", coord=5.0))
         idx.apply_event(MergePartitions(("r1_a", "r1_b"), "r1"))
         assert idx.locate(Point(2, 5, 0)).partition_id == "r1"
-        pids = {idx.htable.partition_of(u) for u in idx.columns.units_of("a")}
+        pids = {idx.units[u].partition_id for u in idx.columns.units_of("a")}
         assert pids == {"r1"}
         assert idx.validate() == []
 

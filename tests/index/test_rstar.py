@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.geometry import Box3
-from repro.index import RStarTree
+from repro.reference.rstar import RStarTree
 
 
 def box_at(x, y, z=0.0, size=1.0):

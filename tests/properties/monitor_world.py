@@ -3,13 +3,16 @@ tests: randomized floorplans, standing-query registration and the
 from-scratch equivalence assertion.  Used by
 ``test_prop_monitor.py`` (single monitor vs oracle) and
 ``test_prop_deltas.py`` (delta replay); the index's bucket ground truth
-by ``test_prop_range_search.py`` and ``tests/index/test_composite.py``."""
+by ``test_prop_range_search.py`` and ``tests/index/test_composite.py``;
+the boundary query points by ``test_prop_queries.py`` and
+``tests/index/test_composite.py``."""
 
 import math
 
 import pytest
 
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
+from repro.geometry import Point
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import iRQ
@@ -51,9 +54,30 @@ def assert_buckets_are_the_tree_walk(index):
             want.setdefault(unit_id, set()).add(obj.object_id)
     got = {
         unit_id: index.columns.objects_in(unit_id)
-        for unit_id in index.indr.units
+        for unit_id in index.units
     }
     assert {u: ids for u, ids in got.items() if ids} == want
+
+
+def boundary_points(space) -> list[Point]:
+    """Points where partitions meet: every door midpoint, and each
+    partition's four corners and four wall midpoints on every floor it
+    spans.  A point on a shared wall lies in two partitions, so two
+    locators that break the tie differently part ways here (some
+    corners of a non-rectangular footprint lie in no partition)."""
+    points = [door.midpoint for door in space.doors.values()]
+    for partition in space.partitions.values():
+        b = partition.bounds
+        xs = (b.minx, (b.minx + b.maxx) / 2, b.maxx)
+        ys = (b.miny, (b.miny + b.maxy) / 2, b.maxy)
+        for floor in range(partition.floor, partition.upper_floor + 1):
+            points += [
+                Point(x, y, floor)
+                for x in xs
+                for y in ys
+                if (x, y) != (xs[1], ys[1])
+            ]
+    return points
 
 
 def register_random_queries(monitor, space, rng):

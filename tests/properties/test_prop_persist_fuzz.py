@@ -563,6 +563,7 @@ _UNRESTORABLE = {
     "space-empty": _set(("space",), {}),
     "space-partitions-int": _set(("space", "partitions"), 5),
     "space-floor-height-str": _set(("space", "floor_height"), "x"),
+    "space-rect-str": _set(("space", "partitions", 4, "rect"), "AAAA"),
     "index-fanout-str": _set(("config", "index", "fanout"), "x"),
     "config-n-shards-str": _set(("config", "n_shards"), "x"),
     "knn-state-int": _set(("state",), 7, "iknn"),

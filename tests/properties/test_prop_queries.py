@@ -1,7 +1,9 @@
 """Property tests for the query processors: randomized queries must
 agree with the naive oracle (iRQ: exact set equality; ikNNQ: tie-aware
 equivalence), and the envelope-first prune must decide every candidate
-as a prune that builds every exact interval does."""
+as a prune that builds every exact interval does.  Query points are
+random, or on a door, a wall or a corner, where two partitions contain
+``q`` and the engine's ``P(q)`` must be the oracle's."""
 
 import bisect
 import functools
@@ -10,6 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from monitor_world import boundary_points
 
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
@@ -20,6 +23,7 @@ from repro.queries import (
     ikNNQ,
     k_seeds_selection,
 )
+from repro.geometry import Point
 from repro.queries.engine import locate_source, subgraph_phase
 from repro.reference import (
     NaiveEvaluator,
@@ -29,6 +33,22 @@ from repro.reference import (
 )
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
+
+
+_BOUNDARY: dict[int, list] = {}
+
+
+def query_points(space):
+    """A random point by seed, or a located point on a door, a wall or
+    a partition corner."""
+    if id(space) not in _BOUNDARY:
+        _BOUNDARY[id(space)] = [
+            p for p in boundary_points(space) if space.locate(p) is not None
+        ]
+    return st.one_of(
+        st.integers(0, 500).map(lambda seed: space.random_point(seed=seed)),
+        st.sampled_from(_BOUNDARY[id(space)]),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +67,17 @@ def world():
 
 class TestIRQAgainstOracle:
     @given(
-        q_seed=st.integers(0, 500),
+        data=st.data(),
         r=st.floats(0.0, 150.0, allow_nan=False),
         with_pruning=st.booleans(),
         use_skeleton=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_exact_result_set(self, world, q_seed, r, with_pruning, use_skeleton):
+    def test_exact_result_set(
+        self, world, data, r, with_pruning, use_skeleton
+    ):
         space, index, oracle = world
-        q = space.random_point(seed=q_seed)
+        q = data.draw(query_points(space))
         got = iRQ(
             q, r, index,
             with_pruning=with_pruning, use_skeleton=use_skeleton,
@@ -65,15 +87,15 @@ class TestIRQAgainstOracle:
 
 class TestIKNNQAgainstOracle:
     @given(
-        q_seed=st.integers(0, 500),
+        data=st.data(),
         k=st.integers(1, 59),
         with_pruning=st.booleans(),
         use_skeleton=st.booleans(),
     )
     @settings(max_examples=50, deadline=None)
-    def test_tie_aware_top_k(self, world, q_seed, k, with_pruning, use_skeleton):
+    def test_tie_aware_top_k(self, world, data, k, with_pruning, use_skeleton):
         space, index, oracle = world
-        q = space.random_point(seed=q_seed)
+        q = data.draw(query_points(space))
         result = ikNNQ(
             q, k, index,
             with_pruning=with_pruning, use_skeleton=use_skeleton,
@@ -85,18 +107,45 @@ class TestIKNNQAgainstOracle:
         for oid in result.ids():
             assert exact[oid] <= kth + 1e-6
 
-    @given(q_seed=st.integers(0, 500), k=st.integers(1, 30))
+    @given(data=st.data(), k=st.integers(1, 30))
     @settings(max_examples=25, deadline=None)
-    def test_knn_subset_of_range(self, world, q_seed, k):
+    def test_knn_subset_of_range(self, world, data, k):
         """Every kNN member lies within range of the k-th distance."""
         space, index, oracle = world
-        q = space.random_point(seed=q_seed)
+        q = data.draw(query_points(space))
         kth = oracle.kth_distance(q, k)
         if not math.isfinite(kth):
             return
         knn_ids = ikNNQ(q, k, index).ids()
         range_ids = iRQ(q, kth + 1e-9, index).ids()
         assert knn_ids <= range_ids
+
+
+class TestQueryInsideAStaircase:
+    """A query point inside a staircase may leave it by an entrance on
+    another floor straight away, not only by one on its own floor: the
+    filter's skeleton bound must count those entrances as first hops,
+    or it drops objects upstairs that the oracle reaches."""
+
+    @pytest.mark.parametrize("world_seed", range(4))
+    def test_results_equal_the_oracle(self, world_seed):
+        space, index, oracle, _ = _straddling_world(world_seed)
+        for stair in space.staircases():
+            b = stair.bounds
+            for x, y in (
+                ((b.minx + b.maxx) / 2.0, (b.miny + b.maxy) / 2.0),
+                (b.minx, b.miny),
+                (b.maxx, b.maxy),
+            ):
+                for floor in range(stair.floor, stair.upper_floor + 1):
+                    q = Point(x, y, floor)
+                    for r in (10.0, 27.5, 60.0):
+                        got = iRQ(q, r, index).ids()
+                        assert got == oracle.range_query(q, r), (q, r)
+                    exact = oracle.all_distances(q)
+                    kth = oracle.kth_distance(q, 5)
+                    for oid in ikNNQ(q, 5, index).ids():
+                        assert exact[oid] <= kth + 1e-6, q
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,16 +256,16 @@ class TestEnvelopeFirstPrune:
 
     @given(
         world_seed=st.integers(0, 3),
-        q_seed=st.integers(0, 500),
+        data=st.data(),
         r=st.floats(0.0, 90.0, allow_nan=False),
         use_session=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_irq_decides_as_the_all_exact_prune(
-        self, world_seed, q_seed, r, use_session
+        self, world_seed, data, r, use_session
     ):
         space, index, oracle, session = _straddling_world(world_seed)
-        q = space.random_point(seed=q_seed)
+        q = data.draw(query_points(space))
         session = session if use_session else None
         stats = QueryStats()
         got = iRQ(
@@ -230,16 +279,16 @@ class TestEnvelopeFirstPrune:
 
     @given(
         world_seed=st.integers(0, 3),
-        q_seed=st.integers(0, 500),
+        data=st.data(),
         k=st.integers(1, 49),
         use_session=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_iknn_decides_as_the_all_exact_prune(
-        self, world_seed, q_seed, k, use_session
+        self, world_seed, data, k, use_session
     ):
         space, index, oracle, session = _straddling_world(world_seed)
-        q = space.random_point(seed=q_seed)
+        q = data.draw(query_points(space))
         session = session if use_session else None
         stats = QueryStats()
         got = ikNNQ(

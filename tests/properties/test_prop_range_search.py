@@ -156,6 +156,16 @@ def _assert_search_agrees(index, space, rng):
                 if space.locate(q) is not None:
                     probes.append((q, NEAR_RADII))
         probes += _boundary_probes(index, space, points, indexed, rng)
+    # ...and from inside a staircase, whose entrances on other floors
+    # are first hops of the skeleton bound too.
+    if space.staircases():
+        stair = rng.choice(space.staircases())
+        b = stair.bounds
+        for x, y in (
+            ((b.minx + b.maxx) / 2.0, (b.miny + b.maxy) / 2.0),
+            (b.maxx, b.miny),
+        ):
+            probes.append((Point(x, y, stair.floor), RADII))
     for q, radii in probes:
         bounds = {
             True: [
@@ -179,7 +189,7 @@ def _assert_search_agrees(index, space, rng):
                     for o in got.objects
                 )
                 assert got.partitions == want.partitions
-                assert got.units_checked == len(index.indr.units)
+                assert got.units_checked == len(index.units)
                 assert want.nodes_visited >= 1
                 # Lemma 6: no false negatives.
                 assert {
@@ -354,7 +364,7 @@ class TestStrandedObjectsComeBack:
         )
         _delete_and_restore(index, five_rooms, ["r2"])
         units = index.columns.units_of("a")
-        assert {index.htable.partition_of(u) for u in units} == {"r2"}
+        assert {index.units[u].partition_id for u in units} == {"r2"}
         found = {o.object_id for o in index.range_search(p, 3.0).objects}
         oracle = NaiveEvaluator(five_rooms, index.population)
         assert found == oracle.range_query(p, 3.0) == {"a"}

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Box3
-from repro.index import RStarTree, str_bulk_load
+from repro.reference.bulk import str_bulk_load
+from repro.reference.rstar import RStarTree
 
 coord = st.floats(0, 100, allow_nan=False, allow_infinity=False)
 size = st.floats(0.1, 10, allow_nan=False, allow_infinity=False)

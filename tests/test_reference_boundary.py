@@ -124,6 +124,8 @@ class TestImportBoundary:
             "PrecomputedDistanceIndex",
             "expected_indoor_distance",
             "object_bounds",
+            "IndRTree",
+            "RStarTree",
         }
 
 
@@ -181,6 +183,12 @@ MOVED = [
      "repro.reference.subregions:subregions"),
     ("repro.geometry:WeightedBisector",
      "repro.reference.bisector:WeightedBisector"),
+    ("repro.index:IndRTree", "repro.reference.tree:IndRTree"),
+    ("repro.index.indr:IndRTree", "repro.reference.tree:IndRTree"),
+    ("repro.index.indr:IndexUnit.box", "repro.reference.tree:unit_box"),
+    ("repro.index:RStarTree", "repro.reference.rstar:RStarTree"),
+    ("repro.index:TreeNode", "repro.reference.rstar:TreeNode"),
+    ("repro.index:str_bulk_load", "repro.reference.bulk:str_bulk_load"),
 ]
 
 #: Modules that moved whole into the reference package.
@@ -188,6 +196,8 @@ MOVED_MODULES = [
     ("repro.baselines", "repro.reference.naive"),
     ("repro.distances.expected", "repro.reference.expected"),
     ("repro.geometry.bisector", "repro.reference.bisector"),
+    ("repro.index.rstar", "repro.reference.rstar"),
+    ("repro.index.bulk", "repro.reference.bulk"),
 ]
 
 
@@ -215,6 +225,8 @@ class TestMovedNames:
             "PrecomputedDistanceIndex",
             "expected_indoor_distance",
             "object_bounds",
+            "IndRTree",
+            "RStarTree",
         ],
     )
     def test_the_top_level_name_is_the_reference(self, name):
