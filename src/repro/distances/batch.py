@@ -36,9 +36,9 @@ one-shot query:
   world-A batch's widest partition, three quarters of the operand would
   be padding).  The index's columnar table
   (:mod:`repro.index.columns`) stores the same entries, computes them
-  for a whole batch when objects are written — and each object's
-  instances, in row order — and serves every later block — a moved
-  batch, a candidate set — as a gather of them;
+  for a whole batch when objects are written — and each instance's
+  position in its object's own set, in row order — and serves every
+  later block — a moved batch, a candidate set — as a gather of them;
   :func:`repro.reference.pack.pack_block` is the per-object reference
   that write is tested against.
 
@@ -66,9 +66,9 @@ other routine, over the same two operands:
 * **exact refinement** (:func:`block_expected_distances`) — the
   expected indoor distance ``|q, O|_I`` (Definition 1), or the iPRQ
   qualifying probability, of a list of (query, object) pairs in one
-  array pass: the objects' instances read in subregion-row order from
-  their :class:`SubregionRows` (the index's table stores them in that
-  order), one ragged ``(instance x entry door)`` distance vector
+  array pass: the pairs' instances gathered in subregion-row order
+  through their :class:`SubregionRows` (the index's table indexes them
+  in that order), one ragged ``(instance x entry door)`` distance vector
   reduced to the best door per instance,
   the own-partition direct path, one contiguous sum per subregion.  A
   standing query reaches it through its :class:`BoundsRow`
@@ -147,6 +147,7 @@ from repro.distances.bounds import (
 )
 from repro.errors import QueryError
 from repro.geometry.point import Point
+from repro.objects.instances import InstanceSet
 from repro.objects.uncertain import UncertainObject
 from repro.space.doors_graph import DoorDistances, DoorsCsr
 from repro.space.floorplan import IndoorSpace
@@ -202,13 +203,10 @@ def own_row_extrema(
     direct-path term of rows lying in a query's own partition.  Element
     for element the floats of :meth:`~repro.objects.instances.
     InstanceSet.distances_to`."""
-    first = rows.start[idx]
-    counts = rows.start[idx + 1] - first
-    inst, cuts = span_index(first, counts)
-    d = rows.x[inst]
+    d, dy, _, cuts = rows.instances(idx)
+    counts = np.diff(cuts)
     d -= src[:, 0].repeat(counts)
     d *= d
-    dy = rows.y[inst]
     dy -= src[:, 1].repeat(counts)
     dy *= dy
     d += dy
@@ -301,22 +299,58 @@ class SubregionRows:
 
     Row ``a`` is one subregion ``S[j]``: its partition's layout row
     ``part[a]``, its mass ``mass[a]``, the floor its instances lie on
-    ``floor[a]``, and its instances — ``x`` / ``y`` / ``probs`` at
-    ``start[a] : start[a + 1]``, in the object's instance order (one
-    contiguous column each: numpy gathers a 1-D column several times
-    faster than the rows of an ``(n, 2)`` array).  Rows come in
-    ``(object, subregion)`` order, an object's subregions in
-    ``obj.pieces()`` order.  The arrays are the holder's own (a
-    gather copies): a later index write moves nothing they hold.
+    ``floor[a]``, and its instances at ``start[a] : start[a + 1]`` of
+    the instance axis.  Rows come in ``(object, subregion)`` order, an
+    object's subregions in ``obj.pieces()`` order, so each object's
+    instances are one run of that axis.
+
+    The instances themselves are not copied: ``sets[k]`` is the
+    instance set of the ``k``-th object, whose instances are the run
+    ``set_start[k] : set_start[k + 1]`` of the instance axis, and
+    ``idx[i]`` is the position of instance ``i`` in its object's set
+    (``int32``, exact for any object of fewer than 2**31 instances).
+    :meth:`instances` gathers the coordinates and probabilities of the
+    rows a caller reads, and only those.  The arrays are the holder's
+    own and the sets are read-only (an object that moves gets a new
+    set), so a later index write — compaction included — changes
+    nothing a holder reads.
     """
 
     part: np.ndarray
     mass: list[float]
     floor: np.ndarray
     start: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    probs: np.ndarray
+    sets: list[InstanceSet]
+    set_start: np.ndarray
+    idx: np.ndarray
+
+    def instances(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``x``, ``y`` and ``probs`` of the instances of ``rows``, laid
+        end to end in that order (one fresh 1-D column each), and the
+        ``(len(rows) + 1,)`` offsets of each row's run in them."""
+        first = self.start[rows]
+        count = self.start[rows + 1] - first
+        inst, cuts = span_index(first, count)
+        at = self.idx[inst]
+        owner = self.set_start.searchsorted(first, side="right") - 1
+        read = dict.fromkeys(owner.tolist())
+        if len(read) == 1:
+            (only,) = read
+            xy, probs = self.sets[only].xy, self.sets[only].probs
+        else:
+            # The sets read, each once, end to end: set ``k``'s
+            # instances start at ``base[k]`` there.
+            which = np.fromiter(read, dtype=np.intp, count=len(read))
+            size = self.set_start[which + 1] - self.set_start[which]
+            base = np.zeros(len(self.sets), dtype=np.intp)
+            base[which] = size.cumsum() - size
+            at = at + base[owner].repeat(count)
+            picked = [self.sets[k] for k in read]
+            xy = np.concatenate([s.xy for s in picked])
+            probs = np.concatenate([s.probs for s in picked])
+        return xy[:, 0][at], xy[:, 1][at], probs[at], cuts
 
 
 @dataclass(slots=True, eq=False)
@@ -335,6 +369,10 @@ class ObjectBlock:
     ``ent_start[a] : ent_start[a] + row_n[a]`` — none, for a door-less
     partition — of ``ent_door`` (global door index), ``ent_min`` and
     ``ent_max`` (its instances' Euclidean extrema to that door).
+    The rows read the instances of :attr:`objects` themselves (their
+    read-only sets, through a copied index): a block built from the
+    index's table still refines to the values it was built with after
+    its objects move or the table compacts.
     """
 
     objects: list[UncertainObject]
@@ -456,8 +494,8 @@ class BoundsRow:
     The row holds views of the kernel's arrays and makes the Python
     floats its per-pair decisions run on when the first one is asked
     for: a row nobody decides from costs nothing.  A row made with
-    ``refine=False`` decides but cannot refine: it keeps none of the
-    block's instance copies alive.
+    ``refine=False`` decides but cannot refine: it keeps neither the
+    block's instance index nor its objects' instance sets alive.
     """
 
     __slots__ = (
@@ -488,8 +526,9 @@ class BoundsRow:
         self._exact: dict[int, float] = {}
         # Not the block itself: a row may outlive the kernel call (the
         # one-shot prune keeps every chunk's), and the block's door
-        # entries — like its instance copies, for a row that does not
-        # refine — are what chunking exists to keep transient.
+        # entries — like its instance index and the instance sets it
+        # holds, for a row that does not refine — are what chunking
+        # exists to keep transient.
         self._mass = rows.mass
         self._rows = rows if refine else None
         self._offsets = bounds.offsets
@@ -604,7 +643,7 @@ class BlockBounds:
 
     def row(self, i: int, refine: bool = True) -> BoundsRow:
         """The view of query ``i`` (its position in the stack); with
-        ``refine=False`` one that keeps no instance copy alive."""
+        ``refine=False`` one that keeps no instance index alive."""
         return BoundsRow(self, i, refine)
 
     def hi_array(self, i: int) -> np.ndarray:
@@ -743,9 +782,8 @@ def _refine_pass(
     lrow = rows.part[mine]
     row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
     row_floor = rows.floor[mine]
-    row_len = rows.start[mine + 1] - rows.start[mine]
-    inst, row_cuts = span_index(rows.start[mine], row_len)
-    x, y, probs = rows.x[inst], rows.y[inst], rows.probs[inst]
+    x, y, probs, row_cuts = rows.instances(mine)
+    row_len = np.diff(row_cuts)
     row_of = np.arange(len(mine)).repeat(row_len)
     row_ends = row_cuts[1:]
 

@@ -30,10 +30,13 @@ the index units the object overlaps — the paper's o-table (object ->
 units), and the only place the index stores it — a span of subregion
 rows (partition row, mass, instance count), ragged beneath the rows
 one ``(emin, emax)`` entry per entry door of each row's partition,
-and the object itself: its instances (``x``, ``y``, probability, 24 B
-each) laid out in subregion-row order, so that the subregion ``S[j]``
-of Section II-B is a contiguous slice of them.  All three span columns
-are bump-allocated: a slot whose count grows gets a fresh span at the
+and an index into the object itself: each instance's position in the
+object's own :class:`~repro.objects.instances.InstanceSet` (``int32``,
+4 B each), laid out in subregion-row order, so that the subregion
+``S[j]`` of Section II-B is a contiguous slice of positions.  The
+object's set is the only store of its instance values — read-only, and
+replaced, never written, when the object moves.  All three span
+columns are bump-allocated: a slot whose count grows gets a fresh span at the
 top (one whose count shrinks keeps the head of its own), and once the
 dead entries exceed :data:`_DEAD_SHARE` of the live ones the live
 spans are packed down, :data:`_BUILD_CHUNK` slots a pass.  The reverse
@@ -48,14 +51,16 @@ hallway has tens of doors and a room one: padded to the widest
 partition the table is several times larger, and the resident set is
 a gated metric; a block is the same ragged entries gathered, and the
 bounds kernel reduces them as they lie.  A block also gathers — copies
-— its objects' instance rows (:class:`~repro.distances.batch.
-SubregionRows`), which exact refinement and the own-partition direct
-path read: a later write, compaction included, moves nothing a block
-has handed out.  The filter's one instance test (min instance distance
-to a same-floor query point) decides from the instance box (32 B a
-slot) whenever the box lies wholly within or wholly beyond ``r``, and
-reads the instances only for those it straddles, a bounded number at a
-time.  No instance x door matrix outlives the write that computed it.
+— its objects' instance index and keeps the objects it was built from
+(:class:`~repro.distances.batch.SubregionRows`); exact refinement and
+the own-partition direct path gather the coordinates of only the rows
+they read through it: a later write, compaction or a move of the
+block's own objects included, changes nothing a block has handed out.
+The filter's one instance test (min instance distance to a same-floor
+query point) decides from the instance box (32 B a slot) whenever the
+box lies wholly within or wholly beyond ``r``, and reads the instances
+only for those it straddles, a bounded number at a time.  No instance
+x door matrix outlives the write that computed it.
 
 **The write.**  One routine, :meth:`_Topology.stage`, resolves a list
 of objects in a fixed number of array operations and is the only body
@@ -67,19 +72,19 @@ floor; index units as same-floor rect overlap over the candidates'
 unit spans; subregions as one containment test per (instance,
 candidate of its object) pair whose first hit per instance is the
 scalar first-wins rule; rows as runs of one stable sort of the
-instances by (object, subregion), which lays the instances out in the
-order the table stores them; door extrema as one ragged ``(row, door)
+instances by (object, subregion), which gives the order the table
+indexes them in; door extrema as one ragged ``(row, door)
 x instances-of-row`` gather reduced straight into the ragged entries.
 Per row it sums the mass (one contiguous sum each: the floats of
 ``probs[mask].sum()``); per object only the slot lookup runs — no
 :class:`~repro.reference.subregions.Subregion` is built, no piece
 vector is kept.  :meth:`_State.commit` allocates every changed span
-and writes the rows, entries and instances.  Nothing is written until the whole
-batch has resolved, so a batch the index cannot hold leaves it
-untouched.  A write does not compute what no reader of the batch
-reads: entrance legs, read only by a search that reaches the object
-from another floor, are marked stale and refilled by that search
-(:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
+and writes the rows, entries and instance index.  Nothing is written
+until the whole batch has resolved, so a batch the index cannot hold
+leaves it untouched.  A write does not compute what no reader of the
+batch reads: entrance legs, read only by a search that reaches the
+object from another floor, are marked stale and refilled by that
+search (:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
 step repeats the floats or the set of a scalar reference in
 :mod:`repro.reference` — :func:`~repro.reference.tree.resolve_units`
 (an indR-tree search),
@@ -175,11 +180,12 @@ _SEARCH_CHUNK = 512
 #: grows gets a new span at the top and its old one is dead (one whose
 #: count shrinks keeps the head of its own).  Once the dead entries of a
 #: column group exceed this share of the live ones, the group is
-#: compacted.  At a quarter, world A's table (3.46 MB built, 2.40 MB of
-#: it the instances) reads 4.06 MB after 1 000, 5 000 and 20 000
-#: twenty-move batches; before the instance columns it read 1.58 MB
-#: from 1.01 MB, as much as exact-size free lists did, and compacting
-#: only once dead exceeded live read 0.45 MB more.
+#: compacted.  At a quarter, world A's table (1.46 MB built,
+#: 0.40 MB of it the instance index) reads 2.06 MB after
+#: 1 000, 5 000 and 20 000 twenty-move batches; with no instance
+#: column it read 1.58 MB from 1.01 MB, as much as exact-size free
+#: lists did, and compacting only once dead exceeded live read 0.45 MB
+#: more.
 _DEAD_SHARE = 0.25
 
 
@@ -230,9 +236,9 @@ class _Staged:
     sub_mass: list[float]
     sub_len: np.ndarray  #: instances per row
     n_inst: np.ndarray
-    x: np.ndarray  #: the instances in row order, object-major
-    y: np.ndarray
-    probs: np.ndarray
+    #: Row order, object-major: each instance's position in its own
+    #: object's set.
+    inst_idx: np.ndarray
     n_ents: np.ndarray
     ent_min: np.ndarray
     ent_max: np.ndarray
@@ -481,7 +487,7 @@ class _Topology:
     ) -> _Staged | None:
         """Resolve ``objects`` against this topology: their index units
         and the table rows of each — subregion rows with their
-        instances, door entries — column for column the floats of
+        instance index, door entries — column for column the floats of
         :func:`~repro.reference.pack.pack_block`.
         Raises, having written nothing, when an object has a non-finite
         instance, overlaps no index unit or has a subregion without
@@ -563,8 +569,11 @@ class _Topology:
         row_part = part[order[first]]
         n_rows = np.bincount(row_obj, minlength=n_obj)
         r_start = offsets_of(n_rows)
+        # Row-ordered temporaries for the masses and the door extrema;
+        # the table keeps only each instance's position in its set.
         sx, sy = xy[:, 0][order], xy[:, 1][order]
         ps = np.concatenate([obj.instances.probs for obj in objects])[order]
+        inst_idx = (order - starts[:-1][owner[order]]).astype(np.int32)
         # One contiguous pairwise sum per row: the values and order of
         # ``probs[mask].sum()``, which ``reduceat`` would not give.
         add = np.add.reduce
@@ -610,9 +619,7 @@ class _Topology:
             masses,
             row_len,
             np.diff(starts),
-            sx,
-            sy,
-            ps,
+            inst_idx,
             np.add.reduceat(nd, r_start[:-1]),
             ent_min,
             ent_max,
@@ -646,9 +653,10 @@ class _State:
         self._buckets: tuple[int, np.ndarray, np.ndarray] | None = None
 
         # -- subregion rows, and ragged beneath them one (emin, emax)
-        # entry per entry door of the row's partition; the object's
-        # instances in row order, each row ``sub_len`` of them; all
-        # bump-allocated up to ``*_top``, ``*_live`` of it in use -----
+        # entry per entry door of the row's partition; the positions
+        # of the object's instances in its own set, in row order, each
+        # row ``sub_len`` of them; all bump-allocated up to ``*_top``,
+        # ``*_live`` of it in use -------------------------------------
         self.row_top = self.row_live = 0
         self.sub_part = np.zeros(0, dtype=np.intp)
         self.sub_mass = np.zeros(0)
@@ -656,9 +664,7 @@ class _State:
         self.inst_start = np.zeros(0, dtype=np.intp)
         self.inst_count = np.zeros(0, dtype=np.intp)
         self.inst_top = self.inst_live = 0
-        self.inst_x = np.zeros(0)
-        self.inst_y = np.zeros(0)
-        self.inst_p = np.zeros(0)
+        self.inst_idx = np.zeros(0, dtype=np.int32)
         self.ent_top = self.ent_live = 0
         self.ent_min = np.zeros(0)
         self.ent_max = np.zeros(0)
@@ -686,9 +692,7 @@ class _State:
         self.sub_part = _grown(self.sub_part, rows, 0)
         self.sub_mass = _grown(self.sub_mass, rows, 0.0)
         self.sub_len = _grown(self.sub_len, rows, 0)
-        self.inst_x = _grown(self.inst_x, insts, 0.0)
-        self.inst_y = _grown(self.inst_y, insts, 0.0)
-        self.inst_p = _grown(self.inst_p, insts, 0.0)
+        self.inst_idx = _grown(self.inst_idx, insts, 0)
         self.ent_min = _grown(self.ent_min, ents, 0.0)
         self.ent_max = _grown(self.ent_max, ents, 0.0)
 
@@ -765,9 +769,7 @@ class _State:
         self.ent_min[dst] = staged.ent_min
         self.ent_max[dst] = staged.ent_max
         dst, _ = span_index(self.inst_start[slots], staged.n_inst)
-        self.inst_x[dst] = staged.x
-        self.inst_y[dst] = staged.y
-        self.inst_p[dst] = staged.probs
+        self.inst_idx[dst] = staged.inst_idx
         if self.row_top - self.row_live > _DEAD_SHARE * self.row_live:
             self.row_top = self._pack(
                 self.row_start,
@@ -780,9 +782,7 @@ class _State:
             )
         if self.inst_top - self.inst_live > _DEAD_SHARE * self.inst_live:
             self.inst_top = self._pack(
-                self.inst_start,
-                self.inst_count,
-                ("inst_x", "inst_y", "inst_p"),
+                self.inst_start, self.inst_count, ("inst_idx",)
             )
 
     def _pack(
@@ -1094,7 +1094,7 @@ class ObjectColumns:
 
     def stage(self, objects: list[UncertainObject]) -> _Staged:
         """Resolve a non-empty batch of objects about to be inserted or
-        moved — units, subregion rows, instances, door entries —
+        moved — units, subregion rows, instance index, door entries —
         touching nothing.  Raises where the index could not hold one of
         them."""
         return self._topology().stage(
@@ -1189,10 +1189,12 @@ class ObjectColumns:
 
     @staticmethod
     def _rows(
-        state: _State, slots: np.ndarray
+        state: _State, slots: np.ndarray, objects: list[UncertainObject]
     ) -> tuple[SubregionRows, np.ndarray]:
-        """The slots' subregion rows, gathered (copied), and each
-        slot's row span."""
+        """The subregion rows of ``slots`` (holding ``objects``),
+        gathered (copied) with their instance index, and each slot's
+        row span.  No coordinate is copied: the rows read the objects'
+        own instance sets."""
         count = state.row_count[slots]
         rows, offsets = span_index(state.row_start[slots], count)
         inst, _ = span_index(state.inst_start[slots], state.inst_count[slots])
@@ -1203,9 +1205,9 @@ class ObjectColumns:
                 state.sub_mass[rows].tolist(),
                 floor.repeat(count),
                 offsets_of(state.sub_len[rows]),
-                state.inst_x[inst],
-                state.inst_y[inst],
-                state.inst_p[inst],
+                [obj.instances for obj in objects],
+                offsets_of(state.inst_count[slots]),
+                state.inst_idx[inst],
             ),
             offsets,
         )
@@ -1218,7 +1220,7 @@ class ObjectColumns:
         row span, the rows :func:`~repro.reference.pack.subregion_rows`
         would compute, gathered instead."""
         state, slots = self._slots(objects)
-        return self._rows(state, slots)
+        return self._rows(state, slots, objects)
 
     def block(self, objects: list[UncertainObject]) -> ObjectBlock:
         """``objects`` — live objects of the index — as the bounds
@@ -1227,7 +1229,7 @@ class ObjectColumns:
         instead."""
         state, slots = self._slots(objects)
         layout = state.topo.layout
-        rows, offsets = self._rows(state, slots)
+        rows, offsets = self._rows(state, slots, objects)
         ents, _ = span_index(state.ent_start[slots], state.ent_count[slots])
         part = rows.part
         row_n = layout.n_entry[part]
@@ -1329,10 +1331,11 @@ class ObjectColumns:
         from a fresh
         :func:`pack_block` of a copy of the object (its subregions the
         scalar split's: partition order, each row's instances in
-        order, each mass ``checked_mass(probs[mask])``), an instance box
-        that is not the instances' min / max, entrance legs (refilled
-        first where stale) that differ from the scalar distances, and
-        overlapping spans."""
+        order, each mass ``checked_mass(probs[mask])``), an instance
+        index span that is not a permutation of the object's instance
+        positions, an instance box that is not the instances' min /
+        max, entrance legs (refilled first where stale) that differ
+        from the scalar distances, and overlapping spans."""
         from repro.reference.pack import pack_block
         from repro.reference.tree import IndRTree
 
@@ -1400,19 +1403,28 @@ class ObjectColumns:
             ea = state.ent_start[slot]
             eb = ea + state.ent_count[slot]
             ia = state.inst_start[slot]
-            ib = ia + state.inst_count[slot]
+            index = state.inst_idx[ia : ia + state.inst_count[slot]]
+            permuted = np.array_equal(np.sort(index), np.arange(len(obj)))
+            mine, _ = self._rows(state, np.array([slot]), [obj])
+            every = np.arange(len(fresh.rows.part))
             entrances = self.skeleton.entrances_on_floor(obj.floor)
             checks = {
                 "subregion rows": np.array_equal(
                     state.sub_part[a:b], fresh.sub_part
                 )
                 and state.sub_mass[a:b].tolist() == fresh.sub_mass,
-                "instance rows": np.array_equal(
+                "instance index": permuted,
+                # Gathered through the index (only a permutation can be).
+                "instance rows": permuted
+                and np.array_equal(
                     offsets_of(state.sub_len[a:b]), fresh.rows.start
                 )
-                and np.array_equal(state.inst_x[ia:ib], fresh.rows.x)
-                and np.array_equal(state.inst_y[ia:ib], fresh.rows.y)
-                and np.array_equal(state.inst_p[ia:ib], fresh.rows.probs),
+                and all(
+                    np.array_equal(got, want)
+                    for got, want in zip(
+                        mine.instances(every), fresh.rows.instances(every)
+                    )
+                ),
                 "door entries": np.array_equal(
                     state.ent_min[ea:eb], fresh.ent_min
                 )

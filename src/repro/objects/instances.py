@@ -24,6 +24,26 @@ def checked_mass(probs: np.ndarray) -> float:
     return check_mass(float(probs.sum()))
 
 
+def _sealed(values) -> np.ndarray:
+    """``values`` as a read-only float64 array no caller can write: an
+    array ``np.asarray`` made afresh is frozen, one read-only down its
+    base chain is kept, and any other — a writeable array the caller
+    still holds, or a view of one — is copied first."""
+    out = np.asarray(values, dtype=np.float64)
+    if not out.flags.writeable:
+        base = out.base
+        while isinstance(base, np.ndarray):
+            if base.flags.writeable:
+                break
+            base = base.base
+        else:
+            return out
+    if out is values or out.base is not None:
+        out = out.copy()
+    out.flags.writeable = False
+    return out
+
+
 def check_mass(total: float) -> float:
     """``total``, required to be a probability mass in ``(0, 1]`` (a
     NaN is none: it fails both comparisons)."""
@@ -45,6 +65,12 @@ class InstanceSet:
         a positioning reader covers one floor).
     probs:
         ``(n,)`` float array of existential probabilities, summing to 1.
+
+    Both arrays are read-only and the set's own (a writeable array
+    passed in is copied, never frozen under its holder): the index's
+    table and every block read them by reference, by position, so a
+    write after indexing would split the index from the object.  A new
+    location is a new set.
     """
 
     xy: np.ndarray
@@ -52,8 +78,8 @@ class InstanceSet:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        xy = np.asarray(self.xy, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+        xy = _sealed(self.xy)
+        probs = _sealed(self.probs)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ReproError(f"xy must be (n, 2), got {xy.shape}")
         if probs.shape != (xy.shape[0],):

@@ -30,7 +30,8 @@ def subregion_rows(
 ) -> tuple[SubregionRows, np.ndarray]:
     """``objects``' subregions (:func:`~repro.reference.subregions.
     subregions`, the scalar assignment) as :class:`SubregionRows` in
-    ``layout``'s partition rows, and each object's row span — the
+    ``layout``'s partition rows — each row's instance positions those
+    of its subregion's mask, in order — and each object's row span: the
     reference the index's table rows are held to."""
     subs: list[Subregion] = []
     counts = []
@@ -38,18 +39,24 @@ def subregion_rows(
         mine = subregions(obj, space, grid)
         subs.extend(mine)
         counts.append(len(mine))
-    sets = [s.instances for s in subs]
-    xy = np.concatenate([inst.xy for inst in sets] + [np.zeros((0, 2))])
+    positions = [
+        np.arange(len(s.parent))
+        if s.pieces is None
+        else np.flatnonzero(s.pieces == s.piece)
+        for s in subs
+    ]
     return SubregionRows(
         np.array(
             [layout.part_row[s.partition_id] for s in subs], dtype=np.intp
         ),
         [s.mass for s in subs],
-        np.array([float(inst.floor) for inst in sets]),
-        offsets_of(np.array([len(inst) for inst in sets], dtype=np.intp)),
-        np.ascontiguousarray(xy[:, 0]),
-        np.ascontiguousarray(xy[:, 1]),
-        np.concatenate([inst.probs for inst in sets] + [np.zeros(0)]),
+        np.array([float(s.parent.floor) for s in subs]),
+        offsets_of(np.array([len(p) for p in positions], dtype=np.intp)),
+        [obj.instances for obj in objects],
+        offsets_of(np.array([len(o) for o in objects], dtype=np.intp)),
+        np.concatenate(positions + [np.zeros(0, dtype=np.int32)]).astype(
+            np.int32
+        ),
     ), offsets_of(np.array(counts, dtype=np.intp))
 
 
@@ -78,10 +85,10 @@ def pack_block(
     for a, row in enumerate(rows.part.tolist()):
         idx = layout.entry_idx[row]
         if idx.size:
-            span = slice(rows.start[a], rows.start[a + 1])
+            x, y, _, _ = rows.instances(np.array([a]))
             mids = layout.entry_mid[row]
-            dx = rows.x[span][:, None] - mids[:, 0][None, :]
-            dy = rows.y[span][:, None] - mids[:, 1][None, :]
+            dx = x[:, None] - mids[:, 0][None, :]
+            dy = y[:, None] - mids[:, 1][None, :]
             d2 = dx * dx + dy * dy
             dz = (rows.floor[a] - mids[:, 2]) * fh
             d = np.sqrt(d2 + (dz * dz)[None, :])

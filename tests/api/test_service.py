@@ -285,9 +285,10 @@ class TestStandingProbRangeDeltas:
 
 class TestNonFiniteLocationsFailClosed:
     """A NaN or infinite coordinate or probability never reaches the
-    index: ``InstanceSet`` refuses it, and a set whose arrays were
-    written after construction is refused by the write, before the
-    index, the standing results or the WAL change."""
+    index: ``InstanceSet`` refuses it and keeps its arrays read-only,
+    and a set forged by re-enabling writes on its own array and writing
+    after construction is refused by the write, before the index, the
+    standing results or the WAL change."""
 
     @pytest.mark.parametrize(
         "xy, probs",
@@ -329,7 +330,11 @@ class TestNonFiniteLocationsFailClosed:
         forged = InstanceSet(
             np.array([[4.0, 5.0], [5.0, 5.0]]), 0, np.array([0.5, 0.5])
         )
-        getattr(forged, column)[0] = value  # written after construction
+        array = getattr(forged, column)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = value
+        array.flags.writeable = True  # forged after construction
+        array[0] = value
         move = ObjectMove("mid", Circle(Point(4.5, 5.0, 0), 1.0), forged)
         with pytest.raises(ReproError):
             service.ingest([move])

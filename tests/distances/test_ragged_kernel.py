@@ -131,10 +131,14 @@ def _assert_same_block(got, want):
     arrays = "ent_door ent_min ent_max row_n ent_start sub_part obj_offsets"
     for name in arrays.split():
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in "floor start x y probs".split():
+    for name in "floor start set_start idx".split():
         assert np.array_equal(
             getattr(got.rows, name), getattr(want.rows, name)
         ), name
+    every = np.arange(len(got.rows.part))
+    gathered = zip(got.rows.instances(every), want.rows.instances(every))
+    for name, (a, b) in zip("x y probs start".split(), gathered):
+        assert np.array_equal(a, b), name
 
 
 def _world(seed, n_objects=24, sealed=1, straddlers=3):

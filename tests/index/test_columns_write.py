@@ -65,10 +65,10 @@ def assert_equals_references(idx, objects):
         ]
         assert [rows.mass[a] for a in mine] == [s.mass for s in ref]
         for a, t in zip(mine, ref):
-            span = slice(rows.start[a], rows.start[a + 1])
-            assert rows.x[span].tolist() == t.instances.xy[:, 0].tolist()
-            assert rows.y[span].tolist() == t.instances.xy[:, 1].tolist()
-            assert rows.probs[span].tolist() == t.instances.probs.tolist()
+            x, y, probs, _ = rows.instances(np.array([a]))
+            assert x.tolist() == t.instances.xy[:, 0].tolist()
+            assert y.tolist() == t.instances.xy[:, 1].tolist()
+            assert probs.tolist() == t.instances.probs.tolist()
             assert rows.floor[a] == t.instances.floor
     want = pack_block(twins, space, grid, layout)
     assert got.ent_door.tolist() == want.ent_door.tolist()
@@ -589,6 +589,36 @@ class TestStoredInstanceBox:
         assert idx.validate() == [
             f"object {victim}: columns disagree on instance box"
         ]
+
+    def test_validate_reports_a_corrupted_index(self):
+        space, gen, rng, pop = _random_world(4, 20)
+        idx = CompositeIndex.build(space, pop)
+        idx.columns.layout()
+        assert idx.validate() == []
+        victim = next(
+            o
+            for o in sorted(pop, key=lambda o: o.object_id)
+            if len(np.unique(o.instances.xy, axis=0)) == len(o) > 1
+        )
+        oid = victim.object_id
+        state = idx.columns._state
+        span = state.inst_start[state.slot_of[oid]] + np.arange(len(victim))
+        good = state.inst_idx[span].copy()
+        # Still a permutation, but the rows gathered through it are not
+        # the object's subregions.
+        state.inst_idx[span] = np.roll(good, 1)
+        assert idx.validate() == [
+            f"object {oid}: columns disagree on instance rows"
+        ]
+        # Not a permutation: one instance read twice, one never.
+        state.inst_idx[span] = good
+        state.inst_idx[span[0]] = good[1]
+        assert idx.validate() == [
+            f"object {oid}: columns disagree on instance index",
+            f"object {oid}: columns disagree on instance rows",
+        ]
+        state.inst_idx[span] = good
+        assert idx.validate() == []
 
 
 class TestLazySubregion:

@@ -50,6 +50,39 @@ class TestConstruction:
         assert s.mass == pytest.approx(0.3)
 
 
+class TestReadOnly:
+    def test_arrays_are_read_only(self):
+        s = square_set()
+        for array in (s.xy, s.probs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_a_callers_array_is_copied_not_frozen(self):
+        xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+        probs = np.array([0.5, 0.5])
+        s = InstanceSet(xy, 0, probs)
+        assert xy.flags.writeable and probs.flags.writeable
+        assert not np.shares_memory(s.xy, xy)
+        assert not np.shares_memory(s.probs, probs)
+        xy[0, 0] = 9.0
+        assert s.xy[0, 0] == 0.0
+
+    def test_a_view_of_a_writeable_array_is_copied(self):
+        base = np.array([[0.0, 0.0, 7.0], [1.0, 0.0, 7.0]])
+        view = base[:, :2]
+        view.flags.writeable = False
+        s = InstanceSet.uniform(view, 0)
+        assert base.flags.writeable
+        assert not np.shares_memory(s.xy, base)
+
+    def test_a_read_only_array_is_shared(self):
+        s = square_set()
+        again = InstanceSet(s.xy, s.floor, s.probs)
+        assert again.xy is s.xy and again.probs is s.probs
+        assert not s.subset(np.array([0, 1])).xy.flags.writeable
+
+
 class TestSubset:
     def test_subset_keeps_raw_probs(self):
         s = square_set()

@@ -305,7 +305,9 @@ class TestWalRoundTrip:
             for x, y in pairs:
                 assert x.xy.tobytes() == y.xy.tobytes()
                 assert x.probs.tobytes() == y.probs.tobytes()
-                assert x.xy.flags.writeable and y.xy.flags.writeable
+                # The sets are read-only: the index reads them by
+                # position.
+                assert not (x.xy.flags.writeable or y.xy.flags.writeable)
 
     def test_a_v2_line_is_about_half_the_v1_bytes(self):
         old = sum(len(x) for x in V1_LINES if '"moves"' in x)
@@ -340,15 +342,19 @@ class TestWalRoundTrip:
         assert got.xy.tobytes() == xy.tobytes()
         assert got.probs.tobytes() == probs.tobytes()
         assert got.xy.dtype == got.probs.dtype == np.float64
-        assert got.xy.flags.writeable and got.probs.flags.writeable
+        assert not (got.xy.flags.writeable or got.probs.flags.writeable)
 
     def test_the_writer_refuses_non_finite_instances(self):
         xy = np.array([[1.0, 2.0], [math.nan, 3.0]])
         with pytest.raises(ReproError, match="finite"):
             InstanceSet.uniform(xy, 0)
-        # The constructor refuses it; a set whose array was written
-        # after construction still reaches the writer's own check.
+        # The constructor refuses it, and the set's arrays are
+        # read-only; one forged by re-enabling writes on the set's own
+        # array still reaches the writer's own check.
         forged = InstanceSet.uniform(np.array([[1.0, 2.0], [2.0, 3.0]]), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            forged.xy[1, 0] = math.nan
+        forged.xy.flags.writeable = True
         forged.xy[1, 0] = math.nan
         move = ObjectMove("o", Circle(Point(1.0, 2.0, 0), 2.0), forged)
         with pytest.raises(PersistError, match="non-finite"):

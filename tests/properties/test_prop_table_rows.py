@@ -1,36 +1,51 @@
-"""The columnar table's instance rows, held to the scalar references.
+"""The columnar table's instance index, held to the scalar references.
 
-The table stores each live object's instances in subregion-row order
-(``inst_x`` / ``inst_y`` / ``inst_p``, one bump-allocated span per
-slot, ``sub_len`` instances per row), and every block — hence every
-refinement on the ingest and query paths — reads them there.  After
-each path that writes, moves or drops those spans:
+The table stores no instance values: per live object it keeps each
+instance's position in the object's own (read-only) instance set, in
+subregion-row order (``inst_idx``, one bump-allocated ``int32`` span
+per slot, ``sub_len`` instances per row), and every block — hence
+every refinement on the ingest and query paths — gathers the
+instances it reads through it.  After each path that writes, moves or
+drops those spans:
 
-* ``validate()`` is empty — it checks each slot's slices against the
-  scalar split's pieces (partition order, instance order within a
-  piece, ``checked_mass(probs[mask])``);
+* ``validate()`` is empty — it checks that each slot's span is a
+  permutation of the object's instance positions and that the rows
+  gathered through it are the scalar split's pieces (partition order,
+  instance order within a piece, ``checked_mass(probs[mask])``);
 * block refinement of every held object ``==`` the scalar
   ``expected_indoor_distance``.
 
 The paths: move batches with ragged instance counts until a compaction
 pass has run over every column group, a topology rebuild, and a
 partition delete + re-insert that strands an object and brings it
-back.  A block taken before a compacting write keeps refining to its
-pre-write values: a gather copies.
+back.  A block taken before a compacting write, or before its own
+objects move, keeps refining to its pre-write values (it copies the
+index and holds the objects it was built from), and an object handed
+out by a query keeps reading the instances it was returned with.  The
+table adds at most four bytes an instance to the objects' own arrays.
 """
 
 import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monitor_world import build_world
 from repro.distances.batch import QueryStack, block_expected_distances
+from repro.errors import IndexError_
 from repro.geometry import Circle, Point
+from repro.index import CompositeIndex
 from repro.index.columns import _State
-from repro.objects import InstanceSet, ObjectMove, UncertainObject
+from repro.objects import (
+    InstanceSet,
+    ObjectGenerator,
+    ObjectMove,
+    UncertainObject,
+)
+from repro.queries import ikNNQ
 from repro.reference.expected import expected_indoor_distance
 from repro.space.events import CloseDoor, OpenDoor
 from repro.space.partition import Partition, PartitionKind
@@ -38,7 +53,7 @@ from repro.space.partition import Partition, PartitionKind
 GROUPS = {
     ("sub_part", "sub_mass", "sub_len"),
     ("ent_min", "ent_max"),
-    ("inst_x", "inst_y", "inst_p"),
+    ("inst_idx",),
 }
 
 
@@ -210,8 +225,112 @@ class TestBlockAcrossAWrite:
         state = index.columns._state
         slots = [state.slot_of[o.object_id] for o in held]
         starts = state.inst_start[slots].copy()
-        groups = {("inst_x", "inst_y", "inst_p")}
+        groups = {("inst_idx",)}
         ids = sorted(pop.ids())
         assert groups <= _compacting(index, space, gen, rng, ids, groups)
         assert not np.array_equal(state.inst_start[slots], starts)
         assert _refine(index, block, searches) == before
+
+    def test_a_block_refines_to_its_pre_move_values(self):
+        """Every object of a block moves: the population and the table
+        hold new objects, the block still the ones it was built from."""
+        space, gen, pop, index = build_world(11, 24)
+        rng = random.Random(11)
+        index.columns.layout()
+        held = list(pop)
+        searches = _searches(index, rng)
+        block = index.columns.block(held)
+        before = _refine(index, block, searches)
+        assert before == _scalar(index, held, searches)
+
+        index.update_objects(
+            [_ragged_move(space, gen, rng, o.object_id) for o in held]
+        )
+        assert all(pop.get(o.object_id) is not o for o in held)
+        assert index.validate() == []
+        assert _refine(index, block, searches) == before
+
+    def test_a_returned_object_keeps_its_instances(self):
+        """An object a query returned, held across moves of itself and
+        compactions of the table, reads the instances it was returned
+        with — and the index refuses it as a stale handle."""
+        space, gen, pop, index = build_world(5, 24)
+        rng = random.Random(5)
+        q = space.random_point(rng=rng)
+        returned = ikNNQ(q, 6, index).objects
+        assert returned
+        kept = [
+            (o.instances.xy.tobytes(), o.instances.probs.tobytes())
+            for o in returned
+        ]
+        searches = _searches(index, rng)
+        distances = _scalar(index, returned, searches)
+
+        ids = sorted(pop.ids())
+        groups = {("inst_idx",)}
+        assert groups <= _compacting(index, space, gen, rng, ids, groups)
+        index.update_objects(
+            [_ragged_move(space, gen, rng, o.object_id) for o in returned]
+        )
+        assert index.validate() == []
+        assert [
+            (o.instances.xy.tobytes(), o.instances.probs.tobytes())
+            for o in returned
+        ] == kept
+        assert _scalar(index, returned, searches) == distances
+        for obj in returned:
+            assert not obj.instances.xy.flags.writeable
+            assert pop.get(obj.object_id) is not obj
+            with pytest.raises(IndexError_, match="not a live object"):
+                index.columns.block([obj])
+
+
+class TestMemory:
+    def test_the_table_adds_at_most_four_bytes_an_instance(self):
+        """The objects' instance sets are the only store of instance
+        values: after a build and after a compacting churn, no column
+        of instance length is float64, and those columns hold at most
+        four bytes per entry of their capacity."""
+        space, *_ = build_world(3, 0)
+        # Many instances an object, so that no other column group is
+        # as long as the instance columns.
+        gen = ObjectGenerator(space, radius=3.0, n_instances=200, seed=3)
+        pop = gen.generate(40)
+        index = CompositeIndex.build(space, pop)
+        rng = random.Random(3)
+        index.columns.layout()
+
+        def instance_columns():
+            state = index.columns._state
+            n = sum(len(o) for o in pop)
+            # Every other group is shorter: slots and rows at most one
+            # an object, entries a handful a row (asserted, so that the
+            # length test below picks the instance columns alone).
+            short = [state.sub_part, state.ent_min, state.row_start]
+            assert max(len(a) for a in short) < n
+            columns = [
+                a
+                for a in vars(state).values()
+                if isinstance(a, np.ndarray) and a.shape[0] >= n
+            ]
+            assert columns
+            return columns
+
+        ids = sorted(pop.ids())
+        for when in ("built", "churned"):
+            if when == "churned":
+                state = index.columns._state
+                for _ in range(400):
+                    top = state.inst_top
+                    batch = rng.sample(ids, 6)
+                    index.update_objects(
+                        [_ragged_move(space, gen, rng, o) for o in batch]
+                    )
+                    if state.inst_top < top:  # the instances compacted
+                        break
+                else:
+                    pytest.fail("no compaction of the instance columns")
+            columns = instance_columns()
+            assert all(a.dtype != np.float64 for a in columns), when
+            capacity = max(a.shape[0] for a in columns)
+            assert sum(a.nbytes for a in columns) <= 4 * capacity, when
