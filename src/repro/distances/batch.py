@@ -70,11 +70,16 @@ other routine, over the same two operands:
   through their :class:`SubregionRows` (the index's table indexes them
   in that order), one ragged ``(instance x entry door)`` distance vector
   reduced to the best door per instance,
-  the own-partition direct path, one contiguous sum per subregion.  A
-  standing query reaches it through its :class:`BoundsRow`
-  (:meth:`~BoundsRow.prefetch` / :meth:`~BoundsRow.exact` /
-  :meth:`~BoundsRow.exact_probability`), a one-shot query through
-  :class:`repro.queries.engine.Refiner`; the scalar
+  the own-partition direct path, one contiguous sum per subregion.
+  The monitor refines every standing query's named pairs of an ingest
+  batch together, before any maintainer decides
+  (:meth:`BlockBounds.refine`: one call for the distances, one for the
+  iPRQ probabilities, each pair with its query's ``r``), and a
+  maintainer reads them through its :class:`BoundsRow`
+  (:meth:`~BoundsRow.exact` / :meth:`~BoundsRow.exact_probability`,
+  which refine a pair nobody named as a block of one); a one-shot
+  query refines through :class:`repro.queries.engine.Refiner`; the
+  scalar
   :func:`repro.reference.expected.expected_indoor_distance` is the
   oracle's path and the reference it is held to, by ``==``, in
   ``tests/distances/test_block_expected.py``.
@@ -203,7 +208,7 @@ def own_row_extrema(
     direct-path term of rows lying in a query's own partition.  Element
     for element the floats of :meth:`~repro.objects.instances.
     InstanceSet.distances_to`."""
-    d, dy, _, cuts = rows.instances(idx)
+    d, dy, cuts = rows.coordinates(idx)
     counts = np.diff(cuts)
     d -= src[:, 0].repeat(counts)
     d *= d
@@ -310,7 +315,8 @@ class SubregionRows:
     ``idx[i]`` is the position of instance ``i`` in its object's set
     (``int32``, exact for any object of fewer than 2**31 instances).
     :meth:`instances` gathers the coordinates and probabilities of the
-    rows a caller reads, and only those.  The arrays are the holder's
+    rows a caller reads, and only those; :meth:`coordinates` the
+    coordinates alone.  The arrays are the holder's
     own and the sets are read-only (an object that moves gets a new
     set), so a later index write — compaction included — changes
     nothing a holder reads.
@@ -324,32 +330,54 @@ class SubregionRows:
     set_start: np.ndarray
     idx: np.ndarray
 
-    def instances(
+    def _gather(
         self, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``x``, ``y`` and ``probs`` of the instances of ``rows``, laid
-        end to end in that order (one fresh 1-D column each), and the
-        ``(len(rows) + 1,)`` offsets of each row's run in them."""
+    ) -> tuple[np.ndarray, list[InstanceSet], np.ndarray]:
+        """Where the instances of ``rows`` lie, laid end to end: their
+        positions in the read sets placed end to end, those sets (each
+        once, in first-read order), and the ``(len(rows) + 1,)``
+        offsets of each row's run."""
         first = self.start[rows]
         count = self.start[rows + 1] - first
         inst, cuts = span_index(first, count)
         at = self.idx[inst]
         owner = self.set_start.searchsorted(first, side="right") - 1
         read = dict.fromkeys(owner.tolist())
-        if len(read) == 1:
-            (only,) = read
-            xy, probs = self.sets[only].xy, self.sets[only].probs
-        else:
-            # The sets read, each once, end to end: set ``k``'s
-            # instances start at ``base[k]`` there.
+        if len(read) > 1:
+            # Set ``k``'s instances start at ``base[k]`` of the read
+            # sets placed end to end.
             which = np.fromiter(read, dtype=np.intp, count=len(read))
             size = self.set_start[which + 1] - self.set_start[which]
             base = np.zeros(len(self.sets), dtype=np.intp)
             base[which] = size.cumsum() - size
             at = at + base[owner].repeat(count)
-            picked = [self.sets[k] for k in read]
-            xy = np.concatenate([s.xy for s in picked])
-            probs = np.concatenate([s.probs for s in picked])
+        return at, [self.sets[k] for k in read], cuts
+
+    def coordinates(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``x`` and ``y`` of the instances of ``rows``, laid end to end
+        in that order (one fresh 1-D column each), and the
+        ``(len(rows) + 1,)`` offsets of each row's run in them — what a
+        reader of positions alone takes, no probability gathered."""
+        at, sets, cuts = self._gather(rows)
+        if len(sets) == 1:
+            xy = sets[0].xy
+        else:
+            xy = np.concatenate([s.xy for s in sets])
+        return xy[:, 0][at], xy[:, 1][at], cuts
+
+    def instances(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`coordinates` plus the instances' ``probs``, gathered
+        alike."""
+        at, sets, cuts = self._gather(rows)
+        if len(sets) == 1:
+            xy, probs = sets[0].xy, sets[0].probs
+        else:
+            xy = np.concatenate([s.xy for s in sets])
+            probs = np.concatenate([s.probs for s in sets])
         return xy[:, 0][at], xy[:, 1][at], probs[at], cuts
 
 
@@ -487,9 +515,15 @@ class BoundsRow:
     ``max``es it — so ``lo[j] > r`` proves "entirely beyond ``r``"
     with the decision the exact interval would give, and the exact
     interval (:meth:`interval`, :meth:`probability`) is built per pair,
-    only on demand — as is the refinement of a pair the interval leaves
-    undecided (:meth:`exact`, :meth:`exact_probability`).  ``dd`` is the
-    query's search.
+    only on demand — :meth:`interval` once per pair, kept for the next
+    asker.  ``dd`` is the query's search.
+
+    A pair the interval leaves undecided is refined by :meth:`exact` /
+    :meth:`exact_probability`: the value :meth:`BlockBounds.refine`
+    kept for it — the monitor refines every stacked query's pairs of a
+    batch in one pass before any maintainer decides — or, for a pair
+    nobody named up front, a block of one computed on the spot.  Either
+    way the float is the one a block of one computes.
 
     The row holds views of the kernel's arrays and makes the Python
     floats its per-pair decisions run on when the first one is asked
@@ -508,7 +542,9 @@ class BoundsRow:
         "_stack",
         "_i",
         "_fh",
+        "_intervals",
         "_exact",
+        "_probability",
     )
 
     def __init__(
@@ -523,7 +559,9 @@ class BoundsRow:
         self._stack = bounds.stack
         self._i = i
         self._fh = bounds.fh
+        self._intervals: dict[int, DistanceInterval] = {}
         self._exact: dict[int, float] = {}
+        self._probability: dict[tuple[int, float], float] = {}
         # Not the block itself: a row may outlive the kernel call (the
         # one-shot prune keeps every chunk's), and the block's door
         # entries — like its instance index and the instance sets it
@@ -553,17 +591,23 @@ class BoundsRow:
         order, to the scalar :func:`~repro.distances.bounds.
         probabilistic_bounds` (Eq. 8), so sort stability and float
         accumulation match the scalar path by construction."""
+        interval = self._intervals.get(j)
+        if interval is not None:
+            return interval
         _, tmin, tmax, part = self._lists()
         a, b = self._offsets[j], self._offsets[j + 1]
         if b - a == 1:
-            return DistanceInterval(tmin[a], tmax[a])
-        ids, mass = self._stack.layout.part_ids, self._mass
-        return probabilistic_bounds(
-            [
-                SubregionStats(ids[part[i]], tmin[i], tmax[i], mass[i])
-                for i in range(a, b)
-            ]
-        )
+            interval = DistanceInterval(tmin[a], tmax[a])
+        else:
+            ids, mass = self._stack.layout.part_ids, self._mass
+            interval = probabilistic_bounds(
+                [
+                    SubregionStats(ids[part[i]], tmin[i], tmax[i], mass[i])
+                    for i in range(a, b)
+                ]
+            )
+        self._intervals[j] = interval
+        return interval
 
     def probability(self, j: int, r: float) -> tuple[float, float]:
         """Bounds on object ``j``'s probability of lying within ``r`` —
@@ -578,27 +622,13 @@ class BoundsRow:
         rows = range(self._offsets[j], self._offsets[j + 1])
         return mass_within(tmin, tmax, self._mass, rows, r)
 
-    def _refine(self, js: list[int], r: float | None = None) -> list[float]:
+    def _refine(self, j: int, r: float | None = None) -> float:
+        """Object ``j`` refined alone: the pair no batch pass named."""
         if self._rows is None:
             raise QueryError("a row made with refine=False cannot refine")
         return block_expected_distances(
-            self._stack,
-            self._rows,
-            self._offsets,
-            [(self._i, j) for j in js],
-            self._fh,
-            r,
-        )
-
-    def prefetch(self, js: list[int]) -> None:
-        """Refine objects ``js`` against this query in one array pass
-        and keep the distances for :meth:`exact` — for a maintainer
-        that can tell, before deciding anything, which pairs of the
-        batch it will (most likely) refine.  A kept value is the value
-        a block of one computes: prefetching changes what a refinement
-        costs, never what it returns."""
-        if js:
-            self._exact.update(zip(js, self._refine(js)))
+            self._stack, self._rows, self._offsets, [(self._i, j)], self._fh, r
+        )[0]
 
     def exact(self, j: int) -> float:
         """Object ``j``'s exact expected indoor distance ``|q, O|_I`` —
@@ -606,14 +636,17 @@ class BoundsRow:
         expected_indoor_distance` against the query's search."""
         d = self._exact.get(j)
         if d is None:
-            d = self._exact[j] = self._refine([j])[0]
+            d = self._exact[j] = self._refine(j)
         return d
 
     def exact_probability(self, j: int, r: float) -> float:
         """Object ``j``'s exact probability of lying within ``r`` —
         float for float :func:`repro.reference.expected.
         qualifying_probability`."""
-        return self._refine([j], r)[0]
+        p = self._probability.get((j, r))
+        if p is None:
+            p = self._probability[j, r] = self._refine(j, r)
+        return p
 
 
 @dataclass(slots=True, eq=False)
@@ -626,7 +659,8 @@ class BlockBounds:
     1]``.  A caller that decides a whole block at once (the monitor's
     near mask, the one-shot prune) reads the arrays; per-pair decisions
     go through a :meth:`row`, which makes Python floats of its own row
-    only."""
+    only, and :meth:`refine` refines the pairs of many rows in one
+    pass."""
 
     stack: QueryStack
     block: ObjectBlock
@@ -635,16 +669,48 @@ class BlockBounds:
     fh: float
     lo: np.ndarray = field(init=False)
     offsets: list[int] = field(init=False)
+    _rows: dict[int, BoundsRow] = field(init=False)
 
     def __post_init__(self) -> None:
         starts = self.block.obj_offsets
         self.lo = np.minimum.reduceat(self.tmin, starts[:-1], axis=1)
         self.offsets = starts.tolist()
+        self._rows = {}
 
     def row(self, i: int, refine: bool = True) -> BoundsRow:
-        """The view of query ``i`` (its position in the stack); with
-        ``refine=False`` one that keeps no instance index alive."""
-        return BoundsRow(self, i, refine)
+        """The view of query ``i`` (its position in the stack) — one
+        per query, so what :meth:`refine` keeps and the intervals
+        already built are there for every later asker; with
+        ``refine=False`` a fresh one that keeps no instance index
+        alive."""
+        if not refine:
+            return BoundsRow(self, i, refine=False)
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = BoundsRow(self, i)
+        return row
+
+    def refine(
+        self, pairs: list[tuple[int, int]], r: list[float] | None = None
+    ) -> None:
+        """Refine the (stack position, block position) ``pairs`` in one
+        :func:`block_expected_distances` call and keep each value in
+        its query's :meth:`row`: distances for :meth:`BoundsRow.exact`,
+        or — given one radius per pair — probabilities for
+        :meth:`BoundsRow.exact_probability`.  A pair's value does not
+        depend on the others in the call, so a kept value is the one
+        the row would compute alone."""
+        if not pairs:
+            return
+        values = block_expected_distances(
+            self.stack, self.block.rows, self.offsets, pairs, self.fh, r
+        )
+        if r is None:
+            for (i, j), d in zip(pairs, values):
+                self.row(i)._exact[j] = d
+        else:
+            for (i, j), radius, p in zip(pairs, r, values):
+                self.row(i)._probability[j, radius] = p
 
     def hi_array(self, i: int) -> np.ndarray:
         """``hi[j] = max_S tmax(S)`` for query ``i``: the upper end of
@@ -731,12 +797,13 @@ def block_expected_distances(
     offsets: Sequence[int] | np.ndarray,
     pairs: list[tuple[int, int]],
     fh: float,
-    r: float | None = None,
+    r: float | Sequence[float] | None = None,
 ) -> list[float]:
     """Exact refinement for a list of (query, object) pairs: the
     expected indoor distance ``|q, O|_I`` of each (Definition 1,
     Eqs. 2-6), or — given ``r`` — its iPRQ qualifying probability
-    ``sum_i p_i [|q, s_i|_I <= r]``.
+    ``sum_i p_i [|q, s_i|_I <= r]``, ``r`` one radius for every pair
+    or one per pair.
 
     A pair is ``(stack position, block position)``: query ``i`` of
     ``stack`` against the object whose subregions are rows
@@ -758,9 +825,9 @@ def block_expected_distances(
     """
     out: list[float] = []
     for at in range(0, len(pairs), REFINE_CHUNK):
-        out += _refine_pass(
-            stack, rows, offsets, pairs[at : at + REFINE_CHUNK], fh, r
-        )
+        end = at + REFINE_CHUNK
+        radius = r if r is None or np.isscalar(r) else r[at:end]
+        out += _refine_pass(stack, rows, offsets, pairs[at:end], fh, radius)
     return out
 
 
@@ -770,7 +837,7 @@ def _refine_pass(
     offsets: Sequence[int] | np.ndarray,
     pairs: list[tuple[int, int]],
     fh: float,
-    r: float | None,
+    r: float | Sequence[float] | None,
 ) -> list[float]:
     """One array pass of :func:`block_expected_distances`."""
     layout = stack.layout
@@ -843,6 +910,9 @@ def _refine_pass(
             d[lost] = 0.0
         terms = d * probs
     else:
+        if not np.isscalar(r):
+            # One radius per pair: each instance meets its pair's.
+            r = np.asarray(r, dtype=np.float64).repeat(n_rows)[row_of]
         within = d <= r
         terms = probs[within]
         row_ends = np.concatenate(([0], within.cumsum()))[row_ends]

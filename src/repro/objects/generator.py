@@ -115,6 +115,7 @@ class ObjectGenerator:
         n = self.n_instances
         if region.radius == 0.0:
             xy = np.tile([region.center.x, region.center.y], (n, 1))
+            xy.flags.writeable = False  # ours alone: the set shares it
             return InstanceSet.uniform(xy, region.floor)
         sigma = region.diameter / 6.0
         candidates = self._grid.candidates_for_rect(
@@ -153,6 +154,7 @@ class ObjectGenerator:
             )
             pad = np.tile(filler, (n - accepted.shape[0], 1))
             accepted = np.vstack([accepted, pad])
+        accepted.flags.writeable = False  # ours alone: the set shares it
         return InstanceSet.uniform(accepted, region.floor)
 
 

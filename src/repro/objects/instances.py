@@ -44,6 +44,14 @@ def _sealed(values) -> np.ndarray:
     return out
 
 
+def _fresh(values: np.ndarray) -> np.ndarray:
+    """``values`` — an array its caller just made and holds no other
+    reference to — frozen in place, so :class:`InstanceSet` shares it
+    instead of copying it."""
+    values.flags.writeable = False
+    return values
+
+
 def check_mass(total: float) -> float:
     """``total``, required to be a probability mass in ``(0, 1]`` (a
     NaN is none: it fails both comparisons)."""
@@ -100,10 +108,11 @@ class InstanceSet:
 
     @staticmethod
     def uniform(xy: np.ndarray, floor: int) -> "InstanceSet":
-        """Equal-probability instances (the paper's sampling-point pdf)."""
+        """Equal-probability instances (the paper's sampling-point pdf).
+        ``xy`` is shared when it is read-only, copied otherwise."""
         xy = np.asarray(xy, dtype=float)
         n = xy.shape[0]
-        return InstanceSet(xy, floor, np.full(n, 1.0 / n))
+        return InstanceSet(xy, floor, _fresh(np.full(n, 1.0 / n)))
 
     @staticmethod
     def single(point: Point) -> "InstanceSet":
@@ -122,7 +131,9 @@ class InstanceSet:
         share of the total mass (Eq. 6 needs the raw ``p_i``).
         """
         return InstanceSet(
-            self.xy[mask_or_idx], self.floor, self.probs[mask_or_idx]
+            _fresh(self.xy[mask_or_idx]),
+            self.floor,
+            _fresh(self.probs[mask_or_idx]),
         )
 
     # ------------------------------------------------------------------

@@ -64,8 +64,9 @@ def _pack(values: np.ndarray, what: str) -> str:
 
 
 def _unpack(text: Any, width: int, what: str) -> np.ndarray:
-    """Inverse of :func:`_pack`: a flat, writeable, finite float64
-    copy whose length is a multiple of ``width``."""
+    """Inverse of :func:`_pack`: a flat, read-only, finite float64
+    copy whose length is a multiple of ``width`` (an
+    :class:`InstanceSet` shares it, and its reshapes, uncopied)."""
     if not isinstance(text, str):
         raise PersistError(f"packed {what} must be a string")
     try:
@@ -80,6 +81,7 @@ def _unpack(text: Any, width: int, what: str) -> np.ndarray:
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not np.isfinite(values).all():
         raise PersistError(f"packed {what} holds a non-finite value")
+    values.flags.writeable = False
     return values
 
 
@@ -114,7 +116,9 @@ def _packed_arrays(data: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     if not n:
         raise PersistError("an object location needs an instance")
     if "probs" not in data:
-        return xy, np.frombuffer(_uniform_bytes(n), dtype=np.float64).copy()
+        probs = np.frombuffer(_uniform_bytes(n), dtype=np.float64).copy()
+        probs.flags.writeable = False
+        return xy, probs
     probs = _unpack(data["probs"], 1, "probs")
     if len(probs) != n:
         raise PersistError(
@@ -125,12 +129,14 @@ def _packed_arrays(data: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
 
 def _list_arrays(data: dict[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     try:
-        xy = np.asarray(data["xy"], dtype=float)
-        probs = np.asarray(data["probs"], dtype=float)
+        xy = np.array(data["xy"], dtype=float)
+        probs = np.array(data["probs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PersistError(f"malformed object location: {exc}") from None
     if not (np.isfinite(xy).all() and np.isfinite(probs).all()):
         raise PersistError("non-finite instance coordinate or probability")
+    # Fresh copies: frozen, an InstanceSet shares them.
+    xy.flags.writeable = probs.flags.writeable = False
     return xy, probs
 
 

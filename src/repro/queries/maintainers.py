@@ -28,7 +28,8 @@ write in a mutation scope, so the monitor can diff it into a
   of moved/inserted objects (an insert is a block of one; the monitor
   already counted the pairs in ``stats.pairs_evaluated``) together
   with this query's :class:`~repro.distances.batch.BoundsRow` — see
-  "The stack" below;
+  "The stack" below — after :meth:`~StandingQuery.refinements` named
+  the positions it will refine (default: none);
 * :meth:`~StandingQuery.members` — the ids the query holds right now
   (default: the result's keys), which the monitor intersects with a
   batch's moved ids and the delete path tests through
@@ -67,19 +68,30 @@ arrays: a moved object whose Eq. 7 lower envelope exceeds a query's
 :meth:`~StandingQuery.influence_radius` *and* which the query does not
 hold (:meth:`~StandingQuery.members`) is an outsider staying outside.
 
-**The positions contract.**  ``on_update_batch(block, row, positions)``
-hands a maintainer the ascending block positions that are left: every
-object within its radius by the envelope and every object it holds,
+**The positions contract: hook, one refinement, decide.**  The
+positions left are the ascending block positions of every object
+within a query's radius by the envelope and every object it holds,
 near or far (a member beyond reach must be seen to leave); a query
-with no such position is not called.  Within them it decides as if it
-walked the whole block: ``row.lo[j]`` is the Eq. 7 lower envelope of
-the object at position ``j`` (decide "certainly farther than x" from
-it first), ``row.interval(j)`` / ``row.probability(j, r)`` build the
-exact Table III interval / iPRQ mass bounds for a pair the envelope
-cannot decide, and ``row.exact(j)`` / ``row.exact_probability(j, r)``
-refine a pair those leave undecided (``row.prefetch(js)`` first, when
-a maintainer can name the batch's likely refinements up front: one
-array pass for all of them, same floats).
+with no such position is neither asked nor called.  For each query
+that has some, in registration order, the monitor first asks
+``refinements(block, row, positions)`` — a pure hook: it decides
+nothing, writes nothing, counts nothing — which positions its
+decisions will refine, and the radius of an iPRQ probability (``None``
+for distances).  It then refines every named pair of the batch
+through :meth:`~repro.distances.batch.BlockBounds.refine`: one
+:func:`~repro.distances.batch.block_expected_distances` call for all
+the distances and one for all the probabilities, each pair with its
+query's ``r``.  Last, ``on_update_batch(block, row, positions)`` lets
+each query decide, in registration order, as if it walked the whole
+block: ``row.lo[j]`` is the Eq. 7 lower envelope of the object at
+position ``j`` (decide "certainly farther than x" from it first),
+``row.interval(j)`` / ``row.probability(j, r)`` build the exact
+Table III interval (once per pair: the hook's is the decision's) /
+iPRQ mass bounds for a pair the envelope cannot decide, and
+``row.exact(j)`` / ``row.exact_probability(j, r)`` read the refined
+value of a pair those leave undecided.  A pair's value is a function
+of the pair, so who refined it, and with what company, changes no
+float and no decision.
 
 **Who counts a skipped pair.**  The monitor counts every pair it does
 not list as ``pairs_skipped`` (and ``kernel_pruned``); a maintainer
@@ -91,9 +103,14 @@ batch finds it.  A maintainer that moves its own radius *mid-block* —
 only :class:`KNNMaintainer` does, when an eviction drains its band
 below ``k`` and a refill replaces it — owns every later position of
 that block, listed or not: it walks them all against the new band and
-takes the unlisted ones back out of ``pairs_skipped``.
+takes the unlisted ones back out of ``pairs_skipped``.  Its hook named
+the refinements of the band as it stood, so a later position the new
+band refines and nobody named is refined on demand, as a block of one
+(``row.exact`` computes what no pass kept).
 ``tests/properties/test_prop_monitor_decide.py`` holds all of this to
-a monitor that lists every position of every query.
+a monitor that lists every position of every query, and
+``tests/properties/test_prop_block_refine.py`` to one that refines
+every pair on demand.
 
 A new kind opts in by default (``stacked = True``; its ``q`` is what
 the monitor asks the session a search for) and may override
@@ -292,6 +309,19 @@ class StandingQuery:
         QueryStack`); ``None`` leaves it infinite."""
         return None
 
+    def refinements(
+        self, block: ObjectBlock, row: BoundsRow, positions: Positions
+    ) -> tuple[list[int], float | None]:
+        """The positions among ``positions`` that
+        :meth:`on_update_batch` will refine — as the query stands,
+        before it decides anything — and the ``r`` of a qualifying
+        probability (``None``: expected distances).  Pure: it decides
+        nothing, writes nothing and counts nothing; the monitor refines
+        what it names in one pass with every other stacked query's
+        (see "The positions contract").  The default names none: every
+        refinement is then made on demand, as a block of one."""
+        return [], None
+
     def on_update_batch(
         self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:  # pragma: no cover - abstract
@@ -348,6 +378,22 @@ class RangeMaintainer(StandingQuery):
         """Only objects within this (indoor) distance of ``q`` can
         change the result: the query radius itself."""
         return self.r
+
+    def refinements(
+        self, block: ObjectBlock, row: BoundsRow, positions: Positions
+    ) -> tuple[list[int], float | None]:
+        """The pairs within the envelope whose interval decides neither
+        way."""
+        r, lo = self.r, row.lo
+        named = []
+        for j in positions:
+            if lo[j] <= r:
+                interval = row.interval(j)
+                if not (
+                    interval.entirely_within(r) or interval.entirely_beyond(r)
+                ):
+                    named.append(j)
+        return named, None
 
     def on_update_batch(
         self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
@@ -492,38 +538,40 @@ class KNNMaintainer(StandingQuery):
         full = len(self.buffer) >= self.k
         self.rho = max(self.buffer.values()) if full else math.inf
 
+    def refinements(
+        self, block: ObjectBlock, row: BoundsRow, positions: Positions
+    ) -> tuple[list[int], float | None]:
+        """What the band as it stands will refine: every buffered
+        mover, and every outsider neither the envelope nor the exact
+        Eq. 7/8 lower bound places beyond ``rho``.  A refill mid-block
+        makes some of them unnecessary (their distances go unread) and
+        others necessary (refined on demand)."""
+        buffer, rho = self.buffer, self.rho
+        objects, lo = block.objects, row.lo
+        named = [
+            j
+            for j in positions
+            if objects[j].object_id in buffer
+            or (lo[j] <= rho and row.interval(j).lower <= rho)
+        ]
+        return named, None
+
     def on_update_batch(
         self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
     ) -> None:
         """Buffer decisions stay sequential per object (a refill
         mid-block moves ``rho``), and the result is republished once,
-        from the block's end state.  What is hoisted out of the loop is
-        arithmetic only: the exact Eq. 7/8 lower bound of each outsider
-        the envelope cannot place beyond the band, and — in one array
-        pass — the exact distances of the pairs the band as it stands
-        will refine (a prefetched distance a refill made unnecessary is
-        dropped unread).  ``positions`` were listed against that band:
-        after a refill every later object of the block is open again,
-        listed or not, and walked here (the module docstring's refill
-        rule)."""
-        buffer, rho = self.buffer, self.rho
-        objects, lo = block.objects, row.lo
-        lower: dict[int, float] = {}
-        likely = []
-        for j in positions:
-            if objects[j].object_id in buffer:
-                likely.append(j)
-            elif lo[j] <= rho:
-                lower[j] = row.interval(j).lower
-                if lower[j] <= rho:
-                    likely.append(j)
-        row.prefetch(likely)
+        from the block's end state.  ``positions`` were listed against
+        the band as the batch found it: after a refill every later
+        object of the block is open again, listed or not, and walked
+        here (the module docstring's refill rule)."""
+        objects = block.objects
         dirty = False
         at = 0
         while at < len(positions):
             j = positions[at]
             at += 1
-            wrote, refilled = self._decide(objects[j], row, j, lower)
+            wrote, refilled = self._decide(objects[j], row, j)
             dirty |= wrote
             if refilled:
                 rest = range(j + 1, len(objects))
@@ -535,16 +583,10 @@ class KNNMaintainer(StandingQuery):
             self._publish()
 
     def _decide(
-        self,
-        obj: UncertainObject,
-        row: BoundsRow,
-        j: int,
-        lower: dict[int, float],
+        self, obj: UncertainObject, row: BoundsRow, j: int
     ) -> tuple[bool, bool]:
         """Absorb the moved/inserted object at block position ``j``;
-        whether the buffer was written, and whether by a refill.
-        ``lower`` holds the exact interval lower bounds already built
-        for this block."""
+        whether the buffer was written, and whether by a refill."""
         stats = self.host.stats
         oid = obj.object_id
         if oid in self.buffer:
@@ -558,9 +600,7 @@ class KNNMaintainer(StandingQuery):
             return True, False
         # The envelope first; the exact Eq. 7/8 lower bound only for an
         # object it cannot place beyond the band.
-        if row.lo[j] > self.rho or (
-            lower[j] if j in lower else row.interval(j).lower
-        ) > self.rho:
+        if row.lo[j] > self.rho or row.interval(j).lower > self.rho:
             # Certainly beyond the band: still an outsider.
             stats.pairs_skipped += 1
             return False, False
@@ -595,12 +635,12 @@ class KNNMaintainer(StandingQuery):
         (touched first: the monitor diffs the result against its
         pre-mutation value)."""
         # Nearest first, ties by id: ikNNQ's refinement order.
-        ranked = sorted(self.buffer.items(), key=lambda e: (e[1], e[0]))
+        ranked = sorted(zip(self.buffer.values(), self.buffer))
         if len(ranked) > self.k + 2 * self.m:
             del ranked[self.k + self.m :]
-            self.buffer = dict(ranked)
-            self.rho = ranked[-1][1]
-        result = dict(ranked[: self.k])
+            self.buffer = {oid: d for d, oid in ranked}
+            self.rho = ranked[-1][0]
+        result = {oid: d for d, oid in ranked[: self.k]}
         if result != self.result:
             self.host.touch(self)
             self.result = result
@@ -678,6 +718,19 @@ class ProbRangeMaintainer(StandingQuery):
         scalar :func:`~repro.reference.bounds.probability_bounds`
         convention."""
         return self.r + 1.0
+
+    def refinements(
+        self, block: ObjectBlock, row: BoundsRow, positions: Positions
+    ) -> tuple[list[int], float | None]:
+        """The pairs whose probability bounds straddle ``p_min``, and
+        ``r``."""
+        r, p_min = self.r, self.p_min
+        named = []
+        for j in positions:
+            lo, hi = row.probability(j, r)
+            if not (lo >= p_min or hi < p_min):
+                named.append(j)
+        return named, r
 
     def on_update_batch(
         self, block: ObjectBlock, row: BoundsRow | None, positions: Positions
@@ -821,6 +874,12 @@ class CountMaintainer(StandingQuery):
         """Same reach as the underlying range query: only objects
         within ``r`` can change the membership count."""
         return self._inner.r
+
+    def refinements(
+        self, block: ObjectBlock, row: BoundsRow, positions: Positions
+    ) -> tuple[list[int], float | None]:
+        """The inner range maintainer's."""
+        return self._inner.refinements(block, row, positions)
 
     def _republish(self) -> None:
         # touch() already ran (via the inner host proxy) before the

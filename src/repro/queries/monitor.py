@@ -576,12 +576,17 @@ class QueryMonitor:
 
     def _absorb_block(self, moved: list[UncertainObject]) -> None:
         """Gather the moved batch's rows once, evaluate them against
-        every stacked standing query in one bounds-kernel call, decide
-        the far pairs here (:meth:`_undecided`; they count as skipped,
-        here) and hand each stacked maintainer with a listed position
-        its row and those positions, in registration order; then every
-        unstacked maintainer the whole block.  The kernel counters move
-        once per batch; ``kernel_pruned`` is the ``pairs_skipped``
+        every stacked standing query in one bounds-kernel call and
+        decide the far pairs here (:meth:`_undecided`; they count as
+        skipped, here).  Then, for the stacked maintainers with a
+        listed position: each names the positions it will refine
+        (:meth:`~repro.queries.maintainers.StandingQuery.refinements`),
+        all of those pairs are refined together — one call for the
+        distances, one for the iPRQ probabilities — and each
+        maintainer, in registration order, decides from its row and
+        its positions, reading the refined values.  Last, every
+        unstacked maintainer gets the whole block.  The kernel counters
+        move once per batch; ``kernel_pruned`` is the ``pairs_skipped``
         delta across the stacked calls, so the counter partition
         (evaluated = skipped + refined + recomputed) is untouched."""
         if not moved:
@@ -603,14 +608,37 @@ class QueryMonitor:
             stats.kernel_pairs += pairs
             skipped_before = stats.pairs_skipped
             stats.pairs_skipped += pairs - sum(map(len, undecided))
-            for i, positions in enumerate(undecided):
-                if positions:
-                    self._stacked[i].on_update_batch(
-                        block, bounds.row(i), positions
-                    )
+            listed = [(i, js) for i, js in enumerate(undecided) if js]
+            self._refine(bounds, listed)
+            for i, positions in listed:
+                self._stacked[i].on_update_batch(
+                    block, bounds.row(i), positions
+                )
             stats.kernel_pruned += stats.pairs_skipped - skipped_before
         for sq in self._unstacked:
             sq.on_update_batch(block, None, range(n))
+
+    def _refine(
+        self, bounds: BlockBounds, listed: list[tuple[int, list[int]]]
+    ) -> None:
+        """Refine every pair the stacked maintainers with listed
+        positions name, in one call for the expected distances and one
+        for the qualifying probabilities (each with its query's ``r``),
+        and keep the values in their rows."""
+        distances: list[tuple[int, int]] = []
+        probabilities: list[tuple[int, int]] = []
+        radii: list[float] = []
+        for i, positions in listed:
+            named, r = self._stacked[i].refinements(
+                bounds.block, bounds.row(i), positions
+            )
+            if r is None:
+                distances += [(i, j) for j in named]
+            else:
+                probabilities += [(i, j) for j in named]
+                radii += [r] * len(named)
+        bounds.refine(distances)
+        bounds.refine(probabilities, radii)
 
     def _undecided(
         self, bounds: BlockBounds, moved: list[UncertainObject]

@@ -421,8 +421,8 @@ class TestBlockShapes:
 
     def test_bounds_row_accessors(self, small_mall):
         """What the maintainers call: ``row.exact`` /
-        ``row.exact_probability`` over a table-gathered block, with and
-        without a prefetch."""
+        ``row.exact_probability`` over a table-gathered block, reading
+        what ``BlockBounds.refine`` kept or refining on demand."""
         index, _ = _mall_index(small_mall, seed=35, n=30)
         space, grid = index.space, index.population.grid
         objects = list(index.population)
@@ -431,24 +431,27 @@ class TestBlockShapes:
             for s in (5, 6)
         ]
         block = index.columns.block(objects)
-        bounds = block_object_bounds(
-            _stack(index, searches), block, space.floor_height
-        )
+        stack = _stack(index, searches)
+        bounds = block_object_bounds(stack, block, space.floor_height)
+        kept = block_object_bounds(stack, block, space.floor_height)
+        half = [(i, j) for i in (0, 1) for j in range(0, len(objects), 2)]
+        kept.refine(half)
+        kept.refine([(0, 0), (1, 1)])  # overlapping: same floats again
+        kept.refine(half, [30.0] * len(half))
         for i, dd in enumerate(searches):
             want = [
                 expected_indoor_distance(dd.source, o, dd, space, grid).value
                 for o in objects
             ]
-            cold, warm = bounds.row(i), bounds.row(i)
-            warm.prefetch(list(range(0, len(objects), 2)))
-            warm.prefetch([0, 1])  # overlapping: same floats again
+            cold, warm = bounds.row(i), kept.row(i)
+            assert bounds.row(i) is cold  # one row per query
             for j in range(len(objects)):
                 assert cold.exact(j) == warm.exact(j) == want[j]
-                assert cold.exact_probability(j, 30.0) == (
-                    qualifying_probability(
-                        dd.source, objects[j], dd, space, 30.0, grid
-                    )
+                mass = qualifying_probability(
+                    dd.source, objects[j], dd, space, 30.0, grid
                 )
+                assert cold.exact_probability(j, 30.0) == mass
+                assert warm.exact_probability(j, 30.0) == mass
             # The one-shot prune's kind: it decides alike, and keeps no
             # instance copy to refine with.
             decides = bounds.row(i, refine=False)

@@ -82,6 +82,39 @@ class TestReadOnly:
         assert again.xy is s.xy and again.probs is s.probs
         assert not s.subset(np.array([0, 1])).xy.flags.writeable
 
+    def test_uniform_and_subset_keep_the_arrays_they_built(self, monkeypatch):
+        """The probabilities ``uniform`` makes and the selections
+        ``subset`` makes are the set's own from birth: sealed, not
+        copied."""
+        from repro.objects import instances
+
+        sealed = []
+        original = instances._sealed
+
+        def sealing(values):
+            out = original(values)
+            sealed.append((values, out))
+            return out
+
+        monkeypatch.setattr(instances, "_sealed", sealing)
+        xy = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        xy.flags.writeable = False
+        s = InstanceSet.uniform(xy, 0)
+        assert s.xy is xy
+        s.subset(np.array([0, 2]))
+        s.subset(np.array([True, False, True]))
+        assert len(sealed) == 6
+        for values, out in sealed:
+            assert np.shares_memory(out, values)
+
+    def test_uniform_still_copies_a_held_writeable_array(self):
+        xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+        s = InstanceSet.uniform(xy, 0)
+        assert xy.flags.writeable
+        assert not np.shares_memory(s.xy, xy)
+        xy[0, 0] = 9.0
+        assert s.xy[0, 0] == 0.0
+
 
 class TestSubset:
     def test_subset_keeps_raw_probs(self):

@@ -2,15 +2,15 @@
 (:func:`repro.distances.batch.block_expected_distances`).
 
 * A pair's value is a function of the pair: identical alone, in any
-  block containing it, in any pair order — and ``==`` the scalar
-  reference.
-* A maintainer's prefetch changes what a refinement costs, never a
-  decision: a monitor whose ``BoundsRow.prefetch`` does nothing (every
-  distance then computed on demand, as a block of one) reaches the same
-  results, guard bands and work counters, batch for batch — also when a
-  guard-band refill lands in the middle of a block and moves ``rho``
-  under the distances already prefetched — and both equal from-scratch
-  execution.
+  block containing it, in any pair order, with one radius for every
+  pair or one per pair — and ``==`` the scalar reference.
+* The monitor's one refinement pass per batch changes what a
+  refinement costs, never a decision: a monitor whose
+  ``BlockBounds.refine`` does nothing (every value then computed on
+  demand, as a block of one) reaches the same results, guard bands and
+  work counters, batch for batch — also when a guard-band refill lands
+  in the middle of a block and moves ``rho`` under the distances
+  already refined — and both equal from-scratch execution.
 """
 
 import random
@@ -27,7 +27,7 @@ from monitor_world import (
     register_random_queries,
 )
 from repro.distances.batch import (
-    BoundsRow,
+    BlockBounds,
     QueryStack,
     block_expected_distances,
 )
@@ -98,14 +98,32 @@ class TestBlockComposition:
         assert block_expected_distances(
             stack, subs, offsets, pairs, fh, r
         ) == [alone[p][1][0] for p in pairs]
+        # One radius per pair: pair for pair what a one-radius call of
+        # the same pairs gives.
+        radii = data.draw(
+            st.lists(
+                st.sampled_from([5.0, 20.0, 60.0]),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            )
+        )
+        uniform = {
+            radius: block_expected_distances(
+                stack, subs, offsets, pairs, fh, radius
+            )
+            for radius in set(radii)
+        }
+        assert block_expected_distances(
+            stack, subs, offsets, pairs, fh, radii
+        ) == [uniform[radius][k] for k, radius in enumerate(radii)]
 
 
-def _drive(seed, prefetching):
+def _drive(seed, batch_refining):
     """A stream whose every batch opens with the nearest member of a
     standing ikNNQ — put on the degenerate band (``m = 0``) first, so
     one departure drains it — leaving for the far end of the venue:
     the refill happens on the block's first object, under the feet of
-    the prefetched rest.  Returns the per-batch trace."""
+    the already refined rest.  Returns the per-batch trace."""
     space, gen, pop, index = build_world(seed, n_objects=36)
     monitor = QueryMonitor(index)
     rng = random.Random(seed)
@@ -114,7 +132,9 @@ def _drive(seed, prefetching):
     qid, q, _k = knns[0]
     fh = space.floor_height
     trace = []
-    patch = mock.patch.object(BoundsRow, "prefetch", lambda self, js: None)
+    patch = mock.patch.object(
+        BlockBounds, "refine", lambda self, pairs, r=None: None
+    )
     for _ in range(4):
         sq = monitor._queries[qid]
         sq.restore(sq.snapshot())
@@ -134,7 +154,7 @@ def _drive(seed, prefetching):
         for object_id, center in zip(movers, centers):
             at = gen.generate_one(center=center)
             moves.append(ObjectMove(object_id, at.region, at.instances))
-        if prefetching:
+        if batch_refining:
             monitor.apply_moves(moves)
         else:
             with patch:
@@ -152,7 +172,7 @@ def _drive(seed, prefetching):
     return trace
 
 
-class TestPrefetchNeverChangesADecision:
+class TestBatchRefinementNeverChangesADecision:
     @given(seed=st.integers(0, 10_000))
     @settings(
         max_examples=6,
@@ -160,8 +180,8 @@ class TestPrefetchNeverChangesADecision:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_refill_mid_block(self, seed):
-        trace = _drive(seed, prefetching=True)
+        trace = _drive(seed, batch_refining=True)
         # (A venue too small for the victim to get out of the band, or
         # a band with fewer than k reachable objects, refills nothing.)
         assume(trace[-1][2]["full_recomputes"] >= 2)
-        assert trace == _drive(seed, prefetching=False)
+        assert trace == _drive(seed, batch_refining=False)

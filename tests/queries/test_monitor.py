@@ -1032,6 +1032,54 @@ class TestQueryStack:
         _assert_matches_fresh_registration(monitor, five_rooms_index)
 
 
+class TestOneRefinementPassPerBatch:
+    """Every stacked query's undecided pairs of a batch are refined
+    together: one ``block_expected_distances`` call for the distances
+    and at most one for the iPRQ probabilities, however many standing
+    queries refine."""
+
+    def test_stacked_queries_refine_in_one_call(
+        self, mall_setup, small_mall, count_calls
+    ):
+        from repro.distances import batch as kernels
+
+        index, gen, pop = mall_setup
+        monitor = QueryMonitor(index)
+        q1, q2 = (small_mall.random_point(seed=s) for s in (8, 9))
+        for spec in (
+            RangeSpec(q1, 30.0),
+            RangeSpec(q2, 40.0),
+            KNNSpec(q1, 5),
+            KNNSpec(q2, 6),
+            ProbRangeSpec(q1, 30.0, 0.5),
+            ProbRangeSpec(q2, 40.0, 0.3),
+        ):
+            monitor.register(spec)
+        calls = count_calls(kernels, "block_expected_distances")
+        stream = MovementStream(small_mall, pop, gen, seed=13)
+        shared = probabilities = 0
+        for moves in stream.batches(30, 6):
+            del calls[:]
+            refills = monitor.stats.full_recomputes
+            monitor.apply_moves(moves)
+            if monitor.stats.full_recomputes != refills:
+                continue  # a refill refines its re-opened pairs alone
+            # (stack, rows, offsets, pairs, fh, r)
+            dist = [args[3] for args in calls if args[5] is None]
+            prob = [args for args in calls if args[5] is not None]
+            assert len(dist) <= 1 and len(prob) <= 1
+            for pairs in dist:
+                shared += len({i for i, _ in pairs}) >= 2
+            for args in prob:
+                probabilities += 1
+                assert len(args[5]) == len(args[3])  # one r per pair
+        # The stream does make batches in which two or more standing
+        # queries refine, and iPRQ refinements.
+        assert shared >= 3
+        assert probabilities >= 1
+        _assert_matches_fresh_registration(monitor, index)
+
+
 class TestNoPerPairWorkOnDecidedPairs:
     """What the array decision removed — one Python step per (standing
     query x moved object), one ``Q x rows`` table of Python floats per
