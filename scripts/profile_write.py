@@ -7,7 +7,12 @@ no service — at 1 / 5 / 20 / 80 moves a batch, and prints per batch
 size
 
 * the median wall time of one ``update_objects`` call, in µs (the
-  stream's own move generation is not timed);
+  stream's own move generation is not timed), and beside it the split
+  of that call: the median µs in ``ObjectColumns.stage`` and in
+  ``ObjectColumns.commit``, and the mean µs of writing queued batches
+  (``ObjectColumns._flush``, where the tree has one — inside
+  ``commit`` when a batch repeats a queued object or would overflow
+  the queue; a tree that writes at once reads 0 there);
 * the function calls one batch makes under ``cProfile`` (its
   ``total_calls`` over a separate run of batches, divided by their
   number), and how many of them construct a ``Subregion``;
@@ -34,14 +39,50 @@ import time
 from pathlib import Path
 
 
-def profile_size(world, stream, size: int, batches: int) -> dict:
+#: The write's steps, timed per batch where the tree has them.
+SPLIT = ("stage", "commit", "_flush")
+
+
+def install_split() -> dict[str, float]:
+    """Wrap the table's write steps by name; returns the dict their
+    seconds accumulate in (one key per step)."""
+    from repro.index.columns import ObjectColumns
+
+    spent = dict.fromkeys(SPLIT, 0.0)
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - t0
+
+        return wrapper
+
+    for name in SPLIT:
+        if hasattr(ObjectColumns, name):
+            setattr(
+                ObjectColumns, name, timed(name, getattr(ObjectColumns, name))
+            )
+    return spent
+
+
+def profile_size(
+    world, stream, size: int, batches: int, spent: dict[str, float]
+) -> dict:
     index = world.index
     times = []
+    split: dict[str, list[float]] = {name: [] for name in SPLIT}
     for _ in range(batches):
         moves = stream.next_moves(size)
+        for name in SPLIT:
+            spent[name] = 0.0
         t0 = time.perf_counter()
         index.update_objects(moves)
         times.append(time.perf_counter() - t0)
+        for name in SPLIT:
+            split[name].append(spent[name])
     profiled = max(1, batches // 10)
     profiler = cProfile.Profile()
     for _ in range(profiled):
@@ -60,6 +101,9 @@ def profile_size(world, stream, size: int, batches: int) -> dict:
     )
     return {
         "median_us": 1e6 * statistics.median(times),
+        "stage_us": 1e6 * statistics.median(split["stage"]),
+        "commit_us": 1e6 * statistics.median(split["commit"]),
+        "flush_mean_us": 1e6 * statistics.mean(split["_flush"]),
         "calls_per_batch": stats.total_calls / profiled,
         "subregions_per_batch": subregions / profiled,
         "columns_nbytes": index.columns.nbytes,
@@ -84,10 +128,13 @@ def main() -> None:
     world.index.range_search(world.points(1, salt=1)[0], 1.0)  # build
     print(f"world A built columns_nbytes {world.index.columns.nbytes:,}")
     stream = world.stream()
+    spent = install_split()
     for size in args.sizes:
-        row = profile_size(world, stream, size, args.batches)
+        row = profile_size(world, stream, size, args.batches, spent)
         print(
             f"moves={size:3d}  median {row['median_us']:9.1f} µs  "
+            f"(stage {row['stage_us']:7.1f}  commit {row['commit_us']:6.1f}"
+            f"  flush mean {row['flush_mean_us']:6.1f})  "
             f"calls/batch {row['calls_per_batch']:8.1f}  "
             f"Subregion()/batch {row['subregions_per_batch']:6.1f}  "
             f"columns_nbytes {row['columns_nbytes']:,}"

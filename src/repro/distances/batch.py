@@ -380,6 +380,25 @@ class SubregionRows:
             probs = np.concatenate([s.probs for s in sets])
         return xy[:, 0][at], xy[:, 1][at], probs[at], cuts
 
+    def object_instances(
+        self, objects: list[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``x``, ``y`` and ``probs`` of every instance of the objects
+        ``objects`` (positions, repeats allowed), laid end to end in
+        that order, each object's in its rows' order — the instances of
+        all its rows, so no row lookup: object ``k``'s run of
+        :attr:`idx` is ``set_start[k] : set_start[k + 1]``."""
+        cut = self.set_start
+        picked = [
+            (self.sets[k], self.idx[cut[k] : cut[k + 1]]) for k in objects
+        ]
+        if len(picked) == 1:
+            ((s, at),) = picked
+            return s.xy[:, 0][at], s.xy[:, 1][at], s.probs[at]
+        xy = np.concatenate([s.xy[at] for s, at in picked])
+        probs = np.concatenate([s.probs[at] for s, at in picked])
+        return xy[:, 0], xy[:, 1], probs
+
 
 @dataclass(slots=True, eq=False)
 class ObjectBlock:
@@ -849,10 +868,11 @@ def _refine_pass(
     lrow = rows.part[mine]
     row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
     row_floor = rows.floor[mine]
-    x, y, probs, row_cuts = rows.instances(mine)
-    row_len = np.diff(row_cuts)
+    # A pair's rows are one whole object: its instances are one run.
+    x, y, probs = rows.object_instances([j for _, j in pairs])
+    row_len = rows.start[mine + 1] - rows.start[mine]
     row_of = np.arange(len(mine)).repeat(row_len)
-    row_ends = row_cuts[1:]
+    row_ends = row_len.cumsum()
 
     # -- per (row, entry door of its partition): midpoint, squared
     # vertical leg, the query's weight --------------------------------

@@ -13,8 +13,9 @@ the indR-tree flattened into arrays.  One table then serves
 * :meth:`ObjectColumns.search` — Algorithm 4's leaf criterion for the
   units, floor by floor, then for the bucketed objects, in a handful
   of array ops;
-* :meth:`ObjectColumns.block` — the candidate set (or a moved batch)
-  as an :class:`~repro.distances.batch.ObjectBlock`, by gather.
+* :meth:`ObjectColumns.block` — the candidate set as an
+  :class:`~repro.distances.batch.ObjectBlock`, by gather; the batch a
+  write just staged (the monitor's moved batch) from that staging.
 
 **What it owns.**  Per topology version (:class:`_Topology`; no
 object is read to build it): the
@@ -78,10 +79,23 @@ x instances-of-row`` gather reduced straight into the ragged entries.
 Per row it sums the mass (one contiguous sum each: the floats of
 ``probs[mask].sum()``); per object only the slot lookup runs — no
 :class:`~repro.reference.subregions.Subregion` is built, no piece
-vector is kept.  :meth:`_State.commit` allocates every changed span
+vector is kept.  :meth:`_State.write` allocates every changed span
 and writes the rows, entries and instance index.  Nothing is written
 until the whole batch has resolved, so a batch the index cannot hold
-leaves it untouched.  A write does not compute what no reader of the
+leaves it untouched.  Nor is a batch written when it is committed:
+:meth:`ObjectColumns.commit` claims its slots and queues its staged
+rows, and the queue is written as one batch — the same
+:meth:`_State.write` over the batches' columns laid end to end, every
+column being object-major — by the first reader of the table, a drop,
+:meth:`ObjectColumns.held_in`, a batch that repeats a queued object (so
+the queue never holds one object twice) or one that would take it past
+:data:`_BUILD_CHUNK` objects (a batch above that is written at once).
+A stream batch is read back only as its own block, and
+:meth:`ObjectColumns.block` of exactly the batch the last commit
+staged is built from that staging — field for field the gathered
+block — so a stream window writes its batches a few at a time and
+gathers nothing back.  A rebuild reads the population and discards
+the queue.  A write does not compute what no reader of the
 batch reads: entrance legs, read only by a search that reaches the
 object from another floor, are marked stale and refilled by that
 search (:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
@@ -115,7 +129,11 @@ build is strict: an object off the map raises there.
 serialises.  Readers (one-shot queries on other threads) must not run
 concurrently with a writer; a rebuild is built privately and published
 by single assignment under a lock, so a reader sees either the old
-state or the complete new one.  A search writes too — it refills stale
+state or the complete new one.  A reader that finds queued writes
+writes them under the same lock and checks the queue again there; the
+queue is emptied only once the write has landed, so a second reader
+arriving meanwhile waits for the lock instead of reading a
+half-written table.  A search writes too — it refills stale
 entrance legs — and two concurrent readers may refill one slot at
 once: both compute and store the same floats, so either order leaves
 the same row.  Likewise two readers may both derive the bucket CSR
@@ -127,7 +145,9 @@ with the per-pair bounds is by construction: every distance repeats
 the scalar operation sequence (see the float notes in
 :mod:`repro.distances.batch`), and Eq. 10's ``min`` over the query's
 first-hop entrances (those on its floor, plus every entrance of a
-staircase it stands in) is hoisted out of the per-entity loop —
+staircase it stands in; on that staircase's other floors the
+Euclidean bound counts too, a path staying inside the shaft) is
+hoisted out of the per-entity loop —
 ``min_sq((dq + M[sq, e]) + leg) == min_sq(dq + M[sq, e]) + leg``
 because float addition is monotone.  The same monotonicity makes the
 search's two shortcuts exact: a floor none of whose entrances ``q``
@@ -140,8 +160,9 @@ qx) <= fl(x - qx) <= fl(hi - qx)``; squares, the same-order sum and
 
 from __future__ import annotations
 
+import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -242,6 +263,21 @@ class _Staged:
     n_ents: np.ndarray
     ent_min: np.ndarray
     ent_max: np.ndarray
+
+
+def _joined(batches: list[_Staged]) -> _Staged:
+    """Staged batches of distinct objects as one, in order: every
+    column is object-major, so each is the batches' laid end to end."""
+    if len(batches) == 1:
+        return batches[0]
+    return _Staged(
+        *(
+            [v for b in batches for v in getattr(b, name)]
+            if name in ("objects", "sub_mass")
+            else np.concatenate([getattr(b, name) for b in batches])
+            for name in (f.name for f in fields(_Staged))
+        )
+    )
 
 
 class _Topology:
@@ -387,6 +423,63 @@ class _Topology:
             self.ent_floors.append((f, k, at))
             at += blocks[-1].size
         self.f_legs = np.concatenate(blocks) if blocks else np.zeros(0)
+
+        # -- staircase shafts: each one's entrances on every floor (a
+        # CSR of entrance indices), its footprint and floor span, and
+        # the unit rows whose rect overlaps its footprint's interior on
+        # a floor it spans (its own units; a unit that only touches its
+        # wall holds no point the shaft does not share with a
+        # neighbour): an instance inside a shaft is reached from any of
+        # its entrances, not only from those on its own floor -------
+        stairs = [p for p in parts if p.kind is PartitionKind.STAIRCASE]
+        by_stair: dict[str, list[int]] = {p.partition_id: [] for p in stairs}
+        for e in skeleton.entrances:
+            by_stair.get(e.staircase_id, []).append(e.index)
+        counts = np.array([len(v) for v in by_stair.values()], dtype=np.intp)
+        self.st_ent = np.array(
+            [i for v in by_stair.values() for i in v], dtype=np.intp
+        )
+        self.st_has = counts > 0
+        self.st_start = offsets_of(counts)[:-1][self.st_has]
+        self.st_rect = np.array(
+            [
+                (p.bounds.minx, p.bounds.miny, p.bounds.maxx, p.bounds.maxy)
+                for p in stairs
+            ],
+            dtype=np.float64,
+        ).reshape(len(stairs), 4)
+        self.st_lo = np.array([p.floor for p in stairs], dtype=np.intp)
+        self.st_hi = np.array([p.upper_floor for p in stairs], dtype=np.intp)
+        u_floor = self.floors[self.u_floor]
+        touched = [
+            np.flatnonzero(
+                (self.u_minx < b[2])
+                & (self.u_maxx > b[0])
+                & (self.u_miny < b[3])
+                & (self.u_maxy > b[1])
+                & (u_floor >= lo)
+                & (u_floor <= hi)
+            )
+            for b, lo, hi in zip(
+                self.st_rect.tolist(), self.st_lo.tolist(), self.st_hi.tolist()
+            )
+        ]
+        self.us_unit = np.concatenate(
+            touched + [np.zeros(0, dtype=np.intp)]
+        )
+        self.us_stair = np.repeat(
+            np.arange(len(stairs), dtype=np.intp), [len(t) for t in touched]
+        )
+
+    def stair_reach(self, ent_reach: np.ndarray) -> np.ndarray:
+        """Each shaft's nearest entrance by ``ent_reach`` (one reach per
+        entrance index): ``+inf`` for one without entrances."""
+        out = np.full(len(self.st_has), np.inf)
+        if self.st_ent.size:
+            out[self.st_has] = np.minimum.reduceat(
+                ent_reach[self.st_ent], self.st_start
+            )
+        return out
 
     # -- batched resolution (no per-object geometry calls) ------------
 
@@ -708,20 +801,34 @@ class _State:
         self.slot_of[object_id] = slot
         return slot
 
+    def claim(self, objects: list[UncertainObject]) -> list[int]:
+        """The slots of a batch of live objects — a new object's taken
+        here — each now holding its object; nothing else is written."""
+        slots = [self._slot_for(obj.object_id) for obj in objects]
+        for slot, obj in zip(slots, objects):
+            self.objects[slot] = obj
+        return slots
+
     def commit(
         self, staged: _Staged, legs: np.ndarray | None = None
     ) -> None:
-        """(Over)write the rows of a staged batch of live objects.  Their
+        """(Over)write the rows of a staged batch of live objects (see
+        :meth:`write`)."""
+        self.write(staged, self.claim(staged.objects), legs)
+
+    def write(
+        self,
+        staged: _Staged,
+        slot_list: list[int],
+        legs: np.ndarray | None = None,
+    ) -> None:
+        """Write the rows of a staged batch into its claimed slots.  The
         entrance legs are ``legs`` or, when none are given, marked stale
         for the next search that reads them to refill."""
-        objects = staged.objects
         self.writes += 1
-        slot_list = [self._slot_for(obj.object_id) for obj in objects]
         slots = np.array(slot_list, dtype=np.intp)
         n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
         self.reserve_slots(len(self.objects))
-        for slot, obj in zip(slot_list, objects):
-            self.objects[slot] = obj
         self.row_top, grew = _bump(
             self.row_start, self.row_count, slots, n_rows, self.row_top
         )
@@ -887,6 +994,31 @@ def _bump(
     return top, grew
 
 
+def _block(
+    objects: list[UncertainObject],
+    layout: DoorLayout,
+    rows: SubregionRows,
+    offsets: np.ndarray,
+    ent_min: np.ndarray,
+    ent_max: np.ndarray,
+) -> ObjectBlock:
+    """An :class:`ObjectBlock` of ``objects`` from their subregion rows,
+    each object's row span and the rows' door entries, whose doors are
+    each row's partition's entry doors in layout order."""
+    row_n = layout.n_entry[rows.part]
+    doors, _ = span_index(layout.entry_start[rows.part], row_n)
+    return ObjectBlock(
+        list(objects),
+        layout,
+        layout.flat_idx[doors],
+        ent_min,
+        ent_max,
+        row_n,
+        rows,
+        offsets,
+    )
+
+
 def _within(
     state: _State, slots: np.ndarray, q: Point, r: float, fh: float
 ) -> np.ndarray:
@@ -937,20 +1069,23 @@ def _passing_units(
     q: Point,
     r: float,
     reach: np.ndarray | None,
-    q_floor: int,
+    euclid_floors: list[int],
 ) -> np.ndarray:
     """Algorithm 4's leaf criterion, one flag per unit row: the
-    Euclidean MINDIST to the flattened rect on q's floor — on every
-    floor when ``reach`` is ``None`` — and the skeleton bound on
-    the others, floor by floor."""
+    Euclidean MINDIST to the flattened rect on the ``euclid_floors``
+    rows (q's first, then those of a staircase q stands in) — on
+    every floor when ``reach`` is ``None`` — and the skeleton bound on
+    the others, floor by floor (on such a floor other than q's,
+    either passes)."""
     # Euclidean MINDIST to the flattened rect: every unit without
-    # the skeleton, else the units of q's floor.
+    # the skeleton, else the units of those floors.
     start = topo.f_unit_start
-    rows = (
-        slice(None)
-        if reach is None
-        else topo.f_units[start[q_floor] : start[q_floor + 1]]
-    )
+    if reach is None:
+        rows = slice(None)
+    else:
+        rows = np.concatenate(
+            [topo.f_units[start[f] : start[f + 1]] for f in euclid_floors]
+        )
     qx, qy, qz = q.x, q.y, q.z(topo.fh)
     dx = np.maximum(
         np.maximum(topo.u_minx[rows] - qx, 0.0), qx - topo.u_maxx[rows]
@@ -972,7 +1107,7 @@ def _passing_units(
     # without entrances passes nothing (the skeleton reaches none).
     for f, k, at in topo.ent_floors:
         reach_f = reach[f, :k]
-        if f == q_floor or reach_f.min() > r:
+        if f == euclid_floors[0] or reach_f.min() > r:
             continue
         n = start[f + 1] - start[f]
         legs = topo.f_legs[at : at + k * n].reshape(k, n)
@@ -981,7 +1116,7 @@ def _passing_units(
         for legs_k, reach_k in zip(legs[1:], reach_f[1:].tolist()):
             np.add(legs_k, reach_k, out=leg)
             np.minimum(via, leg, out=via)
-        passing[topo.f_units[start[f] : start[f + 1]]] = via <= r
+        passing[topo.f_units[start[f] : start[f + 1]]] |= via <= r
     return passing
 
 
@@ -1007,14 +1142,30 @@ class ObjectColumns:
         self._topo: _Topology | None = None
         self._state: _State | None = None
         self._lock = threading.Lock()
+        #: Committed batches not yet written into :attr:`_state` (their
+        #: slots claimed), at most :data:`_BUILD_CHUNK` distinct objects
+        #: in all; any reader writes them first.
+        self._queued: list[tuple[_Staged, list[int]]] = []
+        self._queued_ids: set[str] = set()
+        #: The batch the last commit took, while a block of exactly its
+        #: objects may be built from its staging (see :meth:`block`).
+        self._last: _Staged | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every column; the next read rebuilds."""
+        """Drop every column (and every queued write); the next read
+        rebuilds."""
         self._topo = self._state = None
+        self._discard()
+
+    def _discard(self) -> None:
+        """Forget the queued writes: a rebuild reads the population."""
+        self._queued = []
+        self._queued_ids = set()
+        self._last = None
 
     def _topology(self) -> _Topology:
         """The current topology's static arrays (cheap: no object is
@@ -1036,19 +1187,42 @@ class ObjectColumns:
         return None
 
     def _fresh(self) -> _State:
+        """The state every read goes through: rebuilt for the current
+        topology, with the queued writes in it."""
         state = self._current()
         if state is None:
             with self._lock:
                 state = self._current()
                 if state is None:
+                    self._discard()
                     state = self._state = self._build()
+        self._flush()
         return state
+
+    def _flush(self) -> None:
+        """Write the queued batches, as one, into the state they were
+        staged for.  Under the lock, checked again there; the queue is
+        emptied only once the write has landed, so a concurrent reader
+        that finds it non-empty waits for the lock instead of reading a
+        half-written table."""
+        if not self._queued:
+            return
+        with self._lock:
+            queued = self._queued
+            if queued:
+                self._state.write(
+                    _joined([staged for staged, _ in queued]),
+                    [slot for _, slots in queued for slot in slots],
+                )
+                self._queued = []
+                self._queued_ids = set()
 
     def build(self) -> None:
         """Build the table now, strictly: the index's own build, where
         an object the index cannot hold raises (a rebuild leaves an
         object on no unit out)."""
         with self._lock:
+            self._discard()
             self._state = self._build(strict=True)
 
     def _build(self, strict: bool = False) -> _State:
@@ -1079,7 +1253,9 @@ class ObjectColumns:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the columns (0 until first use)."""
+        """Bytes held by the columns (0 until first use), the queued
+        writes written first."""
+        self._flush()
         return sum(
             v.nbytes
             for part in (self._topo, self._state)
@@ -1102,17 +1278,37 @@ class ObjectColumns:
         )
 
     def commit(self, staged: _Staged) -> None:
-        """Write a staged batch, now live objects of the population.  A
-        table not built for the current topology is left alone — its
-        rebuild reads the objects from the population."""
+        """Take a staged batch, now live objects of the population: its
+        slots are claimed at once and its rows queued, to be written
+        with the other queued batches by the next reader — or first,
+        when the batch repeats a queued object or the queue would pass
+        :data:`_BUILD_CHUNK` objects.  A table not built for the
+        current topology is left alone — its rebuild reads the objects
+        from the population."""
+        self._last = None
         state = self._current()
-        if state is not None:
-            state.commit(staged)
+        if state is None:
+            return
+        ids = [obj.object_id for obj in staged.objects]
+        if (
+            len(self._queued_ids) + len(ids) > _BUILD_CHUNK
+            or not self._queued_ids.isdisjoint(ids)
+        ):
+            self._flush()
+        slots = state.claim(staged.objects)
+        if len(ids) > _BUILD_CHUNK:
+            state.write(staged, slots)  # a batch above the queue's bound
+        else:
+            self._queued.append((staged, slots))
+            self._queued_ids.update(ids)
+        self._last = staged
 
     def drop(self, object_id: str) -> None:
-        """Forget a deleted object."""
+        """Forget a deleted object (the queued writes written first)."""
+        self._last = None
         state = self._current()
         if state is not None:
+            self._flush()
             state.drop(object_id)
 
     # ------------------------------------------------------------------
@@ -1142,11 +1338,13 @@ class ObjectColumns:
     def held_in(self, unit_ids: list[str]) -> set[str]:
         """Ids of the objects the table as it stands — current or built
         for an older topology — buckets in any of ``unit_ids``; empty
-        when none is built.  Never builds: a structural change reads
-        the table it is about to drop."""
+        when none is built.  Never builds, but writes the queued
+        batches first: a structural change reads the table it is about
+        to drop."""
         state = self._state
         if state is None:
             return set()
+        self._flush()
         offsets, slots = state.buckets()
         rows = [state.topo.unit_row.get(u) for u in unit_ids]
         return {
@@ -1226,23 +1424,56 @@ class ObjectColumns:
         """``objects`` — live objects of the index — as the bounds
         kernel's object-side operand: the rows
         :func:`~repro.reference.pack.pack_block` would compute, gathered
-        instead."""
+        instead — or, for exactly the batch the last write staged (the
+        monitor's read of the batch it is absorbing), taken from that
+        staging, field for field the block the gather returns, with
+        nothing written or gathered."""
+        staged = self._last
+        if (
+            staged is not None
+            and len(objects) == len(staged.objects)
+            and all(map(operator.is_, objects, staged.objects))
+            and self._current() is not None
+        ):
+            return self._staged_block(staged)
+        return self._gathered_block(objects)
+
+    def _gathered_block(self, objects: list[UncertainObject]) -> ObjectBlock:
+        """:meth:`block` by gather from the table."""
         state, slots = self._slots(objects)
-        layout = state.topo.layout
         rows, offsets = self._rows(state, slots, objects)
         ents, _ = span_index(state.ent_start[slots], state.ent_count[slots])
-        part = rows.part
-        row_n = layout.n_entry[part]
-        doors, _ = span_index(layout.entry_start[part], row_n)
-        return ObjectBlock(
-            list(objects),
-            layout,
-            layout.flat_idx[doors],
-            state.ent_min[ents],
-            state.ent_max[ents],
-            row_n,
+        return _block(
+            objects,
+            state.topo.layout,
             rows,
             offsets,
+            state.ent_min[ents],
+            state.ent_max[ents],
+        )
+
+    def _staged_block(self, staged: _Staged) -> ObjectBlock:
+        """:meth:`block` of a staged batch's own objects, from the
+        staging: the staged columns are object-major and row-ordered,
+        as a gather of the batch's slots lays them."""
+        topo = self._state.topo
+        floor = topo.floors[staged.floor_idx].astype(np.float64)
+        rows = SubregionRows(
+            staged.sub_part,
+            staged.sub_mass,
+            floor.repeat(staged.n_rows),
+            offsets_of(staged.sub_len),
+            [obj.instances for obj in staged.objects],
+            offsets_of(staged.n_inst),
+            staged.inst_idx,
+        )
+        return _block(
+            staged.objects,
+            topo.layout,
+            rows,
+            offsets_of(staged.n_rows),
+            staged.ent_min,
+            staged.ent_max,
         )
 
     def search(
@@ -1257,7 +1488,15 @@ class ObjectColumns:
         entrance is beyond ``r`` is not folded at all.  An object on
         another floor is tested by its entrance legs; one on q's floor
         (or any, without the skeleton) by its stored instance box,
-        and by its instances only when the box straddles ``r``."""
+        and by its instances only when the box straddles ``r``.  On
+        the other floors of a staircase q stands in, a unit or an
+        object passes by either bound: a path may stay inside the
+        shaft (:func:`repro.reference.tree.shaft_floors`).  Off q's
+        floor, a unit overlapping a staircase's footprint (its
+        interior) or an object box touching it, on a floor it spans,
+        also passes when any entrance of that staircase is within
+        ``r``: a path may enter the shaft on another floor
+        (:func:`repro.reference.tree.shaft_entrance_reach`)."""
         state = self._fresh()
         topo = state.topo
         fh = self.space.floor_height
@@ -1270,14 +1509,28 @@ class ObjectColumns:
         # or, from inside a staircase, by any entrance of that
         # staircase straight away: those are first hops too.
         reach = None
+        # Floor rows tested by the Euclidean bound: q's and, from inside
+        # a staircase, every other floor of it — a path may reach them
+        # without leaving the shaft (there a floor also passes by the
+        # skeleton bound).
+        euclid_floors = [q_floor]
         if use_skeleton and q_floor >= 0 and topo.floor_has_ent[q_floor]:
             skeleton = self.skeleton
             sqs = skeleton.entrances_on_floor(q.floor)
-            inside = {
-                p.partition_id
+            stairs = [
+                p
                 for p in self.population.grid.candidates_for_point(q)
                 if p.kind is PartitionKind.STAIRCASE
-            }
+            ]
+            inside = {p.partition_id for p in stairs}
+            euclid_floors += sorted(
+                {
+                    topo.floor_row[f]
+                    for p in stairs
+                    for f in range(p.floor, p.upper_floor + 1)
+                    if f != q.floor and f in topo.floor_row
+                }
+            )
             if inside:
                 sqs = sqs + [
                     e
@@ -1286,9 +1539,18 @@ class ObjectColumns:
                 ]
             dq = np.array([q.distance(s.midpoint, fh) for s in sqs])
             via = dq[:, None] + skeleton.ms2s[[s.index for s in sqs], :]
-            reach = np.append(via.min(axis=0), np.inf)[topo.floor_ent]
+            ent_reach = via.min(axis=0)
+            reach = np.append(ent_reach, np.inf)[topo.floor_ent]
+            shafts = topo.stair_reach(ent_reach)
 
-        passing = _passing_units(topo, q, r, reach, q_floor)
+        passing = _passing_units(topo, q, r, reach, euclid_floors)
+        # The shafts one of whose entrances is within r.
+        open_ = None if reach is None else np.flatnonzero(shafts <= r)
+        if open_ is not None and open_.size:
+            # A unit inside such a shaft, off q's floor, is reached from
+            # any of its entrances.
+            near = topo.us_unit[shafts[topo.us_stair] <= r]
+            passing[near[topo.u_floor[near] != q_floor]] = True
         partitions = {
             topo.part_ids[row]
             for row in set(topo.u_part[passing].tolist())
@@ -1315,6 +1577,26 @@ class ObjectColumns:
                 reach[floor[far]] + state.legs[far_slots]
             ).min(axis=1) <= r
             hit[direct] = _within(state, slots[direct], q, r, fh)
+            if len(euclid_floors) > 1:
+                # In a shaft q stands in: the Euclidean bound too.
+                shaft = far & ~hit & np.isin(floor, euclid_floors[1:])
+                hit[shaft] = _within(state, slots[shaft], q, r, fh)
+            rest = np.flatnonzero(far & ~hit) if open_.size else open_
+            if rest.size:
+                # A box touching a shaft on a floor it spans: instances
+                # inside it are reached from any of its entrances.
+                mine = slots[rest]
+                f = topo.floors[state.floor_idx[mine]][:, None]
+                lo, hi = state.box_lo[mine], state.box_hi[mine]
+                b = topo.st_rect[open_]
+                hit[rest] = (
+                    (f >= topo.st_lo[open_])
+                    & (f <= topo.st_hi[open_])
+                    & (lo[:, :1] <= b[:, 2])
+                    & (hi[:, :1] >= b[:, 0])
+                    & (lo[:, 1:] <= b[:, 3])
+                    & (hi[:, 1:] >= b[:, 1])
+                ).any(axis=1)
         found = slots[hit].tolist()
         return [state.objects[s] for s in found], partitions, topo.n_units
 

@@ -147,6 +147,7 @@ can neither hold membership nor acquire it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence, Set
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
@@ -495,6 +496,13 @@ class KNNMaintainer(StandingQuery):
     arrivals to trim, and under stationary movement arrivals and
     departures across ``rho`` balance, so refills are rare.
 
+    The band is also kept ranked: ``ranked`` is the buffer as
+    ``(distance, id)`` pairs in that order, edited by one bisect at
+    each write to the buffer (at most ``k + 2m`` pairs), so a batch's
+    publish trims it by a slice and rebuilds ``result`` only when an
+    edit landed among its first ``k`` ranks; :meth:`recompute` and
+    :meth:`restore` sort it once.
+
     The persisted state is the result mapping alone (the
     :class:`StandingQuery` default): :meth:`restore` reinstates the
     degenerate ``m = 0`` buffer — ``buffer = result``, ``rho`` the k-th
@@ -510,6 +518,13 @@ class KNNMaintainer(StandingQuery):
         self.k = spec.k
         self.m = max(8, spec.k // 2)
         self.buffer: dict[str, float] = {}
+        #: ``sorted(zip(buffer.values(), buffer))``, kept in step with
+        #: every write to :attr:`buffer` (one bisect each).
+        self.ranked: list[tuple[float, str]] = []
+        #: The lowest rank an edit of :attr:`ranked` landed at since the
+        #: last :meth:`_publish`; ``result`` is the first ``k`` ranks,
+        #: so an edit at rank ``k`` or beyond leaves it as it is.
+        self._edited = 0
         self.rho = math.inf
 
     def influence_radius(self) -> float:
@@ -535,6 +550,8 @@ class KNNMaintainer(StandingQuery):
             raise QueryError(f"restored kNN result holds {len(result)} > k")
         self.result = result
         self.buffer = dict(result)
+        self.ranked = sorted(zip(result.values(), result))
+        self._edited = self.k  # ``result`` is the band: nothing to redo
         full = len(self.buffer) >= self.k
         self.rho = max(self.buffer.values()) if full else math.inf
 
@@ -593,7 +610,8 @@ class KNNMaintainer(StandingQuery):
             # Its stored distance is stale: refine, then stay or leave.
             d = row.exact(j)
             if math.isfinite(d) and d <= self.rho:
-                self.buffer[oid] = d
+                self._unrank(oid)
+                self._rank(oid, d)
             elif self._evict(oid):
                 return True, True  # counted as recomputed
             stats.pairs_refined += 1
@@ -607,16 +625,30 @@ class KNNMaintainer(StandingQuery):
         d = row.exact(j)
         stats.pairs_refined += 1
         if d < self.rho:
-            self.buffer[oid] = d
+            self._rank(oid, d)
             return True, False
         return False, False
+
+    def _rank(self, object_id: str, d: float) -> None:
+        """Buffer ``object_id`` at distance ``d``."""
+        self.buffer[object_id] = d
+        at = bisect.bisect_left(self.ranked, (d, object_id))
+        self.ranked.insert(at, (d, object_id))
+        self._edited = min(self._edited, at)
+
+    def _unrank(self, object_id: str) -> None:
+        """Take a buffered object out of the band."""
+        d = self.buffer.pop(object_id)
+        at = bisect.bisect_left(self.ranked, (d, object_id))
+        del self.ranked[at]
+        self._edited = min(self._edited, at)
 
     def _evict(self, object_id: str) -> bool:
         """Drop a buffered object.  Returns whether that drained the
         buffer below ``k`` inside a finite band and so forced a refill
         — the pair then counts as recomputed, nothing else (the pair
         counters partition ``pairs_evaluated``)."""
-        del self.buffer[object_id]
+        self._unrank(object_id)
         if len(self.buffer) >= self.k or math.isinf(self.rho):
             return False
         stats = self.host.stats
@@ -633,13 +665,17 @@ class KNNMaintainer(StandingQuery):
     def _publish(self) -> None:
         """Trim an overgrown buffer, then republish the ``k`` nearest
         (touched first: the monitor diffs the result against its
-        pre-mutation value)."""
+        pre-mutation value) — only when an edit since the last publish
+        landed among them."""
         # Nearest first, ties by id: ikNNQ's refinement order.
-        ranked = sorted(zip(self.buffer.values(), self.buffer))
+        ranked = self.ranked
         if len(ranked) > self.k + 2 * self.m:
             del ranked[self.k + self.m :]
             self.buffer = {oid: d for d, oid in ranked}
             self.rho = ranked[-1][0]
+        if self._edited >= self.k:
+            return
+        self._edited = self.k
         result = {oid: d for d, oid in ranked[: self.k]}
         if result != self.result:
             self.host.touch(self)
@@ -669,6 +705,8 @@ class KNNMaintainer(StandingQuery):
                 # legitimately shrinks.
                 buffer[obj.object_id] = d
         self.buffer = buffer
+        self.ranked = sorted(zip(buffer.values(), buffer))
+        self._edited = 0
         self.rho = max(buffer.values()) if len(buffer) == size else math.inf
         self._publish()
 

@@ -597,7 +597,8 @@ class QueryMonitor:
         if not self._queries:
             return
         space = self.index.space
-        # ``update_objects`` / ``insert_object`` already wrote the rows.
+        # ``update_objects`` / ``insert_object`` staged the rows: the
+        # block is built from that staging, the table write still queued.
         block = self.index.columns.block(moved)
         stack = self._query_stack(block.layout)
         stats.pairs_evaluated += n * len(self._queries)

@@ -20,8 +20,13 @@ here are what those are held to:
   the set every write records;
 * the skeleton distance (Definition 2) and its entity forms (Eq. 10)
   over the :class:`~repro.index.skeleton.SkeletonTier`'s ``M_s2s``,
-  each leaving q's floor by one of :func:`first_hops`: each
-  lower-bounds the indoor distance (Lemma 6).
+  each leaving q's floor by one of :func:`first_hops` — or, on a floor
+  of a staircase ``q`` stands in (:func:`shaft_floors`), the smaller
+  of that and the Euclidean distance, since a path may stay inside the
+  shaft; and for an entity a staircase's footprint touches, the
+  smaller of that and the reach of any of that staircase's entrances
+  (:func:`shaft_entrance_reach`), since a path may enter the shaft on
+  another floor: each lower-bounds the indoor distance (Lemma 6).
 """
 
 from __future__ import annotations
@@ -143,6 +148,74 @@ def first_hops(skeleton: SkeletonTier, q: Point) -> list[Entrance]:
     return hops
 
 
+def shaft_floors(skeleton: SkeletonTier, q: Point) -> set[int]:
+    """The floors other than q's that a staircase containing ``q``
+    spans: a path may reach them without leaving the shaft, so there
+    the Euclidean distance bounds it too (and an entity's bound is the
+    smaller of that and the skeleton's)."""
+    return {
+        floor
+        for stair in skeleton.space.staircases()
+        if stair.contains_point(q)
+        for floor in range(stair.floor, stair.upper_floor + 1)
+        if floor != q.floor
+    }
+
+
+def shaft_entrance_reach(
+    skeleton: SkeletonTier,
+    sqs: list[Entrance],
+    dqs: list[float],
+    rect: tuple[float, float, float, float],
+    lf: int,
+    uf: int,
+    closed: bool,
+) -> float:
+    """The least skeleton reach from ``q`` (first hops ``sqs`` at
+    Euclidean ``dqs``) of an entrance of a staircase whose footprint
+    overlaps ``rect`` (``minx, miny, maxx, maxy``; touching counts
+    when ``closed`` — an object's instance box, whose instance on the
+    wall may belong to the shaft — and only interior overlap when
+    not — a unit or a tree node, since a unit only touching the wall
+    is a neighbour's) on a floor of ``[lf, uf]`` it spans: a point
+    inside such a shaft is reached from any of its entrances, on
+    whatever floor, not only from those on its own floor.  ``+inf``
+    when no staircase qualifies (or ``sqs`` is empty)."""
+    minx, miny, maxx, maxy = rect
+    best = math.inf
+    if not sqs:
+        return best
+    for stair in skeleton.space.staircases():
+        b = stair.bounds
+        if stair.upper_floor < lf or stair.floor > uf:
+            continue
+        if closed:
+            apart = (
+                minx > b.maxx
+                or maxx < b.minx
+                or miny > b.maxy
+                or maxy < b.miny
+            )
+        else:
+            apart = (
+                minx >= b.maxx
+                or maxx <= b.minx
+                or miny >= b.maxy
+                or maxy <= b.miny
+            )
+        if apart:
+            continue
+        for se in skeleton.entrances:
+            if se.staircase_id != stair.partition_id:
+                continue
+            reach = min(
+                dq + skeleton.ms2s[sq.index, se.index]
+                for dq, sq in zip(dqs, sqs)
+            )
+            best = min(best, reach)
+    return best
+
+
 def skeleton_distance(skeleton: SkeletonTier, q: Point, p: Point) -> float:
     """``|q, p|_K`` (Definition 2).
 
@@ -156,8 +229,18 @@ def skeleton_distance(skeleton: SkeletonTier, q: Point, p: Point) -> float:
     if q.floor == p.floor:
         return q.distance(p, fh)
     best = math.inf
-    for sq in first_hops(skeleton, q):
-        dq = q.distance(sq.midpoint, fh)
+    if p.floor in shaft_floors(skeleton, q):
+        best = q.distance(p, fh)
+    sqs = first_hops(skeleton, q)
+    dqs = [q.distance(sq.midpoint, fh) for sq in sqs]
+    point = (p.x, p.y, p.x, p.y)
+    best = min(
+        best,
+        shaft_entrance_reach(
+            skeleton, sqs, dqs, point, p.floor, p.floor, True
+        ),
+    )
+    for sq, dq in zip(sqs, dqs):
         for sp in skeleton.entrances_on_floor(p.floor):
             total = (
                 dq
@@ -191,7 +274,13 @@ def min_distance_to_box(
         # Euclidean MINDIST, which is always a valid lower bound.
         return flat.min_distance_xyz(q.x, q.y, q.z(fh))
     best = math.inf
+    if not shaft_floors(skeleton, q).isdisjoint(range(lf, uf + 1)):
+        best = flat.min_distance_xyz(q.x, q.y, q.z(fh))
     dqs = [q.distance(s.midpoint, fh) for s in sqs]
+    rect = (box.minx, box.miny, box.maxx, box.maxy)
+    best = min(
+        best, shaft_entrance_reach(skeleton, sqs, dqs, rect, lf, uf, False)
+    )
     for floor in range(lf, uf + 1):
         for se in skeleton.entrances_on_floor(floor):
             leg = flat.min_distance_xyz(
@@ -218,6 +307,15 @@ def min_distance_to_point_set(
     if not sqs or not ses:
         return instances.min_distance_to(q, fh)
     best = math.inf
+    if floor in shaft_floors(skeleton, q):
+        best = instances.min_distance_to(q, fh)
+    lo, hi = instances.xy.min(axis=0), instances.xy.max(axis=0)
+    rect = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    dqs = [q.distance(sq.midpoint, fh) for sq in sqs]
+    best = min(
+        best,
+        shaft_entrance_reach(skeleton, sqs, dqs, rect, floor, floor, True),
+    )
     legs = [instances.min_distance_to(se.midpoint, fh) for se in ses]
     for sq in sqs:
         dq = q.distance(sq.midpoint, fh)

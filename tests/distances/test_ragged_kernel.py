@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monitor_world import build_world
+from monitor_world import assert_same_block, build_world
 from repro.distances import batch
 from repro.distances.batch import QueryStack, block_object_bounds
 from repro.geometry import Point
@@ -124,23 +124,6 @@ def _assert_matches_reference(index, stack, block):
     return bounds
 
 
-def _assert_same_block(got, want):
-    assert got.objects == want.objects
-    assert got.layout is want.layout
-    assert got.sub_mass == want.sub_mass
-    arrays = "ent_door ent_min ent_max row_n ent_start sub_part obj_offsets"
-    for name in arrays.split():
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in "floor start set_start idx".split():
-        assert np.array_equal(
-            getattr(got.rows, name), getattr(want.rows, name)
-        ), name
-    every = np.arange(len(got.rows.part))
-    gathered = zip(got.rows.instances(every), want.rows.instances(every))
-    for name, (a, b) in zip("x y probs start".split(), gathered):
-        assert np.array_equal(a, b), name
-
-
 def _world(seed, n_objects=24, sealed=1, straddlers=3):
     space, gen, pop, index = build_world(seed, n_objects)
     rng = random.Random(seed)
@@ -186,7 +169,7 @@ class TestRaggedKernelMatchesReference:
             packed = pack_block(objects, space, index.population.grid, layout)
             assert 0 in packed.row_n.tolist()
             gathered = index.columns.block(objects)
-            _assert_same_block(gathered, packed)
+            assert_same_block(gathered, packed)
             _assert_matches_reference(index, stack, gathered)
 
     def test_own_partition_rows_of_a_multi_partition_object(self):

@@ -417,6 +417,7 @@ class TestEntranceLegsOnFirstRead:
         idx, pop, gen = world
         stream = MovementStream(small_mall, pop, gen, seed=9)
         (moved,) = idx.update_objects(stream.next_moves(1))
+        idx.columns.layout()  # a read: the queued write lands
         state = idx.columns._state
         slot = state.slot_of[moved.object_id]
         assert state.legs_stale[slot]
@@ -440,6 +441,7 @@ class TestEntranceLegsOnFirstRead:
         idx, pop, gen = world
         stream = MovementStream(small_mall, pop, gen, seed=10)
         idx.update_objects(stream.next_moves(len(pop)))
+        idx.columns.layout()  # a read: the queued write lands
         state = idx.columns._state
         stale = int(state.legs_stale[: len(state.objects)].sum())
         assert stale > 2 * _BUILD_CHUNK
@@ -488,6 +490,7 @@ class TestBumpAllocatedSpans:
                         )
                     ]
                 )
+            idx.columns.layout()  # a read: the queued writes land
             live = np.fromiter(state.slot_of.values(), dtype=np.intp)
             for start, count, top, in_use in (
                 (state.row_start, state.row_count, state.row_top,
@@ -513,7 +516,9 @@ class TestBumpAllocatedSpans:
 
 
 def assert_boxes_are_the_instance_bounds(idx):
-    """Every held object's stored instance box is ``obj.bounds()``."""
+    """Every held object's stored instance box is ``obj.bounds()``
+    (read through the table, so the queued writes land first)."""
+    idx.columns.layout()
     state = idx.columns._state
     for obj in idx.population:
         slot = state.slot_of.get(obj.object_id)

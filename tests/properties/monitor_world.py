@@ -5,10 +5,13 @@ from-scratch equivalence assertion.  Used by
 ``test_prop_deltas.py`` (delta replay); the index's bucket ground truth
 by ``test_prop_range_search.py`` and ``tests/index/test_composite.py``;
 the boundary query points by ``test_prop_queries.py`` and
-``tests/index/test_composite.py``."""
+``tests/index/test_composite.py``; block equality by
+``tests/distances/test_ragged_kernel.py`` and
+``test_prop_deferred_table.py``."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.api.specs import KNNSpec, ProbRangeSpec, RangeSpec
@@ -57,6 +60,26 @@ def assert_buckets_are_the_tree_walk(index):
         for unit_id in index.units
     }
     assert {u: ids for u, ids in got.items() if ids} == want
+
+
+def assert_same_block(got, want):
+    """Two :class:`~repro.distances.batch.ObjectBlock` s of the same
+    objects are equal field for field, instances gathered through each
+    one's own index included."""
+    assert got.objects == want.objects
+    assert got.layout is want.layout
+    assert got.sub_mass == want.sub_mass
+    arrays = "ent_door ent_min ent_max row_n ent_start sub_part obj_offsets"
+    for name in arrays.split():
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in "floor start set_start idx".split():
+        assert np.array_equal(
+            getattr(got.rows, name), getattr(want.rows, name)
+        ), name
+    every = np.arange(len(got.rows.part))
+    gathered = zip(got.rows.instances(every), want.rows.instances(every))
+    for name, (a, b) in zip("x y probs start".split(), gathered):
+        assert np.array_equal(a, b), name
 
 
 def boundary_points(space) -> list[Point]:
