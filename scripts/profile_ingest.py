@@ -7,14 +7,18 @@ queries on one ``QueryService`` — and ingests the world's random-walk
 batches (5 and 20 moves).  Wrappers installed from here, by name,
 time per batch
 
-* the index write: ``ObjectColumns.stage``, ``commit`` and the write
-  of queued batches (``_flush``, where the tree has one: a commit or a
-  read may run it, and its time is inside theirs too);
+* the index write: ``CompositeIndex.update_objects`` whole, and
+  inside it ``ObjectColumns.stage``, ``commit`` and the write of queued
+  batches (``_flush``, where the tree has one: a commit or a read may
+  run it, and its time is inside theirs too);
 * ``ObjectColumns.block`` (the monitor's read of the batch);
 * the bounds kernel (``block_object_bounds`` as the monitor calls it)
-  and the batch's refinement pass (``BlockBounds.refine``);
-* the maintainers (every ``on_update_batch``, refinement hooks
-  included);
+  and the monitor's listing of the pairs it cannot decide
+  (``QueryMonitor._undecided``);
+* the refinement step: the maintainers' ``refinements`` hooks (naming
+  the pairs), the batch's refinement (``BlockBounds.refine``) and,
+  inside it, each array pass (``batch._refine_pass``);
+* the maintainers' decisions (every ``on_update_batch``);
 * the delta diff (``QueryMonitor._collect``);
 
 and prints the median and mean µs of each over the batches (a step a
@@ -45,13 +49,42 @@ from pathlib import Path
 
 #: Steps timed per batch: (label, module, class, attribute).
 STEPS = (
+    (
+        "update_objects",
+        "repro.index.composite",
+        "CompositeIndex",
+        "update_objects",
+    ),
     ("stage", "repro.index.columns", "ObjectColumns", "stage"),
     ("commit", "repro.index.columns", "ObjectColumns", "commit"),
     ("flush", "repro.index.columns", "ObjectColumns", "_flush"),
     ("columns.block", "repro.index.columns", "ObjectColumns", "block"),
     ("kernel", "repro.queries.monitor", None, "block_object_bounds"),
+    ("_undecided", "repro.queries.monitor", "QueryMonitor", "_undecided"),
     ("refine", "repro.distances.batch", "BlockBounds", "refine"),
+    ("_refine_pass", "repro.distances.batch", None, "_refine_pass"),
     ("collect", "repro.queries.monitor", "QueryMonitor", "_collect"),
+)
+
+#: Maintainer hooks timed per batch, on every ``StandingQuery``
+#: subclass that defines one: (label, attribute).
+HOOKS = (("refinements", "refinements"), ("maintainers", "on_update_batch"))
+
+#: Rows printed, in the order a batch runs them.
+ROWS = (
+    "ingest",
+    "update_objects",
+    "stage",
+    "commit",
+    "flush",
+    "columns.block",
+    "kernel",
+    "_undecided",
+    "refinements",
+    "refine",
+    "_refine_pass",
+    "maintainers",
+    "collect",
 )
 
 #: The table's readers, counted over the window.
@@ -131,13 +164,9 @@ def install(profile: Profile) -> None:
     while pending:
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
-        for attr in ("on_update_batch", "refinements"):
+        for label, attr in HOOKS:
             if attr in cls.__dict__:
-                setattr(
-                    cls,
-                    attr,
-                    profile.timed("maintainers", cls.__dict__[attr]),
-                )
+                setattr(cls, attr, profile.timed(label, cls.__dict__[attr]))
 
 
 def run_shape(world_mod, name: str, seed: int, batches: int, profile):
@@ -166,13 +195,11 @@ def run_shape(world_mod, name: str, seed: int, batches: int, profile):
         service.ingest(moves)
         profile.close_batch(time.perf_counter() - t0)
     profile.counting = False
-    labels = ["ingest", *(label for label, *_ in STEPS[:-1])]
-    labels += ["maintainers", "collect"]
     print(f"{name}: {batches} batches of {size} moves (µs per batch)")
-    for label in labels:
+    for label in ROWS:
         values = [1e6 * b.get(label, 0.0) for b in profile.batches]
         print(
-            f"  {label:14s} median {statistics.median(values):8.1f}  "
+            f"  {label:15s} median {statistics.median(values):8.1f}  "
             f"mean {statistics.mean(values):8.1f}"
         )
     reads = ", ".join(

@@ -16,7 +16,11 @@ size
 * the function calls one batch makes under ``cProfile`` (its
   ``total_calls`` over a separate run of batches, divided by their
   number), and how many of them construct a ``Subregion``;
-* the columnar table's ``nbytes`` after the batches.
+* the columnar table's ``nbytes`` after the batches;
+
+and, over all ``--sizes``, a least-squares line through the medians:
+the fixed cost a call pays whatever its size and the cost of each
+moved object, for ``update_objects`` and for the stage.
 
 Only public names both sides of a change share are used, so the same
 script measures a parent checkout and a change::
@@ -38,6 +42,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 
 #: The write's steps, timed per batch where the tree has them.
 SPLIT = ("stage", "commit", "_flush")
@@ -129,8 +134,10 @@ def main() -> None:
     print(f"world A built columns_nbytes {world.index.columns.nbytes:,}")
     stream = world.stream()
     spent = install_split()
+    rows = []
     for size in args.sizes:
         row = profile_size(world, stream, size, args.batches, spent)
+        rows.append(row)
         print(
             f"moves={size:3d}  median {row['median_us']:9.1f} µs  "
             f"(stage {row['stage_us']:7.1f}  commit {row['commit_us']:6.1f}"
@@ -139,6 +146,17 @@ def main() -> None:
             f"Subregion()/batch {row['subregions_per_batch']:6.1f}  "
             f"columns_nbytes {row['columns_nbytes']:,}"
         )
+    if len(set(args.sizes)) > 1:
+        fits = (("update_objects", "median_us"), ("stage", "stage_us"))
+        for label, key in fits:
+            slope, fixed = np.polyfit(
+                args.sizes, [row[key] for row in rows], 1
+            )
+            print(
+                f"fit over sizes {' '.join(map(str, args.sizes))}: "
+                f"{label} ≈ {fixed:.1f} µs fixed + {slope:.1f} µs a moved "
+                "object"
+            )
 
 
 if __name__ == "__main__":

@@ -66,11 +66,14 @@ other routine, over the same two operands:
 * **exact refinement** (:func:`block_expected_distances`) — the
   expected indoor distance ``|q, O|_I`` (Definition 1), or the iPRQ
   qualifying probability, of a list of (query, object) pairs in one
-  array pass: the pairs' instances gathered in subregion-row order
-  through their :class:`SubregionRows` (the index's table indexes them
-  in that order), one ragged ``(instance x entry door)`` distance vector
-  reduced to the best door per instance,
-  the own-partition direct path, one contiguous sum per subregion.
+  array pass: the pairs' instances in subregion-row order, each one's
+  distance to each entry door of its subregion's partition
+  (:func:`door_distances`, the routine the index write's door extrema
+  come from; the block of the batch a write just staged carries the
+  write's, other rows gather their instances through their
+  :class:`SubregionRows`), reduced with the query's door weights to the
+  best door per instance, the own-partition direct path, one contiguous
+  sum per subregion.
   The monitor refines every standing query's named pairs of an ingest
   batch together, before any maintainer decides
   (:meth:`BlockBounds.refine`: one call for the distances, one for the
@@ -118,8 +121,12 @@ arranged so every float operation matches the scalar sequence:
   (``upper = max(best_lo, best_hi)``), so "entirely within" is never
   shortcut for a multi-partition object;
 * exact refinement repeats the scalar per-instance sequence
-  (``sqrt(dx*dx + dy*dy + dz*dz) + w``, then the ``min`` over doors and
-  with the direct path) elementwise, and sums each subregion's
+  (``sqrt(dx*dx + dy*dy + dz*dz) + w``, then the ``min`` over doors —
+  ``np.minimum.at``, order-insensitive — and with the direct path)
+  elementwise; its distance term is the index write's
+  (:func:`door_distances`, one routine), so the distances a write
+  carries to its batch's block are the ones refinement would compute.
+  It sums each subregion's
   ``d_i * p_i`` as one contiguous slice — numpy's pairwise summation
   depends on the elements and their order, both the scalar path's —
   never with ``np.add.reduceat``, whose accumulation order is another;
@@ -162,7 +169,7 @@ def offsets_of(counts: np.ndarray) -> np.ndarray:
     """``(n + 1,)`` running offsets of ``n`` consecutive spans
     (``counts`` an integer array)."""
     offsets = np.zeros(len(counts) + 1, dtype=np.intp)
-    counts.cumsum(out=offsets[1:])
+    np.add.accumulate(counts, out=offsets[1:])
     return offsets
 
 
@@ -222,6 +229,49 @@ def own_row_extrema(
     return np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
 
 
+def door_distances(
+    xy: np.ndarray,
+    row_start: np.ndarray,
+    row_len: np.ndarray,
+    row_floor: np.ndarray,
+    lrow: np.ndarray,
+    layout: DoorLayout,
+    fh: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``|s, door|_E`` of every instance ``s`` of a run of subregion
+    rows to each entry door of its row's partition, in one ragged pass —
+    the one routine behind the index write's door extrema and exact
+    refinement's per-instance door term.
+
+    Row ``a``'s instances are ``xy[row_start[a] : row_start[a] +
+    row_len[a]]``, on floor ``row_floor[a]``, its partition at layout
+    row ``lrow[a]``.  Returns ``(d, cuts, inst, entry)``, door-major:
+    the rows' entry doors laid end to end (row ``a``'s in layout
+    order) each own a run ``d[cuts[e] : cuts[e + 1]]`` of distances,
+    one per instance of the row; distance ``c`` is from instance
+    ``inst[c]`` to the door at flat layout position ``entry[c]``.
+    Element for element the floats of ``sqrt((dx*dx + dy*dy) + dz*dz)``
+    with ``dz = (floor - door floor) * fh``, the vertical term left out
+    where every row's partition is level (adding ``0.0`` is the
+    identity; see the module docstring)."""
+    nd = layout.n_entry[lrow]
+    doors, _ = span_index(layout.entry_start[lrow], nd)
+    per = row_len.repeat(nd)
+    inst, cuts = span_index(row_start.repeat(nd), per)
+    entry = doors.repeat(per)
+    planar = xy.take(inst, axis=0)
+    planar -= layout.mid_xy.take(entry, axis=0)
+    planar *= planar
+    d = planar[:, 0] + planar[:, 1]
+    if not layout.level[lrow].all():
+        dz = row_floor.repeat(nd) - layout.mid_z[doors]
+        dz *= fh
+        dz *= dz
+        d += dz.repeat(per)
+    np.sqrt(d, out=d)
+    return d, cuts, inst, entry
+
+
 class DoorLayout:
     """Partition-indexed entry-door arrays for one topology version.
 
@@ -239,7 +289,10 @@ class DoorLayout:
     row ``p``'s doors are
     ``flat_idx`` / ``flat_mid`` at ``entry_start[p] : entry_start[p] +
     n_entry[p]`` (and ``flat_mid``'s columns, contiguous, are
-    ``mid_x`` / ``mid_y`` / ``mid_z``).
+    ``mid_xy`` — ``x, y`` — and ``mid_z``).
+    ``level[p]`` says that partition ``p`` spans one floor and each of
+    its entry doors lies on it: an instance of it is on that floor too,
+    so its vertical leg to every entry door is ``0.0``.
     """
 
     __slots__ = (
@@ -252,10 +305,10 @@ class DoorLayout:
         "entry_mid",
         "n_entry",
         "entry_start",
+        "level",
         "flat_idx",
         "flat_mid",
-        "mid_x",
-        "mid_y",
+        "mid_xy",
         "mid_z",
     )
 
@@ -267,8 +320,14 @@ class DoorLayout:
         self.part_ids = list(self.part_row)  # in row order
         self.entry_idx: list[np.ndarray] = []
         self.entry_mid: list[np.ndarray] = []
+        level = []
         for pid in self.part_row:  # in row order
             doors = space.entry_doors(pid)
+            part = space.partitions[pid]
+            level.append(
+                part.floor == part.upper_floor
+                and all(d.midpoint.floor == part.floor for d in doors)
+            )
             self.entry_idx.append(
                 np.array(
                     [self.door_index[d.door_id] for d in doors],
@@ -288,12 +347,64 @@ class DoorLayout:
             [idx.size for idx in self.entry_idx], dtype=np.intp
         )
         self.entry_start = offsets_of(self.n_entry)
+        self.level = np.array(level, dtype=bool)
         self.flat_idx = np.concatenate(
             self.entry_idx + [np.zeros(0, dtype=np.intp)]
         )
         self.flat_mid = np.concatenate(self.entry_mid + [np.zeros((0, 3))])
-        self.mid_x, self.mid_y, self.mid_z = np.ascontiguousarray(
-            self.flat_mid.T
+        self.mid_xy = np.ascontiguousarray(self.flat_mid[:, :2])
+        self.mid_z = np.ascontiguousarray(self.flat_mid[:, 2])
+
+
+@dataclass(slots=True, eq=False)
+class RowGeometry:
+    """What the index write computed for the rows of the one batch it
+    staged, kept by that batch's block so that exact refinement reads
+    it instead of computing it again: the rows' instances in row order
+    (``xy`` / ``probs``, the batch's run of the instance axis) and their
+    :func:`door_distances` (``dist``, ``cuts``, ``inst`` and ``entry``
+    as it returns them), with each object's number of entry doors
+    (``n_ents``).  One batch's worth, never queued with the table's
+    pending writes."""
+
+    xy: np.ndarray
+    probs: np.ndarray
+    dist: np.ndarray
+    cuts: np.ndarray
+    inst: np.ndarray
+    entry: np.ndarray
+    n_ents: np.ndarray
+
+    def take(
+        self, objects: list[int], set_start: list[int]
+    ) -> tuple[np.ndarray, ...]:
+        """``xy``, ``probs`` and the distances of the objects
+        ``objects`` (positions, repeats allowed; object ``k``'s
+        instances are ``set_start[k] : set_start[k + 1]``), laid end to
+        end in that order — fresh arrays, a reader may write them — with
+        each distance's door (its flat layout position) and its
+        instance's position in the returned ``xy``."""
+        # Object ``k``'s entry doors, and so its run of the distances.
+        ents = list(itertools.accumulate(self.n_ents.tolist(), initial=0))
+        cuts = self.cuts
+        cells = [(cuts[ents[k]], cuts[ents[k + 1]]) for k in objects]
+        spans = [(set_start[k], set_start[k + 1]) for k in objects]
+        # A distance's instance, moved from its object's run of the
+        # batch's instances to that object's place in the return.
+        shift = itertools.accumulate(
+            (b - a for a, b in spans[:-1]), initial=0
+        )
+        return (
+            np.concatenate([self.xy[a:b] for a, b in spans]),
+            np.concatenate([self.probs[a:b] for a, b in spans]),
+            np.concatenate([self.dist[a:b] for a, b in cells]),
+            np.concatenate([self.entry[a:b] for a, b in cells]),
+            np.concatenate(
+                [
+                    self.inst[c:e] + (at - a)
+                    for (c, e), (a, _), at in zip(cells, spans, shift)
+                ]
+            ),
         )
 
 
@@ -320,6 +431,13 @@ class SubregionRows:
     own and the sets are read-only (an object that moves gets a new
     set), so a later index write — compaction included — changes
     nothing a holder reads.
+
+    The rows of the batch an index write just staged also carry what
+    that write computed (``geometry``, a :class:`RowGeometry` over the
+    whole instance axis): exact refinement reads their instances and
+    door distances from it, and :meth:`coordinates` their coordinates.
+    Rows gathered from the table, or built by the reference, carry
+    none and compute the same floats.
     """
 
     part: np.ndarray
@@ -329,6 +447,7 @@ class SubregionRows:
     sets: list[InstanceSet]
     set_start: np.ndarray
     idx: np.ndarray
+    geometry: RowGeometry | None = None
 
     def _gather(
         self, rows: np.ndarray
@@ -359,7 +478,14 @@ class SubregionRows:
         """``x`` and ``y`` of the instances of ``rows``, laid end to end
         in that order (one fresh 1-D column each), and the
         ``(len(rows) + 1,)`` offsets of each row's run in them — what a
-        reader of positions alone takes, no probability gathered."""
+        reader of positions alone takes, no probability gathered (rows
+        that carry their write's :class:`RowGeometry` read its
+        row-ordered copy)."""
+        if self.geometry is not None:
+            first = self.start[rows]
+            at, cuts = span_index(first, self.start[rows + 1] - first)
+            xy = self.geometry.xy.take(at, axis=0)
+            return xy[:, 0], xy[:, 1], cuts
         at, sets, cuts = self._gather(rows)
         if len(sets) == 1:
             xy = sets[0].xy
@@ -382,11 +508,11 @@ class SubregionRows:
 
     def object_instances(
         self, objects: list[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``x``, ``y`` and ``probs`` of every instance of the objects
-        ``objects`` (positions, repeats allowed), laid end to end in
-        that order, each object's in its rows' order — the instances of
-        all its rows, so no row lookup: object ``k``'s run of
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``xy`` (``(n, 2)``) and ``probs`` of every instance of the
+        objects ``objects`` (positions, repeats allowed), laid end to end
+        in that order, each object's in its rows' order — the instances
+        of all its rows, so no row lookup: object ``k``'s run of
         :attr:`idx` is ``set_start[k] : set_start[k + 1]``."""
         cut = self.set_start
         picked = [
@@ -394,10 +520,10 @@ class SubregionRows:
         ]
         if len(picked) == 1:
             ((s, at),) = picked
-            return s.xy[:, 0][at], s.xy[:, 1][at], s.probs[at]
+            return s.xy[at], s.probs[at]
         xy = np.concatenate([s.xy[at] for s, at in picked])
         probs = np.concatenate([s.probs[at] for s, at in picked])
-        return xy[:, 0], xy[:, 1], probs
+        return xy, probs
 
 
 @dataclass(slots=True, eq=False)
@@ -829,8 +955,12 @@ def block_expected_distances(
     ``offsets[j] : offsets[j + 1]`` of ``rows`` — a block's ``rows`` /
     ``obj_offsets``, the index table's
     (:meth:`~repro.index.columns.ObjectColumns.rows`), or
-    :func:`repro.reference.pack.subregion_rows` of bare objects.  Float
-    for float the scalar
+    :func:`repro.reference.pack.subregion_rows` of bare objects.  The
+    rows of the batch a write just staged carry that write's instances
+    and :func:`door_distances` (:class:`RowGeometry`) and are refined
+    from them; any other rows gather their pairs' instances and compute
+    the distances with the same routine, so the floats are the same
+    either way.  Float for float the scalar
     :func:`repro.reference.expected.expected_indoor_distance` ``.value``
     / :func:`~repro.reference.expected.qualifying_probability`, and a
     pair's value does not depend on what else is in the list: every
@@ -858,63 +988,57 @@ def _refine_pass(
     fh: float,
     r: float | Sequence[float] | None,
 ) -> list[float]:
-    """One array pass of :func:`block_expected_distances`."""
+    """One array pass of :func:`block_expected_distances`.  A pair's
+    rows are one whole object, so its instances are one run of the
+    instance axis, and its door distances one run of the door-major
+    vector.  Rows that carry their write's :class:`RowGeometry` hand
+    over those runs as the write computed them; others gather the
+    instances through their index and compute the vector here, with
+    the same routine.  Each distance plus its query's weight is then
+    reduced to the best door per instance (a door-less partition's
+    instances keep ``inf``), the own-partition direct path joins, and
+    each subregion's terms are summed in one contiguous sum."""
     layout = stack.layout
-    # -- the pairs' rows laid end to end, and their instances --------
-    first = np.array([offsets[j] for _, j in pairs], dtype=np.intp)
-    n_rows = np.array([offsets[j + 1] for _, j in pairs], dtype=np.intp)
-    n_rows -= first
-    mine, first_row = span_index(first, n_rows)
+    # -- the pairs' rows laid end to end -------------------------------
+    objs = [j for _, j in pairs]
+    spans = [range(offsets[j], offsets[j + 1]) for j in objs]
+    n_rows = [len(span) for span in spans]
+    mine = np.array([a for span in spans for a in span], dtype=np.intp)
     lrow = rows.part[mine]
-    row_query = np.array([i for i, _ in pairs], dtype=np.intp).repeat(n_rows)
+    row_query = np.array(
+        [i for (i, _), n in zip(pairs, n_rows) for _ in range(n)],
+        dtype=np.intp,
+    )
     row_floor = rows.floor[mine]
-    # A pair's rows are one whole object: its instances are one run.
-    x, y, probs = rows.object_instances([j for _, j in pairs])
     row_len = rows.start[mine + 1] - rows.start[mine]
     row_of = np.arange(len(mine)).repeat(row_len)
-    row_ends = row_len.cumsum()
+    row_ends = np.add.accumulate(row_len)
 
-    # -- per (row, entry door of its partition): midpoint, squared
-    # vertical leg, the query's weight --------------------------------
-    row_doors = layout.n_entry[lrow]
-    entry, entry_start = span_index(layout.entry_start[lrow], row_doors)
-    mid_x, mid_y = layout.mid_x[entry], layout.mid_y[entry]
-    dz = (row_floor.repeat(row_doors) - layout.mid_z[entry]) * fh
-    dz *= dz
-    w = stack.w[row_query.repeat(row_doors), layout.flat_idx[entry]]
-
-    # -- ragged (instance x entry door), reduced to the best door: one
-    # 1-D column per term (a row gather of an ``(n, 4)`` array is
-    # several times slower) -------------------------------------------
-    doors = row_doors[row_of]
-    if entry.size:
-        pick, cuts = span_index(entry_start[:-1][row_of], doors)
-        path = x.repeat(doors)
-        path -= mid_x[pick]
-        path *= path
-        dy = y.repeat(doors)
-        dy -= mid_y[pick]
-        dy *= dy
-        path += dy
-        path += dz[pick]
-        np.sqrt(path, out=path)
-        path += w[pick]
-    if row_doors.all():
-        d = np.minimum.reduceat(path, cuts[:-1])
+    # -- ragged (instance x entry door): the door distance plus the
+    # query's weight, reduced to the best door per instance (a door-less
+    # partition's instances, reached by the direct path only, keep
+    # ``inf``) -----------------------------------------------------------
+    geometry = rows.geometry
+    if geometry is None:
+        xy, probs = rows.object_instances(objs)
+        path, _, inst, entry = door_distances(
+            xy, row_ends - row_len, row_len, row_floor, lrow, layout, fh
+        )
     else:
-        # A door-less partition is reached by the direct path only.
-        d = np.full(len(row_of), np.inf)
-        served = doors > 0
-        if entry.size:
-            d[served] = np.minimum.reduceat(path, cuts[:-1][served])
+        xy, probs, path, entry, inst = geometry.take(
+            objs, rows.set_start.tolist()
+        )
+    path += stack.w[row_query[row_of][inst], layout.flat_idx[entry]]
+    d = np.full(len(row_of), np.inf)
+    np.minimum.at(d, inst, path)
 
     # -- rows in the query's own partition: the direct path joins -----
     own_row = lrow == stack.source_row[row_query]
     if own_row.any():
         at = np.flatnonzero(own_row[row_of])
-        src = np.take(stack.source_xyz, row_query[row_of[at]], axis=0)
-        dx = x[at] - src[:, 0]
-        dy = y[at] - src[:, 1]
+        src = stack.source_xyz.take(row_query[row_of[at]], axis=0)
+        dx = xy[at, 0] - src[:, 0]
+        dy = xy[at, 1] - src[:, 1]
         dz = (row_floor[row_of[at]] - src[:, 2]) * fh
         d[at] = np.minimum(d[at], np.sqrt(dx * dx + dy * dy + dz * dz))
 
@@ -937,11 +1061,12 @@ def _refine_pass(
         terms = probs[within]
         row_ends = np.concatenate(([0], within.cumsum()))[row_ends]
     ends = row_ends.tolist()
-    shares = [float(terms[a:b].sum()) for a, b in zip([0] + ends, ends)]
+    add = np.add.reduce  # ``terms[a:b].sum()``, without its wrapper
+    shares = [float(add(terms[a:b])) for a, b in zip([0] + ends, ends)]
     for row in lost_rows:
         shares[row] = np.inf
     out = []
-    for a, b in itertools.pairwise(first_row.tolist()):
+    for a, b in itertools.pairwise(itertools.accumulate(n_rows, initial=0)):
         total = 0.0
         for share in shares[a:b]:
             total += share

@@ -22,7 +22,8 @@ object is read to build it): the
 :class:`~repro.distances.batch.DoorLayout`, the partition table in
 ``partition_id`` order (bounds, floor span, layout row, its units as
 one span) and the same partition rows listed per floor (a staircase
-under every floor it spans), the unit arrays (rect, floor,
+under every floor it spans, with its units on that floor as one span),
+a per-floor lookup of those lists, the unit arrays (rect, floor,
 partition), the same unit rows grouped per floor with each floor's
 rect-MINDIST to its entrances, and the per-floor entrance index.  Per
 object slot (:class:`_State`): floor, instance bounding box, entrance
@@ -60,29 +61,38 @@ block's own objects included, changes nothing a block has handed out.
 The filter's one instance test (min instance distance to a same-floor
 query point) decides from the instance box (32 B a slot) whenever the
 box lies wholly within or wholly beyond ``r``, and reads the instances
-only for those it straddles, a bounded number at a time.  No instance
-x door matrix outlives the write that computed it.
+only for those it straddles, a bounded number at a time.  The instance
+x door distances a write computes are kept by the block of that one
+batch (below) and never queued: no table column and no gathered block
+holds one.
 
 **The write.**  One routine, :meth:`_Topology.stage`, resolves a list
 of objects in a fixed number of array operations and is the only body
 behind the index's ``update_objects`` / ``move_object`` /
 ``insert_object`` and the table's own rebuild (in chunks of
-:data:`_BUILD_CHUNK`): instance bounds by ``reduceat``; candidate
-partitions as a rect-overlap test over the partitions of each object's
-floor; index units as same-floor rect overlap over the candidates'
-unit spans; subregions as one containment test per (instance,
-candidate of its object) pair whose first hit per instance is the
-scalar first-wins rule; rows as runs of one stable sort of the
-instances by (object, subregion), which gives the order the table
-indexes them in; door extrema as one ragged ``(row, door)
-x instances-of-row`` gather reduced straight into the ragged entries.
-Per row it sums the mass (one contiguous sum each: the floats of
+:data:`_BUILD_CHUNK`), the small per-object lookups in Python:
+instance bounds by one
+``reduceat``; candidate partitions as a rect-overlap test over the
+partitions of each object's floor; subregions as one containment test
+per (instance, candidate of its object, padded to the widest) pair
+whose first hit per instance is the scalar first-wins rule; rows as the
+(object, subregion) keys present, and one stable sort of the instances
+by key, which gives the order the table indexes them in; door extrema
+as :func:`~repro.distances.batch.door_distances` — each entry door of
+a row against the row's instances — reduced per door.  Per row it sums
+the mass (one contiguous sum each: the floats of
 ``probs[mask].sum()``); per object only the slot lookup runs — no
 :class:`~repro.reference.subregions.Subregion` is built, no piece
-vector is kept.  :meth:`_State.write` allocates every changed span
-and writes the rows, entries and instance index.  Nothing is written
-until the whole batch has resolved, so a batch the index cannot hold
-leaves it untouched.  Nor is a batch written when it is committed:
+vector is kept.  The index units (same-floor rect overlap over the
+candidates' unit spans) are the write's: the stage only makes sure that
+every object overlaps one — Algorithm 3 cuts a rectangular partition,
+on every floor it spans, into units that tile it, so a box overlapping
+its bounds overlaps a unit, and only an object with no such candidate
+is tested unit by unit.  :meth:`_State.write` resolves the units,
+allocates every changed span and writes the rows, entries, units and
+instance index.  Nothing is written until the whole batch has
+resolved, so a batch the index cannot hold leaves it untouched.  Nor is
+a batch written when it is committed:
 :meth:`ObjectColumns.commit` claims its slots and queues its staged
 rows, and the queue is written as one batch — the same
 :meth:`_State.write` over the batches' columns laid end to end, every
@@ -94,8 +104,13 @@ A stream batch is read back only as its own block, and
 :meth:`ObjectColumns.block` of exactly the batch the last commit
 staged is built from that staging — field for field the gathered
 block — so a stream window writes its batches a few at a time and
-gathers nothing back.  A rebuild reads the population and discards
-the queue.  A write does not compute what no reader of the
+gathers nothing back.  That block alone carries what the stage
+computed on the way (:class:`~repro.distances.batch.RowGeometry`: the
+rows' instances in row order and their door distances), for exact
+refinement and the own-partition direct path to read instead of
+gathering and computing them again; the commit takes it off the
+staging before the rows are queued.  A rebuild reads the population
+and discards the queue.  A write does not compute what no reader of the
 batch reads: entrance legs, read only by a search that reaches the
 object from another floor, are marked stale and refilled by that
 search (:data:`_BUILD_CHUNK` objects a pass; a build fills them all).  Each
@@ -160,8 +175,10 @@ qx) <= fl(x - qx) <= fl(hi - qx)``; squares, the same-order sum and
 
 from __future__ import annotations
 
+import itertools
 import operator
 import threading
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -169,7 +186,9 @@ import numpy as np
 from repro.distances.batch import (
     DoorLayout,
     ObjectBlock,
+    RowGeometry,
     SubregionRows,
+    door_distances,
     offsets_of,
     point_distances,
     span_index,
@@ -231,24 +250,32 @@ class _Frame:
     partitions each object may overlap."""
 
     objects: list[UncertainObject]
+    n_inst: np.ndarray  #: instances per object
     starts: np.ndarray  #: ``(B + 1,)`` instance offsets per object
-    xy: np.ndarray
-    floors: np.ndarray
     floor_idx: np.ndarray  #: row of each object's floor, -1 if unknown
-    lo: np.ndarray  #: ``(B, 2)`` instance bounds, as ``obj.bounds()``
-    hi: np.ndarray
+    xy: np.ndarray  #: ``(n, 2)`` instances
+    xy4: np.ndarray  #: ``(4, n)``: rows ``x, y, -x, -y``
+    #: ``(4, B)``: rows ``min x, min y, -max x, -max y`` of each
+    #: object's instances
+    box: np.ndarray
     c_obj: np.ndarray  #: candidate (object, partition) pairs, sorted
+    c_pf: np.ndarray  #: each candidate's position in ``pf_part``
     c_part: np.ndarray
 
 
 @dataclass(slots=True)
 class _Staged:
     """Everything the table stores for a batch, resolved against one
-    topology with nothing written yet (see :meth:`_Topology.stage`)."""
+    topology with nothing written yet (see :meth:`_Topology.stage`) —
+    and, until the batch is committed, what only its own block reads
+    (``carry``)."""
 
     objects: list[UncertainObject]
-    unit_rows: np.ndarray  #: flat, object-major, ascending per object
-    n_units: np.ndarray
+    #: Candidate (object, partition) pairs, sorted, each partition named
+    #: by its position in ``_Topology.pf_part``: what the write's unit
+    #: test (``_Topology.unit_rows``) reads.
+    c_obj: np.ndarray
+    c_pf: np.ndarray
     floor_idx: np.ndarray
     lo: np.ndarray  #: ``(B, 2)`` instance bounds, as ``obj.bounds()``
     hi: np.ndarray
@@ -263,6 +290,23 @@ class _Staged:
     n_ents: np.ndarray
     ent_min: np.ndarray
     ent_max: np.ndarray
+    carry: _Carry | None = None
+
+
+@dataclass(slots=True)
+class _Carry:
+    """What :meth:`_Topology.stage` computed on the way that only the
+    batch's own block reads (:meth:`ObjectColumns.block`): the rows'
+    instances and door distances, each row's floor and instance span,
+    its partition's entry-door count, and each object's row span."""
+
+    geometry: RowGeometry
+    row_floor: np.ndarray
+    row_start: np.ndarray  #: ``(rows + 1,)``
+    set_start: np.ndarray  #: ``(B + 1,)``
+    row_n: np.ndarray
+    obj_rows: np.ndarray  #: ``(B + 1,)``
+
 
 
 def _joined(batches: list[_Staged]) -> _Staged:
@@ -270,14 +314,19 @@ def _joined(batches: list[_Staged]) -> _Staged:
     column is object-major, so each is the batches' laid end to end."""
     if len(batches) == 1:
         return batches[0]
-    return _Staged(
+    joined = _Staged(
         *(
             [v for b in batches for v in getattr(b, name)]
             if name in ("objects", "sub_mass")
             else np.concatenate([getattr(b, name) for b in batches])
-            for name in (f.name for f in fields(_Staged))
+            # A queued batch carries nothing for its block.
+            for name in (f.name for f in fields(_Staged) if f.name != "carry")
         )
     )
+    # A batch's candidate pairs name its objects from 0.
+    at = itertools.accumulate((len(b.objects) for b in batches), initial=0)
+    joined.c_obj = np.concatenate([b.c_obj + a for b, a in zip(batches, at)])
+    return joined
 
 
 class _Topology:
@@ -303,38 +352,61 @@ class _Topology:
             [
                 (p.bounds.minx, p.bounds.miny, p.bounds.maxx, p.bounds.maxy)
                 for p in parts
-            ]
-            + [(np.inf, np.inf, -np.inf, -np.inf)],
+            ],
             dtype=np.float64,
-        )
-        self.p_minx, self.p_miny, self.p_maxx, self.p_maxy = (
-            np.ascontiguousarray(rects.T)
-        )
-        self.p_lo = np.array([p.floor for p in parts], dtype=np.intp)
-        self.p_hi = np.array([p.upper_floor for p in parts], dtype=np.intp)
+        ).reshape(len(parts), 4)
+        # Rect tests compare whole columns at once: negation is exact,
+        # so a box ``(lo, -hi)`` overlaps a rect where it is ``<=`` the
+        # rect's ``(max, -min)`` on every row of these tables, and an
+        # instance ``(x, y, -x, -y)`` lies in one where it is ``>=`` its
+        # ``(min, -max)``.  One column past the end of ``p_in``,
+        # containing nothing, pads the candidate lists.
+        lo, hi = rects[:, :2].T, rects[:, 2:].T
+        self.p_in = np.full((4, len(parts) + 1), np.inf)
+        self.p_in[:, :-1] = np.concatenate((lo, -hi))
+        p_lo = np.array([p.floor for p in parts], dtype=np.intp)
+        p_hi = np.array([p.upper_floor for p in parts], dtype=np.intp)
         self.p_is_rect = np.array(
             [isinstance(p.footprint, Rect) for p in parts], dtype=bool
         )
+        self.all_rect = bool(self.p_is_rect.all())
         self.p_layout = np.array(
             [layout.part_row[pid] for pid in pids], dtype=np.intp
         )
-        # Partition rows per floor, floor ``pf_base + f`` at ``pf_part[
-        # pf_start[f] : pf_start[f + 1]]``: a staircase under every floor
-        # it spans, each floor's rows ascending — the order ``pieces``
-        # lets overlapping footprints claim instances in.
-        self.pf_base = base = int(self.p_lo.min(initial=0))
-        span = self.p_hi - self.p_lo + 1
-        floor_of, _ = span_index(self.p_lo - base, span)
+        # Partition rows per floor: a staircase under every floor it
+        # spans, floor by floor, each floor's rows ascending — the order
+        # ``pieces`` lets overlapping footprints claim instances in —
+        # and each one's rect test (see ``p_in``).
+        span = p_hi - p_lo + 1
+        floor_of, _ = span_index(p_lo, span)
         part_of = np.repeat(np.arange(len(pids), dtype=np.intp), span)
         order = np.argsort(floor_of, kind="stable")
-        self.pf_part = part_of[order]
-        self.pf_count = np.bincount(floor_of)
-        self.pf_start = offsets_of(self.pf_count)
+        self.pf_part = pf = part_of[order]
+        self.pf_box = np.concatenate((hi[:, pf], -lo[:, pf]))
+        floor_of = floor_of[order]
+        pf_floors = np.unique(floor_of).tolist()
+        pf_start = np.searchsorted(floor_of, pf_floors).tolist()
+        pf_end = np.searchsorted(floor_of, pf_floors, side="right").tolist()
 
         # Units grouped by partition row, so a partition's units are one
-        # span and an object's resolved rows come out ascending.
+        # span and an object's resolved rows come out ascending, and
+        # within it by floor, so its units on one floor are one span:
+        # ``pf_unit_start[k]``, ``pf_unit_count[k]`` for ``pf_part[k]``
+        # on its floor.
         units = sorted(
-            columns.units.values(), key=lambda u: part_row[u.partition_id]
+            columns.units.values(),
+            key=lambda u: (part_row[u.partition_id], u.floor),
+        )
+        first: dict[tuple[int, int], int] = {}
+        for i, u in enumerate(units):
+            first.setdefault((part_row[u.partition_id], u.floor), i)
+        counts = Counter((part_row[u.partition_id], u.floor) for u in units)
+        pf_keys = list(zip(pf.tolist(), floor_of.tolist()))
+        self.pf_unit_start = np.array(
+            [first.get(k, 0) for k in pf_keys], dtype=np.intp
+        )
+        self.pf_unit_count = np.array(
+            [counts[k] for k in pf_keys], dtype=np.intp
         )
 
         # -- staircase entrances, grouped per floor -------------------
@@ -343,7 +415,27 @@ class _Topology:
             {u.floor for u in units} | set(skeleton.by_floor)
         )
         self.floor_row = {floor: i for i, floor in enumerate(floors)}
+        # Per floor, what an object on it reads (see :meth:`_frame`):
+        # ``floor_key[floor]`` is its row of ``floor_info`` — the
+        # floor's row and its number of partitions — and
+        # of ``floor_at``, their positions in ``pf_part``.  The last
+        # row is every other floor's: no row, no partition.
+        spans = {floor: (0, 0) for floor in floors}
+        spans.update(
+            (floor, (a, b))
+            for floor, a, b in zip(pf_floors, pf_start, pf_end)
+        )
+        self.floor_key = {floor: k for k, floor in enumerate(spans)}
+        rows = [self.floor_row.get(floor, -1) for floor in spans]
+        self.floor_info = np.array(
+            [(row, b - a) for row, (a, b) in zip(rows, spans.values())]
+            + [(-1, 0)],
+            dtype=np.intp,
+        )
+        self.floor_at = [np.arange(a, b) for a, b in spans.values()]
+        self.floor_at.append(np.zeros(0, dtype=np.intp))
         self.floors = np.array(floors, dtype=np.intp)
+        self.floors_f = self.floors.astype(np.float64)
         n_entrances = skeleton.num_entrances
         width = max(
             (len(es) for es in skeleton.by_floor.values()), default=0
@@ -389,6 +481,10 @@ class _Topology:
             [part_row[u.partition_id] for u in units], dtype=np.intp
         )
         self.p_unit_count = np.bincount(self.u_part, minlength=len(pids))
+        # Rect overlap with a frame's box (see ``p_in``).
+        self.u_box = np.array(
+            [self.u_maxx, self.u_maxy, -self.u_minx, -self.u_miny]
+        ).reshape(4, n)
         self.p_unit_start = offsets_of(self.p_unit_count)[:-1]
 
         # -- the same units grouped per floor (a permutation: the rows
@@ -484,66 +580,57 @@ class _Topology:
     # -- batched resolution (no per-object geometry calls) ------------
 
     def _frame(self, objects: list[UncertainObject]) -> _Frame:
-        """Instance bounds by ``reduceat``; candidate partitions as a
+        """Instance bounds by one ``reduceat``; candidate partitions as a
         rect-overlap test over the partitions of each object's floor —
         as a set exactly ``grid.candidates_for_rect(obj.bounds(),
         obj.floor)``, each object's listed in ``pieces``' order."""
         sets = [obj.instances for obj in objects]
-        starts = offsets_of(
-            np.array([s.xy.shape[0] for s in sets], dtype=np.intp)
-        )
+        key, off_map = self.floor_key, len(self.floor_at) - 1
+        keys = [key.get(s.floor, off_map) for s in sets]
+        info = self.floor_info.take(keys, axis=0)
+        n_inst = np.array([len(s.xy) for s in sets])
+        starts = offsets_of(n_inst)
         xy = np.concatenate([s.xy for s in sets])
-        floors = np.array([s.floor for s in sets], dtype=np.intp)
-        lo = np.minimum.reduceat(xy, starts[:-1], axis=0)
-        hi = np.maximum.reduceat(xy, starts[:-1], axis=0)
-        f = floors - self.pf_base
-        on_map = (f >= 0) & (f < len(self.pf_count))
-        f[~on_map] = 0
-        count = np.where(on_map, self.pf_count[f], 0)
-        at, _ = span_index(self.pf_start[f], count)
-        c_part = self.pf_part[at]
+        xy2 = np.ascontiguousarray(xy.T)
+        xy4 = np.concatenate((xy2, -xy2))
+        # ``min`` of ``-x`` is ``-max x``, float for float.
+        box = np.minimum.reduceat(xy4, starts[:-1], axis=1)
+        at = np.concatenate([self.floor_at[k] for k in keys])
+        c_obj = np.arange(len(sets)).repeat(info[:, 1])
         keep = (
-            (np.repeat(lo[:, 0], count) <= self.p_maxx[c_part])
-            & (np.repeat(hi[:, 0], count) >= self.p_minx[c_part])
-            & (np.repeat(lo[:, 1], count) <= self.p_maxy[c_part])
-            & (np.repeat(hi[:, 1], count) >= self.p_miny[c_part])
-        )
-        c_obj = np.repeat(np.arange(len(objects), dtype=np.intp), count)
-        # ``floor_row.get(floor, -1)``, as one sorted lookup.
-        row = np.searchsorted(self.floors, floors)
-        known = row < len(self.floors)
-        known[known] = self.floors[row[known]] == floors[known]
-        floor_idx = np.where(known, row, -1)
+            box.take(c_obj, axis=1) <= self.pf_box.take(at, axis=1)
+        ).all(axis=0)
+        at = at[keep]
         return _Frame(
             objects,
+            n_inst,
             starts,
+            info[:, 0],
             xy,
-            floors,
-            floor_idx,
-            lo,
-            hi,
+            xy4,
+            box,
             c_obj[keep],
-            c_part[keep],
+            at,
+            self.pf_part[at],
         )
 
-    def _units(self, frame: _Frame) -> tuple[np.ndarray, np.ndarray]:
-        """``(unit rows, rows per object)``: same-floor rect overlap
-        over the candidate partitions' unit spans — exactly
-        :func:`~repro.reference.tree.resolve_units`, since
-        a unit lies inside its partition's bounds and floor span."""
-        per = self.p_unit_count[frame.c_part]
-        rows, _ = span_index(self.p_unit_start[frame.c_part], per)
-        obj = np.repeat(frame.c_obj, per)
-        lo, hi = frame.lo, frame.hi
+    def unit_rows(
+        self, box: np.ndarray, c_obj: np.ndarray, c_pf: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(unit rows, rows per object)`` of ``n`` objects with
+        instance boxes ``box`` (``(4, n)``, as :meth:`_frame`'s) and
+        candidate pairs ``c_obj`` / ``c_pf``: rect overlap over the
+        candidates' unit spans on the object's floor — flat,
+        object-major, ascending per object, and exactly
+        :func:`~repro.reference.tree.resolve_units`, since a unit lies
+        inside its partition's bounds and floor span."""
+        per = self.pf_unit_count[c_pf]
+        rows, _ = span_index(self.pf_unit_start[c_pf], per)
+        obj = c_obj.repeat(per)
         keep = (
-            (self.u_floor[rows] == frame.floor_idx[obj])
-            & (lo[:, 0][obj] <= self.u_maxx[rows])
-            & (hi[:, 0][obj] >= self.u_minx[rows])
-            & (lo[:, 1][obj] <= self.u_maxy[rows])
-            & (hi[:, 1][obj] >= self.u_miny[rows])
-        )
-        n_units = np.bincount(obj[keep], minlength=len(frame.objects))
-        return rows[keep], n_units
+            box.take(obj, axis=1) <= self.u_box.take(rows, axis=1)
+        ).all(axis=0)
+        return rows[keep], np.bincount(obj[keep], minlength=n)
 
     def legs(
         self, objects: list[UncertainObject], floor_idx: np.ndarray
@@ -578,10 +665,14 @@ class _Topology:
         grid: PartitionGrid,
         strict: bool = True,
     ) -> _Staged | None:
-        """Resolve ``objects`` against this topology: their index units
-        and the table rows of each — subregion rows with their
-        instance index, door entries — column for column the floats of
-        :func:`~repro.reference.pack.pack_block`.
+        """Resolve ``objects`` against this topology: the table rows of
+        each — subregion rows with their instance index, door entries —
+        column for column the floats of
+        :func:`~repro.reference.pack.pack_block`, and its candidate
+        partitions, from which the write resolves its index units
+        (:meth:`unit_rows`) — and, on the way, what only the batch's own
+        block reads (``carry``: the rows' instances and their door
+        distances).
         Raises, having written nothing, when an object has a non-finite
         instance, overlaps no index unit or has a subregion without
         probability mass — except that a
@@ -591,131 +682,145 @@ class _Topology:
         # ``InstanceSet`` refuses a non-finite coordinate; one written
         # into its array afterwards still fails closed here (a NaN or
         # infinity reaches the bounds).
-        lost = ~(np.isfinite(frame.lo) & np.isfinite(frame.hi)).all(axis=1)
-        if lost.any():
+        if not np.isfinite(frame.box).all():
+            lost = ~np.isfinite(frame.box).all(axis=0)
             stray = objects[int(np.flatnonzero(lost)[0])]
             raise IndexError_(
                 f"object {stray.object_id!r} has a non-finite instance"
             )
-        unit_rows, n_units = self._units(frame)
-        if not n_units.all():
-            if strict:
-                stray = objects[int(np.flatnonzero(n_units == 0)[0])]
-                raise IndexError_(
-                    f"object {stray.object_id!r} overlaps no index unit"
-                )
-            # Stranded by a partition deletion (rare: only such a
-            # chunk is framed twice).
-            objects = [o for o, n in zip(objects, n_units.tolist()) if n]
-            if not objects:
-                return None
-            frame = self._frame(objects)
-            unit_rows, n_units = self._units(frame)
+        # The unit rows are the write's (:meth:`unit_rows`): here only
+        # whether each object overlaps one.  Algorithm 3 cuts a
+        # rectangular partition, on every floor it spans, into units
+        # that tile it, so a box overlapping its bounds overlaps one of
+        # them; only an object with no such candidate is tested.
+        n_cand = np.bincount(frame.c_obj, minlength=len(objects))
+        if self.all_rect:
+            held = n_cand
+        else:
+            rect = self.p_is_rect[frame.c_part]
+            held = np.bincount(frame.c_obj[rect], minlength=len(objects))
+        if not held.all():
+            n_units = self.unit_rows(
+                frame.box, frame.c_obj, frame.c_pf, len(objects)
+            )[1]
+            if not n_units.all():
+                if strict:
+                    stray = objects[int(np.flatnonzero(n_units == 0)[0])]
+                    raise IndexError_(
+                        f"object {stray.object_id!r} overlaps no index unit"
+                    )
+                # Stranded by a partition deletion (rare: only such a
+                # chunk is framed twice).
+                objects = [
+                    o for o, n in zip(objects, n_units.tolist()) if n
+                ]
+                if not objects:
+                    return None
+                frame = self._frame(objects)
+                n_cand = np.bincount(frame.c_obj, minlength=len(objects))
         n_obj = len(objects)
-        starts, xy = frame.starts, frame.xy
-        owner = np.repeat(np.arange(n_obj, dtype=np.intp), np.diff(starts))
+        n_inst = frame.n_inst
+        owner = np.arange(n_obj).repeat(n_inst)
 
         # -- subregions: each instance goes to the first candidate, in
-        # partition_id order, whose footprint contains it — tested as
-        # one (instance, candidate of its object) pair each ----------
+        # partition_id order, whose footprint contains it — tested
+        # against its object's candidates, padded to the widest -------
         c_obj, c_part = frame.c_obj, frame.c_part
-        n_cand = np.bincount(c_obj, minlength=n_obj)
-        width = max(int(n_cand.max(initial=0)), 1)
-        per = n_cand[owner]
-        pair, cuts = span_index(offsets_of(n_cand)[owner], per)
-        cand = c_part[pair]
-        x, y = np.repeat(xy[:, 0], per), np.repeat(xy[:, 1], per)
-        hits = np.flatnonzero(
-            (x >= self.p_minx[cand])
-            & (x <= self.p_maxx[cand])
-            & (y >= self.p_miny[cand])
-            & (y <= self.p_maxy[cand])
+        width = max(int(n_cand.max()), 1)
+        cand = np.full((n_obj, width), len(self.part_ids), dtype=np.intp)
+        cand[c_obj, np.arange(len(c_obj)) - c_obj.searchsorted(c_obj)] = (
+            c_part
         )
-        # Each instance's first hit at or past its first pair; past its
-        # last one (or the sentinel ``len(pair)``) means none.
-        hit = np.append(hits, len(pair))[np.searchsorted(hits, cuts[:-1])]
-        found = hit < cuts[1:]
-        rank = np.where(found, hit - cuts[:-1], 0)
-        part = np.append(cand, 0)[hit]
-        # A wall-clipped straggler (the centre-partition attachment
-        # rule) or a non-rectangular footprint: that object goes through
-        # the scalar assignment, whose pieces are read back.
-        scalar = n_cand == 0
-        scalar[owner[~found]] = True
-        scalar[c_obj[~self.p_is_rect[c_part]]] = True
-        for j in np.flatnonzero(scalar).tolist():
-            ids, pieces = objects[j].pieces(space, grid)
-            span = slice(starts[j], starts[j + 1])
-            rank[span] = 0 if pieces is None else pieces
-            part[span] = np.array(
-                [self.part_row[pid] for pid in ids], dtype=np.intp
-            )[rank[span]]
+        # ``(width, n)``: each instance's candidates, rank by rank.
+        mine = cand.take(owner, axis=0).T
+        hit = (frame.xy4[:, None] >= self.p_in.take(mine, axis=1)).all(axis=0)
+        # Each instance's first hit (0 when none hits).
+        rank = hit.argmax(axis=0)
+        part = None
+        if not (
+            hit.any(axis=0).all()
+            and (self.all_rect or self.p_is_rect[c_part].all())
+        ):
+            # A wall-clipped straggler (the centre-partition attachment
+            # rule) or a non-rectangular footprint: that object goes
+            # through the scalar assignment, whose pieces are read back.
+            found = hit.any(axis=0)
+            part = np.take_along_axis(mine, rank[None], axis=0)[0]
+            scalar = n_cand == 0
+            scalar[owner[~found]] = True
+            scalar[c_obj[~self.p_is_rect[c_part]]] = True
+            starts = frame.starts.tolist()
+            for j in np.flatnonzero(scalar).tolist():
+                ids, pieces = objects[j].pieces(space, grid)
+                at = slice(starts[j], starts[j + 1])
+                rank[at] = 0 if pieces is None else pieces
+                part[at] = np.array(
+                    [self.part_row[pid] for pid in ids], dtype=np.intp
+                )[rank[at]]
 
-        # Rows = runs of a stable sort on (object, piece): within a row
-        # the instances keep their order, as ``xy[mask]`` does.
+        # Rows = the (object, piece) keys present, in order; a stable
+        # sort on the key puts each row's instances together, in their
+        # order, as ``xy[mask]`` does.
         key = owner * width + rank
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        row_len = np.diff(np.append(first, len(key)))
-        row_obj = owner[order[first]]
-        row_part = part[order[first]]
+        count = np.bincount(key, minlength=n_obj * width)
+        cell = np.flatnonzero(count)
+        row_len = count[cell]
+        row_obj = cell // width
+        row_cut = offsets_of(row_len)
+        if part is None:
+            row_part = cand.ravel()[cell]
+        else:
+            row_part = part[order[row_cut[:-1]]]
         n_rows = np.bincount(row_obj, minlength=n_obj)
-        r_start = offsets_of(n_rows)
-        # Row-ordered temporaries for the masses and the door extrema;
-        # the table keeps only each instance's position in its set.
-        sx, sy = xy[:, 0][order], xy[:, 1][order]
+        # Row-ordered: the table keeps each instance's position in its
+        # set; the batch's own block reads the rest.
+        sxy = frame.xy.take(order, axis=0)
         ps = np.concatenate([obj.instances.probs for obj in objects])[order]
-        inst_idx = (order - starts[:-1][owner[order]]).astype(np.int32)
+        inst_idx = np.subtract(order, frame.starts[owner], dtype=np.int32)
         # One contiguous pairwise sum per row: the values and order of
         # ``probs[mask].sum()``, which ``reduceat`` would not give.
         add = np.add.reduce
         masses = [
-            float(add(ps[a:b]))
-            for a, b in zip(first.tolist(), (first + row_len).tolist())
+            check_mass(float(add(ps[a:b])))
+            for a, b in itertools.pairwise(row_cut.tolist())
         ]
-        mass = np.array(masses)
-        bad = np.flatnonzero(~((mass > 0.0) & (mass <= 1.0 + 1e-6)))
-        if bad.size:
-            check_mass(masses[bad[0]])  # raises InstanceSet's error
 
-        # -- door extrema: one ragged (row, entry door) x instances-of-
-        # row gather, reduced straight into the ragged entries --------
+        # -- door extrema: each entry door's distances to its row's
+        # instances, reduced per door ----------------------------------
         lrow = self.p_layout[row_part]
-        nd = self.layout.n_entry[lrow]
-        pair_door, _ = span_index(self.layout.entry_start[lrow], nd)
-        pair_row = np.repeat(np.arange(len(first)), nd)
-        per = row_len[pair_row]
-        inst, cuts = span_index(first[pair_row], per)
-        d = sx[inst]
-        d -= np.repeat(self.layout.mid_x[pair_door], per)
-        d *= d
-        dy = sy[inst]
-        dy -= np.repeat(self.layout.mid_y[pair_door], per)
-        dy *= dy
-        d += dy
-        dz = frame.floors[row_obj][pair_row] - self.layout.mid_z[pair_door]
-        dz *= self.fh
-        d += np.repeat(dz * dz, per)
-        np.sqrt(d, out=d)
-        ent_min = np.minimum.reduceat(d, cuts[:-1])
-        ent_max = np.maximum.reduceat(d, cuts[:-1])
+        layout = self.layout
+        row_floor = self.floors_f[frame.floor_idx[row_obj]]
+        d, cuts, inst, entry = door_distances(
+            sxy, row_cut[:-1], row_len, row_floor, lrow, layout, self.fh
+        )
+        nd = layout.n_entry[lrow]
+        obj_rows = offsets_of(n_rows)
+        n_ents = np.add.reduceat(nd, obj_rows[:-1])
         return _Staged(
             objects,
-            unit_rows,
-            n_units,
+            c_obj,
+            frame.c_pf,
             frame.floor_idx,
-            frame.lo,
-            frame.hi,
+            frame.box[:2].T,
+            -frame.box[2:].T,
             n_rows,
             lrow,
             masses,
             row_len,
-            np.diff(starts),
+            n_inst,
             inst_idx,
-            np.add.reduceat(nd, r_start[:-1]),
-            ent_min,
-            ent_max,
+            n_ents,
+            np.minimum.reduceat(d, cuts[:-1]),
+            np.maximum.reduceat(d, cuts[:-1]),
+            _Carry(
+                RowGeometry(sxy, ps, d, cuts, inst, entry, n_ents),
+                row_floor,
+                row_cut,
+                frame.starts,
+                nd,
+                obj_rows,
+            ),
         )
 
 
@@ -827,7 +932,13 @@ class _State:
         for the next search that reads them to refill."""
         self.writes += 1
         slots = np.array(slot_list, dtype=np.intp)
-        n_rows, n_ents, n_units = staged.n_rows, staged.n_ents, staged.n_units
+        n_rows, n_ents = staged.n_rows, staged.n_ents
+        unit_rows, n_units = self.topo.unit_rows(
+            np.concatenate((staged.lo.T, -staged.hi.T)),
+            staged.c_obj,
+            staged.c_pf,
+            len(slots),
+        )
         self.reserve_slots(len(self.objects))
         self.row_top, grew = _bump(
             self.row_start, self.row_count, slots, n_rows, self.row_top
@@ -867,7 +978,7 @@ class _State:
             self.units = wider
         self.units[slots] = self.topo.n_units
         col, _ = span_index(np.zeros(len(slots), dtype=np.intp), n_units)
-        self.units[np.repeat(slots, n_units), col] = staged.unit_rows
+        self.units[np.repeat(slots, n_units), col] = unit_rows
         dst, _ = span_index(self.row_start[slots], n_rows)
         self.sub_part[dst] = staged.sub_part
         self.sub_mass[dst] = staged.sub_mass
@@ -992,31 +1103,6 @@ def _bump(
         start[mine[moved]] = top + offsets[:-1]
         top += int(offsets[-1])
     return top, grew
-
-
-def _block(
-    objects: list[UncertainObject],
-    layout: DoorLayout,
-    rows: SubregionRows,
-    offsets: np.ndarray,
-    ent_min: np.ndarray,
-    ent_max: np.ndarray,
-) -> ObjectBlock:
-    """An :class:`ObjectBlock` of ``objects`` from their subregion rows,
-    each object's row span and the rows' door entries, whose doors are
-    each row's partition's entry doors in layout order."""
-    row_n = layout.n_entry[rows.part]
-    doors, _ = span_index(layout.entry_start[rows.part], row_n)
-    return ObjectBlock(
-        list(objects),
-        layout,
-        layout.flat_idx[doors],
-        ent_min,
-        ent_max,
-        row_n,
-        rows,
-        offsets,
-    )
 
 
 def _within(
@@ -1147,9 +1233,10 @@ class ObjectColumns:
         #: in all; any reader writes them first.
         self._queued: list[tuple[_Staged, list[int]]] = []
         self._queued_ids: set[str] = set()
-        #: The batch the last commit took, while a block of exactly its
-        #: objects may be built from its staging (see :meth:`block`).
-        self._last: _Staged | None = None
+        #: The batch the last commit took, and what its stage computed
+        #: for its block, while a block of exactly its objects may be
+        #: built from them (see :meth:`block`).
+        self._last: tuple[_Staged, _Carry] | None = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1270,9 +1357,9 @@ class ObjectColumns:
 
     def stage(self, objects: list[UncertainObject]) -> _Staged:
         """Resolve a non-empty batch of objects about to be inserted or
-        moved — units, subregion rows, instance index, door entries —
-        touching nothing.  Raises where the index could not hold one of
-        them."""
+        moved — candidate partitions (the write resolves the units),
+        subregion rows, instance index, door entries — touching
+        nothing.  Raises where the index could not hold one of them."""
         return self._topology().stage(
             objects, self.space, self.population.grid
         )
@@ -1296,12 +1383,15 @@ class ObjectColumns:
         ):
             self._flush()
         slots = state.claim(staged.objects)
+        # What the stage computed for the batch's block is never queued.
+        carry, staged.carry = staged.carry, None
         if len(ids) > _BUILD_CHUNK:
             state.write(staged, slots)  # a batch above the queue's bound
         else:
             self._queued.append((staged, slots))
             self._queued_ids.update(ids)
-        self._last = staged
+        if carry is not None:
+            self._last = (staged, carry)
 
     def drop(self, object_id: str) -> None:
         """Forget a deleted object (the queued writes written first)."""
@@ -1427,53 +1517,65 @@ class ObjectColumns:
         instead — or, for exactly the batch the last write staged (the
         monitor's read of the batch it is absorbing), taken from that
         staging, field for field the block the gather returns, with
-        nothing written or gathered."""
-        staged = self._last
+        nothing written or gathered, and carrying what the stage
+        computed for exact refinement to read."""
+        last = self._last
         if (
-            staged is not None
-            and len(objects) == len(staged.objects)
-            and all(map(operator.is_, objects, staged.objects))
+            last is not None
+            and len(objects) == len(last[0].objects)
+            and all(map(operator.is_, objects, last[0].objects))
             and self._current() is not None
         ):
-            return self._staged_block(staged)
+            return self._staged_block(*last)
         return self._gathered_block(objects)
 
     def _gathered_block(self, objects: list[UncertainObject]) -> ObjectBlock:
-        """:meth:`block` by gather from the table."""
+        """:meth:`block` by gather from the table: each row's door
+        entries, whose doors are its partition's entry doors in layout
+        order."""
         state, slots = self._slots(objects)
         rows, offsets = self._rows(state, slots, objects)
         ents, _ = span_index(state.ent_start[slots], state.ent_count[slots])
-        return _block(
-            objects,
-            state.topo.layout,
-            rows,
-            offsets,
+        layout = state.topo.layout
+        row_n = layout.n_entry[rows.part]
+        doors, _ = span_index(layout.entry_start[rows.part], row_n)
+        return ObjectBlock(
+            list(objects),
+            layout,
+            layout.flat_idx[doors],
             state.ent_min[ents],
             state.ent_max[ents],
+            row_n,
+            rows,
+            offsets,
         )
 
-    def _staged_block(self, staged: _Staged) -> ObjectBlock:
+    def _staged_block(self, staged: _Staged, carry: _Carry) -> ObjectBlock:
         """:meth:`block` of a staged batch's own objects, from the
-        staging: the staged columns are object-major and row-ordered,
-        as a gather of the batch's slots lays them."""
-        topo = self._state.topo
-        floor = topo.floors[staged.floor_idx].astype(np.float64)
+        staging: its columns are object-major and row-ordered, as a
+        gather of the batch's slots lays them, and the door column and
+        the rows' instances and door distances are the stage's."""
+        layout = self._state.topo.layout
+        geometry = carry.geometry
         rows = SubregionRows(
             staged.sub_part,
             staged.sub_mass,
-            floor.repeat(staged.n_rows),
-            offsets_of(staged.sub_len),
+            carry.row_floor,
+            carry.row_start,
             [obj.instances for obj in staged.objects],
-            offsets_of(staged.n_inst),
+            carry.set_start,
             staged.inst_idx,
+            geometry,
         )
-        return _block(
-            staged.objects,
-            topo.layout,
-            rows,
-            offsets_of(staged.n_rows),
+        return ObjectBlock(
+            list(staged.objects),
+            layout,
+            layout.flat_idx[geometry.entry[geometry.cuts[:-1]]],
             staged.ent_min,
             staged.ent_max,
+            carry.row_n,
+            rows,
+            carry.obj_rows,
         )
 
     def search(
