@@ -8,7 +8,7 @@ through divergent entry-point styles — the free functions
 them:
 
 * :meth:`QueryService.run` — one-shot evaluation of any spec, with the
-  subgraph phase served from the service's shared
+  door search served from the service's shared
   :class:`~repro.queries.session.QuerySession`;
 * :meth:`QueryService.watch` — standing registration of any watchable
   spec (iRQ, ikNNQ and the probabilistic-threshold iPRQ alike — one
@@ -220,7 +220,7 @@ class QueryService:
         self, spec: QuerySpec, stats: QueryStats | None = None
     ) -> QueryResult:
         """Evaluate ``spec`` once, immediately, against the current
-        population.  iRQ, ikNNQ and iPRQ serve their subgraph phase
+        population.  iRQ, ikNNQ and iPRQ serve their door search
         from the shared session cache (one Dijkstra per query point,
         reused by standing queries at the same spot)."""
         if isinstance(spec, RangeSpec):

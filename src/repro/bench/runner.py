@@ -93,11 +93,9 @@ def run_queries(
         if kind == "irq":
             iRQ(q, float(value), index, with_pruning=with_pruning,
                 use_skeleton=use_skeleton, stats=stats)
-        elif kind == "iknn":
+        else:
             ikNNQ(q, int(value), index, with_pruning=with_pruning,
                   use_skeleton=use_skeleton, stats=stats)
-        else:
-            raise ValueError(f"unknown query kind {kind!r}")
         total = total.merge(stats)
     elapsed = time.perf_counter() - t0
     out = WorkloadMeasurement(

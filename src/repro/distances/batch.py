@@ -603,10 +603,10 @@ class QueryStack:
 
     A search of another topology version than the layout's is over
     another numbering: it raises :class:`~repro.errors.QueryError`.
-    ``floors[i]`` is query ``i``'s ``unreached_floor`` — the bound of
-    the cutoff or subgraph-restricted search it stacks (see
-    :func:`~repro.reference.bounds.subregion_stats`), or the standing
-    iPRQ's ``r + 1.0``; ``None`` leaves an infinite ``tmin`` infinite.
+    ``floors[i]`` is query ``i``'s ``unreached_floor`` (see
+    :func:`~repro.reference.bounds.subregion_stats`): an iPRQ's
+    ``r + 1.0``, one-shot or standing; ``None`` leaves an infinite
+    ``tmin`` infinite.
     """
 
     __slots__ = (

@@ -4,8 +4,8 @@ Both query types run the paper's four phases:
 
 1. **filtering** — RangeSearch over the tree tier with the skeleton
    distance bound (Algorithm 4; no false negatives by Lemma 6);
-2. **subgraph** — single-source Dijkstra over the candidate partitions
-   only;
+2. **subgraph** — the single-source door search from ``q``: a full
+   one, where the paper restricts it to the candidate partitions;
 3. **pruning** — topological/probabilistic distance intervals decide
    most candidates without exact evaluation;
 4. **refinement** — exact expected distances for the undecided rest.
@@ -16,7 +16,7 @@ counters are collected in :class:`QueryStats` — they regenerate the
 paper's Figures 12-14.
 
 On top of the one-shot processors, :class:`QuerySession` reuses the
-subgraph computation across related queries, and :class:`QueryMonitor`
+door search across related queries, and :class:`QueryMonitor`
 keeps *standing* queries incrementally maintained over streams of
 object position updates, emitting per-query :class:`ResultDelta`\\ s.
 Per-query maintenance is pluggable: one

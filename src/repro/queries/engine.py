@@ -1,13 +1,15 @@
 """Shared machinery of the four-phase query evaluation (Section IV-B).
 
-Both processors compose the same pieces; the subtle part is *why* the
-subgraph restriction stays exact, documented on
-:func:`subgraph_phase`.
+Every processor composes the same pieces.  Phase 2 departs from the
+paper: it is one full door search from ``q`` (:func:`search_phase`),
+not a Dijkstra restricted to the filtered partitions and cut off at
+the query bound.  The restriction is exact for point distances, not
+for expected ones: an object's far instance may be reached only
+through a partition the filter never retrieved.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -26,6 +28,7 @@ from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex, RangeSearchResult
 from repro.objects.uncertain import UncertainObject
+from repro.queries.stats import QueryStats
 from repro.space.doors_graph import DoorDistances
 
 
@@ -70,32 +73,23 @@ def filtering_phase(
     return result, time.perf_counter() - t0
 
 
-def subgraph_phase(
+def search_phase(
     index: CompositeIndex,
     q: Point,
     source_partition: str,
-    candidate_partitions: set[str],
-    cutoff: float | None = None,
-) -> tuple[DoorDistances, float]:
-    """Phase 2: single-source Dijkstra restricted to the candidates.
-
-    Exactness argument (mirrors the paper's): any path of length <= the
-    query bound enters only partitions whose skeleton min-distance is
-    <= the bound (each prefix of the path is itself a path), and the
-    filtering phase retrieved exactly those — so restricted distances
-    equal true distances for everything that can qualify, and they are
-    ordinary (over-)estimates for everything else.
-    """
-    t0 = time.perf_counter()
-    allowed = set(candidate_partitions)
-    allowed.add(source_partition)
-    dd = index.doors_graph.dijkstra_from_point(
-        q,
-        source_partition=source_partition,
-        allowed_partitions=allowed,
-        cutoff=cutoff,
-    )
-    return dd, time.perf_counter() - t0
+    stats: QueryStats,
+    precomputed_dd: DoorDistances | None = None,
+) -> DoorDistances:
+    """Phase 2: the full single-source door search from ``q`` —
+    ``precomputed_dd`` when given (e.g. a session's cached search),
+    else one Dijkstra, timed into ``stats.t_subgraph``."""
+    dd = precomputed_dd
+    if dd is None:
+        t0 = time.perf_counter()
+        dd = index.doors_graph.dijkstra_from_point(q, source_partition)
+        stats.t_subgraph = time.perf_counter() - t0
+    stats.doors_settled = dd.doors_settled
+    return dd
 
 
 #: Candidates per bounds-kernel call: bounds the block's gathered door
@@ -149,7 +143,6 @@ def pruning_phase(
     index: CompositeIndex,
     candidates: list[UncertainObject],
     dd: DoorDistances,
-    search_radius: float | None = None,
 ) -> CandidateBounds:
     """Phase 3: distance bounds per candidate (Table III dispatch).
 
@@ -161,18 +154,8 @@ def pruning_phase(
     decides most candidates; the caller builds an exact interval only
     for the rest, so the time of the whole phase is the caller's to
     take.
-
-    ``search_radius`` is the bound the subgraph/cutoff Dijkstra was run
-    with; doors it failed to reach are provably farther than it, which
-    keeps lower bounds finite for radius-straddling objects (see
-    :func:`repro.reference.bounds.subregion_stats`).
     """
-    floor = (
-        search_radius
-        if search_radius is not None and math.isfinite(search_radius)
-        else None
-    )
-    stack = QueryStack(index.columns.layout(), [dd], [floor])
+    stack = QueryStack(index.columns.layout(), [dd], [None])
     fh = index.space.floor_height
     lo, hi, rows = [np.empty(0)], [np.empty(0)], []
     for block in candidate_blocks(index, candidates):
@@ -187,38 +170,28 @@ def pruning_phase(
 
 
 class Refiner:
-    """Phase 4: exact expected distances, with an escape hatch.
+    """Phase 4: exact expected distances.
 
     The undecided objects of a query — live objects of the index —
     are refined together, by the block routine
     (:func:`repro.distances.batch.block_expected_distances`) over their
-    rows of the index's columnar table, against the query's search,
-    stacked alone.
-
-    An object whose expected distance is within the query bound can
-    still own instances whose paths leave the candidate subgraph (a far
-    low-mass subregion).  For those the restricted Dijkstra reports
-    "unreachable", so the refiner recomputes the object against a full,
-    unrestricted Dijkstra — built lazily, at most once per query.
+    rows of the index's columnar table, against the query's full
+    search ``dd``, stacked alone.  An object with an instance no open
+    door path reaches is infinitely far.
     """
 
-    def __init__(self, index: CompositeIndex, q: Point, dd: DoorDistances):
+    def __init__(self, index: CompositeIndex, dd: DoorDistances):
         self.index = index
-        self.q = q
-        self.dd = dd
-        self._stack: QueryStack | None = None
-        self._full_stack: QueryStack | None = None
-        self.fallbacks = 0
+        self._stack = QueryStack(index.columns.layout(), [dd], [None])
 
     def _refine(
-        self,
-        stack: QueryStack,
-        objects: list[UncertainObject],
-        r: float | None = None,
+        self, objects: list[UncertainObject], r: float | None = None
     ) -> list[float]:
+        if not objects:
+            return []
         rows, offsets = self.index.columns.rows(objects)
         return block_expected_distances(
-            stack,
+            self._stack,
             rows,
             offsets,
             [(0, j) for j in range(len(objects))],
@@ -226,45 +199,17 @@ class Refiner:
             r,
         )
 
-    def _own_stack(self) -> QueryStack:
-        if self._stack is None:
-            self._stack = QueryStack(
-                self.index.columns.layout(), [self.dd], [None]
-            )
-        return self._stack
-
     def exact_many(self, objects: list[UncertainObject]) -> list[float]:
-        """``|q, O|_I`` of every object, in order; the ones the
-        query's own search cannot reach are refined again — they alone
-        — against the full search."""
-        if not objects:
-            return []
-        values = self._refine(self._own_stack(), objects)
-        lost = [j for j, v in enumerate(values) if not math.isfinite(v)]
-        if lost:
-            if self._full_stack is None:
-                full = self.index.doors_graph.dijkstra_from_point(
-                    self.q, self.dd.source_partition
-                )
-                self._full_stack = QueryStack(
-                    self._own_stack().layout, [full], [None]
-                )
-            self.fallbacks += len(lost)
-            again = self._refine(self._full_stack, [objects[j] for j in lost])
-            for j, value in zip(lost, again):
-                values[j] = value
-        return values
+        """``|q, O|_I`` of every object, in order."""
+        return self._refine(objects)
 
     def exact(self, obj: UncertainObject) -> float:
         """:meth:`exact_many` for one object."""
-        return self.exact_many([obj])[0]
+        return self._refine([obj])[0]
 
     def probabilities(
         self, objects: list[UncertainObject], r: float
     ) -> list[float]:
         """The exact iPRQ qualifying probability ``Pr(|q, s|_I <= r)``
-        of every object, in order.  No escape hatch: an instance the
-        search does not reach within ``r`` is not within ``r``."""
-        if not objects:
-            return []
-        return self._refine(self._own_stack(), objects, r)
+        of every object, in order."""
+        return self._refine(objects, r)

@@ -31,7 +31,7 @@ from repro.queries.engine import (
     filtering_phase,
     locate_source,
     pruning_phase,
-    subgraph_phase,
+    search_phase,
 )
 from repro.queries.stats import QueryStats
 
@@ -170,9 +170,9 @@ def ikNNQ(
 ) -> QueryResult:
     """Evaluate an indoor k nearest neighbour query (Algorithm 2).
 
-    ``precomputed_dd`` — a full single-source search from ``q`` (e.g.
+    ``precomputed_dd`` — the full single-source search from ``q`` (e.g.
     from a :class:`repro.queries.session.QuerySession`) that replaces
-    the subgraph phase.
+    the door search.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -209,17 +209,8 @@ def ikNNQ(
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
 
-    # Phase 2: subgraph Dijkstra (or a session-cached full search).
-    if precomputed_dd is not None:
-        dd = precomputed_dd
-        search_radius = None
-    else:
-        cutoff = kbound if math.isfinite(kbound) else None
-        dd, stats.t_subgraph = subgraph_phase(
-            index, q, source, filtered.partitions, cutoff=cutoff
-        )
-        search_radius = kbound
-    stats.doors_settled = dd.doors_settled
+    # Phase 2: the full door search (or a session-cached one).
+    dd = search_phase(index, q, source, stats, precomputed_dd)
 
     candidates = list(filtered.objects)
     result = QueryResult()
@@ -230,9 +221,7 @@ def ikNNQ(
         # without an exact interval, and only what the true k-th
         # smallest upper bound (never above U) would reject anyway.
         t0 = time.perf_counter()
-        bounds = pruning_phase(
-            index, candidates, dd, search_radius=search_radius
-        )
+        bounds = pruning_phase(index, candidates, dd)
         ceiling = np.partition(bounds.hi, k - 1)[k - 1]
         ranked = np.flatnonzero(bounds.lo <= ceiling).tolist()
         stats.rejected_by_bounds += len(candidates) - len(ranked)
@@ -272,13 +261,11 @@ def ikNNQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd)
     stats.refined += len(undecided)
     refined = sorted(
         (d, obj.object_id, obj)
-        for obj, d in zip(undecided, refiner.exact_many(undecided))
+        for obj, d in zip(undecided, Refiner(index, dd).exact_many(undecided))
     )
-    stats.fallback_recomputes = refiner.fallbacks
     for obj in sure:
         result.objects.append(obj)
         result.distances[obj.object_id] = None

@@ -693,7 +693,7 @@ class KNNMaintainer(StandingQuery):
         res.distances.update(
             zip(
                 (o.object_id for o in sure),
-                Refiner(host.index, self.q, dd).exact_many(sure),
+                Refiner(host.index, dd).exact_many(sure),
             )
         )
         buffer: dict[str, float] = {}

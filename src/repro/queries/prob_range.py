@@ -29,7 +29,7 @@ from repro.queries.engine import (
     candidate_blocks,
     filtering_phase,
     locate_source,
-    subgraph_phase,
+    search_phase,
 )
 from repro.queries.stats import QueryStats
 
@@ -47,10 +47,10 @@ def iPRQ(
     Returns objects whose probability of being within indoor distance
     ``r`` is at least ``theta``; ``QueryResult.distances`` carries the
     exact probability for refined objects (``None`` when accepted by
-    bounds alone).  ``precomputed_dd`` is a full (unrestricted)
+    bounds alone).  ``precomputed_dd`` is the full
     :class:`DoorDistances` from ``q``, e.g. from a
-    :class:`repro.queries.session.QuerySession`; it skips the subgraph
-    phase, as in :func:`~repro.queries.range_query.iRQ`.
+    :class:`repro.queries.session.QuerySession`; it skips the door
+    search, as in :func:`~repro.queries.range_query.iRQ`.
 
     Pruning bounds each candidate's qualifying probability from its
     subregions (:meth:`~repro.distances.batch.BoundsRow.probability`):
@@ -73,13 +73,7 @@ def iPRQ(
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
 
-    if precomputed_dd is not None:
-        dd = precomputed_dd
-    else:
-        dd, stats.t_subgraph = subgraph_phase(
-            index, q, source, filtered.partitions, cutoff=r
-        )
-    stats.doors_settled = dd.doors_settled
+    dd = search_phase(index, q, source, stats, precomputed_dd)
 
     result = QueryResult()
     undecided = []
@@ -102,7 +96,7 @@ def iPRQ(
 
     t0 = time.perf_counter()
     stats.refined += len(undecided)
-    refiner = Refiner(index, q, dd)
+    refiner = Refiner(index, dd)
     for obj, prob in zip(undecided, refiner.probabilities(undecided, r)):
         if prob >= theta:
             result.objects.append(obj)

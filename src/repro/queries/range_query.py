@@ -19,7 +19,7 @@ from repro.queries.engine import (
     filtering_phase,
     locate_source,
     pruning_phase,
-    subgraph_phase,
+    search_phase,
 )
 from repro.queries.stats import QueryStats
 
@@ -50,9 +50,9 @@ def iRQ(
     stats:
         Optional stats collector, filled in place.
     precomputed_dd:
-        A full (unrestricted) :class:`DoorDistances` from ``q``, e.g.
-        from a :class:`repro.queries.session.QuerySession`; skips the
-        subgraph phase.
+        The full :class:`DoorDistances` from ``q``, e.g. from a
+        :class:`repro.queries.session.QuerySession`; skips the door
+        search.
     """
     if r < 0:
         raise QueryError(f"negative query range {r}")
@@ -67,26 +67,16 @@ def iRQ(
     stats.candidates_after_filtering = len(filtered.objects)
     stats.partitions_retrieved = len(filtered.partitions)
 
-    # Phase 2: subgraph Dijkstra (sources = doors of P(q)); a session
-    # cache may supply a full search instead.
-    if precomputed_dd is not None:
-        dd = precomputed_dd
-        search_radius = None  # exact everywhere: no unreached floor
-    else:
-        dd, stats.t_subgraph = subgraph_phase(
-            index, q, source, filtered.partitions, cutoff=r
-        )
-        search_radius = r
-    stats.doors_settled = dd.doors_settled
+    # Phase 2: the full door search (sources = doors of P(q)), or a
+    # session's cached one.
+    dd = search_phase(index, q, source, stats, precomputed_dd)
 
     result = QueryResult()
     if with_pruning:
         # Phase 3: bounds.  The envelope rejects first; only the
         # candidates it cannot place beyond r get an exact interval.
         t0 = time.perf_counter()
-        bounds = pruning_phase(
-            index, filtered.objects, dd, search_radius=search_radius
-        )
+        bounds = pruning_phase(index, filtered.objects, dd)
         near = np.flatnonzero(bounds.lo <= r).tolist()
         stats.rejected_by_bounds += len(filtered.objects) - len(near)
         undecided = []
@@ -107,13 +97,11 @@ def iRQ(
 
     # Phase 4: refinement.
     t0 = time.perf_counter()
-    refiner = Refiner(index, q, dd)
     stats.refined += len(undecided)
-    for obj, d in zip(undecided, refiner.exact_many(undecided)):
+    for obj, d in zip(undecided, Refiner(index, dd).exact_many(undecided)):
         if d <= r:
             result.objects.append(obj)
             result.distances[obj.object_id] = d
-    stats.fallback_recomputes = refiner.fallbacks
     stats.t_refinement = time.perf_counter() - t0
     stats.result_size = len(result.objects)
     return result

@@ -8,7 +8,7 @@ offers two estimators, both running only the cheap phases:
   a *provable* upper bound on the result size (Lemma 6: no false
   negatives, so every true hit is a candidate).
 * :func:`estimate_irq_result_size` — a refined estimate that runs the
-  subgraph + pruning phases and scores each undecided object by where
+  door search + pruning phases and scores each undecided object by where
   the query range falls inside its distance interval (linear
   interpolation); sure-accepts count 1, sure-rejects 0.
 
@@ -27,8 +27,9 @@ from repro.queries.engine import (
     filtering_phase,
     locate_source,
     pruning_phase,
-    subgraph_phase,
+    search_phase,
 )
+from repro.queries.stats import QueryStats
 
 
 def candidate_upper_bound(index: CompositeIndex, q: Point, r: float) -> int:
@@ -54,8 +55,8 @@ def estimate_irq_result_size(
     filtered, _ = filtering_phase(index, q, r, use_skeleton=True)
     if not filtered.objects:
         return 0.0
-    dd, _ = subgraph_phase(index, q, source, filtered.partitions, cutoff=r)
-    bounds = pruning_phase(index, filtered.objects, dd, search_radius=r)
+    dd = search_phase(index, q, source, QueryStats())
+    bounds = pruning_phase(index, filtered.objects, dd)
     estimate = 0.0
     # Sure-rejects by the envelope score 0, exactly as iRQ drops them.
     for j in np.flatnonzero(bounds.lo <= r).tolist():

@@ -6,14 +6,13 @@ efforts on indoor distances when multiple, related queries are issued
 within a short period".  A :class:`QuerySession` memoises the
 single-source Dijkstra per query point, so a burst of queries from one
 location (a kiosk issuing an iRQ, then an ikNNQ, then a widened iRQ)
-pays for the subgraph phase once.
+pays for the door search once.
 
 Two properties make the cache broadly reusable:
 
-* the cached search is *unrestricted* (no subgraph, no cutoff), so one
-  entry serves any radius or ``k`` from that point — the trade-off of
-  one slightly more expensive first search against zero-cost repeats is
-  measured by the ``ablation_a4`` benchmark;
+* the cached search is the full one every query runs as its phase 2
+  (:func:`repro.queries.engine.search_phase`), so one entry serves any
+  radius or ``k`` from that point;
 * entries depend only on the space's *topology*, never on object
   positions: ``_cached_version`` tracks ``topology_version`` and the
   whole cache is dropped the moment a door closes or a partition
@@ -171,14 +170,14 @@ class QuerySession:
     def irq(
         self, q: Point, r: float, stats: QueryStats | None = None
     ) -> QueryResult:
-        """iRQ with the subgraph phase served from the session cache."""
+        """iRQ with the door search served from the session cache."""
         dd = self.door_distances(q)
         return iRQ(q, r, self.index, stats=stats, precomputed_dd=dd)
 
     def iknnq(
         self, q: Point, k: int, stats: QueryStats | None = None
     ) -> QueryResult:
-        """ikNNQ with the subgraph phase served from the session cache."""
+        """ikNNQ with the door search served from the session cache."""
         dd = self.door_distances(q)
         return ikNNQ(q, k, self.index, stats=stats, precomputed_dd=dd)
 
@@ -189,7 +188,7 @@ class QuerySession:
         p_min: float,
         stats: QueryStats | None = None,
     ) -> QueryResult:
-        """iPRQ with the subgraph phase served from the session cache."""
+        """iPRQ with the door search served from the session cache."""
         dd = self.door_distances(q)
         return iPRQ(q, r, p_min, self.index, stats=stats, precomputed_dd=dd)
 

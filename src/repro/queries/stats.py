@@ -27,9 +27,8 @@ class QueryStats:
     accepted_by_bounds: int = 0
     rejected_by_bounds: int = 0
     refined: int = 0
-    #: refinements that escaped to a full (unrestricted) Dijkstra because
-    #: some instance path left the candidate subgraph — the
-    #: :class:`repro.queries.engine.Refiner` escape hatch.
+    #: always 0: phase 2 is a full search, so no refinement escapes to
+    #: another one (kept while benchmark harnesses read it).
     fallback_recomputes: int = 0
     result_size: int = 0
 

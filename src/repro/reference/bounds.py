@@ -55,13 +55,10 @@ def subregion_stats(
     door.  For the query's own partition the direct Euclidean path
     participates as well.
 
-    ``unreached_floor`` handles a subtlety of the subgraph phase: when
-    ``dd`` came from a cutoff/subgraph-restricted Dijkstra with bound
-    ``c``, a door it did not reach is *proven* to be farther than ``c``
-    (every shorter path lies inside the restriction).  Passing ``c``
-    here turns "unreachable" into the valid finite lower bound
-    ``tmin = c`` (the upper bound stays infinite), keeping the interval
-    sound for multi-partition objects that straddle the search radius.
+    ``unreached_floor`` replaces an infinite ``tmin`` — a subregion no
+    reached door serves — by a finite value (the upper bound stays
+    infinite): the iPRQ's ``r + 1.0`` (:func:`probability_bounds`)
+    says such a subregion is merely beyond ``r``.
     """
     fh = space.floor_height
     instances = subregion.instances

@@ -215,10 +215,8 @@ def expected_indoor_distance(
 ) -> ExactDistance:
     """The exact expected indoor distance ``|q, O|_I`` (Eqs. 2-6).
 
-    ``dd`` must be a :class:`DoorDistances` computed from ``q`` (the
-    subgraph phase's Dijkstra); it may be restricted to candidate
-    partitions as long as those cover every path shorter than any bound
-    being compared against (the query processors guarantee this).
+    ``dd`` must be the full :class:`DoorDistances` computed from
+    ``q`` (the query processors' phase 2).
     """
     return expected_over(q, subregions(obj, space, grid), dd, space)
 

@@ -12,9 +12,8 @@ topological layer plays that role.  This module is that layer's
 algorithmic engine: per topology version it numbers doors and
 partitions once (:class:`DoorsCsr`, the numbering every array of the
 query path uses) and runs one integer Dijkstra over the CSR edges,
-seeded at a query point or at a door, optionally restricted to
-candidate partitions (the *subgraph phase* of query processing).  Its
-result, :class:`DoorDistances`, is the bounds kernel's query operand.
+seeded at a query point or at a door.  Its result,
+:class:`DoorDistances`, is the bounds kernel's query operand.
 """
 
 from __future__ import annotations
@@ -160,15 +159,10 @@ class DoorsGraph:
 
     @staticmethod
     def _search(
-        csr: DoorsCsr,
-        seeds: dict[int, float],
-        allowed: list[bool] | None,
-        cutoff: float | None,
+        csr: DoorsCsr, seeds: dict[int, float]
     ) -> tuple[np.ndarray, np.ndarray]:
         """The one relaxation loop: door distances from ``seeds`` (door
-        -> initial distance, always recorded), relaxing only edges whose
-        row ``allowed`` admits and never past ``cutoff``."""
-        limit = math.inf if cutoff is None else cutoff
+        -> initial distance, always recorded)."""
         dist = [math.inf] * len(csr.door_ids)
         pred = [-1] * len(dist)
         heap = []
@@ -180,13 +174,11 @@ class DoorsGraph:
         pop, push = heapq.heappop, heapq.heappush
         while heap:
             d, u = pop(heap)
-            if d > dist[u] or d > limit:
-                continue  # stale entry, or beyond the cutoff
-            for v, weight, row in out[u]:
-                if allowed is not None and not allowed[row]:
-                    continue
+            if d > dist[u]:
+                continue  # stale entry
+            for v, weight, _row in out[u]:
                 nd = d + weight
-                if nd < dist[v] and nd <= limit:
+                if nd < dist[v]:
                     dist[v] = nd
                     pred[v] = u
                     push(heap, (nd, v))
@@ -195,21 +187,17 @@ class DoorsGraph:
         return w, np.array(pred, dtype=np.int32)
 
     def dijkstra_from_point(
-        self,
-        q: Point,
-        source_partition: str | None = None,
-        allowed_partitions: set[str] | None = None,
-        cutoff: float | None = None,
+        self, q: Point, source_partition: str | None = None
     ) -> DoorDistances:
         """Single-source shortest door distances from a query point.
 
         The search is seeded with every door through which the source
         partition can be exited (initial distance ``|q, d_q|_E``) and
-        relaxes directed door-to-door edges.  When ``allowed_partitions``
-        is given, only edges crossing those partitions are relaxed — the
-        *subgraph phase* of Algorithms 1 and 2.  ``cutoff`` stops the
-        search beyond a distance bound (safe for range queries: any path
-        longer than the range cannot qualify).
+        relaxes every directed door-to-door edge: the full search,
+        which query processing runs as its phase 2 (the paper restricts
+        it to the filtered partitions and cuts it off at the query
+        bound; that is exact for point distances, not for expected
+        ones — see :mod:`repro.queries.engine`).
         """
         csr = self.ensure_fresh()
         space = self.space
@@ -225,12 +213,7 @@ class DoorsGraph:
             d = q.distance(door.midpoint, space.floor_height)
             if d < seeds.get(i, math.inf):
                 seeds[i] = d
-        allowed = None  # else a mask over partition rows
-        if allowed_partitions is not None:
-            allowed = [False] * len(csr.part_row)
-            for pid in allowed_partitions & csr.part_row.keys():
-                allowed[csr.part_row[pid]] = True
-        w, pred = self._search(csr, seeds, allowed, cutoff)
+        w, pred = self._search(csr, seeds)
         return DoorDistances(
             q, source_partition, csr.part_row[source_partition], csr, w, pred
         )
@@ -247,7 +230,7 @@ class DoorsGraph:
         i = csr.door_index.get(source_door)
         if i is None:
             raise SpaceError(f"unknown door {source_door!r}")
-        return self._search(csr, {i: 0.0}, None, None)[0]
+        return self._search(csr, {i: 0.0})[0]
 
     # ------------------------------------------------------------------
     # point-to-point indoor distance (reference implementation)

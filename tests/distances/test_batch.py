@@ -30,7 +30,6 @@ from repro.distances.bounds import (
 )
 from repro.geometry import Point
 from repro.queries import QuerySession
-from repro.queries.engine import locate_source, subgraph_phase
 from repro.reference.bounds import (
     object_bounds,
     probability_bounds,
@@ -282,19 +281,9 @@ class TestBlockMatchesReference:
 
 
 class TestUnreachedFloor:
-    """One-shot iRQ/ikNNQ without ``precomputed_dd`` prune against a
-    cutoff, subgraph-restricted search: a door it did not reach is
-    proven farther than the cutoff, so ``unreached_floor`` replaces an
-    infinite ``tmin`` — in the kernel exactly as in
+    """Closed doors leave doors unreached: ``unreached_floor`` replaces
+    an infinite ``tmin`` — in the kernel exactly as in
     :func:`repro.reference.bounds.subregion_stats`."""
-
-    @staticmethod
-    def _cutoff_search(index, q, r):
-        filtered = index.range_search(q, r)
-        dd, _ = subgraph_phase(
-            index, q, locate_source(index, q), filtered.partitions, cutoff=r
-        )
-        return dd
 
     @given(seed=st.integers(0, 10_000), r=st.sampled_from(RADII))
     @settings(
@@ -302,20 +291,22 @@ class TestUnreachedFloor:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_cutoff_search_matches_reference(self, seed, r):
-        """Every object of the venue — far beyond the cutoff included —
-        against the same restricted search, floored and unfloored."""
+    def test_closed_doors_match_reference(self, seed, r):
+        """Every object of the venue — behind the closed doors included
+        — against the same search, floored and unfloored."""
         w = _world(seed)
+        for door_id in w.rng.sample(sorted(w.space.doors), 4):
+            w.index.apply_event(CloseDoor(door_id))
         block = w.index.columns.block(list(w.pop))
         searches, floors = [], []
         for q in (
             w.space.random_point(rng=w.rng),
             w.straddlers[0].region.center,
         ):
-            dd = self._cutoff_search(w.index, q, r)
+            dd = w.index.doors_graph.dijkstra_from_point(q)
             assert not np.isfinite(
                 dd.w
-            ).all(), "cutoff reached every door: nothing is floored"
+            ).all(), "search reached every door: nothing is floored"
             searches += [dd, dd]
             floors += [r, None]
         _assert_stack_matches(
@@ -323,10 +314,10 @@ class TestUnreachedFloor:
         )
 
     def test_multi_partition_object_straddling_the_radius(self):
-        """An object across the wall between two rooms, asked from the
-        hallway with a cutoff that reaches one room's door and not the
-        other's: finite floored lower bound, infinite upper bound,
-        identical to the reference."""
+        """An object across the wall between two rooms, asked from a
+        third room with the farther room's door closed: finite floored
+        lower bound, infinite upper bound, identical to the
+        reference."""
         w = _world(3)
         space, grid = w.space, w.pop.grid
         rooms = [
@@ -354,7 +345,7 @@ class TestUnreachedFloor:
         (door_a,) = space.doors_of(a.partition_id)
         (door_b,) = space.doors_of(b.partition_id)
         # Asked from a third room (a hallway point would seed every
-        # hallway door at once), with a cutoff between the two doors.
+        # hallway door at once); the farther door is then closed.
         c = next(c for c in rooms if c not in (a, b))
         q = Point(
             (c.bounds.minx + c.bounds.maxx) / 2.0,
@@ -368,14 +359,13 @@ class TestUnreachedFloor:
         )
         assert near < far < float("inf")
         r = (near + far) / 2.0
-        cut = self._cutoff_search(w.index, q, r)
+        w.index.apply_event(CloseDoor(unreached))
+        cut = w.index.doors_graph.dijkstra_from_point(q)
         assert math.isfinite(cut.distance_to(reached))
         assert not math.isfinite(cut.distance_to(unreached))
         block = w.index.columns.block([obj])
         bounds = _assert_stack_matches(
-            w.index,
-            _stack(w.index, [cut, cut, full], [r, None, None]),
-            block,
+            w.index, _stack(w.index, [cut, cut], [r, None]), block
         )
         got = bounds.row(0).interval(0)
         assert got == object_bounds(

@@ -33,7 +33,6 @@ from repro.objects import (
     ObjectMove,
     UncertainObject,
 )
-from repro.queries.engine import locate_source, subgraph_phase
 from repro.reference.expected import (
     expected_indoor_distance,
     qualifying_probability,
@@ -152,26 +151,7 @@ class TestWholePopulations:
                 index.apply_event(OpenDoor(door_id))
 
 
-class TestRestrictedSearch:
-    def _cutoff_search(self, index, q, r):
-        filtered = index.range_search(q, r)
-        dd, _ = subgraph_phase(
-            index, q, locate_source(index, q), filtered.partitions, cutoff=r
-        )
-        return dd
-
-    @pytest.mark.parametrize("seed,r", [(1, 15.0), (2, 30.0), (3, 50.0)])
-    def test_cutoff_search_matches_reference(self, small_mall, seed, r):
-        """Unreached doors weigh ``+inf``: objects behind them come out
-        ``inf`` (probability 0), objects half behind them too, and the
-        rest exactly as against the full search."""
-        index, _ = _mall_index(small_mall, seed=40 + seed)
-        q = small_mall.random_point(seed=seed)
-        dd = self._cutoff_search(index, q, r)
-        (values,) = _assert_block_equals_scalar(
-            index, [dd], list(index.population), radii=(r / 2, r)
-        )
-        assert {math.isfinite(v) for v in values} == {False, True}
+class TestUnreachedDoors:
 
     def test_zero_probability_instance_behind_an_unreached_door(
         self, five_rooms
@@ -194,7 +174,8 @@ class TestRestrictedSearch:
         index.insert_object(obj)
         q = Point(5.0, 5.0, 0)  # r1
         # Reaches r2 (through d12) but not r3.
-        dd = index.doors_graph.dijkstra_from_point(q, cutoff=12.0)
+        index.apply_event(CloseDoor("d3"))
+        dd = index.doors_graph.dijkstra_from_point(q)
         assert math.isinf(dd.distance_to("d3"))
         assert math.isfinite(dd.distance_to("d12"))
         space, grid = index.space, index.population.grid

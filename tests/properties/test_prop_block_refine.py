@@ -39,6 +39,7 @@ from repro.reference.expected import (
     qualifying_probability,
 )
 from repro.reference.pack import subregion_rows
+from repro.space.events import CloseDoor
 
 
 def _insert_straddlers(space, gen, index, rng, n):
@@ -64,11 +65,11 @@ class TestBlockComposition:
         grid, fh = pop.grid, space.floor_height
         objects = list(pop)
         points = [space.random_point(rng=rng) for _ in range(3)]
+        # Closed doors: some doors unreached, some objects infinite.
+        for door_id in rng.sample(sorted(space.doors), 3):
+            index.apply_event(CloseDoor(door_id))
         searches = [
-            index.doors_graph.dijkstra_from_point(points[0]),
-            index.doors_graph.dijkstra_from_point(points[1]),
-            # Restricted: some doors unreached, some objects infinite.
-            index.doors_graph.dijkstra_from_point(points[2], cutoff=25.0),
+            index.doors_graph.dijkstra_from_point(p) for p in points
         ]
         stack = QueryStack(index.columns.layout(), searches, [None] * 3)
         subs, offsets = subregion_rows(objects, space, grid, stack.layout)

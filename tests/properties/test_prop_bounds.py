@@ -110,20 +110,45 @@ class TestLemma6:
             assert bound <= exact + 1e-6
 
 
-class TestRestrictedDijkstraSoundness:
-    @given(q_seed=st.integers(0, 200), cutoff=st.floats(10.0, 120.0))
+class TestUnreachedFloor:
+    @given(
+        q_seed=st.integers(0, 200),
+        obj_idx=st.integers(0, 39),
+        door_idx=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+        floor=st.floats(10.0, 120.0),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_cutoff_dijkstra_never_underestimates(self, world, q_seed, cutoff):
-        """Distances from a cutoff Dijkstra are exact where finite and
-        the unreached doors are provably beyond the cutoff."""
-        space, graph, _, _, _ = world
+    def test_floor_replaces_only_unreached(
+        self, world, q_seed, obj_idx, door_idx, floor
+    ):
+        """Closed doors leave doors unreached: ``unreached_floor`` sets
+        exactly those subregions' ``tmin`` and nothing else, and such a
+        subregion makes the exact distance infinite."""
+        space, graph, _, gen, objects = world
+        doors = sorted(space.doors)
+        closed = {doors[i % len(doors)] for i in door_idx}
         q = space.random_point(seed=q_seed)
-        full = graph.dijkstra_from_point(q)
-        cut = graph.dijkstra_from_point(q, cutoff=cutoff)
-        for door_id in space.doors:
-            d_cut = cut.distance_to(door_id)
-            d_full = full.distance_to(door_id)
-            if math.isfinite(d_cut):
-                assert d_cut == pytest.approx(d_full)
-            else:
-                assert d_full > cutoff - 1e-9
+        obj = objects[obj_idx]
+        try:
+            for door_id in closed:
+                space.door(door_id).is_open = False
+            space.topology_version += 1
+            dd = graph.dijkstra_from_point(q)
+            subs = subregions(obj, space, gen.grid)
+            exact = expected_indoor_distance(q, obj, dd, space, gen.grid)
+            for sub in subs:
+                bare = subregion_stats(q, sub, dd, space)
+                floored = subregion_stats(
+                    q, sub, dd, space, unreached_floor=floor
+                )
+                assert floored.tmax == bare.tmax
+                if math.isfinite(bare.tmin):
+                    assert floored.tmin == bare.tmin
+                else:
+                    assert floored.tmin == floor
+                    assert bare.tmax == math.inf
+                    assert exact.value == math.inf
+        finally:
+            for door_id in closed:
+                space.door(door_id).is_open = True
+            space.topology_version += 1

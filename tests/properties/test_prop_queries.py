@@ -7,30 +7,39 @@ random, or on a door, a wall or a corner, where two partitions contain
 
 import bisect
 import functools
+import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from monitor_world import boundary_points
 
 from repro.index import CompositeIndex
-from repro.objects import ObjectGenerator
+from repro.objects import (
+    InstanceSet,
+    ObjectGenerator,
+    ObjectPopulation,
+    UncertainObject,
+)
 from repro.queries import (
     QuerySession,
     QueryStats,
+    iPRQ,
     iRQ,
     ikNNQ,
     k_seeds_selection,
 )
-from repro.geometry import Point
-from repro.queries.engine import locate_source, subgraph_phase
+from repro.geometry import Circle, Point, Rect
+from repro.queries.engine import locate_source
 from repro.reference import (
     NaiveEvaluator,
     object_bounds,
     subregions,
     topological_looser_upper_bound,
 )
+from repro.space.builder import SpaceBuilder
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
 
@@ -166,25 +175,17 @@ def _straddling_world(seed):
     return space, index, NaiveEvaluator(space, pop), QuerySession(index)
 
 
-def _reference_search(index, q, source, session, candidates, cutoff):
-    """The search a processor prunes against, and the floor of its
-    unreached doors: the session's full search, or the subgraph search
-    bounded by ``cutoff``."""
+def _reference_search(index, q, source, session):
+    """The search a processor prunes against: the session's cached
+    one, or a fresh full search."""
     if session is not None:
-        return session.door_distances(q), None
-    dd, _ = subgraph_phase(
-        index, q, source, candidates.partitions,
-        cutoff=cutoff if math.isfinite(cutoff) else None,
-    )
-    return dd, cutoff if math.isfinite(cutoff) else None
+        return session.door_distances(q)
+    return index.doors_graph.dijkstra_from_point(q, source)
 
 
-def _all_intervals(index, q, objects, dd, floor):
+def _all_intervals(index, q, objects, dd):
     return [
-        object_bounds(
-            q, obj, dd, index.space, index.population.grid,
-            unreached_floor=floor,
-        )
+        object_bounds(q, obj, dd, index.space, index.population.grid)
         for obj in objects
     ]
 
@@ -193,10 +194,8 @@ def _reference_irq_decisions(index, q, r, session):
     """(rejected, accepted, refined) of Algorithm 1 with a scalar
     ``object_bounds`` interval for every candidate."""
     filtered = index.range_search(q, r)
-    dd, floor = _reference_search(
-        index, q, locate_source(index, q), session, filtered, r
-    )
-    intervals = _all_intervals(index, q, filtered.objects, dd, floor)
+    dd = _reference_search(index, q, locate_source(index, q), session)
+    intervals = _all_intervals(index, q, filtered.objects, dd)
     rejected = sum(iv.entirely_beyond(r) for iv in intervals)
     accepted = sum(iv.entirely_within(r) for iv in intervals)
     return rejected, accepted, len(intervals) - rejected - accepted
@@ -230,8 +229,8 @@ def _reference_iknn_decisions(index, q, k, session):
     candidates = filtered.objects
     if len(candidates) <= k:
         return len(candidates), 0, 0, len(candidates)
-    dd, floor = _reference_search(index, q, source, session, filtered, kbound)
-    intervals = _all_intervals(index, q, candidates, dd, floor)
+    dd = _reference_search(index, q, source, session)
+    intervals = _all_intervals(index, q, candidates, dd)
     ok_upper = sorted(iv.upper for iv in intervals)[k - 1]
     lowers = sorted(iv.lower for iv in intervals)
     rejected = accepted = 0
@@ -250,9 +249,8 @@ def _reference_iknn_decisions(index, q, k, session):
 
 
 class TestEnvelopeFirstPrune:
-    """Session path (full search, no floor) and subgraph path (cutoff
-    search: unreached doors floor ``lo`` at the radius and leave ``hi``
-    infinite, and an infinite ``U`` must drop nothing)."""
+    """Session path (the cached search) and bare path (a search of its
+    own) alike; an infinite ``U`` must drop nothing."""
 
     @given(
         world_seed=st.integers(0, 3),
@@ -340,3 +338,163 @@ class TestEnvelopeFirstPrune:
             stats.accepted_by_bounds,
             stats.refined,
         ) == _reference_iknn_decisions(index, q, k, session)
+
+
+# ----------------------------------------------------------------------
+# rooms whose doors lie far apart
+# ----------------------------------------------------------------------
+
+#: The hallway spans y in [0, 5], every room y in [5, 15].
+HALL_Y, ROOM_Y = (0.0, 5.0), (5.0, 15.0)
+
+
+@st.composite
+def _inside(draw, span):
+    """A coordinate strictly inside ``span``, on a half-metre lattice."""
+    lo, hi = span
+    return lo + draw(st.integers(1, int(2 * (hi - lo)) - 1)) / 2.0
+
+
+@st.composite
+def two_door_worlds(draw):
+    """A row of rooms above one hallway, as plain data.  A room's
+    hallway doors (none, one, or two near its two ends) lie far apart;
+    neighbours may share a room-to-room door; objects spread their
+    instances over up to three partitions.  The query point, radius,
+    ``k`` and iPRQ threshold come with it."""
+    widths = draw(st.lists(st.integers(8, 24), min_size=2, max_size=4))
+    xs = [0.0, *itertools.accumulate(map(float, widths))]
+    rooms = list(zip(xs, xs[1:]))
+    hall = (0.0, xs[-1] + draw(st.integers(0, 12)))
+    room_doors = [
+        (i, draw(_inside(ROOM_Y)))
+        for i in range(len(rooms) - 1)
+        if draw(st.booleans())
+    ]
+    hall_doors = []
+    for i, (x0, x1) in enumerate(rooms):
+        ends = ((x0, x0 + (x1 - x0) / 4.0), (x1 - (x1 - x0) / 4.0, x1))
+        n = draw(st.integers(0, 2))
+        if n == 1:
+            hall_doors.append((i, draw(_inside((x0, x1)))))
+        elif n == 2:
+            hall_doors += [(i, draw(_inside(end))) for end in ends]
+    for i, (x0, x1) in enumerate(rooms):
+        has_door = any(j == i for j, _ in hall_doors) or any(
+            j in (i - 1, i) for j, _ in room_doors
+        )
+        if not has_door or not hall_doors:
+            hall_doors.append((i, (x0 + x1) / 2.0))
+    spans = [(x, ROOM_Y) for x in rooms] + [(hall, HALL_Y)]
+    objects = []
+    for _ in range(draw(st.integers(2, 6))):
+        homes = draw(
+            st.lists(
+                st.sampled_from(spans), min_size=1, max_size=3, unique=True
+            )
+        )
+        instances = []
+        for _ in range(draw(st.integers(1, 8))):
+            xspan, yspan = draw(st.sampled_from(homes))
+            instances.append((draw(_inside(xspan)), draw(_inside(yspan))))
+        objects.append(instances)
+    xspan, yspan = draw(st.sampled_from(spans))
+    return dict(
+        rooms=rooms,
+        hall=hall,
+        hall_doors=hall_doors,
+        room_doors=room_doors,
+        objects=objects,
+        q=(draw(_inside(xspan)), draw(_inside(yspan))),
+        # A radius, or the exact distance of an object: the boundary
+        # where a wrongly costed instance moves the decision.
+        r=draw(
+            st.one_of(
+                st.integers(0, 120).map(lambda r: r / 2.0),
+                st.integers(0, len(objects) - 1),
+            )
+        ),
+        k=draw(st.integers(1, len(objects))),
+        theta=draw(st.sampled_from([0.25, 0.5, 0.875, 1.0])),
+    )
+
+
+#: The two-door room of ``tests/queries/test_two_door_room.py``: ``o``
+#: qualifies on its mean through ``A``'s door into ``B``, and its
+#: hallway instance is reached through ``B``'s far door.
+TWO_DOOR_ROOM = dict(
+    rooms=[(0.0, 10.0), (10.0, 30.0)],
+    hall=(0.0, 40.0),
+    hall_doors=[(0, 8.0), (1, 29.0)],
+    room_doors=[(0, 14.0)],
+    objects=[
+        [
+            (16.0, 14.0), (16.5, 14.0), (17.0, 14.0), (16.0, 13.5),
+            (16.5, 13.5), (17.0, 13.5), (16.5, 14.5), (35.0, 2.0),
+        ],
+        [(19.7, 14.0)],
+    ],
+    q=(9.5, 14.0),
+    r=10.0,
+    k=1,
+    theta=0.5,
+)
+
+
+def _build_two_door(spec):
+    b = SpaceBuilder()
+    b.add_hallway("H", Rect(spec["hall"][0], HALL_Y[0], spec["hall"][1], 5))
+    for i, (x0, x1) in enumerate(spec["rooms"]):
+        b.add_room(f"R{i}", Rect(x0, ROOM_Y[0], x1, ROOM_Y[1]))
+    for j, (i, x) in enumerate(spec["hall_doors"]):
+        b.connect(f"R{i}", "H", at=Point(x, HALL_Y[1], 0), door_id=f"h{j}")
+    for i, y in spec["room_doors"]:
+        x = spec["rooms"][i][1]
+        b.connect(f"R{i}", f"R{i + 1}", at=Point(x, y, 0), door_id=f"r{i}")
+    space = b.build()
+    pop = ObjectPopulation(space)
+    for j, xy in enumerate(spec["objects"]):
+        xy = np.array(xy, dtype=np.float64)
+        center = Point(*xy.mean(axis=0), 0)
+        radius = float(np.hypot(*(xy - xy.mean(axis=0)).T).max()) + 0.5
+        pop.insert(
+            UncertainObject(
+                f"o{j}", Circle(center, radius), InstanceSet.uniform(xy, 0)
+            )
+        )
+    return space, pop
+
+
+class TestDrawnTwoDoorWorlds:
+    """A query's own door search and a session's cached one answer
+    alike, and as the oracle, where an object's instances are reached
+    through doors far apart — the shape a search restricted to the
+    filtered partitions and cut off at the query bound gets wrong."""
+
+    @given(spec=two_door_worlds())
+    @example(spec=TWO_DOOR_ROOM)
+    @settings(max_examples=40, deadline=None)
+    def test_bare_equals_session_equals_oracle(self, spec):
+        space, pop = _build_two_door(spec)
+        index = CompositeIndex.build(space, pop)
+        oracle = NaiveEvaluator(space, pop)
+        session = QuerySession(index)
+        q = Point(*spec["q"], 0)
+        k, theta = spec["k"], spec["theta"]
+        exact = oracle.all_distances(q)
+        r = spec["r"]
+        if isinstance(r, int):
+            r = exact[f"o{r}"] if math.isfinite(exact[f"o{r}"]) else 0.0
+        want = oracle.range_query(q, r)
+        for with_pruning in (True, False):
+            assert iRQ(q, r, index, with_pruning=with_pruning).ids() == want
+        assert session.irq(q, r).ids() == want
+        kth = oracle.kth_distance(q, k)
+        reachable = sum(1 for d in exact.values() if math.isfinite(d))
+        bare = ikNNQ(q, k, index).ids()
+        assert session.iknnq(q, k).ids() == bare
+        assert len(bare) == min(k, reachable)
+        assert all(exact[oid] <= kth + 1e-6 for oid in bare)
+        want = oracle.prob_range_query(q, r, theta)
+        assert iPRQ(q, r, theta, index).ids() == want
+        assert session.iprq(q, r, theta).ids() == want

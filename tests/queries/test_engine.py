@@ -13,7 +13,6 @@ from repro.queries.engine import (
     filtering_phase,
     locate_source,
     pruning_phase,
-    subgraph_phase,
 )
 
 
@@ -44,34 +43,24 @@ class TestPhases:
         assert len(filtered.objects) <= len(setup.population)
         assert filtered.units_checked >= 1
 
-    def test_subgraph_includes_source(self, setup, small_mall):
-        q = small_mall.random_point(seed=3)
-        source = locate_source(setup, q)
-        # Even with an empty candidate set the source's doors are seeded.
-        dd, _ = subgraph_phase(setup, q, source, set())
-        assert dd.source_partition == source
-        assert dd.doors_settled >= 1
-
     def test_pruning_intervals_valid(self, setup, small_mall):
         q = small_mall.random_point(seed=4)
         source = locate_source(setup, q)
         filtered, _ = filtering_phase(setup, q, 50.0, True)
-        dd, _ = subgraph_phase(setup, q, source, filtered.partitions, cutoff=50.0)
-        bounds = pruning_phase(
-            setup, filtered.objects, dd, search_radius=50.0
-        )
+        dd = setup.doors_graph.dijkstra_from_point(q, source)
+        bounds = pruning_phase(setup, filtered.objects, dd)
         assert len(bounds.lo) == len(bounds.hi) == len(filtered.objects) > 0
         for j in range(len(filtered.objects)):
             iv = bounds.interval(j)
             assert iv.lower <= iv.upper + 1e-9
-            assert math.isfinite(iv.lower)  # radius-floored, never inf
+            assert math.isfinite(iv.lower)  # every door is reached
             # The envelope encloses the exact interval.
             assert bounds.lo[j] <= iv.lower
             assert iv.upper <= bounds.hi[j] + 1e-9
 
     def test_pruning_no_candidates(self, setup, small_mall):
         q = small_mall.random_point(seed=4)
-        dd, _ = subgraph_phase(setup, q, locate_source(setup, q), set())
+        dd = setup.doors_graph.dijkstra_from_point(q)
         bounds = pruning_phase(setup, [], dd)
         assert len(bounds.lo) == len(bounds.hi) == 0
 
@@ -82,41 +71,9 @@ class TestRefiner:
         q = small_mall.random_point(seed=5)
         source = locate_source(setup, q)
         dd = setup.doors_graph.dijkstra_from_point(q, source)
-        refiner = Refiner(setup, q, dd)
+        refiner = Refiner(setup, dd)
         for obj in list(setup.population)[:10]:
             expected = expected_indoor_distance(
                 q, obj, dd, setup.space, setup.population.grid
             ).value
             assert refiner.exact(obj) == pytest.approx(expected)
-        assert refiner.fallbacks == 0  # full dd never needs the escape hatch
-
-    def test_fallback_on_restricted_search(self, setup, small_mall):
-        """An object outside the restricted subgraph triggers exactly one
-        full-Dijkstra fallback and still gets its true distance."""
-        q = small_mall.random_point(seed=6)
-        source = locate_source(setup, q)
-        # Restrict to only the source partition: almost nothing reachable.
-        dd, _ = subgraph_phase(setup, q, source, {source}, cutoff=5.0)
-        far_obj = max(
-            setup.population,
-            key=lambda o: o.region.center.distance(q, small_mall.floor_height),
-        )
-        refiner = Refiner(setup, q, dd)
-        d = refiner.exact(far_obj)
-        assert math.isfinite(d)
-        assert refiner.fallbacks == 1
-        full_dd = setup.doors_graph.dijkstra_from_point(q, source)
-        ref = Refiner(setup, q, full_dd)
-        assert d == pytest.approx(ref.exact(far_obj))
-
-    def test_fallback_reused_across_objects(self, setup, small_mall):
-        q = small_mall.random_point(seed=7)
-        source = locate_source(setup, q)
-        dd, _ = subgraph_phase(setup, q, source, {source}, cutoff=5.0)
-        refiner = Refiner(setup, q, dd)
-        fallback_values = [
-            refiner.exact(obj) for obj in list(setup.population)[:5]
-        ]
-        # The full search is built once and shared.
-        assert refiner._full_stack is not None
-        assert all(math.isfinite(v) for v in fallback_values)

@@ -26,7 +26,6 @@ from repro.queries.engine import (
     filtering_phase,
     locate_source,
     pruning_phase,
-    subgraph_phase,
 )
 from repro.queries.knn import SeedExpansion
 from repro.reference import (
@@ -134,31 +133,25 @@ class TestSeedBoundsFromTheTable:
 
 
 class TestEnvelopeIsTheTopologicalBounds:
-    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("r", [15.0, 45.0])
-    def test_lo_hi_and_interval(self, small_mall, r, restricted):
+    def test_lo_hi_and_interval(self, small_mall, r, closed):
         index = _index(small_mall, 60, 4.0, seed=9)
         space, grid = index.space, index.population.grid
+        shut = sorted(small_mall.doors)[:: 7] if closed else []
+        for door_id in shut:  # unreached doors, infinite bounds
+            index.apply_event(CloseDoor(door_id))
         straddlers = 0
         for seed in range(4):
             q = small_mall.random_point(seed=seed)
             source = locate_source(index, q)
             filtered, _ = filtering_phase(index, q, r, True)
-            if restricted:
-                dd, _ = subgraph_phase(
-                    index, q, source, filtered.partitions, cutoff=r
-                )
-                floor = r
-            else:
-                dd = index.doors_graph.dijkstra_from_point(q, source)
-                floor = None
-            bounds = pruning_phase(
-                index, filtered.objects, dd, search_radius=floor
-            )
+            dd = index.doors_graph.dijkstra_from_point(q, source)
+            bounds = pruning_phase(index, filtered.objects, dd)
             assert len(bounds.lo) == len(bounds.hi) == len(filtered.objects)
             for j, obj in enumerate(filtered.objects):
                 stats = [
-                    subregion_stats(q, s, dd, space, unreached_floor=floor)
+                    subregion_stats(q, s, dd, space)
                     for s in subregions(obj, space, grid)
                 ]
                 straddlers += len(stats) > 1
@@ -166,6 +159,8 @@ class TestEnvelopeIsTheTopologicalBounds:
                 assert bounds.lo[j] == envelope.lower
                 assert bounds.hi[j] == envelope.upper
                 assert bounds.interval(j) == object_bounds(
-                    q, obj, dd, space, grid, unreached_floor=floor
+                    q, obj, dd, space, grid
                 )
+        for door_id in shut:  # the mall is shared by the session
+            index.apply_event(OpenDoor(door_id))
         assert straddlers

@@ -10,7 +10,10 @@ door; the path through ``A``'s hallway door is 8 m longer, and costing
 it that way puts ``o`` beyond ``r`` and behind ``p``.  Standing range
 and kNN queries at ``q``, maintained through the service while ``o``
 and ``p`` leave these spots and come back, equal the oracle and a fresh
-``run()`` after every batch.
+``run()`` after every batch.  So do the bare one-shot calls, which run
+their own door search, and the selectivity estimate: a search cut off
+at ``r`` reaches the hallway only through ``A``'s door and costs the
+hallway instance the long way round.
 """
 
 import numpy as np
@@ -26,7 +29,8 @@ from repro.objects import (
     UncertainObject,
 )
 from repro.objects.population import ObjectMove
-from repro.reference import NaiveEvaluator
+from repro.queries import estimate_irq_result_size, iRQ, ikNNQ
+from repro.reference import NaiveEvaluator, object_bounds
 from repro.space.builder import SpaceBuilder
 
 Q = Point(9.5, 14.0, 0)
@@ -68,6 +72,13 @@ def _object(oid, xy):
 def _move(oid, xy):
     obj = _object(oid, xy)
     return ObjectMove(oid, obj.region, obj.instances)
+
+
+def _world(space):
+    pop = ObjectPopulation(space)
+    pop.insert(_object("o", O_STRADDLING))
+    pop.insert(_object("p", P_HOME))
+    return CompositeIndex.build(space, pop), NaiveEvaluator(space, pop)
 
 
 def _assert_exact(service, space, range_id, knn_id):
@@ -123,3 +134,35 @@ class TestTwoDoorRoom:
             _assert_exact(service, space, range_id, knn_id)
         assert service.result_ids(range_id) == {"o"}
         assert service.result_ids(knn_id) == {"o"}
+
+
+class TestBareCalls:
+    """One-shot calls without a session's search equal the oracle."""
+
+    @pytest.mark.parametrize("with_pruning", [True, False])
+    def test_irq(self, two_door_room, with_pruning):
+        index, oracle = _world(two_door_room)
+        got = iRQ(Q, 10.0, index, with_pruning=with_pruning).ids()
+        assert got == oracle.range_query(Q, 10.0) == {"o"}
+
+    def test_iknnq(self, two_door_room):
+        index, oracle = _world(two_door_room)
+        want = {oid for oid, _ in oracle.knn_query(Q, 1)}
+        assert ikNNQ(Q, 1, index).ids() == want == {"o"}
+
+    def test_selectivity_estimate(self, two_door_room):
+        """``p`` scores 0; ``o``'s interval on the full search straddles
+        ``r`` and scores where ``r`` falls in it.  (The estimate
+        interpolates, so it is not the true size 1; a search cut off
+        at ``r`` put ``o`` entirely beyond and read 0.)"""
+        index, _ = _world(two_door_room)
+        space, pop = index.space, index.population
+        dd = index.doors_graph.dijkstra_from_point(Q)
+        o, p = (
+            object_bounds(Q, pop.get(oid), dd, space, pop.grid)
+            for oid in ("o", "p")
+        )
+        assert p.entirely_beyond(10.0)
+        assert o.lower < 10.0 < o.upper
+        want = (10.0 - o.lower) / (o.upper - o.lower)
+        assert estimate_irq_result_size(index, Q, 10.0) == want > 0.5
