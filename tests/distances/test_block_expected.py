@@ -39,6 +39,7 @@ from repro.reference.expected import (
 )
 from repro.reference.pack import subregion_rows
 from repro.reference.subregions import subregions
+from repro.space import PartitionKind
 from repro.space.events import CloseDoor, OpenDoor
 
 RADII = (6.0, 20.0, 45.0)
@@ -152,6 +153,34 @@ class TestWholePopulations:
 
 
 class TestUnreachedDoors:
+    @pytest.mark.parametrize("seed,r", [(1, 15.0), (2, 30.0), (3, 50.0)])
+    def test_closed_room_matches_reference(self, small_mall, seed, r):
+        """Every door of one room closed: objects in it and astride its
+        doors come out ``inf`` (probability 0), and the rest exactly as
+        the reference has them against the same search."""
+        index, _ = _mall_index(small_mall, seed=40 + seed)
+        q = small_mall.random_point(seed=seed)
+        source = small_mall.locate(q).partition_id
+        rooms = sorted(
+            pid
+            for pid in small_mall.partitions
+            if pid != source
+            and small_mall.partition(pid).kind is PartitionKind.ROOM
+            and small_mall.doors_of(pid)
+        )
+        room = random.Random(seed).choice(rooms)
+        closed = sorted(d.door_id for d in small_mall.doors_of(room))
+        try:
+            for door_id in closed:
+                index.apply_event(CloseDoor(door_id))
+            dd = index.doors_graph.dijkstra_from_point(q)
+            (values,) = _assert_block_equals_scalar(
+                index, [dd], list(index.population), radii=(r / 2, r)
+            )
+            assert {math.isfinite(v) for v in values} == {False, True}
+        finally:  # the mall is shared by the session
+            for door_id in closed:
+                index.apply_event(OpenDoor(door_id))
 
     def test_zero_probability_instance_behind_an_unreached_door(
         self, five_rooms

@@ -7,6 +7,7 @@ from repro.geometry import Point
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
 from repro.queries import MonitorStats, QueryStats, iRQ
+from repro.reference import NaiveEvaluator
 
 
 class TestRatios:
@@ -133,3 +134,30 @@ class TestFallbackRecomputes:
         stats = QueryStats()
         iRQ(Point(5.0, 5.0, 0), 25.0, index, stats=stats)
         assert stats.fallback_recomputes == 0
+
+    def test_far_floor_refined_without_fallback(self, two_floor_space):
+        """A floor-1 object, refined against the full search from floor
+        0, gets its exact distance from that one search: nothing is
+        recomputed and nothing lands in the count."""
+        gen = ObjectGenerator(
+            two_floor_space, radius=1.5, n_instances=6, seed=3
+        )
+        pop = gen.generate(5)
+        upstairs = gen.generate_one(center=Point(5.0, 5.0, 1))
+        pop.insert(upstairs)
+        index = CompositeIndex.build(two_floor_space, pop)
+        q = Point(5.0, 5.0, 0)
+        stats = QueryStats()
+        result = iRQ(
+            q, 1000.0, index,
+            with_pruning=False,  # every candidate into refinement
+            precomputed_dd=index.doors_graph.dijkstra_from_point(q),
+            stats=stats,
+        )
+        assert stats.refined == len(pop)
+        assert stats.fallback_recomputes == 0
+        assert result.distances[upstairs.object_id] == pytest.approx(
+            NaiveEvaluator(two_floor_space, pop).all_distances(q)[
+                upstairs.object_id
+            ]
+        )

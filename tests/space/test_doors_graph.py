@@ -140,6 +140,27 @@ class TestDijkstraFromPoint:
                 expected.get(door_id, math.inf)
             )
 
+    def test_reaches_doors_beyond_any_radius(self, five_rooms):
+        """One search settles every door the source connects to, the
+        far ones included: there is no cutoff."""
+        graph = DoorsGraph.from_space(five_rooms)
+        q = Point(5, 5, 0)
+        dd = graph.dijkstra_from_point(q)
+        assert dd.doors_settled == len(five_rooms.doors)
+        far = [d for d in five_rooms.doors if dd.distance_to(d) > 10.0]
+        assert far  # sanity: some doors are far
+        assert all(math.isfinite(dd.distance_to(d)) for d in far)
+
+    def test_closed_door_is_unreached(self, five_rooms):
+        five_rooms.door("d3").is_open = False
+        five_rooms.topology_version += 1
+        graph = DoorsGraph.from_space(five_rooms)
+        dd = graph.dijkstra_from_point(Point(5, 5, 0))
+        assert dd.distance_to("d3") == math.inf
+        # The other doors, r1's seeds among them, stay reachable.
+        for door_id in ("d1", "d12", "d2", "d4", "d5"):
+            assert math.isfinite(dd.distance_to(door_id))
+
     def test_one_way_detour(self, one_way_space):
         graph = DoorsGraph.from_space(one_way_space)
         q = Point(5, 5, 0)  # in r1
