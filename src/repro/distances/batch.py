@@ -106,14 +106,15 @@ arranged so every float operation matches the scalar sequence:
   can arise), so numpy's reduction order is safe, ``reduceat`` over a
   row's entries included (a row with none is left out of it and reads
   ``+inf``, the scalar loop's initial value);
-* multi-subregion objects hand their per-subregion extrema — packed in
-  the same ``obj.pieces()`` order the scalar path iterates — to the
-  *scalar* :func:`~repro.distances.bounds.probabilistic_bounds`, so the
-  stable sort and the prefix/suffix float accumulation are literally
-  the same code; likewise the probability-mass accumulation of the
-  standing iPRQ runs as a sequential Python loop in subregion order;
+* multi-subregion objects hand their per-subregion extrema — float
+  lists in the same ``obj.pieces()`` order the scalar path iterates —
+  to :func:`~repro.distances.bounds.probabilistic_pair`, the list body
+  the scalar ``probabilistic_bounds`` runs too, so the stable sort and
+  the prefix/suffix float accumulation are literally the same code;
+  likewise the probability-mass accumulation of the standing iPRQ runs
+  as a sequential Python loop in subregion order;
 * the envelope shortcut changes who computes a decision, never the
-  decision: ``probabilistic_bounds`` initialises its lower bound to
+  decision: ``probabilistic_pair`` initialises its lower bound to
   ``min tmin`` and only ever ``max``es it, so ``lower >= lo`` holds in
   floats and ``lo > r`` implies "entirely beyond"; ``tmax >= tmin``
   per subregion (float addition is monotone), so beyond the envelope
@@ -152,11 +153,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distances.bounds import (
-    DistanceInterval,
-    SubregionStats,
-    probabilistic_bounds,
-)
+from repro.distances.bounds import DistanceInterval, probabilistic_pair
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.objects.instances import InstanceSet
@@ -528,14 +525,14 @@ class SubregionRows:
 
 @dataclass(slots=True, eq=False)
 class ObjectBlock:
-    """The object side of the batched bound: one ingest batch's
-    subregion stats, ragged as the index's table stores them, shared
-    across queries.
+    """The object side of the batched bound: one ingest batch's (or one
+    chunk of a one-shot query's candidates') subregion stats, ragged as
+    the index's table stores them, shared across queries.
 
     ``rows`` are the subregions in ``(object, subregion)`` order —
     objects in batch order, subregions in ``obj.pieces()`` order (the
     order the scalar path iterates, which the stable sort inside
-    :func:`~repro.distances.bounds.probabilistic_bounds` depends on).
+    :func:`~repro.distances.bounds.probabilistic_pair` depends on).
     ``obj_offsets[j] : obj_offsets[j + 1]`` is object ``j``'s row span.
     Beneath the rows, flat, one entry per entry door of each row's
     partition (in :class:`DoorLayout` order): row ``a`` owns entries
@@ -656,12 +653,14 @@ class BoundsRow:
     ``lo[j]`` is object ``j``'s topological lower envelope
     ``min_S tmin(S)`` (Lemma 1).  It never exceeds the lower end of the
     exact pruning interval — :func:`~repro.distances.bounds.
-    probabilistic_bounds` starts from this very value and only ever
+    probabilistic_pair` starts from this very value and only ever
     ``max``es it — so ``lo[j] > r`` proves "entirely beyond ``r``"
     with the decision the exact interval would give, and the exact
-    interval (:meth:`interval`, :meth:`probability`) is built per pair,
-    only on demand — :meth:`interval` once per pair, kept for the next
-    asker.  ``dd`` is the query's search.
+    bounds are computed per pair, only on demand: :meth:`pair` as
+    plain floats (the one-shot prune), :meth:`interval` as a
+    :class:`~repro.distances.bounds.DistanceInterval` built once per
+    pair and kept for the next asker (the maintainers), and
+    :meth:`probability`.  ``dd`` is the query's search.
 
     A pair the interval leaves undecided is refined by :meth:`exact` /
     :meth:`exact_probability`: the value :meth:`BlockBounds.refine`
@@ -697,9 +696,7 @@ class BoundsRow:
     ) -> None:
         self.dd = bounds.stack.searches[i]
         rows = bounds.block.rows
-        self._arrays = (
-            bounds.lo[i], bounds.tmin[i], bounds.tmax[i], rows.part
-        )
+        self._arrays = (bounds.lo[i], bounds.tmin[i], bounds.tmax[i])
         self._floats: list[list] | None = None
         self._stack = bounds.stack
         self._i = i
@@ -717,8 +714,8 @@ class BoundsRow:
         self._offsets = bounds.offsets
 
     def _lists(self) -> list[list]:
-        """``lo`` per object; ``tmin``, ``tmax`` and the partition's
-        layout row per subregion row."""
+        """``lo`` per object; ``tmin`` and ``tmax`` per subregion
+        row."""
         floats = self._floats
         if floats is None:
             floats = self._floats = [a.tolist() for a in self._arrays]
@@ -728,30 +725,27 @@ class BoundsRow:
     def lo(self) -> list[float]:
         return self._lists()[0]
 
-    def interval(self, j: int) -> DistanceInterval:
-        """Object ``j``'s pruning interval — the batched twin of
-        :func:`repro.reference.bounds.object_bounds`.  A
-        single-partition object takes its row directly (Eq. 7); a
-        multi-partition object hands its rows, in ``obj.pieces()``
-        order, to the scalar :func:`~repro.distances.bounds.
-        probabilistic_bounds` (Eq. 8), so sort stability and float
-        accumulation match the scalar path by construction."""
-        interval = self._intervals.get(j)
-        if interval is not None:
-            return interval
-        _, tmin, tmax, part = self._lists()
+    def pair(self, j: int) -> tuple[float, float]:
+        """Object ``j``'s pruning interval as ``(lower, upper)`` — the
+        batched twin of :func:`repro.reference.bounds.object_bounds`.
+        A single-partition object takes its row directly (Eq. 7); a
+        multi-partition object's rows, in ``obj.pieces()`` order, go
+        to :func:`~repro.distances.bounds.probabilistic_pair` (Eq. 8),
+        the very body the reference runs, so sort stability and float
+        accumulation match it by construction."""
+        _, tmin, tmax = self._lists()
         a, b = self._offsets[j], self._offsets[j + 1]
         if b - a == 1:
-            interval = DistanceInterval(tmin[a], tmax[a])
-        else:
-            ids, mass = self._stack.layout.part_ids, self._mass
-            interval = probabilistic_bounds(
-                [
-                    SubregionStats(ids[part[i]], tmin[i], tmax[i], mass[i])
-                    for i in range(a, b)
-                ]
-            )
-        self._intervals[j] = interval
+            return tmin[a], tmax[a]
+        return probabilistic_pair(tmin, tmax, self._mass, a, b)
+
+    def interval(self, j: int) -> DistanceInterval:
+        """:meth:`pair` as a :class:`~repro.distances.bounds.
+        DistanceInterval`, built once per pair and kept for the next
+        asker (the maintainers')."""
+        interval = self._intervals.get(j)
+        if interval is None:
+            interval = self._intervals[j] = DistanceInterval(*self.pair(j))
         return interval
 
     def probability(self, j: int, r: float) -> tuple[float, float]:
@@ -761,7 +755,7 @@ class BoundsRow:
         ``unreached_floor = r + 1.0``).  Beyond the envelope every
         subregion has ``tmax >= tmin > r`` and :func:`mass_within`
         would add nothing."""
-        lo, tmin, tmax, _ = self._lists()
+        lo, tmin, tmax = self._lists()
         if lo[j] > r:
             return 0.0, 0.0
         rows = range(self._offsets[j], self._offsets[j + 1])

@@ -23,7 +23,6 @@ from repro.distances.batch import (
     block_expected_distances,
     block_object_bounds,
 )
-from repro.distances.bounds import DistanceInterval
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.composite import CompositeIndex, RangeSearchResult
@@ -94,9 +93,9 @@ def search_phase(
 
 #: Candidates per bounds-kernel call: bounds the block's gathered door
 #: entries, hence the kernel's temporaries, for a venue-wide candidate
-#: set (the kernel itself bounds the query axis); the per-call overhead
-#: is amortised long before this size.
-PRUNE_CHUNK = 256
+#: set (the kernel itself bounds the query axis).  A world-A ikNNQ's
+#: few hundred candidates are one gather and one kernel call.
+PRUNE_CHUNK = 1024
 
 
 def candidate_blocks(
@@ -119,8 +118,8 @@ class CandidateBounds:
     the decision the interval would give; ``hi[j] = max_S tmax(S)``
     (Lemma 2) bounds its distance from above — a rank bound for ikNNQ,
     never an acceptance test (see :mod:`repro.distances.batch`).
-    :meth:`interval` builds the Table III interval (Eq. 7 / Eq. 8) of
-    one candidate the envelope could not decide.
+    :meth:`pair` computes the Table III interval (Eq. 7 / Eq. 8) of
+    one candidate the envelope could not decide, as plain floats.
     """
 
     __slots__ = ("lo", "hi", "_rows")
@@ -132,11 +131,12 @@ class CandidateBounds:
         self.hi = hi
         self._rows = rows  # one per chunk of PRUNE_CHUNK candidates
 
-    def interval(self, j: int) -> DistanceInterval:
-        """Candidate ``j``'s exact pruning interval — float for float
-        :func:`repro.reference.bounds.object_bounds`."""
+    def pair(self, j: int) -> tuple[float, float]:
+        """Candidate ``j``'s exact pruning interval as ``(lower,
+        upper)`` — float for float :func:`repro.reference.bounds.
+        object_bounds`."""
         chunk, at = divmod(j, PRUNE_CHUNK)
-        return self._rows[chunk].interval(at)
+        return self._rows[chunk].pair(at)
 
 
 def pruning_phase(

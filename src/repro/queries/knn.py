@@ -3,10 +3,10 @@ Algorithms 2 and 5).
 
 Returns the ``k`` objects with the smallest expected indoor distances.
 The search radius is not given — it is derived: kSeedsSelection expands
-partitions around ``q`` until ``k`` objects are seen, the Topological
-Looser Upper Bound (Lemma 3) of the worst seed becomes ``kbound``, and
-a range search with ``kbound`` then guarantees zero false negatives
-(Lemma 6).
+partitions around ``q`` until ``2k`` objects are seen, the k-th
+smallest Topological Looser Upper Bound (Lemma 3) of the seeds becomes
+``kbound``, and a range search with ``kbound`` then guarantees zero
+false negatives (Lemma 6).
 """
 
 from __future__ import annotations
@@ -183,14 +183,15 @@ def ikNNQ(
     source = locate_source(index, q)
 
     # Phase 1a: seeds + kbound (Lemma 3).  kbound is the k-th smallest
-    # finite seed TLU — with exactly k seeds this is the paper's "max
-    # over the seeds"; a seed whose TLU is infinite (a straddler whose
-    # partition lies beyond the expansion frontier) triggers a wider
-    # seed pool instead of an unbounded search.
+    # finite seed TLU.  Algorithm 2 takes exactly k seeds, but then one
+    # straddler whose partition lies beyond the expansion frontier has
+    # an infinite TLU and leaves no bound, so the pool starts at 2k (any
+    # valid TLU bounds the k-th distance, Lemma 6).  Too few finite
+    # TLUs widen it to 4k instead of searching without a bound.
     t0 = time.perf_counter()
     kbound = math.inf
     expansion = SeedExpansion(index, q, source)
-    for k_eff in (k, 2 * k, 4 * k):
+    for k_eff in (2 * k, 4 * k):
         expansion.extend(k_eff)
         tlus = expansion.seed_upper_bounds()
         tlus = tlus[np.isfinite(tlus)]
@@ -225,12 +226,12 @@ def ikNNQ(
         ceiling = np.partition(bounds.hi, k - 1)[k - 1]
         ranked = np.flatnonzero(bounds.lo <= ceiling).tolist()
         stats.rejected_by_bounds += len(candidates) - len(ranked)
-        intervals = [bounds.interval(j) for j in ranked]
+        pairs = [bounds.pair(j) for j in ranked]
         # O_k = candidate with the k-th smallest upper bound; objects
         # whose lower bound exceeds O_k's upper cannot be in the top-k
         # (at least k candidates are certainly closer) — Algorithm 2's
         # rejection rule, line 13.
-        ok_upper = sorted(interval.upper for interval in intervals)[k - 1]
+        ok_upper = sorted(upper for _, upper in pairs)[k - 1]
         # Acceptance (line 11) is implemented in its provably safe form:
         # accept O without refinement only when at most k-1 *other*
         # candidates could possibly be closer, i.e. have a lower bound
@@ -239,17 +240,17 @@ def ikNNQ(
         # candidates dropped above are not missed from that count:
         # their lower bounds lie beyond U, and an upper bound reaching
         # that far already counts the k candidates that set U.
-        lowers = sorted(interval.lower for interval in intervals)
+        lowers = sorted(lower for lower, _ in pairs)
         sure: list[UncertainObject] = []
         undecided: list[UncertainObject] = []
-        for j, interval in zip(ranked, intervals):
-            if interval.lower > ok_upper:
+        for j, (lower, upper) in zip(ranked, pairs):
+            if lower > ok_upper:
                 stats.rejected_by_bounds += 1
                 continue
             # Count candidates (other than this one) whose lower bound
             # does not exceed this object's upper bound.
-            possibly_closer = bisect.bisect_right(lowers, interval.upper) - 1
-            if possibly_closer <= k - 1 and math.isfinite(interval.upper):
+            possibly_closer = bisect.bisect_right(lowers, upper) - 1
+            if possibly_closer <= k - 1 and math.isfinite(upper):
                 stats.accepted_by_bounds += 1
                 sure.append(candidates[j])
             else:

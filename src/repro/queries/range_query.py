@@ -82,12 +82,12 @@ def iRQ(
         undecided = []
         for j in near:
             obj = filtered.objects[j]
-            interval = bounds.interval(j)
-            if interval.entirely_within(r):
+            lower, upper = bounds.pair(j)
+            if upper <= r:  # entirely within
                 stats.accepted_by_bounds += 1
                 result.objects.append(obj)
                 result.distances[obj.object_id] = None
-            elif interval.entirely_beyond(r):
+            elif lower > r:  # entirely beyond
                 stats.rejected_by_bounds += 1
             else:
                 undecided.append(obj)

@@ -60,17 +60,15 @@ def estimate_irq_result_size(
     estimate = 0.0
     # Sure-rejects by the envelope score 0, exactly as iRQ drops them.
     for j in np.flatnonzero(bounds.lo <= r).tolist():
-        interval = bounds.interval(j)
-        if interval.entirely_within(r):
+        lower, upper = bounds.pair(j)
+        if upper <= r:  # entirely within
             estimate += 1.0
-        elif interval.entirely_beyond(r):
+        elif lower > r:  # entirely beyond
             continue
         else:
-            width = interval.upper - interval.lower
+            width = upper - lower
             if width <= 0.0 or width != width or width == float("inf"):
                 estimate += 0.5  # degenerate interval: coin flip
             else:
-                estimate += min(
-                    1.0, max(0.0, (r - interval.lower) / width)
-                )
+                estimate += min(1.0, max(0.0, (r - lower) / width))
     return estimate

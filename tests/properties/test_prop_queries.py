@@ -201,15 +201,16 @@ def _reference_irq_decisions(index, q, r, session):
     return rejected, accepted, len(intervals) - rejected - accepted
 
 
-def _reference_iknn_decisions(index, q, k, session):
+def _reference_iknn_decisions(index, q, k, session, ladder=(2, 4)):
     """(candidates, rejected, accepted, refined) of Algorithm 2 with
     nothing shared with the array path: seed selection restarted per
-    widening, scalar Lemma 3 per seed, a scalar interval for every
+    widening — ``ladder`` seeds times ``k``, from ``2k`` as ikNNQ
+    widens — scalar Lemma 3 per seed, a scalar interval for every
     candidate."""
     space, grid = index.space, index.population.grid
     source = locate_source(index, q)
     kbound = math.inf
-    for k_eff in (k, 2 * k, 4 * k):
+    for k_eff in (step * k for step in ladder):
         seeds, _, known_paths = k_seeds_selection(index, q, k_eff, source)
         tlus = sorted(
             tlu
@@ -305,6 +306,30 @@ class TestEnvelopeFirstPrune:
             stats.accepted_by_bounds,
             stats.refined,
         ) == _reference_iknn_decisions(index, q, k, session)
+
+    def test_seed_pool_starts_at_2k(self):
+        """Here ``k`` seeds already decide a ``kbound``, and ``2k`` a
+        tighter one: the widening ``(k, 2k, 4k)`` filters more
+        candidates, and ikNNQ, which starts from ``2k``, decides as
+        the ``(2k, 4k)`` reference and answers as the oracle."""
+        space, index, oracle, _ = _straddling_world(0)
+        q, k = space.random_point(seed=24), 5
+        stats = QueryStats()
+        got = ikNNQ(q, k, index, stats=stats)
+        decisions = (
+            stats.candidates_after_filtering,
+            stats.rejected_by_bounds,
+            stats.accepted_by_bounds,
+            stats.refined,
+        )
+        assert decisions == _reference_iknn_decisions(index, q, k, None)
+        from_k = _reference_iknn_decisions(index, q, k, None, (1, 2, 4))
+        assert decisions[0] < from_k[0]
+        assert decisions[2:] == from_k[2:]
+        want = dict(oracle.knn_query(q, k))
+        assert got.ids() == set(want)
+        for oid, d in got.distances.items():
+            assert d is None or d == want[oid]
 
     @pytest.mark.parametrize("use_session", [False, True])
     def test_infinite_ceiling_drops_nothing(self, five_rooms, use_session):

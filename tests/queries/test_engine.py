@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.distances import DistanceInterval
 from repro.errors import QueryError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
@@ -80,7 +81,7 @@ class TestPhases:
         bounds = pruning_phase(setup, filtered.objects, dd)
         assert len(bounds.lo) == len(bounds.hi) == len(filtered.objects) > 0
         for j in range(len(filtered.objects)):
-            iv = bounds.interval(j)
+            iv = DistanceInterval(*bounds.pair(j))
             assert iv.lower <= iv.upper + 1e-9
             assert math.isfinite(iv.lower)  # every door is reached
             # The envelope encloses the exact interval.

@@ -19,6 +19,7 @@ import math
 
 import pytest
 
+from repro.distances import DistanceInterval
 from repro.geometry import Point
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
@@ -158,7 +159,7 @@ class TestEnvelopeIsTheTopologicalBounds:
                 envelope = topological_bounds(stats)
                 assert bounds.lo[j] == envelope.lower
                 assert bounds.hi[j] == envelope.upper
-                assert bounds.interval(j) == object_bounds(
+                assert DistanceInterval(*bounds.pair(j)) == object_bounds(
                     q, obj, dd, space, grid
                 )
         for door_id in shut:  # the mall is shared by the session
